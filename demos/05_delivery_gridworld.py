@@ -7,26 +7,16 @@ skips, so the policy is blended; the table shows how the blending degree and
 the charging-cell limit probability scale with the efficiency budget.
 """
 
-from effsynth import UtilityFn, analyze, build_product, induce_chain, \
-    limit_distribution, synth_general
+from effsynth import analyze, build_product, induce_chain, \
+    lift_utilities, limit_distribution, synth_general
 from effsynth.casestudies import gen_case1
 
 m, task_deliver, task_deliver_charge, reward, cost = gen_case1()
 print(f"workspace model: {m.n_states} states "
       f"(free cells x carrying flag), 4 move actions")
 
-
-def lift(pm):
-    rv, cv = {}, {}
-    for i, (s, q) in enumerate(pm.components):
-        for a in pm.available[i]:
-            rv[(i, a)] = reward(s, a)
-            cv[(i, a)] = cost(s, a)
-    return UtilityFn(rv, "reward"), UtilityFn(cv, "cost")
-
-
 pm1 = build_product(m, task_deliver)
-r1, c1 = lift(pm1)
+r1, c1 = lift_utilities(pm1, reward, cost)
 rep = synth_general(pm1, r1, c1, epsilon=0.01)
 ca = analyze(induce_chain(pm1, rep.policy))
 cells = sorted({pm1.state_names[s].split("&")[0].split("_")[0]
@@ -36,7 +26,7 @@ print(f"\ntask 1: optimal efficiency {rep.value:.4f}, "
 print(f"  long-run loop cells: {cells}")
 
 pm2 = build_product(m, task_deliver_charge)
-r2, c2 = lift(pm2)
+r2, c2 = lift_utilities(pm2, reward, cost)
 charge_states = [i for i in range(pm2.n_states) if "c" in pm2.labels[i]]
 print(f"\ntask 2 (also charge forever): product has {pm2.n_states} states")
 print("budget   method   degree      charge-cell limit prob")

@@ -4,10 +4,11 @@ omega-regular tasks given as deterministic Rabin automata."""
 __version__ = "0.1.0"
 
 from .model import (Dra, Mc, Mdp, ProductMdp, StationaryPolicy, UtilityFn,
-                    Violation, build_product, induce_chain, validate_mdp)
+                    Violation, build_product, induce_chain, lift_utilities,
+                    rabin_witness, validate_mdp)
 from .graph import (EndComponent, SubMdp, almost_sure_region, amec_filter,
                     attractor_policy, is_communicating, maec_decompose,
-                    mec_decompose, restrict)
+                    mec_decompose, restrict, restrict_closed)
 from .chain import (ChainAnalysis, analyze, average_utility, deviation_vector,
                     efficiency, limit_distribution, potential_vector,
                     ratio_perturbation_identity_check, utility_vector)
@@ -15,7 +16,8 @@ from .lp import (AvgLpSolution, LfpSolution, LpProblem, LpResult,
                  decode_avg_policy, decode_ratio_policy, solve_avg_reward_lp,
                  solve_lp, solve_ratio_lfp)
 from .synthesis import (Certificate, PerturbationPlan, SynthesisReport,
-                        build_reward_k, perturbation_degree_estimated,
+                        Tolerances, build_reward_k,
+                        perturbation_degree_estimated,
                         perturbation_degree_exact, synth_communicating,
                         synth_general, uniform_irreducible_policy)
 from .sim import RolloutConfig, RolloutStats, acceptance_visits, simulate

@@ -58,7 +58,7 @@ def analyze(chain: Mc) -> ChainAnalysis:
     n = chain.n_states
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("chain is not row-stochastic")
-    adj = {s: [t for t in range(n) if P[s, t] > SUPPORT_EPS] for s in range(n)}
+    adj = {s: np.flatnonzero(P[s] > SUPPORT_EPS).tolist() for s in range(n)}
     sccs = strongly_connected_components(range(n), adj)
     comp_of = {}
     for i, comp in enumerate(sccs):

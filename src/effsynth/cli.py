@@ -8,13 +8,14 @@ validation failure (also argparse usage errors), 3 task unsatisfiable,
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 
 from . import __version__
-from .model import AlphabetMismatch, ModelError, PolicyMismatch, build_product, \
-    induce_chain
+from .model import ALGEBRA_TOL, PROB_TOL, AlphabetMismatch, ModelError, \
+    PolicyMismatch, build_product, induce_chain, lift_utilities, rabin_witness
 from . import casestudies, chain, graph, lp, parsers, sim, synthesis
 
 EXIT_PARSE = 2
@@ -35,14 +36,9 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _manifest(args, paths):
-    knobs = {
-        "prob_tol": 1e-9,
-        "algebra_tol": 1e-12,
-        "support_threshold": getattr(args, "tol_support", 1e-9),
-        "bisect_width": getattr(args, "tol_bisect", 1e-6),
-        "k_margin": getattr(args, "k_margin", 1.0),
-    }
+def _manifest(args, paths, tol=synthesis.Tolerances()):
+    knobs = {"prob_tol": PROB_TOL, "algebra_tol": ALGEBRA_TOL,
+             **dataclasses.asdict(tol)}
     return {
         "version": __version__,
         "inputs": {p: _sha256(p) for p in paths if p},
@@ -69,22 +65,12 @@ def _load_problem(args):
     return m, d, pm
 
 
-def _load_utilities(args, pm):
+def _load_utilities(args, m, pm):
     with open(args.rewards) as f:
-        text = f.read()
-    base = parsers.parse_mdp(open(args.mdp).read())
-    reward, cost = parsers.parse_utilities(text, base)
+        reward, cost = parsers.parse_utilities(f.read(), m)
     if reward is None or cost is None:
         raise parsers.ParseError("utility file must define reward and cost")
-    # lift base-state utilities onto the product through its components
-    r_vals = {}
-    c_vals = {}
-    for i, (s, q) in enumerate(pm.components):
-        for a in pm.available[i]:
-            r_vals[(i, a)] = reward(s, a)
-            c_vals[(i, a)] = cost(s, a)
-    from .model import UtilityFn
-    return UtilityFn(r_vals, "reward"), UtilityFn(c_vals, "cost")
+    return lift_utilities(pm, reward, cost)
 
 
 def _ec_json(m, ec):
@@ -138,22 +124,13 @@ def _report_json(pm, report):
     }
 
 
-def _apply_knobs(args):
-    """Numeric knobs are module-level defaults; the CLI overrides them for
-    the whole (single-threaded) run."""
-    if getattr(args, "tol_support", None) is not None:
-        lp.SUPPORT_THRESHOLD = args.tol_support
-    if getattr(args, "tol_bisect", None) is not None:
-        synthesis.BISECT_WIDTH = args.tol_bisect
-    if getattr(args, "k_margin", None) is not None:
-        synthesis.K_MARGIN = args.k_margin
-
-
 def cmd_synthesize(args):
-    _apply_knobs(args)
+    tol = synthesis.Tolerances(support_threshold=args.tol_support,
+                               bisect_width=args.tol_bisect,
+                               k_margin=args.k_margin)
     m, d, pm = _load_problem(args)
-    r, c = _load_utilities(args, pm)
-    report = synthesis.synth_general(pm, r, c, args.epsilon, args.method)
+    r, c = _load_utilities(args, m, pm)
+    report = synthesis.synth_general(pm, r, c, args.epsilon, args.method, tol)
     policy_text = parsers.write_policy(pm, report.policy, report)
     if args.out:
         with open(args.out, "w") as f:
@@ -161,7 +138,8 @@ def cmd_synthesize(args):
     payload = {"schema": "effsynth/1",
                "report": _report_json(pm, report),
                "policy_file": args.out,
-               "manifest": _manifest(args, [args.mdp, args.dra, args.rewards])}
+               "manifest": _manifest(args, [args.mdp, args.dra, args.rewards],
+                                     tol)}
     _emit(payload, args.report_out)
     return 0
 
@@ -175,25 +153,20 @@ def _policy_scope(pm, policy, r, c):
         return pm, policy, r, c
     if pm.initial not in dom:
         raise PolicyMismatch("policy does not cover the initial state")
-    for s in dom:
-        for a, w in policy.dist(s).items():
-            if w > 0.0 and any(t not in dom and p > 0.0
-                               for t, p in pm.succ(s, a).items()):
-                raise PolicyMismatch(
-                    f"policy leaves its own domain at {pm.state_names[s]}")
-    acts = {s: {a for a in pm.available[s]
-                if all(t in dom for t, p in pm.succ(s, a).items() if p > 0.0)}
-            for s in dom}
-    sub_pm, ids = graph.restrict(pm, graph.SubMdp.make(dom, acts),
-                                 initial=pm.initial)
+    sub_pm, ids = graph.restrict_closed(pm, dom)
     id_of = {g: i for i, g in enumerate(ids)}
+    for s in dom:
+        kept = sub_pm.available[id_of[s]]
+        if any(w > 0.0 and a not in kept for a, w in policy.dist(s).items()):
+            raise PolicyMismatch(
+                f"policy leaves its own domain at {pm.state_names[s]}")
     local = type(policy)({id_of[s]: dist for s, dist in policy.rule.items()})
     return sub_pm, local, r.restricted(ids, id_of), c.restricted(ids, id_of)
 
 
 def cmd_evaluate(args):
     m, d, pm = _load_problem(args)
-    r, c = _load_utilities(args, pm)
+    r, c = _load_utilities(args, m, pm)
     with open(args.policy) as f:
         policy = parsers.parse_policy(f.read(), pm)
     pm, policy, r, c = _policy_scope(pm, policy, r, c)
@@ -202,12 +175,7 @@ def cmd_evaluate(args):
     classes = []
     sat_mass = 0.0
     for k, comp in enumerate(ca.recurrent_classes):
-        states = set(comp)
-        witness = None
-        for i, (b, g) in enumerate(pm.acc_pairs):
-            if not (states & b) and (states & g):
-                witness = i
-                break
+        witness = rabin_witness(comp, pm.acc_pairs)
         mass = float(ca.absorb[pm.initial, k])
         if witness is not None:
             sat_mass += mass
@@ -227,7 +195,7 @@ def cmd_evaluate(args):
 
 def cmd_simulate(args):
     m, d, pm = _load_problem(args)
-    r, c = _load_utilities(args, pm)
+    r, c = _load_utilities(args, m, pm)
     with open(args.policy) as f:
         policy = parsers.parse_policy(f.read(), pm)
     pm, policy, r, c = _policy_scope(pm, policy, r, c)
@@ -334,15 +302,7 @@ def _case1_tables(m, dra, reward, cost, args):
     """ES/EX perturbation degree and charging-cell limit probability per
     threshold, in the shape of the source tables."""
     pm = build_product(m, dra)
-    r_vals = {}
-    c_vals = {}
-    for i, (s, q) in enumerate(pm.components):
-        for a in pm.available[i]:
-            r_vals[(i, a)] = reward(s, a)
-            c_vals[(i, a)] = cost(s, a)
-    from .model import UtilityFn
-    r = UtilityFn(r_vals, "reward")
-    c = UtilityFn(c_vals, "cost")
+    r, c = lift_utilities(pm, reward, cost)
     thresholds = [0.005, 0.01, 0.05, 0.1]
     rows = {"es": [], "ex": []}
     limits = {"es": [], "ex": []}
@@ -419,9 +379,9 @@ def make_parser():
     p.add_argument("--method", choices=("es", "ex"), default="es")
     p.add_argument("--out", help="policy file destination")
     p.add_argument("--report-out", help="JSON report destination")
-    p.add_argument("--tol-support", type=float, default=1e-9)
-    p.add_argument("--tol-bisect", type=float, default=1e-6)
-    p.add_argument("--k-margin", type=float, default=1.0)
+    p.add_argument("--tol-support", type=float, default=lp.SUPPORT_THRESHOLD)
+    p.add_argument("--tol-bisect", type=float, default=synthesis.BISECT_WIDTH)
+    p.add_argument("--k-margin", type=float, default=synthesis.K_MARGIN)
     p.set_defaults(fn=cmd_synthesize)
 
     p = sub.add_parser("evaluate", help="analytic efficiency and acceptance")

@@ -187,10 +187,7 @@ def mec_decompose(m: Mdp, state_set=None, act_map=None):
     else:
         state_set = set(state_set)
         if act_map is None:
-            act_map = {s: {a for a in m.available[s]
-                           if all(t in state_set
-                                  for t, p in m.succ(s, a).items() if p > 0.0)}
-                       for s in state_set}
+            act_map = _closed_actions(m, state_set)
         else:
             act_map = {s: set(acts) for s, acts in act_map.items()}
         for s in [s for s in state_set if not act_map.get(s)]:
@@ -297,28 +294,29 @@ def almost_sure_region(pm: ProductMdp):
 def attractor_policy(m: Mdp, target, p: StationaryPolicy) -> StationaryPolicy:
     """Extend p from target to all states so target is reached w.p.1.
 
-    Peeling loop: repeatedly pick the lowest (state, action) with positive
-    one-step probability into the grown region and fix that action.
+    Breadth-first layers: every state outside the grown region that has an
+    action with positive one-step probability into it takes its lowest such
+    action, and the whole layer joins the region at once.  Each fixed action
+    thus moves at least one layer closer to the target, which keeps expected
+    hitting times short.
     """
     grown = set(target)
     todo = set(range(m.n_states)) - grown
     extra = {}
     while todo:
-        found = None
+        layer = {}
         for s in sorted(todo):
             for a in m.available[s]:
                 if any(t in grown and prob > 0.0
                        for t, prob in m.succ(s, a).items()):
-                    found = (s, a)
+                    layer[s] = a
                     break
-            if found:
-                break
-        if found is None:
+        if not layer:
             raise Unreachable(f"states {sorted(todo)} cannot reach the target")
-        s, a = found
-        extra[s] = {a: 1.0}
-        todo.discard(s)
-        grown.add(s)
+        for s, a in layer.items():
+            extra[s] = {a: 1.0}
+        todo.difference_update(layer)
+        grown.update(layer)
     return p.extended(extra)
 
 
@@ -352,6 +350,20 @@ def restrict(m: Mdp, sub: SubMdp, initial=None):
         sub_m = Mdp(names, m.action_names, init, trans, m.atomic_props,
                     labels)
     return sub_m, ids
+
+
+def _closed_actions(m: Mdp, region):
+    """Per state of region, the actions whose successors all stay inside."""
+    return {s: {a for a in m.available[s]
+                if all(t in region for t, p in m.succ(s, a).items() if p > 0.0)}
+            for s in region}
+
+
+def restrict_closed(m: Mdp, region):
+    """restrict() onto region, keeping the actions whose successors all stay
+    inside it; the initial state, which must lie in region, carries over."""
+    return restrict(m, SubMdp.make(region, _closed_actions(m, region)),
+                    initial=m.initial)
 
 
 def is_communicating(m: Mdp):

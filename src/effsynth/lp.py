@@ -316,22 +316,25 @@ def solve_ratio_lfp(m: Mdp, r: UtilityFn, c: UtilityFn) -> LfpSolution:
     return LfpSolution(gamma=gamma, value=float(res.value))
 
 
-def decode_ratio_policy(m: Mdp, sol: LfpSolution) -> StationaryPolicy:
+def decode_ratio_policy(m: Mdp, sol: LfpSolution,
+                        support_threshold=SUPPORT_THRESHOLD
+                        ) -> StationaryPolicy:
     """Policy carried by the occupation weights.
 
     Inside the support Q the rule is the normalized weights; outside, actions
     are assigned so Q is reached w.p.1.  If the support splits into several
     recurrent classes (they tie in ratio at an optimum), everything is steered
     into the class with the lowest state index so the result is unichain.
+    Occupation mass at or below support_threshold counts as zero.
     """
     mass = {}
     for (s, a), g in sol.gamma.items():
         mass[s] = mass.get(s, 0.0) + g
-    q_set = {s for s, tot in mass.items() if tot > SUPPORT_THRESHOLD}
+    q_set = {s for s, tot in mass.items() if tot > support_threshold}
     rule = {}
     for s in q_set:
         dist = {a: sol.gamma[(s, a)] / mass[s] for a in m.available[s]
-                if sol.gamma.get((s, a), 0.0) > SUPPORT_THRESHOLD}
+                if sol.gamma.get((s, a), 0.0) > support_threshold}
         total = sum(dist.values())
         rule[s] = {a: p / total for a, p in dist.items()}
     policy = attractor_policy(m, q_set, StationaryPolicy(rule))
@@ -396,20 +399,23 @@ def solve_avg_reward_lp(m: Mdp, reward: UtilityFn) -> AvgLpSolution:
     return AvgLpSolution(x=x, y=y, gain=float(res.value))
 
 
-def decode_avg_policy(m: Mdp, sol: AvgLpSolution) -> StationaryPolicy:
-    """x-proportional on the occupation support, y-proportional elsewhere."""
+def decode_avg_policy(m: Mdp, sol: AvgLpSolution,
+                      support_threshold=SUPPORT_THRESHOLD
+                      ) -> StationaryPolicy:
+    """x-proportional on the occupation support, y-proportional elsewhere;
+    mass at or below support_threshold counts as zero."""
     rule = {}
     for s in range(m.n_states):
         x_row = {a: sol.x.get((s, a), 0.0) for a in m.available[s]}
         y_row = {a: sol.y.get((s, a), 0.0) for a in m.available[s]}
-        if sum(x_row.values()) > SUPPORT_THRESHOLD:
+        if sum(x_row.values()) > support_threshold:
             row = x_row
-        elif sum(y_row.values()) > SUPPORT_THRESHOLD:
+        elif sum(y_row.values()) > support_threshold:
             row = y_row
         else:
             raise DegenerateDecoding(
                 f"state {m.state_names[s]}: x and y both vanish")
-        kept = {a: v for a, v in row.items() if v > SUPPORT_THRESHOLD}
+        kept = {a: v for a, v in row.items() if v > support_threshold}
         if not kept:
             best = max(row, key=row.get)
             kept = {best: row[best]}

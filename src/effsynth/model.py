@@ -160,7 +160,7 @@ class Dra:
             trace.append(q)
             pos = (pos + 1) % len(cycle)
         inf = set(trace[seen[(q, pos)]:])
-        return any(not (inf & b) and (inf & g) for b, g in self.pairs)
+        return rabin_witness(inf, self.pairs) is not None
 
 
 class StationaryPolicy:
@@ -275,6 +275,26 @@ class UtilityFn:
     @staticmethod
     def constant(m: Mdp, value, kind):
         return UtilityFn({(s, a): value for s, a in m.state_action_pairs()}, kind)
+
+
+def lift_utilities(pm: "ProductMdp", reward, cost):
+    """Reward and cost of the base model, lifted onto a product built by
+    build_product: product state i takes the values of its base state."""
+    rv, cv = {}, {}
+    for i, (s, q) in enumerate(pm.components):
+        for a in pm.available[i]:
+            rv[(i, a)] = reward(s, a)
+            cv[(i, a)] = cost(s, a)
+    return UtilityFn(rv, "reward"), UtilityFn(cv, "cost")
+
+
+def rabin_witness(states, pairs):
+    """Index of the first Rabin pair (B, G) whose condition a set of states
+    visited infinitely often meets (it misses B and meets G), else None."""
+    for k, (b, g) in enumerate(pairs):
+        if b.isdisjoint(states) and not g.isdisjoint(states):
+            return k
+    return None
 
 
 @dataclass(frozen=True)

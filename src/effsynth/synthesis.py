@@ -17,17 +17,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Mdp, ProductMdp, StationaryPolicy, UtilityFn, induce_chain
+from .model import (Mdp, ProductMdp, StationaryPolicy, UtilityFn,
+                    induce_chain, rabin_witness)
 from .graph import (EndComponent, almost_sure_region, amec_filter,
-                    attractor_policy, maec_decompose, restrict)
+                    attractor_policy, maec_decompose, restrict,
+                    restrict_closed)
 from .chain import (NotUnichain, analyze, average_utility, deviation_vector,
                     efficiency)
-from .lp import decode_avg_policy, decode_ratio_policy, solve_avg_reward_lp, \
-    solve_ratio_lfp
+from .lp import SUPPORT_THRESHOLD, decode_avg_policy, decode_ratio_policy, \
+    solve_avg_reward_lp, solve_ratio_lfp
 
 BISECT_WIDTH = 1e-6
 DELTA_CAP = 1.0 - 1e-9
 K_MARGIN = 1.0
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Numeric knobs of one synthesis run, passed down as call data: the
+    LP-decoding support threshold, the exact-degree bisection width, and the
+    margin of the surrogate off-component reward below -max|R|/min C."""
+    support_threshold: float = SUPPORT_THRESHOLD
+    bisect_width: float = BISECT_WIDTH
+    k_margin: float = K_MARGIN
 
 
 class NoMaec(Exception):
@@ -126,11 +138,9 @@ def perturbation_degree_estimated(m: Mdp, mu_opt, mu_irr, r, c,
 
 
 def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
-                              width=None) -> PerturbationPlan:
+                              width=BISECT_WIDTH) -> PerturbationPlan:
     """Largest degree that keeps the blended efficiency within epsilon,
     found by bisection on the analytic evaluator and verified afterwards."""
-    if width is None:
-        width = BISECT_WIDTH
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     ca = analyze(induce_chain(m, mu_opt))
@@ -175,15 +185,8 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
 
 def _certificate(pm: ProductMdp, policy: StationaryPolicy) -> Certificate:
     ca = analyze(induce_chain(pm, policy))
-    witnesses = []
-    for comp in ca.recurrent_classes:
-        states = set(comp)
-        found = None
-        for k, (b, g) in enumerate(pm.acc_pairs):
-            if not (states & b) and (states & g):
-                found = k
-                break
-        witnesses.append(found)
+    witnesses = [rabin_witness(comp, pm.acc_pairs)
+                 for comp in ca.recurrent_classes]
     defect = float(1.0 - ca.absorb.sum(axis=1).min())
     return Certificate(recurrent_classes=ca.recurrent_classes,
                        witness_pairs=tuple(witnesses),
@@ -201,7 +204,7 @@ def _recurrent_class_global(sub_m, ids, policy):
 
 def synth_communicating(pm: ProductMdp, r: UtilityFn, c: UtilityFn,
                         epsilon: float, method: str = "es",
-                        mu_irr_factory=None) -> SynthesisReport:
+                        tol: Tolerances = Tolerances()) -> SynthesisReport:
     """Epsilon-optimal synthesis for a communicating model.
 
     Solves the ratio program in every maximal accepting end component, keeps
@@ -228,7 +231,8 @@ def synth_communicating(pm: ProductMdp, r: UtilityFn, c: UtilityFn,
         c_sub = c.restricted(ids, id_of)
         sol = solve_ratio_lfp(sub_m, r_sub, c_sub)
         values.append(sol.value)
-        opt_policies.append(decode_ratio_policy(sub_m, sol))
+        opt_policies.append(decode_ratio_policy(
+            sub_m, sol, support_threshold=tol.support_threshold))
         subs.append((sub_m, ids, id_of, r_sub, c_sub))
     best = max(range(len(maecs)), key=lambda i: (values[i], -i))
 
@@ -238,20 +242,16 @@ def synth_communicating(pm: ProductMdp, r: UtilityFn, c: UtilityFn,
     # adopt the optimal policy unperturbed when its recurrent class already
     # meets some G-set while avoiding the paired B-set
     rec_global = _recurrent_class_global(sub_m, ids, mu_opt)[0]
-    no_pert = any(not (rec_global & b) and (rec_global & g)
-                  for b, g in pm.acc_pairs)
+    no_pert = rabin_witness(rec_global, pm.acc_pairs) is not None
     plan = None
     if no_pert:
         mu_final_sub = mu_opt
     else:
-        if mu_irr_factory is None:
-            mu_irr = StationaryPolicy.uniform(sub_m)
-        else:
-            mu_irr = mu_irr_factory(sub_m, ids)
-        pick = (perturbation_degree_estimated if method == "es"
-                else perturbation_degree_exact)
-        plan = pick(sub_m, mu_opt, mu_irr, r_sub, c_sub, epsilon)
-        mu_final_sub = mu_opt.mix(mu_irr, plan.delta)
+        blend = (sub_m, mu_opt, StationaryPolicy.uniform(sub_m), r_sub, c_sub,
+                 epsilon)
+        plan = (perturbation_degree_estimated(*blend) if method == "es" else
+                perturbation_degree_exact(*blend, width=tol.bisect_width))
+        mu_final_sub = mu_opt.mix(plan.mu_irr, plan.delta)
 
     lifted = _lift(mu_final_sub, ids)
     policy = attractor_policy(pm, set(ids), lifted)
@@ -263,12 +263,12 @@ def synth_communicating(pm: ProductMdp, r: UtilityFn, c: UtilityFn,
 
 
 def build_reward_k(pm: ProductMdp, amecs, values, r: UtilityFn,
-                   c: UtilityFn):
+                   c: UtilityFn, k_margin=K_MARGIN):
     """Surrogate reward: the component's optimal value inside each accepting
-    component, and K = -max|R|/min C - 1 everywhere else."""
+    component, and K = -max|R|/min C - k_margin everywhere else."""
     r_hat = max(abs(r(s, a)) for s, a in pm.state_action_pairs())
     c_hat = _min_cost(pm, c)
-    big_k = -r_hat / c_hat - K_MARGIN
+    big_k = -r_hat / c_hat - k_margin
     owner = {}
     for i, amec in enumerate(amecs):
         for s, acts in amec.act:
@@ -282,7 +282,8 @@ def build_reward_k(pm: ProductMdp, amecs, values, r: UtilityFn,
 
 
 def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
-                  method: str = "es") -> SynthesisReport:
+                  method: str = "es",
+                  tol: Tolerances = Tolerances()) -> SynthesisReport:
     """Epsilon-optimal synthesis for arbitrary (multichain) models.
 
     States outside the almost-sure region are dropped first (they can never
@@ -304,15 +305,10 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
         raise TaskUnsatisfiable(
             "initial state cannot satisfy the task with probability one")
     if len(region) < pm.n_states:
-        from .graph import SubMdp
-        acts = {s: {a for a in pm.available[s]
-                    if all(t in region
-                           for t, p in pm.succ(s, a).items() if p > 0.0)}
-                for s in region}
-        rm, rids = restrict(pm, SubMdp.make(region, acts), initial=pm.initial)
+        rm, rids = restrict_closed(pm, region)
         id_of = {g: i for i, g in enumerate(rids)}
         rep = synth_general(rm, r.restricted(rids, id_of),
-                            c.restricted(rids, id_of), epsilon, method)
+                            c.restricted(rids, id_of), epsilon, method, tol)
         cert = Certificate(
             recurrent_classes=tuple(tuple(rids[s] for s in comp)
                                     for comp in
@@ -332,7 +328,8 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
         sub_m, ids = restrict(pm, amec)
         id_of = {g: i for i, g in enumerate(ids)}
         rep = synth_communicating(sub_m, r.restricted(ids, id_of),
-                                  c.restricted(ids, id_of), epsilon, method)
+                                  c.restricted(ids, id_of), epsilon, method,
+                                  tol)
         sub_reports.append((rep, ids))
         values.append(rep.value)
 
@@ -348,9 +345,10 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
                                no_perturbation=rep.no_perturbation,
                                certificate=cert, avg_gain=None)
 
-    rk, _ = build_reward_k(pm, amecs, values, r, c)
+    rk, _ = build_reward_k(pm, amecs, values, r, c, k_margin=tol.k_margin)
     lp_sol = solve_avg_reward_lp(pm, rk)
-    mu_k = decode_avg_policy(pm, lp_sol)
+    mu_k = decode_avg_policy(pm, lp_sol,
+                             support_threshold=tol.support_threshold)
     ca_k = analyze(induce_chain(pm, mu_k))
     recurrent = {s for comp in ca_k.recurrent_classes for s in comp}
     claimed = average_utility(ca_k, pm, rk, mu_k, pm.initial)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from effsynth.model import (Mdp, ProductMdp, StationaryPolicy, UtilityFn,
-                            build_product, induce_chain)
+                            build_product, induce_chain, lift_utilities)
 from effsynth.graph import amec_filter, maec_decompose, mec_decompose, restrict
 from effsynth.chain import (analyze, average_utility, efficiency,
                             limit_distribution, potential_vector,
@@ -41,15 +41,6 @@ def report(num, desc, ok, elapsed, budget):
           f"({elapsed:.1f}s / budget {budget:.0f}s)")
     assert ok, f"criterion {num} failed: {desc}"
     assert elapsed < budget, f"criterion {num} exceeded {budget}s"
-
-
-def lift_product_utilities(pm, r, c):
-    rv, cv = {}, {}
-    for i, (s, q) in enumerate(pm.components):
-        for a in pm.available[i]:
-            rv[(i, a)] = r(s, a)
-            cv[(i, a)] = c(s, a)
-    return UtilityFn(rv, "reward"), UtilityFn(cv, "cost")
 
 
 def test_criterion_1_example_golden():
@@ -255,7 +246,7 @@ def test_criterion_7_case_study_1():
 
     # task 1: unperturbed optimum circulates the bottom rows, delivering
     pm1 = build_product(m, d1)
-    r1, c1 = lift_product_utilities(pm1, reward, cost)
+    r1, c1 = lift_utilities(pm1, reward, cost)
     rep1 = synth_general(pm1, r1, c1, 0.01)
     ca1 = analyze(induce_chain(pm1, rep1.policy))
     rec = ca1.recurrent_classes[0]
@@ -266,7 +257,7 @@ def test_criterion_7_case_study_1():
 
     # task 2: charging cell keeps positive limit probability at every epsilon
     pm2 = build_product(m, d2)
-    r2, c2 = lift_product_utilities(pm2, reward, cost)
+    r2, c2 = lift_utilities(pm2, reward, cost)
     for method in ("es", "ex"):
         for eps in (0.005, 0.01, 0.05, 0.1):
             rep2 = synth_general(pm2, r2, c2, eps, method)

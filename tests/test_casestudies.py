@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from effsynth.model import build_product, induce_chain, validate_mdp
+from effsynth.model import (build_product, induce_chain, lift_utilities,
+                            validate_mdp)
 from effsynth.graph import is_communicating
 from effsynth.chain import analyze, efficiency
 from effsynth.lp import decode_ratio_policy, solve_ratio_lfp
@@ -253,3 +254,21 @@ def test_case2_threshold_structure():
     flips = sum(1 for a, b in zip(accepting, accepting[1:]) if a != b)
     assert flips == 1
     assert all(v2 >= v1 - 1e-9 for v1, v2 in zip(values, values[1:]))
+
+
+def test_case1_task2_decoded_policy_reaches_support_quickly():
+    """On the default grid the task-2 product is one accepting component, so
+    its ratio program is decoded on the whole product.  From every state the
+    decoded policy must reach the occupation support in few expected steps;
+    long detours there inflate the deviation bound and starve the es degree."""
+    m, _, task2, reward, cost = gen_case1()
+    pm = build_product(m, task2)
+    r, c = lift_utilities(pm, reward, cost)
+    sol = solve_ratio_lfp(pm, r, c)
+    policy = decode_ratio_policy(pm, sol)
+    support = {s for (s, a), g in sol.gamma.items() if g > 1e-9}
+    outside = sorted(set(range(pm.n_states)) - support)
+    P = induce_chain(pm, policy).P
+    steps = np.linalg.solve(np.eye(len(outside)) - P[np.ix_(outside, outside)],
+                            np.ones(len(outside)))
+    assert steps.max() <= 50.0

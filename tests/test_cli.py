@@ -282,3 +282,29 @@ def test_casestudy_rejects_bad_params(tmp_path):
     code = main(["casestudy", "case2", "--params", str(params),
                  "--out-dir", str(tmp_path / "x")])
     assert code == 2
+
+
+def test_tolerance_flags_are_per_call(files, tmp_path):
+    """The tolerance flags reach the synthesis through the call, are
+    recorded in the manifest, and leave the module defaults untouched."""
+    from effsynth import lp, synthesis
+    # a rewarding self-loop at 3 never sees g, so the optimum must be blended
+    model = tmp_path / "loop.mdp"
+    model.write_text(MODEL + "trans 3 a2 3 1.0\n")
+    util = tmp_path / "loop.txt"
+    util.write_text(UTILITIES + "reward 3 a2 5.0\ncost 3 a2 1.0\n")
+    base = ["synthesize", str(model), files["task.hoa"], str(util),
+            "--epsilon", "0.05", "--method", "ex", "--report-out"]
+    tuned = str(tmp_path / "tuned.json")
+    assert main(base + [tuned, "--tol-support", "1e-6", "--tol-bisect", "1e-3",
+                        "--k-margin", "2"]) == 0
+    assert (lp.SUPPORT_THRESHOLD, synthesis.BISECT_WIDTH,
+            synthesis.K_MARGIN) == (1e-9, 1e-6, 1.0)
+    payload = json.loads(open(tuned).read())
+    assert payload["manifest"]["knobs"] == {
+        "prob_tol": 1e-9, "algebra_tol": 1e-12, "support_threshold": 1e-6,
+        "bisect_width": 1e-3, "k_margin": 2.0}
+    default = str(tmp_path / "default.json")
+    assert main(base + [default]) == 0
+    assert json.loads(open(default).read())["report"]["delta"] != \
+        payload["report"]["delta"]

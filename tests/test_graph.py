@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from effsynth.model import Mdp, ProductMdp, StationaryPolicy, induce_chain
+from effsynth.model import (Mdp, ProductMdp, StationaryPolicy, induce_chain,
+                            rabin_witness)
 from effsynth.graph import (EndComponent, SubMdp, Unreachable,
                             almost_sure_region, amec_filter, attractor_policy,
                             is_communicating, maec_decompose, mec_decompose,
@@ -100,10 +101,8 @@ def test_maec_matches_brute_force(rng):
         ecs = enumerate_ecs(pm)
         accepting = []
         for states, acts in ecs:
-            for b, g in pm.acc_pairs:
-                if not (states & b) and (states & g):
-                    accepting.append((states, acts))
-                    break
+            if rabin_witness(states, pm.acc_pairs) is not None:
+                accepting.append((states, acts))
         expected = {(s, tuple(sorted((k, frozenset(v)) for k, v in a.items())))
                     for s, a in maximal_ecs(accepting)}
         got = {(ec.state_set, ec.act) for ec in maec_decompose(pm)}
@@ -176,6 +175,18 @@ def test_attractor_on_line_graph():
     p = StationaryPolicy({2: {1: 1.0}})
     full = attractor_policy(m, {2}, p)
     assert full.rule[0] == {1: 1.0}
+    assert full.rule[1] == {1: 1.0}
+
+
+def test_attractor_prefers_the_earliest_layer():
+    """s1 can step into the target directly (a1) or through s0 (a0), which
+    leaks into the target with probability 0.01 only: a layered attractor
+    puts s0 and s1 in the same first layer and gives s1 the direct step."""
+    m = Mdp(["s0", "s1", "t"], ["a0", "a1"], 0,
+            {(0, 0): {0: 0.99, 2: 0.01}, (1, 0): {0: 1.0}, (1, 1): {2: 1.0},
+             (2, 0): {2: 1.0}})
+    full = attractor_policy(m, {2}, StationaryPolicy({2: {0: 1.0}}))
+    assert full.rule[0] == {0: 1.0}
     assert full.rule[1] == {1: 1.0}
 
 

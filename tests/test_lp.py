@@ -208,19 +208,13 @@ def test_lfp_on_roundtripped_delivery_product():
     numerically singular basis between reinversions."""
     from effsynth.casestudies import gen_case1
     from effsynth.parsers import parse_mdp, write_mdp, parse_dra, write_dra
-    from effsynth.model import build_product
+    from effsynth.model import build_product, lift_utilities
     from effsynth.graph import amec_filter, restrict
 
     m, _, d2, reward, cost = gen_case1()
     m2 = parse_mdp(write_mdp(m))
     pm = build_product(m2, parse_dra(write_dra(d2)))
-    rv, cv = {}, {}
-    for i, (s, q) in enumerate(pm.components):
-        for a in pm.available[i]:
-            rv[(i, a)] = reward(s, a)
-            cv[(i, a)] = cost(s, a)
-    r = UtilityFn(rv, "reward")
-    c = UtilityFn(cv, "cost")
+    r, c = lift_utilities(pm, reward, cost)
     amec = amec_filter(pm)[0]
     sub, ids = restrict(pm, amec)
     id_of = {g: i for i, g in enumerate(ids)}
