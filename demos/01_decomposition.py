@@ -36,8 +36,9 @@ print("\nmaximal accepting end components (avoid B, touch G):")
 show("MAEC", maec_decompose(pm))
 
 print("\naccepting MECs (contain at least one MAEC):")
-show("AMEC", amec_filter(pm))
+amecs = amec_filter(pm)
+show("AMEC", amecs)
 
-region = sorted(pm.state_names[s] for s in almost_sure_region(pm))
+region = sorted(pm.state_names[s] for s in almost_sure_region(pm, amecs))
 print(f"\nstates that can satisfy the task with probability one: {region}")
 print("state 2 is missing: once there, the dead-end loop never reaches G.")

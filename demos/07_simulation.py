@@ -5,9 +5,8 @@ the same configuration reproduces bit-identical statistics, and the pathwise
 reward/cost ratio converges on the analytic long-run value.
 """
 
-from effsynth import (ProductMdp, RolloutConfig, UtilityFn, acceptance_visits,
-                      analyze, efficiency, induce_chain, simulate,
-                      synth_communicating)
+from effsynth import (ProductMdp, RolloutConfig, UtilityFn, analyze, efficiency,
+                      induce_chain, simulate, synth_communicating)
 
 trans = {
     (0, 0): {1: 0.6, 0: 0.4}, (0, 1): {2: 1.0},
@@ -33,6 +32,8 @@ print(f"simulated: {stats.mean_ratio:.6f} +- {stats.stderr:.2e} "
 again = simulate(pm, rep.policy, r, c, cfg)
 print(f"same seed, same bits: {again == stats}")
 
-for k, (g, b) in enumerate(acceptance_visits(pm, rep.policy, cfg)):
+for k, (b_set, g_set) in enumerate(pm.acc_pairs):
+    g = sum(stats.visit_counts[s] for s in g_set)
+    b = sum(stats.visit_counts[s] for s in b_set)
     print(f"pair {k}: {g} visits to G, {b} visits to B "
           f"across {cfg.rollouts} rollouts")

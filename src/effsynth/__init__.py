@@ -6,9 +6,9 @@ __version__ = "0.1.0"
 from .model import (Dra, Mc, Mdp, ProductMdp, StationaryPolicy, UtilityFn,
                     Violation, build_product, induce_chain, lift_utilities,
                     rabin_witness, validate_mdp)
-from .graph import (EndComponent, SubMdp, almost_sure_region, amec_filter,
-                    attractor_policy, is_communicating, maec_decompose,
-                    mec_decompose, restrict, restrict_closed)
+from .graph import (SubMdp, almost_sure_region, amec_filter, attractor_policy,
+                    is_communicating, maec_decompose, mec_decompose,
+                    restrict, restrict_closed)
 from .chain import (ChainAnalysis, analyze, average_utility, deviation_vector,
                     efficiency, limit_distribution, potential_vector,
                     ratio_perturbation_identity_check, utility_vector)
@@ -20,4 +20,4 @@ from .synthesis import (Certificate, PerturbationPlan, SynthesisReport,
                         perturbation_degree_estimated,
                         perturbation_degree_exact, synth_communicating,
                         synth_general, uniform_irreducible_policy)
-from .sim import RolloutConfig, RolloutStats, acceptance_visits, simulate
+from .sim import RolloutConfig, RolloutStats, simulate

@@ -84,7 +84,7 @@ def cmd_decompose(args):
     mecs = graph.mec_decompose(pm)
     maecs = graph.maec_decompose(pm)
     amecs = graph.amec_filter(pm)
-    region = graph.almost_sure_region(pm)
+    region = graph.almost_sure_region(pm, amecs)
     payload = {
         "schema": "effsynth/1",
         "mecs": [_ec_json(pm, ec) for ec in mecs],
@@ -164,12 +164,18 @@ def _policy_scope(pm, policy, r, c):
     return sub_pm, local, r.restricted(ids, id_of), c.restricted(ids, id_of)
 
 
-def cmd_evaluate(args):
+def _load_scoped_policy(args):
+    """The product, utilities and policy of an evaluate or simulate call,
+    restricted to the policy's domain."""
     m, d, pm = _load_problem(args)
     r, c = _load_utilities(args, m, pm)
     with open(args.policy) as f:
         policy = parsers.parse_policy(f.read(), pm)
-    pm, policy, r, c = _policy_scope(pm, policy, r, c)
+    return _policy_scope(pm, policy, r, c)
+
+
+def cmd_evaluate(args):
+    pm, policy, r, c = _load_scoped_policy(args)
     ca = chain.analyze(induce_chain(pm, policy))
     eff = chain.efficiency(ca, pm, r, c, policy, pm.initial)
     classes = []
@@ -194,15 +200,10 @@ def cmd_evaluate(args):
 
 
 def cmd_simulate(args):
-    m, d, pm = _load_problem(args)
-    r, c = _load_utilities(args, m, pm)
-    with open(args.policy) as f:
-        policy = parsers.parse_policy(f.read(), pm)
-    pm, policy, r, c = _policy_scope(pm, policy, r, c)
+    pm, policy, r, c = _load_scoped_policy(args)
     cfg = sim.RolloutConfig(steps=args.steps, rollouts=args.rollouts,
                             seed=args.seed)
     stats = sim.simulate(pm, policy, r, c, cfg)
-    visits = sim.acceptance_visits(pm, policy, cfg)
     if args.csv:
         lines = ["rollout,ratio"]
         for i, ratio in enumerate(stats.ratios):
@@ -216,13 +217,16 @@ def cmd_simulate(args):
         else:
             sys.stdout.write(text)
         return 0
+    counts = stats.visit_counts
     payload = {"schema": "effsynth/1",
                "mean_ratio": stats.mean_ratio,
                "stderr": stats.stderr,
                "ratios": list(stats.ratios),
                "label_freq": stats.label_freq,
-               "acceptance_visits": [{"pair": k, "g_visits": g, "b_visits": b}
-                                     for k, (g, b) in enumerate(visits)],
+               "acceptance_visits": [
+                   {"pair": k, "g_visits": sum(counts[s] for s in g),
+                    "b_visits": sum(counts[s] for s in b)}
+                   for k, (b, g) in enumerate(pm.acc_pairs)],
                "manifest": _manifest(args,
                                      [args.mdp, args.dra, args.rewards,
                                       args.policy])}

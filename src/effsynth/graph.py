@@ -1,6 +1,11 @@
 """Qualitative structure of MDPs: end components, accepting decompositions,
 almost-sure regions, and target-seeking action assignment.
 
+End components are plain SubMdp values: the SCC refinement in mec_decompose
+makes them strongly connected, and no walk witness is stored.
+almost_sure_region takes the AMECs its caller has already computed, so each
+synthesis level decomposes the product once.
+
 All algorithms are deterministic: ties break on the lowest state index, then
 the lowest action index.
 """
@@ -47,36 +52,6 @@ class SubMdp:
             return False
         mine = self.act_map()
         return all(acts <= mine.get(s, frozenset()) for s, acts in other.act)
-
-
-@dataclass(frozen=True)
-class EndComponent(SubMdp):
-    """Sub-MDP whose induced digraph is strongly connected.
-
-    scc_witness is a closed walk over state_set following induced edges and
-    visiting every state, certifying strong connectivity.
-    """
-    scc_witness: tuple = ()
-
-    @staticmethod
-    def from_submdp(sub: SubMdp, m: Mdp):
-        return EndComponent(sub.state_set, sub.act,
-                            _closed_walk(m, sub.state_set, sub.act_map()))
-
-    def witness_ok(self, m: Mdp):
-        walk = self.scc_witness
-        if len(self.state_set) == 1:
-            s = next(iter(self.state_set))
-            return all(any(s in m.succ(s, a) for a in acts)
-                       for t, acts in self.act if t == s)
-        if set(walk) != set(self.state_set) or walk[0] != walk[-1]:
-            return False
-        acts = self.act_map()
-        for u, v in zip(walk, walk[1:]):
-            if not any(v in m.succ(u, a) and m.succ(u, a)[v] > 0.0
-                       for a in acts[u]):
-                return False
-        return True
 
 
 def _successors(m, act_map):
@@ -141,45 +116,14 @@ def strongly_connected_components(nodes, adj):
     return sccs
 
 
-def _closed_walk(m, state_set, act_map):
-    """A closed walk visiting all states of a strongly connected sub-MDP."""
-    states = sorted(state_set)
-    if len(states) == 1:
-        return (states[0],)
-    adj = _successors(m, act_map)
-
-    def path(u, v):
-        prev = {u: None}
-        queue = [u]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            if x == v:
-                break
-            for y in adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        seq = [v]
-        while seq[-1] != u:
-            seq.append(prev[seq[-1]])
-        return seq[::-1]
-
-    root = states[0]
-    walk = [root]
-    for s in states[1:]:
-        walk.extend(path(walk[-1], s)[1:])
-    walk.extend(path(walk[-1], root)[1:])
-    return tuple(walk)
-
-
 def mec_decompose(m: Mdp, state_set=None, act_map=None):
     """All maximal end components, by iterative SCC refinement.
 
     Starting from the given restriction (default: the whole MDP), repeatedly
     drop state-action pairs whose successors leave the pair's SCC, and states
-    left without actions, until stable.  The surviving SCCs are the MECs.
+    left without actions, until stable.  The surviving SCCs are the MECs,
+    returned as SubMdp values sorted by lowest state: each is closed, and the
+    digraph induced by its kept actions is strongly connected.
     """
     if state_set is None:
         state_set = set(range(m.n_states))
@@ -221,10 +165,7 @@ def mec_decompose(m: Mdp, state_set=None, act_map=None):
         if not changed:
             break
 
-    mecs = []
-    for comp in sccs:
-        sub = SubMdp.make(comp, {s: act_map[s] for s in comp})
-        mecs.append(EndComponent.from_submdp(sub, m))
+    mecs = [SubMdp.make(comp, {s: act_map[s] for s in comp}) for comp in sccs]
     mecs.sort(key=lambda ec: min(ec.state_set))
     return mecs
 
@@ -264,14 +205,15 @@ def amec_filter(pm: ProductMdp):
     return out
 
 
-def almost_sure_region(pm: ProductMdp):
-    """Product states from which some policy reaches the AMEC union w.p.1.
+def almost_sure_region(pm: ProductMdp, amecs):
+    """Product states from which some policy reaches the union of amecs
+    (the result of amec_filter(pm)) w.p.1.
 
     Classic double fixpoint: shrink the candidate set U until every state in U
     can reach the target through actions whose successors never leave U.
     """
     target = set()
-    for amec in amec_filter(pm):
+    for amec in amecs:
         target |= amec.state_set
     u = set(range(pm.n_states))
     while True:

@@ -42,10 +42,21 @@ def _lines(text):
             yield i, line
 
 
+_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
 def _parse_prob(tok, ln):
-    if not re.fullmatch(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", tok):
+    if not _DECIMAL.fullmatch(tok):
         raise ParseError(f"bad decimal literal {tok!r}", ln)
     return float(tok)
+
+
+def _first_index(names):
+    """name -> index of its first occurrence, as tuple.index would give."""
+    idx = {}
+    for i, name in enumerate(names):
+        idx.setdefault(name, i)
+    return idx
 
 
 def parse_mdp(text) -> Mdp:
@@ -135,6 +146,8 @@ def parse_utilities(text, m: Mdp):
     kind that is present must cover every available state-action pair.
     """
     entries = {"reward": {}, "cost": {}}
+    sidx = _first_index(m.state_names)
+    aidx = _first_index(m.action_names)
     for ln, line in _lines(text):
         tok = line.split()
         if tok[0] not in ("reward", "cost"):
@@ -142,11 +155,11 @@ def parse_utilities(text, m: Mdp):
         if len(tok) != 4:
             raise ParseError(f"{tok[0]} <state> <action> <value>", ln)
         _, s, a, val = tok
-        if s not in m.state_names:
+        if s not in sidx:
             raise ParseError(f"unknown state {s!r}", ln)
-        if a not in m.action_names:
+        if a not in aidx:
             raise ParseError(f"unknown action {a!r}", ln)
-        key = (m.state_names.index(s), m.action_names.index(a))
+        key = (sidx[s], aidx[a])
         if key in entries[tok[0]]:
             raise ParseError(f"duplicate {tok[0]} entry {s} {a}", ln)
         entries[tok[0]][key] = _parse_prob(val, ln)
@@ -447,6 +460,8 @@ def write_policy(m: Mdp, p: StationaryPolicy, meta=None) -> str:
 
 def parse_policy(text, m: Mdp) -> StationaryPolicy:
     rule = {}
+    sidx = _first_index(m.state_names)
+    aidx = _first_index(m.action_names)
     for ln, line in _lines(text):
         tok = line.split()
         if tok[0] != "rule":
@@ -454,13 +469,11 @@ def parse_policy(text, m: Mdp) -> StationaryPolicy:
         if len(tok) != 4:
             raise ParseError("rule <state> <action> <prob>", ln)
         _, s, a, prob = tok
-        if s not in m.state_names:
+        if s not in sidx:
             raise ParseError(f"unknown state {s!r}", ln)
-        if a not in m.action_names:
+        if a not in aidx:
             raise ParseError(f"unknown action {a!r}", ln)
-        si = m.state_names.index(s)
-        ai = m.action_names.index(a)
-        rule.setdefault(si, {})[ai] = _parse_prob(prob, ln)
+        rule.setdefault(sidx[s], {})[aidx[a]] = _parse_prob(prob, ln)
     pol = StationaryPolicy(rule)
     pol.validate(m)
     return pol

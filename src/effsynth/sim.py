@@ -3,6 +3,9 @@
 Each rollout draws from its own counter-based stream keyed by (seed, rollout
 index), so results are reproducible and independent of evaluation order.
 Aggregation uses fsum in rollout order, keeping reruns bitwise identical.
+Every rollout is drawn once: the ratios, the visit frequencies and the
+integer per-state visit counts (which callers total over the G and B sets of
+the Rabin pairs) all come from that one pass.
 """
 
 import math
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Mdp, PolicyMismatch, ProductMdp, StationaryPolicy, UtilityFn
+from .model import Mdp, PolicyMismatch, StationaryPolicy, UtilityFn
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,7 @@ class RolloutStats:
     visit_freq: tuple   # per-state time-average, averaged over rollouts
     label_freq: dict    # prop -> long-run frequency
     ratios: tuple       # per-rollout pathwise ratios
+    visit_counts: tuple  # per-state visits, summed over rollouts
 
 
 def _compound_rows(m: Mdp, p: StationaryPolicy, r=None, c=None):
@@ -97,12 +101,14 @@ def simulate(m: Mdp, p: StationaryPolicy, r: UtilityFn, c: UtilityFn,
     rows = _compound_rows(m, p, r, c)
     ratios = []
     freq_acc = [[] for _ in range(m.n_states)]
+    totals = [0] * m.n_states
     for i in range(cfg.rollouts):
         counts, tr, tc = _one_rollout(rows, m.initial, cfg.steps,
                                       _stream(cfg.seed, i))
         ratios.append(tr / tc)
         for s in range(m.n_states):
             freq_acc[s].append(counts[s] / cfg.steps)
+            totals[s] += counts[s]
     mean = math.fsum(ratios) / cfg.rollouts
     if cfg.rollouts > 1:
         var = math.fsum((x - mean) ** 2 for x in ratios) / (cfg.rollouts - 1)
@@ -114,18 +120,5 @@ def simulate(m: Mdp, p: StationaryPolicy, r: UtilityFn, c: UtilityFn,
                              if prop in m.labels[s])
              for prop in m.atomic_props}
     return RolloutStats(mean_ratio=mean, stderr=stderr, visit_freq=visit,
-                        label_freq=label, ratios=tuple(ratios))
-
-
-def acceptance_visits(m: ProductMdp, p: StationaryPolicy, cfg: RolloutConfig):
-    """Per-pair totals of visits to the G and B sets across all rollouts."""
-    p.validate(m)
-    rows = _compound_rows(m, p)
-    totals = [[0, 0] for _ in m.acc_pairs]
-    for i in range(cfg.rollouts):
-        counts, _, _ = _one_rollout(rows, m.initial, cfg.steps,
-                                    _stream(cfg.seed, i))
-        for k, (b, g) in enumerate(m.acc_pairs):
-            totals[k][0] += sum(counts[s] for s in g)
-            totals[k][1] += sum(counts[s] for s in b)
-    return [(g_count, b_count) for g_count, b_count in totals]
+                        label_freq=label, ratios=tuple(ratios),
+                        visit_counts=tuple(totals))

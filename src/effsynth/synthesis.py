@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import (Mdp, ProductMdp, StationaryPolicy, UtilityFn,
                     induce_chain, rabin_witness)
-from .graph import (EndComponent, almost_sure_region, amec_filter,
+from .graph import (SubMdp, almost_sure_region, amec_filter,
                     attractor_policy, maec_decompose, restrict,
                     restrict_closed)
 from .chain import (NotUnichain, analyze, average_utility, deviation_vector,
@@ -98,7 +98,7 @@ class SynthesisReport:
     avg_gain: float | None = None  # general case: surrogate-reward LP gain
 
 
-def uniform_irreducible_policy(sub: EndComponent) -> StationaryPolicy:
+def uniform_irreducible_policy(sub: SubMdp) -> StationaryPolicy:
     """Uniform over the component's action sets; irreducible inside it."""
     return StationaryPolicy(
         {s: {a: 1.0 / len(acts) for a in acts} for s, acts in sub.act})
@@ -109,7 +109,8 @@ def _min_cost(m: Mdp, c: UtilityFn):
 
 
 def _deviation_gap(m, mu_opt, mu_irr, r, c):
-    """d_inf and the optimal efficiency for the estimated-degree bound."""
+    """d_inf and the optimal policy's efficiency, shared by both degree
+    rules."""
     ca = analyze(induce_chain(m, mu_opt))
     if not ca.is_unichain():
         raise NotUnichain("optimal policy must induce a unichain")
@@ -143,11 +144,7 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
     found by bisection on the analytic evaluator and verified afterwards."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    ca = analyze(induce_chain(m, mu_opt))
-    if not ca.is_unichain():
-        raise NotUnichain("optimal policy must induce a unichain")
-    j_opt = efficiency(ca, m, r, c, mu_opt, m.initial)
-    d_inf, _ = _deviation_gap(m, mu_opt, mu_irr, r, c)
+    d_inf, j_opt = _deviation_gap(m, mu_opt, mu_irr, r, c)
     c_min = _min_cost(m, c)
 
     def qualifies(delta):
@@ -300,7 +297,7 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
     amecs = amec_filter(pm)
     if not amecs:
         raise TaskUnsatisfiable("no accepting end component")
-    region = almost_sure_region(pm)
+    region = almost_sure_region(pm, amecs)
     if pm.initial not in region:
         raise TaskUnsatisfiable(
             "initial state cannot satisfy the task with probability one")

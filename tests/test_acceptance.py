@@ -153,7 +153,7 @@ def test_criterion_5_general_case():
             continue
         pm, r, c = inst
         from effsynth.graph import almost_sure_region
-        if len(almost_sure_region(pm)) < pm.n_states:
+        if len(almost_sure_region(pm, amec_filter(pm))) < pm.n_states:
             continue
         rep = synth_general(pm, r, c, eps)
         rk, _ = build_reward_k(pm, amec_filter(pm), list(rep.amec_values),

@@ -130,19 +130,23 @@ def test_synthesize_rejects_zero_epsilon(files):
 
 
 def test_es_and_ex_agree_on_value_and_dominance(files, tmp_path):
-    # blend is forced by rewarding the non-accepting self-loop at 2
-    util = tmp_path / "util2.txt"
-    util.write_text(UTILITIES.replace("reward 4 a2 3.0", "reward 4 a2 0.1"))
+    # a rewarding self-loop at 3 never sees g, so the optimum must be blended
+    model = tmp_path / "loop.mdp"
+    model.write_text(MODEL + "trans 3 a2 3 1.0\n")
+    util = tmp_path / "loop.txt"
+    util.write_text(UTILITIES + "reward 3 a2 5.0\ncost 3 a2 1.0\n")
     reports = {}
     for method in ("es", "ex"):
         report_out = str(tmp_path / f"rep_{method}.json")
-        code = main(["synthesize", files["model.mdp"], files["task.hoa"],
+        code = main(["synthesize", str(model), files["task.hoa"],
                      str(util), "--epsilon", "0.05", "--method", method,
                      "--report-out", report_out])
         assert code == 0
         reports[method] = json.loads(open(report_out).read())["report"]
     assert reports["es"]["value"] == pytest.approx(reports["ex"]["value"],
                                                    abs=1e-8)
+    assert reports["es"]["no_perturbation"] is False
+    assert reports["es"]["delta"] > 0.0
     assert reports["ex"]["delta"] >= reports["es"]["delta"]
 
 
@@ -210,6 +214,44 @@ def test_simulate_matches_evaluate(files, tmp_path, capsys):
     stats = json.loads(capsys.readouterr().out)
     band = max(3 * stats["stderr"], 1e-3)
     assert abs(stats["mean_ratio"] - eff) <= band
+
+
+def test_simulate_draws_each_rollout_once(files, monkeypatch, capsys):
+    """One pass of rollouts yields both the ratios and the acceptance
+    visits, which are the G/B totals of the per-state visit counts."""
+    from effsynth import sim
+    out = str(files["dir"] / "policy.txt")
+    main(["synthesize", files["model.mdp"], files["task.hoa"],
+          files["utilities.txt"], "--epsilon", "0.01", "--out", out])
+    capsys.readouterr()
+    rollouts = []
+    runs = []
+    one_rollout, simulate = sim._one_rollout, sim.simulate
+
+    def counted_rollout(*args):
+        rollouts.append(args)
+        return one_rollout(*args)
+
+    def kept_simulate(m, *args):
+        runs.append((m, simulate(m, *args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(sim, "_one_rollout", counted_rollout)
+    monkeypatch.setattr(sim, "simulate", kept_simulate)
+    code = main(["simulate", files["model.mdp"], files["task.hoa"],
+                 files["utilities.txt"], out, "--steps", "500",
+                 "--rollouts", "3", "--seed", "9"])
+    assert code == 0
+    assert len(rollouts) == 3
+    payload = json.loads(capsys.readouterr().out)
+    ((pm, stats),) = runs
+    counts = stats.visit_counts
+    assert sum(counts) == 500 * 3
+    assert payload["acceptance_visits"] == [
+        {"pair": k, "g_visits": sum(counts[s] for s in g),
+         "b_visits": sum(counts[s] for s in b)}
+        for k, (b, g) in enumerate(pm.acc_pairs)]
+    assert payload["acceptance_visits"][0]["g_visits"] > 0
 
 
 def test_simulate_rejects_zero_rollouts(files):

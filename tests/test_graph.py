@@ -3,10 +3,10 @@ import pytest
 
 from effsynth.model import (Mdp, ProductMdp, StationaryPolicy, induce_chain,
                             rabin_witness)
-from effsynth.graph import (EndComponent, SubMdp, Unreachable,
-                            almost_sure_region, amec_filter, attractor_policy,
-                            is_communicating, maec_decompose, mec_decompose,
-                            restrict, strongly_connected_components)
+from effsynth.graph import (Unreachable, almost_sure_region, amec_filter,
+                            attractor_policy, is_communicating, maec_decompose,
+                            mec_decompose, restrict,
+                            strongly_connected_components)
 
 from conftest import (enumerate_ecs, example1_mdp, example1_product,
                       max_reach_probability, maximal_ecs, random_mdp,
@@ -80,7 +80,10 @@ def test_mec_disjoint_and_closed(rng):
             assert not (ec.state_set & seen)
             seen |= ec.state_set
             assert ec.is_closed(m)
-            assert ec.witness_ok(m)
+            adj = {s: sorted({t for a in acts
+                              for t, p in m.succ(s, a).items() if p > 0.0})
+                   for s, acts in ec.act}
+            assert len(strongly_connected_components(ec.state_set, adj)) == 1
 
 
 def test_maec_example1():
@@ -134,7 +137,7 @@ def test_amec_contains_some_maec(rng):
 
 def test_region_includes_amec_states():
     pm = example1_product()
-    region = almost_sure_region(pm)
+    region = almost_sure_region(pm, amec_filter(pm))
     assert {2, 3} <= region
     assert 0 in region          # can choose the action into the AMEC
     assert 1 not in region      # stuck in its own non-accepting loop
@@ -144,16 +147,17 @@ def test_region_excludes_unconnected_sink():
     pm = ProductMdp(["s", "t"], ["a"], 0,
                     {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}},
                     [(set(), {0})])
-    assert almost_sure_region(pm) == {0}
+    assert almost_sure_region(pm, amec_filter(pm)) == {0}
 
 
 def test_region_matches_reachability_oracle(rng):
     for trial in range(12):
         pm = random_product(rng, int(rng.integers(3, 7)), 2)
+        amecs = amec_filter(pm)
         target = set()
-        for amec in amec_filter(pm):
+        for amec in amecs:
             target |= amec.state_set
-        region = almost_sure_region(pm)
+        region = almost_sure_region(pm, amecs)
         if not target:
             assert region == set()
             continue

@@ -3,7 +3,7 @@ import pytest
 from effsynth.model import Mdp, ProductMdp, StationaryPolicy, UtilityFn, \
     induce_chain
 from effsynth.chain import analyze, efficiency, limit_distribution
-from effsynth.sim import RolloutConfig, acceptance_visits, simulate
+from effsynth.sim import RolloutConfig, simulate
 from effsynth.synthesis import synth_communicating
 
 from conftest import random_communicating_product, random_utilities
@@ -89,15 +89,21 @@ def test_label_frequency_matches_limit_distribution(rng):
         done += 1
 
 
+def pair_visits(pm, p, cfg):
+    """(G-visits, B-visits) per Rabin pair, from simulate's visit counts."""
+    counts = simulate(pm, p, UtilityFn.constant(pm, 1.0, "reward"),
+                      UtilityFn.constant(pm, 1.0, "cost"), cfg).visit_counts
+    return [(sum(counts[s] for s in g), sum(counts[s] for s in b))
+            for b, g in pm.acc_pairs]
+
+
 def test_acceptance_visits_grow_only_for_accepting_class():
     # two-state accepting loop vs an absorbing rejecting state
     trans = {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}, (2, 0): {2: 1.0}}
     pm = ProductMdp(["g0", "g1", "bad"], ["a"], 0, trans, [({2}, {1})])
     p = StationaryPolicy.deterministic({0: 0, 1: 0, 2: 0})
-    short = acceptance_visits(pm, p, RolloutConfig(steps=1000, rollouts=2,
-                                                   seed=3))
-    long = acceptance_visits(pm, p, RolloutConfig(steps=4000, rollouts=2,
-                                                  seed=3))
+    short = pair_visits(pm, p, RolloutConfig(steps=1000, rollouts=2, seed=3))
+    long = pair_visits(pm, p, RolloutConfig(steps=4000, rollouts=2, seed=3))
     assert short[0][1] == 0 and long[0][1] == 0
     assert long[0][0] >= 3 * short[0][0]
 
@@ -107,9 +113,7 @@ def test_acceptance_visits_count_bad_states():
     trans = {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}}
     pm = ProductMdp(["x", "y"], ["a"], 0, trans, [({1}, {0})])
     p = StationaryPolicy.deterministic({0: 0, 1: 0})
-    visits = acceptance_visits(pm, p, RolloutConfig(steps=1000, rollouts=1,
-                                                    seed=0))
+    visits = pair_visits(pm, p, RolloutConfig(steps=1000, rollouts=1, seed=0))
     assert visits[0][1] == 500  # B-state hit every other step
-    longer = acceptance_visits(pm, p, RolloutConfig(steps=4000, rollouts=1,
-                                                    seed=0))
+    longer = pair_visits(pm, p, RolloutConfig(steps=4000, rollouts=1, seed=0))
     assert longer[0][1] == 2000  # and the count grows without bound
