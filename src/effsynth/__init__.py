@@ -11,7 +11,8 @@ from .graph import (SubMdp, almost_sure_region, amec_filter, attractor_policy,
                     restrict, restrict_closed)
 from .chain import (ChainAnalysis, analyze, average_utility, deviation_vector,
                     efficiency, limit_distribution, potential_vector,
-                    ratio_perturbation_identity_check, utility_vector)
+                    ratio_deviation, ratio_perturbation_identity_check,
+                    utility_vector)
 from .lp import (AvgLpSolution, LfpSolution, LpProblem, LpResult,
                  decode_avg_policy, decode_ratio_policy, solve_avg_reward_lp,
                  solve_lp, solve_ratio_lfp)
@@ -19,5 +20,5 @@ from .synthesis import (Certificate, PerturbationPlan, SynthesisReport,
                         Tolerances, build_reward_k,
                         perturbation_degree_estimated,
                         perturbation_degree_exact, synth_communicating,
-                        synth_general, uniform_irreducible_policy)
+                        synth_general)
 from .sim import RolloutConfig, RolloutStats, simulate

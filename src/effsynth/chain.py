@@ -5,8 +5,11 @@ strongly connected components of the support graph, stationary distributions
 and absorption probabilities come from LU solves, and the limit matrix is
 assembled row by row.  On top of that sit the long-run average utility, the
 reward-to-cost efficiency for general multichain chains, potential vectors
-g = (I - P + P*)^{-1} v, deviation vectors, and the perturbation identity
-relating the efficiencies of a policy and its mixture with another policy.
+g = (I - P + P*)^{-1} v and deviation vectors, returned as plain arrays.
+ratio_deviation is the one perturbation step: a unichain policy's efficiency
+J and its ratio deviation d_r - J d_c towards another policy, read by the
+perturbation degrees and by the perturbation identity relating the
+efficiencies of a policy and its mixture with another policy.
 """
 
 from dataclasses import dataclass
@@ -43,9 +46,6 @@ class ChainAnalysis:
     stationary: tuple       # per-class stationary distribution over class states
     absorb: np.ndarray      # n_states x n_classes
     limit_matrix: np.ndarray
-
-    def absorb_prob(self, s, k):
-        return float(self.absorb[s, k])
 
     def is_unichain(self):
         return len(self.recurrent_classes) == 1
@@ -146,7 +146,7 @@ def efficiency(ca: ChainAnalysis, m: Mdp, r: UtilityFn, c: UtilityFn,
     vc = utility_vector(m, c, p)
     total = 0.0
     for k, comp in enumerate(ca.recurrent_classes):
-        w = ca.absorb_prob(start, k)
+        w = float(ca.absorb[start, k])
         if w == 0.0:
             continue
         pi = ca.stationary[k]
@@ -155,24 +155,10 @@ def efficiency(ca: ChainAnalysis, m: Mdp, r: UtilityFn, c: UtilityFn,
     return total
 
 
-@dataclass(frozen=True)
-class PotentialVector:
-    """Solution g of (I - P + P*) g = v for one policy and utility."""
-    g: np.ndarray
-    utility: UtilityFn
-    policy: StationaryPolicy
-
-
-@dataclass(frozen=True)
-class DeviationVector:
-    """d = (v' - v) + (P' - P) g for an ordered policy pair and a utility."""
-    d: np.ndarray
-    utility: UtilityFn
-
-
 def potential_vector(ca: ChainAnalysis, m: Mdp, u: UtilityFn,
-                     p: StationaryPolicy) -> PotentialVector:
-    """Solve the potential equation by direct dense factorization.
+                     p: StationaryPolicy) -> np.ndarray:
+    """The potential g solving (I - P + P*) g = v, by direct dense
+    factorization.
 
     The system matrix I - P + P* is always invertible; a residual above
     tolerance therefore signals degenerate numerics, not a modeling error.
@@ -186,20 +172,43 @@ def potential_vector(ca: ChainAnalysis, m: Mdp, u: UtilityFn,
     resid = float(np.max(np.abs(a @ g - v)))
     if resid > POTENTIAL_TOL:
         raise SingularSystem(f"potential residual {resid:g} above tolerance")
-    return PotentialVector(g=g, utility=u, policy=p)
+    return g
+
+
+def _deviation(m, ca, chain_p, mu, mu_prime, u):
+    """d = (v' - v) + (P' - P) g, with P and g from mu's analysis ca."""
+    g = potential_vector(ca, m, u, mu)
+    v = utility_vector(m, u, mu)
+    v_p = utility_vector(m, u, mu_prime)
+    return (v_p - v) + (chain_p.P - ca.chain.P) @ g
 
 
 def deviation_vector(m: Mdp, mu: StationaryPolicy, mu_prime: StationaryPolicy,
-                     u: UtilityFn) -> DeviationVector:
+                     u: UtilityFn) -> np.ndarray:
     """Deviation of mu_prime from mu w.r.t. u, built on mu's potential."""
     chain = induce_chain(m, mu)
     chain_p = induce_chain(m, mu_prime)
-    ca = analyze(chain)
-    g = potential_vector(ca, m, u, mu).g
-    v = utility_vector(m, u, mu)
-    v_p = utility_vector(m, u, mu_prime)
-    d = (v_p - v) + (chain_p.P - chain.P) @ g
-    return DeviationVector(d=d, utility=u)
+    return _deviation(m, analyze(chain), chain_p, mu, mu_prime, u)
+
+
+def ratio_deviation(m: Mdp, mu: StationaryPolicy, mu_prime: StationaryPolicy,
+                    r: UtilityFn, c: UtilityFn):
+    """The perturbation step towards mu_prime from a unichain policy mu.
+
+    Returns (ca, j, d): mu's chain analysis, mu's efficiency j from the
+    initial state, and the ratio deviation d = d_r - j d_c.  Each policy's
+    chain is induced once and mu's is analyzed once.  Raises NotUnichain
+    unless mu induces a single recurrent class.
+    """
+    ca = analyze(induce_chain(m, mu))
+    if not ca.is_unichain():
+        raise NotUnichain(
+            f"{len(ca.recurrent_classes)} recurrent classes under mu")
+    chain_p = induce_chain(m, mu_prime)
+    j = efficiency(ca, m, r, c, mu, m.initial)
+    d_r = _deviation(m, ca, chain_p, mu, mu_prime, r)
+    d_c = _deviation(m, ca, chain_p, mu, mu_prime, c)
+    return ca, j, d_r - j * d_c
 
 
 def limit_distribution(ca: ChainAnalysis) -> np.ndarray:
@@ -217,20 +226,11 @@ def ratio_perturbation_identity_check(m: Mdp, mu: StationaryPolicy,
     lhs is the direct difference of efficiencies; rhs rebuilds it from the
     deviation vectors of reward and cost.  Requires mu to induce a unichain.
     """
-    ca_mu = analyze(induce_chain(m, mu))
-    if not ca_mu.is_unichain():
-        raise NotUnichain(
-            f"{len(ca_mu.recurrent_classes)} recurrent classes under mu")
+    _, j_mu, d = ratio_deviation(m, mu, mu_prime, r, c)
     mu_delta = mu.mix(mu_prime, delta)
     ca_d = analyze(induce_chain(m, mu_delta))
-    start = m.initial
-    j_mu = efficiency(ca_mu, m, r, c, mu, start)
-    j_delta = efficiency(ca_d, m, r, c, mu_delta, start)
-    lhs = j_delta - j_mu
-
-    d_r = deviation_vector(m, mu, mu_prime, r).d
-    d_c = deviation_vector(m, mu, mu_prime, c).d
+    lhs = efficiency(ca_d, m, r, c, mu_delta, m.initial) - j_mu
     pi_d = limit_distribution(ca_d)
     vc_d = utility_vector(m, c, mu_delta)
-    rhs = delta / float(pi_d @ vc_d) * float(pi_d @ (d_r - j_mu * d_c))
+    rhs = delta / float(pi_d @ vc_d) * float(pi_d @ d)
     return lhs, rhs

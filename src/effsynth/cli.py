@@ -161,7 +161,7 @@ def _policy_scope(pm, policy, r, c):
             raise PolicyMismatch(
                 f"policy leaves its own domain at {pm.state_names[s]}")
     local = type(policy)({id_of[s]: dist for s, dist in policy.rule.items()})
-    return sub_pm, local, r.restricted(ids, id_of), c.restricted(ids, id_of)
+    return sub_pm, local, r.restricted(ids), c.restricted(ids)
 
 
 def _load_scoped_policy(args):

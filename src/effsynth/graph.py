@@ -116,27 +116,21 @@ def strongly_connected_components(nodes, adj):
     return sccs
 
 
-def mec_decompose(m: Mdp, state_set=None, act_map=None):
+def mec_decompose(m: Mdp, state_set=None):
     """All maximal end components, by iterative SCC refinement.
 
-    Starting from the given restriction (default: the whole MDP), repeatedly
-    drop state-action pairs whose successors leave the pair's SCC, and states
-    left without actions, until stable.  The surviving SCCs are the MECs,
-    returned as SubMdp values sorted by lowest state: each is closed, and the
-    digraph induced by its kept actions is strongly connected.
+    Starting from state_set (default: the whole MDP) and the actions that
+    stay inside it, repeatedly drop state-action pairs whose successors leave
+    the pair's SCC, and states left without actions, until stable.  The
+    surviving SCCs are the MECs, returned as SubMdp values sorted by lowest
+    state: each is closed, and the digraph induced by its kept actions is
+    strongly connected.
     """
-    if state_set is None:
-        state_set = set(range(m.n_states))
-        act_map = {s: set(m.available[s]) for s in state_set}
-    else:
-        state_set = set(state_set)
-        if act_map is None:
-            act_map = _closed_actions(m, state_set)
-        else:
-            act_map = {s: set(acts) for s, acts in act_map.items()}
-        for s in [s for s in state_set if not act_map.get(s)]:
-            state_set.discard(s)
-            act_map.pop(s, None)
+    state_set = set(range(m.n_states) if state_set is None else state_set)
+    act_map = _closed_actions(m, state_set)
+    for s in [s for s in state_set if not act_map[s]]:
+        state_set.discard(s)
+        del act_map[s]
 
     while True:
         if not state_set:

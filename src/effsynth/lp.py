@@ -268,6 +268,16 @@ def _solve_lp(p: LpProblem, safe: bool) -> LpResult:
     return LpResult(status="optimal", x=x, value=float(c @ x))
 
 
+def _flow_balance(m: Mdp, pairs, a_eq, row0=0, col0=0):
+    """Write each state-action pair's flow balance into its column of a_eq
+    (col0 + its index in pairs): +1 at its state's row, then -P(t|s,a) at
+    each successor's row, all rows offset by row0."""
+    for j, (s, a) in enumerate(pairs):
+        a_eq[row0 + s, col0 + j] += 1.0
+        for t, prob in m.succ(s, a).items():
+            a_eq[row0 + t, col0 + j] -= prob
+
+
 @dataclass(frozen=True)
 class LfpSolution:
     """Occupation weights gamma(s, a) (summing to one) and the optimal ratio."""
@@ -294,10 +304,7 @@ def solve_ratio_lfp(m: Mdp, r: UtilityFn, c: UtilityFn) -> LfpSolution:
 
     a_eq = np.zeros((m.n_states + 1, n))
     b_eq = np.zeros(m.n_states + 1)
-    for (s, a), j in col.items():
-        a_eq[s, j] += 1.0
-        for t, prob in m.succ(s, a).items():
-            a_eq[t, j] -= prob
+    _flow_balance(m, pairs, a_eq)
     for (s, a), j in col.items():
         a_eq[m.n_states, j] = c(s, a)
     b_eq[m.n_states] = 1.0
@@ -374,16 +381,10 @@ def solve_avg_reward_lp(m: Mdp, reward: UtilityFn) -> AvgLpSolution:
 
     a_eq = np.zeros((2 * ns, 2 * k))
     b_eq = np.zeros(2 * ns)
-    for (s, a), j in col_x.items():
-        a_eq[s, j] += 1.0
-        for t, prob in m.succ(s, a).items():
-            a_eq[t, j] -= prob
+    _flow_balance(m, pairs, a_eq)
     for (s, a), j in col_x.items():
         a_eq[ns + s, j] += 1.0
-    for (s, a), j in col_y.items():
-        a_eq[ns + s, j] += 1.0
-        for t, prob in m.succ(s, a).items():
-            a_eq[ns + t, j] -= prob
+    _flow_balance(m, pairs, a_eq, row0=ns, col0=k)
     b_eq[ns:] = alpha
     cobj = np.zeros(2 * k)
     for (s, a), j in col_x.items():

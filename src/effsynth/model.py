@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_TOL = 1e-9      # validation tolerance for distributions
-ALGEBRA_TOL = 1e-12  # tolerance for internal algebraic identities
+ALGEBRA_TOL = 1e-12  # recorded in the run manifest; no check reads it
 
 
 class ModelError(Exception):
@@ -136,15 +136,6 @@ class Dra:
             raise AlphabetMismatch(f"no transition from {q} on {set(symbol)!r}")
         return self.delta[key]
 
-    def run(self, word):
-        """States visited on a finite word, starting after the initial state."""
-        q = self.initial
-        out = []
-        for sym in word:
-            q = self.step(q, sym)
-            out.append(q)
-        return out
-
     def accepts_lasso(self, prefix, cycle):
         """Rabin acceptance of the ultimately periodic word prefix.cycle^w."""
         q = self.initial
@@ -174,9 +165,6 @@ class StationaryPolicy:
     def __init__(self, rule):
         self.rule = {int(s): dict(sorted((int(a), float(p)) for a, p in d.items()))
                      for s, d in rule.items()}
-
-    def states(self):
-        return sorted(self.rule)
 
     def dist(self, s):
         return self.rule[s]
@@ -266,8 +254,9 @@ class UtilityFn:
                 f"{self.kind} table missing {len(missing)} entries, first: "
                 f"({m.state_names[s]}, {m.action_names[a]})")
 
-    def restricted(self, global_ids, id_of):
-        """Re-key onto a sub-MDP given its global state ids."""
+    def restricted(self, ids):
+        """Re-key onto a sub-MDP whose local state i is state ids[i] here."""
+        id_of = {g: i for i, g in enumerate(ids)}
         vals = {(id_of[s], a): v for (s, a), v in self.values.items()
                 if s in id_of}
         return UtilityFn(vals, self.kind)

@@ -373,7 +373,7 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-def write_mdp(m: Mdp, reward=None, cost=None) -> str:
+def write_mdp(m: Mdp) -> str:
     out = ["mdp"]
     out.append("states: " + " ".join(m.state_names))
     out.append("actions: " + " ".join(m.action_names))
@@ -388,12 +388,6 @@ def write_mdp(m: Mdp, reward=None, cost=None) -> str:
         for t, p in sorted(dist.items()):
             out.append(f"trans {m.state_names[s]} {m.action_names[a]} "
                        f"{m.state_names[t]} {_fmt(p)}")
-    for kind, fn in (("reward", reward), ("cost", cost)):
-        if fn is None:
-            continue
-        for (s, a) in sorted(fn.values):
-            out.append(f"{kind} {m.state_names[s]} {m.action_names[a]} "
-                       f"{_fmt(fn(s, a))}")
     return "\n".join(out) + "\n"
 
 

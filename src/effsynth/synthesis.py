@@ -4,26 +4,26 @@ Rabin condition holds with probability one.
 The communicating solver decomposes the model into maximal accepting end
 components, solves the ratio program in each, and then blends the winning
 component's optimal policy with an irreducible one.  The mixing weight (the
-perturbation degree) is either the closed-form bound from the deviation
-vectors ('es') or the largest weight that bisection certifies to stay within
-epsilon of optimal ('ex').  The general solver scores every accepting
-component that way, turns the scores into a surrogate reward with a steeply
-negative off-component level, solves the average-reward program for a basic
-policy, and patches the component policies back in wherever the basic policy
-settles.
+perturbation degree) is either the closed-form bound from the ratio
+deviation of chain.ratio_deviation ('es') or the largest weight that
+bisection certifies to stay within epsilon of optimal ('ex').  The general
+solver scores every accepting component that way, turns the scores into a
+surrogate reward with a steeply negative off-component level, solves the
+average-reward program for a basic policy, and patches the component policies
+back in wherever the basic policy settles.  Reports solved on a sub-model
+return to the parent's state ids through _lift_report.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import (Mdp, ProductMdp, StationaryPolicy, UtilityFn,
                     induce_chain, rabin_witness)
-from .graph import (SubMdp, almost_sure_region, amec_filter,
-                    attractor_policy, maec_decompose, restrict,
-                    restrict_closed)
-from .chain import (NotUnichain, analyze, average_utility, deviation_vector,
-                    efficiency)
+from .graph import (almost_sure_region, amec_filter, attractor_policy,
+                    maec_decompose, restrict, restrict_closed)
+from .chain import (NotUnichain, analyze, average_utility, efficiency,
+                    ratio_deviation)
 from .lp import SUPPORT_THRESHOLD, decode_avg_policy, decode_ratio_policy, \
     solve_avg_reward_lp, solve_ratio_lfp
 
@@ -58,8 +58,6 @@ class PerturbationPlan:
     the analytic efficiency.  degenerate marks d_inf = 0 (the two policies are
     equivalent, so no perturbation loss exists and delta defaults to 0.5).
     """
-    mu_opt: StationaryPolicy
-    mu_irr: StationaryPolicy
     delta: float
     method: str
     d_inf: float
@@ -98,27 +96,15 @@ class SynthesisReport:
     avg_gain: float | None = None  # general case: surrogate-reward LP gain
 
 
-def uniform_irreducible_policy(sub: SubMdp) -> StationaryPolicy:
-    """Uniform over the component's action sets; irreducible inside it."""
-    return StationaryPolicy(
-        {s: {a: 1.0 / len(acts) for a in acts} for s, acts in sub.act})
-
-
 def _min_cost(m: Mdp, c: UtilityFn):
     return min(c(s, a) for s, a in m.state_action_pairs())
 
 
 def _deviation_gap(m, mu_opt, mu_irr, r, c):
-    """d_inf and the optimal policy's efficiency, shared by both degree
-    rules."""
-    ca = analyze(induce_chain(m, mu_opt))
-    if not ca.is_unichain():
-        raise NotUnichain("optimal policy must induce a unichain")
-    j_opt = efficiency(ca, m, r, c, mu_opt, m.initial)
-    d_r = deviation_vector(m, mu_opt, mu_irr, r).d
-    d_c = deviation_vector(m, mu_opt, mu_irr, c).d
-    d_inf = float(np.max(np.abs(d_r - j_opt * d_c)))
-    return d_inf, j_opt
+    """d_inf = max |d_r - J d_c| and the optimal policy's efficiency J,
+    shared by both degree rules."""
+    _, j_opt, d = ratio_deviation(m, mu_opt, mu_irr, r, c)
+    return float(np.max(np.abs(d))), j_opt
 
 
 def perturbation_degree_estimated(m: Mdp, mu_opt, mu_irr, r, c,
@@ -132,10 +118,10 @@ def perturbation_degree_estimated(m: Mdp, mu_opt, mu_irr, r, c,
     d_inf, _ = _deviation_gap(m, mu_opt, mu_irr, r, c)
     c_min = _min_cost(m, c)
     if d_inf <= 1e-14:
-        return PerturbationPlan(mu_opt, mu_irr, 0.5, "estimated",
-                                d_inf, c_min, degenerate=True)
+        return PerturbationPlan(0.5, "estimated", d_inf, c_min,
+                                degenerate=True)
     delta = min(epsilon * c_min / d_inf, DELTA_CAP)
-    return PerturbationPlan(mu_opt, mu_irr, delta, "estimated", d_inf, c_min)
+    return PerturbationPlan(delta, "estimated", d_inf, c_min)
 
 
 def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
@@ -154,7 +140,7 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
 
     hi = 1.0 - width
     if qualifies(hi):
-        return PerturbationPlan(mu_opt, mu_irr, hi, "exact", d_inf, c_min,
+        return PerturbationPlan(hi, "exact", d_inf, c_min,
                                 degenerate=d_inf <= 1e-14)
     # warm start from the closed-form bound, which always qualifies
     lo = 0.0
@@ -170,13 +156,13 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
         else:
             hi_b = mid
     if lo <= 0.0:
-        probe = width
-        while probe > 1e-15 and not qualifies(probe):
-            probe /= 10.0
-        lo = probe
-    if not qualifies(lo):
-        raise NotUnichain("bisection failed to certify any positive degree")
-    return PerturbationPlan(mu_opt, mu_irr, lo, "exact", d_inf, c_min,
+        # a positive lo came from a qualifying probe; an exhausted one did not
+        lo = width
+        while lo > 1e-15 and not qualifies(lo):
+            lo /= 10.0
+        if lo <= 1e-15 and not qualifies(lo):
+            raise NotUnichain("bisection failed to certify any positive degree")
+    return PerturbationPlan(lo, "exact", d_inf, c_min,
                             degenerate=d_inf <= 1e-14)
 
 
@@ -194,9 +180,15 @@ def _lift(policy: StationaryPolicy, ids):
     return StationaryPolicy({ids[s]: d for s, d in policy.rule.items()})
 
 
-def _recurrent_class_global(sub_m, ids, policy):
-    ca = analyze(induce_chain(sub_m, policy))
-    return [set(ids[s] for s in comp) for comp in ca.recurrent_classes]
+def _lift_report(rep: SynthesisReport, ids, **changes) -> SynthesisReport:
+    """A sub-model's report on the parent's state ids (sub-model state i is
+    parent state ids[i]): its policy and its certificate's recurrent classes
+    are re-keyed, and `changes` replace any other fields."""
+    classes = tuple(tuple(ids[s] for s in comp)
+                    for comp in rep.certificate.recurrent_classes)
+    cert = replace(rep.certificate, recurrent_classes=classes)
+    return replace(rep, policy=_lift(rep.policy, ids), certificate=cert,
+                   **changes)
 
 
 def synth_communicating(pm: ProductMdp, r: UtilityFn, c: UtilityFn,
@@ -223,32 +215,32 @@ def synth_communicating(pm: ProductMdp, r: UtilityFn, c: UtilityFn,
     subs = []
     for maec in maecs:
         sub_m, ids = restrict(pm, maec)
-        id_of = {g: i for i, g in enumerate(ids)}
-        r_sub = r.restricted(ids, id_of)
-        c_sub = c.restricted(ids, id_of)
+        r_sub = r.restricted(ids)
+        c_sub = c.restricted(ids)
         sol = solve_ratio_lfp(sub_m, r_sub, c_sub)
         values.append(sol.value)
         opt_policies.append(decode_ratio_policy(
             sub_m, sol, support_threshold=tol.support_threshold))
-        subs.append((sub_m, ids, id_of, r_sub, c_sub))
+        subs.append((sub_m, ids, r_sub, c_sub))
     best = max(range(len(maecs)), key=lambda i: (values[i], -i))
 
-    sub_m, ids, id_of, r_sub, c_sub = subs[best]
+    sub_m, ids, r_sub, c_sub = subs[best]
     mu_opt = opt_policies[best]
 
     # adopt the optimal policy unperturbed when its recurrent class already
     # meets some G-set while avoiding the paired B-set
-    rec_global = _recurrent_class_global(sub_m, ids, mu_opt)[0]
+    ca_opt = analyze(induce_chain(sub_m, mu_opt))
+    rec_global = {ids[s] for s in ca_opt.recurrent_classes[0]}
     no_pert = rabin_witness(rec_global, pm.acc_pairs) is not None
     plan = None
     if no_pert:
         mu_final_sub = mu_opt
     else:
-        blend = (sub_m, mu_opt, StationaryPolicy.uniform(sub_m), r_sub, c_sub,
-                 epsilon)
+        mu_irr = StationaryPolicy.uniform(sub_m)
+        blend = (sub_m, mu_opt, mu_irr, r_sub, c_sub, epsilon)
         plan = (perturbation_degree_estimated(*blend) if method == "es" else
                 perturbation_degree_exact(*blend, width=tol.bisect_width))
-        mu_final_sub = mu_opt.mix(plan.mu_irr, plan.delta)
+        mu_final_sub = mu_opt.mix(mu_irr, plan.delta)
 
     lifted = _lift(mu_final_sub, ids)
     policy = attractor_policy(pm, set(ids), lifted)
@@ -303,44 +295,28 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
             "initial state cannot satisfy the task with probability one")
     if len(region) < pm.n_states:
         rm, rids = restrict_closed(pm, region)
-        id_of = {g: i for i, g in enumerate(rids)}
-        rep = synth_general(rm, r.restricted(rids, id_of),
-                            c.restricted(rids, id_of), epsilon, method, tol)
-        cert = Certificate(
-            recurrent_classes=tuple(tuple(rids[s] for s in comp)
-                                    for comp in
-                                    rep.certificate.recurrent_classes),
-            witness_pairs=rep.certificate.witness_pairs,
-            absorption_defect=rep.certificate.absorption_defect)
-        return SynthesisReport(policy=_lift(rep.policy, rids),
-                               value=rep.value, epsilon=epsilon,
-                               amec_values=rep.amec_values,
-                               amec_chosen=rep.amec_chosen, plan=rep.plan,
-                               no_perturbation=rep.no_perturbation,
-                               certificate=cert, avg_gain=rep.avg_gain)
+        rep = synth_general(rm, r.restricted(rids), c.restricted(rids),
+                            epsilon, method, tol)
+        return _lift_report(rep, rids)
 
     sub_reports = []
     values = []
     for amec in amecs:
         sub_m, ids = restrict(pm, amec)
-        id_of = {g: i for i, g in enumerate(ids)}
-        rep = synth_communicating(sub_m, r.restricted(ids, id_of),
-                                  c.restricted(ids, id_of), epsilon, method,
-                                  tol)
+        rep = synth_communicating(sub_m, r.restricted(ids), c.restricted(ids),
+                                  epsilon, method, tol)
         sub_reports.append((rep, ids))
         values.append(rep.value)
 
     if len(amecs) == 1 and len(amecs[0].state_set) == pm.n_states:
         # single accepting component covering everything: the basic-policy
-        # stage cannot change anything, reuse the component solution directly
+        # stage cannot change anything, reuse the component solution
+        # directly.  SCC refinement only splits, so a component covering
+        # every state keeps every action: the sub-model is the model, and
+        # its certificate carries over
         rep, ids = sub_reports[0]
-        policy = _lift(rep.policy, ids)
-        cert = _certificate(pm, policy)
-        return SynthesisReport(policy=policy, value=values[0], epsilon=epsilon,
-                               amec_values=tuple(values), amec_chosen=0,
-                               plan=rep.plan,
-                               no_perturbation=rep.no_perturbation,
-                               certificate=cert, avg_gain=None)
+        return _lift_report(rep, ids, amec_values=tuple(values),
+                            amec_chosen=0)
 
     rk, _ = build_reward_k(pm, amecs, values, r, c, k_margin=tol.k_margin)
     lp_sol = solve_avg_reward_lp(pm, rk)

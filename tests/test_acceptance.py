@@ -79,7 +79,7 @@ def test_criterion_2_perturbation_identity():
         ones = UtilityFn.constant(m, 1.0, "cost")
         lhs1, rhs1 = ratio_perturbation_identity_check(m, mu, mu_p, r, ones,
                                                        delta)
-        d = deviation_vector(m, mu, mu_p, r).d
+        d = deviation_vector(m, mu, mu_p, r)
         mu_d = mu.mix(mu_p, delta)
         pi_d = limit_distribution(analyze(induce_chain(m, mu_d)))
         classical = delta * float(pi_d @ d)

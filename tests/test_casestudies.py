@@ -120,9 +120,8 @@ def test_case1_zero_field_never_finds_items():
     sub = next(ec for ec in mec_decompose(m)
                if all(carry_of(m, g) == 0 for g in ec.state_set))
     sub_m, ids = restrict(m, sub)
-    id_of = {g: i for i, g in enumerate(ids)}
-    sol = solve_ratio_lfp(sub_m, reward.restricted(ids, id_of),
-                          cost.restricted(ids, id_of))
+    sol = solve_ratio_lfp(sub_m, reward.restricted(ids),
+                          cost.restricted(ids))
     assert sol.value == pytest.approx(0.0, abs=1e-12)
 
 

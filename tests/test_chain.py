@@ -6,7 +6,7 @@ import pytest
 from effsynth.model import Mc, Mdp, StationaryPolicy, UtilityFn, induce_chain
 from effsynth.chain import (NotUnichain, analyze, average_utility,
                             deviation_vector, efficiency, limit_distribution,
-                            potential_vector,
+                            potential_vector, ratio_deviation,
                             ratio_perturbation_identity_check, utility_vector)
 
 from conftest import (random_mdp, random_policy, random_unichain_policy,
@@ -172,8 +172,8 @@ def test_potential_single_state():
     u = UtilityFn({(0, 0): 5.0}, "reward")
     p = StationaryPolicy.deterministic({0: 0})
     ca = analyze(induce_chain(m, p))
-    pv = potential_vector(ca, m, u, p)
-    assert pv.g[0] == pytest.approx(5.0)
+    g = potential_vector(ca, m, u, p)
+    assert g[0] == pytest.approx(5.0)
 
 
 def test_potential_zero_utility(rng):
@@ -181,7 +181,7 @@ def test_potential_zero_utility(rng):
     p = random_policy(rng, m)
     u = UtilityFn.constant(m, 0.0, "reward")
     ca = analyze(induce_chain(m, p))
-    assert np.max(np.abs(potential_vector(ca, m, u, p).g)) <= 1e-12
+    assert np.max(np.abs(potential_vector(ca, m, u, p))) <= 1e-12
 
 
 def test_potential_contracts_to_average(rng):
@@ -192,7 +192,7 @@ def test_potential_contracts_to_average(rng):
         u, _ = random_utilities(rng, m)
         ca = analyze(induce_chain(m, p))
         pi = limit_distribution(ca)
-        g = potential_vector(ca, m, u, p).g
+        g = potential_vector(ca, m, u, p)
         v = utility_vector(m, u, p)
         w = average_utility(ca, m, u, p, m.initial)
         assert float(pi @ g) == pytest.approx(w, abs=1e-8)
@@ -214,7 +214,7 @@ def test_deviation_zero_for_equal_policies(rng):
     m = random_mdp(rng, 4, 2)
     p = random_policy(rng, m)
     u, _ = random_utilities(rng, m)
-    assert np.max(np.abs(deviation_vector(m, p, p, u).d)) == 0.0
+    assert np.max(np.abs(deviation_vector(m, p, p, u))) == 0.0
 
 
 def test_deviation_zero_for_constant_cost(rng):
@@ -224,7 +224,7 @@ def test_deviation_zero_for_constant_cost(rng):
     mu = random_unichain_policy(rng, m)
     mu_p = random_policy(rng, m)
     ones = UtilityFn.constant(m, 1.0, "cost")
-    d = deviation_vector(m, mu, mu_p, ones).d
+    d = deviation_vector(m, mu, mu_p, ones)
     assert np.max(np.abs(d)) <= 1e-9
 
 
@@ -239,7 +239,7 @@ def test_deviation_reproduces_average_difference(rng):
             continue
         mu_p = random_policy(rng, m)
         u, _ = random_utilities(rng, m)
-        d = deviation_vector(m, mu, mu_p, u).d
+        d = deviation_vector(m, mu, mu_p, u)
         ca = analyze(induce_chain(m, mu))
         w_mu = average_utility(ca, m, u, mu, m.initial)
         for delta in (0.1, 0.5):
@@ -270,7 +270,7 @@ def test_identity_check_unit_cost_degenerates_to_classical(rng):
     ones = UtilityFn.constant(m, 1.0, "cost")
     delta = 0.3
     lhs, rhs = ratio_perturbation_identity_check(m, mu, mu_p, u, ones, delta)
-    d = deviation_vector(m, mu, mu_p, u).d
+    d = deviation_vector(m, mu, mu_p, u)
     mu_d = mu.mix(mu_p, delta)
     pi_d = limit_distribution(analyze(induce_chain(m, mu_d)))
     classical = delta * float(pi_d @ d)
@@ -300,6 +300,36 @@ def test_identity_check_rejects_multichain():
     c = UtilityFn.constant(m, 1.0, "cost")
     with pytest.raises(NotUnichain):
         ratio_perturbation_identity_check(m, p, p, r, c, 0.1)
+
+
+def test_ratio_deviation_matches_deviation_vectors(rng):
+    """One analysis of mu gives bit for bit what the two deviation vectors
+    and mu's efficiency give separately."""
+    done = 0
+    while done < 15:
+        m = random_mdp(rng, int(rng.integers(2, 8)), 2)
+        try:
+            mu = random_unichain_policy(rng, m, tries=50)
+        except RuntimeError:
+            continue
+        mu_p = random_policy(rng, m)
+        r, c = random_utilities(rng, m)
+        ca, j, d = ratio_deviation(m, mu, mu_p, r, c)
+        assert np.array_equal(ca.limit_matrix,
+                              analyze(induce_chain(m, mu)).limit_matrix)
+        assert j == efficiency(ca, m, r, c, mu, m.initial)
+        assert np.array_equal(d, deviation_vector(m, mu, mu_p, r)
+                              - j * deviation_vector(m, mu, mu_p, c))
+        done += 1
+
+
+def test_ratio_deviation_rejects_multichain():
+    m = Mdp(["x", "y"], ["a"], 0, {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}})
+    p = StationaryPolicy.deterministic({0: 0, 1: 0})
+    r = UtilityFn.constant(m, 1.0, "reward")
+    c = UtilityFn.constant(m, 1.0, "cost")
+    with pytest.raises(NotUnichain):
+        ratio_deviation(m, p, p, r, c)
 
 
 def test_mixture_preserves_unichain(rng):

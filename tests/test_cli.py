@@ -184,6 +184,29 @@ def test_evaluate_rejects_mismatched_policy(files, tmp_path):
     assert code == 2
 
 
+def test_evaluate_rejects_policy_without_initial_state(files, tmp_path,
+                                                      capsys):
+    pol = tmp_path / "no_initial.txt"
+    pol.write_text("rule 3&q0 a1 1\nrule 4&q1 a2 1\n")
+    code = main(["evaluate", files["model.mdp"], files["task.hoa"],
+                 files["utilities.txt"], str(pol)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: policy does not cover the initial state\n"
+
+
+def test_evaluate_rejects_partial_policy_leaving_its_domain(files, tmp_path,
+                                                            capsys):
+    # a1 at the initial state moves to 2&q0, which the policy leaves out
+    pol = tmp_path / "leaky.txt"
+    pol.write_text("rule 1&q0 a1 1\nrule 3&q0 a1 1\nrule 4&q1 a2 1\n")
+    code = main(["evaluate", files["model.mdp"], files["task.hoa"],
+                 files["utilities.txt"], str(pol)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: policy leaves its own domain at 1&q0\n"
+
+
 def test_simulate_csv_bytes_are_stable(files, tmp_path, capsys):
     out = str(files["dir"] / "policy.txt")
     main(["synthesize", files["model.mdp"], files["task.hoa"],

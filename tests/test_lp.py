@@ -217,9 +217,7 @@ def test_lfp_on_roundtripped_delivery_product():
     r, c = lift_utilities(pm, reward, cost)
     amec = amec_filter(pm)[0]
     sub, ids = restrict(pm, amec)
-    id_of = {g: i for i, g in enumerate(ids)}
-    sol = solve_ratio_lfp(sub, r.restricted(ids, id_of),
-                          c.restricted(ids, id_of))
+    sol = solve_ratio_lfp(sub, r.restricted(ids), c.restricted(ids))
     assert sol.value == pytest.approx(0.117151, abs=1e-4)
 
 

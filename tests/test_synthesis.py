@@ -1,16 +1,19 @@
+import sys
+
 import numpy as np
 import pytest
 
+from effsynth import chain, model
+from effsynth.casestudies import gen_case1
 from effsynth.model import (Mdp, ProductMdp, StationaryPolicy, UtilityFn,
-                            induce_chain)
+                            build_product, induce_chain, lift_utilities)
 from effsynth.graph import amec_filter, maec_decompose, mec_decompose, restrict
 from effsynth.chain import analyze, average_utility, efficiency
 from effsynth.lp import solve_avg_reward_lp
 from effsynth.synthesis import (NoMaec, TaskUnsatisfiable, build_reward_k,
                                 perturbation_degree_estimated,
                                 perturbation_degree_exact,
-                                synth_communicating, synth_general,
-                                uniform_irreducible_policy)
+                                synth_communicating, synth_general)
 
 from conftest import (example1_product, random_communicating_product,
                       random_mdp, random_utilities)
@@ -40,21 +43,6 @@ def lopsided_instance():
     mu_opt = StationaryPolicy.deterministic({0: 0, 1: 0, 2: 0})
     mu_irr = StationaryPolicy.uniform(m)
     return m, r, c, mu_opt, mu_irr
-
-
-def test_uniform_irreducible_single_state():
-    m = Mdp(["s"], ["a", "b"], 0, {(0, 0): {0: 1.0}, (0, 1): {0: 1.0}})
-    ec = mec_decompose(m)[0]
-    p = uniform_irreducible_policy(ec)
-    assert p.rule[0] == {0: 0.5, 1: 0.5}
-
-
-def test_uniform_irreducible_on_example1_amec():
-    pm = example1_product()
-    amec = amec_filter(pm)[0]
-    p = uniform_irreducible_policy(amec)
-    assert p.rule[2] == {0: 1.0}
-    assert p.rule[3] == {0: 0.5, 1: 0.5}
 
 
 def test_uniform_irreducible_makes_component_recurrent(rng):
@@ -168,9 +156,7 @@ def test_synth_no_perturbation_when_optimum_accepts():
                    (2, 0): 0.0, (3, 0): 0.0, (3, 1): 5.0}, "reward")
     c = UtilityFn.constant(pm, 1.0, "cost")
     sub, ids = restrict(pm, amec_filter(pm)[0])
-    id_of = {g: i for i, g in enumerate(ids)}
-    rep = synth_communicating(sub, r.restricted(ids, id_of),
-                              c.restricted(ids, id_of), 0.01)
+    rep = synth_communicating(sub, r.restricted(ids), c.restricted(ids), 0.01)
     assert rep.no_perturbation
     assert rep.plan is None
     assert rep.value == pytest.approx(5.0)
@@ -357,9 +343,8 @@ def random_multichain_product(rng, distinct_gap=0.05):
     vals = []
     for amec in amecs:
         sub, ids = restrict(pm, amec)
-        id_of = {gid: i for i, gid in enumerate(ids)}
-        vals.append(solve_ratio_lfp(sub, r.restricted(ids, id_of),
-                                    c.restricted(ids, id_of)).value)
+        vals.append(solve_ratio_lfp(sub, r.restricted(ids),
+                                    c.restricted(ids)).value)
     if abs(vals[0] - vals[1]) < distinct_gap:
         return None
     return pm, r, c
@@ -416,3 +401,37 @@ def test_gain_equivalence_on_multichain(rng):
             expect += stay * rep.amec_values[i]
         assert lp_sol.gain == pytest.approx(expect, abs=1e-7)
         done += 1
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of module.name under every effsynth module name bound
+    to it (the modules import each other's functions by name)."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("effsynth") and \
+                getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method, analyses, chains",
+                         [("es", 4, 5), ("ex", 26, 27)])
+def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
+                                          chains):
+    """The perturbation step analyzes the optimal chain once, and a single
+    accepting component covering the product keeps its own certificate."""
+    m, _, task2, reward, cost = gen_case1()
+    pm = build_product(m, task2)
+    r, c = lift_utilities(pm, reward, cost)
+    analyzed = count_calls(monkeypatch, chain, "analyze")
+    induced = count_calls(monkeypatch, model, "induce_chain")
+    rep = synth_general(pm, r, c, 0.01, method)
+    assert rep.certificate.accepted
+    assert len(analyzed) <= analyses
+    assert len(induced) <= chains
