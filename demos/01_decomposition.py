@@ -30,13 +30,15 @@ def show(tag, components):
 
 
 print("maximal end components (closed + strongly connected):")
-show("MEC", mec_decompose(pm))
+mecs = mec_decompose(pm)
+show("MEC", mecs)
 
 print("\nmaximal accepting end components (avoid B, touch G):")
-show("MAEC", maec_decompose(pm))
+maecs = maec_decompose(pm)
+show("MAEC", maecs)
 
 print("\naccepting MECs (contain at least one MAEC):")
-amecs = amec_filter(pm)
+amecs = amec_filter(mecs, maecs)
 show("AMEC", amecs)
 
 region = sorted(pm.state_names[s] for s in almost_sure_region(pm, amecs))

@@ -33,8 +33,7 @@ print(f"program value (optimal long-run reward/cost): {sol.value:.6f}")
 support = {k: v for k, v in sol.gamma.items() if v > 1e-9}
 print(f"occupation support: { {(m.state_names[s], m.action_names[a]): round(v, 4) for (s, a), v in support.items()} }")
 
-policy = decode_ratio_policy(m, sol)
-ca = analyze(induce_chain(m, policy))
+policy, ca = decode_ratio_policy(m, sol)
 print(f"decoded policy efficiency: "
       f"{efficiency(ca, m, r, c, policy, m.initial):.6f}")
 

@@ -6,8 +6,7 @@ permission-holding pickups raises the command-then-material cycle's ratio
 until it overtakes; the flip happens at a single threshold.
 """
 
-from effsynth import analyze, decode_ratio_policy, induce_chain, \
-    solve_ratio_lfp
+from effsynth import decode_ratio_policy, solve_ratio_lfp
 from effsynth.casestudies import gen_case2
 
 m, task, reward_family, cost = gen_case2()
@@ -15,8 +14,7 @@ print(f"factory model: {m.n_states} states (ring cells x permission bit)")
 print("\nbonus   optimal ratio   loop")
 for bonus in (0, 10, 20, 25, 30, 40, 60, 80):
     sol = solve_ratio_lfp(m, reward_family(float(bonus)), cost)
-    policy = decode_ratio_policy(m, sol)
-    ca = analyze(induce_chain(m, policy))
+    policy, ca = decode_ratio_policy(m, sol)
     labs = set()
     for s in ca.recurrent_classes[0]:
         labs |= m.labels[s]

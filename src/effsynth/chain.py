@@ -9,15 +9,18 @@ g = (I - P + P*)^{-1} v and deviation vectors, returned as plain arrays.
 ratio_deviation is the one perturbation step: a unichain policy's efficiency
 J and its ratio deviation d_r - J d_c towards another policy, read by the
 perturbation degrees and by the perturbation identity relating the
-efficiencies of a policy and its mixture with another policy.
+efficiencies of a policy and its mixture with another policy.  Wherever a
+policy is read for its utilities, its pair-weight vector may stand in for it
+(model.pair_weights), which is how the exact degree's probes blend policies.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Mc, Mdp, StationaryPolicy, UtilityFn, induce_chain
-from .graph import strongly_connected_components
+from .model import (Mc, Mdp, StationaryPolicy, UtilityFn, induce_chain,
+                    pair_weights)
+from .graph import adjacency_lists, strongly_connected_components
 
 SUPPORT_EPS = 1e-12   # edge threshold guarding float dust from policy mixtures
 LIMIT_TOL = 1e-9      # limit-matrix algebra tolerance
@@ -58,7 +61,7 @@ def analyze(chain: Mc) -> ChainAnalysis:
     n = chain.n_states
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("chain is not row-stochastic")
-    adj = {s: np.flatnonzero(P[s] > SUPPORT_EPS).tolist() for s in range(n)}
+    adj = adjacency_lists(n, *np.nonzero(P > SUPPORT_EPS))
     sccs = strongly_connected_components(range(n), adj)
     comp_of = {}
     for i, comp in enumerate(sccs):
@@ -119,12 +122,11 @@ def analyze(chain: Mc) -> ChainAnalysis:
                          absorb=absorb, limit_matrix=star)
 
 
-def utility_vector(m: Mdp, u: UtilityFn, p: StationaryPolicy) -> np.ndarray:
-    """v(s) = sum_a mu(s,a) u(s,a)."""
-    v = np.zeros(m.n_states)
-    for s in range(m.n_states):
-        v[s] = sum(w * u(s, a) for a, w in p.dist(s).items() if w != 0.0)
-    return v
+def utility_vector(m: Mdp, u: UtilityFn, p) -> np.ndarray:
+    """v(s) = sum_a mu(s,a) u(s,a), summed in action order; p is a policy
+    or its weight vector (see model.pair_weights)."""
+    return np.bincount(m.pair_state, weights=pair_weights(m, p) *
+                       u.pair_values(m), minlength=m.n_states)
 
 
 def average_utility(ca: ChainAnalysis, m: Mdp, u: UtilityFn,

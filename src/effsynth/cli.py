@@ -83,7 +83,7 @@ def cmd_decompose(args):
     m, d, pm = _load_problem(args)
     mecs = graph.mec_decompose(pm)
     maecs = graph.maec_decompose(pm)
-    amecs = graph.amec_filter(pm)
+    amecs = graph.amec_filter(mecs, maecs)
     region = graph.almost_sure_region(pm, amecs)
     payload = {
         "schema": "effsynth/1",
@@ -154,12 +154,13 @@ def _policy_scope(pm, policy, r, c):
     if pm.initial not in dom:
         raise PolicyMismatch("policy does not cover the initial state")
     sub_pm, ids = graph.restrict_closed(pm, dom)
-    id_of = {g: i for i, g in enumerate(ids)}
+    leaving = set(pm.pair_state[(policy.weights(pm) > 0.0) &
+                                ~graph.closed_pairs(pm, dom)].tolist())
     for s in dom:
-        kept = sub_pm.available[id_of[s]]
-        if any(w > 0.0 and a not in kept for a, w in policy.dist(s).items()):
+        if s in leaving:
             raise PolicyMismatch(
                 f"policy leaves its own domain at {pm.state_names[s]}")
+    id_of = {g: i for i, g in enumerate(ids)}
     local = type(policy)({id_of[s]: dist for s, dist in policy.rule.items()})
     return sub_pm, local, r.restricted(ids), c.restricted(ids)
 
@@ -336,8 +337,7 @@ def _case2_sweep(m, dra, reward_family, cost, args):
     for bonus in args.bonus_grid:
         r = reward_family(bonus)
         sol = solve_ratio_lfp(m, r, cost)
-        policy = decode_ratio_policy(m, sol)
-        ca = chain.analyze(induce_chain(m, policy))
+        policy, ca = decode_ratio_policy(m, sol)
         rec = set(ca.recurrent_classes[0])
         labs = set()
         for s in rec:

@@ -1,10 +1,13 @@
 """Qualitative structure of MDPs: end components, accepting decompositions,
 almost-sure regions, and target-seeking action assignment.
 
-End components are plain SubMdp values: the SCC refinement in mec_decompose
-makes them strongly connected, and no walk witness is stored.
-almost_sure_region takes the AMECs its caller has already computed, so each
-synthesis level decomposes the product once.
+Every algorithm reads the model's flat state-action arrays (see model.Mdp):
+action sets are boolean masks over the pairs, and each round of a fixpoint
+is a few array operations over all successor entries at once.  End
+components are plain SubMdp values: the SCC refinement in mec_decompose
+makes them strongly connected, and no walk witness is stored.  amec_filter
+takes the MECs and MAECs, and almost_sure_region the AMECs, that the caller
+has already computed, so each synthesis level decomposes the product once.
 
 All algorithms are deterministic: ties break on the lowest state index, then
 the lowest action index.
@@ -12,7 +15,9 @@ the lowest action index.
 
 from dataclasses import dataclass
 
-from .model import Mdp, ProductMdp, StationaryPolicy
+import numpy as np
+
+from .model import Mdp, ProductMdp, StationaryPolicy, gather_pairs
 
 
 class Unreachable(Exception):
@@ -37,15 +42,20 @@ class SubMdp:
     def act_map(self):
         return dict(self.act)
 
+    def pair_mask(self, m: Mdp):
+        """The kept pairs, as a boolean mask over m's pairs."""
+        states = [s for s, acts in self.act for _ in acts]
+        actions = [a for _, acts in self.act for a in acts]
+        idx, found = m.pair_index(states, actions)
+        mask = np.zeros(m.n_pairs, dtype=bool)
+        mask[idx[found]] = True
+        return mask
+
     def is_closed(self, m: Mdp):
-        for s, acts in self.act:
-            if not acts:
-                return False
-            for a in acts:
-                if any(t not in self.state_set and p > 0.0
-                       for t, p in m.succ(s, a).items()):
-                    return False
-        return True
+        if not all(acts for _, acts in self.act):
+            return False
+        outside = ~_state_mask(m, self.state_set)
+        return not _entering(m, outside)[self.pair_mask(m)].any()
 
     def contains(self, other):
         if not other.state_set <= self.state_set:
@@ -54,17 +64,41 @@ class SubMdp:
         return all(acts <= mine.get(s, frozenset()) for s, acts in other.act)
 
 
-def _successors(m, act_map):
-    """Induced digraph adjacency restricted to an action map."""
-    adj = {}
-    for s, acts in act_map.items():
-        nxt = set()
-        for a in acts:
-            for t, p in m.succ(s, a).items():
-                if p > 0.0:
-                    nxt.add(t)
-        adj[s] = sorted(nxt)
-    return adj
+def _state_mask(m, states):
+    mask = np.zeros(m.n_states, dtype=bool)
+    mask[list(states)] = True
+    return mask
+
+
+def _entering(m, target):
+    """Pairs with a positive-probability successor inside the boolean state
+    mask `target`."""
+    out = np.zeros(m.n_pairs, dtype=bool)
+    out[m.succ_pair[(m.succ_prob > 0.0) & target[m.succ_state]]] = True
+    return out
+
+
+def _with_pair(m, pairs):
+    """States owning at least one pair of the boolean pair mask."""
+    out = np.zeros(m.n_states, dtype=bool)
+    out[m.pair_state[pairs]] = True
+    return out
+
+
+def adjacency_lists(n, src, dst):
+    """Per node 0..n-1, the ascending distinct targets of the edges
+    src[k] -> dst[k]."""
+    code = np.unique(src * n + dst)
+    bounds = np.searchsorted(code, np.arange(n + 1) * n).tolist()
+    targets = (code % n).tolist() if n else []
+    return {v: targets[bounds[v]:bounds[v + 1]] for v in range(n)}
+
+
+def _successors(m, keep):
+    """Induced digraph adjacency of the kept pairs (a boolean mask): state ->
+    ascending successors reached with positive probability."""
+    e = keep[m.succ_pair] & (m.succ_prob > 0.0)
+    return adjacency_lists(m.n_states, m.succ_src[e], m.succ_state[e])
 
 
 def strongly_connected_components(nodes, adj):
@@ -126,40 +160,31 @@ def mec_decompose(m: Mdp, state_set=None):
     state: each is closed, and the digraph induced by its kept actions is
     strongly connected.
     """
-    state_set = set(range(m.n_states) if state_set is None else state_set)
-    act_map = _closed_actions(m, state_set)
-    for s in [s for s in state_set if not act_map[s]]:
-        state_set.discard(s)
-        del act_map[s]
-
+    keep = closed_pairs(m, range(m.n_states) if state_set is None
+                        else state_set)
+    pos = m.succ_prob > 0.0
     while True:
-        if not state_set:
+        alive = _with_pair(m, keep)
+        if not alive.any():
             return []
-        sccs = strongly_connected_components(state_set, _successors(m, act_map))
-        comp_of = {}
-        for i, comp in enumerate(sccs):
-            for s in comp:
-                comp_of[s] = i
-        changed = False
-        for s in sorted(state_set):
-            keep = set()
-            for a in act_map[s]:
-                ok = all(t in state_set and comp_of[t] == comp_of[s]
-                         for t, p in m.succ(s, a).items() if p > 0.0)
-                if ok:
-                    keep.add(a)
-                else:
-                    changed = True
-            if keep:
-                act_map[s] = keep
-            else:
-                state_set.discard(s)
-                del act_map[s]
-                changed = True
-        if not changed:
+        sccs = strongly_connected_components(np.flatnonzero(alive).tolist(),
+                                             _successors(m, keep))
+        comp = np.full(m.n_states, -1)
+        for i, c in enumerate(sccs):
+            comp[c] = i
+        comp[~alive] = -1
+        cut = pos & (comp[m.succ_state] != comp[m.succ_src])
+        dropped = keep.copy()
+        dropped[m.succ_pair[cut]] = False
+        if (dropped == keep).all():
             break
+        keep = dropped
 
-    mecs = [SubMdp.make(comp, {s: act_map[s] for s in comp}) for comp in sccs]
+    idx = np.flatnonzero(keep)
+    acts = {}
+    for s, a in zip(m.pair_state[idx].tolist(), m.pair_action[idx].tolist()):
+        acts.setdefault(s, set()).add(a)
+    mecs = [SubMdp.make(c, {s: acts[s] for s in c}) for c in sccs]
     mecs.sort(key=lambda ec: min(ec.state_set))
     return mecs
 
@@ -189,41 +214,31 @@ def maec_decompose(pm: ProductMdp):
     return out
 
 
-def amec_filter(pm: ProductMdp):
-    """The MECs of pm containing at least one MAEC, with full MEC action sets."""
-    maecs = maec_decompose(pm)
-    out = []
-    for mec in mec_decompose(pm):
-        if any(mec.contains(ma) for ma in maecs):
-            out.append(mec)
-    return out
+def amec_filter(mecs, maecs):
+    """The MECs (from mec_decompose) containing at least one of the MAECs
+    (from maec_decompose), with full MEC action sets."""
+    return [mec for mec in mecs if any(mec.contains(ma) for ma in maecs)]
 
 
 def almost_sure_region(pm: ProductMdp, amecs):
     """Product states from which some policy reaches the union of amecs
-    (the result of amec_filter(pm)) w.p.1.
+    (the result of amec_filter) w.p.1.
 
     Classic double fixpoint: shrink the candidate set U until every state in U
     can reach the target through actions whose successors never leave U.
     """
-    target = set()
-    for amec in amecs:
-        target |= amec.state_set
-    u = set(range(pm.n_states))
+    target = _state_mask(pm, set().union(*(a.state_set for a in amecs)))
+    u = np.ones(pm.n_states, dtype=bool)
     while True:
+        stays = u[pm.pair_state] & ~_entering(pm, ~u)
         r = target & u
-        frontier = True
-        while frontier:
-            frontier = False
-            for s in sorted(u - r):
-                for a in pm.available[s]:
-                    succ = [t for t, p in pm.succ(s, a).items() if p > 0.0]
-                    if all(t in u for t in succ) and any(t in r for t in succ):
-                        r.add(s)
-                        frontier = True
-                        break
-        if r == u:
-            return u
+        while True:
+            grown = r | _with_pair(pm, stays & _entering(pm, r))
+            if (grown == r).all():
+                break
+            r = grown
+        if (r == u).all():
+            return set(np.flatnonzero(u).tolist())
         u = r
 
 
@@ -236,24 +251,57 @@ def attractor_policy(m: Mdp, target, p: StationaryPolicy) -> StationaryPolicy:
     thus moves at least one layer closer to the target, which keeps expected
     hitting times short.
     """
-    grown = set(target)
-    todo = set(range(m.n_states)) - grown
+    grown = _state_mask(m, target)
     extra = {}
-    while todo:
-        layer = {}
-        for s in sorted(todo):
-            for a in m.available[s]:
-                if any(t in grown and prob > 0.0
-                       for t, prob in m.succ(s, a).items()):
-                    layer[s] = a
-                    break
-        if not layer:
-            raise Unreachable(f"states {sorted(todo)} cannot reach the target")
-        for s, a in layer.items():
+    while not grown.all():
+        pairs = np.flatnonzero(_entering(m, grown) & ~grown[m.pair_state])
+        if not pairs.size:
+            raise Unreachable(f"states {np.flatnonzero(~grown).tolist()} "
+                              f"cannot reach the target")
+        # pairs ascend by (state, action): each state's first is its lowest
+        layer, first = np.unique(m.pair_state[pairs], return_index=True)
+        for s, a in zip(layer.tolist(), m.pair_action[pairs[first]].tolist()):
             extra[s] = {a: 1.0}
-        todo.difference_update(layer)
-        grown.update(layer)
+        grown[layer] = True
     return p.extended(extra)
+
+
+def _restrict(m, ids, keep, initial):
+    """The sub-model on the ascending state list ids with the pairs of the
+    boolean mask keep, which all belong to those states and stay inside
+    them; returns (model, ids)."""
+    local = np.full(m.n_states, -1, dtype=np.int64)
+    local[ids] = np.arange(len(ids))
+    pairs = np.flatnonzero(keep)
+    pair_action, succ_ptr, entries = gather_pairs(m, pairs)
+    state_ptr = np.concatenate(([0], np.cumsum(np.bincount(
+        local[m.pair_state[pairs]], minlength=len(ids)))))
+    succ_state = local[m.succ_state[entries]]
+    if (succ_state < 0).any():
+        raise ValueError("the sub-MDP is not closed")
+    arrays = (state_ptr, pair_action, succ_ptr, succ_state,
+              m.succ_prob[entries])
+    names = [m.state_names[g] for g in ids]
+    labels = [m.labels[g] for g in ids]
+    init = int(local[initial]) if initial is not None else 0
+    if init < 0:
+        raise KeyError(initial)
+    if isinstance(m, ProductMdp):
+        loc = local.tolist()
+        acc = [(frozenset(loc[s] for s in b if loc[s] >= 0),
+                frozenset(loc[s] for s in g if loc[s] >= 0))
+               for b, g in m.acc_pairs]
+        comps = ([m.components[g] for g in ids]
+                 if m.components is not None else None)
+        sub_m = ProductMdp.from_arrays(
+            names, m.action_names, init, *arrays,
+            atomic_props=m.atomic_props, labels=labels, acc_pairs=acc,
+            components=comps, base=m.base,
+            base_pair=None if m.base_pair is None else m.base_pair[pairs])
+    else:
+        sub_m = Mdp.from_arrays(names, m.action_names, init, *arrays,
+                                atomic_props=m.atomic_props, labels=labels)
+    return sub_m, ids
 
 
 def restrict(m: Mdp, sub: SubMdp, initial=None):
@@ -264,46 +312,24 @@ def restrict(m: Mdp, sub: SubMdp, initial=None):
     The local initial state maps the given global one, defaulting to the
     lowest index in the subset (fine for callers that never depend on it).
     """
-    ids = sorted(sub.state_set)
-    local = {g: i for i, g in enumerate(ids)}
-    acts = sub.act_map()
-    trans = {}
-    for g in ids:
-        for a in sorted(acts[g]):
-            trans[(local[g], a)] = {local[t]: p for t, p in m.succ(g, a).items()}
-    names = [m.state_names[g] for g in ids]
-    labels = [m.labels[g] for g in ids]
-    init = local[initial] if initial is not None else 0
-    if isinstance(m, ProductMdp):
-        acc = [(frozenset(local[s] for s in b if s in local),
-                frozenset(local[s] for s in g if s in local))
-               for b, g in m.acc_pairs]
-        comps = ([m.components[g] for g in ids]
-                 if m.components is not None else None)
-        sub_m = ProductMdp(names, m.action_names, init, trans, acc,
-                           m.atomic_props, labels, components=comps)
-    else:
-        sub_m = Mdp(names, m.action_names, init, trans, m.atomic_props,
-                    labels)
-    return sub_m, ids
+    return _restrict(m, sorted(sub.state_set), sub.pair_mask(m), initial)
 
 
-def _closed_actions(m: Mdp, region):
-    """Per state of region, the actions whose successors all stay inside."""
-    return {s: {a for a in m.available[s]
-                if all(t in region for t, p in m.succ(s, a).items() if p > 0.0)}
-            for s in region}
+def closed_pairs(m: Mdp, region):
+    """The pairs of region's states whose positive-probability successors
+    all stay inside region, as a boolean mask over m's pairs."""
+    inside = _state_mask(m, region)
+    return inside[m.pair_state] & ~_entering(m, ~inside)
 
 
 def restrict_closed(m: Mdp, region):
     """restrict() onto region, keeping the actions whose successors all stay
     inside it; the initial state, which must lie in region, carries over."""
-    return restrict(m, SubMdp.make(region, _closed_actions(m, region)),
-                    initial=m.initial)
+    return _restrict(m, sorted(region), closed_pairs(m, region), m.initial)
 
 
 def is_communicating(m: Mdp):
     """Every state can reach every other under some policy: the full induced
     digraph is one strongly connected component."""
-    adj = {s: ts for s, ts in enumerate(m.edges())}
+    adj = _successors(m, np.ones(m.n_pairs, dtype=bool))
     return len(strongly_connected_components(range(m.n_states), adj)) == 1

@@ -268,14 +268,13 @@ def _solve_lp(p: LpProblem, safe: bool) -> LpResult:
     return LpResult(status="optimal", x=x, value=float(c @ x))
 
 
-def _flow_balance(m: Mdp, pairs, a_eq, row0=0, col0=0):
-    """Write each state-action pair's flow balance into its column of a_eq
-    (col0 + its index in pairs): +1 at its state's row, then -P(t|s,a) at
-    each successor's row, all rows offset by row0."""
-    for j, (s, a) in enumerate(pairs):
-        a_eq[row0 + s, col0 + j] += 1.0
-        for t, prob in m.succ(s, a).items():
-            a_eq[row0 + t, col0 + j] -= prob
+def _flow_balance(m: Mdp, a_eq, row0=0, col0=0):
+    """Write each pair's flow balance into its column of a_eq (col0 + its
+    pair number): +1 at its state's row, then -P(t|s,a) at each successor's
+    row, all rows offset by row0.  No (row, column) entry is hit twice by
+    one update, so each entry is 1 - p or -p exactly as a loop makes it."""
+    a_eq[row0 + m.pair_state, col0 + np.arange(m.n_pairs)] += 1.0
+    a_eq[row0 + m.succ_state, col0 + m.succ_pair] -= m.succ_prob
 
 
 @dataclass(frozen=True)
@@ -296,19 +295,12 @@ def solve_ratio_lfp(m: Mdp, r: UtilityFn, c: UtilityFn) -> LfpSolution:
     """
     if not is_communicating(m):
         raise NotCommunicating("ratio program needs a communicating model")
-    r.check_complete(m)
-    c.check_complete(m)
-    pairs = list(m.state_action_pairs())
-    col = {sa: j for j, sa in enumerate(pairs)}
-    n = len(pairs)
-
-    a_eq = np.zeros((m.n_states + 1, n))
+    cobj = r.pair_values(m)
+    a_eq = np.zeros((m.n_states + 1, m.n_pairs))
+    a_eq[m.n_states] = c.pair_values(m)
     b_eq = np.zeros(m.n_states + 1)
-    _flow_balance(m, pairs, a_eq)
-    for (s, a), j in col.items():
-        a_eq[m.n_states, j] = c(s, a)
+    _flow_balance(m, a_eq)
     b_eq[m.n_states] = 1.0
-    cobj = np.array([r(s, a) for s, a in pairs])
 
     res = solve_lp(LpProblem(c=cobj, a_eq=a_eq, b_eq=b_eq))
     if res.status == "infeasible":
@@ -319,14 +311,14 @@ def solve_ratio_lfp(m: Mdp, r: UtilityFn, c: UtilityFn) -> LfpSolution:
     total = float(y.sum())
     if total <= 0.0:
         raise NumericalFailure("ratio program returned zero occupation mass")
-    gamma = {sa: float(y[j]) / total for sa, j in col.items()}
+    gamma = dict(zip(m.state_action_pairs(), (y / total).tolist()))
     return LfpSolution(gamma=gamma, value=float(res.value))
 
 
 def decode_ratio_policy(m: Mdp, sol: LfpSolution,
-                        support_threshold=SUPPORT_THRESHOLD
-                        ) -> StationaryPolicy:
-    """Policy carried by the occupation weights.
+                        support_threshold=SUPPORT_THRESHOLD):
+    """Policy carried by the occupation weights, with its chain analysis:
+    returns (policy, ca).
 
     Inside the support Q the rule is the normalized weights; outside, actions
     are assigned so Q is reached w.p.1.  If the support splits into several
@@ -353,7 +345,8 @@ def decode_ratio_policy(m: Mdp, sol: LfpSolution,
         chosen = min(ca.recurrent_classes, key=lambda comp: comp[0])
         kept = {s: policy.rule[s] for s in chosen}
         policy = attractor_policy(m, set(chosen), StationaryPolicy(kept))
-    return policy
+        ca = analyze(induce_chain(m, policy))
+    return policy, ca
 
 
 @dataclass(frozen=True)
@@ -371,32 +364,28 @@ def solve_avg_reward_lp(m: Mdp, reward: UtilityFn) -> AvgLpSolution:
     constraints balance the stationary flow and route alpha mass into the
     occupation support.  The objective is the alpha-weighted optimal gain.
     """
-    reward.check_complete(m)
-    pairs = list(m.state_action_pairs())
-    k = len(pairs)
-    col_x = {sa: j for j, sa in enumerate(pairs)}
-    col_y = {sa: k + j for j, sa in enumerate(pairs)}
+    rv = reward.pair_values(m)
+    k = m.n_pairs
     ns = m.n_states
     alpha = np.full(ns, 1.0 / ns)
 
     a_eq = np.zeros((2 * ns, 2 * k))
     b_eq = np.zeros(2 * ns)
-    _flow_balance(m, pairs, a_eq)
-    for (s, a), j in col_x.items():
-        a_eq[ns + s, j] += 1.0
-    _flow_balance(m, pairs, a_eq, row0=ns, col0=k)
+    _flow_balance(m, a_eq)
+    a_eq[ns + m.pair_state, np.arange(k)] += 1.0
+    _flow_balance(m, a_eq, row0=ns, col0=k)
     b_eq[ns:] = alpha
     cobj = np.zeros(2 * k)
-    for (s, a), j in col_x.items():
-        cobj[j] = reward(s, a)
+    cobj[:k] = rv
 
     res = solve_lp(LpProblem(c=cobj, a_eq=a_eq, b_eq=b_eq))
     if res.status == "infeasible":
         raise InfeasibleError("average-reward program infeasible")
     if res.status == "unbounded":
         raise NumericalFailure("average-reward program unbounded")
-    x = {sa: float(res.x[j]) for sa, j in col_x.items()}
-    y = {sa: float(res.x[j]) for sa, j in col_y.items()}
+    pairs = list(m.state_action_pairs())
+    x = dict(zip(pairs, res.x[:k].tolist()))
+    y = dict(zip(pairs, res.x[k:].tolist()))
     return AvgLpSolution(x=x, y=y, gain=float(res.value))
 
 

@@ -1,11 +1,17 @@
 """Core domain types: labeled MDPs, Rabin automata, products, policies, chains.
 
 States and actions are dense integer indices; names are kept only for I/O and
-error messages.  All containers are immutable after construction so models can
-be shared freely across workers.
+error messages.  Transitions are stored in one flat state-action (CSR) form
+that every layer reads: the available (state, action) pairs are numbered in
+(state, action) order, each with a slice of successor entries.  A policy
+becomes a weight vector over those pairs and a utility a value vector, so
+inducing a chain or a utility vector is one scatter over the entries, summed
+in the same order as a loop over the pairs would sum.  All containers are
+immutable after construction so models can be shared freely across workers.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,30 +41,67 @@ class Violation:
     detail: str = ""
 
 
-class Mdp:
-    """Finite labeled MDP.
+def _ranges(starts, lens):
+    """The concatenation of arange(starts[i], starts[i] + lens[i])."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - (ends - lens), lens) + np.arange(
+        ends[-1] if len(ends) else 0)
 
-    trans maps (state, action) -> {successor: probability}.  An action is
-    available at s exactly when (s, a) is a key of trans; rows must sum to 1.
+
+class Mdp:
+    """Finite labeled MDP in flat state-action form.
+
+    The pairs (s, a) with a available at s are numbered in (state, action)
+    order: state s owns pairs state_ptr[s]:state_ptr[s + 1], pair j takes
+    action pair_action[j], and its successor entries k in
+    succ_ptr[j]:succ_ptr[j + 1] lead to succ_state[k], ascending, with
+    probability succ_prob[k].  Rows must sum to 1.
+
+    The constructor takes trans, a map (state, action) -> {successor:
+    probability}, and builds the arrays from it; products and sub-models
+    are built straight from arrays by from_arrays.  trans reads the arrays
+    back as such a map, for code that walks a model pair by pair.
     """
 
     def __init__(self, state_names, action_names, initial, trans,
                  atomic_props=(), labels=None):
+        self._set(state_names, action_names, initial, atomic_props, labels)
+        rows = sorted(((int(s), int(a)),
+                       sorted((int(t), float(p)) for t, p in dist.items()))
+                      for (s, a), dist in trans.items())
+        pair_state = np.array([s for (s, _), _ in rows], dtype=np.int64)
+        lens = np.array([len(d) for _, d in rows], dtype=np.int64)
+        self._set_arrays(
+            np.searchsorted(pair_state, np.arange(self.n_states + 1)),
+            [a for (_, a), _ in rows], np.concatenate(([0], np.cumsum(lens))),
+            np.fromiter((t for _, d in rows for t, _ in d), dtype=np.int64),
+            np.fromiter((p for _, d in rows for _, p in d), dtype=float))
+
+    @classmethod
+    def from_arrays(cls, state_names, action_names, initial, state_ptr,
+                    pair_action, succ_ptr, succ_state, succ_prob,
+                    atomic_props=(), labels=None):
+        m = cls.__new__(cls)
+        m._set(state_names, action_names, initial, atomic_props, labels)
+        m._set_arrays(state_ptr, pair_action, succ_ptr, succ_state, succ_prob)
+        return m
+
+    def _set(self, state_names, action_names, initial, atomic_props, labels):
         self.state_names = tuple(state_names)
         self.action_names = tuple(action_names)
         self.initial = int(initial)
-        self.trans = {
-            (int(s), int(a)): dict(sorted((int(t), float(p)) for t, p in dist.items()))
-            for (s, a), dist in trans.items()
-        }
         self.atomic_props = tuple(atomic_props)
         if labels is None:
             labels = [frozenset() for _ in self.state_names]
         self.labels = tuple(frozenset(l) for l in labels)
-        avail = [[] for _ in self.state_names]
-        for (s, a) in self.trans:
-            avail[s].append(a)
-        self.available = tuple(tuple(sorted(acts)) for acts in avail)
+
+    def _set_arrays(self, state_ptr, pair_action, succ_ptr, succ_state,
+                    succ_prob):
+        self.state_ptr = np.asarray(state_ptr, dtype=np.int64)
+        self.pair_action = np.asarray(pair_action, dtype=np.int64)
+        self.succ_ptr = np.asarray(succ_ptr, dtype=np.int64)
+        self.succ_state = np.asarray(succ_state, dtype=np.int64)
+        self.succ_prob = np.asarray(succ_prob, dtype=float)
 
     @property
     def n_states(self):
@@ -68,22 +111,72 @@ class Mdp:
     def n_actions(self):
         return len(self.action_names)
 
+    @property
+    def n_pairs(self):
+        return len(self.pair_action)
+
+    @cached_property
+    def pair_state(self):
+        """The state of each pair."""
+        return np.repeat(np.arange(self.n_states), np.diff(self.state_ptr))
+
+    @cached_property
+    def succ_pair(self):
+        """The pair of each successor entry."""
+        return np.repeat(np.arange(self.n_pairs), np.diff(self.succ_ptr))
+
+    @cached_property
+    def succ_src(self):
+        """The state each successor entry leaves."""
+        return self.pair_state[self.succ_pair]
+
+    @cached_property
+    def available(self):
+        acts = self.pair_action.tolist()
+        ptr = self.state_ptr.tolist()
+        return tuple(tuple(acts[ptr[s]:ptr[s + 1]])
+                     for s in range(self.n_states))
+
+    def pair_index(self, states, actions):
+        """Pair numbers of the pairs (states[i], actions[i]), and a mask of
+        those that exist (elsewhere the number is meaningless)."""
+        states = np.asarray(states, dtype=np.int64)
+        actions = np.asarray(actions, dtype=np.int64)
+        if not self.n_pairs:
+            return np.zeros(states.shape, dtype=np.int64), \
+                np.zeros(states.shape, dtype=bool)
+        want = states * self.n_actions + actions
+        idx = np.minimum(np.searchsorted(self._pair_key, want),
+                         self.n_pairs - 1)
+        found = (self._pair_key[idx] == want) & (actions >= 0) & \
+            (actions < self.n_actions)
+        return idx, found
+
+    @cached_property
+    def _pair_key(self):
+        """state * n_actions + action per pair: ascending, so pairs are
+        found by binary search."""
+        return self.pair_state * self.n_actions + self.pair_action
+
     def succ(self, s, a):
-        return self.trans[(s, a)]
+        """{successor: probability} of the pair (s, a), read off the arrays."""
+        (j,), (ok,) = self.pair_index([s], [a])
+        if not ok:
+            raise KeyError((s, a))
+        lo, hi = self.succ_ptr[j], self.succ_ptr[j + 1]
+        return dict(zip(self.succ_state[lo:hi].tolist(),
+                        self.succ_prob[lo:hi].tolist()))
 
     def state_action_pairs(self):
-        for s in range(self.n_states):
-            for a in self.available[s]:
-                yield s, a
+        return zip(self.pair_state.tolist(), self.pair_action.tolist())
 
-    def edges(self):
-        """Digraph edges s -> t induced by positive-probability transitions."""
-        out = [set() for _ in range(self.n_states)]
-        for (s, a), dist in self.trans.items():
-            for t, p in dist.items():
-                if p > 0.0:
-                    out[s].add(t)
-        return [sorted(ts) for ts in out]
+    @cached_property
+    def trans(self):
+        """{(state, action): {successor: probability}} in pair order."""
+        succ, prob = self.succ_state.tolist(), self.succ_prob.tolist()
+        ptr = self.succ_ptr.tolist()
+        return {sa: dict(zip(succ[ptr[j]:ptr[j + 1]], prob[ptr[j]:ptr[j + 1]]))
+                for j, sa in enumerate(self.state_action_pairs())}
 
     def __repr__(self):
         return (f"Mdp(|S|={self.n_states}, |A|={self.n_actions}, "
@@ -93,16 +186,29 @@ class Mdp:
 class ProductMdp(Mdp):
     """MDP carrying Rabin acceptance pairs over its own state space.
 
-    components[i] = (base_state, aut_state) when the instance was built by
-    build_product; synthetic instances may leave it None.
+    When the instance was built by build_product, components[i] =
+    (base_state, aut_state), base is the base model and base_pair[j] the
+    base pair that product pair j copies; synthetic instances leave them None.
     """
 
     def __init__(self, state_names, action_names, initial, trans, acc_pairs,
                  atomic_props=(), labels=None, components=None):
         super().__init__(state_names, action_names, initial, trans,
                          atomic_props, labels)
+        self._set_product(acc_pairs, components)
+
+    @classmethod
+    def from_arrays(cls, *arrays, acc_pairs, components=None, base=None,
+                    base_pair=None, **kw):
+        pm = super().from_arrays(*arrays, **kw)
+        pm._set_product(acc_pairs, components, base, base_pair)
+        return pm
+
+    def _set_product(self, acc_pairs, components, base=None, base_pair=None):
         self.acc_pairs = tuple((frozenset(b), frozenset(g)) for b, g in acc_pairs)
         self.components = tuple(components) if components is not None else None
+        self.base = base
+        self.base_pair = base_pair
 
     def __repr__(self):
         return (f"ProductMdp(|S|={self.n_states}, pairs={len(self.acc_pairs)})")
@@ -159,15 +265,14 @@ class StationaryPolicy:
 
     rule maps state -> {action: probability}.  A policy may be partial (defined
     on a state subset) while being assembled; validity against a model is
-    checked by validate().
+    checked by validate().  weights(m) gives the same policy as a vector over
+    m's pairs, the form the chain, utility and sampling code reads.
     """
 
     def __init__(self, rule):
         self.rule = {int(s): dict(sorted((int(a), float(p)) for a, p in d.items()))
                      for s, d in rule.items()}
-
-    def dist(self, s):
-        return self.rule[s]
+        self._weights = None  # (model, weight vector) of the last weights()
 
     def validate(self, m: Mdp):
         """Raise PolicyMismatch unless every rule is a distribution over A(s)."""
@@ -185,6 +290,26 @@ class StationaryPolicy:
             if abs(mass - 1.0) > PROB_TOL:
                 raise PolicyMismatch(
                     f"state {m.state_names[s]}: probabilities sum to {mass}")
+
+    def weights(self, m: Mdp) -> np.ndarray:
+        """The policy as a read-only weight vector over m's pairs, validated
+        against m first; pairs of states outside the rule weigh zero.  The
+        vector of the last model asked for is kept."""
+        if self._weights is None or self._weights[0] is not m:
+            self.validate(m)
+            states, actions, probs = [], [], []
+            for s, d in self.rule.items():
+                states.extend([s] * len(d))
+                actions.extend(d)
+                probs.extend(d.values())
+            idx, found = m.pair_index(states, actions)
+            probs = np.array(probs, dtype=float)
+            keep = found & (probs != 0.0)
+            w = np.zeros(m.n_pairs)
+            w[idx[keep]] = probs[keep]
+            w.flags.writeable = False
+            self._weights = (m, w)
+        return self._weights[1]
 
     def mix(self, other, delta):
         """(1-delta)*self + delta*other; both policies must cover the same
@@ -226,36 +351,104 @@ class StationaryPolicy:
         return f"StationaryPolicy(on {len(self.rule)} states)"
 
 
+def pair_weights(m: Mdp, p) -> np.ndarray:
+    """The weights of p over m's pairs: p is a StationaryPolicy or already
+    such a weight vector (a blend of two, say), which is taken as given."""
+    return p if isinstance(p, np.ndarray) else p.weights(m)
+
+
 class UtilityFn:
     """Per state-action utility.  kind is 'reward' or 'cost'; costs must be
-    strictly positive."""
+    strictly positive.
+
+    Built from a {(state, action): value} dict, or by on_pairs from a value
+    vector over a model's pairs.  pair_values(m) reads either form as a
+    vector over the pairs of a model it covers, and restricted re-keys it
+    onto the states of a sub-model.
+    """
 
     def __init__(self, values, kind):
-        if kind not in ("reward", "cost"):
-            raise ValueError(f"unknown utility kind {kind!r}")
+        _check_kind(kind)
         self.kind = kind
         self.values = {(int(s), int(a)): float(v) for (s, a), v in values.items()}
+        self._arrays = None
         if kind == "cost":
             for (s, a), v in self.values.items():
                 if v <= 0.0:
-                    raise ModelError(
-                        f"cost must be strictly positive, got {v} at "
-                        f"state {s}, action {a}")
+                    raise _nonpositive_cost(v, s, a)
+
+    @classmethod
+    def on_pairs(cls, m: Mdp, vals, kind):
+        """The utility taking the value vals[j] at pair j of m."""
+        _check_kind(kind)
+        vals = np.array(vals, dtype=float)
+        if kind == "cost":
+            bad = np.flatnonzero(vals <= 0.0)
+            if bad.size:
+                j = bad[0]
+                raise _nonpositive_cost(float(vals[j]), int(m.pair_state[j]),
+                                        int(m.pair_action[j]))
+        return cls._view(m, vals, kind, None)
+
+    @classmethod
+    def _view(cls, m, vals, kind, ids):
+        """vals over m's pairs, read on models whose local state i is state
+        ids[i] of m (the identity when ids is None)."""
+        fn = cls.__new__(cls)
+        fn.kind = kind
+        vals.flags.writeable = False
+        fn._arrays = (m, vals, ids)
+        return fn
+
+    @cached_property
+    def values(self):
+        m, vals, ids = self._arrays
+        states, acts = m.pair_state, m.pair_action
+        if ids is not None:
+            local = np.full(m.n_states, -1)
+            local[ids] = np.arange(len(ids))
+            keep = local[states] >= 0
+            states, acts, vals = local[states][keep], acts[keep], vals[keep]
+        return dict(zip(zip(states.tolist(), acts.tolist()), vals.tolist()))
 
     def __call__(self, s, a):
         return self.values[(s, a)]
 
+    def pair_values(self, m: Mdp) -> np.ndarray:
+        """The utility as a vector over m's pairs; raises ModelError when it
+        lacks one of them."""
+        if self._arrays is None:
+            vals = [self.values.get(sa) for sa in m.state_action_pairs()]
+            missing = [j for j, v in enumerate(vals) if v is None]
+            if missing:
+                raise self._missing(m, missing)
+            return np.array(vals, dtype=float)
+        base, vals, ids = self._arrays
+        if m is base and ids is None:
+            return vals
+        states = m.pair_state if ids is None else ids[m.pair_state]
+        idx, found = base.pair_index(states, m.pair_action)
+        if not found.all():
+            raise self._missing(m, np.flatnonzero(~found))
+        return vals[idx]
+
+    def _missing(self, m, missing):
+        j = missing[0]
+        s, a = int(m.pair_state[j]), int(m.pair_action[j])
+        return ModelError(
+            f"{self.kind} table missing {len(missing)} entries, first: "
+            f"({m.state_names[s]}, {m.action_names[a]})")
+
     def check_complete(self, m: Mdp):
-        missing = [(s, a) for s, a in m.state_action_pairs()
-                   if (s, a) not in self.values]
-        if missing:
-            s, a = missing[0]
-            raise ModelError(
-                f"{self.kind} table missing {len(missing)} entries, first: "
-                f"({m.state_names[s]}, {m.action_names[a]})")
+        self.pair_values(m)
 
     def restricted(self, ids):
         """Re-key onto a sub-MDP whose local state i is state ids[i] here."""
+        if self._arrays is not None:
+            base, vals, own = self._arrays
+            ids = np.asarray(ids, dtype=np.int64)
+            return UtilityFn._view(base, vals, self.kind,
+                                   ids if own is None else own[ids])
         id_of = {g: i for i, g in enumerate(ids)}
         vals = {(id_of[s], a): v for (s, a), v in self.values.items()
                 if s in id_of}
@@ -263,18 +456,27 @@ class UtilityFn:
 
     @staticmethod
     def constant(m: Mdp, value, kind):
-        return UtilityFn({(s, a): value for s, a in m.state_action_pairs()}, kind)
+        return UtilityFn.on_pairs(m, np.full(m.n_pairs, float(value)), kind)
+
+
+def _check_kind(kind):
+    if kind not in ("reward", "cost"):
+        raise ValueError(f"unknown utility kind {kind!r}")
+
+
+def _nonpositive_cost(v, s, a):
+    return ModelError(f"cost must be strictly positive, got {v} at "
+                      f"state {s}, action {a}")
 
 
 def lift_utilities(pm: "ProductMdp", reward, cost):
     """Reward and cost of the base model, lifted onto a product built by
-    build_product: product state i takes the values of its base state."""
-    rv, cv = {}, {}
-    for i, (s, q) in enumerate(pm.components):
-        for a in pm.available[i]:
-            rv[(i, a)] = reward(s, a)
-            cv[(i, a)] = cost(s, a)
-    return UtilityFn(rv, "reward"), UtilityFn(cv, "cost")
+    build_product: each product pair takes the value of the base pair it
+    copies."""
+    return (UtilityFn.on_pairs(pm, reward.pair_values(pm.base)[pm.base_pair],
+                               "reward"),
+            UtilityFn.on_pairs(pm, cost.pair_values(pm.base)[pm.base_pair],
+                               "cost"))
 
 
 def rabin_witness(states, pairs):
@@ -306,16 +508,19 @@ def validate_mdp(m: Mdp):
         if not m.available[s]:
             out.append(Violation("no_action", state=s,
                                  detail=f"state {m.state_names[s]} has no action"))
-    for (s, a), dist in m.trans.items():
-        total = 0.0
-        for t, p in dist.items():
-            total += p
-            if p < -PROB_TOL or p > 1 + PROB_TOL:
+    # pair by pair in (state, action) order; row sums add up in entry order
+    total = np.bincount(m.succ_pair, weights=m.succ_prob,
+                        minlength=m.n_pairs).tolist()
+    succ, prob, ptr = (m.succ_state.tolist(), m.succ_prob.tolist(),
+                       m.succ_ptr.tolist())
+    for j, (s, a) in enumerate(m.state_action_pairs()):
+        for k in range(ptr[j], ptr[j + 1]):
+            if prob[k] < -PROB_TOL or prob[k] > 1 + PROB_TOL:
                 out.append(Violation("prob_range", state=s, action=a,
-                                     detail=f"P({t}|{s},{a})={p}"))
-        if abs(total - 1.0) > PROB_TOL:
+                                     detail=f"P({succ[k]}|{s},{a})={prob[k]}"))
+        if abs(total[j] - 1.0) > PROB_TOL:
             out.append(Violation("stochasticity", state=s, action=a,
-                                 detail=f"row sum {total}"))
+                                 detail=f"row sum {total[j]}"))
     props = set(m.atomic_props)
     for s, lab in enumerate(m.labels):
         if not lab <= props:
@@ -324,42 +529,64 @@ def validate_mdp(m: Mdp):
     return out
 
 
+def gather_pairs(m: Mdp, pairs):
+    """The rows of the listed pairs of m, in that order: their actions,
+    their successor pointers, and the indices in m of their successor
+    entries."""
+    lens = np.diff(m.succ_ptr)[pairs]
+    entries = _ranges(m.succ_ptr[pairs], lens)
+    return (m.pair_action[pairs], np.concatenate(([0], np.cumsum(lens))),
+            entries)
+
+
 def build_product(m: Mdp, d: Dra) -> ProductMdp:
     """Synchronous product of an MDP with a DRA, pruned to reachable states.
 
     The automaton moves on the label of the *successor* base state, and the
     initial product state is (s0, delta(q0, label(s0))).  Acceptance pairs are
-    lifted to product state sets.
+    lifted to product state sets.  Product states are numbered in
+    breadth-first order over the base pairs' successors; each product pair
+    copies a base pair, recorded in base_pair, with its successors renumbered
+    and sorted.
     """
     for s in range(m.n_states):
         if not m.labels[s] <= set(d.ap):
             raise AlphabetMismatch(
                 f"state {m.state_names[s]} labeled {set(m.labels[s])!r} "
                 f"outside automaton alphabet {d.ap!r}")
-    q_init = d.step(d.initial, m.labels[m.initial])
-    index = {}
-    order = []
-
-    def intern(s, q):
-        key = (s, q)
-        if key not in index:
-            index[key] = len(order)
-            order.append(key)
-        return index[key]
-
-    intern(m.initial, q_init)
-    trans = {}
+    # step[q][t]: the automaton state after entering base state t from q
+    step = [[d.step(q, lab) for lab in m.labels] for q in range(d.n_states)]
+    succ, ptr, sptr = (m.succ_state.tolist(), m.succ_ptr.tolist(),
+                       m.state_ptr.tolist())
+    # each base state's successors, in first-seen pair-then-successor order
+    targets = [list(dict.fromkeys(succ[ptr[sptr[s]]:ptr[sptr[s + 1]]]))
+               for s in range(m.n_states)]
+    start = (m.initial, d.step(d.initial, m.labels[m.initial]))
+    index = {start: 0}
+    order = [start]
     i = 0
     while i < len(order):
         s, q = order[i]
-        si = index[(s, q)]
-        for a in m.available[s]:
-            dist = {}
-            for t, p in m.succ(s, a).items():
-                q2 = d.step(q, m.labels[t])
-                dist[intern(t, q2)] = dist.get(intern(t, q2), 0.0) + p
-            trans[(si, a)] = dist
+        row = step[q]
+        for t in targets[s]:
+            key = (t, row[t])
+            if key not in index:
+                index[key] = len(order)
+                order.append(key)
         i += 1
+
+    base_s = np.array([s for s, _ in order], dtype=np.int64)
+    base_q = np.array([q for _, q in order], dtype=np.int64)
+    counts = np.diff(m.state_ptr)[base_s]
+    base_pair = _ranges(m.state_ptr[base_s], counts)
+    pair_action, succ_ptr, entries = gather_pairs(m, base_pair)
+    number = np.full((m.n_states, d.n_states), -1, dtype=np.int64)
+    number[base_s, base_q] = np.arange(len(order))
+    t = m.succ_state[entries]
+    q_from = np.repeat(np.repeat(base_q, counts), np.diff(succ_ptr))
+    succ_state = number[t, np.array(step, dtype=np.int64)[q_from, t]]
+    perm = np.lexsort((succ_state, np.repeat(np.arange(len(base_pair)),
+                                             np.diff(succ_ptr))))
     names = [f"{m.state_names[s]}&q{q}" for s, q in order]
     labels = [m.labels[s] for s, q in order]
     acc = []
@@ -367,23 +594,30 @@ def build_product(m: Mdp, d: Dra) -> ProductMdp:
         bx = frozenset(i for i, (s, q) in enumerate(order) if q in b)
         gx = frozenset(i for i, (s, q) in enumerate(order) if q in g)
         acc.append((bx, gx))
-    return ProductMdp(names, m.action_names, 0, trans, acc,
-                      m.atomic_props, labels, components=order)
+    return ProductMdp.from_arrays(
+        names, m.action_names, 0, np.concatenate(([0], np.cumsum(counts))),
+        pair_action, succ_ptr, succ_state[perm], m.succ_prob[entries][perm],
+        atomic_props=m.atomic_props, labels=labels, acc_pairs=acc,
+        components=order, base=m, base_pair=base_pair)
 
 
-def induce_chain(m: Mdp, p: StationaryPolicy) -> Mc:
-    """Markov chain induced by a stationary policy: P[i,j] = sum_a mu(i,a)P(j|i,a)."""
-    p.validate(m)
+def induce_chain(m: Mdp, p) -> Mc:
+    """Markov chain induced by a stationary policy: P[i,j] = sum_a mu(i,a)P(j|i,a).
+
+    p is a StationaryPolicy, which must be defined at every state, or a
+    weight vector (see pair_weights).  One scatter over the successor
+    entries adds each entry's terms in action order, as a loop would.
+    """
+    w = pair_weights(m, p)
     n = m.n_states
-    P = np.zeros((n, n))
-    for s in range(n):
-        if s not in p.rule:
-            raise PolicyMismatch(f"policy undefined at state {m.state_names[s]}")
-        for a, w in p.dist(s).items():
-            if w == 0.0:
-                continue
-            for t, prob in m.succ(s, a).items():
-                P[s, t] += w * prob
+    if not isinstance(p, np.ndarray):
+        missing = set(range(n)).difference(p.rule)
+        if missing:
+            raise PolicyMismatch(
+                f"policy undefined at state {m.state_names[min(missing)]}")
+    P = np.bincount(m.succ_src * n + m.succ_state,
+                    weights=w[m.succ_pair] * m.succ_prob,
+                    minlength=n * n).reshape(n, n)
     pi0 = np.zeros(n)
     pi0[m.initial] = 1.0
     return Mc(P=P, pi0=pi0)

@@ -384,10 +384,12 @@ def write_mdp(m: Mdp) -> str:
         if m.labels[s]:
             out.append(f"label {m.state_names[s]}: " +
                        " ".join(sorted(m.labels[s])))
-    for (s, a), dist in sorted(m.trans.items()):
-        for t, p in sorted(dist.items()):
+    succ, prob, ptr = (m.succ_state.tolist(), m.succ_prob.tolist(),
+                       m.succ_ptr.tolist())
+    for j, (s, a) in enumerate(m.state_action_pairs()):
+        for k in range(ptr[j], ptr[j + 1]):
             out.append(f"trans {m.state_names[s]} {m.action_names[a]} "
-                       f"{m.state_names[t]} {_fmt(p)}")
+                       f"{m.state_names[succ[k]]} {_fmt(prob[k])}")
     return "\n".join(out) + "\n"
 
 
@@ -469,5 +471,5 @@ def parse_policy(text, m: Mdp) -> StationaryPolicy:
             raise ParseError(f"unknown action {a!r}", ln)
         rule.setdefault(sidx[s], {})[aidx[a]] = _parse_prob(prob, ln)
     pol = StationaryPolicy(rule)
-    pol.validate(m)
+    pol.weights(m)  # validates, and keeps the weights for m
     return pol

@@ -5,12 +5,17 @@ index), so results are reproducible and independent of evaluation order.
 Aggregation uses fsum in rollout order, keeping reruns bitwise identical.
 Every rollout is drawn once: the ratios, the visit frequencies and the
 integer per-state visit counts (which callers total over the G and B sets of
-the Rabin pairs) all come from that one pass.
+the Rabin pairs) all come from that one pass.  The per-state sampling tables
+are read off the model's pair arrays, and the rollout loop works on plain
+Python lists and floats: its draws are the generator's doubles as Python
+floats, so each step's bisection and every total are bitwise those of a
+numpy-indexed loop.
 """
 
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,34 +43,32 @@ class RolloutStats:
     visit_counts: tuple  # per-state visits, summed over rollouts
 
 
-def _compound_rows(m: Mdp, p: StationaryPolicy, r=None, c=None):
-    """Per-state sampling tables for the chain of (policy, transition) draws.
+def _compound_rows(m: Mdp, p: StationaryPolicy, r: UtilityFn, c: UtilityFn):
+    """Per-state sampling tables for the chain of (policy, transition) draws,
+    read off the pair arrays: each positive (action, successor) draw of a
+    state in pair-then-successor order, its cumulative weight (summed one
+    draw after another, from zero at each state), its successor, and the
+    reward and cost it earns, plus the index of the state's last draw.
 
     Partial policies are fine as long as their domain is closed: undefined
     states get no table, and reaching one raises.
     """
+    w = p.weights(m)[m.succ_pair]
+    draw = np.flatnonzero((w > 0.0) & (m.succ_prob > 0.0))
+    mass = (w[draw] * m.succ_prob[draw]).tolist()
+    nxt = m.succ_state[draw].tolist()
+    rinc = r.pair_values(m)[m.succ_pair[draw]].tolist()
+    cinc = c.pair_values(m)[m.succ_pair[draw]].tolist()
+    bounds = np.searchsorted(m.succ_src[draw],
+                             np.arange(m.n_states + 1)).tolist()
     rows = []
     for s in range(m.n_states):
         if s not in p.rule:
             rows.append(None)
             continue
-        cum = []
-        nxt = []
-        rinc = []
-        cinc = []
-        total = 0.0
-        for a, w in p.dist(s).items():
-            if w <= 0.0:
-                continue
-            for t, prob in m.succ(s, a).items():
-                if prob <= 0.0:
-                    continue
-                total += w * prob
-                cum.append(total)
-                nxt.append(t)
-                rinc.append(r(s, a) if r is not None else 0.0)
-                cinc.append(c(s, a) if c is not None else 0.0)
-        rows.append((cum, nxt, rinc, cinc))
+        lo, hi = bounds[s], bounds[s + 1]
+        rows.append((list(accumulate(mass[lo:hi])), nxt[lo:hi],
+                     rinc[lo:hi], cinc[lo:hi], hi - lo - 1))
     return rows
 
 
@@ -75,19 +78,20 @@ def _stream(seed, rollout):
 
 
 def _one_rollout(rows, initial, steps, gen):
-    u = gen.random(steps)
     counts = [0] * len(rows)
     total_r = 0.0
     total_c = 0.0
     s = initial
-    for t in range(steps):
+    # Python floats: the same doubles as the generator's array, compared by
+    # bisect without making a numpy scalar per step
+    for x in gen.random(steps).tolist():
         counts[s] += 1
-        if rows[s] is None:
+        row = rows[s]
+        if row is None:
             raise PolicyMismatch(f"rollout reached undefined state {s}")
-        cum, nxt, rinc, cinc = rows[s]
-        j = bisect_left(cum, u[t])
-        if j >= len(cum):
-            j = len(cum) - 1
+        cum, nxt, rinc, cinc, last = row
+        # a draw above the row's total (rounding) takes the last outcome
+        j = bisect_left(cum, x, 0, last)
         total_r += rinc[j]
         total_c += cinc[j]
         s = nxt[j]
@@ -97,7 +101,6 @@ def _one_rollout(rows, initial, steps, gen):
 def simulate(m: Mdp, p: StationaryPolicy, r: UtilityFn, c: UtilityFn,
              cfg: RolloutConfig) -> RolloutStats:
     """Pathwise reward-over-cost ratios at the horizon, plus visit statistics."""
-    p.validate(m)
     rows = _compound_rows(m, p, r, c)
     ratios = []
     freq_acc = [[] for _ in range(m.n_states)]

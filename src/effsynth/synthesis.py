@@ -21,7 +21,7 @@ import numpy as np
 from .model import (Mdp, ProductMdp, StationaryPolicy, UtilityFn,
                     induce_chain, rabin_witness)
 from .graph import (almost_sure_region, amec_filter, attractor_policy,
-                    maec_decompose, restrict, restrict_closed)
+                    maec_decompose, mec_decompose, restrict, restrict_closed)
 from .chain import (NotUnichain, analyze, average_utility, efficiency,
                     ratio_deviation)
 from .lp import SUPPORT_THRESHOLD, decode_avg_policy, decode_ratio_policy, \
@@ -97,7 +97,7 @@ class SynthesisReport:
 
 
 def _min_cost(m: Mdp, c: UtilityFn):
-    return min(c(s, a) for s, a in m.state_action_pairs())
+    return float(np.min(c.pair_values(m)))
 
 
 def _deviation_gap(m, mu_opt, mu_irr, r, c):
@@ -127,16 +127,19 @@ def perturbation_degree_estimated(m: Mdp, mu_opt, mu_irr, r, c,
 def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
                               width=BISECT_WIDTH) -> PerturbationPlan:
     """Largest degree that keeps the blended efficiency within epsilon,
-    found by bisection on the analytic evaluator and verified afterwards."""
+    found by bisection on the analytic evaluator and verified afterwards.
+    Each probe blends the two policies' weight vectors, which gives the
+    same numbers as mixing the rules."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     d_inf, j_opt = _deviation_gap(m, mu_opt, mu_irr, r, c)
     c_min = _min_cost(m, c)
+    w_opt, w_irr = mu_opt.weights(m), mu_irr.weights(m)
 
     def qualifies(delta):
-        mu_d = mu_opt.mix(mu_irr, delta)
-        ca_d = analyze(induce_chain(m, mu_d))
-        return efficiency(ca_d, m, r, c, mu_d, m.initial) >= j_opt - epsilon - 1e-12
+        w = (1.0 - delta) * w_opt + delta * w_irr
+        ca_d = analyze(induce_chain(m, w))
+        return efficiency(ca_d, m, r, c, w, m.initial) >= j_opt - epsilon - 1e-12
 
     hi = 1.0 - width
     if qualifies(hi):
@@ -211,7 +214,6 @@ def synth_communicating(pm: ProductMdp, r: UtilityFn, c: UtilityFn,
         raise NoMaec("no accepting end component")
 
     values = []
-    opt_policies = []
     subs = []
     for maec in maecs:
         sub_m, ids = restrict(pm, maec)
@@ -219,17 +221,15 @@ def synth_communicating(pm: ProductMdp, r: UtilityFn, c: UtilityFn,
         c_sub = c.restricted(ids)
         sol = solve_ratio_lfp(sub_m, r_sub, c_sub)
         values.append(sol.value)
-        opt_policies.append(decode_ratio_policy(
-            sub_m, sol, support_threshold=tol.support_threshold))
-        subs.append((sub_m, ids, r_sub, c_sub))
+        decoded = decode_ratio_policy(sub_m, sol,
+                                      support_threshold=tol.support_threshold)
+        subs.append((sub_m, ids, r_sub, c_sub, *decoded))
     best = max(range(len(maecs)), key=lambda i: (values[i], -i))
 
-    sub_m, ids, r_sub, c_sub = subs[best]
-    mu_opt = opt_policies[best]
+    sub_m, ids, r_sub, c_sub, mu_opt, ca_opt = subs[best]
 
     # adopt the optimal policy unperturbed when its recurrent class already
     # meets some G-set while avoiding the paired B-set
-    ca_opt = analyze(induce_chain(sub_m, mu_opt))
     rec_global = {ids[s] for s in ca_opt.recurrent_classes[0]}
     no_pert = rabin_witness(rec_global, pm.acc_pairs) is not None
     plan = None
@@ -255,19 +255,13 @@ def build_reward_k(pm: ProductMdp, amecs, values, r: UtilityFn,
                    c: UtilityFn, k_margin=K_MARGIN):
     """Surrogate reward: the component's optimal value inside each accepting
     component, and K = -max|R|/min C - k_margin everywhere else."""
-    r_hat = max(abs(r(s, a)) for s, a in pm.state_action_pairs())
+    r_hat = float(np.max(np.abs(r.pair_values(pm))))
     c_hat = _min_cost(pm, c)
     big_k = -r_hat / c_hat - k_margin
-    owner = {}
-    for i, amec in enumerate(amecs):
-        for s, acts in amec.act:
-            for a in acts:
-                owner[(s, a)] = i
-    vals = {}
-    for s, a in pm.state_action_pairs():
-        i = owner.get((s, a))
-        vals[(s, a)] = values[i] if i is not None else big_k
-    return UtilityFn(vals, "reward"), big_k
+    vals = np.full(pm.n_pairs, big_k)
+    for amec, value in zip(amecs, values):
+        vals[amec.pair_mask(pm)] = value
+    return UtilityFn.on_pairs(pm, vals, "reward"), big_k
 
 
 def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
@@ -286,7 +280,7 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    amecs = amec_filter(pm)
+    amecs = amec_filter(mec_decompose(pm), maec_decompose(pm))
     if not amecs:
         raise TaskUnsatisfiable("no accepting end component")
     region = almost_sure_region(pm, amecs)

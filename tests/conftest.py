@@ -14,7 +14,8 @@ import pytest
 
 from effsynth.model import Mdp, ProductMdp, StationaryPolicy, UtilityFn, \
     induce_chain
-from effsynth.graph import strongly_connected_components, is_communicating
+from effsynth.graph import (amec_filter, is_communicating, maec_decompose,
+                            mec_decompose, strongly_connected_components)
 from effsynth.chain import analyze, efficiency, average_utility
 
 
@@ -77,8 +78,12 @@ def random_product(rng, n_states, n_actions, n_pairs=1, **kw):
     return ProductMdp(m.state_names, m.action_names, m.initial, m.trans, pairs)
 
 
+def amecs_of(pm):
+    """The AMECs of pm, from its own MEC and MAEC decompositions."""
+    return amec_filter(mec_decompose(pm), maec_decompose(pm))
+
+
 def random_communicating_product(rng, n_states, n_actions, n_pairs=1, **kw):
-    from effsynth.graph import maec_decompose
     for _ in range(500):
         pm = random_product(rng, n_states, n_actions, n_pairs, **kw)
         if is_communicating(pm) and maec_decompose(pm):

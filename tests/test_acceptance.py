@@ -13,7 +13,7 @@ import pytest
 
 from effsynth.model import (Mdp, ProductMdp, StationaryPolicy, UtilityFn,
                             build_product, induce_chain, lift_utilities)
-from effsynth.graph import amec_filter, maec_decompose, mec_decompose, restrict
+from effsynth.graph import maec_decompose, mec_decompose, restrict
 from effsynth.chain import (analyze, average_utility, efficiency,
                             limit_distribution, potential_vector,
                             ratio_perturbation_identity_check,
@@ -27,9 +27,10 @@ from effsynth.sim import RolloutConfig, simulate
 from effsynth.casestudies import (COST_BY_DISTANCE, Case1Params, Case2Params,
                                   gen_case1, gen_case2)
 
-from conftest import (brute_force_best_ratio, example1_mdp, example1_product,
-                      random_communicating_mdp, random_communicating_product,
-                      random_mdp, random_policy, random_unichain_policy,
+from conftest import (amecs_of, brute_force_best_ratio, example1_mdp,
+                      example1_product, random_communicating_mdp,
+                      random_communicating_product, random_mdp,
+                      random_policy, random_unichain_policy,
                       random_utilities)
 
 from test_synthesis import lopsided_instance, random_multichain_product
@@ -52,7 +53,7 @@ def test_criterion_1_example_golden():
     pm = example1_product()
     maecs = [plain(ec) for ec in maec_decompose(pm)]
     ok = ok and maecs == [(frozenset({3}), {3: {1}})]
-    amecs = [plain(ec) for ec in amec_filter(pm)]
+    amecs = [plain(ec) for ec in amecs_of(pm)]
     ok = ok and amecs == [(frozenset({2, 3}), {2: {0}, 3: {0, 1}})]
     report(1, "four-state illustration decomposes exactly", ok,
            time.time() - t0, 1.0)
@@ -153,10 +154,10 @@ def test_criterion_5_general_case():
             continue
         pm, r, c = inst
         from effsynth.graph import almost_sure_region
-        if len(almost_sure_region(pm, amec_filter(pm))) < pm.n_states:
+        if len(almost_sure_region(pm, amecs_of(pm))) < pm.n_states:
             continue
         rep = synth_general(pm, r, c, eps)
-        rk, _ = build_reward_k(pm, amec_filter(pm), list(rep.amec_values),
+        rk, _ = build_reward_k(pm, amecs_of(pm), list(rep.amec_values),
                                r, c)
         gain = solve_avg_reward_lp(pm, rk).gain
         ca = analyze(induce_chain(pm, rep.policy))
@@ -166,7 +167,7 @@ def test_criterion_5_general_case():
         # the literal guarantee: achieve the claimed optimum from the start
         from_init = efficiency(ca, pm, r, c, rep.policy, pm.initial)
         ok = ok and from_init >= rep.value - eps - 1e-7
-        amec_states = [amec.state_set for amec in amec_filter(pm)]
+        amec_states = [amec.state_set for amec in amecs_of(pm)]
         ok = ok and all(any(set(comp) <= states for states in amec_states)
                         for comp in ca.recurrent_classes)
         if not ok:
@@ -186,7 +187,7 @@ def test_criterion_6_es_ex_relationship():
         pm = random_communicating_product(rng, int(rng.integers(2, 6)), 2)
         r, c = random_utilities(rng, pm)
         sol = solve_ratio_lfp(pm, r, c)
-        mu_opt = decode_ratio_policy(pm, sol)
+        mu_opt, _ = decode_ratio_policy(pm, sol)
         mu_irr = StationaryPolicy.uniform(pm)
         eps = float(rng.choice([1e-3, 1e-2, 1e-1]))
         es = perturbation_degree_estimated(pm, mu_opt, mu_irr, r, c, eps)
@@ -340,7 +341,7 @@ def test_criterion_10_case_study_2_threshold():
     accepting_flags = []
     for bonus in np.linspace(0.0, 80.0, 17):
         sol = solve_ratio_lfp(m, reward_family(float(bonus)), cost)
-        policy = decode_ratio_policy(m, sol)
+        policy, _ = decode_ratio_policy(m, sol)
         ca = analyze(induce_chain(m, policy))
         labs = set()
         for s in ca.recurrent_classes[0]:

@@ -241,7 +241,7 @@ def test_case2_threshold_structure():
     values = []
     for bonus in grid:
         sol = solve_ratio_lfp(m, reward_family(bonus), cost)
-        policy = decode_ratio_policy(m, sol)
+        policy, _ = decode_ratio_policy(m, sol)
         ca = analyze(induce_chain(m, policy))
         labs = set()
         for s in ca.recurrent_classes[0]:
@@ -264,7 +264,7 @@ def test_case1_task2_decoded_policy_reaches_support_quickly():
     pm = build_product(m, task2)
     r, c = lift_utilities(pm, reward, cost)
     sol = solve_ratio_lfp(pm, r, c)
-    policy = decode_ratio_policy(pm, sol)
+    policy, _ = decode_ratio_policy(pm, sol)
     support = {s for (s, a), g in sol.gamma.items() if g > 1e-9}
     outside = sorted(set(range(pm.n_states)) - support)
     P = induce_chain(pm, policy).P

@@ -277,6 +277,28 @@ def test_simulate_draws_each_rollout_once(files, monkeypatch, capsys):
     assert payload["acceptance_visits"][0]["g_visits"] > 0
 
 
+def test_decompose_decomposes_once(tmp_path, monkeypatch, capsys):
+    """A one-pair decompose on case-1 grid 9 runs one MEC decomposition and
+    one MAEC decomposition (one mec_decompose call per Rabin pair), and the
+    AMEC filter reuses both."""
+    from effsynth import casestudies, graph, parsers
+    m, _, task2, _, _ = casestudies.gen_case1()
+    mdp, hoa = tmp_path / "model.mdp", tmp_path / "task.hoa"
+    mdp.write_text(parsers.write_mdp(m))
+    hoa.write_text(parsers.write_dra(task2))
+    calls = []
+    mec_decompose = graph.mec_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mec_decompose(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "mec_decompose", counted)
+    assert main(["decompose", str(mdp), str(hoa)]) == 0
+    assert json.loads(capsys.readouterr().out)["amecs"]
+    assert len(calls) == 2
+
+
 def test_simulate_rejects_zero_rollouts(files):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", files["model.mdp"], files["task.hoa"],

@@ -3,12 +3,12 @@ import pytest
 
 from effsynth.model import (Mdp, ProductMdp, StationaryPolicy, induce_chain,
                             rabin_witness)
-from effsynth.graph import (Unreachable, almost_sure_region, amec_filter,
+from effsynth.graph import (Unreachable, almost_sure_region,
                             attractor_policy, is_communicating, maec_decompose,
                             mec_decompose, restrict,
                             strongly_connected_components)
 
-from conftest import (enumerate_ecs, example1_mdp, example1_product,
+from conftest import (amecs_of, enumerate_ecs, example1_mdp, example1_product,
                       max_reach_probability, maximal_ecs, random_mdp,
                       random_product)
 
@@ -113,7 +113,7 @@ def test_maec_matches_brute_force(rng):
 
 
 def test_amec_example1():
-    amecs = amec_filter(example1_product())
+    amecs = amecs_of(example1_product())
     assert [as_plain(ec) for ec in amecs] == [
         (frozenset({2, 3}), {2: {0}, 3: {0, 1}})]
 
@@ -122,7 +122,7 @@ def test_amec_when_maec_is_whole_mec():
     pm = ProductMdp(["x", "y"], ["a"], 0,
                     {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
                     [(set(), {1})])
-    amecs = amec_filter(pm)
+    amecs = amecs_of(pm)
     assert len(amecs) == 1
     assert amecs[0].state_set == frozenset({0, 1})
 
@@ -131,13 +131,13 @@ def test_amec_contains_some_maec(rng):
     for trial in range(15):
         pm = random_product(rng, int(rng.integers(3, 8)), 2, n_pairs=2)
         maecs = maec_decompose(pm)
-        for amec in amec_filter(pm):
+        for amec in amecs_of(pm):
             assert any(amec.contains(ma) for ma in maecs)
 
 
 def test_region_includes_amec_states():
     pm = example1_product()
-    region = almost_sure_region(pm, amec_filter(pm))
+    region = almost_sure_region(pm, amecs_of(pm))
     assert {2, 3} <= region
     assert 0 in region          # can choose the action into the AMEC
     assert 1 not in region      # stuck in its own non-accepting loop
@@ -147,13 +147,13 @@ def test_region_excludes_unconnected_sink():
     pm = ProductMdp(["s", "t"], ["a"], 0,
                     {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}},
                     [(set(), {0})])
-    assert almost_sure_region(pm, amec_filter(pm)) == {0}
+    assert almost_sure_region(pm, amecs_of(pm)) == {0}
 
 
 def test_region_matches_reachability_oracle(rng):
     for trial in range(12):
         pm = random_product(rng, int(rng.integers(3, 7)), 2)
-        amecs = amec_filter(pm)
+        amecs = amecs_of(pm)
         target = set()
         for amec in amecs:
             target |= amec.state_set
@@ -230,7 +230,7 @@ def test_attractor_makes_outside_states_transient(rng):
 
 def test_restrict_roundtrip_indices():
     pm = example1_product()
-    amec = amec_filter(pm)[0]
+    amec = amecs_of(pm)[0]
     sub, ids = restrict(pm, amec)
     assert ids == [2, 3]
     assert sub.n_states == 2

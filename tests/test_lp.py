@@ -9,7 +9,7 @@ from effsynth.lp import (DegenerateDecoding, LpProblem, NotCommunicating,
                          decode_avg_policy, decode_ratio_policy, solve_lp,
                          solve_avg_reward_lp, solve_ratio_lfp)
 
-from conftest import (brute_force_best_gain, brute_force_best_ratio,
+from conftest import (amecs_of, brute_force_best_gain, brute_force_best_ratio,
                       random_communicating_mdp, random_mdp, random_utilities)
 
 
@@ -165,7 +165,7 @@ def test_lfp_value_is_ratio_at_gamma(rng):
 def test_decode_concentrated_gamma_is_deterministic():
     m, r, c = single_state_two_loops()
     sol = solve_ratio_lfp(m, r, c)
-    policy = decode_ratio_policy(m, sol)
+    policy, _ = decode_ratio_policy(m, sol)
     assert policy.rule[0] == {1: 1.0}
 
 
@@ -173,7 +173,7 @@ def test_decode_split_gamma_keeps_proportions():
     from effsynth.lp import LfpSolution
     m = Mdp(["s"], ["a", "b"], 0, {(0, 0): {0: 1.0}, (0, 1): {0: 1.0}})
     sol = LfpSolution(gamma={(0, 0): 0.5, (0, 1): 0.5}, value=0.0)
-    policy = decode_ratio_policy(m, sol)
+    policy, _ = decode_ratio_policy(m, sol)
     assert policy.rule[0][0] == pytest.approx(0.5)
     assert policy.rule[0][1] == pytest.approx(0.5)
 
@@ -183,8 +183,9 @@ def test_decode_is_unichain_and_achieves_value(rng):
         m = random_communicating_mdp(rng, int(rng.integers(2, 7)), 2)
         r, c = random_utilities(rng, m)
         sol = solve_ratio_lfp(m, r, c)
-        policy = decode_ratio_policy(m, sol)
+        policy, ca_decoded = decode_ratio_policy(m, sol)
         ca = analyze(induce_chain(m, policy))
+        assert np.array_equal(ca_decoded.limit_matrix, ca.limit_matrix)
         assert ca.is_unichain()
         got = efficiency(ca, m, r, c, policy, m.initial)
         assert got == pytest.approx(sol.value, abs=1e-8)
@@ -209,13 +210,13 @@ def test_lfp_on_roundtripped_delivery_product():
     from effsynth.casestudies import gen_case1
     from effsynth.parsers import parse_mdp, write_mdp, parse_dra, write_dra
     from effsynth.model import build_product, lift_utilities
-    from effsynth.graph import amec_filter, restrict
+    from effsynth.graph import restrict
 
     m, _, d2, reward, cost = gen_case1()
     m2 = parse_mdp(write_mdp(m))
     pm = build_product(m2, parse_dra(write_dra(d2)))
     r, c = lift_utilities(pm, reward, cost)
-    amec = amec_filter(pm)[0]
+    amec = amecs_of(pm)[0]
     sub, ids = restrict(pm, amec)
     sol = solve_ratio_lfp(sub, r.restricted(ids), c.restricted(ids))
     assert sol.value == pytest.approx(0.117151, abs=1e-4)

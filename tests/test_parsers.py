@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from effsynth.model import StationaryPolicy, UtilityFn
+from effsynth.graph import mec_decompose, restrict
+from effsynth.model import (Dra, Mdp, StationaryPolicy, UtilityFn,
+                            build_product, validate_mdp)
 from effsynth.parsers import (IncompletenessError, NondeterminismError,
                               ParseError, ValidationError, parse_dra,
                               parse_mdp, parse_policy, parse_utilities,
@@ -91,6 +93,31 @@ def test_mdp_roundtrip(rng):
         for key, dist in m.trans.items():
             for t, p in dist.items():
                 assert m2.trans[key][t] == pytest.approx(p, abs=1e-12)
+
+
+def test_products_and_submodels_write_and_validate(rng):
+    """Models built from arrays (a product, its end components) validate,
+    read back as trans, and round-trip through the writer, which prints
+    12 significant digits."""
+    flip = {(q, frozenset(sym)): int(bool(sym)) for q in (0, 1)
+            for sym in ((), ("g",))}
+    d = Dra(2, 0, ("g",), flip, [(set(), {1})])
+    for trial in range(5):
+        m = random_mdp(rng, 5, 2)
+        m = Mdp(m.state_names, m.action_names, m.initial, m.trans, ("g",),
+                [frozenset({"g"}) if rng.random() < 0.4 else frozenset()
+                 for _ in range(5)])
+        pm = build_product(m, d)
+        models = [pm] + [restrict(pm, ec)[0] for ec in mec_decompose(pm)]
+        for x in models:
+            assert validate_mdp(x) == []
+            assert x.trans == {(s, a): x.succ(s, a)
+                               for s, a in x.state_action_pairs()}
+            x2 = parse_mdp(write_mdp(x))
+            assert x2.trans.keys() == x.trans.keys()
+            for key, dist in x.trans.items():
+                assert x2.trans[key] == pytest.approx(dist, abs=1e-12)
+            assert write_mdp(x2) == write_mdp(x)
 
 
 def test_parser_determinism(rng):

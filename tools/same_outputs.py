@@ -1,0 +1,102 @@
+"""Write every CLI output of one source tree on the benchmark instances.
+
+    python3 tools/same_outputs.py <src-tree> <out-dir>
+
+<src-tree> is a checkout of this repository (its `src/` holds the effsynth
+package and its `perfbench/instances.py` the instance generators, which this
+script only imports).  Every instance of both benchmark workloads is written
+to a fixed input directory, and that tree's `effsynth.cli.main` runs
+`decompose`, `synthesize` with es and ex, and, for each policy synthesis
+wrote, `evaluate` and `simulate` (JSON and `--csv`).  Inputs and outputs sit
+at the same paths for every tree, so the run manifests agree; each call's
+output files, standard output, standard error and exit code are copied into
+<out-dir>.  Two trees give the same outputs exactly when
+
+    diff -r <out-dir-1> <out-dir-2>
+
+is empty.  Each tree runs in its own process, so run the script once per
+tree.
+"""
+
+import contextlib
+import io
+import os
+import shutil
+import sys
+import tempfile
+
+WORKLOADS = ("delivery_ladder", "multichain_batch")
+SIM_ARGS = ["--steps", "20000", "--rollouts", "2", "--seed", "7"]
+WORK = os.path.join(tempfile.gettempdir(), "effsynth_same_outputs")
+
+
+def _run(cli, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _calls(d):
+    """(call name, argv, output files) of one instance, in run order; the
+    evaluate and simulate calls read the policy that synthesize wrote."""
+    inputs = [os.path.join(d, f)
+              for f in ("model.mdp", "task.hoa", "utilities.txt")]
+    yield "decompose", ["decompose", *inputs[:2], "--out",
+                        os.path.join(d, "decompose.json")]
+    for method in ("es", "ex"):
+        pol = os.path.join(d, f"{method}.policy")
+        yield f"synth_{method}", [
+            "synthesize", *inputs, "--epsilon", "0.01", "--method", method,
+            "--out", pol, "--report-out",
+            os.path.join(d, f"{method}.report.json")]
+        if not os.path.exists(pol):
+            continue
+        yield f"evaluate_{method}", [
+            "evaluate", *inputs, pol, "--out",
+            os.path.join(d, f"{method}.evaluate.json")]
+        yield f"simulate_{method}", [
+            "simulate", *inputs, pol, *SIM_ARGS, "--out",
+            os.path.join(d, f"{method}.simulate.json")]
+        yield f"simulate_csv_{method}", [
+            "simulate", *inputs, pol, *SIM_ARGS, "--csv", "--out",
+            os.path.join(d, f"{method}.simulate.csv")]
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    tree, out_dir = (os.path.abspath(p) for p in argv)
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"   # before numpy loads, as the benchmark does
+    import instances
+    from effsynth import cli
+
+    shutil.rmtree(WORK, ignore_errors=True)
+    os.makedirs(out_dir, exist_ok=True)
+    for workload in WORKLOADS:
+        for inst in instances.workload_instances(workload):
+            d = inst.write(WORK)
+            dest = os.path.join(out_dir, inst.name)
+            os.makedirs(dest, exist_ok=True)
+            for name, call in _calls(d):
+                before = set(os.listdir(d))
+                code, out, err = _run(cli, call)
+                with open(os.path.join(dest, f"{name}.console"), "w") as f:
+                    f.write(f"exit {code}\n--- stdout\n{out}--- stderr\n{err}")
+                for fname in sorted(set(os.listdir(d)) - before):
+                    shutil.copy(os.path.join(d, fname),
+                                os.path.join(dest, fname))
+                print(f"{inst.name} {name}: exit {code}", flush=True)
+    shutil.rmtree(WORK, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
