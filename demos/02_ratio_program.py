@@ -10,8 +10,8 @@ import itertools
 
 import numpy as np
 
-from effsynth import (Mdp, StationaryPolicy, UtilityFn, analyze,
-                      decode_ratio_policy, efficiency, induce_chain,
+from effsynth import (Mdp, UtilityFn, analyze, decode_ratio_policy,
+                      efficiency, induce_chain, policy_from_rule,
                       solve_ratio_lfp)
 
 rng = np.random.default_rng(7)
@@ -30,7 +30,8 @@ c = UtilityFn({k: float(rng.uniform(0.3, 1.5)) for k in trans}, "cost")
 
 sol = solve_ratio_lfp(m, r, c)
 print(f"program value (optimal long-run reward/cost): {sol.value:.6f}")
-support = {k: v for k, v in sol.gamma.items() if v > 1e-9}
+support = {k: v for k, v in zip(m.state_action_pairs(), sol.gamma.tolist())
+           if v > 1e-9}
 print(f"occupation support: { {(m.state_names[s], m.action_names[a]): round(v, 4) for (s, a), v in support.items()} }")
 
 policy, ca = decode_ratio_policy(m, sol)
@@ -39,7 +40,7 @@ print(f"decoded policy efficiency: "
 
 best = -np.inf
 for combo in itertools.product(*[m.available[s] for s in range(n)]):
-    p = StationaryPolicy.deterministic(dict(enumerate(combo)))
+    p = policy_from_rule(m, {s: {a: 1.0} for s, a in enumerate(combo)})
     cb = analyze(induce_chain(m, p))
     best = max(best, efficiency(cb, m, r, c, p, m.initial))
 print(f"brute force over {2 ** n} deterministic policies: {best:.6f}")

@@ -7,10 +7,10 @@ evaluator gives the largest safe degree ('ex').  On a lopsided instance the
 one-shot bound is wildly conservative.
 """
 
-from effsynth import (Mdp, StationaryPolicy, UtilityFn, analyze, efficiency,
-                      induce_chain, perturbation_degree_estimated,
-                      perturbation_degree_exact,
-                      ratio_perturbation_identity_check)
+from effsynth import (Mdp, UtilityFn, analyze, blend, efficiency, induce_chain,
+                      perturbation_degree_estimated, perturbation_degree_exact,
+                      policy_from_rule, ratio_perturbation_identity_check,
+                      uniform_policy)
 
 m = Mdp(["hub", "way", "far"], ["a", "b"], 0,
         {(0, 0): {0: 1.0}, (0, 1): {1: 1.0},
@@ -19,8 +19,8 @@ m = Mdp(["hub", "way", "far"], ["a", "b"], 0,
 r = UtilityFn({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0,
                (2, 0): 0.0, (2, 1): -50.0}, "reward")
 c = UtilityFn.constant(m, 1.0, "cost")
-mu_opt = StationaryPolicy.deterministic({0: 0, 1: 0, 2: 0})
-mu_irr = StationaryPolicy.uniform(m)
+mu_opt = policy_from_rule(m, {0: {0: 1.0}, 1: {0: 1.0}, 2: {0: 1.0}})
+mu_irr = uniform_policy(m)
 
 print("identity check (difference of efficiencies vs deviation formula):")
 for delta in (0.1, 0.4, 0.8):
@@ -41,7 +41,7 @@ print("\nactual efficiency along the blend:")
 ca = analyze(induce_chain(m, mu_opt))
 base = efficiency(ca, m, r, c, mu_opt, 0)
 for delta in (es.delta, ex.delta, 2 * ex.delta):
-    mu_d = mu_opt.mix(mu_irr, delta)
+    mu_d = blend(mu_opt, mu_irr, delta)
     cad = analyze(induce_chain(m, mu_d))
     val = efficiency(cad, m, r, c, mu_d, 0)
     print(f"  delta={delta:.5f}: efficiency {val:.6f} (loss {base - val:.6f})")

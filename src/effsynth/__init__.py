@@ -3,9 +3,10 @@ omega-regular tasks given as deterministic Rabin automata."""
 
 __version__ = "0.1.0"
 
-from .model import (Dra, Mc, Mdp, ProductMdp, StationaryPolicy, UtilityFn,
-                    Violation, build_product, induce_chain, lift_utilities,
-                    rabin_witness, validate_mdp)
+from .model import (Dra, Mc, Mdp, ProductMdp, UtilityFn, Violation, blend,
+                    build_product, induce_chain, lift_utilities,
+                    policy_domain, policy_from_rule, rabin_witness,
+                    uniform_policy, validate_mdp)
 from .graph import (SubMdp, almost_sure_region, amec_filter, attractor_policy,
                     is_communicating, maec_decompose, mec_decompose,
                     restrict, restrict_closed)

@@ -9,17 +9,16 @@ g = (I - P + P*)^{-1} v and deviation vectors, returned as plain arrays.
 ratio_deviation is the one perturbation step: a unichain policy's efficiency
 J and its ratio deviation d_r - J d_c towards another policy, read by the
 perturbation degrees and by the perturbation identity relating the
-efficiencies of a policy and its mixture with another policy.  Wherever a
-policy is read for its utilities, its pair-weight vector may stand in for it
-(model.pair_weights), which is how the exact degree's probes blend policies.
+efficiencies of a policy and its mixture with another policy.  Policies are
+weight vectors over the model's pairs (see model), so a mixture is the
+blend of two vectors.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Mc, Mdp, StationaryPolicy, UtilityFn, induce_chain,
-                    pair_weights)
+from .model import Mc, Mdp, UtilityFn, blend, induce_chain
 from .graph import adjacency_lists, strongly_connected_components
 
 SUPPORT_EPS = 1e-12   # edge threshold guarding float dust from policy mixtures
@@ -123,21 +122,20 @@ def analyze(chain: Mc) -> ChainAnalysis:
 
 
 def utility_vector(m: Mdp, u: UtilityFn, p) -> np.ndarray:
-    """v(s) = sum_a mu(s,a) u(s,a), summed in action order; p is a policy
-    or its weight vector (see model.pair_weights)."""
-    return np.bincount(m.pair_state, weights=pair_weights(m, p) *
-                       u.pair_values(m), minlength=m.n_states)
+    """v(s) = sum_a mu(s,a) u(s,a), summed in action order."""
+    return np.bincount(m.pair_state, weights=p * u.pair_values(m),
+                       minlength=m.n_states)
 
 
-def average_utility(ca: ChainAnalysis, m: Mdp, u: UtilityFn,
-                    p: StationaryPolicy, start) -> float:
+def average_utility(ca: ChainAnalysis, m: Mdp, u: UtilityFn, p,
+                    start) -> float:
     """Long-run average utility from `start`: the start row of P* times v."""
     v = utility_vector(m, u, p)
     return float(ca.limit_matrix[start, :] @ v)
 
 
 def efficiency(ca: ChainAnalysis, m: Mdp, r: UtilityFn, c: UtilityFn,
-               p: StationaryPolicy, start) -> float:
+               p, start) -> float:
     """Reward-to-cost ratio from `start`.
 
     Each recurrent class contributes its own stationary ratio; the result is
@@ -158,7 +156,7 @@ def efficiency(ca: ChainAnalysis, m: Mdp, r: UtilityFn, c: UtilityFn,
 
 
 def potential_vector(ca: ChainAnalysis, m: Mdp, u: UtilityFn,
-                     p: StationaryPolicy) -> np.ndarray:
+                     p) -> np.ndarray:
     """The potential g solving (I - P + P*) g = v, by direct dense
     factorization.
 
@@ -185,16 +183,14 @@ def _deviation(m, ca, chain_p, mu, mu_prime, u):
     return (v_p - v) + (chain_p.P - ca.chain.P) @ g
 
 
-def deviation_vector(m: Mdp, mu: StationaryPolicy, mu_prime: StationaryPolicy,
-                     u: UtilityFn) -> np.ndarray:
+def deviation_vector(m: Mdp, mu, mu_prime, u: UtilityFn) -> np.ndarray:
     """Deviation of mu_prime from mu w.r.t. u, built on mu's potential."""
     chain = induce_chain(m, mu)
     chain_p = induce_chain(m, mu_prime)
     return _deviation(m, analyze(chain), chain_p, mu, mu_prime, u)
 
 
-def ratio_deviation(m: Mdp, mu: StationaryPolicy, mu_prime: StationaryPolicy,
-                    r: UtilityFn, c: UtilityFn):
+def ratio_deviation(m: Mdp, mu, mu_prime, r: UtilityFn, c: UtilityFn):
     """The perturbation step towards mu_prime from a unichain policy mu.
 
     Returns (ca, j, d): mu's chain analysis, mu's efficiency j from the
@@ -218,10 +214,8 @@ def limit_distribution(ca: ChainAnalysis) -> np.ndarray:
     return ca.chain.pi0 @ ca.limit_matrix
 
 
-def ratio_perturbation_identity_check(m: Mdp, mu: StationaryPolicy,
-                                      mu_prime: StationaryPolicy,
-                                      r: UtilityFn, c: UtilityFn,
-                                      delta: float):
+def ratio_perturbation_identity_check(m: Mdp, mu, mu_prime, r: UtilityFn,
+                                      c: UtilityFn, delta: float):
     """Both sides of the efficiency-difference identity for the mixture
     (1-delta) mu + delta mu'.
 
@@ -229,7 +223,7 @@ def ratio_perturbation_identity_check(m: Mdp, mu: StationaryPolicy,
     deviation vectors of reward and cost.  Requires mu to induce a unichain.
     """
     _, j_mu, d = ratio_deviation(m, mu, mu_prime, r, c)
-    mu_delta = mu.mix(mu_prime, delta)
+    mu_delta = blend(mu, mu_prime, delta)
     ca_d = analyze(induce_chain(m, mu_delta))
     lhs = efficiency(ca_d, m, r, c, mu_delta, m.initial) - j_mu
     pi_d = limit_distribution(ca_d)

@@ -13,9 +13,12 @@ import hashlib
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .model import ALGEBRA_TOL, PROB_TOL, AlphabetMismatch, ModelError, \
-    PolicyMismatch, build_product, induce_chain, lift_utilities, rabin_witness
+    PolicyMismatch, build_product, induce_chain, lift_utilities, \
+    policy_domain, rabin_witness
 from . import casestudies, chain, graph, lp, parsers, sim, synthesis
 
 EXIT_PARSE = 2
@@ -145,24 +148,22 @@ def cmd_synthesize(args):
 
 
 def _policy_scope(pm, policy, r, c):
-    """Restrict the product to the policy's domain when the policy is partial
+    """Restrict the product, the policy and the utilities to the policy's
+    domain, which is the whole product unless the policy is partial
     (synthesis defines it on the almost-sure region only).  The domain must
     contain the initial state and be closed under the policy's support."""
-    dom = set(policy.rule)
-    if dom >= set(range(pm.n_states)):
-        return pm, policy, r, c
-    if pm.initial not in dom:
+    dom = policy_domain(pm, policy)
+    if not dom[pm.initial]:
         raise PolicyMismatch("policy does not cover the initial state")
-    sub_pm, ids = graph.restrict_closed(pm, dom)
-    leaving = set(pm.pair_state[(policy.weights(pm) > 0.0) &
-                                ~graph.closed_pairs(pm, dom)].tolist())
-    for s in dom:
-        if s in leaving:
-            raise PolicyMismatch(
-                f"policy leaves its own domain at {pm.state_names[s]}")
-    id_of = {g: i for i, g in enumerate(ids)}
-    local = type(policy)({id_of[s]: dist for s, dist in policy.rule.items()})
-    return sub_pm, local, r.restricted(ids), c.restricted(ids)
+    region = np.flatnonzero(dom)
+    leaving = pm.pair_state[(policy > 0.0) &
+                            ~graph.closed_pairs(pm, region)]
+    if leaving.size:
+        raise PolicyMismatch(
+            f"policy leaves its own domain at {pm.state_names[leaving[0]]}")
+    sub_pm, ids = graph.restrict_closed(pm, region)
+    return (sub_pm, policy[sub_pm.parent_pair], r.restricted(ids),
+            c.restricted(ids))
 
 
 def _load_scoped_policy(args):
@@ -278,7 +279,7 @@ def cmd_casestudy(args):
             f.write(parsers.write_dra(d2))
         with open(path("utilities.txt"), "w") as f:
             f.write(parsers.write_utilities(m, reward, cost))
-        tables = _case1_tables(m, d2, reward, cost, args)
+        tables = _case1_tables(m, d2, reward, cost)
         with open(path("perturbation_tables.csv"), "w") as f:
             f.write(tables)
         _emit({"schema": "effsynth/1", "generated": ["model.mdp", "task1.hoa",
@@ -303,7 +304,7 @@ def cmd_casestudy(args):
     return 0
 
 
-def _case1_tables(m, dra, reward, cost, args):
+def _case1_tables(m, dra, reward, cost):
     """ES/EX perturbation degree and charging-cell limit probability per
     threshold, in the shape of the source tables."""
     pm = build_product(m, dra)
@@ -332,12 +333,11 @@ def _case1_tables(m, dra, reward, cost, args):
 def _case2_sweep(m, dra, reward_family, cost, args):
     """Optimal unconstrained efficiency when sweeping the pickup bonus, and
     whether the optimal loop is the accepting one."""
-    from .lp import solve_ratio_lfp, decode_ratio_policy
     out = ["bonus,value,accepting_loop"]
     for bonus in args.bonus_grid:
         r = reward_family(bonus)
-        sol = solve_ratio_lfp(m, r, cost)
-        policy, ca = decode_ratio_policy(m, sol)
+        sol = lp.solve_ratio_lfp(m, r, cost)
+        policy, ca = lp.decode_ratio_policy(m, sol)
         rec = set(ca.recurrent_classes[0])
         labs = set()
         for s in rec:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Mdp, ProductMdp, StationaryPolicy, gather_pairs
+from .model import Mdp, ProductMdp, gather_pairs
 
 
 class Unreachable(Exception):
@@ -242,17 +242,18 @@ def almost_sure_region(pm: ProductMdp, amecs):
         u = r
 
 
-def attractor_policy(m: Mdp, target, p: StationaryPolicy) -> StationaryPolicy:
-    """Extend p from target to all states so target is reached w.p.1.
+def attractor_policy(m: Mdp, target, w) -> np.ndarray:
+    """Extend policy w from target to all states so target is reached w.p.1.
 
     Breadth-first layers: every state outside the grown region that has an
     action with positive one-step probability into it takes its lowest such
     action, and the whole layer joins the region at once.  Each fixed action
     thus moves at least one layer closer to the target, which keeps expected
-    hitting times short.
+    hitting times short.  A state so assigned loses whatever row w gave it.
     """
     grown = _state_mask(m, target)
-    extra = {}
+    out = np.array(w, dtype=float)
+    out[~grown[m.pair_state]] = 0.0
     while not grown.all():
         pairs = np.flatnonzero(_entering(m, grown) & ~grown[m.pair_state])
         if not pairs.size:
@@ -260,16 +261,18 @@ def attractor_policy(m: Mdp, target, p: StationaryPolicy) -> StationaryPolicy:
                               f"cannot reach the target")
         # pairs ascend by (state, action): each state's first is its lowest
         layer, first = np.unique(m.pair_state[pairs], return_index=True)
-        for s, a in zip(layer.tolist(), m.pair_action[pairs[first]].tolist()):
-            extra[s] = {a: 1.0}
+        out[pairs[first]] = 1.0
         grown[layer] = True
-    return p.extended(extra)
+    out.flags.writeable = False
+    return out
 
 
 def _restrict(m, ids, keep, initial):
     """The sub-model on the ascending state list ids with the pairs of the
     boolean mask keep, which all belong to those states and stay inside
-    them; returns (model, ids)."""
+    them; returns (model, ids).  The sub-model's parent_pair lists the kept
+    pairs, so a policy on it lifts to m by a scatter and one on m scopes to
+    it by a gather."""
     local = np.full(m.n_states, -1, dtype=np.int64)
     local[ids] = np.arange(len(ids))
     pairs = np.flatnonzero(keep)
@@ -297,10 +300,12 @@ def _restrict(m, ids, keep, initial):
             names, m.action_names, init, *arrays,
             atomic_props=m.atomic_props, labels=labels, acc_pairs=acc,
             components=comps, base=m.base,
-            base_pair=None if m.base_pair is None else m.base_pair[pairs])
+            base_pair=None if m.base_pair is None else m.base_pair[pairs],
+            parent_pair=pairs)
     else:
         sub_m = Mdp.from_arrays(names, m.action_names, init, *arrays,
-                                atomic_props=m.atomic_props, labels=labels)
+                                atomic_props=m.atomic_props, labels=labels,
+                                parent_pair=pairs)
     return sub_m, ids
 
 

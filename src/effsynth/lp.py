@@ -7,15 +7,18 @@ ties go to the largest pivot element, and the tableau is recomputed from the
 basis periodically so pivot roundoff cannot compound.  On top of it sit the
 two programs the synthesis needs: the reward-to-cost ratio program over
 occupation measures, reduced to an LP by the Charnes-Cooper substitution, and
-the multichain average-reward LP with its x/y policy decoding.
+the multichain average-reward LP with its x/y policy decoding.  Solutions
+stay vectors over the model's pairs, and the decoders turn them into policy
+weight vectors, summing state masses and normalizations in pair order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Mdp, StationaryPolicy, UtilityFn
+from .model import Mdp, UtilityFn, induce_chain
 from .graph import attractor_policy, is_communicating
+from .chain import analyze
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-9
@@ -279,8 +282,9 @@ def _flow_balance(m: Mdp, a_eq, row0=0, col0=0):
 
 @dataclass(frozen=True)
 class LfpSolution:
-    """Occupation weights gamma(s, a) (summing to one) and the optimal ratio."""
-    gamma: dict
+    """Occupation weights gamma over the pairs (summing to one) and the
+    optimal ratio."""
+    gamma: np.ndarray
     value: float
 
 
@@ -311,8 +315,7 @@ def solve_ratio_lfp(m: Mdp, r: UtilityFn, c: UtilityFn) -> LfpSolution:
     total = float(y.sum())
     if total <= 0.0:
         raise NumericalFailure("ratio program returned zero occupation mass")
-    gamma = dict(zip(m.state_action_pairs(), (y / total).tolist()))
-    return LfpSolution(gamma=gamma, value=float(res.value))
+    return LfpSolution(gamma=y / total, value=float(res.value))
 
 
 def decode_ratio_policy(m: Mdp, sol: LfpSolution,
@@ -320,40 +323,45 @@ def decode_ratio_policy(m: Mdp, sol: LfpSolution,
     """Policy carried by the occupation weights, with its chain analysis:
     returns (policy, ca).
 
-    Inside the support Q the rule is the normalized weights; outside, actions
-    are assigned so Q is reached w.p.1.  If the support splits into several
+    Inside the support Q the policy is the normalized weights (state masses
+    and both normalizations summed in pair order); outside, actions are
+    assigned so Q is reached w.p.1.  If the support splits into several
     recurrent classes (they tie in ratio at an optimum), everything is steered
     into the class with the lowest state index so the result is unichain.
     Occupation mass at or below support_threshold counts as zero.
     """
-    mass = {}
-    for (s, a), g in sol.gamma.items():
-        mass[s] = mass.get(s, 0.0) + g
-    q_set = {s for s, tot in mass.items() if tot > support_threshold}
-    rule = {}
-    for s in q_set:
-        dist = {a: sol.gamma[(s, a)] / mass[s] for a in m.available[s]
-                if sol.gamma.get((s, a), 0.0) > support_threshold}
-        total = sum(dist.values())
-        rule[s] = {a: p / total for a, p in dist.items()}
-    policy = attractor_policy(m, q_set, StationaryPolicy(rule))
-
-    from .chain import analyze  # local import: chain depends on graph only
-    from .model import induce_chain
+    mass = np.bincount(m.pair_state, weights=sol.gamma, minlength=m.n_states)
+    support = mass > support_threshold
+    keep = support[m.pair_state] & (sol.gamma > support_threshold)
+    dist = np.zeros(m.n_pairs)
+    dist[keep] = sol.gamma[keep] / mass[m.pair_state[keep]]
+    policy = attractor_policy(m, np.flatnonzero(support),
+                              _normalized(m, dist, keep))
     ca = analyze(induce_chain(m, policy))
     if len(ca.recurrent_classes) > 1:
         chosen = min(ca.recurrent_classes, key=lambda comp: comp[0])
-        kept = {s: policy.rule[s] for s in chosen}
-        policy = attractor_policy(m, set(chosen), StationaryPolicy(kept))
+        kept = np.where(np.isin(m.pair_state, chosen), policy, 0.0)
+        policy = attractor_policy(m, chosen, kept)
         ca = analyze(induce_chain(m, policy))
     return policy, ca
 
 
+def _normalized(m, vals, keep):
+    """vals on the pairs of the boolean mask keep, each divided by the sum
+    of its state's kept values (summed in pair order); zero elsewhere."""
+    total = np.bincount(m.pair_state[keep], weights=vals[keep],
+                        minlength=m.n_states)
+    w = np.zeros(m.n_pairs)
+    w[keep] = vals[keep] / total[m.pair_state[keep]]
+    return w
+
+
 @dataclass(frozen=True)
 class AvgLpSolution:
-    """Occupation x, deviation y, and the alpha-weighted optimal gain."""
-    x: dict
-    y: dict
+    """Occupation x and deviation y over the pairs, and the alpha-weighted
+    optimal gain."""
+    x: np.ndarray
+    y: np.ndarray
     gain: float
 
 
@@ -383,32 +391,28 @@ def solve_avg_reward_lp(m: Mdp, reward: UtilityFn) -> AvgLpSolution:
         raise InfeasibleError("average-reward program infeasible")
     if res.status == "unbounded":
         raise NumericalFailure("average-reward program unbounded")
-    pairs = list(m.state_action_pairs())
-    x = dict(zip(pairs, res.x[:k].tolist()))
-    y = dict(zip(pairs, res.x[k:].tolist()))
-    return AvgLpSolution(x=x, y=y, gain=float(res.value))
+    return AvgLpSolution(x=res.x[:k], y=res.x[k:], gain=float(res.value))
 
 
 def decode_avg_policy(m: Mdp, sol: AvgLpSolution,
-                      support_threshold=SUPPORT_THRESHOLD
-                      ) -> StationaryPolicy:
+                      support_threshold=SUPPORT_THRESHOLD) -> np.ndarray:
     """x-proportional on the occupation support, y-proportional elsewhere;
-    mass at or below support_threshold counts as zero."""
-    rule = {}
-    for s in range(m.n_states):
-        x_row = {a: sol.x.get((s, a), 0.0) for a in m.available[s]}
-        y_row = {a: sol.y.get((s, a), 0.0) for a in m.available[s]}
-        if sum(x_row.values()) > support_threshold:
-            row = x_row
-        elif sum(y_row.values()) > support_threshold:
-            row = y_row
-        else:
-            raise DegenerateDecoding(
-                f"state {m.state_names[s]}: x and y both vanish")
-        kept = {a: v for a, v in row.items() if v > support_threshold}
-        if not kept:
-            best = max(row, key=row.get)
-            kept = {best: row[best]}
-        total = sum(kept.values())
-        rule[s] = {a: v / total for a, v in kept.items()}
-    return StationaryPolicy(rule)
+    mass at or below support_threshold counts as zero.  A state whose
+    entries all lie at or below it keeps its first largest entry alone."""
+    n = m.n_states
+    use_x = np.bincount(m.pair_state, weights=sol.x, minlength=n) > \
+        support_threshold
+    use_y = np.bincount(m.pair_state, weights=sol.y, minlength=n) > \
+        support_threshold
+    vanish = np.flatnonzero(~use_x & ~use_y)
+    if vanish.size:
+        raise DegenerateDecoding(
+            f"state {m.state_names[vanish[0]]}: x and y both vanish")
+    row = np.where(use_x[m.pair_state], sol.x, sol.y)
+    keep = row > support_threshold
+    ptr = m.state_ptr
+    for s in np.flatnonzero(np.bincount(m.pair_state[keep], minlength=n) == 0):
+        keep[ptr[s] + np.argmax(row[ptr[s]:ptr[s + 1]])] = True
+    w = _normalized(m, row, keep)
+    w.flags.writeable = False
+    return w

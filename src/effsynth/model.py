@@ -3,11 +3,14 @@
 States and actions are dense integer indices; names are kept only for I/O and
 error messages.  Transitions are stored in one flat state-action (CSR) form
 that every layer reads: the available (state, action) pairs are numbered in
-(state, action) order, each with a slice of successor entries.  A policy
-becomes a weight vector over those pairs and a utility a value vector, so
-inducing a chain or a utility vector is one scatter over the entries, summed
-in the same order as a loop over the pairs would sum.  All containers are
-immutable after construction so models can be shared freely across workers.
+(state, action) order, each with a slice of successor entries.  A stationary
+policy is a read-only weight vector over those pairs (policy_from_rule reads
+one from a {state: {action: probability}} rule, the form of policy files);
+its domain is the set of states whose row has positive mass.  A utility
+reads as a value vector over the pairs of any model it covers, so inducing a
+chain or a utility vector is one scatter over the entries, summed in the same
+order as a loop over the pairs would sum.  All containers are immutable
+after construction so models can be shared freely across workers.
 """
 
 from dataclasses import dataclass
@@ -60,7 +63,9 @@ class Mdp:
     The constructor takes trans, a map (state, action) -> {successor:
     probability}, and builds the arrays from it; products and sub-models
     are built straight from arrays by from_arrays.  trans reads the arrays
-    back as such a map, for code that walks a model pair by pair.
+    back as such a map, for code that walks a model pair by pair.  A
+    sub-model cut out of a parent (graph.restrict) records in parent_pair[j]
+    the parent pair that its pair j copies; other models leave it None.
     """
 
     def __init__(self, state_names, action_names, initial, trans,
@@ -80,10 +85,11 @@ class Mdp:
     @classmethod
     def from_arrays(cls, state_names, action_names, initial, state_ptr,
                     pair_action, succ_ptr, succ_state, succ_prob,
-                    atomic_props=(), labels=None):
+                    atomic_props=(), labels=None, parent_pair=None):
         m = cls.__new__(cls)
         m._set(state_names, action_names, initial, atomic_props, labels)
-        m._set_arrays(state_ptr, pair_action, succ_ptr, succ_state, succ_prob)
+        m._set_arrays(state_ptr, pair_action, succ_ptr, succ_state, succ_prob,
+                      parent_pair)
         return m
 
     def _set(self, state_names, action_names, initial, atomic_props, labels):
@@ -96,7 +102,8 @@ class Mdp:
         self.labels = tuple(frozenset(l) for l in labels)
 
     def _set_arrays(self, state_ptr, pair_action, succ_ptr, succ_state,
-                    succ_prob):
+                    succ_prob, parent_pair=None):
+        self.parent_pair = parent_pair
         self.state_ptr = np.asarray(state_ptr, dtype=np.int64)
         self.pair_action = np.asarray(pair_action, dtype=np.int64)
         self.succ_ptr = np.asarray(succ_ptr, dtype=np.int64)
@@ -157,15 +164,6 @@ class Mdp:
         """state * n_actions + action per pair: ascending, so pairs are
         found by binary search."""
         return self.pair_state * self.n_actions + self.pair_action
-
-    def succ(self, s, a):
-        """{successor: probability} of the pair (s, a), read off the arrays."""
-        (j,), (ok,) = self.pair_index([s], [a])
-        if not ok:
-            raise KeyError((s, a))
-        lo, hi = self.succ_ptr[j], self.succ_ptr[j + 1]
-        return dict(zip(self.succ_state[lo:hi].tolist(),
-                        self.succ_prob[lo:hi].tolist()))
 
     def state_action_pairs(self):
         return zip(self.pair_state.tolist(), self.pair_action.tolist())
@@ -260,213 +258,148 @@ class Dra:
         return rabin_witness(inf, self.pairs) is not None
 
 
-class StationaryPolicy:
-    """State-indexed distributions over available actions.
-
-    rule maps state -> {action: probability}.  A policy may be partial (defined
-    on a state subset) while being assembled; validity against a model is
-    checked by validate().  weights(m) gives the same policy as a vector over
-    m's pairs, the form the chain, utility and sampling code reads.
-    """
-
-    def __init__(self, rule):
-        self.rule = {int(s): dict(sorted((int(a), float(p)) for a, p in d.items()))
-                     for s, d in rule.items()}
-        self._weights = None  # (model, weight vector) of the last weights()
-
-    def validate(self, m: Mdp):
-        """Raise PolicyMismatch unless every rule is a distribution over A(s)."""
-        for s, d in self.rule.items():
-            avail = set(m.available[s])
-            for a, p in d.items():
-                if a not in avail and p != 0.0:
-                    raise PolicyMismatch(
-                        f"state {m.state_names[s]}: action {m.action_names[a]} "
-                        f"not available")
-                if p < -PROB_TOL or p > 1 + PROB_TOL:
-                    raise PolicyMismatch(
-                        f"state {m.state_names[s]}: probability {p} out of range")
-            mass = sum(p for a, p in d.items() if a in avail)
-            if abs(mass - 1.0) > PROB_TOL:
+def policy_from_rule(m: Mdp, rule) -> np.ndarray:
+    """The policy of a {state: {action: probability}} rule as a read-only
+    weight vector over m's pairs; pairs of states outside the rule weigh
+    zero.  Raises PolicyMismatch unless every rule is a distribution over
+    the state's available actions."""
+    states, actions, probs = [], [], []
+    for s, d in rule.items():
+        s = int(s)
+        d = sorted((int(a), float(p)) for a, p in d.items())
+        avail = set(m.available[s])
+        for a, p in d:
+            if a not in avail and p != 0.0:
                 raise PolicyMismatch(
-                    f"state {m.state_names[s]}: probabilities sum to {mass}")
-
-    def weights(self, m: Mdp) -> np.ndarray:
-        """The policy as a read-only weight vector over m's pairs, validated
-        against m first; pairs of states outside the rule weigh zero.  The
-        vector of the last model asked for is kept."""
-        if self._weights is None or self._weights[0] is not m:
-            self.validate(m)
-            states, actions, probs = [], [], []
-            for s, d in self.rule.items():
-                states.extend([s] * len(d))
-                actions.extend(d)
-                probs.extend(d.values())
-            idx, found = m.pair_index(states, actions)
-            probs = np.array(probs, dtype=float)
-            keep = found & (probs != 0.0)
-            w = np.zeros(m.n_pairs)
-            w[idx[keep]] = probs[keep]
-            w.flags.writeable = False
-            self._weights = (m, w)
-        return self._weights[1]
-
-    def mix(self, other, delta):
-        """(1-delta)*self + delta*other; both policies must cover the same
-        states, otherwise the blend would not be a distribution everywhere."""
-        if set(self.rule) != set(other.rule):
-            raise PolicyMismatch("cannot mix policies over different domains")
-        rule = {}
-        for s in self.rule:
-            d = {}
-            for a, p in self.rule[s].items():
-                d[a] = d.get(a, 0.0) + (1.0 - delta) * p
-            for a, p in other.rule[s].items():
-                d[a] = d.get(a, 0.0) + delta * p
-            rule[s] = d
-        return StationaryPolicy(rule)
-
-    def extended(self, more_rules):
-        """Copy with extra state rules merged in (overwrites on collision)."""
-        rule = {s: dict(d) for s, d in self.rule.items()}
-        for s, d in more_rules.items():
-            rule[s] = dict(d)
-        return StationaryPolicy(rule)
-
-    @staticmethod
-    def deterministic(assignment):
-        return StationaryPolicy({s: {a: 1.0} for s, a in assignment.items()})
-
-    @staticmethod
-    def uniform(m: Mdp, states=None):
-        states = range(m.n_states) if states is None else states
-        return StationaryPolicy(
-            {s: {a: 1.0 / len(m.available[s]) for a in m.available[s]}
-             for s in states})
-
-    def __eq__(self, other):
-        return isinstance(other, StationaryPolicy) and self.rule == other.rule
-
-    def __repr__(self):
-        return f"StationaryPolicy(on {len(self.rule)} states)"
+                    f"state {m.state_names[s]}: action {m.action_names[a]} "
+                    f"not available")
+            if p < -PROB_TOL or p > 1 + PROB_TOL:
+                raise PolicyMismatch(
+                    f"state {m.state_names[s]}: probability {p} out of range")
+        mass = sum(p for a, p in d if a in avail)
+        if abs(mass - 1.0) > PROB_TOL:
+            raise PolicyMismatch(
+                f"state {m.state_names[s]}: probabilities sum to {mass}")
+        states.extend([s] * len(d))
+        actions.extend(a for a, _ in d)
+        probs.extend(p for _, p in d)
+    idx, found = m.pair_index(states, actions)
+    probs = np.array(probs, dtype=float)
+    keep = found & (probs != 0.0)
+    w = np.zeros(m.n_pairs)
+    w[idx[keep]] = probs[keep]
+    w.flags.writeable = False
+    return w
 
 
-def pair_weights(m: Mdp, p) -> np.ndarray:
-    """The weights of p over m's pairs: p is a StationaryPolicy or already
-    such a weight vector (a blend of two, say), which is taken as given."""
-    return p if isinstance(p, np.ndarray) else p.weights(m)
+def uniform_policy(m: Mdp) -> np.ndarray:
+    """Every available action equally likely, at every state."""
+    w = 1.0 / np.diff(m.state_ptr)[m.pair_state]
+    w.flags.writeable = False
+    return w
+
+
+def blend(w, w_prime, delta):
+    """The policy (1 - delta) w + delta w_prime."""
+    return (1.0 - delta) * w + delta * w_prime
+
+
+def policy_domain(m: Mdp, w) -> np.ndarray:
+    """The states where policy w is defined (its row has positive mass), as
+    a boolean mask."""
+    return np.bincount(m.pair_state, weights=w, minlength=m.n_states) > 0.0
 
 
 class UtilityFn:
     """Per state-action utility.  kind is 'reward' or 'cost'; costs must be
     strictly positive.
 
-    Built from a {(state, action): value} dict, or by on_pairs from a value
-    vector over a model's pairs.  pair_values(m) reads either form as a
-    vector over the pairs of a model it covers, and restricted re-keys it
-    onto the states of a sub-model.
+    Stored as (state, action, value) arrays sorted by (state, action) and
+    tied to no model.  Built from a {(state, action): value} dict, or by
+    on_pairs from a value vector over a model's pairs.  pair_values(m) reads
+    it as a vector over the pairs of a model it covers, and restricted
+    re-keys it onto the states of a sub-model.
     """
 
     def __init__(self, values, kind):
-        _check_kind(kind)
-        self.kind = kind
-        self.values = {(int(s), int(a)): float(v) for (s, a), v in values.items()}
-        self._arrays = None
-        if kind == "cost":
-            for (s, a), v in self.values.items():
-                if v <= 0.0:
-                    raise _nonpositive_cost(v, s, a)
+        keys = list(values)
+        self._set([int(s) for s, _ in keys], [int(a) for _, a in keys],
+                  [float(v) for v in values.values()], kind)
 
     @classmethod
     def on_pairs(cls, m: Mdp, vals, kind):
         """The utility taking the value vals[j] at pair j of m."""
-        _check_kind(kind)
+        fn = cls.__new__(cls)
+        fn._set(m.pair_state, m.pair_action, vals, kind)
+        return fn
+
+    def _set(self, states, actions, vals, kind):
+        if kind not in ("reward", "cost"):
+            raise ValueError(f"unknown utility kind {kind!r}")
+        states = np.asarray(states, dtype=np.int64)
+        actions = np.asarray(actions, dtype=np.int64)
         vals = np.array(vals, dtype=float)
         if kind == "cost":
             bad = np.flatnonzero(vals <= 0.0)
             if bad.size:
                 j = bad[0]
-                raise _nonpositive_cost(float(vals[j]), int(m.pair_state[j]),
-                                        int(m.pair_action[j]))
-        return cls._view(m, vals, kind, None)
+                raise ModelError(
+                    f"cost must be strictly positive, got {float(vals[j])} "
+                    f"at state {int(states[j])}, action {int(actions[j])}")
+        order = np.lexsort((actions, states))
+        self.kind = kind
+        self.states, self.actions, self.vals = \
+            states[order], actions[order], vals[order]
+        for arr in (self.states, self.actions, self.vals):
+            arr.flags.writeable = False
+        self._width = int(actions.max()) + 1 if actions.size else 1
+        # one key per entry, ascending, then a sentinel no query matches
+        self._keys = np.append(self.states * self._width + self.actions, -1)
 
-    @classmethod
-    def _view(cls, m, vals, kind, ids):
-        """vals over m's pairs, read on models whose local state i is state
-        ids[i] of m (the identity when ids is None)."""
-        fn = cls.__new__(cls)
-        fn.kind = kind
-        vals.flags.writeable = False
-        fn._arrays = (m, vals, ids)
-        return fn
-
-    @cached_property
-    def values(self):
-        m, vals, ids = self._arrays
-        states, acts = m.pair_state, m.pair_action
-        if ids is not None:
-            local = np.full(m.n_states, -1)
-            local[ids] = np.arange(len(ids))
-            keep = local[states] >= 0
-            states, acts, vals = local[states][keep], acts[keep], vals[keep]
-        return dict(zip(zip(states.tolist(), acts.tolist()), vals.tolist()))
+    def _find(self, states, actions):
+        """Entry indices of the pairs (states[i], actions[i]), and a mask of
+        those that exist (elsewhere the index is meaningless)."""
+        actions = np.asarray(actions, dtype=np.int64)
+        want = np.asarray(states, dtype=np.int64) * self._width + actions
+        idx = np.searchsorted(self._keys[:-1], want)
+        found = (self._keys[idx] == want) & (actions >= 0) & \
+            (actions < self._width)
+        return idx, found
 
     def __call__(self, s, a):
-        return self.values[(s, a)]
+        (i,), (ok,) = self._find([s], [a])
+        if not ok:
+            raise KeyError((s, a))
+        return float(self.vals[i])
 
     def pair_values(self, m: Mdp) -> np.ndarray:
         """The utility as a vector over m's pairs; raises ModelError when it
         lacks one of them."""
-        if self._arrays is None:
-            vals = [self.values.get(sa) for sa in m.state_action_pairs()]
-            missing = [j for j, v in enumerate(vals) if v is None]
-            if missing:
-                raise self._missing(m, missing)
-            return np.array(vals, dtype=float)
-        base, vals, ids = self._arrays
-        if m is base and ids is None:
-            return vals
-        states = m.pair_state if ids is None else ids[m.pair_state]
-        idx, found = base.pair_index(states, m.pair_action)
+        idx, found = self._find(m.pair_state, m.pair_action)
         if not found.all():
-            raise self._missing(m, np.flatnonzero(~found))
-        return vals[idx]
-
-    def _missing(self, m, missing):
-        j = missing[0]
-        s, a = int(m.pair_state[j]), int(m.pair_action[j])
-        return ModelError(
-            f"{self.kind} table missing {len(missing)} entries, first: "
-            f"({m.state_names[s]}, {m.action_names[a]})")
-
-    def check_complete(self, m: Mdp):
-        self.pair_values(m)
+            missing = np.flatnonzero(~found)
+            j = missing[0]
+            s, a = int(m.pair_state[j]), int(m.pair_action[j])
+            raise ModelError(
+                f"{self.kind} table missing {len(missing)} entries, first: "
+                f"({m.state_names[s]}, {m.action_names[a]})")
+        return self.vals[idx]
 
     def restricted(self, ids):
         """Re-key onto a sub-MDP whose local state i is state ids[i] here."""
-        if self._arrays is not None:
-            base, vals, own = self._arrays
-            ids = np.asarray(ids, dtype=np.int64)
-            return UtilityFn._view(base, vals, self.kind,
-                                   ids if own is None else own[ids])
-        id_of = {g: i for i, g in enumerate(ids)}
-        vals = {(id_of[s], a): v for (s, a), v in self.values.items()
-                if s in id_of}
-        return UtilityFn(vals, self.kind)
+        ids = np.asarray(ids, dtype=np.int64)
+        local = np.full(max(self.states.max(initial=-1),
+                            ids.max(initial=-1)) + 1, -1)
+        local[ids] = np.arange(len(ids))
+        keep = local[self.states] >= 0
+        fn = UtilityFn.__new__(UtilityFn)
+        fn._set(local[self.states][keep], self.actions[keep],
+                self.vals[keep], self.kind)
+        return fn
 
     @staticmethod
     def constant(m: Mdp, value, kind):
         return UtilityFn.on_pairs(m, np.full(m.n_pairs, float(value)), kind)
-
-
-def _check_kind(kind):
-    if kind not in ("reward", "cost"):
-        raise ValueError(f"unknown utility kind {kind!r}")
-
-
-def _nonpositive_cost(v, s, a):
-    return ModelError(f"cost must be strictly positive, got {v} at "
-                      f"state {s}, action {a}")
 
 
 def lift_utilities(pm: "ProductMdp", reward, cost):
@@ -601,20 +534,17 @@ def build_product(m: Mdp, d: Dra) -> ProductMdp:
         components=order, base=m, base_pair=base_pair)
 
 
-def induce_chain(m: Mdp, p) -> Mc:
-    """Markov chain induced by a stationary policy: P[i,j] = sum_a mu(i,a)P(j|i,a).
-
-    p is a StationaryPolicy, which must be defined at every state, or a
-    weight vector (see pair_weights).  One scatter over the successor
-    entries adds each entry's terms in action order, as a loop would.
+def induce_chain(m: Mdp, w) -> Mc:
+    """Markov chain induced by a stationary policy, a weight vector over m's
+    pairs defined at every state: P[i,j] = sum_a mu(i,a)P(j|i,a).  One
+    scatter over the successor entries adds each entry's terms in action
+    order, as a loop would.
     """
-    w = pair_weights(m, p)
     n = m.n_states
-    if not isinstance(p, np.ndarray):
-        missing = set(range(n)).difference(p.rule)
-        if missing:
-            raise PolicyMismatch(
-                f"policy undefined at state {m.state_names[min(missing)]}")
+    undefined = np.flatnonzero(~policy_domain(m, w))
+    if undefined.size:
+        raise PolicyMismatch(
+            f"policy undefined at state {m.state_names[undefined[0]]}")
     P = np.bincount(m.succ_src * n + m.succ_state,
                     weights=w[m.succ_pair] * m.succ_prob,
                     minlength=n * n).reshape(n, n)

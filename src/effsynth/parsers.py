@@ -9,7 +9,10 @@ within 1e-12.
 
 import re
 
-from .model import Dra, Mdp, StationaryPolicy, UtilityFn, validate_mdp
+import numpy as np
+
+from .model import (Dra, Mdp, UtilityFn, policy_domain, policy_from_rule,
+                    validate_mdp)
 
 
 class ParseError(Exception):
@@ -169,7 +172,7 @@ def parse_utilities(text, m: Mdp):
             out.append(None)
             continue
         fn = UtilityFn(entries[kind], kind)
-        fn.check_complete(m)
+        fn.pair_values(m)  # raises unless every pair has a value
         out.append(fn)
     return tuple(out)
 
@@ -398,9 +401,10 @@ def write_utilities(m: Mdp, reward=None, cost=None) -> str:
     for kind, fn in (("reward", reward), ("cost", cost)):
         if fn is None:
             continue
-        for (s, a) in sorted(fn.values):
+        for s, a, v in zip(fn.states.tolist(), fn.actions.tolist(),
+                           fn.vals.tolist()):
             out.append(f"{kind} {m.state_names[s]} {m.action_names[a]} "
-                       f"{_fmt(fn(s, a))}")
+                       f"{_fmt(v)}")
     return "\n".join(out) + "\n"
 
 
@@ -433,9 +437,10 @@ def write_dra(d: Dra) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_policy(m: Mdp, p: StationaryPolicy, meta=None) -> str:
-    """Canonical policy text: states and actions sorted by name, 12 significant
-    digits.  meta (a SynthesisReport) is embedded as comments."""
+def write_policy(m: Mdp, p, meta=None) -> str:
+    """Canonical policy text for the weight vector p over m's pairs: states
+    of its domain and their actions sorted by name, zero weights skipped, 12
+    significant digits.  meta (a SynthesisReport) is embedded as comments."""
     out = ["# policy"]
     if meta is not None:
         out.append(f"# value: {_fmt(meta.value)}")
@@ -444,17 +449,20 @@ def write_policy(m: Mdp, p: StationaryPolicy, meta=None) -> str:
             out.append(f"# delta: {_fmt(meta.plan.delta)}")
             out.append(f"# method: {meta.plan.method}")
         out.append(f"# no_perturbation: {meta.no_perturbation}")
-    by_name = sorted(p.rule, key=lambda s: m.state_names[s])
-    for s in by_name:
-        for a in sorted(p.rule[s], key=lambda a: m.action_names[a]):
-            prob = p.rule[s][a]
-            if prob != 0.0:
-                out.append(f"rule {m.state_names[s]} {m.action_names[a]} "
-                           f"{_fmt(prob)}")
+    ptr, acts, w = m.state_ptr.tolist(), m.pair_action.tolist(), p.tolist()
+    domain = np.flatnonzero(policy_domain(m, p)).tolist()
+    for s in sorted(domain, key=lambda s: m.state_names[s]):
+        row = sorted(range(ptr[s], ptr[s + 1]),
+                     key=lambda j: m.action_names[acts[j]])
+        for j in row:
+            if w[j] != 0.0:
+                out.append(f"rule {m.state_names[s]} "
+                           f"{m.action_names[acts[j]]} {_fmt(w[j])}")
     return "\n".join(out) + "\n"
 
 
-def parse_policy(text, m: Mdp) -> StationaryPolicy:
+def parse_policy(text, m: Mdp) -> np.ndarray:
+    """A policy file as a weight vector over m's pairs (policy_from_rule)."""
     rule = {}
     sidx = _first_index(m.state_names)
     aidx = _first_index(m.action_names)
@@ -469,7 +477,8 @@ def parse_policy(text, m: Mdp) -> StationaryPolicy:
             raise ParseError(f"unknown state {s!r}", ln)
         if a not in aidx:
             raise ParseError(f"unknown action {a!r}", ln)
-        rule.setdefault(sidx[s], {})[aidx[a]] = _parse_prob(prob, ln)
-    pol = StationaryPolicy(rule)
-    pol.weights(m)  # validates, and keeps the weights for m
-    return pol
+        row = rule.setdefault(sidx[s], {})
+        if aidx[a] in row:
+            raise ParseError(f"duplicate rule {s} {a}", ln)
+        row[aidx[a]] = _parse_prob(prob, ln)
+    return policy_from_rule(m, rule)

@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import Mdp, PolicyMismatch, StationaryPolicy, UtilityFn
+from .model import Mdp, PolicyMismatch, UtilityFn, policy_domain
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class RolloutStats:
     visit_counts: tuple  # per-state visits, summed over rollouts
 
 
-def _compound_rows(m: Mdp, p: StationaryPolicy, r: UtilityFn, c: UtilityFn):
+def _compound_rows(m: Mdp, p, r: UtilityFn, c: UtilityFn):
     """Per-state sampling tables for the chain of (policy, transition) draws,
     read off the pair arrays: each positive (action, successor) draw of a
     state in pair-then-successor order, its cumulative weight (summed one
@@ -53,7 +53,8 @@ def _compound_rows(m: Mdp, p: StationaryPolicy, r: UtilityFn, c: UtilityFn):
     Partial policies are fine as long as their domain is closed: undefined
     states get no table, and reaching one raises.
     """
-    w = p.weights(m)[m.succ_pair]
+    defined = policy_domain(m, p).tolist()
+    w = p[m.succ_pair]
     draw = np.flatnonzero((w > 0.0) & (m.succ_prob > 0.0))
     mass = (w[draw] * m.succ_prob[draw]).tolist()
     nxt = m.succ_state[draw].tolist()
@@ -63,7 +64,7 @@ def _compound_rows(m: Mdp, p: StationaryPolicy, r: UtilityFn, c: UtilityFn):
                              np.arange(m.n_states + 1)).tolist()
     rows = []
     for s in range(m.n_states):
-        if s not in p.rule:
+        if not defined[s]:
             rows.append(None)
             continue
         lo, hi = bounds[s], bounds[s + 1]
@@ -98,7 +99,7 @@ def _one_rollout(rows, initial, steps, gen):
     return counts, total_r, total_c
 
 
-def simulate(m: Mdp, p: StationaryPolicy, r: UtilityFn, c: UtilityFn,
+def simulate(m: Mdp, p, r: UtilityFn, c: UtilityFn,
              cfg: RolloutConfig) -> RolloutStats:
     """Pathwise reward-over-cost ratios at the horizon, plus visit statistics."""
     rows = _compound_rows(m, p, r, c)

@@ -10,16 +10,18 @@ bisection certifies to stay within epsilon of optimal ('ex').  The general
 solver scores every accepting component that way, turns the scores into a
 surrogate reward with a steeply negative off-component level, solves the
 average-reward program for a basic policy, and patches the component policies
-back in wherever the basic policy settles.  Reports solved on a sub-model
-return to the parent's state ids through _lift_report.
+back in wherever the basic policy settles.  Policies are weight vectors over
+a model's pairs: a sub-model's policy lifts to its parent by a scatter
+through the sub-model's parent_pair (_lift), and reports solved on a
+sub-model return to the parent's ids through _lift_report.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (Mdp, ProductMdp, StationaryPolicy, UtilityFn,
-                    induce_chain, rabin_witness)
+from .model import (Mdp, ProductMdp, UtilityFn, blend, induce_chain,
+                    rabin_witness, uniform_policy)
 from .graph import (almost_sure_region, amec_filter, attractor_policy,
                     maec_decompose, mec_decompose, restrict, restrict_closed)
 from .chain import (NotUnichain, analyze, average_utility, efficiency,
@@ -85,7 +87,7 @@ class Certificate:
 
 @dataclass(frozen=True)
 class SynthesisReport:
-    policy: StationaryPolicy
+    policy: np.ndarray  # weights over the product's pairs
     value: float
     epsilon: float
     amec_values: tuple
@@ -127,17 +129,14 @@ def perturbation_degree_estimated(m: Mdp, mu_opt, mu_irr, r, c,
 def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
                               width=BISECT_WIDTH) -> PerturbationPlan:
     """Largest degree that keeps the blended efficiency within epsilon,
-    found by bisection on the analytic evaluator and verified afterwards.
-    Each probe blends the two policies' weight vectors, which gives the
-    same numbers as mixing the rules."""
+    found by bisection on the analytic evaluator and verified afterwards."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     d_inf, j_opt = _deviation_gap(m, mu_opt, mu_irr, r, c)
     c_min = _min_cost(m, c)
-    w_opt, w_irr = mu_opt.weights(m), mu_irr.weights(m)
 
     def qualifies(delta):
-        w = (1.0 - delta) * w_opt + delta * w_irr
+        w = blend(mu_opt, mu_irr, delta)
         ca_d = analyze(induce_chain(m, w))
         return efficiency(ca_d, m, r, c, w, m.initial) >= j_opt - epsilon - 1e-12
 
@@ -169,7 +168,7 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
                             degenerate=d_inf <= 1e-14)
 
 
-def _certificate(pm: ProductMdp, policy: StationaryPolicy) -> Certificate:
+def _certificate(pm: ProductMdp, policy) -> Certificate:
     ca = analyze(induce_chain(pm, policy))
     witnesses = [rabin_witness(comp, pm.acc_pairs)
                  for comp in ca.recurrent_classes]
@@ -179,19 +178,26 @@ def _certificate(pm: ProductMdp, policy: StationaryPolicy) -> Certificate:
                        absorption_defect=abs(defect))
 
 
-def _lift(policy: StationaryPolicy, ids):
-    return StationaryPolicy({ids[s]: d for s, d in policy.rule.items()})
+def _lift(m: Mdp, sub_m: Mdp, ids, w, onto=None):
+    """Policy w of sub_m (whose state i is state ids[i] of m) on m's pairs:
+    onto (default: no rows) with the rows of ids replaced by w."""
+    out = np.zeros(m.n_pairs) if onto is None else onto.copy()
+    out[np.isin(m.pair_state, ids)] = 0.0
+    out[sub_m.parent_pair] = w
+    out.flags.writeable = False
+    return out
 
 
-def _lift_report(rep: SynthesisReport, ids, **changes) -> SynthesisReport:
-    """A sub-model's report on the parent's state ids (sub-model state i is
-    parent state ids[i]): its policy and its certificate's recurrent classes
-    are re-keyed, and `changes` replace any other fields."""
+def _lift_report(rep: SynthesisReport, m: Mdp, sub_m: Mdp, ids,
+                 **changes) -> SynthesisReport:
+    """A report on sub_m, cut out of m, on m's ids (sub-model state i is
+    state ids[i] of m): its policy is lifted, its certificate's recurrent
+    classes are re-keyed, and `changes` replace any other fields."""
     classes = tuple(tuple(ids[s] for s in comp)
                     for comp in rep.certificate.recurrent_classes)
     cert = replace(rep.certificate, recurrent_classes=classes)
-    return replace(rep, policy=_lift(rep.policy, ids), certificate=cert,
-                   **changes)
+    return replace(rep, policy=_lift(m, sub_m, ids, rep.policy),
+                   certificate=cert, **changes)
 
 
 def synth_communicating(pm: ProductMdp, r: UtilityFn, c: UtilityFn,
@@ -236,14 +242,13 @@ def synth_communicating(pm: ProductMdp, r: UtilityFn, c: UtilityFn,
     if no_pert:
         mu_final_sub = mu_opt
     else:
-        mu_irr = StationaryPolicy.uniform(sub_m)
-        blend = (sub_m, mu_opt, mu_irr, r_sub, c_sub, epsilon)
-        plan = (perturbation_degree_estimated(*blend) if method == "es" else
-                perturbation_degree_exact(*blend, width=tol.bisect_width))
-        mu_final_sub = mu_opt.mix(mu_irr, plan.delta)
+        mu_irr = uniform_policy(sub_m)
+        pair = (sub_m, mu_opt, mu_irr, r_sub, c_sub, epsilon)
+        plan = (perturbation_degree_estimated(*pair) if method == "es" else
+                perturbation_degree_exact(*pair, width=tol.bisect_width))
+        mu_final_sub = blend(mu_opt, mu_irr, plan.delta)
 
-    lifted = _lift(mu_final_sub, ids)
-    policy = attractor_policy(pm, set(ids), lifted)
+    policy = attractor_policy(pm, ids, _lift(pm, sub_m, ids, mu_final_sub))
     cert = _certificate(pm, policy)
     return SynthesisReport(policy=policy, value=values[best], epsilon=epsilon,
                            amec_values=tuple(values), amec_chosen=best,
@@ -291,7 +296,7 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
         rm, rids = restrict_closed(pm, region)
         rep = synth_general(rm, r.restricted(rids), c.restricted(rids),
                             epsilon, method, tol)
-        return _lift_report(rep, rids)
+        return _lift_report(rep, pm, rm, rids)
 
     sub_reports = []
     values = []
@@ -299,7 +304,7 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
         sub_m, ids = restrict(pm, amec)
         rep = synth_communicating(sub_m, r.restricted(ids), c.restricted(ids),
                                   epsilon, method, tol)
-        sub_reports.append((rep, ids))
+        sub_reports.append((rep, sub_m, ids))
         values.append(rep.value)
 
     if len(amecs) == 1 and len(amecs[0].state_set) == pm.n_states:
@@ -308,8 +313,8 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
         # directly.  SCC refinement only splits, so a component covering
         # every state keeps every action: the sub-model is the model, and
         # its certificate carries over
-        rep, ids = sub_reports[0]
-        return _lift_report(rep, ids, amec_values=tuple(values),
+        rep, sub_m, ids = sub_reports[0]
+        return _lift_report(rep, pm, sub_m, ids, amec_values=tuple(values),
                             amec_chosen=0)
 
     rk, _ = build_reward_k(pm, amecs, values, r, c, k_margin=tol.k_margin)
@@ -324,8 +329,8 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
     kept = []
     for i, amec in enumerate(amecs):
         if amec.state_set & recurrent:
-            rep, ids = sub_reports[i]
-            policy = policy.extended(_lift(rep.policy, ids).rule)
+            rep, sub_m, ids = sub_reports[i]
+            policy = _lift(pm, sub_m, ids, rep.policy, onto=policy)
             kept.append(i)
     cert = _certificate(pm, policy)
     kept_reports = [sub_reports[i][0] for i in kept]

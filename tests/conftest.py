@@ -12,8 +12,8 @@ import itertools
 import numpy as np
 import pytest
 
-from effsynth.model import Mdp, ProductMdp, StationaryPolicy, UtilityFn, \
-    induce_chain
+from effsynth.model import Mdp, ProductMdp, UtilityFn, induce_chain, \
+    policy_domain, policy_from_rule
 from effsynth.graph import (amec_filter, is_communicating, maec_decompose,
                             mec_decompose, strongly_connected_components)
 from effsynth.chain import analyze, efficiency, average_utility
@@ -102,11 +102,36 @@ def random_utilities(rng, m, reward_lo=-1.0, reward_hi=2.0,
 
 
 def random_policy(rng, m):
+    return policy_from_rule(m, random_rule(rng, m))
+
+
+def random_rule(rng, m):
     rule = {}
     for s in range(m.n_states):
         w = rng.dirichlet(np.ones(len(m.available[s])))
         rule[s] = {a: float(p) for a, p in zip(m.available[s], w)}
-    return StationaryPolicy(rule)
+    return rule
+
+
+def deterministic(m, assignment):
+    """The policy taking action assignment[s] at each state s it lists."""
+    return policy_from_rule(m, {s: {a: 1.0} for s, a in assignment.items()})
+
+
+def rule_of(m, w):
+    """Policy w as a {state: {action: weight}} rule over its domain, zero
+    weights left out."""
+    domain = np.flatnonzero(policy_domain(m, w)).tolist()
+    ptr, acts, w = m.state_ptr.tolist(), m.pair_action.tolist(), w.tolist()
+    return {s: {acts[j]: w[j] for j in range(ptr[s], ptr[s + 1])
+                if w[j] != 0.0}
+            for s in domain}
+
+
+def utility_dict(fn):
+    """A utility as its {(state, action): value} table."""
+    return dict(zip(zip(fn.states.tolist(), fn.actions.tolist()),
+                    fn.vals.tolist()))
 
 
 def random_unichain_policy(rng, m, tries=200):
@@ -121,7 +146,7 @@ def deterministic_policies(m):
     """Every deterministic stationary policy, as assignment dicts."""
     choices = [m.available[s] for s in range(m.n_states)]
     for combo in itertools.product(*choices):
-        yield StationaryPolicy.deterministic(dict(enumerate(combo)))
+        yield deterministic(m, dict(enumerate(combo)))
 
 
 def brute_force_best_ratio(m, r, c, start):
@@ -160,12 +185,12 @@ def enumerate_ecs(m):
             continue
         state_set = set(chosen)
         closed = all(
-            all(t in state_set for t, p in m.succ(s, a).items() if p > 0.0)
+            all(t in state_set for t, p in m.trans[(s, a)].items() if p > 0.0)
             for s, acts in chosen.items() for a in acts)
         if not closed:
             continue
         adj = {s: sorted({t for a in chosen[s]
-                          for t, p in m.succ(s, a).items() if p > 0.0})
+                          for t, p in m.trans[(s, a)].items() if p > 0.0})
                for s in state_set}
         sccs = strongly_connected_components(state_set, adj)
         if len(sccs) == 1:

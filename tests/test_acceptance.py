@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from effsynth.model import (Mdp, ProductMdp, StationaryPolicy, UtilityFn,
-                            build_product, induce_chain, lift_utilities)
+from effsynth.model import (Mdp, ProductMdp, UtilityFn, blend, build_product,
+                            induce_chain, lift_utilities, uniform_policy)
 from effsynth.graph import maec_decompose, mec_decompose, restrict
 from effsynth.chain import (analyze, average_utility, efficiency,
                             limit_distribution, potential_vector,
@@ -81,7 +81,7 @@ def test_criterion_2_perturbation_identity():
         lhs1, rhs1 = ratio_perturbation_identity_check(m, mu, mu_p, r, ones,
                                                        delta)
         d = deviation_vector(m, mu, mu_p, r)
-        mu_d = mu.mix(mu_p, delta)
+        mu_d = blend(mu, mu_p, delta)
         pi_d = limit_distribution(analyze(induce_chain(m, mu_d)))
         classical = delta * float(pi_d @ d)
         worst_classic = max(worst_classic, abs(rhs1 - classical),
@@ -188,7 +188,7 @@ def test_criterion_6_es_ex_relationship():
         r, c = random_utilities(rng, pm)
         sol = solve_ratio_lfp(pm, r, c)
         mu_opt, _ = decode_ratio_policy(pm, sol)
-        mu_irr = StationaryPolicy.uniform(pm)
+        mu_irr = uniform_policy(pm)
         eps = float(rng.choice([1e-3, 1e-2, 1e-1]))
         es = perturbation_degree_estimated(pm, mu_opt, mu_irr, r, c, eps)
         if es.degenerate:
@@ -239,7 +239,7 @@ def test_criterion_7_case_study_1():
         row, col = map(int, tag[1:].split("c"))
         carrying = carry == "1"
         for a in m.available[s]:
-            dist = m.succ(s, a)
+            dist = m.trans[(s, a)]
             total = sum(dist.values())
             ok = ok and abs(total - 1.0) <= 1e-12
             if carrying and (row, col) not in dests:

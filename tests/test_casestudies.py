@@ -35,8 +35,8 @@ def test_case1_shape_and_validity():
     assert validate_mdp(m) == []
     assert is_communicating(m)
     assert d1.n_states == 3 and d2.n_states == 5
-    reward.check_complete(m)
-    cost.check_complete(m)
+    reward.pair_values(m)
+    cost.pair_values(m)
 
 
 def test_case1_cost_is_table_at_nearest_destination_distance():
@@ -69,7 +69,7 @@ def test_case1_transition_law_exhaustive():
             if not on_board:
                 assert ai not in m.available[s]
                 continue
-            dist = m.succ(s, ai)
+            dist = m.trans[(s, ai)]
             p = prob[tgt]
             if carry == 1 and cell not in dests:
                 expect = {idx[(tgt, 1)]: 1.0}
@@ -88,7 +88,7 @@ def test_case1_carrying_moves_deterministically():
     for s in range(m.n_states):
         if carry_of(m, s) == 1 and "d" not in m.labels[s]:
             for a in m.available[s]:
-                (t, p), = m.succ(s, a).items()
+                (t, p), = m.trans[(s, a)].items()
                 assert p == 1.0 and carry_of(m, t) == 1
 
 
@@ -112,10 +112,9 @@ def test_case1_zero_field_never_finds_items():
     for s in range(m.n_states):
         if carry_of(m, s) == 0:
             for a in m.available[s]:
-                assert all(carry_of(m, t) == 0 for t in m.succ(s, a))
+                assert all(carry_of(m, t) == 0 for t in m.trans[(s, a)])
     # reward is only available while carrying: efficiency is zero
     from effsynth.graph import mec_decompose, restrict
-    from effsynth.model import StationaryPolicy
     reachable = [s for s in range(m.n_states) if carry_of(m, s) == 0]
     sub = next(ec for ec in mec_decompose(m)
                if all(carry_of(m, g) == 0 for g in ec.state_set))
@@ -186,8 +185,8 @@ def test_case2_shape_and_determinism():
     assert dra.n_states == 3
     for (s, a), dist in m.trans.items():
         assert list(dist.values()) == [1.0]
-    reward_family(0.0).check_complete(m)
-    cost.check_complete(m)
+    reward_family(0.0).pair_values(m)
+    cost.pair_values(m)
 
 
 def test_case2_dra_words():
@@ -206,7 +205,7 @@ def test_case2_permission_bit_dynamics():
     for s in range(m.n_states):
         cell, perm = cell_of(m, s), carry_of(m, s)
         for a in m.available[s]:
-            (t, _), = m.succ(s, a).items()
+            (t, _), = m.trans[(s, a)].items()
             tcell, tperm = cell_of(m, t), carry_of(m, t)
             if tcell == params.command:
                 assert tperm == 1
@@ -220,13 +219,13 @@ def test_case2_bonus_zero_baseline():
     m, _, reward_family, cost = gen_case2()
     r0 = reward_family(0.0)
     r5 = reward_family(5.0)
-    bumped = [key for key in r0.values
+    bumped = [key for key in zip(r0.states.tolist(), r0.actions.tolist())
               if r5(*key) != pytest.approx(r0(*key))]
     # only permission-holding arrivals at the material cell gain the bonus
     params = Case2Params()
     for (s, a) in bumped:
         assert carry_of(m, s) == 1
-        (t, _), = m.succ(s, a).items()
+        (t, _), = m.trans[(s, a)].items()
         assert cell_of(m, t) == params.material
         assert r5(s, a) - r0(s, a) == pytest.approx(5.0)
     assert bumped
@@ -265,7 +264,8 @@ def test_case1_task2_decoded_policy_reaches_support_quickly():
     r, c = lift_utilities(pm, reward, cost)
     sol = solve_ratio_lfp(pm, r, c)
     policy, _ = decode_ratio_policy(pm, sol)
-    support = {s for (s, a), g in sol.gamma.items() if g > 1e-9}
+    support = {s for (s, a), g in zip(pm.state_action_pairs(), sol.gamma)
+               if g > 1e-9}
     outside = sorted(set(range(pm.n_states)) - support)
     P = induce_chain(pm, policy).P
     steps = np.linalg.solve(np.eye(len(outside)) - P[np.ix_(outside, outside)],

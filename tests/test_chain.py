@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from effsynth.model import Mc, Mdp, StationaryPolicy, UtilityFn, induce_chain
+from effsynth.model import Mc, Mdp, UtilityFn, blend, induce_chain
 from effsynth.chain import (NotUnichain, analyze, average_utility,
                             deviation_vector, efficiency, limit_distribution,
                             potential_vector, ratio_deviation,
                             ratio_perturbation_identity_check, utility_vector)
 
-from conftest import (random_mdp, random_policy, random_unichain_policy,
-                      random_utilities)
+from conftest import (deterministic, random_mdp, random_policy,
+                      random_unichain_policy, random_utilities)
 
 
 def chain_of(P, initial=0):
@@ -93,7 +93,7 @@ def test_limit_matrix_algebra(rng):
 def test_average_utility_single_state():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}})
     u = UtilityFn({(0, 0): 3.0}, "reward")
-    p = StationaryPolicy.deterministic({0: 0})
+    p = deterministic(m, {0: 0})
     ca = analyze(induce_chain(m, p))
     assert average_utility(ca, m, u, p, 0) == pytest.approx(3.0)
 
@@ -101,7 +101,7 @@ def test_average_utility_single_state():
 def test_average_utility_two_cycle():
     m = Mdp(["x", "y"], ["a"], 0, {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}})
     u = UtilityFn({(0, 0): 1.0, (1, 0): 3.0}, "reward")
-    p = StationaryPolicy.deterministic({0: 0, 1: 0})
+    p = deterministic(m, {0: 0, 1: 0})
     ca = analyze(induce_chain(m, p))
     assert average_utility(ca, m, u, p, 0) == pytest.approx(2.0)
 
@@ -148,7 +148,7 @@ def test_efficiency_single_state():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}})
     r = UtilityFn({(0, 0): 2.0}, "reward")
     c = UtilityFn({(0, 0): 4.0}, "cost")
-    p = StationaryPolicy.deterministic({0: 0})
+    p = deterministic(m, {0: 0})
     ca = analyze(induce_chain(m, p))
     assert efficiency(ca, m, r, c, p, 0) == pytest.approx(0.5)
 
@@ -161,7 +161,7 @@ def test_efficiency_mixes_class_ratios_by_absorption():
              (2, 0): {2: 1.0}})
     r = UtilityFn({(0, 0): 0.0, (1, 0): 1.0, (2, 0): 6.0}, "reward")
     c = UtilityFn({(0, 0): 1.0, (1, 0): 1.0, (2, 0): 2.0}, "cost")
-    p = StationaryPolicy.deterministic({0: 0, 1: 0, 2: 0})
+    p = deterministic(m, {0: 0, 1: 0, 2: 0})
     ca = analyze(induce_chain(m, p))
     assert efficiency(ca, m, r, c, p, 0) == pytest.approx(
         0.25 * 1.0 + 0.75 * 3.0)
@@ -170,7 +170,7 @@ def test_efficiency_mixes_class_ratios_by_absorption():
 def test_potential_single_state():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}})
     u = UtilityFn({(0, 0): 5.0}, "reward")
-    p = StationaryPolicy.deterministic({0: 0})
+    p = deterministic(m, {0: 0})
     ca = analyze(induce_chain(m, p))
     g = potential_vector(ca, m, u, p)
     assert g[0] == pytest.approx(5.0)
@@ -243,7 +243,7 @@ def test_deviation_reproduces_average_difference(rng):
         ca = analyze(induce_chain(m, mu))
         w_mu = average_utility(ca, m, u, mu, m.initial)
         for delta in (0.1, 0.5):
-            mu_d = mu.mix(mu_p, delta)
+            mu_d = blend(mu, mu_p, delta)
             ca_d = analyze(induce_chain(m, mu_d))
             w_d = average_utility(ca_d, m, u, mu_d, m.initial)
             pi_d = limit_distribution(ca_d)
@@ -271,7 +271,7 @@ def test_identity_check_unit_cost_degenerates_to_classical(rng):
     delta = 0.3
     lhs, rhs = ratio_perturbation_identity_check(m, mu, mu_p, u, ones, delta)
     d = deviation_vector(m, mu, mu_p, u)
-    mu_d = mu.mix(mu_p, delta)
+    mu_d = blend(mu, mu_p, delta)
     pi_d = limit_distribution(analyze(induce_chain(m, mu_d)))
     classical = delta * float(pi_d @ d)
     assert rhs == pytest.approx(classical, abs=1e-10)
@@ -295,7 +295,7 @@ def test_identity_check_random_instances(rng):
 
 def test_identity_check_rejects_multichain():
     m = Mdp(["x", "y"], ["a"], 0, {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}})
-    p = StationaryPolicy.deterministic({0: 0, 1: 0})
+    p = deterministic(m, {0: 0, 1: 0})
     r = UtilityFn.constant(m, 1.0, "reward")
     c = UtilityFn.constant(m, 1.0, "cost")
     with pytest.raises(NotUnichain):
@@ -325,7 +325,7 @@ def test_ratio_deviation_matches_deviation_vectors(rng):
 
 def test_ratio_deviation_rejects_multichain():
     m = Mdp(["x", "y"], ["a"], 0, {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}})
-    p = StationaryPolicy.deterministic({0: 0, 1: 0})
+    p = deterministic(m, {0: 0, 1: 0})
     r = UtilityFn.constant(m, 1.0, "reward")
     c = UtilityFn.constant(m, 1.0, "cost")
     with pytest.raises(NotUnichain):
@@ -343,6 +343,6 @@ def test_mixture_preserves_unichain(rng):
             continue
         mu_p = random_policy(rng, m)
         for delta in (0.01, 0.5, 1.0):
-            ca = analyze(induce_chain(m, mu.mix(mu_p, delta)))
+            ca = analyze(induce_chain(m, blend(mu, mu_p, delta)))
             assert ca.is_unichain()
         done += 1

@@ -1,10 +1,11 @@
 """The flat state-action arrays against per-pair loops over the dict form.
 
-Each reference below walks {successor: probability} dicts pair by pair, in
-(state, action) order, as the model layer did before it stored arrays.  The
-array code must give bitwise the same numbers (np.array_equal, ==), not
-merely close ones: every output of the program is expected to stay
-byte-identical.
+Each reference below walks {successor: probability} dicts and
+{state: {action: probability}} policy rules pair by pair, in (state, action)
+order, as the program did before models, policies, utilities and LP
+solutions became arrays.  The array code must give bitwise the same numbers
+(np.array_equal, ==), not merely close ones: every output of the program is
+expected to stay byte-identical.
 """
 
 from bisect import bisect_left
@@ -14,13 +15,22 @@ import pytest
 
 from effsynth import cli, lp, sim
 from effsynth.chain import analyze, efficiency, utility_vector
-from effsynth.graph import mec_decompose
-from effsynth.model import (Dra, Mdp, PolicyMismatch, ProductMdp,
-                            StationaryPolicy, UtilityFn, build_product,
-                            induce_chain, lift_utilities)
+from effsynth.graph import (Unreachable, almost_sure_region, attractor_policy,
+                            mec_decompose, restrict, restrict_closed)
+from effsynth.lp import (AvgLpSolution, DegenerateDecoding, LfpSolution,
+                         decode_avg_policy, decode_ratio_policy,
+                         solve_avg_reward_lp)
+from effsynth.model import (Dra, Mc, Mdp, PolicyMismatch, ProductMdp,
+                            UtilityFn, blend, build_product, induce_chain,
+                            lift_utilities, policy_from_rule, uniform_policy)
+from effsynth import synthesis
+from effsynth.synthesis import build_reward_k, synth_communicating, \
+    synth_general
 
-from conftest import (random_communicating_mdp, random_mdp, random_policy,
-                      random_utilities)
+from conftest import (amecs_of, random_communicating_mdp, random_mdp,
+                      random_product, random_rule, random_utilities, rule_of,
+                      utility_dict)
+from test_synthesis import random_multichain_product
 
 AP = ("g", "b")
 
@@ -44,11 +54,6 @@ def labeled_mdp(rng, n_states, n_actions):
     labels = [frozenset(p for p in AP if rng.random() < 0.35)
               for _ in range(n_states)]
     return Mdp(m.state_names, m.action_names, m.initial, m.trans, AP, labels)
-
-
-def trans_of(m):
-    """The dict form of any model, read through the succ accessor."""
-    return {(s, a): m.succ(s, a) for s, a in m.state_action_pairs()}
 
 
 # --- references: loops over the dict form --------------------------------
@@ -81,6 +86,128 @@ def product_reference(m, d):
             frozenset(i for i, (s, q) in enumerate(order) if q in g))
            for b, g in d.pairs]
     return order, trans, acc
+
+
+def mix_reference(rule, other, delta):
+    """(1-delta) rule + delta other, both over the same states."""
+    out = {}
+    for s in rule:
+        d = {}
+        for a, p in rule[s].items():
+            d[a] = d.get(a, 0.0) + (1.0 - delta) * p
+        for a, p in other[s].items():
+            d[a] = d.get(a, 0.0) + delta * p
+        out[s] = d
+    return out
+
+
+def weights_reference(m, rule):
+    """A rule as a weight vector over m's pairs, pair by pair."""
+    return np.array([rule.get(s, {}).get(a, 0.0)
+                     for s, a in m.state_action_pairs()])
+
+
+def attractor_reference(m, target, rule):
+    """Breadth-first layers over the dict form: each state outside the grown
+    region with an action into it takes its lowest such action, and the
+    layer's rows replace whatever rule gave those states."""
+    grown = set(target)
+    rule = {s: dict(d) for s, d in rule.items()}
+    while len(grown) < m.n_states:
+        layer = {}
+        for s in range(m.n_states):
+            if s in grown:
+                continue
+            for a in m.available[s]:
+                if any(t in grown and p > 0.0
+                       for t, p in m.trans[(s, a)].items()):
+                    layer[s] = a
+                    break
+        if not layer:
+            raise Unreachable("stuck")
+        for s, a in layer.items():
+            rule[s] = {a: 1.0}
+        grown |= set(layer)
+    return rule
+
+
+def classes_reference(m, rule):
+    pi0 = np.zeros(m.n_states)
+    pi0[m.initial] = 1.0
+    P = chain_reference(m.trans, m.n_states, rule)
+    return analyze(Mc(P=P, pi0=pi0)).recurrent_classes
+
+
+def decode_ratio_reference(m, gamma, support_threshold=1e-9):
+    """The ratio program's decoder over a {(state, action): weight} dict."""
+    mass = {}
+    for (s, a), g in gamma.items():
+        mass[s] = mass.get(s, 0.0) + g
+    q_set = {s for s, tot in mass.items() if tot > support_threshold}
+    rule = {}
+    for s in q_set:
+        dist = {a: gamma[(s, a)] / mass[s] for a in m.available[s]
+                if gamma.get((s, a), 0.0) > support_threshold}
+        total = sum(dist.values())
+        rule[s] = {a: p / total for a, p in dist.items()}
+    rule = attractor_reference(m, q_set, rule)
+    classes = classes_reference(m, rule)
+    if len(classes) > 1:
+        chosen = min(classes, key=lambda comp: comp[0])
+        kept = {s: rule[s] for s in chosen}
+        rule = attractor_reference(m, set(chosen), kept)
+    return rule, len(classes)
+
+
+def decode_avg_reference(m, x, y, support_threshold=1e-9):
+    """The average-reward decoder over {(state, action): value} dicts."""
+    rule = {}
+    for s in range(m.n_states):
+        x_row = {a: x.get((s, a), 0.0) for a in m.available[s]}
+        y_row = {a: y.get((s, a), 0.0) for a in m.available[s]}
+        if sum(x_row.values()) > support_threshold:
+            row = x_row
+        elif sum(y_row.values()) > support_threshold:
+            row = y_row
+        else:
+            raise DegenerateDecoding(f"state {m.state_names[s]}")
+        kept = {a: v for a, v in row.items() if v > support_threshold}
+        if not kept:
+            best = max(row, key=row.get)
+            kept = {best: row[best]}
+        total = sum(kept.values())
+        rule[s] = {a: v / total for a, v in kept.items()}
+    return rule
+
+
+def general_reference(pm, r, c, epsilon):
+    """synth_general's policy as a rule, assembled over dicts: a sub-model's
+    rule returns to the parent by re-keying its states, and the component
+    rules overwrite whole rows of the basic policy wherever it is
+    recurrent."""
+    amecs = amecs_of(pm)
+    region = almost_sure_region(pm, amecs)
+    if len(region) < pm.n_states:
+        rm, rids = restrict_closed(pm, region)
+        rule = general_reference(rm, r.restricted(rids), c.restricted(rids),
+                                 epsilon)
+        return {rids[s]: d for s, d in rule.items()}
+    subs = []
+    for amec in amecs:
+        sub_m, ids = restrict(pm, amec)
+        rep = synth_communicating(sub_m, r.restricted(ids), c.restricted(ids),
+                                  epsilon)
+        sub_rule = rule_of(sub_m, rep.policy)
+        subs.append(({ids[s]: d for s, d in sub_rule.items()}, rep.value))
+    if len(amecs) == 1 and len(amecs[0].state_set) == pm.n_states:
+        return subs[0][0]
+    rk, _ = build_reward_k(pm, amecs, [v for _, v in subs], r, c)
+    rule = rule_of(pm, decode_avg_policy(pm, solve_avg_reward_lp(pm, rk)))
+    recurrent = {s for comp in classes_reference(pm, rule) for s in comp}
+    for amec, (sub_rule, _) in zip(amecs, subs):
+        if amec.state_set & recurrent:
+            rule.update(sub_rule)
+    return rule
 
 
 def chain_reference(trans, n, rule):
@@ -172,8 +299,8 @@ def test_product_matches_dict_bfs(rng):
         assert pm.available == tuple(
             tuple(a for (i, a) in sorted(trans) if i == k)
             for k in range(len(order)))
-        assert trans_of(pm) == trans
-        assert all(list(trans_of(pm)[sa]) == list(trans[sa]) for sa in trans)
+        assert pm.trans == trans
+        assert all(list(pm.trans[sa]) == list(trans[sa]) for sa in trans)
         for j, (i, a) in enumerate(pm.state_action_pairs()):
             assert int(pm.base_pair[j]) == list(m.state_action_pairs()).index(
                 (order[i][0], a))
@@ -186,12 +313,13 @@ def test_induce_chain_and_utility_vector_match_loops(rng):
         m = random_mdp(rng, int(rng.integers(2, 5)), int(rng.integers(3, 6)),
                        p_avail=0.9)
         r, _ = random_utilities(rng, m)
-        p = random_policy(rng, m)
+        rule = random_rule(rng, m)
+        p = policy_from_rule(m, rule)
         n = m.n_states
         assert np.array_equal(induce_chain(m, p).P,
-                              chain_reference(m.trans, n, p.rule))
+                              chain_reference(m.trans, n, rule))
         assert np.array_equal(utility_vector(m, r, p),
-                              utility_reference(r.values, n, p.rule))
+                              utility_reference(utility_dict(r), n, rule))
 
 
 def test_deterministic_rules_skip_zero_weights(rng):
@@ -201,11 +329,12 @@ def test_deterministic_rules_skip_zero_weights(rng):
     r = UtilityFn({sa: -1.5 for sa in m.state_action_pairs()}, "reward")
     rule = {s: {a: (1.0 if k == 0 else 0.0) for k, a in enumerate(acts)}
             for s, acts in enumerate(m.available)}
-    p = StationaryPolicy(rule)
+    p = policy_from_rule(m, rule)
     assert np.array_equal(induce_chain(m, p).P,
-                          chain_reference(m.trans, m.n_states, p.rule))
+                          chain_reference(m.trans, m.n_states, rule))
     assert np.array_equal(utility_vector(m, r, p),
-                          utility_reference(r.values, m.n_states, p.rule))
+                          utility_reference(utility_dict(r), m.n_states,
+                                            rule))
 
 
 def test_weight_blend_is_the_rule_mix(rng):
@@ -214,20 +343,24 @@ def test_weight_blend_is_the_rule_mix(rng):
     for trial in range(10):
         m = random_communicating_mdp(rng, int(rng.integers(3, 7)), 2)
         r, c = random_utilities(rng, m)
-        mu, mu_p = random_policy(rng, m), StationaryPolicy.uniform(m)
+        rule = random_rule(rng, m)
+        rule_p = {s: {a: 1.0 / len(acts) for a in acts}
+                  for s, acts in enumerate(m.available)}
+        mu, mu_p = policy_from_rule(m, rule), uniform_policy(m)
+        assert np.array_equal(mu_p, policy_from_rule(m, rule_p))
         for delta in (1e-6, 0.3, 0.999999):
-            w = (1.0 - delta) * mu.weights(m) + delta * mu_p.weights(m)
-            mixed = mu.mix(mu_p, delta)
-            assert np.array_equal(w, mixed.weights(m))
+            w = blend(mu, mu_p, delta)
+            mixed = mix_reference(rule, rule_p, delta)
+            assert np.array_equal(w, policy_from_rule(m, mixed))
             assert np.array_equal(induce_chain(m, w).P,
-                                  chain_reference(m.trans, m.n_states,
-                                                  mixed.rule))
+                                  chain_reference(m.trans, m.n_states, mixed))
             assert np.array_equal(utility_vector(m, c, w),
-                                  utility_reference(c.values, m.n_states,
-                                                    mixed.rule))
+                                  utility_reference(utility_dict(c),
+                                                    m.n_states, mixed))
             ca = analyze(induce_chain(m, w))
             assert efficiency(ca, m, r, c, w, m.initial) == \
-                efficiency(ca, m, r, c, mixed, m.initial)
+                efficiency(ca, m, r, c, policy_from_rule(m, mixed),
+                           m.initial)
 
 
 def test_partial_policy_scope_matches_loops(rng):
@@ -246,18 +379,18 @@ def test_partial_policy_scope_matches_loops(rng):
         r, c = random_utilities(rng, pm)
         rule = {s: {a: 1.0 / len(acts) for a in sorted(acts)}
                 for s, acts in ec.act}
-        policy = StationaryPolicy(rule)
+        policy = policy_from_rule(pm, rule)
         sub, local, r_sub, c_sub = cli._policy_scope(pm, policy, r, c)
         trans, ids = restrict_reference(pm.trans, pm.n_states, ec.state_set)
-        assert trans_of(sub) == trans
+        assert sub.trans == trans
         rule_local = {ids.index(s): d for s, d in rule.items()}
         n = len(ids)
         assert np.array_equal(induce_chain(sub, local).P,
                               chain_reference(trans, n, rule_local))
-        r_local = {(ids.index(s), a): v for (s, a), v in r.values.items()
-                   if s in ids}
-        c_local = {(ids.index(s), a): v for (s, a), v in c.values.items()
-                   if s in ids}
+        r_local = {(ids.index(s), a): v
+                   for (s, a), v in utility_dict(r).items() if s in ids}
+        c_local = {(ids.index(s), a): v
+                   for (s, a), v in utility_dict(c).items() if s in ids}
         assert np.array_equal(utility_vector(sub, r_sub, local),
                               utility_reference(r_local, n, rule_local))
         rows = sim._compound_rows(sub, local, r_sub, c_sub)
@@ -291,13 +424,13 @@ def test_lp_data_match_loop_assembly(rng, monkeypatch):
 
         seen.clear()
         lp.solve_ratio_lfp(m, r, c)
-        a_eq = np.vstack([flow, [c.values[sa] for sa in pairs]])
+        a_eq = np.vstack([flow, [c(*sa) for sa in pairs]])
         b_eq = np.zeros(n + 1)
         b_eq[n] = 1.0
         (got,) = seen
         assert np.array_equal(got.a_eq, a_eq)
         assert np.array_equal(got.b_eq, b_eq)
-        assert np.array_equal(got.c, [r.values[sa] for sa in pairs])
+        assert np.array_equal(got.c, [r(*sa) for sa in pairs])
 
         seen.clear()
         lp.solve_avg_reward_lp(m, r)
@@ -307,7 +440,7 @@ def test_lp_data_match_loop_assembly(rng, monkeypatch):
             a_eq[n + s, j] += 1.0
         a_eq[n:, k:] = flow
         cobj = np.zeros(2 * k)
-        cobj[:k] = [r.values[sa] for sa in pairs]
+        cobj[:k] = [r(*sa) for sa in pairs]
         (got,) = seen
         assert np.array_equal(got.a_eq, a_eq)
         assert np.array_equal(got.b_eq, np.concatenate(
@@ -319,9 +452,10 @@ def test_rollout_matches_numpy_indexed_loop(rng):
     for trial in range(10):
         m = random_communicating_mdp(rng, int(rng.integers(2, 7)), 2)
         r, c = random_utilities(rng, m)
-        p = random_policy(rng, m)
-        rows = sim._compound_rows(m, p, r, c)
-        ref = rows_reference(m.trans, m.n_states, p.rule, r.values, c.values)
+        rule = random_rule(rng, m)
+        rows = sim._compound_rows(m, policy_from_rule(m, rule), r, c)
+        ref = rows_reference(m.trans, m.n_states, rule, utility_dict(r),
+                             utility_dict(c))
         assert [row[:4] for row in rows] == ref
         for i in range(3):
             assert sim._one_rollout(rows, m.initial, 2000,
@@ -363,3 +497,213 @@ def test_utilities_lift_as_a_gather(rng):
             base = pm.components[i][0]
             assert r(i, a) == reward(base, a)
             assert c(i, a) == cost(base, a)
+
+
+def pair_table(m, vals):
+    return dict(zip(m.state_action_pairs(), vals.tolist()))
+
+
+def random_weights(rng, m, tiny=1e-10):
+    """Nonnegative pair weights summing to one: about a third of them zero
+    and a tenth below the support threshold."""
+    u = rng.random(m.n_pairs)
+    vals = np.where(u < 0.35, 0.0, np.where(u < 0.45, tiny,
+                                            rng.random(m.n_pairs)))
+    if not vals.any():
+        vals[0] = 1.0
+    return vals / vals.sum()
+
+
+def with_self_loops(m):
+    """m with one more action, a self-loop at every state."""
+    k = m.n_actions
+    trans = dict(m.trans)
+    trans.update({(s, k): {s: 1.0} for s in range(m.n_states)})
+    return Mdp(m.state_names, m.action_names + ("stay",), m.initial, trans)
+
+
+def test_decode_ratio_policy_matches_dict_decoder(rng):
+    """Random occupation weights; in every other instance some of them sit
+    on self-loops of a few states, which splits the support into several
+    recurrent classes that the decoder steers into one."""
+    steered = 0
+    done = 0
+    while done < 60:
+        m = with_self_loops(random_communicating_mdp(
+            rng, int(rng.integers(2, 8)), int(rng.integers(1, 3))))
+        gamma = random_weights(rng, m)
+        if done % 2:
+            stay = m.pair_action == m.n_actions - 1
+            anchors = rng.random(m.n_states) < 0.4
+            gamma[stay] = 0.0
+            gamma[anchors[m.pair_state]] = 0.0
+            gamma[stay & anchors[m.pair_state]] = rng.random(anchors.sum())
+            gamma /= gamma.sum()
+        rule, n_classes = decode_ratio_reference(m, pair_table(m, gamma))
+        if any(not d for d in rule.values()):
+            continue  # support state without a kept action: no policy
+        policy, ca = decode_ratio_policy(m, LfpSolution(gamma=gamma,
+                                                        value=0.0))
+        assert np.array_equal(policy, weights_reference(m, rule))
+        assert ca.recurrent_classes == classes_reference(m, rule)
+        steered += n_classes > 1
+        done += 1
+    assert steered >= 5
+
+
+def test_decode_avg_policy_matches_dict_decoder(rng):
+    """x rows, y rows where x vanishes, and rows whose entries all lie at or
+    below the threshold (ties included), which keep their first maximum."""
+    cases = {"x": 0, "y": 0, "fallback": 0}
+    for trial in range(60):
+        m = random_mdp(rng, int(rng.integers(2, 8)), int(rng.integers(1, 4)))
+        x, y = np.zeros(m.n_pairs), np.zeros(m.n_pairs)
+        for s in range(m.n_states):
+            lo, hi = m.state_ptr[s], m.state_ptr[s + 1]
+            kind = ("x", "y", "fallback")[int(rng.integers(3))]
+            cases[kind] += 1
+            if kind == "x":
+                x[lo:hi] = random_weights(rng, m)[:hi - lo] + \
+                    rng.choice([0.0, 0.5]) * rng.random(hi - lo)
+                x[lo] += 1e-3
+            elif kind == "y":
+                x[lo:hi] = rng.choice([0.0, 2e-10], size=hi - lo)
+                y[lo:hi] = rng.random(hi - lo) * (rng.random(hi - lo) < 0.7)
+                y[lo] += 2e-3
+            else:
+                x[lo:hi] = rng.choice([0.0, 1e-10], size=hi - lo)
+                y[lo:hi] = rng.choice([0.0, 6e-10, 9e-10], size=hi - lo)
+                y[lo] = 9e-10
+                y[hi - 1] = 9e-10
+                if hi - lo == 1:
+                    y[lo] = 1e-8
+        sol = AvgLpSolution(x=x, y=y, gain=0.0)
+        rule = decode_avg_reference(m, pair_table(m, x), pair_table(m, y))
+        assert np.array_equal(decode_avg_policy(m, sol),
+                              weights_reference(m, rule))
+    assert min(cases.values()) >= 20
+
+
+def test_decode_avg_policy_names_the_first_vanishing_state():
+    m = random_mdp(np.random.default_rng(3), 4, 2)
+    x = np.full(m.n_pairs, 0.5)
+    y = np.zeros(m.n_pairs)
+    for s in (2, 3):
+        x[m.state_ptr[s]:m.state_ptr[s + 1]] = 0.0
+    with pytest.raises(DegenerateDecoding, match="state s2:"):
+        decode_avg_policy(m, AvgLpSolution(x=x, y=y, gain=0.0))
+
+
+def test_attractor_policy_matches_dict_layers(rng):
+    """Random targets, with rows inside the target that are kept and rows
+    outside it that the layers replace."""
+    done = unreachable = 0
+    while done < 40:
+        m = random_mdp(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)))
+        target = {int(s) for s in rng.choice(m.n_states,
+                                             size=int(rng.integers(1, 3)),
+                                             replace=False)}
+        full = random_rule(rng, m)
+        rule = {s: d for s, d in full.items()
+                if s in target or rng.random() < 0.5}
+        try:
+            ref = attractor_reference(m, target, rule)
+        except Unreachable:
+            with pytest.raises(Unreachable):
+                attractor_policy(m, target, policy_from_rule(m, rule))
+            unreachable += 1
+            continue
+        got = attractor_policy(m, target, policy_from_rule(m, rule))
+        assert np.array_equal(got, weights_reference(m, ref))
+        assert not got.flags.writeable
+        done += 1
+    assert unreachable > 0
+
+
+def test_synth_general_lift_and_patch_matches_dict_rules(rng):
+    """The component policies scattered into the basic policy, and the
+    region's policy scattered into the product, against re-keyed rules
+    that overwrite whole rows."""
+    patched = restricted = 0
+    while patched < 6 or restricted < 6:
+        if patched < 6:
+            inst = random_multichain_product(rng)
+            if inst is None:
+                continue
+            pm, r, c = inst
+        else:
+            pm = random_product(rng, int(rng.integers(3, 7)), 2)
+            r, c = random_utilities(rng, pm)
+        try:
+            rep = synth_general(pm, r, c, 0.01)
+        except Exception:
+            continue
+        ref = general_reference(pm, r, c, 0.01)
+        assert np.array_equal(rep.policy, weights_reference(pm, ref))
+        region = almost_sure_region(pm, amecs_of(pm))
+        restricted += len(region) < pm.n_states
+        patched += rep.avg_gain is not None and len(region) == pm.n_states
+
+
+def test_lift_replaces_whole_rows(rng):
+    """A sub-model's policy lifted onto a parent policy: the rows of the
+    sub-model's states are replaced whole, including the parent's weight on
+    actions the sub-model dropped, as a re-keyed rule overwrites them."""
+    dropped = 0
+    for trial in range(30):
+        m = random_mdp(rng, int(rng.integers(3, 8)), 3)
+        base_rule = random_rule(rng, m)
+        for ec in mec_decompose(m):
+            sub, ids = restrict(m, ec)
+            sub_rule = random_rule(rng, sub)
+            ref = dict(base_rule)
+            ref.update({ids[s]: d for s, d in sub_rule.items()})
+            onto = policy_from_rule(m, base_rule)
+            got = synthesis._lift(m, sub, ids, policy_from_rule(sub, sub_rule),
+                                  onto=onto)
+            assert np.array_equal(got, weights_reference(m, ref))
+            alone = {ids[s]: d for s, d in sub_rule.items()}
+            assert np.array_equal(
+                synthesis._lift(m, sub, ids, policy_from_rule(sub, sub_rule)),
+                weights_reference(m, alone))
+            dropped += sub.n_pairs < sum(len(m.available[g]) for g in ids)
+    assert dropped > 0
+
+
+def check_parent_pairs(parent, sub, ids):
+    """Sub pair j copies parent pair sub.parent_pair[j]: its state, action
+    and successor distribution, mapped through ids."""
+    pp = sub.parent_pair
+    assert len(pp) == sub.n_pairs
+    assert np.all(np.diff(pp) > 0)
+    assert np.array_equal(parent.pair_state[pp],
+                          np.asarray(ids)[sub.pair_state])
+    assert np.array_equal(parent.pair_action[pp], sub.pair_action)
+    for j, (s, a) in enumerate(sub.state_action_pairs()):
+        assert {ids[t]: p for t, p in sub.trans[(s, a)].items()} == \
+            parent.trans[(ids[s], a)]
+
+
+def test_parent_pair_records_where_sub_pairs_come_from(rng):
+    done = 0
+    while done < 15:
+        m = labeled_mdp(rng, int(rng.integers(3, 8)), int(rng.integers(1, 4)))
+        pm = build_product(m, random_dra(rng, 2))
+        mecs = mec_decompose(pm)
+        size = min(int(rng.integers(1, 4)), pm.n_states)
+        region = {int(s) for s in rng.choice(pm.n_states, size=size,
+                                              replace=False)} | {pm.initial}
+        region |= set().union(*(ec.state_set for ec in mecs))
+        sub, ids = restrict_closed(pm, region)
+        check_parent_pairs(pm, sub, ids)
+        assert np.array_equal(sub.base_pair, pm.base_pair[sub.parent_pair])
+        for ec in mec_decompose(sub):
+            sub2, ids2 = restrict(sub, ec)
+            check_parent_pairs(sub, sub2, ids2)
+            composed = sub.parent_pair[sub2.parent_pair]
+            assert np.array_equal(sub2.base_pair, pm.base_pair[composed])
+            done += 1
+        for ec in mecs:
+            sub3, ids3 = restrict(pm, ec)
+            check_parent_pairs(pm, sub3, ids3)
+    assert pm.parent_pair is None and m.parent_pair is None

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from effsynth.model import (Mdp, ProductMdp, StationaryPolicy, induce_chain,
-                            rabin_witness)
+from effsynth.model import (Mdp, ProductMdp, induce_chain, policy_from_rule,
+                            rabin_witness, uniform_policy)
 from effsynth.graph import (Unreachable, almost_sure_region,
                             attractor_policy, is_communicating, maec_decompose,
                             mec_decompose, restrict,
@@ -10,7 +10,7 @@ from effsynth.graph import (Unreachable, almost_sure_region,
 
 from conftest import (amecs_of, enumerate_ecs, example1_mdp, example1_product,
                       max_reach_probability, maximal_ecs, random_mdp,
-                      random_product)
+                      random_product, rule_of)
 
 
 def as_plain(ec):
@@ -81,7 +81,7 @@ def test_mec_disjoint_and_closed(rng):
             seen |= ec.state_set
             assert ec.is_closed(m)
             adj = {s: sorted({t for a in acts
-                              for t, p in m.succ(s, a).items() if p > 0.0})
+                              for t, p in m.trans[(s, a)].items() if p > 0.0})
                    for s, acts in ec.act}
             assert len(strongly_connected_components(ec.state_set, adj)) == 1
 
@@ -168,18 +168,18 @@ def test_region_matches_reachability_oracle(rng):
 
 def test_attractor_noop_when_target_is_everything():
     m = example1_mdp()
-    p = StationaryPolicy.uniform(m)
-    assert attractor_policy(m, set(range(4)), p).rule == p.rule
+    p = uniform_policy(m)
+    assert np.array_equal(attractor_policy(m, set(range(4)), p), p)
 
 
 def test_attractor_on_line_graph():
     m = Mdp(["l", "m", "r"], ["left", "right"], 0,
             {(0, 1): {1: 1.0}, (1, 0): {0: 1.0}, (1, 1): {2: 1.0},
              (2, 0): {1: 1.0}, (2, 1): {2: 1.0}})
-    p = StationaryPolicy({2: {1: 1.0}})
-    full = attractor_policy(m, {2}, p)
-    assert full.rule[0] == {1: 1.0}
-    assert full.rule[1] == {1: 1.0}
+    p = policy_from_rule(m, {2: {1: 1.0}})
+    full = rule_of(m, attractor_policy(m, {2}, p))
+    assert full[0] == {1: 1.0}
+    assert full[1] == {1: 1.0}
 
 
 def test_attractor_prefers_the_earliest_layer():
@@ -189,14 +189,15 @@ def test_attractor_prefers_the_earliest_layer():
     m = Mdp(["s0", "s1", "t"], ["a0", "a1"], 0,
             {(0, 0): {0: 0.99, 2: 0.01}, (1, 0): {0: 1.0}, (1, 1): {2: 1.0},
              (2, 0): {2: 1.0}})
-    full = attractor_policy(m, {2}, StationaryPolicy({2: {0: 1.0}}))
-    assert full.rule[0] == {0: 1.0}
-    assert full.rule[1] == {1: 1.0}
+    full = rule_of(m, attractor_policy(m, {2},
+                                       policy_from_rule(m, {2: {0: 1.0}})))
+    assert full[0] == {0: 1.0}
+    assert full[1] == {1: 1.0}
 
 
 def test_attractor_unreachable_on_example1():
     m = example1_mdp()
-    p = StationaryPolicy.uniform(m, states=[2, 3])
+    p = policy_from_rule(m, {2: {0: 1.0}, 3: {0: 0.5, 1: 0.5}})
     with pytest.raises(Unreachable, match="1"):
         attractor_policy(m, {2, 3}, p)
 
@@ -208,9 +209,8 @@ def test_attractor_makes_outside_states_transient(rng):
         pm = random_product(rng, int(rng.integers(3, 8)), 2)
         mecs = mec_decompose(pm)
         target = mecs[0].state_set
-        inside = StationaryPolicy(
-            {s: {a: 1.0 / len(acts) for a in acts}
-             for s, acts in mecs[0].act})
+        inside = policy_from_rule(pm, {s: {a: 1.0 / len(acts) for a in acts}
+                                       for s, acts in mecs[0].act})
         try:
             p = attractor_policy(pm, set(target), inside)
         except Unreachable:
@@ -234,7 +234,7 @@ def test_restrict_roundtrip_indices():
     sub, ids = restrict(pm, amec)
     assert ids == [2, 3]
     assert sub.n_states == 2
-    assert sub.succ(0, 0) == {1: 1.0}
+    assert sub.trans[(0, 0)] == {1: 1.0}
     # the pair's B-state "3" sits inside this component, so it is kept
     assert sub.acc_pairs == ((frozenset({0}), frozenset({1})),)
     assert is_communicating(sub)

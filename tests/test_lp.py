@@ -3,14 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
-from effsynth.model import Mdp, StationaryPolicy, UtilityFn, induce_chain
+from effsynth.model import Mdp, UtilityFn, induce_chain
 from effsynth.chain import analyze, average_utility, efficiency
 from effsynth.lp import (DegenerateDecoding, LpProblem, NotCommunicating,
                          decode_avg_policy, decode_ratio_policy, solve_lp,
                          solve_avg_reward_lp, solve_ratio_lfp)
 
 from conftest import (amecs_of, brute_force_best_gain, brute_force_best_ratio,
-                      random_communicating_mdp, random_mdp, random_utilities)
+                      random_communicating_mdp, random_mdp, random_utilities,
+                      rule_of)
+
+
+def pair_table(m, vals):
+    """A vector over m's pairs as a {(state, action): value} table."""
+    return dict(zip(m.state_action_pairs(), vals.tolist()))
 
 
 def enumerate_vertices_best(c, a_eq, b_eq):
@@ -115,8 +121,9 @@ def test_lfp_single_state_picks_better_loop():
     m, r, c = single_state_two_loops()
     sol = solve_ratio_lfp(m, r, c)
     assert sol.value == pytest.approx(5.0)
-    assert sol.gamma[(0, 1)] == pytest.approx(1.0)
-    assert sol.gamma[(0, 0)] == pytest.approx(0.0)
+    gamma = pair_table(m, sol.gamma)
+    assert gamma[(0, 1)] == pytest.approx(1.0)
+    assert gamma[(0, 0)] == pytest.approx(0.0)
 
 
 def test_lfp_rejects_noncommunicating():
@@ -156,26 +163,27 @@ def test_lfp_value_is_ratio_at_gamma(rng):
         m = random_communicating_mdp(rng, int(rng.integers(2, 6)), 2)
         r, c = random_utilities(rng, m)
         sol = solve_ratio_lfp(m, r, c)
-        num = sum(g * r(s, a) for (s, a), g in sol.gamma.items())
-        den = sum(g * c(s, a) for (s, a), g in sol.gamma.items())
+        gamma = pair_table(m, sol.gamma)
+        num = sum(g * r(s, a) for (s, a), g in gamma.items())
+        den = sum(g * c(s, a) for (s, a), g in gamma.items())
         assert num / den == pytest.approx(sol.value, abs=1e-10)
-        assert sum(sol.gamma.values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(gamma.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_decode_concentrated_gamma_is_deterministic():
     m, r, c = single_state_two_loops()
     sol = solve_ratio_lfp(m, r, c)
     policy, _ = decode_ratio_policy(m, sol)
-    assert policy.rule[0] == {1: 1.0}
+    assert rule_of(m, policy)[0] == {1: 1.0}
 
 
 def test_decode_split_gamma_keeps_proportions():
     from effsynth.lp import LfpSolution
     m = Mdp(["s"], ["a", "b"], 0, {(0, 0): {0: 1.0}, (0, 1): {0: 1.0}})
-    sol = LfpSolution(gamma={(0, 0): 0.5, (0, 1): 0.5}, value=0.0)
+    sol = LfpSolution(gamma=np.array([0.5, 0.5]), value=0.0)
     policy, _ = decode_ratio_policy(m, sol)
-    assert policy.rule[0][0] == pytest.approx(0.5)
-    assert policy.rule[0][1] == pytest.approx(0.5)
+    assert rule_of(m, policy)[0][0] == pytest.approx(0.5)
+    assert rule_of(m, policy)[0][1] == pytest.approx(0.5)
 
 
 def test_decode_is_unichain_and_achieves_value(rng):
@@ -190,17 +198,18 @@ def test_decode_is_unichain_and_achieves_value(rng):
         got = efficiency(ca, m, r, c, policy, m.initial)
         assert got == pytest.approx(sol.value, abs=1e-8)
         # the recurrent class stays inside the occupation support
+        gamma = pair_table(m, sol.gamma)
         mass = {}
-        for (s, a), g in sol.gamma.items():
+        for (s, a), g in gamma.items():
             mass[s] = mass.get(s, 0.0) + g
         for s in ca.recurrent_classes[0]:
             assert mass.get(s, 0.0) > 1e-9
         # no decoded mass on below-threshold weights
-        for s, dist in policy.rule.items():
+        for s, dist in rule_of(m, policy).items():
             if mass.get(s, 0.0) > 1e-9:
                 for a, p in dist.items():
                     if p > 0:
-                        assert sol.gamma.get((s, a), 0.0) > 1e-9
+                        assert gamma.get((s, a), 0.0) > 1e-9
 
 
 def test_lfp_on_roundtripped_delivery_product():
@@ -235,8 +244,9 @@ def test_avg_lp_two_disconnected_loops():
     sol = solve_avg_reward_lp(m, UtilityFn({(0, 0): 1.0, (1, 0): 9.0},
                                            "reward"))
     assert sol.gain == pytest.approx(5.0)
-    assert sol.x[(0, 0)] == pytest.approx(0.5)
-    assert sol.x[(1, 0)] == pytest.approx(0.5)
+    x = pair_table(m, sol.x)
+    assert x[(0, 0)] == pytest.approx(0.5)
+    assert x[(1, 0)] == pytest.approx(0.5)
 
 
 def test_avg_lp_matches_policy_enumeration(rng):
@@ -259,7 +269,7 @@ def test_decode_avg_policy_achieves_gain(rng):
         weighted = np.mean([average_utility(ca, m, r, policy, s)
                             for s in range(m.n_states)])
         assert weighted == pytest.approx(sol.gain, abs=1e-7)
-        for s, dist in policy.rule.items():
+        for s, dist in rule_of(m, policy).items():
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -267,13 +277,13 @@ def test_decode_avg_policy_concentrated_is_deterministic():
     m = Mdp(["s"], ["a", "b"], 0, {(0, 0): {0: 1.0}, (0, 1): {0: 1.0}})
     sol = solve_avg_reward_lp(m, UtilityFn({(0, 0): 1.0, (0, 1): 4.0},
                                            "reward"))
-    assert decode_avg_policy(m, sol).rule[0] == {1: 1.0}
+    assert rule_of(m, decode_avg_policy(m, sol))[0] == {1: 1.0}
 
 
 def test_decode_avg_policy_degenerate_rows_rejected():
     from effsynth.lp import AvgLpSolution
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}})
-    sol = AvgLpSolution(x={(0, 0): 0.0}, y={(0, 0): 0.0}, gain=0.0)
+    sol = AvgLpSolution(x=np.zeros(1), y=np.zeros(1), gain=0.0)
     with pytest.raises(DegenerateDecoding):
         decode_avg_policy(m, sol)
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from effsynth.model import (AlphabetMismatch, Dra, Mdp, PolicyMismatch,
-                            ProductMdp, StationaryPolicy, UtilityFn,
-                            build_product, induce_chain, validate_mdp)
+                            ProductMdp, UtilityFn, blend, build_product,
+                            induce_chain, policy_from_rule, uniform_policy,
+                            validate_mdp)
 
-from conftest import example1_mdp, random_mdp, random_policy
+from conftest import deterministic, example1_mdp, random_mdp, random_policy
 
 
 def all_symbols(ap):
@@ -45,7 +46,7 @@ def test_product_identity_case():
     pm = build_product(m, accept_everything_dra())
     assert pm.n_states == 1
     assert pm.acc_pairs == ((frozenset(), frozenset({0})),)
-    assert pm.succ(0, 0) == {0: 1.0}
+    assert pm.trans[(0, 0)] == {0: 1.0}
 
 
 def three_state_dra():
@@ -78,8 +79,8 @@ def test_product_obeys_transition_rule_exhaustively(rng):
             assert pm.labels[i] == labels[s]
             for a in pm.available[i]:
                 assert set(pm.available[i]) == set(m.available[s])
-                dist = pm.succ(i, a)
-                base = m.succ(s, a)
+                dist = pm.trans[(i, a)]
+                base = m.trans[(s, a)]
                 for j, p in dist.items():
                     t, q2 = pm.components[j]
                     assert q2 == d.step(q, labels[t])
@@ -109,7 +110,7 @@ def test_product_rejects_unknown_label():
 
 def test_induce_chain_deterministic_is_zero_one():
     m = example1_mdp()
-    p = StationaryPolicy.deterministic({0: 0, 1: 0, 2: 0, 3: 0})
+    p = deterministic(m, {0: 0, 1: 0, 2: 0, 3: 0})
     chain = induce_chain(m, p)
     assert set(np.unique(chain.P)) <= {0.0, 1.0}
     assert chain.pi0[m.initial] == 1.0
@@ -117,7 +118,7 @@ def test_induce_chain_deterministic_is_zero_one():
 
 def test_induce_chain_uniform_on_example1_state4():
     m = example1_mdp()
-    p = StationaryPolicy.uniform(m)
+    p = uniform_policy(m)
     chain = induce_chain(m, p)
     # state "4" mixes its two actions: half to "3", half back to itself
     assert chain.P[3, 2] == pytest.approx(0.5)
@@ -126,9 +127,9 @@ def test_induce_chain_uniform_on_example1_state4():
 
 def test_induce_chain_rejects_unavailable_action():
     m = example1_mdp()
-    p = StationaryPolicy({0: {1: 1.0}, 1: {1: 1.0}, 2: {0: 1.0}, 3: {0: 1.0}})
+    rule = {0: {1: 1.0}, 1: {1: 1.0}, 2: {0: 1.0}, 3: {0: 1.0}}
     with pytest.raises(PolicyMismatch):
-        induce_chain(m, p)
+        induce_chain(m, policy_from_rule(m, rule))
 
 
 def test_mixture_linearity(rng):
@@ -138,7 +139,7 @@ def test_mixture_linearity(rng):
         pa = random_policy(rng, m)
         pb = random_policy(rng, m)
         delta = float(rng.uniform(0.05, 0.95))
-        mixed = induce_chain(m, pa.mix(pb, delta)).P
+        mixed = induce_chain(m, blend(pa, pb, delta)).P
         direct = (1 - delta) * induce_chain(m, pa).P + \
             delta * induce_chain(m, pb).P
         assert np.max(np.abs(mixed - direct)) <= 1e-12
@@ -146,9 +147,9 @@ def test_mixture_linearity(rng):
 
 def test_mixture_quarter_weight():
     m = example1_mdp()
-    pa = StationaryPolicy.deterministic({0: 0, 1: 0, 2: 0, 3: 0})
-    pb = StationaryPolicy.deterministic({0: 1, 1: 0, 2: 0, 3: 1})
-    chain = induce_chain(m, pa.mix(pb, 0.25))
+    pa = deterministic(m, {0: 0, 1: 0, 2: 0, 3: 0})
+    pb = deterministic(m, {0: 1, 1: 0, 2: 0, 3: 1})
+    chain = induce_chain(m, blend(pa, pb, 0.25))
     expect = 0.75 * induce_chain(m, pa).P + 0.25 * induce_chain(m, pb).P
     assert np.array_equal(chain.P, expect)
 
@@ -169,4 +170,4 @@ def test_utility_completeness_check():
     m = example1_mdp()
     fn = UtilityFn({(0, 0): 1.0}, "reward")
     with pytest.raises(Exception, match="missing"):
-        fn.check_complete(m)
+        fn.pair_values(m)

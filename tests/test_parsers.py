@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from effsynth.graph import mec_decompose, restrict
-from effsynth.model import (Dra, Mdp, StationaryPolicy, UtilityFn,
-                            build_product, validate_mdp)
+from effsynth.model import (Dra, Mdp, UtilityFn, build_product,
+                            uniform_policy, validate_mdp)
 from effsynth.parsers import (IncompletenessError, NondeterminismError,
                               ParseError, ValidationError, parse_dra,
                               parse_mdp, parse_policy, parse_utilities,
                               write_dra, write_mdp, write_policy,
                               write_utilities)
 
-from conftest import example1_mdp, random_mdp, random_policy
+from conftest import example1_mdp, random_mdp, random_policy, rule_of
 
 
 EXAMPLE1_TEXT = """\
@@ -111,8 +111,7 @@ def test_products_and_submodels_write_and_validate(rng):
         models = [pm] + [restrict(pm, ec)[0] for ec in mec_decompose(pm)]
         for x in models:
             assert validate_mdp(x) == []
-            assert x.trans == {(s, a): x.succ(s, a)
-                               for s, a in x.state_action_pairs()}
+            assert list(x.trans) == list(x.state_action_pairs())
             x2 = parse_mdp(write_mdp(x))
             assert x2.trans.keys() == x.trans.keys()
             for key, dist in x.trans.items():
@@ -219,7 +218,7 @@ def test_dra_roundtrip():
 
 def test_write_policy_deterministic_bytes():
     m = parse_mdp(EXAMPLE1_TEXT)
-    p = StationaryPolicy.uniform(m)
+    p = uniform_policy(m)
     assert write_policy(m, p) == write_policy(m, p)
     lines = write_policy(m, p).splitlines()
     assert lines[1] == "rule 1 a1 0.5"
@@ -229,14 +228,21 @@ def test_policy_roundtrip_within_tolerance(rng):
     for trial in range(10):
         m = random_mdp(rng, int(rng.integers(2, 7)), 3)
         p = random_policy(rng, m)
-        p2 = parse_policy(write_policy(m, p), m)
-        for s in p.rule:
-            for a, prob in p.rule[s].items():
-                assert p2.rule[s].get(a, 0.0) == pytest.approx(prob,
-                                                               abs=1e-12)
+        p2 = rule_of(m, parse_policy(write_policy(m, p), m))
+        for s, dist in rule_of(m, p).items():
+            for a, prob in dist.items():
+                assert p2[s].get(a, 0.0) == pytest.approx(prob, abs=1e-12)
 
 
 def test_parse_policy_rejects_unavailable_mass():
     m = parse_mdp(EXAMPLE1_TEXT)
     with pytest.raises(Exception, match="not available"):
         parse_policy("rule 2 a2 1.0\n", m)
+
+
+def test_parse_policy_rejects_duplicate_rule():
+    """A repeated (state, action) is an error, not a silent overwrite that
+    would hide a row summing to 1.5."""
+    m = parse_mdp(EXAMPLE1_TEXT)
+    with pytest.raises(ParseError, match="line 2: duplicate rule 1 a1"):
+        parse_policy("rule 1 a1 0.5\nrule 1 a1 0.5\nrule 1 a2 0.5\n", m)

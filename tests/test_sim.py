@@ -1,12 +1,13 @@
 import pytest
 
-from effsynth.model import Mdp, ProductMdp, StationaryPolicy, UtilityFn, \
-    induce_chain
+from effsynth.model import Mdp, ProductMdp, UtilityFn, induce_chain, \
+    uniform_policy
 from effsynth.chain import analyze, efficiency, limit_distribution
 from effsynth.sim import RolloutConfig, simulate
 from effsynth.synthesis import synth_communicating
 
-from conftest import random_communicating_product, random_utilities
+from conftest import (deterministic, random_communicating_product,
+                      random_utilities)
 
 
 def test_config_rejects_nonpositive():
@@ -18,7 +19,7 @@ def test_config_rejects_nonpositive():
 
 def test_deterministic_loop_exact_ratio():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}})
-    p = StationaryPolicy.deterministic({0: 0})
+    p = deterministic(m, {0: 0})
     r = UtilityFn({(0, 0): 2.0}, "reward")
     c = UtilityFn({(0, 0): 4.0}, "cost")
     stats = simulate(m, p, r, c, RolloutConfig(steps=1000, rollouts=3, seed=7))
@@ -30,7 +31,7 @@ def test_deterministic_loop_exact_ratio():
 def test_same_seed_is_bitwise_identical(rng):
     pm = random_communicating_product(rng, 4, 2)
     r, c = random_utilities(rng, pm)
-    p = StationaryPolicy.uniform(pm)
+    p = uniform_policy(pm)
     cfg = RolloutConfig(steps=5000, rollouts=4, seed=123)
     a = simulate(pm, p, r, c, cfg)
     b = simulate(pm, p, r, c, cfg)
@@ -42,7 +43,7 @@ def test_same_seed_is_bitwise_identical(rng):
 def test_different_seed_differs(rng):
     pm = random_communicating_product(rng, 4, 2)
     r, c = random_utilities(rng, pm)
-    p = StationaryPolicy.uniform(pm)
+    p = uniform_policy(pm)
     a = simulate(pm, p, r, c, RolloutConfig(steps=2000, rollouts=2, seed=1))
     b = simulate(pm, p, r, c, RolloutConfig(steps=2000, rollouts=2, seed=2))
     assert a.ratios != b.ratios
@@ -51,7 +52,7 @@ def test_different_seed_differs(rng):
 def test_visit_frequencies_sum_to_one(rng):
     pm = random_communicating_product(rng, 5, 2)
     r, c = random_utilities(rng, pm)
-    p = StationaryPolicy.uniform(pm)
+    p = uniform_policy(pm)
     stats = simulate(pm, p, r, c, RolloutConfig(steps=3000, rollouts=3, seed=5))
     assert sum(stats.visit_freq) == pytest.approx(1.0, abs=1e-9)
 
@@ -77,7 +78,7 @@ def test_label_frequency_matches_limit_distribution(rng):
     while done < 2:
         pm = random_communicating_product(rng, 4, 2)
         r, c = random_utilities(rng, pm)
-        p = StationaryPolicy.uniform(pm)
+        p = uniform_policy(pm)
         ca = analyze(induce_chain(pm, p))
         limit = limit_distribution(ca)
         stats = simulate(pm, p, r, c,
@@ -101,7 +102,7 @@ def test_acceptance_visits_grow_only_for_accepting_class():
     # two-state accepting loop vs an absorbing rejecting state
     trans = {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}, (2, 0): {2: 1.0}}
     pm = ProductMdp(["g0", "g1", "bad"], ["a"], 0, trans, [({2}, {1})])
-    p = StationaryPolicy.deterministic({0: 0, 1: 0, 2: 0})
+    p = deterministic(pm, {0: 0, 1: 0, 2: 0})
     short = pair_visits(pm, p, RolloutConfig(steps=1000, rollouts=2, seed=3))
     long = pair_visits(pm, p, RolloutConfig(steps=4000, rollouts=2, seed=3))
     assert short[0][1] == 0 and long[0][1] == 0
@@ -112,7 +113,7 @@ def test_acceptance_visits_count_bad_states():
     # a policy violating acceptance by construction: B recurs with the loop
     trans = {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}}
     pm = ProductMdp(["x", "y"], ["a"], 0, trans, [({1}, {0})])
-    p = StationaryPolicy.deterministic({0: 0, 1: 0})
+    p = deterministic(pm, {0: 0, 1: 0})
     visits = pair_visits(pm, p, RolloutConfig(steps=1000, rollouts=1, seed=0))
     assert visits[0][1] == 500  # B-state hit every other step
     longer = pair_visits(pm, p, RolloutConfig(steps=4000, rollouts=1, seed=0))

@@ -5,8 +5,8 @@ import pytest
 
 from effsynth import chain, model
 from effsynth.casestudies import gen_case1
-from effsynth.model import (Mdp, ProductMdp, StationaryPolicy, UtilityFn,
-                            build_product, induce_chain, lift_utilities)
+from effsynth.model import (Mdp, ProductMdp, UtilityFn, blend, build_product,
+                            induce_chain, lift_utilities, uniform_policy)
 from effsynth.graph import maec_decompose, mec_decompose, restrict
 from effsynth.chain import analyze, average_utility, efficiency
 from effsynth.lp import solve_avg_reward_lp
@@ -15,8 +15,9 @@ from effsynth.synthesis import (NoMaec, TaskUnsatisfiable, build_reward_k,
                                 perturbation_degree_exact,
                                 synth_communicating, synth_general)
 
-from conftest import (amecs_of, example1_product, random_communicating_product,
-                      random_mdp, random_utilities)
+from conftest import (amecs_of, deterministic, example1_product,
+                      random_communicating_product, random_mdp,
+                      random_utilities, rule_of)
 
 
 def two_state_unit_cost_instance():
@@ -25,8 +26,8 @@ def two_state_unit_cost_instance():
             {(0, 0): {0: 1.0}, (0, 1): {1: 1.0}, (1, 0): {0: 1.0}})
     r = UtilityFn({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0}, "reward")
     c = UtilityFn.constant(m, 1.0, "cost")
-    mu_opt = StationaryPolicy.deterministic({0: 0, 1: 0})
-    mu_irr = StationaryPolicy.deterministic({0: 1, 1: 0})
+    mu_opt = deterministic(m, {0: 0, 1: 0})
+    mu_irr = deterministic(m, {0: 1, 1: 0})
     return m, r, c, mu_opt, mu_irr
 
 
@@ -40,8 +41,8 @@ def lopsided_instance():
     r = UtilityFn({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0,
                    (2, 0): 0.0, (2, 1): -50.0}, "reward")
     c = UtilityFn.constant(m, 1.0, "cost")
-    mu_opt = StationaryPolicy.deterministic({0: 0, 1: 0, 2: 0})
-    mu_irr = StationaryPolicy.uniform(m)
+    mu_opt = deterministic(m, {0: 0, 1: 0, 2: 0})
+    mu_irr = uniform_policy(m)
     return m, r, c, mu_opt, mu_irr
 
 
@@ -51,7 +52,7 @@ def test_uniform_irreducible_makes_component_recurrent(rng):
         mecs = mec_decompose(m)
         for ec in mecs:
             sub, ids = restrict(m, ec)
-            p = StationaryPolicy.uniform(sub)
+            p = uniform_policy(sub)
             ca = analyze(induce_chain(sub, p))
             assert ca.recurrent_classes == (tuple(range(sub.n_states)),)
 
@@ -97,10 +98,10 @@ def test_estimated_degree_guarantees_epsilon(rng):
         from effsynth.lp import solve_ratio_lfp, decode_ratio_policy
         sol = solve_ratio_lfp(pm, r, c)
         mu_opt, _ = decode_ratio_policy(pm, sol)
-        mu_irr = StationaryPolicy.uniform(pm)
+        mu_irr = uniform_policy(pm)
         eps = float(rng.choice([1e-3, 1e-2, 1e-1]))
         plan = perturbation_degree_estimated(pm, mu_opt, mu_irr, r, c, eps)
-        mu_d = mu_opt.mix(mu_irr, plan.delta)
+        mu_d = blend(mu_opt, mu_irr, plan.delta)
         ca = analyze(induce_chain(pm, mu_d))
         got = efficiency(ca, pm, r, c, mu_d, pm.initial)
         assert got >= sol.value - eps - 1e-8
@@ -142,7 +143,7 @@ def test_exact_degree_still_qualifies(rng):
     m, r, c, mu_opt, mu_irr = lopsided_instance()
     for eps in (1e-4, 1e-2):
         plan = perturbation_degree_exact(m, mu_opt, mu_irr, r, c, eps)
-        mu_d = mu_opt.mix(mu_irr, plan.delta)
+        mu_d = blend(mu_opt, mu_irr, plan.delta)
         ca = analyze(induce_chain(m, mu_d))
         ca_o = analyze(induce_chain(m, mu_opt))
         assert efficiency(ca, m, r, c, mu_d, 0) >= \
@@ -280,8 +281,8 @@ def test_synth_general_region_restriction_with_trap():
                   "reward")
     c = UtilityFn.constant(pm, 1.0, "cost")
     rep = synth_general(pm, r, c, 0.01)
-    assert set(rep.policy.rule) == {0, 2, 3, 4, 5}
-    assert rep.policy.rule[0] == {1: 1.0}      # the safe action
+    assert set(rule_of(pm, rep.policy)) == {0, 2, 3, 4, 5}
+    assert rule_of(pm, rep.policy)[0] == {1: 1.0}      # the safe action
     assert rep.value == pytest.approx(1.0, abs=1e-8)
     assert rep.certificate.accepted
     for comp in rep.certificate.recurrent_classes:

@@ -7,10 +7,13 @@ package and its `perfbench/instances.py` the instance generators, which this
 script only imports).  Every instance of both benchmark workloads is written
 to a fixed input directory, and that tree's `effsynth.cli.main` runs
 `decompose`, `synthesize` with es and ex, and, for each policy synthesis
-wrote, `evaluate` and `simulate` (JSON and `--csv`).  Inputs and outputs sit
-at the same paths for every tree, so the run manifests agree; each call's
-output files, standard output, standard error and exit code are copied into
-<out-dir>.  Two trees give the same outputs exactly when
+wrote, `evaluate` and `simulate` (JSON and `--csv`).  Then `casestudy case1`
+and `casestudy case2` run with default parameters, each into its own fixed
+directory (their perturbation tables and bonus sweep decode policies outside
+`synthesize`).  Inputs and outputs sit at the same paths for every tree, so
+the run manifests agree; each call's output files, standard output, standard
+error and exit code are copied into <out-dir>.  Two trees give the same
+outputs exactly when
 
     diff -r <out-dir-1> <out-dir-2>
 
@@ -26,6 +29,7 @@ import sys
 import tempfile
 
 WORKLOADS = ("delivery_ladder", "multichain_batch")
+CASES = ("case1", "case2")
 SIM_ARGS = ["--steps", "20000", "--rollouts", "2", "--seed", "7"]
 WORK = os.path.join(tempfile.gettempdir(), "effsynth_same_outputs")
 
@@ -66,6 +70,18 @@ def _calls(d):
             os.path.join(d, f"{method}.simulate.csv")]
 
 
+def _record(cli, name, call, d, dest):
+    """Run one CLI call and copy the files it added to d, and its console,
+    into dest."""
+    before = set(os.listdir(d))
+    code, out, err = _run(cli, call)
+    with open(os.path.join(dest, f"{name}.console"), "w") as f:
+        f.write(f"exit {code}\n--- stdout\n{out}--- stderr\n{err}")
+    for fname in sorted(set(os.listdir(d)) - before):
+        shutil.copy(os.path.join(d, fname), os.path.join(dest, fname))
+    print(f"{os.path.basename(dest)} {name}: exit {code}", flush=True)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -86,14 +102,13 @@ def main(argv=None):
             dest = os.path.join(out_dir, inst.name)
             os.makedirs(dest, exist_ok=True)
             for name, call in _calls(d):
-                before = set(os.listdir(d))
-                code, out, err = _run(cli, call)
-                with open(os.path.join(dest, f"{name}.console"), "w") as f:
-                    f.write(f"exit {code}\n--- stdout\n{out}--- stderr\n{err}")
-                for fname in sorted(set(os.listdir(d)) - before):
-                    shutil.copy(os.path.join(d, fname),
-                                os.path.join(dest, fname))
-                print(f"{inst.name} {name}: exit {code}", flush=True)
+                _record(cli, name, call, d, dest)
+    for case in CASES:
+        d = os.path.join(WORK, case)
+        dest = os.path.join(out_dir, case)
+        os.makedirs(d)
+        os.makedirs(dest, exist_ok=True)
+        _record(cli, "casestudy", ["casestudy", case, "--out-dir", d], d, dest)
     shutil.rmtree(WORK, ignore_errors=True)
     return 0
 
