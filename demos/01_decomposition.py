@@ -3,8 +3,12 @@
 A four-state model with two actions: one state loops on itself forever, two
 states form a closed loop that can also idle, and the initial state must pick
 a side.  With the Rabin pair (avoid {3}, visit {4}) only the right loop can
-win, and only by idling at state 4.
+win, and only by idling at state 4.  Each component is printed as its
+boolean mask over the six state-action pairs, then read back as states and
+actions; the almost-sure region is a boolean mask over the states.
 """
+
+import numpy as np
 
 from effsynth import (ProductMdp, almost_sure_region, amec_filter,
                       maec_decompose, mec_decompose)
@@ -23,11 +27,16 @@ pm = ProductMdp(["1", "2", "3", "4"], ["a1", "a2"], 0, trans,
 
 def show(tag, components):
     for ec in components:
-        acts = {pm.state_names[s]: sorted(pm.action_names[a] for a in aa)
-                for s, aa in ec.act}
-        print(f"  {tag}: states {sorted(pm.state_names[s] for s in ec.state_set)} "
-              f"actions {acts}")
+        acts = {}
+        for s, a in zip(pm.pair_state[ec], pm.pair_action[ec]):
+            acts.setdefault(pm.state_names[s], []).append(pm.action_names[a])
+        print(f"  {tag}: mask {ec.astype(int).tolist()} "
+              f"states {list(acts)} actions {acts}")
 
+
+print("state-action pairs:",
+      [(pm.state_names[s], pm.action_names[a])
+       for s, a in zip(pm.pair_state, pm.pair_action)])
 
 print("maximal end components (closed + strongly connected):")
 mecs = mec_decompose(pm)
@@ -41,6 +50,8 @@ print("\naccepting MECs (contain at least one MAEC):")
 amecs = amec_filter(mecs, maecs)
 show("AMEC", amecs)
 
-region = sorted(pm.state_names[s] for s in almost_sure_region(pm, amecs))
-print(f"\nstates that can satisfy the task with probability one: {region}")
+region = almost_sure_region(pm, amecs)
+print(f"\nstates that can satisfy the task with probability one "
+      f"(a state mask {region.astype(int).tolist()}): "
+      f"{[pm.state_names[s] for s in np.flatnonzero(region)]}")
 print("state 2 is missing: once there, the dead-end loop never reaches G.")

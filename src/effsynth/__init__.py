@@ -7,9 +7,9 @@ from .model import (Dra, Mc, Mdp, ProductMdp, UtilityFn, Violation, blend,
                     build_product, induce_chain, lift_utilities,
                     policy_domain, policy_from_rule, rabin_witness,
                     uniform_policy, validate_mdp)
-from .graph import (SubMdp, almost_sure_region, amec_filter, attractor_policy,
-                    is_communicating, maec_decompose, mec_decompose,
-                    restrict, restrict_closed)
+from .graph import (almost_sure_region, amec_filter, attractor_policy,
+                    closed_pairs, is_communicating, maec_decompose,
+                    mec_decompose, restrict)
 from .chain import (ChainAnalysis, analyze, average_utility, deviation_vector,
                     efficiency, limit_distribution, potential_vector,
                     ratio_deviation, ratio_perturbation_identity_check,

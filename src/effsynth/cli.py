@@ -77,9 +77,13 @@ def _load_utilities(args, m, pm):
 
 
 def _ec_json(m, ec):
-    return {"states": [m.state_names[s] for s in sorted(ec.state_set)],
-            "actions": {m.state_names[s]: [m.action_names[a] for a in sorted(acts)]
-                        for s, acts in ec.act}}
+    """An end component's pair mask as its states and, per state, its
+    actions (pairs ascend by state, then action)."""
+    actions = {}
+    for j in np.flatnonzero(ec).tolist():
+        actions.setdefault(m.state_names[m.pair_state[j]], []).append(
+            m.action_names[m.pair_action[j]])
+    return {"states": list(actions), "actions": actions}
 
 
 def cmd_decompose(args):
@@ -93,8 +97,9 @@ def cmd_decompose(args):
         "mecs": [_ec_json(pm, ec) for ec in mecs],
         "maecs": [_ec_json(pm, ec) for ec in maecs],
         "amecs": [_ec_json(pm, ec) for ec in amecs],
-        "almost_sure_region": [pm.state_names[s] for s in sorted(region)],
-        "initial_in_region": pm.initial in region,
+        "almost_sure_region": [pm.state_names[s]
+                               for s in np.flatnonzero(region)],
+        "initial_in_region": bool(region[pm.initial]),
         "manifest": _manifest(args, [args.mdp, args.dra]),
     }
     _emit(payload, args.out)
@@ -155,13 +160,13 @@ def _policy_scope(pm, policy, r, c):
     dom = policy_domain(pm, policy)
     if not dom[pm.initial]:
         raise PolicyMismatch("policy does not cover the initial state")
-    region = np.flatnonzero(dom)
-    leaving = pm.pair_state[(policy > 0.0) &
-                            ~graph.closed_pairs(pm, region)]
+    closed = graph.closed_pairs(pm, dom)
+    leaving = pm.pair_state[(policy > 0.0) & ~closed]
     if leaving.size:
         raise PolicyMismatch(
             f"policy leaves its own domain at {pm.state_names[leaving[0]]}")
-    sub_pm, ids = graph.restrict_closed(pm, region)
+    # every domain state has a policy pair, and none of them leaves
+    sub_pm, ids = graph.restrict(pm, closed, pm.initial)
     return (sub_pm, policy[sub_pm.parent_pair], r.restricted(ids),
             c.restricted(ids))
 

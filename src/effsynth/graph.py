@@ -3,17 +3,18 @@ almost-sure regions, and target-seeking action assignment.
 
 Every algorithm reads the model's flat state-action arrays (see model.Mdp):
 action sets are boolean masks over the pairs, and each round of a fixpoint
-is a few array operations over all successor entries at once.  End
-components are plain SubMdp values: the SCC refinement in mec_decompose
-makes them strongly connected, and no walk witness is stored.  amec_filter
-takes the MECs and MAECs, and almost_sure_region the AMECs, that the caller
-has already computed, so each synthesis level decomposes the product once.
+is a few array operations over all successor entries at once.  An end
+component is what a policy is, a read-only array over its model's pairs:
+the boolean mask of its kept pairs, whose states are those owning a kept
+pair.  A region is a boolean state mask.  The SCC refinement in
+mec_decompose makes each component strongly connected, and no walk witness
+is stored.  amec_filter takes the MECs and MAECs, and almost_sure_region
+the AMECs, that the caller has already computed, so each synthesis level
+decomposes the product once.
 
 All algorithms are deterministic: ties break on the lowest state index, then
 the lowest action index.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,46 +23,6 @@ from .model import Mdp, ProductMdp, gather_pairs
 
 class Unreachable(Exception):
     """The peeling loop stalled before every state was assigned."""
-
-
-@dataclass(frozen=True)
-class SubMdp:
-    """A closed sub-MDP: state set plus a nonempty action restriction per state.
-
-    Closure: every successor under a kept action stays inside state_set.
-    """
-    state_set: frozenset
-    act: tuple  # tuple of (state, frozenset-of-actions), sorted by state
-
-    @staticmethod
-    def make(state_set, act_map):
-        return SubMdp(frozenset(state_set),
-                      tuple(sorted((s, frozenset(acts))
-                                   for s, acts in act_map.items())))
-
-    def act_map(self):
-        return dict(self.act)
-
-    def pair_mask(self, m: Mdp):
-        """The kept pairs, as a boolean mask over m's pairs."""
-        states = [s for s, acts in self.act for _ in acts]
-        actions = [a for _, acts in self.act for a in acts]
-        idx, found = m.pair_index(states, actions)
-        mask = np.zeros(m.n_pairs, dtype=bool)
-        mask[idx[found]] = True
-        return mask
-
-    def is_closed(self, m: Mdp):
-        if not all(acts for _, acts in self.act):
-            return False
-        outside = ~_state_mask(m, self.state_set)
-        return not _entering(m, outside)[self.pair_mask(m)].any()
-
-    def contains(self, other):
-        if not other.state_set <= self.state_set:
-            return False
-        mine = self.act_map()
-        return all(acts <= mine.get(s, frozenset()) for s, acts in other.act)
 
 
 def _state_mask(m, states):
@@ -150,18 +111,18 @@ def strongly_connected_components(nodes, adj):
     return sccs
 
 
-def mec_decompose(m: Mdp, state_set=None):
+def mec_decompose(m: Mdp, states=None):
     """All maximal end components, by iterative SCC refinement.
 
-    Starting from state_set (default: the whole MDP) and the actions that
-    stay inside it, repeatedly drop state-action pairs whose successors leave
-    the pair's SCC, and states left without actions, until stable.  The
-    surviving SCCs are the MECs, returned as SubMdp values sorted by lowest
-    state: each is closed, and the digraph induced by its kept actions is
-    strongly connected.
+    Starting from the boolean state mask states (default: the whole MDP) and
+    the actions that stay inside it, repeatedly drop state-action pairs whose
+    successors leave the pair's SCC, and states left without actions, until
+    stable.  The surviving SCCs are the MECs, returned as pair masks sorted
+    by lowest state: each is closed, and the digraph induced by its kept
+    actions is strongly connected.
     """
-    keep = closed_pairs(m, range(m.n_states) if state_set is None
-                        else state_set)
+    keep = closed_pairs(m, np.ones(m.n_states, dtype=bool) if states is None
+                        else states)
     pos = m.succ_prob > 0.0
     while True:
         alive = _with_pair(m, keep)
@@ -180,13 +141,18 @@ def mec_decompose(m: Mdp, state_set=None):
             break
         keep = dropped
 
-    idx = np.flatnonzero(keep)
-    acts = {}
-    for s, a in zip(m.pair_state[idx].tolist(), m.pair_action[idx].tolist()):
-        acts.setdefault(s, set()).add(a)
-    mecs = [SubMdp.make(c, {s: acts[s] for s in c}) for c in sccs]
-    mecs.sort(key=lambda ec: min(ec.state_set))
+    pair_comp = np.where(keep, comp[m.pair_state], -1)
+    mecs = []
+    for i in sorted(range(len(sccs)), key=lambda i: sccs[i][0]):
+        ec = pair_comp == i
+        ec.flags.writeable = False
+        mecs.append(ec)
     return mecs
+
+
+def _within(inner, outer):
+    """Every pair of the mask inner is a pair of the mask outer."""
+    return not (inner & ~outer).any()
 
 
 def maec_decompose(pm: ProductMdp):
@@ -194,40 +160,44 @@ def maec_decompose(pm: ProductMdp):
 
     Per Rabin pair (B, G): decompose the MDP restricted to states outside B
     into MECs and keep those meeting G; then discard candidates contained in
-    another candidate (states and actions).
+    another candidate (all of their pairs kept by it).
     """
     candidates = []
     for b, g in pm.acc_pairs:
-        keep = set(range(pm.n_states)) - set(b)
-        for ec in mec_decompose(pm, state_set=keep):
-            if ec.state_set & g:
+        meets_g = _state_mask(pm, g)[pm.pair_state]
+        for ec in mec_decompose(pm, ~_state_mask(pm, b)):
+            if (ec & meets_g).any():
                 candidates.append(ec)
     out = []
     for i, c in enumerate(candidates):
         dominated = any(
-            (j != i and candidates[j].contains(c) and
-             (not c.contains(candidates[j]) or j < i))
+            (j != i and _within(c, candidates[j]) and
+             (not _within(candidates[j], c) or j < i))
             for j in range(len(candidates)))
         if not dominated:
             out.append(c)
-    out.sort(key=lambda ec: min(ec.state_set))
+    # pairs ascend by state: a mask's first kept pair has its lowest state
+    out.sort(key=lambda ec: pm.pair_state[np.argmax(ec)])
     return out
 
 
 def amec_filter(mecs, maecs):
     """The MECs (from mec_decompose) containing at least one of the MAECs
     (from maec_decompose), with full MEC action sets."""
-    return [mec for mec in mecs if any(mec.contains(ma) for ma in maecs)]
+    return [mec for mec in mecs if any(_within(ma, mec) for ma in maecs)]
 
 
 def almost_sure_region(pm: ProductMdp, amecs):
-    """Product states from which some policy reaches the union of amecs
-    (the result of amec_filter) w.p.1.
+    """The boolean mask of product states from which some policy reaches
+    the states of amecs (the result of amec_filter) w.p.1.
 
     Classic double fixpoint: shrink the candidate set U until every state in U
     can reach the target through actions whose successors never leave U.
     """
-    target = _state_mask(pm, set().union(*(a.state_set for a in amecs)))
+    covered = np.zeros(pm.n_pairs, dtype=bool)
+    for amec in amecs:
+        covered |= amec
+    target = _with_pair(pm, covered)
     u = np.ones(pm.n_states, dtype=bool)
     while True:
         stays = u[pm.pair_state] & ~_entering(pm, ~u)
@@ -238,7 +208,7 @@ def almost_sure_region(pm: ProductMdp, amecs):
                 break
             r = grown
         if (r == u).all():
-            return set(np.flatnonzero(u).tolist())
+            return u
         u = r
 
 
@@ -267,18 +237,25 @@ def attractor_policy(m: Mdp, target, w) -> np.ndarray:
     return out
 
 
-def _restrict(m, ids, keep, initial):
-    """The sub-model on the ascending state list ids with the pairs of the
-    boolean mask keep, which all belong to those states and stay inside
-    them; returns (model, ids).  The sub-model's parent_pair lists the kept
-    pairs, so a policy on it lifts to m by a scatter and one on m scopes to
-    it by a gather."""
+def restrict(m: Mdp, pairs, initial=None):
+    """The sub-model with the pairs of the boolean mask pairs, on the states
+    owning one of them; returns (model, ids), where ids[i] is the index in m
+    of local state i.
+
+    The kept pairs must stay inside those states.  The sub-model's
+    parent_pair lists the kept pairs, so a policy on it lifts to m by a
+    scatter and one on m scopes to it by a gather.  Acceptance pairs of
+    products are intersected and re-keyed.  The local initial state maps the
+    given global one, defaulting to the lowest kept state (fine for callers
+    that never depend on it).
+    """
+    ids = np.flatnonzero(_with_pair(m, pairs)).tolist()
     local = np.full(m.n_states, -1, dtype=np.int64)
     local[ids] = np.arange(len(ids))
-    pairs = np.flatnonzero(keep)
-    pair_action, succ_ptr, entries = gather_pairs(m, pairs)
+    kept = np.flatnonzero(pairs)
+    pair_action, succ_ptr, entries = gather_pairs(m, kept)
     state_ptr = np.concatenate(([0], np.cumsum(np.bincount(
-        local[m.pair_state[pairs]], minlength=len(ids)))))
+        local[m.pair_state[kept]], minlength=len(ids)))))
     succ_state = local[m.succ_state[entries]]
     if (succ_state < 0).any():
         raise ValueError("the sub-MDP is not closed")
@@ -300,37 +277,20 @@ def _restrict(m, ids, keep, initial):
             names, m.action_names, init, *arrays,
             atomic_props=m.atomic_props, labels=labels, acc_pairs=acc,
             components=comps, base=m.base,
-            base_pair=None if m.base_pair is None else m.base_pair[pairs],
-            parent_pair=pairs)
+            base_pair=None if m.base_pair is None else m.base_pair[kept],
+            parent_pair=kept)
     else:
         sub_m = Mdp.from_arrays(names, m.action_names, init, *arrays,
                                 atomic_props=m.atomic_props, labels=labels,
-                                parent_pair=pairs)
+                                parent_pair=kept)
     return sub_m, ids
 
 
-def restrict(m: Mdp, sub: SubMdp, initial=None):
-    """Extract a sub-MDP as a standalone model.
-
-    Returns (model, global_ids) where global_ids[i] is the original index of
-    local state i.  Acceptance pairs of products are intersected and re-keyed.
-    The local initial state maps the given global one, defaulting to the
-    lowest index in the subset (fine for callers that never depend on it).
-    """
-    return _restrict(m, sorted(sub.state_set), sub.pair_mask(m), initial)
-
-
 def closed_pairs(m: Mdp, region):
-    """The pairs of region's states whose positive-probability successors
-    all stay inside region, as a boolean mask over m's pairs."""
-    inside = _state_mask(m, region)
-    return inside[m.pair_state] & ~_entering(m, ~inside)
-
-
-def restrict_closed(m: Mdp, region):
-    """restrict() onto region, keeping the actions whose successors all stay
-    inside it; the initial state, which must lie in region, carries over."""
-    return _restrict(m, sorted(region), closed_pairs(m, region), m.initial)
+    """The pairs of the boolean state mask region's states whose
+    positive-probability successors all stay inside region, as a boolean
+    mask over m's pairs."""
+    return region[m.pair_state] & ~_entering(m, ~region)
 
 
 def is_communicating(m: Mdp):

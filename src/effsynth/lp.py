@@ -328,11 +328,13 @@ def decode_ratio_policy(m: Mdp, sol: LfpSolution,
     assigned so Q is reached w.p.1.  If the support splits into several
     recurrent classes (they tie in ratio at an optimum), everything is steered
     into the class with the lowest state index so the result is unichain.
-    Occupation mass at or below support_threshold counts as zero.
+    Occupation mass at or below support_threshold counts as zero; a support
+    state whose pairs all lie at or below it keeps its first largest pair
+    alone.
     """
     mass = np.bincount(m.pair_state, weights=sol.gamma, minlength=m.n_states)
     support = mass > support_threshold
-    keep = support[m.pair_state] & (sol.gamma > support_threshold)
+    keep = _kept_pairs(m, sol.gamma, support, support_threshold)
     dist = np.zeros(m.n_pairs)
     dist[keep] = sol.gamma[keep] / mass[m.pair_state[keep]]
     policy = attractor_policy(m, np.flatnonzero(support),
@@ -344,6 +346,18 @@ def decode_ratio_policy(m: Mdp, sol: LfpSolution,
         policy = attractor_policy(m, chosen, kept)
         ca = analyze(induce_chain(m, policy))
     return policy, ca
+
+
+def _kept_pairs(m, row, states, support_threshold):
+    """The pairs of the boolean state mask states whose entry of row lies
+    above support_threshold; a state none of whose entries does keeps its
+    first largest entry alone."""
+    keep = states[m.pair_state] & (row > support_threshold)
+    ptr = m.state_ptr
+    kept = np.bincount(m.pair_state[keep], minlength=m.n_states)
+    for s in np.flatnonzero(states & (kept == 0)):
+        keep[ptr[s] + np.argmax(row[ptr[s]:ptr[s + 1]])] = True
+    return keep
 
 
 def _normalized(m, vals, keep):
@@ -409,10 +423,7 @@ def decode_avg_policy(m: Mdp, sol: AvgLpSolution,
         raise DegenerateDecoding(
             f"state {m.state_names[vanish[0]]}: x and y both vanish")
     row = np.where(use_x[m.pair_state], sol.x, sol.y)
-    keep = row > support_threshold
-    ptr = m.state_ptr
-    for s in np.flatnonzero(np.bincount(m.pair_state[keep], minlength=n) == 0):
-        keep[ptr[s] + np.argmax(row[ptr[s]:ptr[s + 1]])] = True
-    w = _normalized(m, row, keep)
+    w = _normalized(m, row, _kept_pairs(m, row, np.ones(n, dtype=bool),
+                                        support_threshold))
     w.flags.writeable = False
     return w

@@ -23,7 +23,7 @@ import numpy as np
 from .model import (Mdp, ProductMdp, UtilityFn, blend, induce_chain,
                     rabin_witness, uniform_policy)
 from .graph import (almost_sure_region, amec_filter, attractor_policy,
-                    maec_decompose, mec_decompose, restrict, restrict_closed)
+                    closed_pairs, maec_decompose, mec_decompose, restrict)
 from .chain import (NotUnichain, analyze, average_utility, efficiency,
                     ratio_deviation)
 from .lp import SUPPORT_THRESHOLD, decode_avg_policy, decode_ratio_policy, \
@@ -265,7 +265,7 @@ def build_reward_k(pm: ProductMdp, amecs, values, r: UtilityFn,
     big_k = -r_hat / c_hat - k_margin
     vals = np.full(pm.n_pairs, big_k)
     for amec, value in zip(amecs, values):
-        vals[amec.pair_mask(pm)] = value
+        vals[amec] = value
     return UtilityFn.on_pairs(pm, vals, "reward"), big_k
 
 
@@ -289,11 +289,12 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
     if not amecs:
         raise TaskUnsatisfiable("no accepting end component")
     region = almost_sure_region(pm, amecs)
-    if pm.initial not in region:
+    if not region[pm.initial]:
         raise TaskUnsatisfiable(
             "initial state cannot satisfy the task with probability one")
-    if len(region) < pm.n_states:
-        rm, rids = restrict_closed(pm, region)
+    if not region.all():
+        # every region state owns a pair that stays inside the region
+        rm, rids = restrict(pm, closed_pairs(pm, region), pm.initial)
         rep = synth_general(rm, r.restricted(rids), c.restricted(rids),
                             epsilon, method, tol)
         return _lift_report(rep, pm, rm, rids)
@@ -307,12 +308,11 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
         sub_reports.append((rep, sub_m, ids))
         values.append(rep.value)
 
-    if len(amecs) == 1 and len(amecs[0].state_set) == pm.n_states:
-        # single accepting component covering everything: the basic-policy
+    if len(amecs) == 1 and amecs[0].all():
+        # single accepting component keeping every pair: the basic-policy
         # stage cannot change anything, reuse the component solution
-        # directly.  SCC refinement only splits, so a component covering
-        # every state keeps every action: the sub-model is the model, and
-        # its certificate carries over
+        # directly.  The sub-model is the model, and its certificate carries
+        # over
         rep, sub_m, ids = sub_reports[0]
         return _lift_report(rep, pm, sub_m, ids, amec_values=tuple(values),
                             amec_chosen=0)
@@ -322,13 +322,14 @@ def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
     mu_k = decode_avg_policy(pm, lp_sol,
                              support_threshold=tol.support_threshold)
     ca_k = analyze(induce_chain(pm, mu_k))
-    recurrent = {s for comp in ca_k.recurrent_classes for s in comp}
+    recurrent = np.zeros(pm.n_states, dtype=bool)
+    recurrent[[s for comp in ca_k.recurrent_classes for s in comp]] = True
     claimed = average_utility(ca_k, pm, rk, mu_k, pm.initial)
 
     policy = mu_k
     kept = []
     for i, amec in enumerate(amecs):
-        if amec.state_set & recurrent:
+        if (amec & recurrent[pm.pair_state]).any():
             rep, sub_m, ids = sub_reports[i]
             policy = _lift(pm, sub_m, ids, rep.policy, onto=policy)
             kept.append(i)

@@ -83,6 +83,20 @@ def amecs_of(pm):
     return amec_filter(mec_decompose(pm), maec_decompose(pm))
 
 
+def ec_parts(m, ec):
+    """An end component's pair mask over m read back as (states,
+    {state: actions}), both as frozensets."""
+    acts = {}
+    for s, a in zip(m.pair_state[ec].tolist(), m.pair_action[ec].tolist()):
+        acts.setdefault(s, set()).add(a)
+    return frozenset(acts), {s: frozenset(a) for s, a in acts.items()}
+
+
+def region_states(region):
+    """A boolean state mask as the set of its states."""
+    return set(np.flatnonzero(region).tolist())
+
+
 def random_communicating_product(rng, n_states, n_actions, n_pairs=1, **kw):
     for _ in range(500):
         pm = random_product(rng, n_states, n_actions, n_pairs, **kw)

@@ -27,7 +27,8 @@ from effsynth.sim import RolloutConfig, simulate
 from effsynth.casestudies import (COST_BY_DISTANCE, Case1Params, Case2Params,
                                   gen_case1, gen_case2)
 
-from conftest import (amecs_of, brute_force_best_ratio, example1_mdp,
+from conftest import (amecs_of, brute_force_best_ratio, ec_parts,
+                      example1_mdp,
                       example1_product, random_communicating_mdp,
                       random_communicating_product, random_mdp,
                       random_policy, random_unichain_policy,
@@ -46,14 +47,14 @@ def report(num, desc, ok, elapsed, budget):
 
 def test_criterion_1_example_golden():
     t0 = time.time()
-    plain = lambda ec: (ec.state_set, {s: set(a) for s, a in ec.act})
-    mecs = [plain(ec) for ec in mec_decompose(example1_mdp())]
+    m = example1_mdp()
+    mecs = [ec_parts(m, ec) for ec in mec_decompose(m)]
     ok = mecs == [(frozenset({1}), {1: {0}}),
                   (frozenset({2, 3}), {2: {0}, 3: {0, 1}})]
     pm = example1_product()
-    maecs = [plain(ec) for ec in maec_decompose(pm)]
+    maecs = [ec_parts(pm, ec) for ec in maec_decompose(pm)]
     ok = ok and maecs == [(frozenset({3}), {3: {1}})]
-    amecs = [plain(ec) for ec in amecs_of(pm)]
+    amecs = [ec_parts(pm, ec) for ec in amecs_of(pm)]
     ok = ok and amecs == [(frozenset({2, 3}), {2: {0}, 3: {0, 1}})]
     report(1, "four-state illustration decomposes exactly", ok,
            time.time() - t0, 1.0)
@@ -126,10 +127,11 @@ def test_criterion_4_epsilon_optimality():
             got = efficiency(ca, pm, r, c, rep.policy, pm.initial)
             ok = ok and got >= rep.value - eps - 1e-8
             ok = ok and rep.certificate.accepted
-            chosen = maec_decompose(pm)[rep.amec_chosen]
-            mec = next(mm for mm in mec_decompose(pm)
-                       if chosen.state_set <= mm.state_set)
-            ok = ok and all(set(comp) <= mec.state_set
+            chosen = ec_parts(pm, maec_decompose(pm)[rep.amec_chosen])[0]
+            mec = next(states for states, _ in
+                       (ec_parts(pm, mm) for mm in mec_decompose(pm))
+                       if chosen <= states)
+            ok = ok and all(set(comp) <= mec
                             for comp in rep.certificate.recurrent_classes)
             ok = ok and rep.certificate.absorption_defect <= 1e-9
             if not ok:
@@ -154,7 +156,7 @@ def test_criterion_5_general_case():
             continue
         pm, r, c = inst
         from effsynth.graph import almost_sure_region
-        if len(almost_sure_region(pm, amecs_of(pm))) < pm.n_states:
+        if not almost_sure_region(pm, amecs_of(pm)).all():
             continue
         rep = synth_general(pm, r, c, eps)
         rk, _ = build_reward_k(pm, amecs_of(pm), list(rep.amec_values),
@@ -167,7 +169,7 @@ def test_criterion_5_general_case():
         # the literal guarantee: achieve the claimed optimum from the start
         from_init = efficiency(ca, pm, r, c, rep.policy, pm.initial)
         ok = ok and from_init >= rep.value - eps - 1e-7
-        amec_states = [amec.state_set for amec in amecs_of(pm)]
+        amec_states = [ec_parts(pm, amec)[0] for amec in amecs_of(pm)]
         ok = ok and all(any(set(comp) <= states for states in amec_states)
                         for comp in ca.recurrent_classes)
         if not ok:

@@ -117,7 +117,7 @@ def test_case1_zero_field_never_finds_items():
     from effsynth.graph import mec_decompose, restrict
     reachable = [s for s in range(m.n_states) if carry_of(m, s) == 0]
     sub = next(ec for ec in mec_decompose(m)
-               if all(carry_of(m, g) == 0 for g in ec.state_set))
+               if all(carry_of(m, g) == 0 for g in m.pair_state[ec]))
     sub_m, ids = restrict(m, sub)
     sol = solve_ratio_lfp(sub_m, reward.restricted(ids),
                           cost.restricted(ids))

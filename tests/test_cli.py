@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import effsynth
 from effsynth.cli import main
 
 MODEL = """\
@@ -395,3 +399,17 @@ def test_tolerance_flags_are_per_call(files, tmp_path):
     assert main(base + [default]) == 0
     assert json.loads(open(default).read())["report"]["delta"] != \
         payload["report"]["delta"]
+
+
+def test_cli_import_loads_no_scipy():
+    """A fresh `import effsynth.cli` loads no scipy module, so decompose,
+    evaluate and simulate never pay scipy's cold import; a solver that
+    needs scipy must import it lazily."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(effsynth.__file__))
+    code = ("import sys, effsynth.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -16,7 +16,7 @@ import pytest
 from effsynth import cli, lp, sim
 from effsynth.chain import analyze, efficiency, utility_vector
 from effsynth.graph import (Unreachable, almost_sure_region, attractor_policy,
-                            mec_decompose, restrict, restrict_closed)
+                            closed_pairs, mec_decompose, restrict)
 from effsynth.lp import (AvgLpSolution, DegenerateDecoding, LfpSolution,
                          decode_avg_policy, decode_ratio_policy,
                          solve_avg_reward_lp)
@@ -27,9 +27,9 @@ from effsynth import synthesis
 from effsynth.synthesis import build_reward_k, synth_communicating, \
     synth_general
 
-from conftest import (amecs_of, random_communicating_mdp, random_mdp,
-                      random_product, random_rule, random_utilities, rule_of,
-                      utility_dict)
+from conftest import (amecs_of, ec_parts, random_communicating_mdp,
+                      random_mdp, random_product, random_rule,
+                      random_utilities, rule_of, utility_dict)
 from test_synthesis import random_multichain_product
 
 AP = ("g", "b")
@@ -148,6 +148,9 @@ def decode_ratio_reference(m, gamma, support_threshold=1e-9):
     for s in q_set:
         dist = {a: gamma[(s, a)] / mass[s] for a in m.available[s]
                 if gamma.get((s, a), 0.0) > support_threshold}
+        if not dist:
+            best = max(m.available[s], key=lambda a: gamma.get((s, a), 0.0))
+            dist = {best: gamma[(s, best)] / mass[s]}
         total = sum(dist.values())
         rule[s] = {a: p / total for a, p in dist.items()}
     rule = attractor_reference(m, q_set, rule)
@@ -187,8 +190,8 @@ def general_reference(pm, r, c, epsilon):
     recurrent."""
     amecs = amecs_of(pm)
     region = almost_sure_region(pm, amecs)
-    if len(region) < pm.n_states:
-        rm, rids = restrict_closed(pm, region)
+    if not region.all():
+        rm, rids = restrict(pm, closed_pairs(pm, region), pm.initial)
         rule = general_reference(rm, r.restricted(rids), c.restricted(rids),
                                  epsilon)
         return {rids[s]: d for s, d in rule.items()}
@@ -199,13 +202,13 @@ def general_reference(pm, r, c, epsilon):
                                   epsilon)
         sub_rule = rule_of(sub_m, rep.policy)
         subs.append(({ids[s]: d for s, d in sub_rule.items()}, rep.value))
-    if len(amecs) == 1 and len(amecs[0].state_set) == pm.n_states:
+    if len(amecs) == 1 and len(ec_parts(pm, amecs[0])[0]) == pm.n_states:
         return subs[0][0]
     rk, _ = build_reward_k(pm, amecs, [v for _, v in subs], r, c)
     rule = rule_of(pm, decode_avg_policy(pm, solve_avg_reward_lp(pm, rk)))
     recurrent = {s for comp in classes_reference(pm, rule) for s in comp}
     for amec, (sub_rule, _) in zip(amecs, subs):
-        if amec.state_set & recurrent:
+        if ec_parts(pm, amec)[0] & recurrent:
             rule.update(sub_rule)
     return rule
 
@@ -370,18 +373,19 @@ def test_partial_policy_scope_matches_loops(rng):
     done = 0
     while done < 8:
         base = random_mdp(rng, int(rng.integers(4, 9)), 2)
-        mecs = [ec for ec in mec_decompose(base) if len(ec.state_set) > 1]
-        if not mecs or len(mecs[0].state_set) == base.n_states:
+        mecs = [ec_parts(base, ec) for ec in mec_decompose(base)]
+        mecs = [(states, acts) for states, acts in mecs if len(states) > 1]
+        if not mecs or len(mecs[0][0]) == base.n_states:
             continue
-        ec = mecs[0]
+        states, ec_acts = mecs[0]
         pm = ProductMdp(base.state_names, base.action_names,
-                        min(ec.state_set), base.trans, [(set(), ec.state_set)])
+                        min(states), base.trans, [(set(), states)])
         r, c = random_utilities(rng, pm)
         rule = {s: {a: 1.0 / len(acts) for a in sorted(acts)}
-                for s, acts in ec.act}
+                for s, acts in ec_acts.items()}
         policy = policy_from_rule(pm, rule)
         sub, local, r_sub, c_sub = cli._policy_scope(pm, policy, r, c)
-        trans, ids = restrict_reference(pm.trans, pm.n_states, ec.state_set)
+        trans, ids = restrict_reference(pm.trans, pm.n_states, states)
         assert sub.trans == trans
         rule_local = {ids.index(s): d for s, d in rule.items()}
         n = len(ids)
@@ -525,7 +529,10 @@ def with_self_loops(m):
 def test_decode_ratio_policy_matches_dict_decoder(rng):
     """Random occupation weights; in every other instance some of them sit
     on self-loops of a few states, which splits the support into several
-    recurrent classes that the decoder steers into one."""
+    recurrent classes that the decoder steers into one.  In every third
+    instance one state's pairs all lie just at or below the support
+    threshold while their sum passes it, so that support state keeps its
+    first largest pair alone."""
     steered = 0
     done = 0
     while done < 60:
@@ -535,13 +542,16 @@ def test_decode_ratio_policy_matches_dict_decoder(rng):
         if done % 2:
             stay = m.pair_action == m.n_actions - 1
             anchors = rng.random(m.n_states) < 0.4
+            anchors[m.initial] |= not anchors.any()  # keep some weight
             gamma[stay] = 0.0
             gamma[anchors[m.pair_state]] = 0.0
             gamma[stay & anchors[m.pair_state]] = rng.random(anchors.sum())
             gamma /= gamma.sum()
+        if done % 3 == 2:
+            s = int(rng.integers(m.n_states))
+            lo, hi = m.state_ptr[s], m.state_ptr[s + 1]
+            gamma[lo:hi] = rng.uniform(0.55e-9, 1e-9, size=hi - lo)
         rule, n_classes = decode_ratio_reference(m, pair_table(m, gamma))
-        if any(not d for d in rule.values()):
-            continue  # support state without a kept action: no policy
         policy, ca = decode_ratio_policy(m, LfpSolution(gamma=gamma,
                                                         value=0.0))
         assert np.array_equal(policy, weights_reference(m, rule))
@@ -641,8 +651,8 @@ def test_synth_general_lift_and_patch_matches_dict_rules(rng):
         ref = general_reference(pm, r, c, 0.01)
         assert np.array_equal(rep.policy, weights_reference(pm, ref))
         region = almost_sure_region(pm, amecs_of(pm))
-        restricted += len(region) < pm.n_states
-        patched += rep.avg_gain is not None and len(region) == pm.n_states
+        restricted += not region.all()
+        patched += rep.avg_gain is not None and region.all()
 
 
 def test_lift_replaces_whole_rows(rng):
@@ -691,10 +701,12 @@ def test_parent_pair_records_where_sub_pairs_come_from(rng):
         pm = build_product(m, random_dra(rng, 2))
         mecs = mec_decompose(pm)
         size = min(int(rng.integers(1, 4)), pm.n_states)
-        region = {int(s) for s in rng.choice(pm.n_states, size=size,
-                                              replace=False)} | {pm.initial}
-        region |= set().union(*(ec.state_set for ec in mecs))
-        sub, ids = restrict_closed(pm, region)
+        region = np.zeros(pm.n_states, dtype=bool)
+        region[rng.choice(pm.n_states, size=size, replace=False)] = True
+        region[pm.initial] = True
+        for ec in mecs:
+            region[pm.pair_state[ec]] = True
+        sub, ids = restrict(pm, closed_pairs(pm, region))
         check_parent_pairs(pm, sub, ids)
         assert np.array_equal(sub.base_pair, pm.base_pair[sub.parent_pair])
         for ec in mec_decompose(sub):

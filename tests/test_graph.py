@@ -8,13 +8,15 @@ from effsynth.graph import (Unreachable, almost_sure_region,
                             mec_decompose, restrict,
                             strongly_connected_components)
 
-from conftest import (amecs_of, enumerate_ecs, example1_mdp, example1_product,
-                      max_reach_probability, maximal_ecs, random_mdp,
-                      random_product, rule_of)
+from conftest import (amecs_of, ec_parts, enumerate_ecs, example1_mdp,
+                      example1_product, max_reach_probability, maximal_ecs,
+                      random_mdp, random_product, region_states, rule_of)
 
 
-def as_plain(ec):
-    return (ec.state_set, {s: set(a) for s, a in ec.act})
+def as_key(m, ec):
+    """An end component as a hashable (states, sorted (state, actions))."""
+    states, acts = ec_parts(m, ec)
+    return states, tuple(sorted(acts.items()))
 
 
 def test_scc_matches_reachability_oracle(rng):
@@ -44,8 +46,8 @@ def test_scc_matches_reachability_oracle(rng):
 
 
 def test_mec_example1_exact():
-    mecs = mec_decompose(example1_mdp())
-    assert [as_plain(ec) for ec in mecs] == [
+    m = example1_mdp()
+    assert [ec_parts(m, ec) for ec in mec_decompose(m)] == [
         (frozenset({1}), {1: {0}}),
         (frozenset({2, 3}), {2: {0}, 3: {0, 1}}),
     ]
@@ -56,7 +58,7 @@ def test_mec_whole_mdp_when_strongly_connected():
             {(0, 0): {1: 1.0}, (1, 0): {2: 1.0}, (2, 0): {0: 1.0}})
     mecs = mec_decompose(m)
     assert len(mecs) == 1
-    assert as_plain(mecs[0]) == (frozenset({0, 1, 2}),
+    assert ec_parts(m, mecs[0]) == (frozenset({0, 1, 2}),
                                  {0: {0}, 1: {0}, 2: {0}})
 
 
@@ -67,7 +69,7 @@ def test_mec_matches_brute_force(rng):
             expected = {(s, tuple(sorted((k, frozenset(v))
                                          for k, v in a.items())))
                         for s, a in maximal_ecs(enumerate_ecs(m))}
-            got = {(ec.state_set, ec.act) for ec in mec_decompose(m)}
+            got = {as_key(m, ec) for ec in mec_decompose(m)}
             assert got == expected
 
 
@@ -77,18 +79,20 @@ def test_mec_disjoint_and_closed(rng):
         mecs = mec_decompose(m)
         seen = set()
         for ec in mecs:
-            assert not (ec.state_set & seen)
-            seen |= ec.state_set
-            assert ec.is_closed(m)
-            adj = {s: sorted({t for a in acts
+            states, acts = ec_parts(m, ec)
+            assert not (states & seen)
+            seen |= states
+            adj = {s: sorted({t for a in sa
                               for t, p in m.trans[(s, a)].items() if p > 0.0})
-                   for s, acts in ec.act}
-            assert len(strongly_connected_components(ec.state_set, adj)) == 1
+                   for s, sa in acts.items()}
+            assert all(set(succ) <= states for succ in adj.values())
+            assert len(strongly_connected_components(states, adj)) == 1
 
 
 def test_maec_example1():
-    maecs = maec_decompose(example1_product())
-    assert [as_plain(ec) for ec in maecs] == [(frozenset({3}), {3: {1}})]
+    pm = example1_product()
+    assert [ec_parts(pm, ec) for ec in maec_decompose(pm)] == [
+        (frozenset({3}), {3: {1}})]
 
 
 def test_maec_empty_when_no_accepting_state():
@@ -108,13 +112,13 @@ def test_maec_matches_brute_force(rng):
                 accepting.append((states, acts))
         expected = {(s, tuple(sorted((k, frozenset(v)) for k, v in a.items())))
                     for s, a in maximal_ecs(accepting)}
-        got = {(ec.state_set, ec.act) for ec in maec_decompose(pm)}
+        got = {as_key(pm, ec) for ec in maec_decompose(pm)}
         assert got == expected
 
 
 def test_amec_example1():
-    amecs = amecs_of(example1_product())
-    assert [as_plain(ec) for ec in amecs] == [
+    pm = example1_product()
+    assert [ec_parts(pm, ec) for ec in amecs_of(pm)] == [
         (frozenset({2, 3}), {2: {0}, 3: {0, 1}})]
 
 
@@ -124,20 +128,24 @@ def test_amec_when_maec_is_whole_mec():
                     [(set(), {1})])
     amecs = amecs_of(pm)
     assert len(amecs) == 1
-    assert amecs[0].state_set == frozenset({0, 1})
+    assert ec_parts(pm, amecs[0])[0] == frozenset({0, 1})
 
 
 def test_amec_contains_some_maec(rng):
     for trial in range(15):
         pm = random_product(rng, int(rng.integers(3, 8)), 2, n_pairs=2)
-        maecs = maec_decompose(pm)
+        maecs = [ec_parts(pm, ma) for ma in maec_decompose(pm)]
         for amec in amecs_of(pm):
-            assert any(amec.contains(ma) for ma in maecs)
+            states, acts = ec_parts(pm, amec)
+            assert any(ma_states <= states and
+                       all(a <= acts.get(s, frozenset())
+                           for s, a in ma_acts.items())
+                       for ma_states, ma_acts in maecs)
 
 
 def test_region_includes_amec_states():
     pm = example1_product()
-    region = almost_sure_region(pm, amecs_of(pm))
+    region = region_states(almost_sure_region(pm, amecs_of(pm)))
     assert {2, 3} <= region
     assert 0 in region          # can choose the action into the AMEC
     assert 1 not in region      # stuck in its own non-accepting loop
@@ -147,7 +155,7 @@ def test_region_excludes_unconnected_sink():
     pm = ProductMdp(["s", "t"], ["a"], 0,
                     {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}},
                     [(set(), {0})])
-    assert almost_sure_region(pm, amecs_of(pm)) == {0}
+    assert region_states(almost_sure_region(pm, amecs_of(pm))) == {0}
 
 
 def test_region_matches_reachability_oracle(rng):
@@ -156,8 +164,8 @@ def test_region_matches_reachability_oracle(rng):
         amecs = amecs_of(pm)
         target = set()
         for amec in amecs:
-            target |= amec.state_set
-        region = almost_sure_region(pm, amecs)
+            target |= ec_parts(pm, amec)[0]
+        region = region_states(almost_sure_region(pm, amecs))
         if not target:
             assert region == set()
             continue
@@ -208,9 +216,9 @@ def test_attractor_makes_outside_states_transient(rng):
     for trial in range(15):
         pm = random_product(rng, int(rng.integers(3, 8)), 2)
         mecs = mec_decompose(pm)
-        target = mecs[0].state_set
+        target, acts0 = ec_parts(pm, mecs[0])
         inside = policy_from_rule(pm, {s: {a: 1.0 / len(acts) for a in acts}
-                                       for s, acts in mecs[0].act})
+                                       for s, acts in acts0.items()})
         try:
             p = attractor_policy(pm, set(target), inside)
         except Unreachable:
@@ -238,6 +246,35 @@ def test_restrict_roundtrip_indices():
     # the pair's B-state "3" sits inside this component, so it is kept
     assert sub.acc_pairs == ((frozenset({0}), frozenset({1})),)
     assert is_communicating(sub)
+
+
+def test_restrict_reads_its_states_off_the_mask(rng):
+    """Random pair masks: the sub-model's parent_pair is the kept pairs, its
+    states are exactly those owning one, and a mask whose pairs step outside
+    those states raises."""
+    closed = leaky = 0
+    for trial in range(40):
+        m = random_mdp(rng, int(rng.integers(2, 7)), 2)
+        pairs = rng.random(m.n_pairs) < 0.6
+        if not pairs.any():
+            continue
+        owners = set(m.pair_state[pairs].tolist())
+        stays = all(t in owners
+                    for s, a in zip(m.pair_state[pairs].tolist(),
+                                    m.pair_action[pairs].tolist())
+                    for t, p in m.trans[(s, a)].items() if p > 0.0)
+        if not stays:
+            with pytest.raises(ValueError, match="the sub-MDP is not closed"):
+                restrict(m, pairs)
+            leaky += 1
+            continue
+        sub, ids = restrict(m, pairs)
+        assert np.array_equal(sub.parent_pair, np.flatnonzero(pairs))
+        assert ids == sorted(owners)
+        assert sub.n_states == len(owners)
+        assert sub.initial == 0
+        closed += 1
+    assert closed > 0 and leaky > 0
 
 
 def test_is_communicating():

@@ -186,6 +186,24 @@ def test_decode_split_gamma_keeps_proportions():
     assert rule_of(m, policy)[0][1] == pytest.approx(0.5)
 
 
+def test_decode_support_state_with_no_pair_above_threshold():
+    """State 0 carries support mass 1.2e-9 in two pairs of 0.6e-9 each, both
+    at or below the 1e-9 threshold: it keeps its first largest pair alone,
+    as the average-reward decoder does, instead of an empty row."""
+    from effsynth.lp import LfpSolution
+    m = Mdp(["s", "t"], ["a", "b"], 0,
+            {(0, 0): {1: 1.0}, (0, 1): {1: 1.0},
+             (1, 0): {0: 1.0}, (1, 1): {1: 1.0}})
+    sol = LfpSolution(gamma=np.array([0.6e-9, 0.6e-9, 0.5, 0.5 - 1.2e-9]),
+                      value=0.0)
+    policy, ca = decode_ratio_policy(m, sol)
+    rule = rule_of(m, policy)
+    assert rule[0] == {0: 1.0}
+    assert rule[1][0] == pytest.approx(0.5)
+    assert rule[1][1] == pytest.approx(0.5)
+    assert ca.recurrent_classes == ((0, 1),)
+
+
 def test_decode_is_unichain_and_achieves_value(rng):
     for trial in range(20):
         m = random_communicating_mdp(rng, int(rng.integers(2, 7)), 2)

@@ -15,7 +15,7 @@ from effsynth.synthesis import (NoMaec, TaskUnsatisfiable, build_reward_k,
                                 perturbation_degree_exact,
                                 synth_communicating, synth_general)
 
-from conftest import (amecs_of, deterministic, example1_product,
+from conftest import (amecs_of, deterministic, ec_parts, example1_product,
                       random_communicating_product, random_mdp,
                       random_utilities, rule_of)
 
@@ -201,11 +201,12 @@ def test_synth_communicating_epsilon_optimal(rng):
         assert got >= rep.value - eps - 1e-8
         assert rep.certificate.accepted
         # recurrent classes stay within the chosen accepting component
-        chosen = maec_decompose(pm)[rep.amec_chosen]
-        mec = next(m for m in mec_decompose(pm)
-                   if chosen.state_set <= m.state_set)
+        chosen = ec_parts(pm, maec_decompose(pm)[rep.amec_chosen])[0]
+        mec = next(states for states, _ in
+                   (ec_parts(pm, m) for m in mec_decompose(pm))
+                   if chosen <= states)
         for comp in rep.certificate.recurrent_classes:
-            assert set(comp) <= mec.state_set
+            assert set(comp) <= mec
         done += 1
 
 
@@ -219,7 +220,7 @@ def test_build_reward_k_values_and_level():
     assert big_k == pytest.approx(-2.0 / 0.5 - 1.0)
     assert big_k < -2.0 / 0.5
     for s, a in pm.state_action_pairs():
-        if s in amecs[0].state_set:
+        if s in ec_parts(pm, amecs[0])[0]:
             assert rk(s, a) == pytest.approx(0.75)
         else:
             assert rk(s, a) == pytest.approx(big_k)
@@ -259,7 +260,7 @@ def test_synth_general_two_amec_reachability():
     assert rep.value == pytest.approx(1.0, abs=1e-8)
     ca = analyze(induce_chain(pm, rep.policy))
     assert efficiency(ca, pm, r, c, rep.policy, 0) >= 1.0 - 0.01 - 1e-8
-    amec_states = [amec.state_set for amec in amecs_of(pm)]
+    amec_states = [ec_parts(pm, amec)[0] for amec in amecs_of(pm)]
     for comp in ca.recurrent_classes:
         assert any(set(comp) <= states for states in amec_states)
 
@@ -369,7 +370,7 @@ def test_synth_general_multichain_random(rng):
         assert weighted >= lp_sol.gain - eps - 1e-7
         assert efficiency(ca, pm, r, c, rep.policy, pm.initial) >= \
             rep.value - eps - 1e-7
-        amec_states = [amec.state_set for amec in amecs_of(pm)]
+        amec_states = [ec_parts(pm, amec)[0] for amec in amecs_of(pm)]
         for comp in ca.recurrent_classes:
             assert any(set(comp) <= states for states in amec_states)
         assert rep.certificate.accepted
@@ -397,7 +398,7 @@ def test_gain_equivalence_on_multichain(rng):
         for i, amec in enumerate(amecs_of(pm)):
             stay = 0.0
             for k, comp in enumerate(ca.recurrent_classes):
-                if set(comp) <= amec.state_set:
+                if set(comp) <= ec_parts(pm, amec)[0]:
                     stay += float(ca.absorb[:, k].mean())
             expect += stay * rep.amec_values[i]
         assert lp_sol.gain == pytest.approx(expect, abs=1e-7)
