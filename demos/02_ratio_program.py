@@ -25,8 +25,11 @@ for s in range(n):
     probs = rng.dirichlet(np.ones(2))
     trans[(s, 1)] = {int(t): float(p) for t, p in zip(succs, probs)}
 m = Mdp([f"s{i}" for i in range(n)], ["ring", "drift"], 0, trans)
-r = UtilityFn({k: float(rng.uniform(-1, 2)) for k in trans}, "reward")
-c = UtilityFn({k: float(rng.uniform(0.3, 1.5)) for k in trans}, "cost")
+# utility tables, read as value vectors over m's pairs
+r = UtilityFn({k: float(rng.uniform(-1, 2)) for k in trans},
+              "reward").pair_values(m)
+c = UtilityFn({k: float(rng.uniform(0.3, 1.5)) for k in trans},
+              "cost").pair_values(m)
 
 sol = solve_ratio_lfp(m, r, c)
 print(f"program value (optimal long-run reward/cost): {sol.value:.6f}")

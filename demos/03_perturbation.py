@@ -7,6 +7,8 @@ evaluator gives the largest safe degree ('ex').  On a lopsided instance the
 one-shot bound is wildly conservative.
 """
 
+import numpy as np
+
 from effsynth import (Mdp, UtilityFn, analyze, blend, efficiency, induce_chain,
                       perturbation_degree_estimated, perturbation_degree_exact,
                       policy_from_rule, ratio_perturbation_identity_check,
@@ -17,8 +19,8 @@ m = Mdp(["hub", "way", "far"], ["a", "b"], 0,
          (1, 0): {0: 0.9, 2: 0.1},
          (2, 0): {0: 1.0}, (2, 1): {2: 1.0}})
 r = UtilityFn({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0,
-               (2, 0): 0.0, (2, 1): -50.0}, "reward")
-c = UtilityFn.constant(m, 1.0, "cost")
+               (2, 0): 0.0, (2, 1): -50.0}, "reward").pair_values(m)
+c = np.full(m.n_pairs, 1.0)
 mu_opt = policy_from_rule(m, {0: {0: 1.0}, 1: {0: 1.0}, 2: {0: 1.0}})
 mu_irr = uniform_policy(m)
 

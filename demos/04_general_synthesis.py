@@ -7,6 +7,8 @@ settle, so the reported value honestly reflects what the initial state can
 reach.
 """
 
+import numpy as np
+
 from effsynth import (ProductMdp, UtilityFn, analyze, efficiency,
                       induce_chain, synth_general)
 
@@ -18,8 +20,8 @@ trans = {
 pm = ProductMdp(["start", "a1", "a2", "b1", "b2"], ["a"], 0, trans,
                 acc_pairs=[(set(), {1, 3})])
 r = UtilityFn({(0, 0): 0.0, (1, 0): 1.0, (2, 0): 1.0,
-               (3, 0): 3.0, (4, 0): 3.0}, "reward")
-c = UtilityFn.constant(pm, 1.0, "cost")
+               (3, 0): 3.0, (4, 0): 3.0}, "reward").pair_values(pm)
+c = np.full(pm.n_pairs, 1.0)
 
 rep = synth_general(pm, r, c, epsilon=0.01)
 print(f"per-component optimal efficiencies: {list(rep.amec_values)}")

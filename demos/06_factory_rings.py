@@ -12,8 +12,9 @@ from effsynth.casestudies import gen_case2
 m, task, reward_family, cost = gen_case2()
 print(f"factory model: {m.n_states} states (ring cells x permission bit)")
 print("\nbonus   optimal ratio   loop")
+c = cost.pair_values(m)
 for bonus in (0, 10, 20, 25, 30, 40, 60, 80):
-    sol = solve_ratio_lfp(m, reward_family(float(bonus)), cost)
+    sol = solve_ratio_lfp(m, reward_family(float(bonus)).pair_values(m), c)
     policy, ca = decode_ratio_policy(m, sol)
     labs = set()
     for s in ca.recurrent_classes[0]:

@@ -5,6 +5,8 @@ the same configuration reproduces bit-identical statistics, and the pathwise
 reward/cost ratio converges on the analytic long-run value.
 """
 
+import numpy as np
+
 from effsynth import (ProductMdp, RolloutConfig, UtilityFn, analyze, efficiency,
                       induce_chain, simulate, synth_communicating)
 
@@ -16,8 +18,8 @@ trans = {
 pm = ProductMdp(["u", "v", "w"], ["a", "b"], 0, trans,
                 acc_pairs=[(set(), {1})])
 r = UtilityFn({(0, 0): 1.0, (0, 1): 0.2, (1, 0): 3.0,
-               (2, 0): 0.5, (2, 1): 2.0}, "reward")
-c = UtilityFn.constant(pm, 1.0, "cost")
+               (2, 0): 0.5, (2, 1): 2.0}, "reward").pair_values(pm)
+c = np.full(pm.n_pairs, 1.0)
 
 rep = synth_communicating(pm, r, c, epsilon=0.01)
 ca = analyze(induce_chain(pm, rep.policy))

@@ -11,14 +11,14 @@ J and its ratio deviation d_r - J d_c towards another policy, read by the
 perturbation degrees and by the perturbation identity relating the
 efficiencies of a policy and its mixture with another policy.  Policies are
 weight vectors over the model's pairs (see model), so a mixture is the
-blend of two vectors.
+blend of two vectors; utilities are value vectors over the same pairs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Mc, Mdp, UtilityFn, blend, induce_chain
+from .model import Mc, Mdp, blend, induce_chain
 from .graph import adjacency_lists, strongly_connected_components
 
 SUPPORT_EPS = 1e-12   # edge threshold guarding float dust from policy mixtures
@@ -121,21 +121,19 @@ def analyze(chain: Mc) -> ChainAnalysis:
                          absorb=absorb, limit_matrix=star)
 
 
-def utility_vector(m: Mdp, u: UtilityFn, p) -> np.ndarray:
-    """v(s) = sum_a mu(s,a) u(s,a), summed in action order."""
-    return np.bincount(m.pair_state, weights=p * u.pair_values(m),
-                       minlength=m.n_states)
+def utility_vector(m: Mdp, u, p) -> np.ndarray:
+    """v(s) = sum_a mu(s,a) u(s,a) for a utility u over m's pairs, summed
+    in action order."""
+    return np.bincount(m.pair_state, weights=p * u, minlength=m.n_states)
 
 
-def average_utility(ca: ChainAnalysis, m: Mdp, u: UtilityFn, p,
-                    start) -> float:
+def average_utility(ca: ChainAnalysis, m: Mdp, u, p, start) -> float:
     """Long-run average utility from `start`: the start row of P* times v."""
     v = utility_vector(m, u, p)
     return float(ca.limit_matrix[start, :] @ v)
 
 
-def efficiency(ca: ChainAnalysis, m: Mdp, r: UtilityFn, c: UtilityFn,
-               p, start) -> float:
+def efficiency(ca: ChainAnalysis, m: Mdp, r, c, p, start) -> float:
     """Reward-to-cost ratio from `start`.
 
     Each recurrent class contributes its own stationary ratio; the result is
@@ -155,8 +153,7 @@ def efficiency(ca: ChainAnalysis, m: Mdp, r: UtilityFn, c: UtilityFn,
     return total
 
 
-def potential_vector(ca: ChainAnalysis, m: Mdp, u: UtilityFn,
-                     p) -> np.ndarray:
+def potential_vector(ca: ChainAnalysis, m: Mdp, u, p) -> np.ndarray:
     """The potential g solving (I - P + P*) g = v, by direct dense
     factorization.
 
@@ -183,14 +180,14 @@ def _deviation(m, ca, chain_p, mu, mu_prime, u):
     return (v_p - v) + (chain_p.P - ca.chain.P) @ g
 
 
-def deviation_vector(m: Mdp, mu, mu_prime, u: UtilityFn) -> np.ndarray:
+def deviation_vector(m: Mdp, mu, mu_prime, u) -> np.ndarray:
     """Deviation of mu_prime from mu w.r.t. u, built on mu's potential."""
     chain = induce_chain(m, mu)
     chain_p = induce_chain(m, mu_prime)
     return _deviation(m, analyze(chain), chain_p, mu, mu_prime, u)
 
 
-def ratio_deviation(m: Mdp, mu, mu_prime, r: UtilityFn, c: UtilityFn):
+def ratio_deviation(m: Mdp, mu, mu_prime, r, c):
     """The perturbation step towards mu_prime from a unichain policy mu.
 
     Returns (ca, j, d): mu's chain analysis, mu's efficiency j from the
@@ -214,8 +211,8 @@ def limit_distribution(ca: ChainAnalysis) -> np.ndarray:
     return ca.chain.pi0 @ ca.limit_matrix
 
 
-def ratio_perturbation_identity_check(m: Mdp, mu, mu_prime, r: UtilityFn,
-                                      c: UtilityFn, delta: float):
+def ratio_perturbation_identity_check(m: Mdp, mu, mu_prime, r, c,
+                                      delta: float):
     """Both sides of the efficiency-difference identity for the mixture
     (1-delta) mu + delta mu'.
 

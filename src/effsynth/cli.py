@@ -16,9 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .model import ALGEBRA_TOL, PROB_TOL, AlphabetMismatch, ModelError, \
-    PolicyMismatch, build_product, induce_chain, lift_utilities, \
-    policy_domain, rabin_witness
+from .model import PROB_TOL, AlphabetMismatch, ModelError, PolicyMismatch, \
+    build_product, induce_chain, lift_utilities, policy_domain, rabin_witness
 from . import casestudies, chain, graph, lp, parsers, sim, synthesis
 
 EXIT_PARSE = 2
@@ -40,8 +39,7 @@ def _sha256(path):
 
 
 def _manifest(args, paths, tol=synthesis.Tolerances()):
-    knobs = {"prob_tol": PROB_TOL, "algebra_tol": ALGEBRA_TOL,
-             **dataclasses.asdict(tol)}
+    knobs = {"prob_tol": PROB_TOL, **dataclasses.asdict(tol)}
     return {
         "version": __version__,
         "inputs": {p: _sha256(p) for p in paths if p},
@@ -166,9 +164,9 @@ def _policy_scope(pm, policy, r, c):
         raise PolicyMismatch(
             f"policy leaves its own domain at {pm.state_names[leaving[0]]}")
     # every domain state has a policy pair, and none of them leaves
-    sub_pm, ids = graph.restrict(pm, closed, pm.initial)
-    return (sub_pm, policy[sub_pm.parent_pair], r.restricted(ids),
-            c.restricted(ids))
+    sub_pm, _ = graph.restrict(pm, closed, pm.initial)
+    pp = sub_pm.parent_pair
+    return sub_pm, policy[pp], r[pp], c[pp]
 
 
 def _load_scoped_policy(args):
@@ -339,9 +337,9 @@ def _case2_sweep(m, dra, reward_family, cost, args):
     """Optimal unconstrained efficiency when sweeping the pickup bonus, and
     whether the optimal loop is the accepting one."""
     out = ["bonus,value,accepting_loop"]
+    c = cost.pair_values(m)
     for bonus in args.bonus_grid:
-        r = reward_family(bonus)
-        sol = lp.solve_ratio_lfp(m, r, cost)
+        sol = lp.solve_ratio_lfp(m, reward_family(bonus).pair_values(m), c)
         policy, ca = lp.decode_ratio_policy(m, sol)
         rec = set(ca.recurrent_classes[0])
         labs = set()

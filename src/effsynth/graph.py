@@ -9,8 +9,9 @@ the boolean mask of its kept pairs, whose states are those owning a kept
 pair.  A region is a boolean state mask.  The SCC refinement in
 mec_decompose makes each component strongly connected, and no walk witness
 is stored.  amec_filter takes the MECs and MAECs, and almost_sure_region
-the AMECs, that the caller has already computed, so each synthesis level
-decomposes the product once.
+the AMECs, that the caller has already computed, so a synthesis decomposes
+the product once; a sub-model cut by restrict gathers its share of those
+masks through its parent_pair.
 
 All algorithms are deterministic: ties break on the lowest state index, then
 the lowest action index.
@@ -150,7 +151,7 @@ def mec_decompose(m: Mdp, states=None):
     return mecs
 
 
-def _within(inner, outer):
+def within(inner, outer):
     """Every pair of the mask inner is a pair of the mask outer."""
     return not (inner & ~outer).any()
 
@@ -171,8 +172,8 @@ def maec_decompose(pm: ProductMdp):
     out = []
     for i, c in enumerate(candidates):
         dominated = any(
-            (j != i and _within(c, candidates[j]) and
-             (not _within(candidates[j], c) or j < i))
+            (j != i and within(c, candidates[j]) and
+             (not within(candidates[j], c) or j < i))
             for j in range(len(candidates)))
         if not dominated:
             out.append(c)
@@ -184,7 +185,7 @@ def maec_decompose(pm: ProductMdp):
 def amec_filter(mecs, maecs):
     """The MECs (from mec_decompose) containing at least one of the MAECs
     (from maec_decompose), with full MEC action sets."""
-    return [mec for mec in mecs if any(_within(ma, mec) for ma in maecs)]
+    return [mec for mec in mecs if any(within(ma, mec) for ma in maecs)]
 
 
 def almost_sure_region(pm: ProductMdp, amecs):

@@ -7,16 +7,17 @@ ties go to the largest pivot element, and the tableau is recomputed from the
 basis periodically so pivot roundoff cannot compound.  On top of it sit the
 two programs the synthesis needs: the reward-to-cost ratio program over
 occupation measures, reduced to an LP by the Charnes-Cooper substitution, and
-the multichain average-reward LP with its x/y policy decoding.  Solutions
-stay vectors over the model's pairs, and the decoders turn them into policy
-weight vectors, summing state masses and normalizations in pair order.
+the multichain average-reward LP with its x/y policy decoding.  Rewards and
+costs come in, and solutions stay, as vectors over the model's pairs; the
+decoders turn solutions into policy weight vectors, summing state masses and
+normalizations in pair order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Mdp, UtilityFn, induce_chain
+from .model import Mdp, induce_chain
 from .graph import attractor_policy, is_communicating
 from .chain import analyze
 
@@ -288,7 +289,7 @@ class LfpSolution:
     value: float
 
 
-def solve_ratio_lfp(m: Mdp, r: UtilityFn, c: UtilityFn) -> LfpSolution:
+def solve_ratio_lfp(m: Mdp, r, c) -> LfpSolution:
     """Maximum reward-to-cost ratio over stationary occupation measures.
 
     The fractional objective over flow-balanced weights is rescaled by the
@@ -299,14 +300,13 @@ def solve_ratio_lfp(m: Mdp, r: UtilityFn, c: UtilityFn) -> LfpSolution:
     """
     if not is_communicating(m):
         raise NotCommunicating("ratio program needs a communicating model")
-    cobj = r.pair_values(m)
     a_eq = np.zeros((m.n_states + 1, m.n_pairs))
-    a_eq[m.n_states] = c.pair_values(m)
+    a_eq[m.n_states] = c
     b_eq = np.zeros(m.n_states + 1)
     _flow_balance(m, a_eq)
     b_eq[m.n_states] = 1.0
 
-    res = solve_lp(LpProblem(c=cobj, a_eq=a_eq, b_eq=b_eq))
+    res = solve_lp(LpProblem(c=r, a_eq=a_eq, b_eq=b_eq))
     if res.status == "infeasible":
         raise InfeasibleError("ratio program infeasible: malformed model")
     if res.status == "unbounded":
@@ -379,14 +379,13 @@ class AvgLpSolution:
     gain: float
 
 
-def solve_avg_reward_lp(m: Mdp, reward: UtilityFn) -> AvgLpSolution:
+def solve_avg_reward_lp(m: Mdp, reward) -> AvgLpSolution:
     """Multichain average-reward LP with uniform initial weights.
 
     Variables x(s,a) (stationary occupation) and y(s,a) (deviation flow);
     constraints balance the stationary flow and route alpha mass into the
     occupation support.  The objective is the alpha-weighted optimal gain.
     """
-    rv = reward.pair_values(m)
     k = m.n_pairs
     ns = m.n_states
     alpha = np.full(ns, 1.0 / ns)
@@ -398,7 +397,7 @@ def solve_avg_reward_lp(m: Mdp, reward: UtilityFn) -> AvgLpSolution:
     _flow_balance(m, a_eq, row0=ns, col0=k)
     b_eq[ns:] = alpha
     cobj = np.zeros(2 * k)
-    cobj[:k] = rv
+    cobj[:k] = reward
 
     res = solve_lp(LpProblem(c=cobj, a_eq=a_eq, b_eq=b_eq))
     if res.status == "infeasible":

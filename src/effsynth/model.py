@@ -6,11 +6,13 @@ that every layer reads: the available (state, action) pairs are numbered in
 (state, action) order, each with a slice of successor entries.  A stationary
 policy is a read-only weight vector over those pairs (policy_from_rule reads
 one from a {state: {action: probability}} rule, the form of policy files);
-its domain is the set of states whose row has positive mass.  A utility
-reads as a value vector over the pairs of any model it covers, so inducing a
-chain or a utility vector is one scatter over the entries, summed in the same
-order as a loop over the pairs would sum.  All containers are immutable
-after construction so models can be shared freely across workers.
+its domain is the set of states whose row has positive mass.  A utility is
+likewise a value vector over a model's pairs (UtilityFn is the table it is
+read from at the input edge), and a sub-model takes its share of any such
+vector by one gather through its parent_pair.  Inducing a chain or a
+per-state utility is one scatter over the entries, summed in the same order
+as a loop over the pairs would sum.  All containers are immutable after
+construction so models can be shared freely across workers.
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-PROB_TOL = 1e-9      # validation tolerance for distributions
-ALGEBRA_TOL = 1e-12  # recorded in the run manifest; no check reads it
+PROB_TOL = 1e-9  # validation tolerance for distributions
 
 
 class ModelError(Exception):
@@ -311,34 +312,21 @@ def policy_domain(m: Mdp, w) -> np.ndarray:
 
 
 class UtilityFn:
-    """Per state-action utility.  kind is 'reward' or 'cost'; costs must be
-    strictly positive.
+    """Per state-action utility table, the input-edge form of a reward or
+    cost.  kind is 'reward' or 'cost'; costs must be strictly positive.
 
-    Stored as (state, action, value) arrays sorted by (state, action) and
-    tied to no model.  Built from a {(state, action): value} dict, or by
-    on_pairs from a value vector over a model's pairs.  pair_values(m) reads
-    it as a vector over the pairs of a model it covers, and restricted
-    re-keys it onto the states of a sub-model.
+    Built from a {(state, action): value} dict and stored as (state, action,
+    value) arrays sorted by (state, action), tied to no model.  Inside the
+    program a utility is the vector pair_values(m) over the pairs of a model
+    the table covers; a sub-model gathers it through its parent_pair.
     """
 
     def __init__(self, values, kind):
-        keys = list(values)
-        self._set([int(s) for s, _ in keys], [int(a) for _, a in keys],
-                  [float(v) for v in values.values()], kind)
-
-    @classmethod
-    def on_pairs(cls, m: Mdp, vals, kind):
-        """The utility taking the value vals[j] at pair j of m."""
-        fn = cls.__new__(cls)
-        fn._set(m.pair_state, m.pair_action, vals, kind)
-        return fn
-
-    def _set(self, states, actions, vals, kind):
         if kind not in ("reward", "cost"):
             raise ValueError(f"unknown utility kind {kind!r}")
-        states = np.asarray(states, dtype=np.int64)
-        actions = np.asarray(actions, dtype=np.int64)
-        vals = np.array(vals, dtype=float)
+        states = np.array([int(s) for s, _ in values], dtype=np.int64)
+        actions = np.array([int(a) for _, a in values], dtype=np.int64)
+        vals = np.array([float(v) for v in values.values()], dtype=float)
         if kind == "cost":
             bad = np.flatnonzero(vals <= 0.0)
             if bad.size:
@@ -385,31 +373,15 @@ class UtilityFn:
                 f"({m.state_names[s]}, {m.action_names[a]})")
         return self.vals[idx]
 
-    def restricted(self, ids):
-        """Re-key onto a sub-MDP whose local state i is state ids[i] here."""
-        ids = np.asarray(ids, dtype=np.int64)
-        local = np.full(max(self.states.max(initial=-1),
-                            ids.max(initial=-1)) + 1, -1)
-        local[ids] = np.arange(len(ids))
-        keep = local[self.states] >= 0
-        fn = UtilityFn.__new__(UtilityFn)
-        fn._set(local[self.states][keep], self.actions[keep],
-                self.vals[keep], self.kind)
-        return fn
-
-    @staticmethod
-    def constant(m: Mdp, value, kind):
-        return UtilityFn.on_pairs(m, np.full(m.n_pairs, float(value)), kind)
-
 
 def lift_utilities(pm: "ProductMdp", reward, cost):
-    """Reward and cost of the base model, lifted onto a product built by
-    build_product: each product pair takes the value of the base pair it
-    copies."""
-    return (UtilityFn.on_pairs(pm, reward.pair_values(pm.base)[pm.base_pair],
-                               "reward"),
-            UtilityFn.on_pairs(pm, cost.pair_values(pm.base)[pm.base_pair],
-                               "cost"))
+    """Reward and cost tables of the base model as value vectors over the
+    pairs of a product built by build_product: each product pair takes the
+    value of the base pair it copies."""
+    out = tuple(u.pair_values(pm.base)[pm.base_pair] for u in (reward, cost))
+    for v in out:
+        v.flags.writeable = False
+    return out
 
 
 def rabin_witness(states, pairs):

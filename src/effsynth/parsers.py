@@ -73,7 +73,6 @@ def parse_mdp(text) -> Mdp:
     sidx = {}
     aidx = {}
     pidx = {}
-    seen_triples = set()
     for ln, line in _lines(text):
         tok = line.split()
         head = tok[0]
@@ -120,12 +119,10 @@ def parse_mdp(text) -> Mdp:
                     raise ParseError(f"unknown state {name!r}", ln)
             if a not in aidx:
                 raise ParseError(f"unknown action {a!r}", ln)
-            triple = (sidx[s], aidx[a], sidx[t])
-            if triple in seen_triples:
+            row = trans.setdefault((sidx[s], aidx[a]), {})
+            if sidx[t] in row:
                 raise ParseError(f"duplicate transition {s} {a} {t}", ln)
-            seen_triples.add(triple)
-            trans.setdefault((sidx[s], aidx[a]), {})[sidx[t]] = \
-                _parse_prob(prob, ln)
+            row[sidx[t]] = _parse_prob(prob, ln)
         elif head in ("reward", "cost"):
             continue  # utility lines are read by parse_utilities
         else:

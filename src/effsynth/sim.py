@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import Mdp, PolicyMismatch, UtilityFn, policy_domain
+from .model import Mdp, PolicyMismatch, policy_domain
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class RolloutStats:
     visit_counts: tuple  # per-state visits, summed over rollouts
 
 
-def _compound_rows(m: Mdp, p, r: UtilityFn, c: UtilityFn):
+def _compound_rows(m: Mdp, p, r, c):
     """Per-state sampling tables for the chain of (policy, transition) draws,
     read off the pair arrays: each positive (action, successor) draw of a
     state in pair-then-successor order, its cumulative weight (summed one
@@ -58,8 +58,8 @@ def _compound_rows(m: Mdp, p, r: UtilityFn, c: UtilityFn):
     draw = np.flatnonzero((w > 0.0) & (m.succ_prob > 0.0))
     mass = (w[draw] * m.succ_prob[draw]).tolist()
     nxt = m.succ_state[draw].tolist()
-    rinc = r.pair_values(m)[m.succ_pair[draw]].tolist()
-    cinc = c.pair_values(m)[m.succ_pair[draw]].tolist()
+    rinc = r[m.succ_pair[draw]].tolist()
+    cinc = c[m.succ_pair[draw]].tolist()
     bounds = np.searchsorted(m.succ_src[draw],
                              np.arange(m.n_states + 1)).tolist()
     rows = []
@@ -99,9 +99,9 @@ def _one_rollout(rows, initial, steps, gen):
     return counts, total_r, total_c
 
 
-def simulate(m: Mdp, p, r: UtilityFn, c: UtilityFn,
-             cfg: RolloutConfig) -> RolloutStats:
-    """Pathwise reward-over-cost ratios at the horizon, plus visit statistics."""
+def simulate(m: Mdp, p, r, c, cfg: RolloutConfig) -> RolloutStats:
+    """Pathwise reward-over-cost ratios at the horizon, plus visit
+    statistics; r and c are value vectors over m's pairs."""
     rows = _compound_rows(m, p, r, c)
     ratios = []
     freq_acc = [[] for _ in range(m.n_states)]

@@ -7,23 +7,27 @@ component's optimal policy with an irreducible one.  The mixing weight (the
 perturbation degree) is either the closed-form bound from the ratio
 deviation of chain.ratio_deviation ('es') or the largest weight that
 bisection certifies to stay within epsilon of optimal ('ex').  The general
-solver scores every accepting component that way, turns the scores into a
-surrogate reward with a steeply negative off-component level, solves the
-average-reward program for a basic policy, and patches the component policies
-back in wherever the basic policy settles.  Policies are weight vectors over
-a model's pairs: a sub-model's policy lifts to its parent by a scatter
-through the sub-model's parent_pair (_lift), and reports solved on a
-sub-model return to the parent's ids through _lift_report.
+solver decomposes the product once, restricts it once to the almost-sure
+region, scores every accepting component that way on the MAECs it contains,
+turns the scores into a surrogate reward with a steeply negative
+off-component level, solves the average-reward program for a basic policy,
+and patches the component policies back in wherever the basic policy
+settles.  Policies, utilities and end components are arrays over a model's
+pairs: a sub-model gathers them through its parent_pair, a sub-model's
+policy lifts to its parent by a scatter through the same array (_lift), and
+the region's report returns to the product's ids through _lift_report.  A
+certificate is built only for the report that is returned.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (Mdp, ProductMdp, UtilityFn, blend, induce_chain,
+from .model import (Mdp, ModelError, ProductMdp, blend, induce_chain,
                     rabin_witness, uniform_policy)
 from .graph import (almost_sure_region, amec_filter, attractor_policy,
-                    closed_pairs, maec_decompose, mec_decompose, restrict)
+                    closed_pairs, maec_decompose, mec_decompose, restrict,
+                    within)
 from .chain import (NotUnichain, analyze, average_utility, efficiency,
                     ratio_deviation)
 from .lp import SUPPORT_THRESHOLD, decode_avg_policy, decode_ratio_policy, \
@@ -94,12 +98,8 @@ class SynthesisReport:
     amec_chosen: int | None
     plan: PerturbationPlan | None
     no_perturbation: bool
-    certificate: Certificate
+    certificate: Certificate  # None only until the returned report gets one
     avg_gain: float | None = None  # general case: surrogate-reward LP gain
-
-
-def _min_cost(m: Mdp, c: UtilityFn):
-    return float(np.min(c.pair_values(m)))
 
 
 def _deviation_gap(m, mu_opt, mu_irr, r, c):
@@ -118,7 +118,7 @@ def perturbation_degree_estimated(m: Mdp, mu_opt, mu_irr, r, c,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     d_inf, _ = _deviation_gap(m, mu_opt, mu_irr, r, c)
-    c_min = _min_cost(m, c)
+    c_min = float(np.min(c))
     if d_inf <= 1e-14:
         return PerturbationPlan(0.5, "estimated", d_inf, c_min,
                                 degenerate=True)
@@ -133,7 +133,7 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     d_inf, j_opt = _deviation_gap(m, mu_opt, mu_irr, r, c)
-    c_min = _min_cost(m, c)
+    c_min = float(np.min(c))
 
     def qualifies(delta):
         w = blend(mu_opt, mu_irr, delta)
@@ -188,43 +188,44 @@ def _lift(m: Mdp, sub_m: Mdp, ids, w, onto=None):
     return out
 
 
-def _lift_report(rep: SynthesisReport, m: Mdp, sub_m: Mdp, ids,
-                 **changes) -> SynthesisReport:
+def _lift_report(rep: SynthesisReport, m: Mdp, sub_m: Mdp,
+                 ids) -> SynthesisReport:
     """A report on sub_m, cut out of m, on m's ids (sub-model state i is
-    state ids[i] of m): its policy is lifted, its certificate's recurrent
-    classes are re-keyed, and `changes` replace any other fields."""
+    state ids[i] of m): its policy is lifted and its certificate's
+    recurrent classes are re-keyed."""
     classes = tuple(tuple(ids[s] for s in comp)
                     for comp in rep.certificate.recurrent_classes)
     cert = replace(rep.certificate, recurrent_classes=classes)
     return replace(rep, policy=_lift(m, sub_m, ids, rep.policy),
-                   certificate=cert, **changes)
+                   certificate=cert)
 
 
-def synth_communicating(pm: ProductMdp, r: UtilityFn, c: UtilityFn,
-                        epsilon: float, method: str = "es",
-                        tol: Tolerances = Tolerances()) -> SynthesisReport:
-    """Epsilon-optimal synthesis for a communicating model.
-
-    Solves the ratio program in every maximal accepting end component, keeps
-    the best one, and blends its optimal policy with an irreducible one unless
-    the optimal policy's recurrent class already witnesses acceptance (then no
-    perturbation is needed).  States outside the winning component reach it
-    w.p.1 through the peeling assignment.
-    """
+def _check_args(m: Mdp, c, epsilon, method):
+    """Reject a non-positive epsilon, an unknown method, and a cost vector
+    over m's pairs with an entry at or below zero."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if method not in ("es", "ex"):
         raise ValueError("method must be 'es' or 'ex'")
-    maecs = maec_decompose(pm)
-    if not maecs:
-        raise NoMaec("no accepting end component")
+    bad = np.flatnonzero(c <= 0.0)
+    if bad.size:
+        j = bad[0]
+        raise ModelError(
+            f"cost must be strictly positive, got {float(c[j])} at state "
+            f"{m.state_names[m.pair_state[j]]}, action "
+            f"{m.action_names[m.pair_action[j]]}")
 
+
+def _solve_maecs(pm: ProductMdp, r, c, maecs, epsilon, method,
+                 tol) -> SynthesisReport:
+    """The MAEC stage: solve the ratio program in each of pm's MAECs (pair
+    masks), keep the best, perturb its optimal policy if needed and extend
+    it to all of pm by the attractor.  The report carries no certificate."""
     values = []
     subs = []
     for maec in maecs:
         sub_m, ids = restrict(pm, maec)
-        r_sub = r.restricted(ids)
-        c_sub = c.restricted(ids)
+        r_sub, c_sub = r[sub_m.parent_pair], c[sub_m.parent_pair]
         sol = solve_ratio_lfp(sub_m, r_sub, c_sub)
         values.append(sol.value)
         decoded = decode_ratio_policy(sub_m, sol,
@@ -249,73 +250,100 @@ def synth_communicating(pm: ProductMdp, r: UtilityFn, c: UtilityFn,
         mu_final_sub = blend(mu_opt, mu_irr, plan.delta)
 
     policy = attractor_policy(pm, ids, _lift(pm, sub_m, ids, mu_final_sub))
-    cert = _certificate(pm, policy)
     return SynthesisReport(policy=policy, value=values[best], epsilon=epsilon,
                            amec_values=tuple(values), amec_chosen=best,
                            plan=plan, no_perturbation=no_pert,
-                           certificate=cert)
+                           certificate=None)
 
 
-def build_reward_k(pm: ProductMdp, amecs, values, r: UtilityFn,
-                   c: UtilityFn, k_margin=K_MARGIN):
-    """Surrogate reward: the component's optimal value inside each accepting
-    component, and K = -max|R|/min C - k_margin everywhere else."""
-    r_hat = float(np.max(np.abs(r.pair_values(pm))))
-    c_hat = _min_cost(pm, c)
-    big_k = -r_hat / c_hat - k_margin
+def synth_communicating(pm: ProductMdp, r, c, epsilon: float,
+                        method: str = "es",
+                        tol: Tolerances = Tolerances()) -> SynthesisReport:
+    """Epsilon-optimal synthesis for a communicating model; r and c are
+    value vectors over pm's pairs.
+
+    Solves the ratio program in every maximal accepting end component, keeps
+    the best one, and blends its optimal policy with an irreducible one unless
+    the optimal policy's recurrent class already witnesses acceptance (then no
+    perturbation is needed).  States outside the winning component reach it
+    w.p.1 through the peeling assignment.
+    """
+    _check_args(pm, c, epsilon, method)
+    maecs = maec_decompose(pm)
+    if not maecs:
+        raise NoMaec("no accepting end component")
+    rep = _solve_maecs(pm, r, c, maecs, epsilon, method, tol)
+    return replace(rep, certificate=_certificate(pm, rep.policy))
+
+
+def build_reward_k(pm: ProductMdp, amecs, values, r, c, k_margin=K_MARGIN):
+    """Surrogate reward over pm's pairs: the component's optimal value
+    inside each accepting component, and K = -max|R|/min C - k_margin
+    everywhere else.  Returns (reward vector, K)."""
+    big_k = -float(np.max(np.abs(r))) / float(np.min(c)) - k_margin
     vals = np.full(pm.n_pairs, big_k)
     for amec, value in zip(amecs, values):
         vals[amec] = value
-    return UtilityFn.on_pairs(pm, vals, "reward"), big_k
+    return vals, big_k
 
 
-def synth_general(pm: ProductMdp, r: UtilityFn, c: UtilityFn, epsilon: float,
-                  method: str = "es",
+def synth_general(pm: ProductMdp, r, c, epsilon: float, method: str = "es",
                   tol: Tolerances = Tolerances()) -> SynthesisReport:
-    """Epsilon-optimal synthesis for arbitrary (multichain) models.
+    """Epsilon-optimal synthesis for arbitrary (multichain) models; r and c
+    are value vectors over pm's pairs.
 
-    States outside the almost-sure region are dropped first (they can never
-    witness the acceptance condition with probability one; keeping them would
-    plant non-accepting recurrent classes under any policy).  The returned
-    policy is therefore defined exactly on the region.  Each accepting
-    component is solved as a communicating instance; the component values
-    become a surrogate reward whose average-reward optimum decides where to
-    settle; the component policies overwrite the basic policy wherever it is
-    recurrent.
+    The product is decomposed once.  States outside the almost-sure region
+    are then dropped (they can never witness the acceptance condition with
+    probability one; keeping them would plant non-accepting recurrent
+    classes under any policy): the region is restricted once, and the
+    utilities and the AMEC and MAEC masks are gathered onto it.  The
+    returned policy is therefore defined exactly on the region.  Each
+    accepting component is solved as a communicating instance on the MAECs
+    it contains; the component values become a surrogate reward whose
+    average-reward optimum decides where to settle; the component policies
+    overwrite the basic policy wherever it is recurrent.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    amecs = amec_filter(mec_decompose(pm), maec_decompose(pm))
+    _check_args(pm, c, epsilon, method)
+    maecs = maec_decompose(pm)
+    amecs = amec_filter(mec_decompose(pm), maecs)
     if not amecs:
         raise TaskUnsatisfiable("no accepting end component")
     region = almost_sure_region(pm, amecs)
     if not region[pm.initial]:
         raise TaskUnsatisfiable(
             "initial state cannot satisfy the task with probability one")
-    if not region.all():
-        # every region state owns a pair that stays inside the region
-        rm, rids = restrict(pm, closed_pairs(pm, region), pm.initial)
-        rep = synth_general(rm, r.restricted(rids), c.restricted(rids),
-                            epsilon, method, tol)
-        return _lift_report(rep, pm, rm, rids)
+    if region.all():
+        return _synth_region(pm, r, c, amecs, maecs, epsilon, method, tol)
+    # every region state owns a pair that stays inside the region, and the
+    # end components lie inside it
+    rm, rids = restrict(pm, closed_pairs(pm, region), pm.initial)
+    pp = rm.parent_pair
+    rep = _synth_region(rm, r[pp], c[pp], [a[pp] for a in amecs],
+                        [a[pp] for a in maecs], epsilon, method, tol)
+    return _lift_report(rep, pm, rm, rids)
 
-    sub_reports = []
-    values = []
-    for amec in amecs:
-        sub_m, ids = restrict(pm, amec)
-        rep = synth_communicating(sub_m, r.restricted(ids), c.restricted(ids),
-                                  epsilon, method, tol)
-        sub_reports.append((rep, sub_m, ids))
-        values.append(rep.value)
 
+def _synth_region(pm: ProductMdp, r, c, amecs, maecs, epsilon, method,
+                  tol) -> SynthesisReport:
+    """synth_general on a product that is its own almost-sure region, given
+    its AMECs and MAECs."""
     if len(amecs) == 1 and amecs[0].all():
         # single accepting component keeping every pair: the basic-policy
-        # stage cannot change anything, reuse the component solution
-        # directly.  The sub-model is the model, and its certificate carries
-        # over
-        rep, sub_m, ids = sub_reports[0]
-        return _lift_report(rep, pm, sub_m, ids, amec_values=tuple(values),
-                            amec_chosen=0)
+        # stage cannot change anything, so the component solution on the
+        # product itself is the answer
+        rep = _solve_maecs(pm, r, c, maecs, epsilon, method, tol)
+        return replace(rep, amec_values=(rep.value,), amec_chosen=0,
+                       certificate=_certificate(pm, rep.policy))
+
+    sub_reports = []
+    for amec in amecs:
+        sub_m, ids = restrict(pm, amec)
+        pp = sub_m.parent_pair
+        rep = _solve_maecs(sub_m, r[pp], c[pp],
+                           [ma[pp] for ma in maecs if within(ma, amec)],
+                           epsilon, method, tol)
+        sub_reports.append((rep, sub_m, ids))
+    values = [rep.value for rep, _, _ in sub_reports]
 
     rk, _ = build_reward_k(pm, amecs, values, r, c, k_margin=tol.k_margin)
     lp_sol = solve_avg_reward_lp(pm, rk)

@@ -105,14 +105,22 @@ def random_communicating_product(rng, n_states, n_actions, n_pairs=1, **kw):
     raise RuntimeError("could not draw a communicating accepting instance")
 
 
-def random_utilities(rng, m, reward_lo=-1.0, reward_hi=2.0,
-                     cost_lo=0.25, cost_hi=2.0):
+def random_utility_tables(rng, m, reward_lo=-1.0, reward_hi=2.0,
+                          cost_lo=0.25, cost_hi=2.0):
+    """Random reward and cost tables over m's pairs."""
     r = {}
     c = {}
     for s, a in m.state_action_pairs():
         r[(s, a)] = float(rng.uniform(reward_lo, reward_hi))
         c[(s, a)] = float(rng.uniform(cost_lo, cost_hi))
     return UtilityFn(r, "reward"), UtilityFn(c, "cost")
+
+
+def random_utilities(rng, m, **kw):
+    """Random reward and cost value vectors over m's pairs (the same draws
+    as random_utility_tables)."""
+    r, c = random_utility_tables(rng, m, **kw)
+    return r.pair_values(m), c.pair_values(m)
 
 
 def random_policy(rng, m):
@@ -142,10 +150,10 @@ def rule_of(m, w):
             for s in domain}
 
 
-def utility_dict(fn):
-    """A utility as its {(state, action): value} table."""
-    return dict(zip(zip(fn.states.tolist(), fn.actions.tolist()),
-                    fn.vals.tolist()))
+def utility_dict(m, u):
+    """A utility vector over m's pairs as its {(state, action): value}
+    table."""
+    return dict(zip(m.state_action_pairs(), u.tolist()))
 
 
 def random_unichain_policy(rng, m, tries=200):

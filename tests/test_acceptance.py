@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from effsynth.model import (Mdp, ProductMdp, UtilityFn, blend, build_product,
+from effsynth.model import (Mdp, ProductMdp, blend, build_product,
                             induce_chain, lift_utilities, uniform_policy)
 from effsynth.graph import maec_decompose, mec_decompose, restrict
 from effsynth.chain import (analyze, average_utility, efficiency,
@@ -78,7 +78,7 @@ def test_criterion_2_perturbation_identity():
         lhs, rhs = ratio_perturbation_identity_check(m, mu, mu_p, r, c, delta)
         worst = max(worst, abs(lhs - rhs))
         # unit cost: the identity must collapse onto the classical one
-        ones = UtilityFn.constant(m, 1.0, "cost")
+        ones = np.full(m.n_pairs, 1.0)
         lhs1, rhs1 = ratio_perturbation_identity_check(m, mu, mu_p, r, ones,
                                                        delta)
         d = deviation_vector(m, mu, mu_p, r)
@@ -342,7 +342,8 @@ def test_criterion_10_case_study_2_threshold():
     values = []
     accepting_flags = []
     for bonus in np.linspace(0.0, 80.0, 17):
-        sol = solve_ratio_lfp(m, reward_family(float(bonus)), cost)
+        sol = solve_ratio_lfp(m, reward_family(float(bonus)).pair_values(m),
+                              cost.pair_values(m))
         policy, _ = decode_ratio_policy(m, sol)
         ca = analyze(induce_chain(m, policy))
         labs = set()

@@ -119,8 +119,8 @@ def test_case1_zero_field_never_finds_items():
     sub = next(ec for ec in mec_decompose(m)
                if all(carry_of(m, g) == 0 for g in m.pair_state[ec]))
     sub_m, ids = restrict(m, sub)
-    sol = solve_ratio_lfp(sub_m, reward.restricted(ids),
-                          cost.restricted(ids))
+    sol = solve_ratio_lfp(sub_m, reward.pair_values(m)[sub_m.parent_pair],
+                          cost.pair_values(m)[sub_m.parent_pair])
     assert sol.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -239,7 +239,8 @@ def test_case2_threshold_structure():
     accepting = []
     values = []
     for bonus in grid:
-        sol = solve_ratio_lfp(m, reward_family(bonus), cost)
+        sol = solve_ratio_lfp(m, reward_family(bonus).pair_values(m),
+                              cost.pair_values(m))
         policy, _ = decode_ratio_policy(m, sol)
         ca = analyze(induce_chain(m, policy))
         labs = set()

@@ -92,7 +92,7 @@ def test_limit_matrix_algebra(rng):
 
 def test_average_utility_single_state():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}})
-    u = UtilityFn({(0, 0): 3.0}, "reward")
+    u = UtilityFn({(0, 0): 3.0}, "reward").pair_values(m)
     p = deterministic(m, {0: 0})
     ca = analyze(induce_chain(m, p))
     assert average_utility(ca, m, u, p, 0) == pytest.approx(3.0)
@@ -100,7 +100,7 @@ def test_average_utility_single_state():
 
 def test_average_utility_two_cycle():
     m = Mdp(["x", "y"], ["a"], 0, {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}})
-    u = UtilityFn({(0, 0): 1.0, (1, 0): 3.0}, "reward")
+    u = UtilityFn({(0, 0): 1.0, (1, 0): 3.0}, "reward").pair_values(m)
     p = deterministic(m, {0: 0, 1: 0})
     ca = analyze(induce_chain(m, p))
     assert average_utility(ca, m, u, p, 0) == pytest.approx(2.0)
@@ -138,7 +138,7 @@ def test_efficiency_reduces_to_mean_payoff_with_unit_cost(rng):
         m = random_mdp(rng, int(rng.integers(2, 7)), 2)
         p = random_policy(rng, m)
         u, _ = random_utilities(rng, m)
-        ones = UtilityFn.constant(m, 1.0, "cost")
+        ones = np.full(m.n_pairs, 1.0)
         ca = analyze(induce_chain(m, p))
         assert efficiency(ca, m, u, ones, p, m.initial) == pytest.approx(
             average_utility(ca, m, u, p, m.initial), abs=1e-12)
@@ -146,8 +146,8 @@ def test_efficiency_reduces_to_mean_payoff_with_unit_cost(rng):
 
 def test_efficiency_single_state():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}})
-    r = UtilityFn({(0, 0): 2.0}, "reward")
-    c = UtilityFn({(0, 0): 4.0}, "cost")
+    r = UtilityFn({(0, 0): 2.0}, "reward").pair_values(m)
+    c = UtilityFn({(0, 0): 4.0}, "cost").pair_values(m)
     p = deterministic(m, {0: 0})
     ca = analyze(induce_chain(m, p))
     assert efficiency(ca, m, r, c, p, 0) == pytest.approx(0.5)
@@ -159,8 +159,10 @@ def test_efficiency_mixes_class_ratios_by_absorption():
             {(0, 0): {1: 0.25, 2: 0.75},
              (1, 0): {1: 1.0},
              (2, 0): {2: 1.0}})
-    r = UtilityFn({(0, 0): 0.0, (1, 0): 1.0, (2, 0): 6.0}, "reward")
-    c = UtilityFn({(0, 0): 1.0, (1, 0): 1.0, (2, 0): 2.0}, "cost")
+    r = UtilityFn({(0, 0): 0.0, (1, 0): 1.0, (2, 0): 6.0},
+                  "reward").pair_values(m)
+    c = UtilityFn({(0, 0): 1.0, (1, 0): 1.0, (2, 0): 2.0},
+                  "cost").pair_values(m)
     p = deterministic(m, {0: 0, 1: 0, 2: 0})
     ca = analyze(induce_chain(m, p))
     assert efficiency(ca, m, r, c, p, 0) == pytest.approx(
@@ -169,7 +171,7 @@ def test_efficiency_mixes_class_ratios_by_absorption():
 
 def test_potential_single_state():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}})
-    u = UtilityFn({(0, 0): 5.0}, "reward")
+    u = UtilityFn({(0, 0): 5.0}, "reward").pair_values(m)
     p = deterministic(m, {0: 0})
     ca = analyze(induce_chain(m, p))
     g = potential_vector(ca, m, u, p)
@@ -179,7 +181,7 @@ def test_potential_single_state():
 def test_potential_zero_utility(rng):
     m = random_mdp(rng, 5, 2)
     p = random_policy(rng, m)
-    u = UtilityFn.constant(m, 0.0, "reward")
+    u = np.full(m.n_pairs, 0.0)
     ca = analyze(induce_chain(m, p))
     assert np.max(np.abs(potential_vector(ca, m, u, p))) <= 1e-12
 
@@ -223,7 +225,7 @@ def test_deviation_zero_for_constant_cost(rng):
     m = random_mdp(rng, 5, 2)
     mu = random_unichain_policy(rng, m)
     mu_p = random_policy(rng, m)
-    ones = UtilityFn.constant(m, 1.0, "cost")
+    ones = np.full(m.n_pairs, 1.0)
     d = deviation_vector(m, mu, mu_p, ones)
     assert np.max(np.abs(d)) <= 1e-9
 
@@ -267,7 +269,7 @@ def test_identity_check_unit_cost_degenerates_to_classical(rng):
     mu = random_unichain_policy(rng, m)
     mu_p = random_policy(rng, m)
     u, _ = random_utilities(rng, m)
-    ones = UtilityFn.constant(m, 1.0, "cost")
+    ones = np.full(m.n_pairs, 1.0)
     delta = 0.3
     lhs, rhs = ratio_perturbation_identity_check(m, mu, mu_p, u, ones, delta)
     d = deviation_vector(m, mu, mu_p, u)
@@ -296,8 +298,8 @@ def test_identity_check_random_instances(rng):
 def test_identity_check_rejects_multichain():
     m = Mdp(["x", "y"], ["a"], 0, {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}})
     p = deterministic(m, {0: 0, 1: 0})
-    r = UtilityFn.constant(m, 1.0, "reward")
-    c = UtilityFn.constant(m, 1.0, "cost")
+    r = np.full(m.n_pairs, 1.0)
+    c = np.full(m.n_pairs, 1.0)
     with pytest.raises(NotUnichain):
         ratio_perturbation_identity_check(m, p, p, r, c, 0.1)
 
@@ -326,8 +328,8 @@ def test_ratio_deviation_matches_deviation_vectors(rng):
 def test_ratio_deviation_rejects_multichain():
     m = Mdp(["x", "y"], ["a"], 0, {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}})
     p = deterministic(m, {0: 0, 1: 0})
-    r = UtilityFn.constant(m, 1.0, "reward")
-    c = UtilityFn.constant(m, 1.0, "cost")
+    r = np.full(m.n_pairs, 1.0)
+    c = np.full(m.n_pairs, 1.0)
     with pytest.raises(NotUnichain):
         ratio_deviation(m, p, p, r, c)
 

@@ -393,8 +393,8 @@ def test_tolerance_flags_are_per_call(files, tmp_path):
             synthesis.K_MARGIN) == (1e-9, 1e-6, 1.0)
     payload = json.loads(open(tuned).read())
     assert payload["manifest"]["knobs"] == {
-        "prob_tol": 1e-9, "algebra_tol": 1e-12, "support_threshold": 1e-6,
-        "bisect_width": 1e-3, "k_margin": 2.0}
+        "prob_tol": 1e-9, "support_threshold": 1e-6, "bisect_width": 1e-3,
+        "k_margin": 2.0}
     default = str(tmp_path / "default.json")
     assert main(base + [default]) == 0
     assert json.loads(open(default).read())["report"]["delta"] != \

@@ -29,7 +29,8 @@ from effsynth.synthesis import build_reward_k, synth_communicating, \
 
 from conftest import (amecs_of, ec_parts, random_communicating_mdp,
                       random_mdp, random_product, random_rule,
-                      random_utilities, rule_of, utility_dict)
+                      random_utilities, random_utility_tables, rule_of,
+                      utility_dict)
 from test_synthesis import random_multichain_product
 
 AP = ("g", "b")
@@ -184,22 +185,22 @@ def decode_avg_reference(m, x, y, support_threshold=1e-9):
 
 
 def general_reference(pm, r, c, epsilon):
-    """synth_general's policy as a rule, assembled over dicts: a sub-model's
-    rule returns to the parent by re-keying its states, and the component
-    rules overwrite whole rows of the basic policy wherever it is
-    recurrent."""
+    """synth_general's policy as a rule, assembled over dicts from end
+    components recomputed on every sub-model: a sub-model's rule returns to
+    the parent by re-keying its states, and the component rules overwrite
+    whole rows of the basic policy wherever it is recurrent."""
     amecs = amecs_of(pm)
     region = almost_sure_region(pm, amecs)
     if not region.all():
         rm, rids = restrict(pm, closed_pairs(pm, region), pm.initial)
-        rule = general_reference(rm, r.restricted(rids), c.restricted(rids),
+        rule = general_reference(rm, r[rm.parent_pair], c[rm.parent_pair],
                                  epsilon)
         return {rids[s]: d for s, d in rule.items()}
     subs = []
     for amec in amecs:
         sub_m, ids = restrict(pm, amec)
-        rep = synth_communicating(sub_m, r.restricted(ids), c.restricted(ids),
-                                  epsilon)
+        rep = synth_communicating(sub_m, r[sub_m.parent_pair],
+                                  c[sub_m.parent_pair], epsilon)
         sub_rule = rule_of(sub_m, rep.policy)
         subs.append(({ids[s]: d for s, d in sub_rule.items()}, rep.value))
     if len(amecs) == 1 and len(ec_parts(pm, amecs[0])[0]) == pm.n_states:
@@ -322,21 +323,23 @@ def test_induce_chain_and_utility_vector_match_loops(rng):
         assert np.array_equal(induce_chain(m, p).P,
                               chain_reference(m.trans, n, rule))
         assert np.array_equal(utility_vector(m, r, p),
-                              utility_reference(utility_dict(r), n, rule))
+                              utility_reference(utility_dict(m, r), n,
+                                                rule))
 
 
 def test_deterministic_rules_skip_zero_weights(rng):
     """Rules listing an available action with weight zero, and negative
     utilities, still sum like the loop (which skips those terms)."""
     m = random_mdp(rng, 6, 3, p_avail=1.0)
-    r = UtilityFn({sa: -1.5 for sa in m.state_action_pairs()}, "reward")
+    r = UtilityFn({sa: -1.5 for sa in m.state_action_pairs()},
+                  "reward").pair_values(m)
     rule = {s: {a: (1.0 if k == 0 else 0.0) for k, a in enumerate(acts)}
             for s, acts in enumerate(m.available)}
     p = policy_from_rule(m, rule)
     assert np.array_equal(induce_chain(m, p).P,
                           chain_reference(m.trans, m.n_states, rule))
     assert np.array_equal(utility_vector(m, r, p),
-                          utility_reference(utility_dict(r), m.n_states,
+                          utility_reference(utility_dict(m, r), m.n_states,
                                             rule))
 
 
@@ -358,7 +361,7 @@ def test_weight_blend_is_the_rule_mix(rng):
             assert np.array_equal(induce_chain(m, w).P,
                                   chain_reference(m.trans, m.n_states, mixed))
             assert np.array_equal(utility_vector(m, c, w),
-                                  utility_reference(utility_dict(c),
+                                  utility_reference(utility_dict(m, c),
                                                     m.n_states, mixed))
             ca = analyze(induce_chain(m, w))
             assert efficiency(ca, m, r, c, w, m.initial) == \
@@ -392,9 +395,9 @@ def test_partial_policy_scope_matches_loops(rng):
         assert np.array_equal(induce_chain(sub, local).P,
                               chain_reference(trans, n, rule_local))
         r_local = {(ids.index(s), a): v
-                   for (s, a), v in utility_dict(r).items() if s in ids}
+                   for (s, a), v in utility_dict(pm, r).items() if s in ids}
         c_local = {(ids.index(s), a): v
-                   for (s, a), v in utility_dict(c).items() if s in ids}
+                   for (s, a), v in utility_dict(pm, c).items() if s in ids}
         assert np.array_equal(utility_vector(sub, r_sub, local),
                               utility_reference(r_local, n, rule_local))
         rows = sim._compound_rows(sub, local, r_sub, c_sub)
@@ -426,15 +429,16 @@ def test_lp_data_match_loop_assembly(rng, monkeypatch):
             for t, prob in m.trans[(s, a)].items():
                 flow[t, j] -= prob
 
+        r_tab, c_tab = utility_dict(m, r), utility_dict(m, c)
         seen.clear()
         lp.solve_ratio_lfp(m, r, c)
-        a_eq = np.vstack([flow, [c(*sa) for sa in pairs]])
+        a_eq = np.vstack([flow, [c_tab[sa] for sa in pairs]])
         b_eq = np.zeros(n + 1)
         b_eq[n] = 1.0
         (got,) = seen
         assert np.array_equal(got.a_eq, a_eq)
         assert np.array_equal(got.b_eq, b_eq)
-        assert np.array_equal(got.c, [r(*sa) for sa in pairs])
+        assert np.array_equal(got.c, [r_tab[sa] for sa in pairs])
 
         seen.clear()
         lp.solve_avg_reward_lp(m, r)
@@ -444,7 +448,7 @@ def test_lp_data_match_loop_assembly(rng, monkeypatch):
             a_eq[n + s, j] += 1.0
         a_eq[n:, k:] = flow
         cobj = np.zeros(2 * k)
-        cobj[:k] = [r(*sa) for sa in pairs]
+        cobj[:k] = [r_tab[sa] for sa in pairs]
         (got,) = seen
         assert np.array_equal(got.a_eq, a_eq)
         assert np.array_equal(got.b_eq, np.concatenate(
@@ -458,8 +462,8 @@ def test_rollout_matches_numpy_indexed_loop(rng):
         r, c = random_utilities(rng, m)
         rule = random_rule(rng, m)
         rows = sim._compound_rows(m, policy_from_rule(m, rule), r, c)
-        ref = rows_reference(m.trans, m.n_states, rule, utility_dict(r),
-                             utility_dict(c))
+        ref = rows_reference(m.trans, m.n_states, rule, utility_dict(m, r),
+                             utility_dict(m, c))
         assert [row[:4] for row in rows] == ref
         for i in range(3):
             assert sim._one_rollout(rows, m.initial, 2000,
@@ -495,12 +499,12 @@ def test_utilities_lift_as_a_gather(rng):
         m = labeled_mdp(rng, int(rng.integers(2, 6)), 2)
         d = random_dra(rng, 2)
         pm = build_product(m, d)
-        reward, cost = random_utilities(rng, m)
+        reward, cost = random_utility_tables(rng, m)
         r, c = lift_utilities(pm, reward, cost)
-        for i, a in pm.state_action_pairs():
+        for j, (i, a) in enumerate(pm.state_action_pairs()):
             base = pm.components[i][0]
-            assert r(i, a) == reward(base, a)
-            assert c(i, a) == cost(base, a)
+            assert r[j] == reward(base, a)
+            assert c[j] == cost(base, a)
 
 
 def pair_table(m, vals):

@@ -3,10 +3,10 @@ import pytest
 
 from effsynth.model import (Mdp, ProductMdp, induce_chain, policy_from_rule,
                             rabin_witness, uniform_policy)
-from effsynth.graph import (Unreachable, almost_sure_region,
-                            attractor_policy, is_communicating, maec_decompose,
-                            mec_decompose, restrict,
-                            strongly_connected_components)
+from effsynth.graph import (Unreachable, almost_sure_region, amec_filter,
+                            attractor_policy, closed_pairs, is_communicating,
+                            maec_decompose, mec_decompose, restrict,
+                            strongly_connected_components, within)
 
 from conftest import (amecs_of, ec_parts, enumerate_ecs, example1_mdp,
                       example1_product, max_reach_probability, maximal_ecs,
@@ -275,6 +275,50 @@ def test_restrict_reads_its_states_off_the_mask(rng):
         assert sub.initial == 0
         closed += 1
     assert closed > 0 and leaky > 0
+
+
+def masks(ecs):
+    return [ec.tolist() for ec in ecs]
+
+
+def check_amec_gathers(m, amecs, maecs):
+    """Each AMEC's sub-model decomposes into the MAECs of m it contains,
+    gathered through its parent_pair."""
+    for amec in amecs:
+        sub, _ = restrict(m, amec)
+        pp = sub.parent_pair
+        assert masks(maec_decompose(sub)) == \
+            masks([ma[pp] for ma in maecs if within(ma, amec)])
+
+
+def test_gathered_end_components_match_recomputed(rng):
+    """The almost-sure region's sub-model and each AMEC's sub-model can take
+    their end components from the product by one gather through parent_pair:
+    the gathered masks are the ones decomposing the sub-model again finds,
+    in the same order."""
+    partial = several = 0
+    for trial in range(600):
+        pm = random_product(rng, int(rng.integers(3, 12)), 2,
+                            n_pairs=int(rng.integers(1, 3)), max_branch=2)
+        maecs = maec_decompose(pm)
+        amecs = amec_filter(mec_decompose(pm), maecs)
+        if not amecs:
+            continue
+        several += len(amecs) > 1
+        check_amec_gathers(pm, amecs, maecs)
+        region = almost_sure_region(pm, amecs)
+        if region.all():
+            continue
+        partial += 1
+        rm, _ = restrict(pm, closed_pairs(pm, region))
+        pp = rm.parent_pair
+        rm_maecs = [ma[pp] for ma in maecs]
+        rm_amecs = [a[pp] for a in amecs]
+        assert masks(maec_decompose(rm)) == masks(rm_maecs)
+        assert masks(amec_filter(mec_decompose(rm), maec_decompose(rm))) == \
+            masks(rm_amecs)
+        check_amec_gathers(rm, rm_amecs, rm_maecs)
+    assert partial >= 30 and several >= 15
 
 
 def test_is_communicating():

@@ -112,8 +112,8 @@ def test_lp_degenerate_cycling_guard():
 
 def single_state_two_loops():
     m = Mdp(["s"], ["a", "b"], 0, {(0, 0): {0: 1.0}, (0, 1): {0: 1.0}})
-    r = UtilityFn({(0, 0): 2.0, (0, 1): 5.0}, "reward")
-    c = UtilityFn({(0, 0): 1.0, (0, 1): 1.0}, "cost")
+    r = UtilityFn({(0, 0): 2.0, (0, 1): 5.0}, "reward").pair_values(m)
+    c = UtilityFn({(0, 0): 1.0, (0, 1): 1.0}, "cost").pair_values(m)
     return m, r, c
 
 
@@ -128,8 +128,8 @@ def test_lfp_single_state_picks_better_loop():
 
 def test_lfp_rejects_noncommunicating():
     m = Mdp(["x", "y"], ["a"], 0, {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}})
-    r = UtilityFn.constant(m, 1.0, "reward")
-    c = UtilityFn.constant(m, 1.0, "cost")
+    r = np.full(m.n_pairs, 1.0)
+    c = np.full(m.n_pairs, 1.0)
     with pytest.raises(NotCommunicating):
         solve_ratio_lfp(m, r, c)
 
@@ -138,7 +138,7 @@ def test_lfp_unit_cost_agrees_with_average_reward_lp(rng):
     for trial in range(10):
         m = random_communicating_mdp(rng, int(rng.integers(2, 6)), 2)
         r, _ = random_utilities(rng, m)
-        ones = UtilityFn.constant(m, 1.0, "cost")
+        ones = np.full(m.n_pairs, 1.0)
         sol = solve_ratio_lfp(m, r, ones)
         avg = solve_avg_reward_lp(m, r)
         # communicating: the optimal gain is constant, so the weighted gain
@@ -164,8 +164,9 @@ def test_lfp_value_is_ratio_at_gamma(rng):
         r, c = random_utilities(rng, m)
         sol = solve_ratio_lfp(m, r, c)
         gamma = pair_table(m, sol.gamma)
-        num = sum(g * r(s, a) for (s, a), g in gamma.items())
-        den = sum(g * c(s, a) for (s, a), g in gamma.items())
+        r_tab, c_tab = pair_table(m, r), pair_table(m, c)
+        num = sum(g * r_tab[sa] for sa, g in gamma.items())
+        den = sum(g * c_tab[sa] for sa, g in gamma.items())
         assert num / den == pytest.approx(sol.value, abs=1e-10)
         assert sum(gamma.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -245,13 +246,14 @@ def test_lfp_on_roundtripped_delivery_product():
     r, c = lift_utilities(pm, reward, cost)
     amec = amecs_of(pm)[0]
     sub, ids = restrict(pm, amec)
-    sol = solve_ratio_lfp(sub, r.restricted(ids), c.restricted(ids))
+    sol = solve_ratio_lfp(sub, r[sub.parent_pair], c[sub.parent_pair])
     assert sol.value == pytest.approx(0.117151, abs=1e-4)
 
 
 def test_avg_lp_single_state():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}})
-    sol = solve_avg_reward_lp(m, UtilityFn({(0, 0): 7.0}, "reward"))
+    sol = solve_avg_reward_lp(m, UtilityFn({(0, 0): 7.0},
+                                           "reward").pair_values(m))
     assert sol.gain == pytest.approx(7.0)
 
 
@@ -260,7 +262,7 @@ def test_avg_lp_two_disconnected_loops():
     self-loop, so the gain is the plain average of the two rewards."""
     m = Mdp(["x", "y"], ["a"], 0, {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}})
     sol = solve_avg_reward_lp(m, UtilityFn({(0, 0): 1.0, (1, 0): 9.0},
-                                           "reward"))
+                                           "reward").pair_values(m))
     assert sol.gain == pytest.approx(5.0)
     x = pair_table(m, sol.x)
     assert x[(0, 0)] == pytest.approx(0.5)
@@ -294,7 +296,7 @@ def test_decode_avg_policy_achieves_gain(rng):
 def test_decode_avg_policy_concentrated_is_deterministic():
     m = Mdp(["s"], ["a", "b"], 0, {(0, 0): {0: 1.0}, (0, 1): {0: 1.0}})
     sol = solve_avg_reward_lp(m, UtilityFn({(0, 0): 1.0, (0, 1): 4.0},
-                                           "reward"))
+                                           "reward").pair_values(m))
     assert rule_of(m, decode_avg_policy(m, sol))[0] == {1: 1.0}
 
 

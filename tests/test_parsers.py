@@ -67,8 +67,10 @@ def test_parse_rejects_probability_above_one():
 
 def test_parse_rejects_duplicate_transition():
     text = EXAMPLE1_TEXT + "trans 4 a2 4 0.5\n"
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(ParseError, match="duplicate") as err:
         parse_mdp(text)
+    assert err.value.line == 12
+    assert str(err.value) == "line 12: duplicate transition 4 a2 4"
 
 
 def test_parse_rejects_bad_literal():

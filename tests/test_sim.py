@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from effsynth.model import Mdp, ProductMdp, UtilityFn, induce_chain, \
@@ -20,8 +21,8 @@ def test_config_rejects_nonpositive():
 def test_deterministic_loop_exact_ratio():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}})
     p = deterministic(m, {0: 0})
-    r = UtilityFn({(0, 0): 2.0}, "reward")
-    c = UtilityFn({(0, 0): 4.0}, "cost")
+    r = UtilityFn({(0, 0): 2.0}, "reward").pair_values(m)
+    c = UtilityFn({(0, 0): 4.0}, "cost").pair_values(m)
     stats = simulate(m, p, r, c, RolloutConfig(steps=1000, rollouts=3, seed=7))
     assert stats.mean_ratio == 0.5
     assert stats.stderr == 0.0
@@ -92,8 +93,8 @@ def test_label_frequency_matches_limit_distribution(rng):
 
 def pair_visits(pm, p, cfg):
     """(G-visits, B-visits) per Rabin pair, from simulate's visit counts."""
-    counts = simulate(pm, p, UtilityFn.constant(pm, 1.0, "reward"),
-                      UtilityFn.constant(pm, 1.0, "cost"), cfg).visit_counts
+    counts = simulate(pm, p, np.full(pm.n_pairs, 1.0),
+                      np.full(pm.n_pairs, 1.0), cfg).visit_counts
     return [(sum(counts[s] for s in g), sum(counts[s] for s in b))
             for b, g in pm.acc_pairs]
 

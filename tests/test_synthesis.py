@@ -3,11 +3,13 @@ import sys
 import numpy as np
 import pytest
 
-from effsynth import chain, model
+from effsynth import chain, graph, model, synthesis
 from effsynth.casestudies import gen_case1
-from effsynth.model import (Mdp, ProductMdp, UtilityFn, blend, build_product,
-                            induce_chain, lift_utilities, uniform_policy)
-from effsynth.graph import maec_decompose, mec_decompose, restrict
+from effsynth.model import (Mdp, ModelError, ProductMdp, UtilityFn, blend,
+                            build_product, induce_chain, lift_utilities,
+                            uniform_policy)
+from effsynth.graph import (almost_sure_region, maec_decompose, mec_decompose,
+                            restrict)
 from effsynth.chain import analyze, average_utility, efficiency
 from effsynth.lp import solve_avg_reward_lp
 from effsynth.synthesis import (NoMaec, TaskUnsatisfiable, build_reward_k,
@@ -24,8 +26,9 @@ def two_state_unit_cost_instance():
     """Hand-checkable: deviation gap 2, minimum cost 1, optimal value 1."""
     m = Mdp(["h", "t"], ["stay", "go"], 0,
             {(0, 0): {0: 1.0}, (0, 1): {1: 1.0}, (1, 0): {0: 1.0}})
-    r = UtilityFn({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0}, "reward")
-    c = UtilityFn.constant(m, 1.0, "cost")
+    r = UtilityFn({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0},
+                  "reward").pair_values(m)
+    c = np.full(m.n_pairs, 1.0)
     mu_opt = deterministic(m, {0: 0, 1: 0})
     mu_irr = deterministic(m, {0: 1, 1: 0})
     return m, r, c, mu_opt, mu_irr
@@ -39,8 +42,8 @@ def lopsided_instance():
              (1, 0): {0: 0.9, 2: 0.1},
              (2, 0): {0: 1.0}, (2, 1): {2: 1.0}})
     r = UtilityFn({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0,
-                   (2, 0): 0.0, (2, 1): -50.0}, "reward")
-    c = UtilityFn.constant(m, 1.0, "cost")
+                   (2, 0): 0.0, (2, 1): -50.0}, "reward").pair_values(m)
+    c = np.full(m.n_pairs, 1.0)
     mu_opt = deterministic(m, {0: 0, 1: 0, 2: 0})
     mu_irr = uniform_policy(m)
     return m, r, c, mu_opt, mu_irr
@@ -154,10 +157,12 @@ def test_synth_no_perturbation_when_optimum_accepts():
     """Ratio-optimal loop on the strong state already witnesses acceptance."""
     pm = example1_product()
     r = UtilityFn({(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0,
-                   (2, 0): 0.0, (3, 0): 0.0, (3, 1): 5.0}, "reward")
-    c = UtilityFn.constant(pm, 1.0, "cost")
+                   (2, 0): 0.0, (3, 0): 0.0, (3, 1): 5.0},
+                  "reward").pair_values(pm)
+    c = np.full(pm.n_pairs, 1.0)
     sub, ids = restrict(pm, amecs_of(pm)[0])
-    rep = synth_communicating(sub, r.restricted(ids), c.restricted(ids), 0.01)
+    rep = synth_communicating(sub, r[sub.parent_pair], c[sub.parent_pair],
+                              0.01)
     assert rep.no_perturbation
     assert rep.plan is None
     assert rep.value == pytest.approx(5.0)
@@ -168,8 +173,8 @@ def test_synth_unique_policy_single_action():
     pm = ProductMdp(["x", "y"], ["a"], 0,
                     {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
                     [(set(), {1})])
-    r = UtilityFn({(0, 0): 2.0, (1, 0): 0.0}, "reward")
-    c = UtilityFn.constant(pm, 1.0, "cost")
+    r = UtilityFn({(0, 0): 2.0, (1, 0): 0.0}, "reward").pair_values(pm)
+    c = np.full(pm.n_pairs, 1.0)
     rep = synth_communicating(pm, r, c, 0.05)
     ca = analyze(induce_chain(pm, rep.policy))
     assert rep.value == pytest.approx(
@@ -181,8 +186,8 @@ def test_synth_raises_without_accepting_component():
     pm = ProductMdp(["x", "y"], ["a"], 0,
                     {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
                     [({0}, {1})])  # the only loop passes through B
-    r = UtilityFn.constant(pm, 1.0, "reward")
-    c = UtilityFn.constant(pm, 1.0, "cost")
+    r = np.full(pm.n_pairs, 1.0)
+    c = np.full(pm.n_pairs, 1.0)
     with pytest.raises(NoMaec):
         synth_communicating(pm, r, c, 0.1)
 
@@ -214,16 +219,18 @@ def test_build_reward_k_values_and_level():
     pm = example1_product()
     amecs = amecs_of(pm)
     r = UtilityFn({(0, 0): 2.0, (0, 1): -2.0, (1, 0): 1.0,
-                   (2, 0): 0.5, (3, 0): 0.0, (3, 1): 1.5}, "reward")
-    c = UtilityFn.constant(pm, 0.5, "cost")
+                   (2, 0): 0.5, (3, 0): 0.0, (3, 1): 1.5},
+                  "reward").pair_values(pm)
+    c = np.full(pm.n_pairs, 0.5)
     rk, big_k = build_reward_k(pm, amecs, [0.75], r, c)
     assert big_k == pytest.approx(-2.0 / 0.5 - 1.0)
     assert big_k < -2.0 / 0.5
-    for s, a in pm.state_action_pairs():
+    assert rk.shape == (pm.n_pairs,)
+    for j, (s, a) in enumerate(pm.state_action_pairs()):
         if s in ec_parts(pm, amecs[0])[0]:
-            assert rk(s, a) == pytest.approx(0.75)
+            assert rk[j] == pytest.approx(0.75)
         else:
-            assert rk(s, a) == pytest.approx(big_k)
+            assert rk[j] == pytest.approx(big_k)
 
 
 def test_synth_general_matches_communicating_on_communicating_input(rng):
@@ -247,8 +254,8 @@ def two_amec_instance():
     pm = ProductMdp(["start", "a1", "a2", "b1", "b2"], ["a"], 0, trans,
                     [(set(), {1, 3})])
     r = UtilityFn({(0, 0): 0.0, (1, 0): 1.0, (2, 0): 1.0,
-                   (3, 0): 3.0, (4, 0): 3.0}, "reward")
-    c = UtilityFn.constant(pm, 1.0, "cost")
+                   (3, 0): 3.0, (4, 0): 3.0}, "reward").pair_values(pm)
+    c = np.full(pm.n_pairs, 1.0)
     return pm, r, c
 
 
@@ -265,9 +272,9 @@ def test_synth_general_two_amec_reachability():
         assert any(set(comp) <= states for states in amec_states)
 
 
-def test_synth_general_region_restriction_with_trap():
-    """A trap state and a risky action must be cut away before the basic
-    policy is computed; the returned policy covers exactly the safe region."""
+def trap_instance(acc_pairs=((set(), {2, 4}),)):
+    """A trap state and a risky action outside the almost-sure region, and
+    two accepting blocks inside it."""
     trans = {
         (0, 0): {1: 0.5, 2: 0.5},  # risky: may fall into the trap
         (0, 1): {2: 1.0},          # safe: straight into the left block
@@ -276,11 +283,18 @@ def test_synth_general_region_restriction_with_trap():
         (4, 0): {5: 1.0}, (5, 0): {4: 1.0},
     }
     pm = ProductMdp(["start", "trap", "a1", "a2", "b1", "b2"],
-                    ["a", "b"], 0, trans, [(set(), {2, 4})])
+                    ["a", "b"], 0, trans, acc_pairs)
     r = UtilityFn({(0, 0): 0.0, (0, 1): 0.0, (1, 0): 9.0,
                    (2, 0): 1.0, (3, 0): 1.0, (4, 0): 2.0, (5, 0): 2.0},
-                  "reward")
-    c = UtilityFn.constant(pm, 1.0, "cost")
+                  "reward").pair_values(pm)
+    c = np.full(pm.n_pairs, 1.0)
+    return pm, r, c
+
+
+def test_synth_general_region_restriction_with_trap():
+    """A trap state and a risky action must be cut away before the basic
+    policy is computed; the returned policy covers exactly the safe region."""
+    pm, r, c = trap_instance()
     rep = synth_general(pm, r, c, 0.01)
     assert set(rule_of(pm, rep.policy)) == {0, 2, 3, 4, 5}
     assert rule_of(pm, rep.policy)[0] == {1: 1.0}      # the safe action
@@ -292,8 +306,8 @@ def test_synth_general_region_restriction_with_trap():
 
 def test_synth_general_unsatisfiable_without_amec():
     pm = ProductMdp(["x"], ["a"], 0, {(0, 0): {0: 1.0}}, [({0}, {0})])
-    r = UtilityFn.constant(pm, 1.0, "reward")
-    c = UtilityFn.constant(pm, 1.0, "cost")
+    r = np.full(pm.n_pairs, 1.0)
+    c = np.full(pm.n_pairs, 1.0)
     with pytest.raises(TaskUnsatisfiable):
         synth_general(pm, r, c, 0.1)
 
@@ -302,10 +316,34 @@ def test_synth_general_unsatisfiable_from_initial():
     # accepting loop exists but the initial state cannot reach it
     trans = {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}}
     pm = ProductMdp(["trap", "good"], ["a"], 0, trans, [(set(), {1})])
-    r = UtilityFn.constant(pm, 1.0, "reward")
-    c = UtilityFn.constant(pm, 1.0, "cost")
+    r = np.full(pm.n_pairs, 1.0)
+    c = np.full(pm.n_pairs, 1.0)
     with pytest.raises(TaskUnsatisfiable):
         synth_general(pm, r, c, 0.1)
+
+
+@pytest.mark.parametrize("synth, unsat",
+                         [(synth_general, TaskUnsatisfiable),
+                          (synth_communicating, NoMaec)])
+def test_arguments_are_checked_before_any_work(synth, unsat):
+    """Both entry points check epsilon, the method and the cost's sign
+    first: on a product without accepting component each still reports
+    the bad argument, not the missing component."""
+    pm = ProductMdp(["x", "y"], ["a"], 0, {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
+                    [({0}, {1})])  # the only loop passes through B
+    r = np.full(pm.n_pairs, 1.0)
+    c = np.full(pm.n_pairs, 1.0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        synth(pm, r, c, 0.0)
+    with pytest.raises(ValueError, match="method must be 'es' or 'ex'"):
+        synth(pm, r, c, 0.1, "bogus")
+    for bad in (0.0, -2.0):
+        with pytest.raises(ModelError) as err:
+            synth(pm, r, np.array([1.0, bad]), 0.1)
+        assert str(err.value) == \
+            f"cost must be strictly positive, got {bad} at state y, action a"
+    with pytest.raises(unsat):
+        synth(pm, r, c, 0.1)
 
 
 def random_multichain_product(rng, distinct_gap=0.05):
@@ -345,8 +383,8 @@ def random_multichain_product(rng, distinct_gap=0.05):
     vals = []
     for amec in amecs:
         sub, ids = restrict(pm, amec)
-        vals.append(solve_ratio_lfp(sub, r.restricted(ids),
-                                    c.restricted(ids)).value)
+        vals.append(solve_ratio_lfp(sub, r[sub.parent_pair],
+                                    c[sub.parent_pair]).value)
     if abs(vals[0] - vals[1]) < distinct_gap:
         return None
     return pm, r, c
@@ -428,10 +466,10 @@ def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
                                           chains):
     """The decoder's analysis of the optimal policy's chain serves the
     no-perturbation test, and the perturbation step analyzes that chain
-    once more; a single accepting component covering the product keeps its
-    own certificate.  The other chains are the irreducible policy's (for
-    the deviation), one blend per exact-degree probe, and the
-    certificate's."""
+    once more; a single accepting component covering the product is solved
+    on the product itself, whose certificate is the only one built.  The
+    other chains are the irreducible policy's (for the deviation), one blend
+    per exact-degree probe, and the certificate's."""
     m, _, task2, reward, cost = gen_case1()
     pm = build_product(m, task2)
     r, c = lift_utilities(pm, reward, cost)
@@ -441,3 +479,26 @@ def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
     assert rep.certificate.accepted
     assert len(analyzed) == analyses
     assert len(induced) == chains
+
+
+def test_synth_general_decomposes_the_product_once(monkeypatch):
+    """With a partial almost-sure region and two accepting components, one
+    synth_general runs mec_decompose once for the MECs and once per Rabin
+    pair inside its single maec_decompose: the region and every component
+    gather their end components instead of decomposing again.  Only the
+    returned report gets a certificate."""
+    pm, r, c = trap_instance([(set(), {2, 4}), ({3}, {2, 5})])
+    amecs = amecs_of(pm)
+    assert len(amecs) == 2
+    assert not almost_sure_region(pm, amecs).all()
+    mecs = count_calls(monkeypatch, graph, "mec_decompose")
+    maecs = count_calls(monkeypatch, graph, "maec_decompose")
+    regions = count_calls(monkeypatch, graph, "almost_sure_region")
+    certificates = count_calls(monkeypatch, synthesis, "_certificate")
+    rep = synth_general(pm, r, c, 0.01)
+    assert rep.certificate.accepted
+    assert rep.value == pytest.approx(1.0, abs=1e-8)
+    assert len(mecs) == 1 + len(pm.acc_pairs)
+    assert len(maecs) == 1
+    assert len(regions) == 1
+    assert len(certificates) == 1

@@ -12,7 +12,10 @@ and `casestudy case2` run with default parameters, each into its own fixed
 directory (their perturbation tables and bonus sweep decode policies outside
 `synthesize`).  Inputs and outputs sit at the same paths for every tree, so
 the run manifests agree; each call's output files, standard output, standard
-error and exit code are copied into <out-dir>.  Two trees give the same
+error and exit code are copied into <out-dir>.  Last, each of the tree's
+`demos/*.py` scripts runs in a subprocess with that tree's `src` on the
+path, and its exit code, standard output and standard error are written to
+<out-dir>/demos.  Two trees give the same
 outputs exactly when
 
     diff -r <out-dir-1> <out-dir-2>
@@ -22,9 +25,11 @@ tree.
 """
 
 import contextlib
+import glob
 import io
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 
@@ -82,6 +87,21 @@ def _record(cli, name, call, d, dest):
     print(f"{os.path.basename(dest)} {name}: exit {code}", flush=True)
 
 
+def _record_demos(tree, dest):
+    """Run every demo script of tree with its src on the path, and write
+    each one's exit code and console into dest."""
+    os.makedirs(dest, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    for script in sorted(glob.glob(os.path.join(tree, "demos", "*.py"))):
+        name = os.path.basename(script)
+        proc = subprocess.run([sys.executable, script], cwd=tree, env=env,
+                              capture_output=True, text=True)
+        with open(os.path.join(dest, f"{name}.console"), "w") as f:
+            f.write(f"exit {proc.returncode}\n--- stdout\n{proc.stdout}"
+                    f"--- stderr\n{proc.stderr}")
+        print(f"demos {name}: exit {proc.returncode}", flush=True)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -110,6 +130,7 @@ def main(argv=None):
         os.makedirs(dest, exist_ok=True)
         _record(cli, "casestudy", ["casestudy", case, "--out-dir", d], d, dest)
     shutil.rmtree(WORK, ignore_errors=True)
+    _record_demos(tree, os.path.join(out_dir, "demos"))
     return 0
 
 
