@@ -1,9 +1,11 @@
 """Exact analysis of finite Markov chains.
 
 Everything here is dense linear algebra: recurrent classes are the bottom
-strongly connected components of the support graph, stationary distributions
-and absorption probabilities come from LU solves, and the limit matrix is
-assembled row by row.  On top of that sit the long-run average utility, the
+strongly connected components of the support graph, and stationary
+distributions and absorption probabilities come from LU solves.  The limit
+matrix P* is assembled from them only when it is read (the average utility,
+potentials and the limit distribution read it; the efficiency does not).
+On top of that sit the long-run average utility, the
 reward-to-cost efficiency for general multichain chains, potential vectors
 g = (I - P + P*)^{-1} v and deviation vectors, returned as plain arrays.
 ratio_deviation is the one perturbation step: a unichain policy's efficiency
@@ -15,6 +17,7 @@ blend of two vectors; utilities are value vectors over the same pairs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +39,7 @@ class NotUnichain(Exception):
 
 @dataclass(frozen=True)
 class ChainAnalysis:
-    """Recurrent structure of a chain together with its limit matrix.
+    """Recurrent structure of a chain, and its limit matrix on demand.
 
     absorb[s, k] is the probability of ending up (and staying forever) in
     recurrent class k when starting from s; the column of a transient state in
@@ -47,15 +50,27 @@ class ChainAnalysis:
     transient: frozenset
     stationary: tuple       # per-class stationary distribution over class states
     absorb: np.ndarray      # n_states x n_classes
-    limit_matrix: np.ndarray
 
     def is_unichain(self):
         return len(self.recurrent_classes) == 1
 
+    @cached_property
+    def limit_matrix(self):
+        """P* (the Cesaro limit of the powers of P): the sum over the
+        classes k of absorb[:, k] times the class's stationary row.  Built
+        on first use; the efficiency needs only absorb and stationary."""
+        n = self.chain.n_states
+        star = np.zeros((n, n))
+        for k, comp in enumerate(self.recurrent_classes):
+            row = np.zeros(n)
+            row[list(comp)] = self.stationary[k]
+            star += np.outer(self.absorb[:, k], row)
+        return star
+
 
 def analyze(chain: Mc) -> ChainAnalysis:
-    """Classify states, solve for stationary and absorption structure, and
-    assemble the limit matrix P* (Cesaro limit of the powers of P)."""
+    """Classify states and solve for stationary and absorption structure;
+    the limit matrix P* is assembled only when it is read."""
     P = chain.P
     n = chain.n_states
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-9:
@@ -109,16 +124,10 @@ def analyze(chain: Mc) -> ChainAnalysis:
         for s in tr:
             absorb[s, :] = sol[idx[s], :]
 
-    star = np.zeros((n, n))
-    for k, comp in enumerate(classes):
-        row = np.zeros(n)
-        row[list(comp)] = stationary[k]
-        star += np.outer(absorb[:, k], row)
-
     return ChainAnalysis(chain=chain, recurrent_classes=classes,
                          transient=transient,
                          stationary=tuple(stationary),
-                         absorb=absorb, limit_matrix=star)
+                         absorb=absorb)
 
 
 def utility_vector(m: Mdp, u, p) -> np.ndarray:

@@ -3,12 +3,18 @@
 Subcommands: decompose, synthesize, evaluate, simulate, casestudy.  Outputs
 are machine-readable JSON (schema effsynth/1) with a run manifest (input
 hashes, version, seed, active numeric knobs).  Exit codes: 0 ok, 2 parse or
-validation failure (also argparse usage errors), 3 task unsatisfiable,
-4 solver failure.
+validation failure (also argparse usage errors, and an input that cannot be
+read or is not UTF-8), 3 task unsatisfiable, 4 solver failure.
+
+A call opens each input file once: its bytes are hashed for the manifest
+and decoded for the parser.  The argument parser is built once per process;
+main looks the subcommand's cmd_* function up by name on every call, so a
+function rebound on this module (as a tracer does) is the one that runs.
 """
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -31,18 +37,29 @@ SOLVER_ERRORS = (lp.NumericalFailure, lp.InfeasibleError, lp.NotCommunicating,
                  chain.SingularSystem, chain.NotUnichain, graph.Unreachable)
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        h.update(f.read())
-    return h.hexdigest()
+def _read(path, digests):
+    """The text of an input file, opened once: its bytes are hashed into
+    digests[path] for the manifest and decoded as UTF-8.  A file that cannot
+    be read or decoded is a parse error that names it."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise parsers.ParseError(
+            f"cannot read {path}: {e.strerror or e}") from e
+    digests[path] = hashlib.sha256(data).hexdigest()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise parsers.ParseError(
+            f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
 
 
-def _manifest(args, paths, tol=synthesis.Tolerances()):
+def _manifest(args, digests, tol=synthesis.Tolerances()):
     knobs = {"prob_tol": PROB_TOL, **dataclasses.asdict(tol)}
     return {
         "version": __version__,
-        "inputs": {p: _sha256(p) for p in paths if p},
+        "inputs": digests,
         "seed": getattr(args, "seed", None),
         "knobs": knobs,
     }
@@ -57,18 +74,15 @@ def _emit(payload, out_path):
         sys.stdout.write(text)
 
 
-def _load_problem(args):
-    with open(args.mdp) as f:
-        m = parsers.parse_mdp(f.read())
-    with open(args.dra) as f:
-        d = parsers.parse_dra(f.read())
+def _load_problem(args, digests):
+    m = parsers.parse_mdp(_read(args.mdp, digests))
+    d = parsers.parse_dra(_read(args.dra, digests))
     pm = build_product(m, d)
     return m, d, pm
 
 
-def _load_utilities(args, m, pm):
-    with open(args.rewards) as f:
-        reward, cost = parsers.parse_utilities(f.read(), m)
+def _load_utilities(args, m, pm, digests):
+    reward, cost = parsers.parse_utilities(_read(args.rewards, digests), m)
     if reward is None or cost is None:
         raise parsers.ParseError("utility file must define reward and cost")
     return lift_utilities(pm, reward, cost)
@@ -85,7 +99,8 @@ def _ec_json(m, ec):
 
 
 def cmd_decompose(args):
-    m, d, pm = _load_problem(args)
+    digests = {}
+    m, d, pm = _load_problem(args, digests)
     mecs = graph.mec_decompose(pm)
     maecs = graph.maec_decompose(pm)
     amecs = graph.amec_filter(mecs, maecs)
@@ -98,7 +113,7 @@ def cmd_decompose(args):
         "almost_sure_region": [pm.state_names[s]
                                for s in np.flatnonzero(region)],
         "initial_in_region": bool(region[pm.initial]),
-        "manifest": _manifest(args, [args.mdp, args.dra]),
+        "manifest": _manifest(args, digests),
     }
     _emit(payload, args.out)
     if not amecs:
@@ -134,8 +149,9 @@ def cmd_synthesize(args):
     tol = synthesis.Tolerances(support_threshold=args.tol_support,
                                bisect_width=args.tol_bisect,
                                k_margin=args.k_margin)
-    m, d, pm = _load_problem(args)
-    r, c = _load_utilities(args, m, pm)
+    digests = {}
+    m, d, pm = _load_problem(args, digests)
+    r, c = _load_utilities(args, m, pm, digests)
     report = synthesis.synth_general(pm, r, c, args.epsilon, args.method, tol)
     policy_text = parsers.write_policy(pm, report.policy, report)
     if args.out:
@@ -144,8 +160,7 @@ def cmd_synthesize(args):
     payload = {"schema": "effsynth/1",
                "report": _report_json(pm, report),
                "policy_file": args.out,
-               "manifest": _manifest(args, [args.mdp, args.dra, args.rewards],
-                                     tol)}
+               "manifest": _manifest(args, digests, tol)}
     _emit(payload, args.report_out)
     return 0
 
@@ -169,18 +184,18 @@ def _policy_scope(pm, policy, r, c):
     return sub_pm, policy[pp], r[pp], c[pp]
 
 
-def _load_scoped_policy(args):
+def _load_scoped_policy(args, digests):
     """The product, utilities and policy of an evaluate or simulate call,
     restricted to the policy's domain."""
-    m, d, pm = _load_problem(args)
-    r, c = _load_utilities(args, m, pm)
-    with open(args.policy) as f:
-        policy = parsers.parse_policy(f.read(), pm)
+    m, d, pm = _load_problem(args, digests)
+    r, c = _load_utilities(args, m, pm, digests)
+    policy = parsers.parse_policy(_read(args.policy, digests), pm)
     return _policy_scope(pm, policy, r, c)
 
 
 def cmd_evaluate(args):
-    pm, policy, r, c = _load_scoped_policy(args)
+    digests = {}
+    pm, policy, r, c = _load_scoped_policy(args, digests)
     ca = chain.analyze(induce_chain(pm, policy))
     eff = chain.efficiency(ca, pm, r, c, policy, pm.initial)
     classes = []
@@ -197,15 +212,14 @@ def cmd_evaluate(args):
                "recurrent_classes": classes,
                "satisfaction_probability": sat_mass,
                "accepted_wp1": abs(sat_mass - 1.0) <= 1e-9,
-               "manifest": _manifest(args,
-                                     [args.mdp, args.dra, args.rewards,
-                                      args.policy])}
+               "manifest": _manifest(args, digests)}
     _emit(payload, args.out)
     return 0
 
 
 def cmd_simulate(args):
-    pm, policy, r, c = _load_scoped_policy(args)
+    digests = {}
+    pm, policy, r, c = _load_scoped_policy(args, digests)
     cfg = sim.RolloutConfig(steps=args.steps, rollouts=args.rollouts,
                             seed=args.seed)
     stats = sim.simulate(pm, policy, r, c, cfg)
@@ -232,9 +246,7 @@ def cmd_simulate(args):
                    {"pair": k, "g_visits": sum(counts[s] for s in g),
                     "b_visits": sum(counts[s] for s in b)}
                    for k, (b, g) in enumerate(pm.acc_pairs)],
-               "manifest": _manifest(args,
-                                     [args.mdp, args.dra, args.rewards,
-                                      args.policy])}
+               "manifest": _manifest(args, digests)}
     _emit(payload, args.out)
     return 0
 
@@ -243,9 +255,9 @@ def cmd_casestudy(args):
     import os
     os.makedirs(args.out_dir, exist_ok=True)
     params = None
+    digests = {}
     if args.params:
-        with open(args.params) as f:
-            raw = json.load(f)
+        raw = json.loads(_read(args.params, digests))
         if args.name == "case1":
             if "item_prob" in raw:
                 raw["item_prob"] = {tuple(map(int, k.split(","))): v
@@ -288,7 +300,7 @@ def cmd_casestudy(args):
         _emit({"schema": "effsynth/1", "generated": ["model.mdp", "task1.hoa",
                                                      "task2.hoa", "utilities.txt",
                                                      "perturbation_tables.csv"],
-               "manifest": _manifest(args, [args.params])}, None)
+               "manifest": _manifest(args, digests)}, None)
     else:
         m, d, reward_family, cost = casestudies.gen_case2(params)
         with open(path("model.mdp"), "w") as f:
@@ -303,7 +315,7 @@ def cmd_casestudy(args):
         _emit({"schema": "effsynth/1", "generated": ["model.mdp", "task.hoa",
                                                      "utilities_bonus0.txt",
                                                      "bonus_sweep.csv"],
-               "manifest": _manifest(args, [args.params])}, None)
+               "manifest": _manifest(args, digests)}, None)
     return 0
 
 
@@ -376,7 +388,6 @@ def make_parser():
     p.add_argument("mdp")
     p.add_argument("dra")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("synthesize", help="full synthesis pipeline")
     p.add_argument("mdp")
@@ -389,7 +400,6 @@ def make_parser():
     p.add_argument("--tol-support", type=float, default=lp.SUPPORT_THRESHOLD)
     p.add_argument("--tol-bisect", type=float, default=synthesis.BISECT_WIDTH)
     p.add_argument("--k-margin", type=float, default=synthesis.K_MARGIN)
-    p.set_defaults(fn=cmd_synthesize)
 
     p = sub.add_parser("evaluate", help="analytic efficiency and acceptance")
     p.add_argument("mdp")
@@ -397,7 +407,6 @@ def make_parser():
     p.add_argument("rewards")
     p.add_argument("policy")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("simulate", help="Monte-Carlo rollout statistics")
     p.add_argument("mdp")
@@ -409,7 +418,6 @@ def make_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("casestudy", help="generate benchmark instances")
     p.add_argument("name", choices=("case1", "case2"))
@@ -417,14 +425,21 @@ def make_parser():
     p.add_argument("--out-dir", required=True)
     p.add_argument("--bonus-grid", type=float, nargs="+",
                    default=[0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0])
-    p.set_defaults(fn=cmd_casestudy)
     return top
 
 
+@functools.cache
+def _argument_parser():
+    """make_parser(), built once per process; parsing leaves it unchanged."""
+    return make_parser()
+
+
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    args = _argument_parser().parse_args(argv)
+    # looked up at call time, so that a rebound cmd_* function is the one run
+    command = globals()["cmd_" + args.command]
     try:
-        return args.fn(args)
+        return command(args)
     except PARSE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -3,16 +3,19 @@
 States and actions are dense integer indices; names are kept only for I/O and
 error messages.  Transitions are stored in one flat state-action (CSR) form
 that every layer reads: the available (state, action) pairs are numbered in
-(state, action) order, each with a slice of successor entries.  A stationary
-policy is a read-only weight vector over those pairs (policy_from_rule reads
-one from a {state: {action: probability}} rule, the form of policy files);
-its domain is the set of states whose row has positive mass.  A utility is
-likewise a value vector over a model's pairs (UtilityFn is the table it is
-read from at the input edge), and a sub-model takes its share of any such
-vector by one gather through its parent_pair.  Inducing a chain or a
-per-state utility is one scatter over the entries, summed in the same order
-as a loop over the pairs would sum.  All containers are immutable after
-construction so models can be shared freely across workers.
+(state, action) order, each with a slice of successor entries.  csr_arrays
+builds that form from transition entries, for the parser and for the dict
+constructor alike.  A stationary policy is a read-only weight vector over
+those pairs (policy_from_entries reads one from (state, action, probability)
+entries, as a policy file lists them; policy_from_rule from a {state:
+{action: probability}} rule); its domain is the set of states whose row has
+positive mass.  A utility is likewise a value vector over a model's pairs
+(UtilityFn is the table it is read from at the input edge), and a sub-model
+takes its share of any such vector by one gather through its parent_pair.
+Inducing a chain or a per-state utility is one scatter over the entries,
+summed in the same order as a loop over the pairs would sum.  All
+containers are immutable after construction so models can be shared freely
+across workers.
 """
 
 from dataclasses import dataclass
@@ -45,6 +48,18 @@ class Violation:
     detail: str = ""
 
 
+def csr_arrays(n_states, src, act, dst, prob):
+    """The flat arrays (state_ptr, pair_action, succ_ptr, succ_state,
+    succ_prob) of the transition entries (src[i], act[i]) -> dst[i] with
+    probability prob[i], given in any order, each (src, act, dst) once:
+    pairs ascend by (state, action) and successors ascend within a pair."""
+    order = np.lexsort((dst, act, src))
+    src, act = src[order], act[order]
+    start = np.flatnonzero(np.diff(src, prepend=-1) | np.diff(act, prepend=-1))
+    return (np.searchsorted(src[start], np.arange(n_states + 1)), act[start],
+            np.append(start, len(src)), dst[order], prob[order])
+
+
 def _ranges(starts, lens):
     """The concatenation of arange(starts[i], starts[i] + lens[i])."""
     ends = np.cumsum(lens)
@@ -62,9 +77,11 @@ class Mdp:
     probability succ_prob[k].  Rows must sum to 1.
 
     The constructor takes trans, a map (state, action) -> {successor:
-    probability}, and builds the arrays from it; products and sub-models
-    are built straight from arrays by from_arrays.  trans reads the arrays
-    back as such a map, for code that walks a model pair by pair.  A
+    probability}, flattens it into transition entries and builds the arrays
+    from them with csr_arrays, as parse_mdp does with the entries it reads;
+    products and sub-models are built straight from arrays by from_arrays.
+    trans reads the arrays back as such a map, for code that walks a model
+    pair by pair.  A
     sub-model cut out of a parent (graph.restrict) records in parent_pair[j]
     the parent pair that its pair j copies; other models leave it None.
     """
@@ -72,16 +89,18 @@ class Mdp:
     def __init__(self, state_names, action_names, initial, trans,
                  atomic_props=(), labels=None):
         self._set(state_names, action_names, initial, atomic_props, labels)
-        rows = sorted(((int(s), int(a)),
-                       sorted((int(t), float(p)) for t, p in dist.items()))
-                      for (s, a), dist in trans.items())
-        pair_state = np.array([s for (s, _), _ in rows], dtype=np.int64)
-        lens = np.array([len(d) for _, d in rows], dtype=np.int64)
-        self._set_arrays(
-            np.searchsorted(pair_state, np.arange(self.n_states + 1)),
-            [a for (_, a), _ in rows], np.concatenate(([0], np.cumsum(lens))),
-            np.fromiter((t for _, d in rows for t, _ in d), dtype=np.int64),
-            np.fromiter((p for _, d in rows for _, p in d), dtype=float))
+        dists = list(trans.values())
+        lens = [len(d) for d in dists]
+        if 0 in lens:
+            s, a = list(trans)[lens.index(0)]
+            raise ModelError(f"pair ({s}, {a}) has an empty distribution")
+        n = sum(lens)
+        self._set_arrays(*csr_arrays(
+            self.n_states,
+            np.repeat(np.fromiter((s for s, _ in trans), np.int64), lens),
+            np.repeat(np.fromiter((a for _, a in trans), np.int64), lens),
+            np.fromiter((t for d in dists for t in d), np.int64, n),
+            np.fromiter((p for d in dists for p in d.values()), float, n)))
 
     @classmethod
     def from_arrays(cls, state_names, action_names, initial, state_ptr,
@@ -261,31 +280,59 @@ class Dra:
 
 def policy_from_rule(m: Mdp, rule) -> np.ndarray:
     """The policy of a {state: {action: probability}} rule as a read-only
-    weight vector over m's pairs; pairs of states outside the rule weigh
-    zero.  Raises PolicyMismatch unless every rule is a distribution over
-    the state's available actions."""
-    states, actions, probs = [], [], []
-    for s, d in rule.items():
-        s = int(s)
-        d = sorted((int(a), float(p)) for a, p in d.items())
-        avail = set(m.available[s])
-        for a, p in d:
-            if a not in avail and p != 0.0:
-                raise PolicyMismatch(
-                    f"state {m.state_names[s]}: action {m.action_names[a]} "
-                    f"not available")
-            if p < -PROB_TOL or p > 1 + PROB_TOL:
-                raise PolicyMismatch(
-                    f"state {m.state_names[s]}: probability {p} out of range")
-        mass = sum(p for a, p in d if a in avail)
-        if abs(mass - 1.0) > PROB_TOL:
-            raise PolicyMismatch(
-                f"state {m.state_names[s]}: probabilities sum to {mass}")
-        states.extend([s] * len(d))
-        actions.extend(a for a, _ in d)
-        probs.extend(p for _, p in d)
+    weight vector over m's pairs (see policy_from_entries).  A state listed
+    with no action at all has mass 0."""
+    rows = [(int(s), sorted((int(a), float(p)) for a, p in d.items()))
+            for s, d in rule.items()]
+    empty = next((i for i, (_, d) in enumerate(rows) if not d), len(rows))
+    rows, rest = rows[:empty], rows[empty:]
+    n = sum(len(d) for _, d in rows)
+    w = policy_from_entries(
+        m, np.fromiter((s for s, d in rows for _ in d), np.int64, n),
+        np.fromiter((a for _, d in rows for a, _ in d), np.int64, n),
+        np.fromiter((p for _, d in rows for _, p in d), float, n))
+    if rest:   # raised after any fault of the states listed before it
+        raise PolicyMismatch(
+            f"state {m.state_names[rest[0][0]]}: probabilities sum to 0")
+    return w
+
+
+def policy_from_entries(m: Mdp, states, actions, probs) -> np.ndarray:
+    """The policy that puts probs[i] on action actions[i] at states[i], as a
+    read-only weight vector over m's pairs; pairs of unlisted states weigh
+    zero.  Each (state, action) is listed at most once, in any order.
+
+    Raises PolicyMismatch unless every listed state's entries are a
+    distribution over its available actions.  States are checked in the
+    order they are first listed and each state's entries by action: the
+    first entry that puts mass on an unavailable action or lies outside
+    [0, 1], else a mass off 1, which is summed in action order.
+    """
     idx, found = m.pair_index(states, actions)
-    probs = np.array(probs, dtype=float)
+    _, first, group = np.unique(states, return_index=True,
+                                return_inverse=True)
+    order = np.lexsort((actions, first[group]))
+    bad = (~found & (probs != 0.0)) | (probs < -PROB_TOL) | \
+        (probs > 1 + PROB_TOL)
+    kept = order[found[order]]
+    mass = np.bincount(group[kept], weights=probs[kept],
+                       minlength=len(first))
+    bad_state = np.bincount(group, weights=bad, minlength=len(first)) > 0
+    bad_state |= np.abs(mass - 1.0) > PROB_TOL
+    if bad_state.any():
+        g = min(np.flatnonzero(bad_state), key=lambda g: first[g])
+        name = m.state_names[states[first[g]]]
+        for i in order[group[order] == g].tolist():
+            p = float(probs[i])
+            if not found[i] and p != 0.0:
+                raise PolicyMismatch(
+                    f"state {name}: action {m.action_names[actions[i]]} "
+                    f"not available")
+            if bad[i]:
+                raise PolicyMismatch(
+                    f"state {name}: probability {p} out of range")
+        total = float(mass[g]) if found[group == g].any() else 0
+        raise PolicyMismatch(f"state {name}: probabilities sum to {total}")
     keep = found & (probs != 0.0)
     w = np.zeros(m.n_pairs)
     w[idx[keep]] = probs[keep]
@@ -315,18 +362,30 @@ class UtilityFn:
     """Per state-action utility table, the input-edge form of a reward or
     cost.  kind is 'reward' or 'cost'; costs must be strictly positive.
 
-    Built from a {(state, action): value} dict and stored as (state, action,
-    value) arrays sorted by (state, action), tied to no model.  Inside the
+    Built from a {(state, action): value} dict, or by from_entries from
+    (state, action, value) arrays as parse_utilities reads them, and stored
+    as those arrays sorted by (state, action), tied to no model.  Inside the
     program a utility is the vector pair_values(m) over the pairs of a model
     the table covers; a sub-model gathers it through its parent_pair.
     """
 
     def __init__(self, values, kind):
+        n = len(values)
+        self._set(np.fromiter((s for s, _ in values), np.int64, n),
+                  np.fromiter((a for _, a in values), np.int64, n),
+                  np.fromiter(values.values(), float, n), kind)
+
+    @classmethod
+    def from_entries(cls, states, actions, vals, kind):
+        """The table of the entries (states[i], actions[i]) -> vals[i], each
+        pair listed once, in any order."""
+        fn = cls.__new__(cls)
+        fn._set(states, actions, vals, kind)
+        return fn
+
+    def _set(self, states, actions, vals, kind):
         if kind not in ("reward", "cost"):
             raise ValueError(f"unknown utility kind {kind!r}")
-        states = np.array([int(s) for s, _ in values], dtype=np.int64)
-        actions = np.array([int(a) for _, a in values], dtype=np.int64)
-        vals = np.array([float(v) for v in values.values()], dtype=float)
         if kind == "cost":
             bad = np.flatnonzero(vals <= 0.0)
             if bad.size:
@@ -405,27 +464,34 @@ class Mc:
 
 
 def validate_mdp(m: Mdp):
-    """All Mdp invariants, reported as data.  Empty list means valid."""
+    """All Mdp invariants, reported as data.  Empty list means valid.
+
+    Violations come in a fixed order: the initial state; states without an
+    action; pair by pair in (state, action) order, each entry out of range
+    in entry order, then the row sum (added up in entry order); labels."""
     out = []
     if not (0 <= m.initial < m.n_states):
         out.append(Violation("bad_initial", detail=f"initial={m.initial}"))
-    for s in range(m.n_states):
-        if not m.available[s]:
-            out.append(Violation("no_action", state=s,
-                                 detail=f"state {m.state_names[s]} has no action"))
-    # pair by pair in (state, action) order; row sums add up in entry order
+    for s in np.flatnonzero(np.diff(m.state_ptr) == 0).tolist():
+        out.append(Violation("no_action", state=s,
+                             detail=f"state {m.state_names[s]} has no action"))
     total = np.bincount(m.succ_pair, weights=m.succ_prob,
-                        minlength=m.n_pairs).tolist()
-    succ, prob, ptr = (m.succ_state.tolist(), m.succ_prob.tolist(),
-                       m.succ_ptr.tolist())
-    for j, (s, a) in enumerate(m.state_action_pairs()):
-        for k in range(ptr[j], ptr[j + 1]):
-            if prob[k] < -PROB_TOL or prob[k] > 1 + PROB_TOL:
-                out.append(Violation("prob_range", state=s, action=a,
-                                     detail=f"P({succ[k]}|{s},{a})={prob[k]}"))
-        if abs(total[j] - 1.0) > PROB_TOL:
+                        minlength=m.n_pairs)
+    bad_entry = (m.succ_prob < -PROB_TOL) | (m.succ_prob > 1 + PROB_TOL)
+    bad_row = np.abs(total - 1.0) > PROB_TOL
+    bad_pair = bad_row | (np.bincount(m.succ_pair, weights=bad_entry,
+                                      minlength=m.n_pairs) > 0)
+    for j in np.flatnonzero(bad_pair).tolist():
+        s, a = int(m.pair_state[j]), int(m.pair_action[j])
+        for k in range(m.succ_ptr[j], m.succ_ptr[j + 1]):
+            if bad_entry[k]:
+                out.append(Violation(
+                    "prob_range", state=s, action=a,
+                    detail=f"P({int(m.succ_state[k])}|{s},{a})="
+                           f"{float(m.succ_prob[k])}"))
+        if bad_row[j]:
             out.append(Violation("stochasticity", state=s, action=a,
-                                 detail=f"row sum {total[j]}"))
+                                 detail=f"row sum {float(total[j])}"))
     props = set(m.atomic_props)
     for s, lab in enumerate(m.labels):
         if not lab <= props:

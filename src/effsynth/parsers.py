@@ -5,14 +5,23 @@ Grammars live in docs/formats.md.  Parsing is bit-exact and order-preserving:
 identical bytes produce identical structures, and writers emit canonical text
 (sorted keys, 12 significant digits) so write-then-parse is the identity
 within 1e-12.
+
+Each reader makes one pass over the lines and fills the arrays the program
+uses, with no per-pair dict: a model's transition entries go to csr_arrays,
+utility entries to UtilityFn.from_entries, policy rules to
+policy_from_entries.  The pass checks each line's shape and names; the
+decimal literals and repeated keys of all entries are checked in bulk after
+it (_entry_values), and a malformed file is reported at its first bad line
+whichever check finds it.  An automaton guard is evaluated once, as the
+bitset of the symbols it admits.
 """
 
 import re
 
 import numpy as np
 
-from .model import (Dra, Mdp, UtilityFn, policy_domain, policy_from_rule,
-                    validate_mdp)
+from .model import (Dra, Mdp, UtilityFn, csr_arrays, policy_domain,
+                    policy_from_entries, validate_mdp)
 
 
 class ParseError(Exception):
@@ -39,100 +48,148 @@ class IncompletenessError(ParseError):
 
 
 def _lines(text):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line
+    """(line number, tokens) of each line with a token, comments cut."""
+    return [(i, tok) for i, raw in enumerate(text.splitlines(), start=1)
+            if (tok := raw.split("#", 1)[0].split())]
 
 
 _DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 
-def _parse_prob(tok, ln):
-    if not _DECIMAL.fullmatch(tok):
-        raise ParseError(f"bad decimal literal {tok!r}", ln)
-    return float(tok)
+def _decimals(tokens):
+    """The values of decimal literal tokens, or None unless every token is
+    one (matches _DECIMAL).  float() accepts every such literal, and all it
+    accepts besides carries an underscore or is an inf or nan spelling,
+    each of which holds an n; so one float pass and one character scan
+    decide what a match per token would."""
+    joined = "".join(tokens)
+    if "_" in joined or "n" in joined or "N" in joined:
+        return None
+    try:
+        return np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        return None
+
+
+def _entry_values(tokens, lines, keys, duplicate):
+    """The values of the entries read from a file, one decimal token per
+    entry in file order, at lines[i], with keys[i] naming what it sets.
+
+    Raises the ParseError of the first line, in file order, whose key an
+    earlier entry already set (worded by duplicate(i)) or whose token is
+    not a decimal literal; on one line the repeat is reported first.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    again = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    first = int(again.min()) if again.size else len(tokens)
+    vals = _decimals(tokens)
+    if vals is None:
+        bad = next(i for i, tok in enumerate(tokens)
+                   if not _DECIMAL.fullmatch(tok))
+        if bad < first:
+            raise ParseError(f"bad decimal literal {tokens[bad]!r}",
+                             lines[bad])
+    if first < len(tokens):
+        raise ParseError(duplicate(first), lines[first])
+    return vals
 
 
 def _first_index(names):
     """name -> index of its first occurrence, as tuple.index would give."""
-    idx = {}
-    for i, name in enumerate(names):
-        idx.setdefault(name, i)
-    return idx
+    return dict(zip(reversed(names), range(len(names) - 1, -1, -1)))
 
 
 def parse_mdp(text) -> Mdp:
-    """Line-oriented model format; indices follow declaration order."""
+    """Line-oriented model format; indices follow declaration order.  Each
+    trans line becomes one (state, action, successor, probability) entry,
+    and the model's arrays are built from the entries (csr_arrays)."""
     states = []
     actions = []
     props = []
     initial = None
     labels = {}
-    trans = {}
     sidx = {}
     aidx = {}
     pidx = {}
-    for ln, line in _lines(text):
-        tok = line.split()
-        head = tok[0]
-        if head == "mdp":
-            continue
-        elif head == "states:":
-            for name in tok[1:]:
-                if name in sidx:
-                    raise ParseError(f"duplicate state {name!r}", ln)
-                sidx[name] = len(states)
-                states.append(name)
-        elif head == "actions:":
-            for name in tok[1:]:
-                if name in aidx:
-                    raise ParseError(f"duplicate action {name!r}", ln)
-                aidx[name] = len(actions)
-                actions.append(name)
-        elif head == "props:":
-            for name in tok[1:]:
-                if name in pidx:
-                    raise ParseError(f"duplicate prop {name!r}", ln)
-                pidx[name] = len(props)
-                props.append(name)
-        elif head == "initial:":
-            if len(tok) != 2 or tok[1] not in sidx:
-                raise ParseError("initial: needs one declared state", ln)
-            initial = sidx[tok[1]]
-        elif head == "label":
-            if len(tok) < 2 or not tok[1].endswith(":"):
-                raise ParseError("label <state>: <props...>", ln)
-            name = tok[1][:-1]
-            if name not in sidx:
-                raise ParseError(f"unknown state {name!r}", ln)
-            for prop in tok[2:]:
-                if prop not in pidx:
-                    raise ParseError(f"unknown prop {prop!r}", ln)
-            labels[sidx[name]] = frozenset(tok[2:])
-        elif head == "trans":
-            if len(tok) != 5:
-                raise ParseError("trans <s> <a> <s'> <prob>", ln)
-            _, s, a, t, prob = tok
-            for name, table in ((s, sidx), (t, sidx)):
-                if name not in table:
+    src, act, dst, probs, where = [], [], [], [], []
+    error = None
+    try:
+        for ln, tok in _lines(text):
+            head = tok[0]
+            if head == "trans":
+                if len(tok) != 5:
+                    raise ParseError("trans <s> <a> <s'> <prob>", ln)
+                _, s, a, t, prob = tok
+                for name in (s, t):
+                    if name not in sidx:
+                        raise ParseError(f"unknown state {name!r}", ln)
+                if a not in aidx:
+                    raise ParseError(f"unknown action {a!r}", ln)
+                src.append(sidx[s])
+                act.append(aidx[a])
+                dst.append(sidx[t])
+                probs.append(prob)
+                where.append(ln)
+            elif head in ("mdp", "reward", "cost"):
+                continue  # utility lines are read by parse_utilities
+            elif head == "states:":
+                for name in tok[1:]:
+                    if name in sidx:
+                        raise ParseError(f"duplicate state {name!r}", ln)
+                    sidx[name] = len(states)
+                    states.append(name)
+            elif head == "actions:":
+                for name in tok[1:]:
+                    if name in aidx:
+                        raise ParseError(f"duplicate action {name!r}", ln)
+                    aidx[name] = len(actions)
+                    actions.append(name)
+            elif head == "props:":
+                for name in tok[1:]:
+                    if name in pidx:
+                        raise ParseError(f"duplicate prop {name!r}", ln)
+                    pidx[name] = len(props)
+                    props.append(name)
+            elif head == "initial:":
+                if len(tok) != 2 or tok[1] not in sidx:
+                    raise ParseError("initial: needs one declared state", ln)
+                initial = sidx[tok[1]]
+            elif head == "label":
+                if len(tok) < 2 or not tok[1].endswith(":"):
+                    raise ParseError("label <state>: <props...>", ln)
+                name = tok[1][:-1]
+                if name not in sidx:
                     raise ParseError(f"unknown state {name!r}", ln)
-            if a not in aidx:
-                raise ParseError(f"unknown action {a!r}", ln)
-            row = trans.setdefault((sidx[s], aidx[a]), {})
-            if sidx[t] in row:
-                raise ParseError(f"duplicate transition {s} {a} {t}", ln)
-            row[sidx[t]] = _parse_prob(prob, ln)
-        elif head in ("reward", "cost"):
-            continue  # utility lines are read by parse_utilities
-        else:
-            raise ParseError(f"unknown directive {head!r}", ln)
+                for prop in tok[2:]:
+                    if prop not in pidx:
+                        raise ParseError(f"unknown prop {prop!r}", ln)
+                labels[sidx[name]] = frozenset(tok[2:])
+            else:
+                raise ParseError(f"unknown directive {head!r}", ln)
+    except ParseError as e:
+        error = e
+    src, act, dst = (np.array(x, dtype=np.int64) for x in (src, act, dst))
+
+    def duplicate(i):
+        return (f"duplicate transition {states[src[i]]} {actions[act[i]]} "
+                f"{states[dst[i]]}")
+
+    # an entry's fault lies on a line before the one that stopped the loop
+    probs = _entry_values(probs, where,
+                          (src * len(actions) + act) * len(states) + dst,
+                          duplicate)
+    if error is not None:
+        raise error
     if not states:
         raise ParseError("no states declared")
     if initial is None:
         raise ParseError("no initial state")
-    m = Mdp(states, actions, initial, trans, props,
-            [labels.get(s, frozenset()) for s in range(len(states))])
+    m = Mdp.from_arrays(states, actions, initial,
+                        *csr_arrays(len(states), src, act, dst, probs),
+                        atomic_props=props,
+                        labels=[labels.get(s, frozenset())
+                                for s in range(len(states))])
     violations = validate_mdp(m)
     if violations:
         raise ValidationError(violations)
@@ -143,32 +200,51 @@ def parse_utilities(text, m: Mdp):
     """Reward/cost lines from a model file or a standalone table.
 
     Returns (reward, cost); a kind missing entirely comes back as None, but a
-    kind that is present must cover every available state-action pair.
+    kind that is present must cover every available state-action pair.  The
+    entries of each kind go straight into its table (UtilityFn.from_entries).
     """
-    entries = {"reward": {}, "cost": {}}
     sidx = _first_index(m.state_names)
     aidx = _first_index(m.action_names)
-    for ln, line in _lines(text):
-        tok = line.split()
-        if tok[0] not in ("reward", "cost"):
-            continue
-        if len(tok) != 4:
-            raise ParseError(f"{tok[0]} <state> <action> <value>", ln)
-        _, s, a, val = tok
-        if s not in sidx:
-            raise ParseError(f"unknown state {s!r}", ln)
-        if a not in aidx:
-            raise ParseError(f"unknown action {a!r}", ln)
-        key = (sidx[s], aidx[a])
-        if key in entries[tok[0]]:
-            raise ParseError(f"duplicate {tok[0]} entry {s} {a}", ln)
-        entries[tok[0]][key] = _parse_prob(val, ln)
+    kinds, states, actions, vals, where = [], [], [], [], []
+    error = None
+    try:
+        for ln, tok in _lines(text):
+            kind = tok[0]
+            if kind != "reward" and kind != "cost":
+                continue
+            if len(tok) != 4:
+                raise ParseError(f"{kind} <state> <action> <value>", ln)
+            _, s, a, val = tok
+            if s not in sidx:
+                raise ParseError(f"unknown state {s!r}", ln)
+            if a not in aidx:
+                raise ParseError(f"unknown action {a!r}", ln)
+            kinds.append(kind == "cost")
+            states.append(sidx[s])
+            actions.append(aidx[a])
+            vals.append(val)
+            where.append(ln)
+    except ParseError as e:
+        error = e
+    kinds = np.array(kinds, dtype=bool)
+    states, actions = (np.array(x, dtype=np.int64) for x in (states, actions))
+
+    def duplicate(i):
+        return (f"duplicate {'cost' if kinds[i] else 'reward'} entry "
+                f"{m.state_names[states[i]]} {m.action_names[actions[i]]}")
+
+    vals = _entry_values(
+        vals, where, (kinds * m.n_states + states) * m.n_actions + actions,
+        duplicate)
+    if error is not None:
+        raise error
     out = []
-    for kind in ("reward", "cost"):
-        if not entries[kind]:
+    for kind, rows in (("reward", ~kinds), ("cost", kinds)):
+        if not rows.any():
             out.append(None)
             continue
-        fn = UtilityFn(entries[kind], kind)
+        fn = UtilityFn.from_entries(states[rows], actions[rows], vals[rows],
+                                    kind)
         fn.pair_values(m)  # raises unless every pair has a value
         out.append(fn)
     return tuple(out)
@@ -180,14 +256,20 @@ _ACC_PAIR = re.compile(r"Fin\s*\(\s*(\d+)\s*\)\s*&\s*Inf\s*\(\s*(\d+)\s*\)")
 
 
 class _GuardParser:
-    """Boolean guards over AP indices: literals, !, &, |, parentheses, t/f."""
+    """Boolean guards over AP indices: literals, !, &, |, parentheses, t/f.
 
-    def __init__(self, text, ln):
+    A guard is evaluated while it is parsed, as the bitset of the symbols
+    (numbered by their AP bits, as in parse_dra) that satisfy it; an index
+    beyond the declared APs is a proposition that never holds."""
+
+    def __init__(self, text, ln, lit, full):
         self.toks = re.findall(r"\d+|[!&|()tf]", text)
         if "".join(self.toks).replace(" ", "") != text.replace(" ", ""):
             raise ParseError(f"bad guard {text!r}", ln)
         self.pos = 0
         self.ln = ln
+        self.lit = lit    # lit[i]: the symbols that hold AP i
+        self.full = full  # every symbol
 
     def _peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -198,61 +280,58 @@ class _GuardParser:
         return tok
 
     def parse(self):
-        node = self._expr()
+        bits = self._expr()
         if self._peek() is not None:
             raise ParseError(f"trailing guard tokens", self.ln)
-        return node
+        return bits
 
     def _expr(self):
-        node = self._term()
+        bits = self._term()
         while self._peek() == "|":
             self._next()
-            node = ("or", node, self._term())
-        return node
+            bits |= self._term()
+        return bits
 
     def _term(self):
-        node = self._factor()
+        bits = self._factor()
         while self._peek() == "&":
             self._next()
-            node = ("and", node, self._factor())
-        return node
+            bits &= self._factor()
+        return bits
 
     def _factor(self):
         tok = self._next()
         if tok == "!":
-            return ("not", self._factor())
+            return self.full ^ self._factor()
         if tok == "(":
-            node = self._expr()
+            bits = self._expr()
             if self._next() != ")":
                 raise ParseError("unbalanced parenthesis in guard", self.ln)
-            return node
+            return bits
         if tok == "t":
-            return ("true",)
+            return self.full
         if tok == "f":
-            return ("false",)
+            return 0
         if tok is not None and tok.isdigit():
-            return ("ap", int(tok))
+            i = int(tok)
+            return self.lit[i] if i < len(self.lit) else 0
         raise ParseError(f"unexpected guard token {tok!r}", self.ln)
 
 
-def _eval_guard(node, present):
-    op = node[0]
-    if op == "true":
-        return True
-    if op == "false":
-        return False
-    if op == "ap":
-        return node[1] in present
-    if op == "not":
-        return not _eval_guard(node[1], present)
-    if op == "and":
-        return _eval_guard(node[1], present) and _eval_guard(node[2], present)
-    return _eval_guard(node[1], present) or _eval_guard(node[2], present)
+def _header_int(line, ln):
+    """The integer that follows a header's name."""
+    try:
+        return int(line.split()[1])
+    except (IndexError, ValueError):
+        raise ParseError(f"bad header line {line!r}", ln) from None
 
 
 def parse_dra(text) -> Dra:
     """HOA-subset automata: Rabin acceptance only, state-based membership,
-    one deterministic and complete guard set per state."""
+    one deterministic and complete guard set per state.  Symbol b is the
+    set of APs i with bit i of b set; each guard is evaluated once, as the
+    bitset of the symbols it admits, and a state's faults are read off the
+    overlaps and gaps of its guards' bitsets, first symbol first."""
     n_states = None
     start = None
     ap = None
@@ -275,13 +354,12 @@ def parse_dra(text) -> Dra:
         if line.startswith("HOA:"):
             continue
         if line.startswith("States:"):
-            n_states = int(line.split()[1])
+            n_states = _header_int(line, ln)
         elif line.startswith("Start:"):
-            start = int(line.split()[1])
+            start = _header_int(line, ln)
         elif line.startswith("AP:"):
             names = re.findall(r'"([^"]*)"', line)
-            count = int(line.split()[1])
-            if count != len(names):
+            if _header_int(line, ln) != len(names):
                 raise ParseError("AP count disagrees with names", ln)
             ap = names
         elif line.startswith("Acceptance:"):
@@ -309,6 +387,11 @@ def parse_dra(text) -> Dra:
 
     state_re = re.compile(r"State:\s*(\d+)\s*(\{([\d\s]*)\})?\s*$")
     edge_re = re.compile(r"\[(.*)\]\s*(\d+)\s*$")
+    n_sym = 2 ** len(ap)
+    full = (1 << n_sym) - 1
+    lit = [sum(1 << b for b in range(n_sym) if b >> i & 1)
+           for i in range(len(ap))]
+    guards = {}  # guard text -> its bitset; states repeat their guards
     memberships = {}
     edges = {}
     current = None
@@ -324,8 +407,10 @@ def parse_dra(text) -> Dra:
             continue
         mo = edge_re.match(line)
         if mo and current is not None:
-            guard = _GuardParser(mo.group(1), ln).parse()
-            edges[current].append((guard, int(mo.group(2)), ln))
+            guard = mo.group(1)
+            if guard not in guards:
+                guards[guard] = _GuardParser(guard, ln, lit, full).parse()
+            edges[current].append((guards[guard], int(mo.group(2)), ln))
             continue
         raise ParseError(f"bad body line {line!r}", ln)
     if set(edges) != set(range(n_states)):
@@ -336,17 +421,21 @@ def parse_dra(text) -> Dra:
                 raise ParseError(f"state {q} references acceptance set {idx} "
                                  "beyond the declared count")
 
-    symbols = []
-    n_ap = len(ap)
-    for bits in range(2 ** n_ap):
-        present = {i for i in range(n_ap) if bits & (1 << i)}
-        symbols.append((present, frozenset(ap[i] for i in present)))
-
+    symbols = [frozenset(ap[i] for i in range(len(ap)) if b >> i & 1)
+               for b in range(n_sym)]
     delta = {}
     for q in range(n_states):
-        for present, sym in symbols:
-            hits = [(dest, ln) for guard, dest, ln in edges[q]
-                    if _eval_guard(guard, present)]
+        covered = overlap = wrong = 0
+        for bits, dest, _ in edges[q]:
+            overlap |= covered & bits
+            covered |= bits
+            if not 0 <= dest < n_states:
+                wrong |= bits
+        fault = overlap | wrong | full & ~covered
+        if fault:
+            b = (fault & -fault).bit_length() - 1
+            sym = symbols[b]
+            hits = [(dest, ln) for bits, dest, ln in edges[q] if bits >> b & 1]
             if len(hits) > 1:
                 raise NondeterminismError(
                     f"state {q}: symbol {set(sym) or '{}'} matches "
@@ -354,10 +443,13 @@ def parse_dra(text) -> Dra:
             if not hits:
                 raise IncompletenessError(
                     f"state {q}: no edge for symbol {set(sym) or '{}'}")
-            dest = hits[0][0]
-            if not (0 <= dest < n_states):
-                raise ParseError(f"edge to unknown state {dest}")
-            delta[(q, sym)] = dest
+            raise ParseError(f"edge to unknown state {hits[0][0]}")
+        row = [None] * n_sym
+        for bits, dest, _ in edges[q]:
+            for b in range(n_sym):
+                if bits >> b & 1:
+                    row[b] = dest
+        delta.update(((q, sym), dest) for sym, dest in zip(symbols, row))
 
     pairs = []
     for fin_i, inf_i in pairs_idx:
@@ -459,23 +551,37 @@ def write_policy(m: Mdp, p, meta=None) -> str:
 
 
 def parse_policy(text, m: Mdp) -> np.ndarray:
-    """A policy file as a weight vector over m's pairs (policy_from_rule)."""
-    rule = {}
+    """A policy file as a weight vector over m's pairs, filled straight from
+    its rule lines (policy_from_entries)."""
     sidx = _first_index(m.state_names)
     aidx = _first_index(m.action_names)
-    for ln, line in _lines(text):
-        tok = line.split()
-        if tok[0] != "rule":
-            raise ParseError(f"unknown directive {tok[0]!r}", ln)
-        if len(tok) != 4:
-            raise ParseError("rule <state> <action> <prob>", ln)
-        _, s, a, prob = tok
-        if s not in sidx:
-            raise ParseError(f"unknown state {s!r}", ln)
-        if a not in aidx:
-            raise ParseError(f"unknown action {a!r}", ln)
-        row = rule.setdefault(sidx[s], {})
-        if aidx[a] in row:
-            raise ParseError(f"duplicate rule {s} {a}", ln)
-        row[aidx[a]] = _parse_prob(prob, ln)
-    return policy_from_rule(m, rule)
+    states, actions, probs, where = [], [], [], []
+    error = None
+    try:
+        for ln, tok in _lines(text):
+            if tok[0] != "rule":
+                raise ParseError(f"unknown directive {tok[0]!r}", ln)
+            if len(tok) != 4:
+                raise ParseError("rule <state> <action> <prob>", ln)
+            _, s, a, prob = tok
+            if s not in sidx:
+                raise ParseError(f"unknown state {s!r}", ln)
+            if a not in aidx:
+                raise ParseError(f"unknown action {a!r}", ln)
+            states.append(sidx[s])
+            actions.append(aidx[a])
+            probs.append(prob)
+            where.append(ln)
+    except ParseError as e:
+        error = e
+    states, actions = (np.array(x, dtype=np.int64) for x in (states, actions))
+
+    def duplicate(i):
+        return (f"duplicate rule {m.state_names[states[i]]} "
+                f"{m.action_names[actions[i]]}")
+
+    probs = _entry_values(probs, where, states * m.n_actions + actions,
+                          duplicate)
+    if error is not None:
+        raise error
+    return policy_from_entries(m, states, actions, probs)

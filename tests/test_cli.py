@@ -413,3 +413,112 @@ def test_cli_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("header", ["States: three", "Start:", "AP: x"])
+def test_malformed_hoa_header_is_a_parse_error(files, tmp_path, capsys,
+                                              header):
+    """A header whose count is missing or not a number is reported at its
+    line with exit 2, not as a traceback."""
+    name = header.split(":")[0]
+    lines = INF_OFTEN_G.splitlines()
+    n = next(i for i, l in enumerate(lines) if l.startswith(name + ":"))
+    lines[n] = header
+    hoa = tmp_path / "header.hoa"
+    hoa.write_text("\n".join(lines) + "\n")
+    assert main(["decompose", files["model.mdp"], str(hoa)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line {n + 1}: bad header line {header!r}\n"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_input_is_a_parse_error(files, tmp_path, capsys, kind):
+    path = tmp_path / "nowhere.hoa"
+    if kind == "directory":
+        path.mkdir()
+    assert main(["decompose", files["model.mdp"], str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
+def test_non_utf8_input_is_a_parse_error(files, tmp_path, capsys):
+    path = tmp_path / "latin1.mdp"
+    path.write_bytes(MODEL.replace("props: g", "props: g # caf\xe9")
+                     .encode("latin-1"))
+    assert main(["decompose", str(path), files["task.hoa"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text ")
+
+
+def test_argument_parser_is_built_once(files, monkeypatch, capsys):
+    from effsynth import cli
+    built = []
+
+    def counted():
+        built.append(1)
+        return make_parser()
+
+    make_parser = cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", counted)
+    cli._argument_parser.cache_clear()
+    for _ in range(2):
+        assert main(["decompose", files["model.mdp"], files["task.hoa"]]) == 0
+    assert len(built) == 1
+    cli._argument_parser.cache_clear()
+
+
+def test_subcommand_is_looked_up_at_call_time(files, monkeypatch, capsys):
+    """Rebinding cli.cmd_evaluate after a first call takes effect, as the
+    benchmark's span tracer relies on."""
+    from effsynth import cli
+    out = str(files["dir"] / "policy.txt")
+    main(["synthesize", files["model.mdp"], files["task.hoa"],
+          files["utilities.txt"], "--epsilon", "0.01", "--out", out])
+    argv = ["evaluate", files["model.mdp"], files["task.hoa"],
+            files["utilities.txt"], out]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_evaluate", lambda args: seen.append(args)
+                        or 0)
+    assert main(argv) == 0
+    assert [args.policy for args in seen] == [out]
+
+
+def test_input_passed_twice_hashes_once(tmp_path, capsys):
+    """A model file with its utilities inline passed as model and as
+    utility table: both reads land under its one path in the manifest."""
+    import hashlib
+    model = tmp_path / "model.mdp"
+    model.write_text(MODEL + UTILITIES)
+    hoa = tmp_path / "task.hoa"
+    hoa.write_text(INF_OFTEN_G)
+    report = tmp_path / "report.json"
+    assert main(["synthesize", str(model), str(hoa), str(model),
+                 "--epsilon", "0.01", "--report-out", str(report)]) == 0
+    inputs = json.loads(report.read_text())["manifest"]["inputs"]
+    assert inputs == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in (model, hoa)}
+
+
+def test_evaluate_loads_no_scipy(files):
+    """A whole evaluate call in a fresh process leaves no scipy module
+    loaded: an import on this path would cost every call scipy's cold
+    import."""
+    out = str(files["dir"] / "policy.txt")
+    assert main(["synthesize", files["model.mdp"], files["task.hoa"],
+                 files["utilities.txt"], "--epsilon", "0.01",
+                 "--out", out]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(effsynth.__file__))
+    argv = ["evaluate", files["model.mdp"], files["task.hoa"],
+            files["utilities.txt"], out, "--out",
+            str(files["dir"] / "evaluate.json")]
+    code = ("import sys; from effsynth.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from effsynth.model import (AlphabetMismatch, Dra, Mdp, PolicyMismatch,
-                            ProductMdp, UtilityFn, blend, build_product,
-                            induce_chain, policy_from_rule, uniform_policy,
-                            validate_mdp)
+from effsynth.model import (AlphabetMismatch, Dra, Mdp, ModelError,
+                            PolicyMismatch, ProductMdp, UtilityFn, blend,
+                            build_product, induce_chain, policy_from_rule,
+                            uniform_policy, validate_mdp)
 
 from conftest import deterministic, example1_mdp, random_mdp, random_policy
 
@@ -33,6 +33,13 @@ def test_validate_flags_actionless_state():
     m = Mdp(["x", "y"], ["a"], 0, {(0, 0): {0: 1.0}})
     kinds = [v.kind for v in validate_mdp(m)]
     assert "no_action" in kinds
+
+
+def test_empty_distribution_is_rejected():
+    """A pair has at least one successor entry: the dict constructor builds
+    pairs from transition entries, so an empty row cannot become one."""
+    with pytest.raises(ModelError, match=r"pair \(0, 1\) has an empty"):
+        Mdp(["x"], ["a", "b"], 0, {(0, 0): {0: 1.0}, (0, 1): {}})
 
 
 def test_validate_flags_out_of_range_probability():

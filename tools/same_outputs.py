@@ -10,7 +10,11 @@ to a fixed input directory, and that tree's `effsynth.cli.main` runs
 wrote, `evaluate` and `simulate` (JSON and `--csv`).  Then `casestudy case1`
 and `casestudy case2` run with default parameters, each into its own fixed
 directory (their perturbation tables and bonus sweep decode policies outside
-`synthesize`).  Inputs and outputs sit at the same paths for every tree, so
+`synthesize`).  A fixed corpus of malformed inputs follows: copies of the
+grid-9 and `mc00` inputs with one line corrupted per directive kind of the
+model, utility, policy and automaton formats (MALFORMED), each run through
+`evaluate`, so that the parsers' error texts and exit codes are compared
+too.  Inputs and outputs sit at the same paths for every tree, so
 the run manifests agree; each call's output files, standard output, standard
 error and exit code are copied into <out-dir>.  Last, each of the tree's
 `demos/*.py` scripts runs in a subprocess with that tree's `src` on the
@@ -37,6 +41,67 @@ WORKLOADS = ("delivery_ladder", "multichain_batch")
 CASES = ("case1", "case2")
 SIM_ARGS = ["--steps", "20000", "--rollouts", "2", "--seed", "7"]
 WORK = os.path.join(tempfile.gettempdir(), "effsynth_same_outputs")
+
+
+def _nudge(line):
+    """The line with its last token, a decimal, raised by 1e-6."""
+    head, value = line.rsplit(" ", 1)
+    return f"{head} {float(value) + 1e-6!r}"
+
+
+# (case, instance, input file, first line of it that starts with this
+# prefix, the line that replaces it); each case corrupts one line.
+MALFORMED = (
+    ("model_header", "grid9", "model.mdp", "mdp", lambda l: "mdpx"),
+    ("model_states", "grid9", "model.mdp", "states:",
+     lambda l: l + " " + l.split()[1]),
+    ("model_actions", "grid9", "model.mdp", "actions:",
+     lambda l: l + " left"),
+    ("model_props", "grid9", "model.mdp", "props:", lambda l: l + " d"),
+    ("model_initial", "grid9", "model.mdp", "initial:",
+     lambda l: "initial: nowhere"),
+    ("model_label", "grid9", "model.mdp", "label", lambda l: l + " zz"),
+    ("model_trans_decimal", "grid9", "model.mdp", "trans",
+     lambda l: l.rsplit(" ", 1)[0] + " 1_0"),
+    ("model_trans_action", "mc00", "model.mdp", "trans",
+     lambda l: l.replace(" ring ", " fly ")),
+    ("model_trans_arity", "mc00", "model.mdp", "trans",
+     lambda l: l.rsplit(" ", 1)[0]),
+    ("model_trans_duplicate", "mc00", "model.mdp", "trans",
+     lambda l: l + "\n" + l),
+    ("model_trans_row_sum", "mc00", "model.mdp", "trans", _nudge),
+    ("utility_reward_state", "grid9", "utilities.txt", "reward",
+     lambda l: l.replace(" r1c1_0 ", " r0c0_0 ")),
+    ("utility_reward_missing", "grid9", "utilities.txt", "reward",
+     lambda l: "# " + l),
+    ("utility_cost_decimal", "mc00", "utilities.txt", "cost",
+     lambda l: l.rsplit(" ", 1)[0] + " inf"),
+    ("utility_cost_zero", "mc00", "utilities.txt", "cost",
+     lambda l: l.rsplit(" ", 1)[0] + " 0"),
+    ("utility_cost_duplicate", "mc00", "utilities.txt", "cost",
+     lambda l: l + "\n" + l),
+    ("policy_rule_action", "grid9", "es.policy", "rule",
+     lambda l: l.replace(" down ", " dive ")),
+    ("policy_rule_decimal", "grid9", "es.policy", "rule",
+     lambda l: l.rsplit(" ", 1)[0] + " nan"),
+    ("policy_rule_duplicate", "grid9", "es.policy", "rule",
+     lambda l: l + "\n" + l),
+    ("policy_rule_mass", "grid9", "es.policy", "rule", _nudge),
+    ("policy_directive", "grid9", "es.policy", "rule",
+     lambda l: l.replace("rule", "rules", 1)),
+    ("hoa_states", "grid9", "task.hoa", "States:", lambda l: "States: 9"),
+    ("hoa_ap", "grid9", "task.hoa", "AP:", lambda l: 'AP: 4 "d" "b" "c"'),
+    ("hoa_acceptance", "mc00", "task.hoa", "Acceptance:",
+     lambda l: "Acceptance: 2 Inf(1)"),
+    ("hoa_state_sets", "mc00", "task.hoa", "State:",
+     lambda l: "State: 0 {7}"),
+    ("hoa_body_line", "mc00", "task.hoa", "State:", lambda l: "Stat: 0"),
+    ("hoa_guard_overlap", "grid9", "task.hoa", "[", lambda l: "[t] 1"),
+    ("hoa_guard_gap", "grid9", "task.hoa", "[", lambda l: "[f] 1"),
+    ("hoa_guard_syntax", "mc00", "task.hoa", "[", lambda l: "[0 &] 1"),
+    ("hoa_guard_ap_index", "mc00", "task.hoa", "[",
+     lambda l: l.replace("!0", "!7")),
+)
 
 
 def _run(cli, argv):
@@ -87,6 +152,29 @@ def _record(cli, name, call, d, dest):
     print(f"{os.path.basename(dest)} {name}: exit {code}", flush=True)
 
 
+def _record_malformed(cli, dest):
+    """Run evaluate on each MALFORMED case, built from the inputs in WORK,
+    and record its console in dest."""
+    for case, inst, fname, prefix, corrupt in MALFORMED:
+        d = os.path.join(WORK, "malformed", case)
+        os.makedirs(d)
+        files = ("model.mdp", "task.hoa", "utilities.txt", "es.policy")
+        for f in files:
+            src = os.path.join(WORK, inst, f)
+            text = open(src).read() if os.path.exists(src) else ""
+            if f == fname:
+                lines = text.split("\n")
+                i = next(i for i, l in enumerate(lines)
+                         if l.startswith(prefix))
+                lines[i] = corrupt(lines[i])
+                text = "\n".join(lines)
+            with open(os.path.join(d, f), "w") as out:
+                out.write(text)
+        _record(cli, case, ["evaluate", *(os.path.join(d, f) for f in files),
+                            "--out", os.path.join(d, "evaluate.json")],
+                d, dest)
+
+
 def _record_demos(tree, dest):
     """Run every demo script of tree with its src on the path, and write
     each one's exit code and console into dest."""
@@ -129,6 +217,9 @@ def main(argv=None):
         os.makedirs(d)
         os.makedirs(dest, exist_ok=True)
         _record(cli, "casestudy", ["casestudy", case, "--out-dir", d], d, dest)
+    dest = os.path.join(out_dir, "malformed")
+    os.makedirs(dest, exist_ok=True)
+    _record_malformed(cli, dest)
     shutil.rmtree(WORK, ignore_errors=True)
     _record_demos(tree, os.path.join(out_dir, "demos"))
     return 0
