@@ -245,6 +245,9 @@ class Case2Params:
     def validate(self):
         if self.cell_cost <= 0.0:
             raise ParamError("cell cost must be positive")
+        missing = {"outer", "middle", "inner"} - set(self.ring_reward)
+        if missing:
+            raise ParamError(f"ring_reward lacks {sorted(missing)}")
 
 
 def gen_case2(params: Case2Params | None = None):

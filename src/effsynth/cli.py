@@ -251,15 +251,42 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_casestudy(args):
-    import os
-    os.makedirs(args.out_dir, exist_ok=True)
-    params = None
-    digests = {}
-    if args.params:
-        raw = json.loads(_read(args.params, digests))
-        if args.name == "case1":
-            if "item_prob" in raw:
+# The JSON types a --params field may take, by the type of its default: a
+# tuple or set is written as a list, a float may be written as an integer,
+# and a field whose default is None (case 1's item_prob) takes an object.
+# A list or object holds numbers, or (a set of cells) lists of numbers.
+_JSON_TYPES = {int: (int,), float: (int, float), tuple: (list,),
+               frozenset: (list,), dict: (dict,), type(None): (dict, type(None))}
+
+
+def _case_params(path, name, digests):
+    """The --params file as the case's validated parameter dataclass.  A
+    file that is not a JSON object, an unknown field, a value whose JSON
+    type does not fit its field, a cell key that is not "row,col" and a
+    failed validation are errors naming the file."""
+    cls = casestudies.Case1Params if name == "case1" \
+        else casestudies.Case2Params
+    try:
+        raw = json.loads(_read(path, digests))
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise parsers.ParseError(f"{path}: not JSON ({e})") from e
+    if not isinstance(raw, dict):
+        raise parsers.ParseError(f"{path}: not a JSON object")
+    defaults = dataclasses.asdict(cls())
+    for key, value in raw.items():
+        if key not in defaults:
+            raise parsers.ParseError(f"{path}: unknown {name} field {key!r}")
+        entries = (value.values() if type(value) is dict else
+                   value if type(value) is list else ())
+        scalars = [y for x in entries
+                   for y in (x if type(x) is list else (x,))]
+        if type(value) not in _JSON_TYPES[type(defaults[key])] or \
+                any(type(y) not in (int, float) for y in scalars):
+            raise parsers.ParseError(f"{path}: field {key!r} has the wrong "
+                                     f"type ({json.dumps(value)[:40]})")
+    try:
+        if name == "case1":
+            if raw.get("item_prob") is not None:
                 raw["item_prob"] = {tuple(map(int, k.split(","))): v
                                     for k, v in raw["item_prob"].items()}
             if "obstacles" in raw:
@@ -270,15 +297,25 @@ def cmd_casestudy(args):
             if "cost_table" in raw:
                 raw["cost_table"] = {int(k): v
                                      for k, v in raw["cost_table"].items()}
-            for key in ("initial", "charging"):
-                if key in raw:
-                    raw[key] = tuple(raw[key])
-            params = casestudies.Case1Params(**raw)
-        else:
-            for key in ("command", "material", "initial"):
-                if key in raw:
-                    raw[key] = tuple(raw[key])
-            params = casestudies.Case2Params(**raw)
+        for key, value in raw.items():
+            if type(value) is list:
+                raw[key] = tuple(value)
+    except (TypeError, ValueError) as e:
+        raise parsers.ParseError(f"{path}: bad {name} parameters ({e})") from e
+    params = cls(**raw)
+    try:
+        params.validate()
+    except casestudies.ParamError as e:
+        raise casestudies.ParamError(f"{path}: {e}") from None
+    return params
+
+
+def cmd_casestudy(args):
+    import os
+    os.makedirs(args.out_dir, exist_ok=True)
+    digests = {}
+    params = (_case_params(args.params, args.name, digests)
+              if args.params else None)
 
     def path(name):
         import os.path

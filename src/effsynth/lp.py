@@ -4,8 +4,11 @@ The solver is a two-phase primal simplex in standard equality form
 (max c.x, A x = b, x >= 0).  Pricing is Dantzig's with Bland's smallest-index
 rule taking over on degenerate stalls, which rules out cycling; ratio-test
 ties go to the largest pivot element, and the tableau is recomputed from the
-basis periodically so pivot roundoff cannot compound.  On top of it sit the
-two programs the synthesis needs: the reward-to-cost ratio program over
+basis periodically so pivot roundoff cannot compound.  The tableau is dense,
+but each pivot updates only the block of rows and columns where its column
+and row are nonzero, with the same arithmetic as a full update (only the
+sign of a zero can differ, and nothing reads it).  On top of it sit the two
+programs the synthesis needs: the reward-to-cost ratio program over
 occupation measures, reduced to an LP by the Charnes-Cooper substitution, and
 the multichain average-reward LP with its x/y policy decoding.  Rewards and
 costs come in, and solutions stay, as vectors over the model's pairs; the
@@ -67,6 +70,7 @@ class _Tableau:
     The basis list is the source of truth: refresh() recomputes the tableau
     as B^-1 [A | b] from the original data, so roundoff from long runs of
     rank-one pivot updates never compounds past REFRESH_INTERVAL pivots.
+    A pivot touches only the block its nonzeros span (see pivot()).
     """
 
     def __init__(self, a, b, cost):
@@ -102,14 +106,26 @@ class _Tableau:
         self.obj[:-1] -= self.cost
 
     def pivot(self, row, col):
+        """Pivot on (row, col): the row is divided by the pivot, and the
+        rank-1 update tab -= outer(colv, prow) (colv the pivot column with
+        the pivot row zeroed, prow the divided row) is subtracted only on
+        the rows where colv and the columns where prow are exactly nonzero.
+        Each touched cell gets the same arithmetic as the full update; a
+        skipped cell would only lose a signed zero, so at most the sign of
+        a zero differs, which nothing reads.  No tableau-sized array is
+        allocated."""
         piv = self.tab[row, col]
         if abs(piv) < 1e-11:
             raise NumericalFailure(f"pivot element {piv:g} too small")
         self.tab[row, :] /= piv
+        prow = self.tab[row, :]
         colv = self.tab[:, col].copy()
         colv[row] = 0.0
-        self.tab -= np.outer(colv, self.tab[row, :])
-        self.obj -= self.obj[col] * self.tab[row, :]
+        rows = np.flatnonzero(colv)
+        cols = np.flatnonzero(prow)
+        block = np.ix_(rows, cols)
+        self.tab[block] -= np.multiply.outer(colv[rows], prow[cols])
+        self.obj -= self.obj[col] * prow
         self.in_basis[self.basis[row]] = False
         self.in_basis[col] = True
         self.basis[row] = col

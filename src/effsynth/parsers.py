@@ -280,7 +280,10 @@ class _GuardParser:
         return tok
 
     def parse(self):
-        bits = self._expr()
+        try:
+            bits = self._expr()
+        except RecursionError:
+            raise ParseError("guard nested too deeply", self.ln) from None
         if self._peek() is not None:
             raise ParseError(f"trailing guard tokens", self.ln)
         return bits

@@ -375,6 +375,54 @@ def test_casestudy_rejects_bad_params(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("name, text, phrase", [
+    ("case2", "{bad json", "not JSON"),
+    ("case2", "[" * 100000, "not JSON"),
+    ("case2", json.dumps({"size": "seven"}), "field 'size' has the wrong type"),
+    ("case2", json.dumps({"colour": 1}), "unknown case2 field 'colour'"),
+    ("case2", json.dumps({"ring_reward": {"outer": "x"}}),
+     "field 'ring_reward' has the wrong type"),
+    ("case2", json.dumps({"ring_reward": {"outer": 0.3}}),
+     "ring_reward lacks ['inner', 'middle']"),
+    ("case1", json.dumps({"size": "nine"}), "field 'size' has the wrong type"),
+    ("case1", json.dumps({"initial": ["a", "b"]}),
+     "field 'initial' has the wrong type"),
+    ("case1", json.dumps({"destinations": {"9;1": 2.0}}),
+     "bad case1 parameters"),
+], ids=["case2-not-json", "case2-deep-json", "case2-wrong-type",
+        "case2-unknown-field", "case2-wrong-entry-type", "case2-missing-ring",
+        "case1-wrong-type", "case1-wrong-entry-type", "case1-bad-cell-key"])
+def test_casestudy_bad_params_file_exits_2(tmp_path, capsys, name, text,
+                                           phrase):
+    """A --params file that is not JSON, names an unknown field, gives a
+    field the wrong type or fails validation is a one-line error naming the
+    file."""
+    params = tmp_path / "params.json"
+    params.write_text(text)
+    code = main(["casestudy", name, "--params", str(params),
+                 "--out-dir", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(params) in err and phrase in err
+
+
+@pytest.mark.parametrize("guard", ["!" * 3000 + "0",
+                                   "(" * 3000 + "0" + ")" * 3000],
+                         ids=["negations", "parentheses"])
+def test_deeply_nested_guard_is_a_parse_error(files, tmp_path, capsys,
+                                              guard):
+    """A guard nested past the interpreter's recursion limit is a parse
+    error at its line, not a RecursionError."""
+    lines = INF_OFTEN_G.splitlines()
+    assert lines[8] == "[0] 1"
+    lines[8] = f"[{guard}] 1"
+    hoa = tmp_path / "deep.hoa"
+    hoa.write_text("\n".join(lines) + "\n")
+    assert main(["decompose", files["model.mdp"], str(hoa)]) == 2
+    assert "line 9: guard nested too deeply" in capsys.readouterr().err
+
+
 def test_tolerance_flags_are_per_call(files, tmp_path):
     """The tolerance flags reach the synthesis through the call, are
     recorded in the manifest, and leave the module defaults untouched."""

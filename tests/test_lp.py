@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from effsynth import lp
 from effsynth.model import Mdp, UtilityFn, induce_chain
 from effsynth.chain import analyze, average_utility, efficiency
 from effsynth.lp import (DegenerateDecoding, LpProblem, NotCommunicating,
@@ -319,3 +320,162 @@ def test_decode_avg_policy_optimal_from_every_state(rng):
         for s in range(m.n_states):
             assert average_utility(ca, m, r, policy, s) == pytest.approx(
                 best[s], abs=1e-7)
+
+
+# --- the sparse pivot update --------------------------------------------------
+
+def dense_pivot(t, row, col):
+    """The rank-1 pivot update over the whole tableau through one
+    np.outer: the reference the sparse update must match."""
+    piv = t.tab[row, col]
+    if abs(piv) < 1e-11:
+        raise lp.NumericalFailure(f"pivot element {piv:g} too small")
+    t.tab[row, :] /= piv
+    colv = t.tab[:, col].copy()
+    colv[row] = 0.0
+    t.tab -= np.outer(colv, t.tab[row, :])
+    t.obj -= t.obj[col] * t.tab[row, :]
+    t.in_basis[t.basis[row]] = False
+    t.in_basis[col] = True
+    t.basis[row] = col
+
+
+def random_tableau(rng, m, n, density):
+    """A _Tableau of m rows over n columns with a sparse random tab (its
+    last column the right-hand side), an objective row and a basis."""
+    t = lp._Tableau(np.zeros((m, n)), np.zeros(m), np.zeros(n))
+    t.tab = rng.standard_normal((m, n + 1))
+    t.tab[rng.random((m, n + 1)) >= density] = 0.0
+    t.obj = rng.standard_normal(n + 1)
+    t.basis = [int(j) for j in rng.choice(n, m, replace=False)]
+    t.in_basis = np.zeros(n, dtype=bool)
+    t.in_basis[t.basis] = True
+    return t
+
+
+def pivot_both(t, row, col):
+    """t after the sparse pivot and after the dense reference, each on its
+    own copy."""
+    out = []
+    for update in (lp._Tableau.pivot, dense_pivot):
+        u = lp._Tableau(t.a, t.b, t.cost)
+        u.tab, u.obj = t.tab.copy(), t.obj.copy()
+        u.basis, u.in_basis = list(t.basis), t.in_basis.copy()
+        update(u, row, col)
+        out.append(u)
+    return out
+
+
+def assert_same_pivot(new, ref):
+    """Equal tableaus, bit for bit on every nonzero cell (a zero may differ
+    only in its sign), a bitwise-equal objective row and the same basis."""
+    assert np.array_equal(new.tab, ref.tab)
+    nz = ref.tab != 0.0
+    assert np.array_equal(new.tab.view(np.uint64)[nz],
+                          ref.tab.view(np.uint64)[nz])
+    assert new.obj.tobytes() == ref.obj.tobytes()
+    assert new.basis == ref.basis
+    assert np.array_equal(new.in_basis, ref.in_basis)
+
+
+@pytest.mark.parametrize("shape", [(20, 60), (300, 1200)])
+@pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
+def test_pivot_matches_dense_update(rng, shape, density):
+    m, n = shape
+    for _ in range(4):
+        t = random_tableau(rng, m, n, density)
+        row = int(rng.integers(m))
+        col = int(rng.choice(np.flatnonzero(~t.in_basis)))
+        t.tab[row, col] = rng.uniform(0.5, 2.0)
+        assert_same_pivot(*pivot_both(t, row, col))
+
+
+def test_pivot_special_columns_and_rows(rng):
+    m, n = 40, 120
+    # a pivot column whose only nonzero is the pivot: nothing else changes
+    t = random_tableau(rng, m, n, 0.2)
+    t.tab[:, 7] = 0.0
+    t.tab[5, 7] = 3.0
+    new, ref = pivot_both(t, 5, 7)
+    assert_same_pivot(new, ref)
+    assert np.array_equal(np.delete(new.tab, 5, axis=0),
+                          np.delete(t.tab, 5, axis=0))
+    # a fully dense pivot row
+    t = random_tableau(rng, m, n, 0.2)
+    t.tab[9] = rng.uniform(0.5, 1.5, n + 1)
+    assert_same_pivot(*pivot_both(t, 9, 11))
+    # explicit negative zeros in the pivot row, the pivot column and the
+    # cells they span
+    t = random_tableau(rng, m, n, 0.3)
+    t.tab[rng.random((m, n + 1)) < 0.2] = -0.0
+    t.tab[3, 20] = -1.25
+    assert_same_pivot(*pivot_both(t, 3, 20))
+    # a pivot on the last structural column, next to the right-hand side
+    t = random_tableau(rng, m, n, 0.3)
+    t.tab[m - 1, n - 1] = 0.75
+    assert_same_pivot(*pivot_both(t, m - 1, n - 1))
+
+
+def test_pivot_allocates_no_tableau_sized_array(rng):
+    """A pivot whose row and column are sparse allocates far less than the
+    tableau: only the block the update touches."""
+    import tracemalloc
+    m, n = 400, 1500
+    t = random_tableau(rng, m, n, 1.0)
+    t.tab[:, 100] = 0.0
+    t.tab[rng.choice(m, m // 10, replace=False), 100] = 1.0
+    t.tab[17] = 0.0
+    t.tab[17, rng.choice(n + 1, (n + 1) // 10, replace=False)] = 2.0
+    t.tab[17, 100] = 4.0
+    tracemalloc.start()
+    try:
+        t.pivot(17, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < t.tab.nbytes / 4
+
+
+@pytest.fixture(scope="module")
+def grid9_ratio_lp():
+    """The LP that solve_ratio_lfp poses for the largest MAEC of the case-1
+    grid-9 product with task 2."""
+    from effsynth.casestudies import gen_case1
+    from effsynth.graph import maec_decompose, restrict
+    from effsynth.model import build_product, lift_utilities
+
+    m, _, d2, reward, cost = gen_case1()
+    pm = build_product(m, d2)
+    r, c = lift_utilities(pm, reward, cost)
+    sub, _ = restrict(pm, max(maec_decompose(pm), key=np.count_nonzero))
+    posed = []
+
+    def record(p):
+        posed.append(p)
+        return solve_lp(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve_lp", record)
+        solve_ratio_lfp(sub, r[sub.parent_pair], c[sub.parent_pair])
+    return posed[0]
+
+
+def test_ratio_lp_pivots_match_dense_update(monkeypatch, grid9_ratio_lp):
+    """On the grid-9 ratio LP, the sparse pivot takes the same (leave,
+    enter) path as the dense update and gives a bitwise-equal solution."""
+    def run(update):
+        path = []
+
+        def pivot(t, row, col):
+            path.append((row, col))
+            update(t, row, col)
+        monkeypatch.setattr(lp._Tableau, "pivot", pivot)
+        return solve_lp(grid9_ratio_lp), path
+
+    sparse = lp._Tableau.pivot
+    new, new_path = run(sparse)
+    ref, ref_path = run(dense_pivot)
+    assert len(new_path) > 100
+    assert new_path == ref_path
+    assert new.status == ref.status == "optimal"
+    assert new.x.tobytes() == ref.x.tobytes()
+    assert new.value == ref.value
