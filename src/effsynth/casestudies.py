@@ -23,6 +23,23 @@ class ParamError(Exception):
     pass
 
 
+# largest grid either generator builds; the scale ladder's top rung is 49
+MAX_SIZE = 64
+
+
+def _check_grid(size, cells):
+    """ParamError unless size is an int in 1..MAX_SIZE and each (name,
+    cell) of cells lies on the size x size grid, so size is at least the
+    smallest grid holding them."""
+    if type(size) is not int or not 1 <= size <= MAX_SIZE:
+        raise ParamError(f"size {size!r} is not an int in 1..{MAX_SIZE}")
+    for name, cell in cells:
+        if len(cell) != 2 or \
+                any(type(x) is not int or not 1 <= x <= size for x in cell):
+            raise ParamError(f"{name} cell {cell} is off the {size}x{size} "
+                             f"grid")
+
+
 # cost of moving, keyed by Manhattan distance to the nearest destination
 COST_BY_DISTANCE = {0: 3.2, 1: 3.0, 2: 2.7, 3: 2.5, 4: 1.5,
                     5: 1.0, 6: 1.0, 7: 1.0, 8: 1.0}
@@ -66,6 +83,8 @@ class Case1Params:
         return field_
 
     def validate(self):
+        _check_grid(self.size, [("destination", d) for d in self.destinations]
+                    + [("initial", self.initial), ("charging", self.charging)])
         for d, v in self.cost_table.items():
             if v <= 0.0:
                 raise ParamError(f"cost table entry {d} -> {v} not positive")
@@ -95,8 +114,6 @@ def gen_case1(params: Case1Params | None = None):
     params.validate()
     prob = params.resolved_field()
     cells = _free_cells(params)
-    if params.initial not in cells:
-        raise ParamError("initial cell not on the board")
 
     states = [(cell, carry) for cell in cells for carry in (0, 1)]
     sidx = {st: i for i, st in enumerate(states)}
@@ -243,6 +260,9 @@ class Case2Params:
     cell_cost: float = 1.0
 
     def validate(self):
+        _check_grid(self.size, [("command", self.command),
+                                ("material", self.material),
+                                ("initial", self.initial)])
         if self.cell_cost <= 0.0:
             raise ParamError("cell cost must be positive")
         missing = {"outer", "middle", "inner"} - set(self.ring_reward)

@@ -1,19 +1,21 @@
 """Linear and linear-fractional programs on dense tableaus.
 
-The solver is a two-phase primal simplex in standard equality form
-(max c.x, A x = b, x >= 0).  Pricing is Dantzig's with Bland's smallest-index
-rule taking over on degenerate stalls, which rules out cycling; ratio-test
-ties go to the largest pivot element, and the tableau is recomputed from the
-basis periodically so pivot roundoff cannot compound.  The tableau is dense,
-but each pivot updates only the block of rows and columns where its column
-and row are nonzero, with the same arithmetic as a full update (only the
-sign of a zero can differ, and nothing reads it).  On top of it sit the two
-programs the synthesis needs: the reward-to-cost ratio program over
-occupation measures, reduced to an LP by the Charnes-Cooper substitution, and
-the multichain average-reward LP with its x/y policy decoding.  Rewards and
-costs come in, and solutions stay, as vectors over the model's pairs; the
-decoders turn solutions into policy weight vectors, summing state masses and
-normalizations in pair order.
+The solver is a primal simplex in standard equality form (max c.x,
+A x = b, x >= 0): phase 2 from a feasible basis the caller gives, else two
+phases from the artificial basis.  Pricing is Dantzig's with Bland's
+smallest-index rule taking over on degenerate stalls, which rules out
+cycling; ratio-test ties go to the largest pivot element, and the tableau is
+recomputed from the basis periodically so pivot roundoff cannot compound.
+The tableau is dense, but each pivot updates only the block of rows and
+columns where its column and row are nonzero, with the same arithmetic as a
+full update (only the sign of a zero can differ, and nothing reads it).  On
+top of it sit the two programs the synthesis needs: the reward-to-cost ratio
+program over occupation measures, reduced to an LP by the Charnes-Cooper
+substitution and started from a deterministic unichain policy's basis, and
+the multichain average-reward LP, which runs both phases, with its x/y
+policy decoding.  Rewards and costs come in, and solutions stay, as vectors
+over the model's pairs; the decoders turn solutions into policy weight
+vectors, summing state masses and normalizations in pair order.
 """
 
 from dataclasses import dataclass
@@ -47,10 +49,15 @@ class DegenerateDecoding(Exception):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max c.x  s.t.  a_eq x = b_eq, x >= 0."""
+    """max c.x  s.t.  a_eq x = b_eq, x >= 0.
+
+    basis, if given, is (columns, row): the basic columns of a feasible
+    basis of the equations without row, which the other rows imply.  The
+    simplex then runs phase 2 from it; without one it runs both phases."""
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
+    basis: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -197,12 +204,14 @@ def _iterate(t: _Tableau, n_cols, max_iter, safe=False):
 
 
 def solve_lp(p: LpProblem) -> LpResult:
-    """Two-phase dense primal simplex.
+    """Dense primal simplex: phase 2 from p.basis if one is given, else
+    both phases.
 
     Dantzig pricing with Bland's smallest-index rule engaged on degenerate
     stalls (anti-cycling), Harris-style largest-pivot ratio ties, and
     reinversion every few dozen pivots for numerical hygiene.  A numerical
-    failure triggers one retry with reinversion after every pivot.
+    failure triggers one retry with reinversion after every pivot, from the
+    same start.
     """
     try:
         return _solve_lp(p, safe=False)
@@ -210,23 +219,12 @@ def solve_lp(p: LpProblem) -> LpResult:
         return _solve_lp(p, safe=True)
 
 
-def _solve_lp(p: LpProblem, safe: bool) -> LpResult:
-    a = np.asarray(p.a_eq, dtype=float)
-    b = np.asarray(p.b_eq, dtype=float).copy()
-    c = np.asarray(p.c, dtype=float)
-    if a.ndim != 2 or a.shape[0] != b.size or a.shape[1] != c.size:
-        raise ValueError("inconsistent LP dimensions")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-            and np.all(np.isfinite(c))):
-        raise ValueError("LP data must be finite")
+def _phase1(a, b, max_iter, safe):
+    """A feasible basis of a x = b (b >= 0) from the artificial basis:
+    returns (a, b, basis) with redundant rows dropped, or None if the
+    program is infeasible."""
     m, n = a.shape
-    a = a.copy()
-    neg = b < 0
-    a[neg, :] *= -1.0
-    b[neg] *= -1.0
-    max_iter = 20000 + 200 * (m + n)
-
-    # phase 1: artificial basis, maximize -sum(artificials)
+    # artificial basis, maximize -sum(artificials)
     full = np.hstack([a, np.eye(m)])
     c1 = np.zeros(n + m)
     c1[n:] = -1.0
@@ -235,7 +233,7 @@ def _solve_lp(p: LpProblem, safe: bool) -> LpResult:
     status = _iterate(t, n + m, max_iter, safe)
     art_sum = -t.value()
     if status != "optimal" or art_sum > 1e-7:
-        return LpResult(status="infeasible")
+        return None
 
     # drive leftover artificials out of the basis, dropping redundant rows;
     # reinvert first so the pivots run on exact data, and pivot on the
@@ -253,12 +251,34 @@ def _solve_lp(p: LpProblem, safe: bool) -> LpResult:
             t.pivot(i, j)
             keep.append(i)
     if len(keep) < m:
-        a = a[keep, :]
-        b = b[keep]
-        m = len(keep)
-        basis = [t.basis[i] for i in keep]
+        return a[keep, :], b[keep], [t.basis[i] for i in keep]
+    return a, b, list(t.basis)
+
+
+def _solve_lp(p: LpProblem, safe: bool) -> LpResult:
+    a = np.asarray(p.a_eq, dtype=float)
+    b = np.asarray(p.b_eq, dtype=float).copy()
+    c = np.asarray(p.c, dtype=float)
+    if a.ndim != 2 or a.shape[0] != b.size or a.shape[1] != c.size:
+        raise ValueError("inconsistent LP dimensions")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+            and np.all(np.isfinite(c))):
+        raise ValueError("LP data must be finite")
+    m, n = a.shape
+    a = a.copy()
+    neg = b < 0
+    a[neg, :] *= -1.0
+    b[neg] *= -1.0
+    max_iter = 20000 + 200 * (m + n)
+    if p.basis is None:
+        start = _phase1(a, b, max_iter, safe)
+        if start is None:
+            return LpResult(status="infeasible")
+        a, b, basis = start
     else:
-        basis = list(t.basis)
+        cols, row = p.basis
+        a, b = np.delete(a, row, axis=0), np.delete(b, row)
+        basis = list(cols)
 
     # phase 2 on the original objective over the structural columns
     t = _Tableau(a, b, c)
@@ -270,7 +290,7 @@ def _solve_lp(p: LpProblem, safe: bool) -> LpResult:
     # recover the basic solution by a direct solve with one round of
     # iterative refinement, which brings the residual to working precision
     x = np.zeros(n)
-    if m:
+    if b.size:
         bmat = a[:, t.basis]
         xb = np.linalg.solve(bmat, b)
         xb += np.linalg.solve(bmat, b - bmat @ xb)
@@ -313,6 +333,12 @@ def solve_ratio_lfp(m: Mdp, r, c) -> LfpSolution:
     turned into a free scale), solved as an LP, and scaled back so the weights
     sum to one.  The value equals the optimal ratio from every state of the
     communicating model.
+
+    The simplex starts phase 2 from the basis of a deterministic unichain
+    policy, the attractor of state 0 from its first pair: its n pairs are
+    nonsingular on the equations without state 0's flow row (the flow rows
+    sum to zero, so that one follows from the others), and its basic
+    solution, the stationary distribution over its mean cost, is feasible.
     """
     if not is_communicating(m):
         raise NotCommunicating("ratio program needs a communicating model")
@@ -321,8 +347,11 @@ def solve_ratio_lfp(m: Mdp, r, c) -> LfpSolution:
     b_eq = np.zeros(m.n_states + 1)
     _flow_balance(m, a_eq)
     b_eq[m.n_states] = 1.0
+    w0 = np.zeros(m.n_pairs)
+    w0[m.state_ptr[0]] = 1.0
+    start = np.flatnonzero(attractor_policy(m, [0], w0))
 
-    res = solve_lp(LpProblem(c=r, a_eq=a_eq, b_eq=b_eq))
+    res = solve_lp(LpProblem(c=r, a_eq=a_eq, b_eq=b_eq, basis=(start, 0)))
     if res.status == "infeasible":
         raise InfeasibleError("ratio program infeasible: malformed model")
     if res.status == "unbounded":

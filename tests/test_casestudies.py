@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from effsynth.model import (build_product, induce_chain, lift_utilities,
 from effsynth.graph import is_communicating
 from effsynth.chain import analyze, efficiency
 from effsynth.lp import decode_ratio_policy, solve_ratio_lfp
-from effsynth.casestudies import (COST_BY_DISTANCE, Case1Params, Case2Params,
-                                  ParamError, dra_command_then_material,
+from effsynth.casestudies import (COST_BY_DISTANCE, MAX_SIZE, Case1Params,
+                                  Case2Params, ParamError,
+                                  dra_command_then_material,
                                   dra_recurrence_avoid,
                                   dra_recurrence_avoid_charge, gen_case1,
                                   gen_case2)
@@ -130,6 +133,37 @@ def test_case1_rejects_bad_params():
                                          for c in range(1, 10)}))
     with pytest.raises(ParamError):
         gen_case1(Case1Params(cost_table={d: 0.0 for d in range(9)}))
+
+
+@pytest.mark.parametrize("params, phrase", [
+    (Case1Params(size=200000), "size 200000 is not an int in 1..64"),
+    (Case1Params(size=65), "size 65 is not"),
+    (Case1Params(size=9.0), "size 9.0 is not"),
+    (Case1Params(size=True), "size True is not"),
+    (Case1Params(size=8), "destination cell (9, 1) is off the 8x8 grid"),
+    (Case1Params(initial=(0, 1)), "initial cell (0, 1) is off"),
+    (Case1Params(charging=(10, 1)), "charging cell (10, 1) is off"),
+    (Case1Params(destinations={(9, 1): 2.0, (1, -9): 1.0}),
+     "destination cell (1, -9) is off"),
+    (Case2Params(size=0), "size 0 is not"),
+    (Case2Params(size=6), "material cell (7, 7) is off the 6x6 grid"),
+    (Case2Params(command=(3, 4, 1)), "command cell (3, 4, 1) is off"),
+    (Case2Params(initial=(4, 0)), "initial cell (4, 0) is off"),
+], ids=["case1-huge", "case1-above-cap", "case1-float", "case1-bool",
+        "case1-below-cells", "case1-initial", "case1-charging",
+        "case1-destination", "case2-zero", "case2-below-cells",
+        "case2-command", "case2-initial"])
+def test_params_bound_size_and_keep_cells_on_grid(params, phrase):
+    """A size that is not an int from the smallest grid holding the named
+    cells up to MAX_SIZE, or a named cell off the grid, fails validation
+    before any grid is built."""
+    with pytest.raises(ParamError, match=re.escape(phrase)):
+        params.validate()
+
+
+def test_params_accept_the_largest_size():
+    Case1Params(size=MAX_SIZE).validate()
+    Case2Params(size=MAX_SIZE).validate()
 
 
 def word(*syms):

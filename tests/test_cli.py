@@ -341,6 +341,33 @@ def test_casestudy_case2_custom_params_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("n, method", [(15, "es"), (15, "ex"), (17, "es")])
+def test_synthesize_delivery_ladder_rung(tmp_path, capsys, n, method):
+    """Case-1 task-2 grids past 13, with the destinations and the charging
+    cell at the scaled corners and 1.0 per move beyond the default cost
+    table, synthesize to the grid-9 value."""
+    from effsynth import casestudies, parsers
+    cost_table = dict(casestudies.COST_BY_DISTANCE)
+    cost_table.update({d: 1.0 for d in range(max(cost_table) + 1, 2 * n)})
+    params = casestudies.Case1Params(size=n,
+                                     destinations={(n, 1): 2.0, (1, n): 1.0},
+                                     charging=(n - 1, 1),
+                                     cost_table=cost_table)
+    m, _, task2, reward, cost = casestudies.gen_case1(params)
+    paths = []
+    for name, text in (("model.mdp", parsers.write_mdp(m)),
+                       ("task.hoa", parsers.write_dra(task2)),
+                       ("utilities.txt",
+                        parsers.write_utilities(m, reward, cost))):
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    code = main(["synthesize", *paths, "--epsilon", "0.01",
+                 "--method", method])
+    assert code == 0
+    values = json.loads(capsys.readouterr().out)["report"]["component_values"]
+    assert values == [pytest.approx(0.1171506882895, abs=1e-9)]
+
+
 def test_casestudy_case1_small_grid(tmp_path):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({
@@ -389,9 +416,15 @@ def test_casestudy_rejects_bad_params(tmp_path):
      "field 'initial' has the wrong type"),
     ("case1", json.dumps({"destinations": {"9;1": 2.0}}),
      "bad case1 parameters"),
+    ("case1", json.dumps({"size": 200000}), "size 200000 is not an int"),
+    ("case1", json.dumps({"initial": [0, 1]}),
+     "initial cell (0, 1) is off the 9x9 grid"),
+    ("case2", json.dumps({"material": [8, 7]}),
+     "material cell (8, 7) is off the 7x7 grid"),
 ], ids=["case2-not-json", "case2-deep-json", "case2-wrong-type",
         "case2-unknown-field", "case2-wrong-entry-type", "case2-missing-ring",
-        "case1-wrong-type", "case1-wrong-entry-type", "case1-bad-cell-key"])
+        "case1-wrong-type", "case1-wrong-entry-type", "case1-bad-cell-key",
+        "case1-huge-size", "case1-off-grid", "case2-off-grid"])
 def test_casestudy_bad_params_file_exits_2(tmp_path, capsys, name, text,
                                            phrase):
     """A --params file that is not JSON, names an unknown field, gives a

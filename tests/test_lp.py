@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -436,6 +437,19 @@ def test_pivot_allocates_no_tableau_sized_array(rng):
     assert peak < t.tab.nbytes / 4
 
 
+def posed_ratio_lp(m, r, c):
+    """The LpProblem that solve_ratio_lfp(m, r, c) poses."""
+    posed = []
+
+    def record(p):
+        posed.append(p)
+        return solve_lp(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve_lp", record)
+        solve_ratio_lfp(m, r, c)
+    return posed[0]
+
+
 @pytest.fixture(scope="module")
 def grid9_ratio_lp():
     """The LP that solve_ratio_lfp poses for the largest MAEC of the case-1
@@ -448,20 +462,12 @@ def grid9_ratio_lp():
     pm = build_product(m, d2)
     r, c = lift_utilities(pm, reward, cost)
     sub, _ = restrict(pm, max(maec_decompose(pm), key=np.count_nonzero))
-    posed = []
-
-    def record(p):
-        posed.append(p)
-        return solve_lp(p)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "solve_lp", record)
-        solve_ratio_lfp(sub, r[sub.parent_pair], c[sub.parent_pair])
-    return posed[0]
+    return posed_ratio_lp(sub, r[sub.parent_pair], c[sub.parent_pair])
 
 
-def test_ratio_lp_pivots_match_dense_update(monkeypatch, grid9_ratio_lp):
-    """On the grid-9 ratio LP, the sparse pivot takes the same (leave,
-    enter) path as the dense update and gives a bitwise-equal solution."""
+def pivot_paths(monkeypatch, p):
+    """p solved with the sparse pivot and with the dense reference, each
+    with the (leave, enter) path it took: (new, new_path, ref, ref_path)."""
     def run(update):
         path = []
 
@@ -469,13 +475,60 @@ def test_ratio_lp_pivots_match_dense_update(monkeypatch, grid9_ratio_lp):
             path.append((row, col))
             update(t, row, col)
         monkeypatch.setattr(lp._Tableau, "pivot", pivot)
-        return solve_lp(grid9_ratio_lp), path
+        return solve_lp(p), path
 
     sparse = lp._Tableau.pivot
-    new, new_path = run(sparse)
-    ref, ref_path = run(dense_pivot)
+    return (*run(sparse), *run(dense_pivot))
+
+
+def test_ratio_lp_pivots_match_dense_update(monkeypatch, grid9_ratio_lp):
+    """On the grid-9 ratio LP without its start basis (both phases), the
+    sparse pivot takes the same (leave, enter) path as the dense update and
+    gives a bitwise-equal solution."""
+    two_phase = dataclasses.replace(grid9_ratio_lp, basis=None)
+    new, new_path, ref, ref_path = pivot_paths(monkeypatch, two_phase)
     assert len(new_path) > 100
     assert new_path == ref_path
     assert new.status == ref.status == "optimal"
     assert new.x.tobytes() == ref.x.tobytes()
     assert new.value == ref.value
+
+
+def test_ratio_lp_start_basis_pivots_match_dense_update(monkeypatch,
+                                                        grid9_ratio_lp):
+    """The same from the start basis solve_ratio_lfp poses (phase 2 only)."""
+    assert grid9_ratio_lp.basis is not None
+    new, new_path, ref, ref_path = pivot_paths(monkeypatch, grid9_ratio_lp)
+    assert len(new_path) > 50
+    assert new_path == ref_path
+    assert new.status == ref.status == "optimal"
+    assert new.x.tobytes() == ref.x.tobytes()
+    assert new.value == ref.value
+
+
+def test_ratio_lp_start_basis_agrees_with_two_phase(rng):
+    """The ratio LP solved from its start basis and by both phases: both
+    optimal, values equal to 1e-9 relative, and decoded policies of equal
+    efficiency.  The models include ones whose state 0 has a single action
+    (its attractor start pair is forced)."""
+    from effsynth.lp import LfpSolution
+    single = 0
+    for trial in range(40):
+        m = random_communicating_mdp(rng, int(rng.integers(2, 9)),
+                                     int(rng.integers(1, 4)), p_avail=0.6)
+        single += len(m.available[0]) == 1
+        r, c = random_utilities(rng, m)
+        p = posed_ratio_lp(m, r, c)
+        assert p.basis is not None
+        effs = []
+        for res in (solve_lp(p),
+                    solve_lp(dataclasses.replace(p, basis=None))):
+            assert res.status == "optimal"
+            sol = LfpSolution(gamma=res.x / res.x.sum(), value=res.value)
+            policy, ca = decode_ratio_policy(m, sol)
+            effs.append((res.value,
+                         efficiency(ca, m, r, c, policy, m.initial)))
+        (start_val, start_eff), (two_val, two_eff) = effs
+        assert start_val == pytest.approx(two_val, rel=1e-9)
+        assert start_eff == pytest.approx(two_eff, rel=1e-9)
+    assert 0 < single < 40
