@@ -2,9 +2,9 @@
 
 The efficiency loss of the blend (1-delta)*optimal + delta*exploring obeys a
 closed-form identity built from deviation vectors.  Inverting its worst-case
-bound gives a safe blending degree in one shot ('es'); bisecting on the exact
-evaluator gives the largest safe degree ('ex').  On a lopsided instance the
-one-shot bound is wildly conservative.
+bound gives a safe blending degree in one shot ('es'); a bracketed secant
+search on the exact evaluator gives the largest safe degree ('ex').  On a
+lopsided instance the one-shot bound is wildly conservative.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ es = perturbation_degree_estimated(m, mu_opt, mu_irr, r, c, 0.01)
 ex = perturbation_degree_exact(m, mu_opt, mu_irr, r, c, 0.01)
 print(f"  one-shot bound: delta={es.delta:.6f} "
       f"(worst-state gap {es.d_inf:.2f}, min cost {es.c_min})")
-print(f"  bisection:      delta={ex.delta:.6f}")
+print(f"  secant search:  delta={ex.delta:.6f}")
 print(f"  conservatism: {ex.delta / es.delta:.0f}x")
 
 print("\nactual efficiency along the blend:")

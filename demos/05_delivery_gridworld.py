@@ -38,5 +38,6 @@ for eps in (0.005, 0.01, 0.05, 0.1):
         charge = float(limit[charge_states].sum())
         delta = rep2.plan.delta if rep2.plan else 0.0
         print(f"{eps:<8} {method:<8} {delta:<11.5g} {charge:.5g}")
-print("\nthe one-shot degree ('es') is conservative; bisection ('ex') blends"
-      "\nharder and visits the charger far more often at the same budget.")
+print("\nthe one-shot degree ('es') is conservative; the exact search ('ex')"
+      "\nblends harder and visits the charger far more often at the same"
+      " budget.")

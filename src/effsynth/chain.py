@@ -68,6 +68,24 @@ class ChainAnalysis:
         return star
 
 
+def stationary_distribution(block) -> np.ndarray:
+    """The stationary row vector of an irreducible stochastic block: one LU
+    solve of (block^T - I) pi = 0 with its last equation replaced by
+    sum(pi) = 1, checked and clipped at zero."""
+    k = block.shape[0]
+    a = block.T - np.eye(k)
+    a[-1, :] = 1.0
+    b = np.zeros(k)
+    b[-1] = 1.0
+    try:
+        pi = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as e:
+        raise SingularSystem(f"stationary solve failed: {e}") from e
+    if np.any(pi < -LIMIT_TOL) or abs(pi.sum() - 1.0) > 1e-7:
+        raise SingularSystem("stationary distribution out of tolerance")
+    return np.maximum(pi, 0.0)
+
+
 def analyze(chain: Mc) -> ChainAnalysis:
     """Classify states and solve for stationary and absorption structure;
     the limit matrix P* is assembled only when it is read."""
@@ -90,21 +108,8 @@ def analyze(chain: Mc) -> ChainAnalysis:
     rec_states = {s for comp in classes for s in comp}
     transient = frozenset(range(n)) - rec_states
 
-    stationary = []
-    for comp in classes:
-        k = len(comp)
-        sub = P[np.ix_(comp, comp)]
-        a = sub.T - np.eye(k)
-        a[-1, :] = 1.0
-        b = np.zeros(k)
-        b[-1] = 1.0
-        try:
-            pi = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as e:
-            raise SingularSystem(f"stationary solve failed: {e}") from e
-        if np.any(pi < -LIMIT_TOL) or abs(pi.sum() - 1.0) > 1e-7:
-            raise SingularSystem("stationary distribution out of tolerance")
-        stationary.append(np.maximum(pi, 0.0))
+    stationary = [stationary_distribution(P[np.ix_(comp, comp)])
+                  for comp in classes]
 
     absorb = np.zeros((n, len(classes)))
     for k, comp in enumerate(classes):

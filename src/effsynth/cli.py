@@ -145,10 +145,19 @@ def _report_json(pm, report):
     }
 
 
+# synthesize's tolerance flags, by the Tolerances field each sets
+TOL_FLAGS = {"support_threshold": "--tol-support",
+             "bisect_width": "--tol-bisect", "k_margin": "--k-margin"}
+
+
 def cmd_synthesize(args):
-    tol = synthesis.Tolerances(support_threshold=args.tol_support,
-                               bisect_width=args.tol_bisect,
-                               k_margin=args.k_margin)
+    try:
+        tol = synthesis.Tolerances(support_threshold=args.tol_support,
+                                   bisect_width=args.tol_bisect,
+                                   k_margin=args.k_margin)
+    except synthesis.ToleranceError as e:
+        print(f"error: argument {TOL_FLAGS[e.field]}: {e}", file=sys.stderr)
+        return EXIT_PARSE
     digests = {}
     m, d, pm = _load_problem(args, digests)
     r, c = _load_utilities(args, m, pm, digests)
@@ -401,8 +410,9 @@ def _case2_sweep(m, dra, reward_family, cost, args):
 
 def _positive_float(text):
     val = float(text)
-    if val <= 0.0:
-        raise argparse.ArgumentTypeError("must be strictly positive")
+    if not 0.0 < val < np.inf:
+        raise argparse.ArgumentTypeError(
+            "must be finite and strictly positive")
     return val
 
 
@@ -435,7 +445,9 @@ def make_parser():
     p.add_argument("--out", help="policy file destination")
     p.add_argument("--report-out", help="JSON report destination")
     p.add_argument("--tol-support", type=float, default=lp.SUPPORT_THRESHOLD)
-    p.add_argument("--tol-bisect", type=float, default=synthesis.BISECT_WIDTH)
+    p.add_argument("--tol-bisect", type=float, default=synthesis.BISECT_WIDTH,
+                   help="width, in (0, 1), at which the exact ('ex') degree "
+                        "search stops")
     p.add_argument("--k-margin", type=float, default=synthesis.K_MARGIN)
 
     p = sub.add_parser("evaluate", help="analytic efficiency and acceptance")

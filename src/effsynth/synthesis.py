@@ -5,18 +5,19 @@ The communicating solver decomposes the model into maximal accepting end
 components, solves the ratio program in each, and then blends the winning
 component's optimal policy with an irreducible one.  The mixing weight (the
 perturbation degree) is either the closed-form bound from the ratio
-deviation of chain.ratio_deviation ('es') or the largest weight that
-bisection certifies to stay within epsilon of optimal ('ex').  The general
-solver decomposes the product once, restricts it once to the almost-sure
-region, scores every accepting component that way on the MAECs it contains,
-turns the scores into a surrogate reward with a steeply negative
-off-component level, solves the average-reward program for a basic policy,
-and patches the component policies back in wherever the basic policy
-settles.  Policies, utilities and end components are arrays over a model's
-pairs: a sub-model gathers them through its parent_pair, a sub-model's
-policy lifts to its parent by a scatter through the same array (_lift), and
-the region's report returns to the product's ids through _lift_report.  A
-certificate is built only for the report that is returned.
+deviation of chain.ratio_deviation ('es') or the largest weight that stays
+within epsilon of optimal ('ex'), found by a bracketed secant search on the
+blend's stationary ratio and certified by the full chain analysis.  The
+general solver decomposes the product once, restricts it once to the
+almost-sure region, scores every accepting component that way on the MAECs
+it contains, turns the scores into a surrogate reward with a steeply
+negative off-component level, solves the average-reward program for a basic
+policy, and patches the component policies back in wherever the basic
+policy settles.  Policies, utilities and end components are arrays over a
+model's pairs: a sub-model gathers them through its parent_pair, a
+sub-model's policy lifts to its parent by a scatter through the same array
+(_lift), and the region's report returns to the product's ids through
+_lift_report.  A certificate is built only for the report that is returned.
 """
 
 from dataclasses import dataclass, replace
@@ -29,7 +30,7 @@ from .graph import (almost_sure_region, amec_filter, attractor_policy,
                     closed_pairs, maec_decompose, mec_decompose, restrict,
                     within)
 from .chain import (NotUnichain, analyze, average_utility, efficiency,
-                    ratio_deviation)
+                    ratio_deviation, stationary_distribution, utility_vector)
 from .lp import SUPPORT_THRESHOLD, decode_avg_policy, decode_ratio_policy, \
     solve_avg_reward_lp, solve_ratio_lfp
 
@@ -38,14 +39,35 @@ DELTA_CAP = 1.0 - 1e-9
 K_MARGIN = 1.0
 
 
+class ToleranceError(ValueError):
+    """A Tolerances field outside its range; field names it."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric knobs of one synthesis run, passed down as call data: the
-    LP-decoding support threshold, the exact-degree bisection width, and the
-    margin of the surrogate off-component reward below -max|R|/min C."""
+    LP-decoding support threshold, in [0, 1); the width, in (0, 1), of the
+    bracket that ends the exact-degree search; and the margin, above zero,
+    of the surrogate off-component reward below -max|R|/min C, so that K
+    lies strictly below every efficiency.  Each is a finite float."""
     support_threshold: float = SUPPORT_THRESHOLD
     bisect_width: float = BISECT_WIDTH
     k_margin: float = K_MARGIN
+
+    def __post_init__(self):
+        # NaN fails every comparison, and the bounds exclude infinity
+        for field, bounds, ok in (
+                ("support_threshold", "[0, 1)", lambda x: 0.0 <= x < 1.0),
+                ("bisect_width", "(0, 1)", lambda x: 0.0 < x < 1.0),
+                ("k_margin", "(0, inf)", lambda x: 0.0 < x < np.inf)):
+            x = getattr(self, field)
+            if not ok(x):
+                raise ToleranceError(field, f"{field} must be finite and in "
+                                            f"{bounds}, got {x!r}")
 
 
 class NoMaec(Exception):
@@ -60,9 +82,10 @@ class TaskUnsatisfiable(Exception):
 class PerturbationPlan:
     """How an optimal policy was blended with an irreducible one.
 
-    method 'estimated' uses delta = epsilon * c_min / d_inf; 'exact' bisects on
-    the analytic efficiency.  degenerate marks d_inf = 0 (the two policies are
-    equivalent, so no perturbation loss exists and delta defaults to 0.5).
+    method 'estimated' uses delta = epsilon * c_min / d_inf; 'exact' searches
+    a bracket on the analytic efficiency for the largest degree within
+    epsilon.  degenerate marks d_inf = 0 (the two policies are equivalent, so
+    no perturbation loss exists and delta defaults to 0.5).
     """
     delta: float
     method: str
@@ -128,44 +151,85 @@ def perturbation_degree_estimated(m: Mdp, mu_opt, mu_irr, r, c,
 
 def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
                               width=BISECT_WIDTH) -> PerturbationPlan:
-    """Largest degree that keeps the blended efficiency within epsilon,
-    found by bisection on the analytic evaluator and verified afterwards."""
+    """Largest degree, to within width, that keeps the blended efficiency
+    within epsilon of the optimum, certified by the full evaluator.
+
+    A safeguarded regula falsi with the Illinois step (Dowell & Jarratt
+    1971) on f(delta) = J(delta) - (J - epsilon - 1e-12) keeps the bracket
+    f(lo) >= 0 > f(hi), from the closed-form degree (which qualifies) to
+    1 - width.  For delta > 0 the blend with the irreducible mu_irr is
+    irreducible, so a probe is one stationary solve of the whole blended
+    chain, with the J(delta) that efficiency(analyze(...)) gives.  Steps
+    land at least width/2 inside the bracket; after two in a row that
+    halved neither the bracket nor |f| (the secant nears a root close to
+    one end from that side) the next one bisects.  The search stops at
+    width or when no float lies inside the bracket; analyze and efficiency
+    then check lo, or 1 - width when the probe passes it, and NotUnichain
+    is raised if no positive degree passes.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     d_inf, j_opt = _deviation_gap(m, mu_opt, mu_irr, r, c)
     c_min = float(np.min(c))
+    degenerate = d_inf <= 1e-14
+    target = j_opt - epsilon - 1e-12
 
-    def qualifies(delta):
+    def f(delta):
+        w = blend(mu_opt, mu_irr, delta)
+        pi = stationary_distribution(induce_chain(m, w).P)
+        return float(pi @ utility_vector(m, r, w)) / \
+            float(pi @ utility_vector(m, c, w)) - target
+
+    def certified(delta):
         w = blend(mu_opt, mu_irr, delta)
         ca_d = analyze(induce_chain(m, w))
-        return efficiency(ca_d, m, r, c, w, m.initial) >= j_opt - epsilon - 1e-12
+        return efficiency(ca_d, m, r, c, w, m.initial) >= target
 
     hi = 1.0 - width
-    if qualifies(hi):
-        return PerturbationPlan(hi, "exact", d_inf, c_min,
-                                degenerate=d_inf <= 1e-14)
-    # warm start from the closed-form bound, which always qualifies
-    lo = 0.0
-    if d_inf > 1e-14:
+    f_hi = f(hi)
+    if f_hi >= 0.0:
+        if certified(hi):
+            return PerturbationPlan(hi, "exact", d_inf, c_min, degenerate)
+        f_hi = -np.inf  # analyze split a chain the probe took as irreducible
+    lo, f_lo = 0.0, j_opt - target  # the optimal policy itself
+    moved = 0  # the end the last probe moved: -1 lo, 1 hi
+    if not degenerate:
         guess = min(epsilon * c_min / d_inf, hi / 2)
-        if qualifies(guess):
-            lo = guess
-    hi_b = hi
-    while hi_b - lo > width:
-        mid = 0.5 * (lo + hi_b)
-        if qualifies(mid):
-            lo = mid
+        f_guess = f(guess)
+        if f_guess >= 0.0:
+            lo, f_lo, moved = guess, f_guess, -1
+        else:  # rounding broke the closed-form guarantee
+            hi, f_hi, moved = guess, f_guess, 1
+    last = min(f_lo, -f_hi)  # |f| at the last probe
+    slow = 0  # steps in a row that halved neither the bracket nor |f|
+    while hi - lo > width:
+        x = 0.5 * (lo + hi)
+        if slow < 2:
+            step = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            step = min(max(step, lo + width / 2), hi - width / 2)
+            if lo < step < hi:
+                x = step
+        if not lo < x < hi:
+            break  # no float lies strictly inside the bracket
+        f_x = f(x)
+        before = hi - lo
+        if f_x >= 0.0:
+            lo, f_lo = x, f_x
+            if moved < 0:  # Illinois: the same end moved twice in a row
+                f_hi /= 2.0
+            moved = -1
         else:
-            hi_b = mid
-    if lo <= 0.0:
-        # a positive lo came from a qualifying probe; an exhausted one did not
-        lo = width
-        while lo > 1e-15 and not qualifies(lo):
-            lo /= 10.0
-        if lo <= 1e-15 and not qualifies(lo):
-            raise NotUnichain("bisection failed to certify any positive degree")
-    return PerturbationPlan(lo, "exact", d_inf, c_min,
-                            degenerate=d_inf <= 1e-14)
+            hi, f_hi = x, f_x
+            if moved > 0:
+                f_lo /= 2.0
+            moved = 1
+        slow = slow + 1 if hi - lo > before / 2 and abs(f_x) > last / 2 \
+            else 0
+        last = abs(f_x)
+    if lo <= 0.0 or not certified(lo):
+        raise NotUnichain("the degree search closed without a certified "
+                          "positive degree")
+    return PerturbationPlan(lo, "exact", d_inf, c_min, degenerate)
 
 
 def _certificate(pm: ProductMdp, policy) -> Certificate:

@@ -210,7 +210,7 @@ def test_criterion_6_es_ex_relationship():
     ex = perturbation_degree_exact(m, mu_opt, mu_irr, r, c, 0.01)
     ratio = ex.delta / es.delta
     ok = ok and ratio >= 5.0
-    report(6, f"bisection dominates the closed-form degree (constructed "
+    report(6, f"the exact degree dominates the closed-form one (constructed "
               f"ratio {ratio:.0f}x, linear in epsilon)", ok,
            time.time() - t0, 60.0)
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import effsynth
@@ -456,17 +457,22 @@ def test_deeply_nested_guard_is_a_parse_error(files, tmp_path, capsys,
     assert "line 9: guard nested too deeply" in capsys.readouterr().err
 
 
-def test_tolerance_flags_are_per_call(files, tmp_path):
-    """The tolerance flags reach the synthesis through the call, are
-    recorded in the manifest, and leave the module defaults untouched."""
-    from effsynth import lp, synthesis
-    # a rewarding self-loop at 3 never sees g, so the optimum must be blended
+def blended_synthesis(files, tmp_path):
+    """synthesize argv, up to its options, for a model whose optimum must
+    be blended: a rewarding self-loop at 3 never sees g."""
     model = tmp_path / "loop.mdp"
     model.write_text(MODEL + "trans 3 a2 3 1.0\n")
     util = tmp_path / "loop.txt"
     util.write_text(UTILITIES + "reward 3 a2 5.0\ncost 3 a2 1.0\n")
-    base = ["synthesize", str(model), files["task.hoa"], str(util),
-            "--epsilon", "0.05", "--method", "ex", "--report-out"]
+    return ["synthesize", str(model), files["task.hoa"], str(util)]
+
+
+def test_tolerance_flags_are_per_call(files, tmp_path):
+    """The tolerance flags reach the synthesis through the call, are
+    recorded in the manifest, and leave the module defaults untouched."""
+    from effsynth import lp, synthesis
+    base = blended_synthesis(files, tmp_path) + [
+        "--epsilon", "0.05", "--method", "ex", "--report-out"]
     tuned = str(tmp_path / "tuned.json")
     assert main(base + [tuned, "--tol-support", "1e-6", "--tol-bisect", "1e-3",
                         "--k-margin", "2"]) == 0
@@ -480,6 +486,50 @@ def test_tolerance_flags_are_per_call(files, tmp_path):
     assert main(base + [default]) == 0
     assert json.loads(open(default).read())["report"]["delta"] != \
         payload["report"]["delta"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-bisect", "0"), ("--tol-bisect", "-1"),
+    ("--tol-bisect", "nan"), ("--tol-bisect", "inf"),
+    ("--tol-support", "nan"), ("--tol-support", "2"),
+    ("--k-margin", "0"), ("--k-margin", "nan")])
+def test_out_of_range_tolerance_flag_exits_2(files, tmp_path, capsys, flag,
+                                             value):
+    """A tolerance outside its range stops synthesize before any work, with
+    one line naming the flag."""
+    argv = blended_synthesis(files, tmp_path) + [
+        "--epsilon", "0.05", "--method", "ex", flag, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: argument {flag}: ")
+
+
+def test_width_below_float_spacing_ends(files, tmp_path):
+    """--tol-bisect far below the float spacing near the degree still ends
+    the exact-degree search."""
+    assert main(blended_synthesis(files, tmp_path) + [
+        "--epsilon", "0.05", "--method", "ex", "--tol-bisect", "1e-30"]) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_synthesize_rejects_non_finite_epsilon(files, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", files["model.mdp"], files["task.hoa"],
+              files["utilities.txt"], "--epsilon", value])
+    assert exc.value.code == 2
+
+
+def test_uncertified_exact_degree_exits_4(files, tmp_path, monkeypatch,
+                                          capsys):
+    """When the full evaluator certifies no degree the search found,
+    synthesize fails as a solver failure."""
+    from effsynth import synthesis
+    monkeypatch.setattr(synthesis, "efficiency", lambda *args: -np.inf)
+    argv = blended_synthesis(files, tmp_path) + [
+        "--epsilon", "0.05", "--method", "ex"]
+    assert main(argv) == 4
+    assert "without a certified positive degree" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

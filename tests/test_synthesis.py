@@ -10,16 +10,19 @@ from effsynth.model import (Mdp, ModelError, ProductMdp, UtilityFn, blend,
                             uniform_policy)
 from effsynth.graph import (almost_sure_region, maec_decompose, mec_decompose,
                             restrict)
-from effsynth.chain import analyze, average_utility, efficiency
-from effsynth.lp import solve_avg_reward_lp
-from effsynth.synthesis import (NoMaec, TaskUnsatisfiable, build_reward_k,
+from effsynth.chain import (NotUnichain, analyze, average_utility,
+                            efficiency, ratio_deviation)
+from effsynth.lp import (decode_ratio_policy, solve_avg_reward_lp,
+                         solve_ratio_lfp)
+from effsynth.synthesis import (NoMaec, TaskUnsatisfiable, Tolerances,
+                                build_reward_k,
                                 perturbation_degree_estimated,
                                 perturbation_degree_exact,
                                 synth_communicating, synth_general)
 
 from conftest import (amecs_of, deterministic, ec_parts, example1_product,
-                      random_communicating_product, random_mdp,
-                      random_utilities, rule_of)
+                      random_communicating_mdp, random_communicating_product,
+                      random_mdp, random_utilities, rule_of)
 
 
 def two_state_unit_cost_instance():
@@ -151,6 +154,183 @@ def test_exact_degree_still_qualifies(rng):
         ca_o = analyze(induce_chain(m, mu_opt))
         assert efficiency(ca, m, r, c, mu_d, 0) >= \
             efficiency(ca_o, m, r, c, mu_opt, 0) - eps - 1e-10
+
+
+def blend_efficiency(m, mu_opt, mu_irr, r, c, delta):
+    """The full evaluator's efficiency, from the initial state, of the blend
+    of degree delta."""
+    w = blend(mu_opt, mu_irr, delta)
+    return efficiency(analyze(induce_chain(m, w)), m, r, c, w, m.initial)
+
+
+def qualifies(m, mu_opt, mu_irr, r, c, epsilon, delta):
+    """The full evaluator's verdict on the blend of degree delta: its
+    efficiency is within epsilon of mu_opt's."""
+    inst = (m, mu_opt, mu_irr, r, c)
+    return blend_efficiency(*inst, delta) >= \
+        blend_efficiency(*inst, 0.0) - epsilon - 1e-12
+
+
+def bisected_degree(m, mu_opt, mu_irr, r, c, epsilon, width=1e-6):
+    """The exact degree by plain bisection on the full evaluator, warm
+    started from the closed-form bound: the reference the bracketed secant
+    search is held to."""
+    _, _, d = ratio_deviation(m, mu_opt, mu_irr, r, c)
+    d_inf = float(np.max(np.abs(d)))
+
+    def ok(delta):
+        return qualifies(m, mu_opt, mu_irr, r, c, epsilon, delta)
+
+    hi = 1.0 - width
+    if ok(hi):
+        return hi
+    lo = 0.0
+    if d_inf > 1e-14:
+        guess = min(epsilon * float(np.min(c)) / d_inf, hi / 2)
+        if ok(guess):
+            lo = guess
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def communicating_blends(rng, count):
+    """count random communicating models, each with its ratio-optimal
+    policy and the uniform (irreducible) one, as the degree's leading
+    arguments (m, mu_opt, mu_irr, r, c)."""
+    out = []
+    while len(out) < count:
+        m = random_communicating_mdp(rng, int(rng.integers(2, 7)), 2)
+        r, c = random_utilities(rng, m)
+        mu_opt, _ = decode_ratio_policy(m, solve_ratio_lfp(m, r, c))
+        out.append((m, mu_opt, uniform_policy(m), r, c))
+    return out
+
+
+def lopsided_blend():
+    m, r, c, mu_opt, mu_irr = lopsided_instance()
+    return m, mu_opt, mu_irr, r, c
+
+
+def test_exact_degree_agrees_with_bisection(rng):
+    """On 30 random communicating models and the lopsided instance, the
+    secant search's degree and plain bisection's both qualify, the search
+    never returns less than the closed-form degree, and wherever the
+    verdict changes once along a 200-point grid the two degrees lie within
+    the width of each other."""
+    grid = np.linspace(0.0, 1.0 - 1e-6, 201)[1:]
+    compared = 0
+    for inst in communicating_blends(rng, 30) + [lopsided_blend()]:
+        j_grid = np.array([blend_efficiency(*inst, x) for x in grid])
+        j_opt = blend_efficiency(*inst, 0.0)
+        for eps in (1e-4, 1e-3, 1e-2, 1e-1):
+            new = perturbation_degree_exact(*inst, eps)
+            old = bisected_degree(*inst, eps)
+            assert qualifies(*inst, eps, new.delta)
+            assert qualifies(*inst, eps, old)
+            es = perturbation_degree_estimated(*inst, eps)
+            if not es.degenerate:
+                assert new.delta >= min(es.delta, 1.0 - 1e-6)
+            verdict = j_grid >= j_opt - eps - 1e-12
+            if verdict[0] and np.count_nonzero(np.diff(verdict)) <= 1:
+                assert abs(new.delta - old) <= 1e-6
+                compared += 1
+    assert compared >= 60
+
+
+def count_degree_probes(monkeypatch):
+    """Counts of the exact degree's cheap probes (stationary solves called
+    from synthesis) and full evaluations (analyze called from synthesis;
+    the perturbation step's own analysis runs inside chain)."""
+    probes = {"cheap": 0, "full": 0}
+    for key, name in (("cheap", "stationary_distribution"),
+                      ("full", "analyze")):
+        def counted(*args, _key=key, _orig=getattr(synthesis, name)):
+            probes[_key] += 1
+            return _orig(*args)
+        monkeypatch.setattr(synthesis, name, counted)
+    return probes
+
+
+def case1_task2_blend():
+    """Case 1 task 2 (grid 9): its one MAEC covers the product; the
+    ratio-optimal policy there and the uniform one, as (m, mu_opt, mu_irr,
+    r, c)."""
+    m, _, task2, reward, cost = gen_case1()
+    pm = build_product(m, task2)
+    r, c = lift_utilities(pm, reward, cost)
+    (maec,) = maec_decompose(pm)
+    sub, _ = restrict(pm, maec)
+    r, c = r[sub.parent_pair], c[sub.parent_pair]
+    mu_opt, _ = decode_ratio_policy(sub, solve_ratio_lfp(sub, r, c))
+    return sub, mu_opt, uniform_policy(sub), r, c
+
+
+@pytest.mark.parametrize("case, eps", [("case1", 0.01), ("lopsided", 1e-5),
+                                       ("lopsided", 1e-3),
+                                       ("lopsided", 1e-1)])
+def test_exact_degree_probe_budget(monkeypatch, case, eps):
+    """At most 10 cheap probes and a single full evaluation, of the
+    returned degree, which lies below 1 - width on these instances."""
+    inst = case1_task2_blend() if case == "case1" else lopsided_blend()
+    probes = count_degree_probes(monkeypatch)
+    plan = perturbation_degree_exact(*inst, eps)
+    assert plan.delta < 1.0 - 1e-6
+    assert probes["cheap"] <= 10
+    assert probes["full"] == 1
+
+
+def test_exact_degree_rechecks_a_rejected_top(monkeypatch):
+    """When the probe passes 1 - width but the full evaluator rejects it,
+    the search goes on below it, and its end is evaluated once more: two
+    full evaluations."""
+    m, r, c, mu_opt, mu_irr = two_state_unit_cost_instance()
+    probes = count_degree_probes(monkeypatch)
+    verdicts = iter([-np.inf, 1.0])
+    monkeypatch.setattr(synthesis, "efficiency",
+                        lambda *args: next(verdicts))
+    plan = perturbation_degree_exact(m, mu_opt, mu_irr, r, c, 100.0)
+    assert probes["full"] == 2
+    assert 1.0 - 2e-6 <= plan.delta < 1.0 - 1e-6
+
+
+def test_exact_degree_raises_when_nothing_certifies(monkeypatch):
+    """A full evaluator that rejects every degree leaves no certified
+    positive degree: NotUnichain, the solver-failure exit."""
+    m, r, c, mu_opt, mu_irr = lopsided_instance()
+    monkeypatch.setattr(synthesis, "efficiency", lambda *args: -np.inf)
+    with pytest.raises(NotUnichain):
+        perturbation_degree_exact(m, mu_opt, mu_irr, r, c, 1e-3)
+
+
+def test_exact_degree_terminates_below_float_spacing():
+    """A width far below the float spacing near the degree ends the search
+    when no float lies inside the bracket; the degree still qualifies and
+    agrees with the default width's."""
+    inst = lopsided_blend()
+    fine = perturbation_degree_exact(*inst, 1e-3, width=1e-20)
+    assert qualifies(*inst, 1e-3, fine.delta)
+    assert abs(fine.delta - perturbation_degree_exact(*inst, 1e-3).delta) \
+        <= 1e-6
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("bisect_width", 0.0), ("bisect_width", -1.0), ("bisect_width", 1.0),
+    ("bisect_width", np.nan), ("bisect_width", np.inf),
+    ("support_threshold", -1e-9), ("support_threshold", 1.0),
+    ("support_threshold", np.nan), ("k_margin", 0.0),
+    ("k_margin", np.inf), ("k_margin", np.nan)])
+def test_tolerances_reject_out_of_range(field, bad):
+    with pytest.raises(ValueError, match=field):
+        Tolerances(**{field: bad})
+
+
+def test_tolerances_accept_their_range_ends():
+    Tolerances(support_threshold=0.0, bisect_width=1e-20, k_margin=1e-300)
 
 
 def test_synth_no_perturbation_when_optimum_accepts():
@@ -461,7 +641,7 @@ def count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("method, analyses, chains",
-                         [("es", 3, 4), ("ex", 25, 26)])
+                         [("es", 3, 4), ("ex", 4, 13)])
 def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
                                           chains):
     """The decoder's analysis of the optimal policy's chain serves the
@@ -469,7 +649,8 @@ def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
     once more; a single accepting component covering the product is solved
     on the product itself, whose certificate is the only one built.  The
     other chains are the irreducible policy's (for the deviation), one blend
-    per exact-degree probe, and the certificate's."""
+    per cheap exact-degree probe (8 here), one more for the returned
+    degree, which alone of the blends is analyzed, and the certificate's."""
     m, _, task2, reward, cost = gen_case1()
     pm = build_product(m, task2)
     r, c = lift_utilities(pm, reward, cost)
