@@ -71,9 +71,11 @@ class ChainAnalysis:
 def stationary_distribution(block) -> np.ndarray:
     """The stationary row vector of an irreducible stochastic block: one LU
     solve of (block^T - I) pi = 0 with its last equation replaced by
-    sum(pi) = 1, checked and clipped at zero."""
+    sum(pi) = 1, checked and clipped at zero.  The system is built in one
+    k x k array: block^T with 1 taken off its diagonal."""
     k = block.shape[0]
-    a = block.T - np.eye(k)
+    a = block.T.copy()
+    a[np.diag_indices(k)] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(k)
     b[-1] = 1.0
@@ -108,8 +110,9 @@ def analyze(chain: Mc) -> ChainAnalysis:
     rec_states = {s for comp in classes for s in comp}
     transient = frozenset(range(n)) - rec_states
 
-    stationary = [stationary_distribution(P[np.ix_(comp, comp)])
-                  for comp in classes]
+    # classes are sorted, so a class of all n states is P itself, uncopied
+    stationary = [stationary_distribution(
+        P if len(comp) == n else P[np.ix_(comp, comp)]) for comp in classes]
 
     absorb = np.zeros((n, len(classes)))
     for k, comp in enumerate(classes):

@@ -65,6 +65,13 @@ def _manifest(args, digests, tol=synthesis.Tolerances()):
     }
 
 
+def _lp_manifest():
+    """synthesize's LP solver: linprog's method and the installed scipy's
+    version, read from its package metadata."""
+    from importlib.metadata import version
+    return {"method": lp.HIGHS_METHOD, "scipy": version("scipy")}
+
+
 def _emit(payload, out_path):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path:
@@ -169,7 +176,8 @@ def cmd_synthesize(args):
     payload = {"schema": "effsynth/1",
                "report": _report_json(pm, report),
                "policy_file": args.out,
-               "manifest": _manifest(args, digests, tol)}
+               "manifest": {**_manifest(args, digests, tol),
+                            "lp": _lp_manifest()}}
     _emit(payload, args.report_out)
     return 0
 

@@ -1,21 +1,25 @@
-"""Linear and linear-fractional programs on dense tableaus.
+"""Linear and linear-fractional programs: HiGHS for the ratio program, a
+dense tableau for the average-reward LP.
 
-The solver is a primal simplex in standard equality form (max c.x,
-A x = b, x >= 0): phase 2 from a feasible basis the caller gives, else two
-phases from the artificial basis.  Pricing is Dantzig's with Bland's
-smallest-index rule taking over on degenerate stalls, which rules out
-cycling; ratio-test ties go to the largest pivot element, and the tableau is
-recomputed from the basis periodically so pivot roundoff cannot compound.
-The tableau is dense, but each pivot updates only the block of rows and
-columns where its column and row are nonzero, with the same arithmetic as a
-full update (only the sign of a zero can differ, and nothing reads it).  On
-top of it sit the two programs the synthesis needs: the reward-to-cost ratio
-program over occupation measures, reduced to an LP by the Charnes-Cooper
-substitution and started from a deterministic unichain policy's basis, and
-the multichain average-reward LP, which runs both phases, with its x/y
-policy decoding.  Rewards and costs come in, and solutions stay, as vectors
-over the model's pairs; the decoders turn solutions into policy weight
-vectors, summing state masses and normalizations in pair order.
+solve_lp hands an equality-form LP (max c.x, A x = b, x >= 0; A dense or a
+scipy csr_array) to HiGHS's dual simplex, which returns a vertex, as the
+support-based decoders need, and checks the status, the signs and the
+backward error of what comes back.  scipy is imported inside the solvers,
+so a process that solves no LP never loads it.  The reward-to-cost ratio
+program over occupation measures is reduced to an LP by the Charnes-Cooper
+substitution and assembled sparse, straight from the model's pair and
+successor arrays.
+
+The multichain average-reward LP still runs on the in-house dense primal
+tableau (_solve_tableau: two phases, Bland's rule on degenerate stalls,
+periodic reinversion, block-sparse pivots).  HiGHS solves multichain
+instances on which the tableau fails, and the benchmark's evaluate time, a
+sum over every policy a round makes, would read their extra policies as a
+slowdown; the LP moves once evaluate is timed per call.
+
+Rewards and costs come in, and solutions stay, as vectors over the model's
+pairs; the decoders turn solutions into policy weight vectors, summing
+state masses and normalizations in pair order.
 """
 
 from dataclasses import dataclass
@@ -26,13 +30,14 @@ from .model import Mdp, induce_chain
 from .graph import attractor_policy, is_communicating
 from .chain import analyze
 
+HIGHS_METHOD = "highs-ds"  # linprog's method for solve_lp
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-9
 SUPPORT_THRESHOLD = 1e-9  # occupation mass below this is treated as zero
 
 
 class NumericalFailure(Exception):
-    """Pivot breakdown or residual beyond tolerance."""
+    """Solver breakdown, or a solution beyond tolerance."""
 
 
 class InfeasibleError(Exception):
@@ -49,15 +54,11 @@ class DegenerateDecoding(Exception):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max c.x  s.t.  a_eq x = b_eq, x >= 0.
-
-    basis, if given, is (columns, row): the basic columns of a feasible
-    basis of the equations without row, which the other rows imply.  The
-    simplex then runs phase 2 from it; without one it runs both phases."""
+    """max c.x  s.t.  a_eq x = b_eq, x >= 0; a_eq is a dense array or a
+    scipy csr_array (the tableau takes dense only)."""
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    basis: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -204,14 +205,57 @@ def _iterate(t: _Tableau, n_cols, max_iter, safe=False):
 
 
 def solve_lp(p: LpProblem) -> LpResult:
-    """Dense primal simplex: phase 2 from p.basis if one is given, else
-    both phases.
+    """HiGHS's dual simplex (linprog's HIGHS_METHOD, default options).
+
+    Status 0 is optimal, 2 infeasible and 3 unbounded; any other status (an
+    iteration limit, a numerical error) is a NumericalFailure naming it and
+    HiGHS's message.  The solution is checked as the tableau's is, except
+    that its residual is bounded by backward error:
+    |Ax - b| <= FEAS_TOL (|A| |x| + |b|) in the infinity norm.  linprog
+    raises ValueError on inconsistent dimensions and non-finite data.
+    """
+    from scipy.optimize import linprog
+
+    a = p.a_eq
+    b = np.asarray(p.b_eq, dtype=float)
+    c = np.asarray(p.c, dtype=float)
+    res = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method=HIGHS_METHOD)
+    if res.status == 2:
+        return LpResult(status="infeasible")
+    if res.status == 3:
+        return LpResult(status="unbounded")
+    if res.status != 0:
+        raise NumericalFailure(f"HiGHS status {res.status}: {res.message}")
+    x = _cleaned(np.array(res.x, dtype=float))
+    resid = float(np.max(np.abs(a @ x - b)))
+    bound = FEAS_TOL * (float(np.max(abs(a).sum(axis=1))) * float(x.max())
+                        + float(np.max(np.abs(b))))
+    if resid > bound:
+        raise NumericalFailure(
+            f"solution residual {resid:g} beyond backward-error bound "
+            f"{bound:g}")
+    return LpResult(status="optimal", x=x, value=float(c @ x))
+
+
+def _cleaned(x):
+    """A basic solution x, checked and cleaned in place: an entry below
+    -FEAS_TOL is a NumericalFailure, dust below 1e-14 in magnitude is
+    cleared and the rest is clipped at zero."""
+    if np.any(x < -FEAS_TOL):
+        raise NumericalFailure(f"negative basic value {x.min():g}")
+    x[np.abs(x) < 1e-14] = 0.0
+    np.clip(x, 0.0, None, out=x)
+    return x
+
+
+def _solve_tableau(p: LpProblem) -> LpResult:
+    """The dense primal simplex, both phases (the average-reward LP's
+    solver, and the reference solve_lp is tested against).
 
     Dantzig pricing with Bland's smallest-index rule engaged on degenerate
     stalls (anti-cycling), Harris-style largest-pivot ratio ties, and
     reinversion every few dozen pivots for numerical hygiene.  A numerical
-    failure triggers one retry with reinversion after every pivot, from the
-    same start.
+    failure triggers one retry with reinversion after every pivot.
     """
     try:
         return _solve_lp(p, safe=False)
@@ -270,15 +314,10 @@ def _solve_lp(p: LpProblem, safe: bool) -> LpResult:
     a[neg, :] *= -1.0
     b[neg] *= -1.0
     max_iter = 20000 + 200 * (m + n)
-    if p.basis is None:
-        start = _phase1(a, b, max_iter, safe)
-        if start is None:
-            return LpResult(status="infeasible")
-        a, b, basis = start
-    else:
-        cols, row = p.basis
-        a, b = np.delete(a, row, axis=0), np.delete(b, row)
-        basis = list(cols)
+    start = _phase1(a, b, max_iter, safe)
+    if start is None:
+        return LpResult(status="infeasible")
+    a, b, basis = start
 
     # phase 2 on the original objective over the structural columns
     t = _Tableau(a, b, c)
@@ -296,10 +335,7 @@ def _solve_lp(p: LpProblem, safe: bool) -> LpResult:
         xb += np.linalg.solve(bmat, b - bmat @ xb)
         for i, bi in enumerate(t.basis):
             x[bi] = xb[i]
-    if np.any(x < -FEAS_TOL):
-        raise NumericalFailure(f"negative basic value {x.min():g}")
-    x[np.abs(x) < 1e-14] = 0.0
-    np.clip(x, 0.0, None, out=x)
+    _cleaned(x)
     scale = max(1.0, float(np.max(np.abs(p.b_eq))) if p.b_eq.size else 1.0)
     resid = (float(np.max(np.abs(p.a_eq @ x - p.b_eq)))
              if p.b_eq.size else 0.0)
@@ -334,24 +370,26 @@ def solve_ratio_lfp(m: Mdp, r, c) -> LfpSolution:
     sum to one.  The value equals the optimal ratio from every state of the
     communicating model.
 
-    The simplex starts phase 2 from the basis of a deterministic unichain
-    policy, the attractor of state 0 from its first pair: its n pairs are
-    nonsingular on the equations without state 0's flow row (the flow rows
-    sum to zero, so that one follows from the others), and its basic
-    solution, the stationary distribution over its mean cost, is feasible.
+    The constraint matrix is a csr_array built from triplets: +1 at each
+    pair's state, -P(t|s,a) at each successor t and the cost on row n.  A
+    self-loop's two entries sum to 1 - p, the value a dense flow-balance
+    assembly writes.
     """
+    from scipy.sparse import csr_array
+
     if not is_communicating(m):
         raise NotCommunicating("ratio program needs a communicating model")
-    a_eq = np.zeros((m.n_states + 1, m.n_pairs))
-    a_eq[m.n_states] = c
-    b_eq = np.zeros(m.n_states + 1)
-    _flow_balance(m, a_eq)
-    b_eq[m.n_states] = 1.0
-    w0 = np.zeros(m.n_pairs)
-    w0[m.state_ptr[0]] = 1.0
-    start = np.flatnonzero(attractor_policy(m, [0], w0))
+    n, k = m.n_states, m.n_pairs
+    cols = np.arange(k)
+    a_eq = csr_array(
+        (np.concatenate([np.ones(k), -m.succ_prob, c]),
+         (np.concatenate([m.pair_state, m.succ_state, np.full(k, n)]),
+          np.concatenate([cols, m.succ_pair, cols]))),
+        shape=(n + 1, k))
+    b_eq = np.zeros(n + 1)
+    b_eq[n] = 1.0
 
-    res = solve_lp(LpProblem(c=r, a_eq=a_eq, b_eq=b_eq, basis=(start, 0)))
+    res = solve_lp(LpProblem(c=r, a_eq=a_eq, b_eq=b_eq))
     if res.status == "infeasible":
         raise InfeasibleError("ratio program infeasible: malformed model")
     if res.status == "unbounded":
@@ -444,7 +482,7 @@ def solve_avg_reward_lp(m: Mdp, reward) -> AvgLpSolution:
     cobj = np.zeros(2 * k)
     cobj[:k] = reward
 
-    res = solve_lp(LpProblem(c=cobj, a_eq=a_eq, b_eq=b_eq))
+    res = _solve_tableau(LpProblem(c=cobj, a_eq=a_eq, b_eq=b_eq))
     if res.status == "infeasible":
         raise InfeasibleError("average-reward program infeasible")
     if res.status == "unbounded":

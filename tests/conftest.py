@@ -274,6 +274,33 @@ def max_reach_probability(m, target):
     return best
 
 
+def delivery_grid(n):
+    """Case-1 (model, task-2 automaton, reward, cost) on the n x n grid: the
+    default grid for n = 9; beyond it, the destinations and the charging
+    cell at the scaled corners and 1.0 per move past the default cost
+    table."""
+    from effsynth import casestudies
+    params = None
+    if n != 9:
+        cost_table = dict(casestudies.COST_BY_DISTANCE)
+        cost_table.update({d: 1.0
+                           for d in range(max(cost_table) + 1, 2 * n)})
+        params = casestudies.Case1Params(
+            size=n, destinations={(n, 1): 2.0, (1, n): 1.0},
+            charging=(n - 1, 1), cost_table=cost_table)
+    m, _, task2, reward, cost = casestudies.gen_case1(params)
+    return m, task2, reward, cost
+
+
+def delivery_grid_product(n):
+    """(pm, r, c): the task-2 product of delivery_grid(n) with its lifted
+    reward and cost."""
+    from effsynth.model import build_product, lift_utilities
+    m, task2, reward, cost = delivery_grid(n)
+    pm = build_product(m, task2)
+    return (pm, *lift_utilities(pm, reward, cost))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -9,8 +9,8 @@ from effsynth.chain import (NotUnichain, analyze, average_utility,
                             potential_vector, ratio_deviation,
                             ratio_perturbation_identity_check, utility_vector)
 
-from conftest import (deterministic, random_mdp, random_policy,
-                      random_unichain_policy, random_utilities)
+from conftest import (delivery_grid_product, deterministic, random_mdp,
+                      random_policy, random_unichain_policy, random_utilities)
 
 
 def chain_of(P, initial=0):
@@ -348,3 +348,24 @@ def test_mixture_preserves_unichain(rng):
             ca = analyze(induce_chain(m, blend(mu, mu_p, delta)))
             assert ca.is_unichain()
         done += 1
+
+
+def test_analyze_peak_memory_on_grid13_es_chain():
+    """analyze on the chain of the case-1 task-2 grid-13 es policy (one
+    recurrent class of all 626 states) peaks below 1.5 n x n float arrays:
+    a class of every state is solved from P itself, not a copy, and the
+    stationary system is built in one n x n array, with no identity matrix
+    and no separate difference."""
+    import tracemalloc
+    from effsynth.synthesis import synth_general
+    pm, r, c = delivery_grid_product(13)
+    mc = induce_chain(pm, synth_general(pm, r, c, 0.01, "es").policy)
+    n = mc.n_states
+    tracemalloc.start()
+    try:
+        ca = analyze(mc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(comp) for comp in ca.recurrent_classes] == [n] == [626]
+    assert peak < 1.5 * n * n * 8

@@ -9,6 +9,8 @@ import pytest
 import effsynth
 from effsynth.cli import main
 
+from conftest import delivery_grid
+
 MODEL = """\
 mdp
 states: 1 2 3 4
@@ -120,6 +122,59 @@ def test_synthesize_value_matches_lfp(files, capsys):
     assert payload["report"]["no_perturbation"] is True
     assert payload["report"]["certificate"]["accepted"] is True
     assert open(out).read().startswith("# policy")
+    import scipy
+    assert payload["manifest"]["lp"] == {"method": "highs-ds",
+                                         "scipy": scipy.__version__}
+
+
+@pytest.mark.parametrize("status", [1, 4])
+def test_synthesize_exits_4_on_non_optimal_highs_status(files, monkeypatch,
+                                                        capsys, status):
+    """A HiGHS status other than optimal, infeasible or unbounded fails the
+    synthesis fast: exit 4 and one line naming the status."""
+    import scipy.optimize
+    result = scipy.optimize.OptimizeResult(status=status, x=None,
+                                           message="HiGHS gave up.",
+                                           success=False)
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *args, **kwargs: result)
+    code = main(["synthesize", files["model.mdp"], files["task.hoa"],
+                 files["utilities.txt"], "--epsilon", "0.01"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"solver failure: HiGHS status {status}: HiGHS gave up.\n"
+
+
+def write_grid_inputs(tmp_path, n):
+    """The model, task-2 automaton and utility files of delivery_grid(n)
+    in tmp_path; returns their paths."""
+    from effsynth import parsers
+    m, task2, reward, cost = delivery_grid(n)
+    paths = []
+    for name, text in (("model.mdp", parsers.write_mdp(m)),
+                       ("task.hoa", parsers.write_dra(task2)),
+                       ("utilities.txt",
+                        parsers.write_utilities(m, reward, cost))):
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    return paths
+
+
+@pytest.mark.parametrize("method", ["es", "ex"])
+def test_synthesize_reruns_are_byte_identical(tmp_path, method):
+    """Two in-process synthesize runs on the case-1 grid-9 task-2 inputs
+    write byte-identical policy and report files."""
+    paths = write_grid_inputs(tmp_path, 9)
+    policy, report = tmp_path / "policy.txt", tmp_path / "report.json"
+    runs = []
+    for _ in range(2):
+        assert main(["synthesize", *paths, "--epsilon", "0.01",
+                     "--method", method, "--out", str(policy),
+                     "--report-out", str(report)]) == 0
+        runs.append((policy.read_bytes(), report.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_synthesize_unsat_exit(files):
@@ -347,21 +402,7 @@ def test_synthesize_delivery_ladder_rung(tmp_path, capsys, n, method):
     """Case-1 task-2 grids past 13, with the destinations and the charging
     cell at the scaled corners and 1.0 per move beyond the default cost
     table, synthesize to the grid-9 value."""
-    from effsynth import casestudies, parsers
-    cost_table = dict(casestudies.COST_BY_DISTANCE)
-    cost_table.update({d: 1.0 for d in range(max(cost_table) + 1, 2 * n)})
-    params = casestudies.Case1Params(size=n,
-                                     destinations={(n, 1): 2.0, (1, n): 1.0},
-                                     charging=(n - 1, 1),
-                                     cost_table=cost_table)
-    m, _, task2, reward, cost = casestudies.gen_case1(params)
-    paths = []
-    for name, text in (("model.mdp", parsers.write_mdp(m)),
-                       ("task.hoa", parsers.write_dra(task2)),
-                       ("utilities.txt",
-                        parsers.write_utilities(m, reward, cost))):
-        (tmp_path / name).write_text(text)
-        paths.append(str(tmp_path / name))
+    paths = write_grid_inputs(tmp_path, n)
     code = main(["synthesize", *paths, "--epsilon", "0.01",
                  "--method", method])
     assert code == 0

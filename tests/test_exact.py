@@ -407,16 +407,19 @@ def test_partial_policy_scope_matches_loops(rng):
 
 
 def test_lp_data_match_loop_assembly(rng, monkeypatch):
-    """a_eq, b_eq and c of the ratio program and of the average-reward
-    program equal the per-pair assembly."""
+    """a_eq, b_eq and c of the ratio program (a csr_array, seen at solve_lp)
+    and of the average-reward program (dense, seen at the tableau) equal
+    the per-pair assembly."""
     seen = []
-    solve = lp.solve_lp
 
-    def kept(problem):
-        seen.append(problem)
-        return solve(problem)
+    def keeping(solve):
+        def kept(problem):
+            seen.append(problem)
+            return solve(problem)
+        return kept
 
-    monkeypatch.setattr(lp, "solve_lp", kept)
+    monkeypatch.setattr(lp, "solve_lp", keeping(lp.solve_lp))
+    monkeypatch.setattr(lp, "_solve_tableau", keeping(lp._solve_tableau))
     for trial in range(8):
         m = random_communicating_mdp(rng, int(rng.integers(2, 6)), 2)
         r, c = random_utilities(rng, m)
@@ -436,7 +439,7 @@ def test_lp_data_match_loop_assembly(rng, monkeypatch):
         b_eq = np.zeros(n + 1)
         b_eq[n] = 1.0
         (got,) = seen
-        assert np.array_equal(got.a_eq, a_eq)
+        assert np.array_equal(got.a_eq.toarray(), a_eq)
         assert np.array_equal(got.b_eq, b_eq)
         assert np.array_equal(got.c, [r_tab[sa] for sa in pairs])
 

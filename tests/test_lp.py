@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -12,8 +11,8 @@ from effsynth.lp import (DegenerateDecoding, LpProblem, NotCommunicating,
                          solve_avg_reward_lp, solve_ratio_lfp)
 
 from conftest import (amecs_of, brute_force_best_gain, brute_force_best_ratio,
-                      random_communicating_mdp, random_mdp, random_utilities,
-                      rule_of)
+                      delivery_grid_product, random_communicating_mdp,
+                      random_mdp, random_utilities, rule_of)
 
 
 def pair_table(m, vals):
@@ -41,43 +40,54 @@ def enumerate_vertices_best(c, a_eq, b_eq):
     return best
 
 
+# The generic LP contract holds for both solvers: solve_lp (HiGHS) and the
+# dense tableau the average-reward LP runs on.  Each test runs every case on
+# both, so the tableau's Bland guard stays pinned.
+SOLVERS = (solve_lp, lp._solve_tableau)
+
+
 def test_lp_single_variable():
-    res = solve_lp(LpProblem(c=np.array([1.0]),
-                             a_eq=np.array([[1.0]]),
-                             b_eq=np.array([1.0])))
-    assert res.status == "optimal"
-    assert res.x[0] == pytest.approx(1.0)
-    assert res.value == pytest.approx(1.0)
+    for solve in SOLVERS:
+        res = solve(LpProblem(c=np.array([1.0]),
+                              a_eq=np.array([[1.0]]),
+                              b_eq=np.array([1.0])))
+        assert res.status == "optimal"
+        assert res.x[0] == pytest.approx(1.0)
+        assert res.value == pytest.approx(1.0)
 
 
 def test_lp_two_variables_sum_one():
-    res = solve_lp(LpProblem(c=np.array([1.0, 1.0]),
-                             a_eq=np.array([[1.0, 1.0]]),
-                             b_eq=np.array([1.0])))
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(1.0)
+    for solve in SOLVERS:
+        res = solve(LpProblem(c=np.array([1.0, 1.0]),
+                              a_eq=np.array([[1.0, 1.0]]),
+                              b_eq=np.array([1.0])))
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(1.0)
 
 
 def test_lp_infeasible():
-    res = solve_lp(LpProblem(c=np.array([1.0]),
-                             a_eq=np.array([[1.0]]),
-                             b_eq=np.array([-1.0])))
-    assert res.status == "infeasible"
+    for solve in SOLVERS:
+        res = solve(LpProblem(c=np.array([1.0]),
+                              a_eq=np.array([[1.0]]),
+                              b_eq=np.array([-1.0])))
+        assert res.status == "infeasible"
 
 
 def test_lp_unbounded():
-    res = solve_lp(LpProblem(c=np.array([1.0, 0.0]),
-                             a_eq=np.array([[0.0, 1.0]]),
-                             b_eq=np.array([1.0])))
-    assert res.status == "unbounded"
+    for solve in SOLVERS:
+        res = solve(LpProblem(c=np.array([1.0, 0.0]),
+                              a_eq=np.array([[0.0, 1.0]]),
+                              b_eq=np.array([1.0])))
+        assert res.status == "unbounded"
 
 
 def test_lp_redundant_rows():
     a = np.array([[1.0, 1.0], [2.0, 2.0]])
-    res = solve_lp(LpProblem(c=np.array([3.0, 1.0]), a_eq=a,
-                             b_eq=np.array([1.0, 2.0])))
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(3.0)
+    for solve in SOLVERS:
+        res = solve(LpProblem(c=np.array([3.0, 1.0]), a_eq=a,
+                              b_eq=np.array([1.0, 2.0])))
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(3.0)
 
 
 def test_lp_matches_vertex_enumeration(rng):
@@ -89,13 +99,15 @@ def test_lp_matches_vertex_enumeration(rng):
         x0 = rng.uniform(0.0, 1.0, size=n)  # feasibility by construction
         b = a @ x0
         c = rng.normal(size=n)
-        res = solve_lp(LpProblem(c=c, a_eq=a, b_eq=b))
         oracle = enumerate_vertices_best(c, a, b)
-        if res.status == "unbounded":
-            continue
-        assert res.status == "optimal"
-        assert res.value == pytest.approx(oracle, abs=1e-8)
-        assert np.max(np.abs(a @ res.x - b)) <= 1e-9 * max(1, np.abs(b).max())
+        for solve in SOLVERS:
+            res = solve(LpProblem(c=c, a_eq=a, b_eq=b))
+            if res.status == "unbounded":
+                continue
+            assert res.status == "optimal"
+            assert res.value == pytest.approx(oracle, abs=1e-8)
+            assert np.max(np.abs(a @ res.x - b)) <= \
+                1e-9 * max(1, np.abs(b).max())
 
 
 def test_lp_degenerate_cycling_guard():
@@ -105,11 +117,12 @@ def test_lp_degenerate_cycling_guard():
                   [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([0.75, -150.0, 0.02, -6.0, 0.0, 0.0, 0.0])
-    res = solve_lp(LpProblem(c=c, a_eq=a, b_eq=b))
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(enumerate_vertices_best(c, a, b),
-                                      abs=1e-10)
-    assert res.value == pytest.approx(0.05)
+    for solve in SOLVERS:
+        res = solve(LpProblem(c=c, a_eq=a, b_eq=b))
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(enumerate_vertices_best(c, a, b),
+                                          abs=1e-10)
+        assert res.value == pytest.approx(0.05)
 
 
 def single_state_two_loops():
@@ -450,24 +463,32 @@ def posed_ratio_lp(m, r, c):
     return posed[0]
 
 
+def dense(p):
+    """p with its constraint matrix as a dense array, for the tableau."""
+    return LpProblem(c=p.c, a_eq=p.a_eq.toarray(), b_eq=p.b_eq)
+
+
+def largest_maec_program(n):
+    """(sub, r, c): the largest MAEC of the case-1 task-2 grid-n product,
+    with its reward and cost."""
+    from effsynth.graph import maec_decompose, restrict
+
+    pm, r, c = delivery_grid_product(n)
+    sub, _ = restrict(pm, max(maec_decompose(pm), key=np.count_nonzero))
+    return sub, r[sub.parent_pair], c[sub.parent_pair]
+
+
 @pytest.fixture(scope="module")
 def grid9_ratio_lp():
-    """The LP that solve_ratio_lfp poses for the largest MAEC of the case-1
-    grid-9 product with task 2."""
-    from effsynth.casestudies import gen_case1
-    from effsynth.graph import maec_decompose, restrict
-    from effsynth.model import build_product, lift_utilities
-
-    m, _, d2, reward, cost = gen_case1()
-    pm = build_product(m, d2)
-    r, c = lift_utilities(pm, reward, cost)
-    sub, _ = restrict(pm, max(maec_decompose(pm), key=np.count_nonzero))
-    return posed_ratio_lp(sub, r[sub.parent_pair], c[sub.parent_pair])
+    """The ratio LP of the largest MAEC of the case-1 grid-9 product with
+    task 2, posed as a dense two-phase LpProblem."""
+    return dense(posed_ratio_lp(*largest_maec_program(9)))
 
 
 def pivot_paths(monkeypatch, p):
-    """p solved with the sparse pivot and with the dense reference, each
-    with the (leave, enter) path it took: (new, new_path, ref, ref_path)."""
+    """p solved by the tableau with the sparse pivot and with the dense
+    reference, each with the (leave, enter) path it took:
+    (new, new_path, ref, ref_path)."""
     def run(update):
         path = []
 
@@ -475,18 +496,17 @@ def pivot_paths(monkeypatch, p):
             path.append((row, col))
             update(t, row, col)
         monkeypatch.setattr(lp._Tableau, "pivot", pivot)
-        return solve_lp(p), path
+        return lp._solve_tableau(p), path
 
     sparse = lp._Tableau.pivot
     return (*run(sparse), *run(dense_pivot))
 
 
 def test_ratio_lp_pivots_match_dense_update(monkeypatch, grid9_ratio_lp):
-    """On the grid-9 ratio LP without its start basis (both phases), the
-    sparse pivot takes the same (leave, enter) path as the dense update and
-    gives a bitwise-equal solution."""
-    two_phase = dataclasses.replace(grid9_ratio_lp, basis=None)
-    new, new_path, ref, ref_path = pivot_paths(monkeypatch, two_phase)
+    """On the grid-9 ratio LP (both phases), the sparse pivot takes the same
+    (leave, enter) path as the dense update and gives a bitwise-equal
+    solution."""
+    new, new_path, ref, ref_path = pivot_paths(monkeypatch, grid9_ratio_lp)
     assert len(new_path) > 100
     assert new_path == ref_path
     assert new.status == ref.status == "optimal"
@@ -494,41 +514,108 @@ def test_ratio_lp_pivots_match_dense_update(monkeypatch, grid9_ratio_lp):
     assert new.value == ref.value
 
 
-def test_ratio_lp_start_basis_pivots_match_dense_update(monkeypatch,
-                                                        grid9_ratio_lp):
-    """The same from the start basis solve_ratio_lfp poses (phase 2 only)."""
-    assert grid9_ratio_lp.basis is not None
-    new, new_path, ref, ref_path = pivot_paths(monkeypatch, grid9_ratio_lp)
-    assert len(new_path) > 50
-    assert new_path == ref_path
-    assert new.status == ref.status == "optimal"
-    assert new.x.tobytes() == ref.x.tobytes()
-    assert new.value == ref.value
-
-
-def test_ratio_lp_start_basis_agrees_with_two_phase(rng):
-    """The ratio LP solved from its start basis and by both phases: both
-    optimal, values equal to 1e-9 relative, and decoded policies of equal
-    efficiency.  The models include ones whose state 0 has a single action
-    (its attractor start pair is forced)."""
+def ratio_lp_on_both(m, r, c):
+    """The ratio LP of (m, r, c) solved by solve_lp and by the tableau:
+    [(value, decoded policy's efficiency)] for each."""
     from effsynth.lp import LfpSolution
-    single = 0
+    p = posed_ratio_lp(m, r, c)
+    out = []
+    for res in (solve_lp(p), lp._solve_tableau(dense(p))):
+        assert res.status == "optimal"
+        sol = LfpSolution(gamma=res.x / res.x.sum(), value=res.value)
+        policy, ca = decode_ratio_policy(m, sol)
+        out.append((res.value, efficiency(ca, m, r, c, policy, m.initial)))
+    return out
+
+
+def assert_same_optimum(both):
+    (highs_val, highs_eff), (tab_val, tab_eff) = both
+    assert highs_val == pytest.approx(tab_val, rel=1e-9)
+    assert highs_eff == pytest.approx(tab_eff, rel=1e-9)
+
+
+def test_ratio_lp_highs_agrees_with_tableau(rng):
+    """The ratio LP solved by HiGHS and by the two-phase tableau: both
+    optimal, with values and decoded-policy efficiencies equal to 1e-9
+    relative, on 40 random communicating models."""
     for trial in range(40):
         m = random_communicating_mdp(rng, int(rng.integers(2, 9)),
                                      int(rng.integers(1, 4)), p_avail=0.6)
-        single += len(m.available[0]) == 1
         r, c = random_utilities(rng, m)
-        p = posed_ratio_lp(m, r, c)
-        assert p.basis is not None
-        effs = []
-        for res in (solve_lp(p),
-                    solve_lp(dataclasses.replace(p, basis=None))):
-            assert res.status == "optimal"
-            sol = LfpSolution(gamma=res.x / res.x.sum(), value=res.value)
-            policy, ca = decode_ratio_policy(m, sol)
-            effs.append((res.value,
-                         efficiency(ca, m, r, c, policy, m.initial)))
-        (start_val, start_eff), (two_val, two_eff) = effs
-        assert start_val == pytest.approx(two_val, rel=1e-9)
-        assert start_eff == pytest.approx(two_eff, rel=1e-9)
-    assert 0 < single < 40
+        assert_same_optimum(ratio_lp_on_both(m, r, c))
+
+
+@pytest.mark.parametrize("n", [9, 11])
+def test_ratio_lp_highs_agrees_with_tableau_on_grid(n):
+    """The same on the largest MAEC of the case-1 task-2 grids 9 and 11."""
+    assert_same_optimum(ratio_lp_on_both(*largest_maec_program(n)))
+
+
+def test_ratio_lfp_forms_no_dense_matrix():
+    """On grid 17's largest MAEC (1106 states, 4060 pairs) the ratio
+    program's traced peak stays below a quarter of one (n+1) x k float
+    array: no dense constraint matrix is formed."""
+    import scipy.optimize  # noqa: F401  (imported first: not in the peak)
+    import tracemalloc
+    m, r, c = largest_maec_program(17)
+    tracemalloc.start()
+    try:
+        sol = solve_ratio_lfp(m, r, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.value == pytest.approx(0.1171506882895, abs=1e-9)
+    assert peak < (m.n_states + 1) * m.n_pairs * 8 / 4
+
+
+# --- HiGHS statuses and solution checks ---------------------------------------
+
+ONE_VAR = LpProblem(c=np.array([1.0]), a_eq=np.array([[1.0]]),
+                    b_eq=np.array([1.0]))
+
+
+def fake_linprog(monkeypatch, status, x=None, message="fake message"):
+    """Make linprog return the given status, x and message."""
+    import scipy.optimize
+    result = scipy.optimize.OptimizeResult(
+        status=status, x=None if x is None else np.array(x, dtype=float),
+        message=message, success=status == 0)
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *args, **kwargs: result)
+
+
+@pytest.mark.parametrize("status, message", [
+    (1, "Iteration limit reached."),
+    (4, "Numerical difficulties encountered.")])
+def test_non_optimal_highs_status_is_numerical_failure(monkeypatch, status,
+                                                       message):
+    fake_linprog(monkeypatch, status, message=message)
+    with pytest.raises(lp.NumericalFailure,
+                       match=f"HiGHS status {status}: {message}"):
+        solve_lp(ONE_VAR)
+
+
+def test_negative_highs_solution_is_numerical_failure(monkeypatch):
+    fake_linprog(monkeypatch, 0, x=[-1e-6])
+    with pytest.raises(lp.NumericalFailure, match="negative basic value"):
+        solve_lp(ONE_VAR)
+
+
+def test_highs_solution_beyond_backward_error_is_numerical_failure(
+        monkeypatch):
+    """x = 1 + 1e-8 against b = 1: residual 1e-8 above the bound
+    1e-9 (|A| |x| + |b|), about 2e-9."""
+    fake_linprog(monkeypatch, 0, x=[1.0 + 1e-8])
+    with pytest.raises(lp.NumericalFailure, match="backward-error"):
+        solve_lp(ONE_VAR)
+
+
+def test_highs_solution_dust_cleared(monkeypatch):
+    """Entries within FEAS_TOL below zero are clipped and dust cleared."""
+    p = LpProblem(c=np.array([1.0, 0.0, 0.0]), a_eq=np.array([[1.0, 1.0,
+                                                                1.0]]),
+                  b_eq=np.array([1.0]))
+    fake_linprog(monkeypatch, 0, x=[1.0, -1e-12, 5e-15])
+    res = solve_lp(p)
+    assert res.status == "optimal"
+    assert res.x.tolist() == [1.0, 0.0, 0.0]
