@@ -2,8 +2,8 @@
 
 The efficiency loss of the blend (1-delta)*optimal + delta*exploring obeys a
 closed-form identity built from deviation vectors.  Inverting its worst-case
-bound gives a safe blending degree in one shot ('es'); a bracketed secant
-search on the exact evaluator gives the largest safe degree ('ex').  On a
+bound gives a safe blending degree in one shot ('es'); Brent's root search
+on the exact evaluator gives the largest safe degree ('ex').  On a
 lopsided instance the one-shot bound is wildly conservative.
 """
 

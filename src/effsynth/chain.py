@@ -95,45 +95,41 @@ def analyze(chain: Mc) -> ChainAnalysis:
     n = chain.n_states
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("chain is not row-stochastic")
-    adj = adjacency_lists(n, *np.nonzero(P > SUPPORT_EPS))
-    sccs = strongly_connected_components(range(n), adj)
-    comp_of = {}
-    for i, comp in enumerate(sccs):
-        for s in comp:
-            comp_of[s] = i
-    bottom = []
-    for comp in sccs:
-        if all(comp_of[t] == comp_of[comp[0]] for s in comp for t in adj[s]):
-            bottom.append(tuple(comp))
-    bottom.sort(key=lambda c: c[0])
-    classes = tuple(bottom)
-    rec_states = {s for comp in classes for s in comp}
-    transient = frozenset(range(n)) - rec_states
+    src, dst = np.nonzero(P > SUPPORT_EPS)
+    sccs = strongly_connected_components(range(n),
+                                         adjacency_lists(n, src, dst))
+    comp = np.empty(n, dtype=np.intp)
+    for i, states in enumerate(sccs):
+        comp[states] = i
+    # an SCC is a recurrent class unless one of its edges leaves it
+    leaves = np.zeros(len(sccs), dtype=bool)
+    leaves[comp[src][comp[src] != comp[dst]]] = True
+    classes = tuple(sorted(tuple(states) for i, states in enumerate(sccs)
+                           if not leaves[i]))
+    klass = np.full(n, -1)  # each state's class, -1 when transient
+    for k, states in enumerate(classes):
+        klass[list(states)] = k
+    rec = klass >= 0
+    tr = np.flatnonzero(~rec)
 
     # classes are sorted, so a class of all n states is P itself, uncopied
     stationary = [stationary_distribution(
-        P if len(comp) == n else P[np.ix_(comp, comp)]) for comp in classes]
+        P if len(states) == n else P[np.ix_(states, states)])
+        for states in classes]
 
     absorb = np.zeros((n, len(classes)))
-    for k, comp in enumerate(classes):
-        for s in comp:
-            absorb[s, k] = 1.0
-    if transient:
-        tr = sorted(transient)
-        idx = {s: i for i, s in enumerate(tr)}
-        a = np.eye(len(tr)) - P[np.ix_(tr, tr)]
-        rhs = np.zeros((len(tr), len(classes)))
-        for k, comp in enumerate(classes):
-            rhs[:, k] = P[np.ix_(tr, list(comp))].sum(axis=1)
+    absorb[rec, klass[rec]] = 1.0
+    if tr.size:
+        a = np.eye(tr.size) - P[np.ix_(tr, tr)]
+        rhs = np.column_stack([P[np.ix_(tr, states)].sum(axis=1)
+                               for states in classes])
         try:
-            sol = np.linalg.solve(a, rhs)
+            absorb[tr] = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError as e:
             raise SingularSystem(f"absorption solve failed: {e}") from e
-        for s in tr:
-            absorb[s, :] = sol[idx[s], :]
 
     return ChainAnalysis(chain=chain, recurrent_classes=classes,
-                         transient=transient,
+                         transient=frozenset(tr.tolist()),
                          stationary=tuple(stationary),
                          absorb=absorb)
 

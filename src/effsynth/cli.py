@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -66,19 +67,23 @@ def _manifest(args, digests, tol=synthesis.Tolerances()):
 
 
 def _lp_manifest():
-    """synthesize's LP solver: linprog's method and the installed scipy's
-    version, read from its package metadata."""
-    from importlib.metadata import version
-    return {"method": lp.HIGHS_METHOD, "scipy": version("scipy")}
+    """synthesize's LP solver: linprog's method and the version of scipy,
+    which the solve has already imported."""
+    import scipy
+    return {"method": lp.HIGHS_METHOD, "scipy": scipy.__version__}
 
 
-def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w") as f:
+def _write(text, path):
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out_path):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _load_problem(args, digests):
@@ -169,10 +174,8 @@ def cmd_synthesize(args):
     m, d, pm = _load_problem(args, digests)
     r, c = _load_utilities(args, m, pm, digests)
     report = synthesis.synth_general(pm, r, c, args.epsilon, args.method, tol)
-    policy_text = parsers.write_policy(pm, report.policy, report)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(policy_text)
+        _write(parsers.write_policy(pm, report.policy, report), args.out)
     payload = {"schema": "effsynth/1",
                "report": _report_json(pm, report),
                "policy_file": args.out,
@@ -246,12 +249,7 @@ def cmd_simulate(args):
             lines.append(f"{i},{ratio:.12g}")
         lines.append(f"mean,{stats.mean_ratio:.12g}")
         lines.append(f"stderr,{stats.stderr:.12g}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
         return 0
     counts = stats.visit_counts
     payload = {"schema": "effsynth/1",
@@ -328,48 +326,30 @@ def _case_params(path, name, digests):
 
 
 def cmd_casestudy(args):
-    import os
     os.makedirs(args.out_dir, exist_ok=True)
     digests = {}
     params = (_case_params(args.params, args.name, digests)
               if args.params else None)
-
-    def path(name):
-        import os.path
-        return os.path.join(args.out_dir, name)
-
     if args.name == "case1":
         m, d1, d2, reward, cost = casestudies.gen_case1(params)
-        with open(path("model.mdp"), "w") as f:
-            f.write(parsers.write_mdp(m))
-        with open(path("task1.hoa"), "w") as f:
-            f.write(parsers.write_dra(d1))
-        with open(path("task2.hoa"), "w") as f:
-            f.write(parsers.write_dra(d2))
-        with open(path("utilities.txt"), "w") as f:
-            f.write(parsers.write_utilities(m, reward, cost))
-        tables = _case1_tables(m, d2, reward, cost)
-        with open(path("perturbation_tables.csv"), "w") as f:
-            f.write(tables)
-        _emit({"schema": "effsynth/1", "generated": ["model.mdp", "task1.hoa",
-                                                     "task2.hoa", "utilities.txt",
-                                                     "perturbation_tables.csv"],
-               "manifest": _manifest(args, digests)}, None)
+        files = {"model.mdp": parsers.write_mdp(m),
+                 "task1.hoa": parsers.write_dra(d1),
+                 "task2.hoa": parsers.write_dra(d2),
+                 "utilities.txt": parsers.write_utilities(m, reward, cost),
+                 "perturbation_tables.csv": _case1_tables(m, d2, reward,
+                                                          cost)}
     else:
         m, d, reward_family, cost = casestudies.gen_case2(params)
-        with open(path("model.mdp"), "w") as f:
-            f.write(parsers.write_mdp(m))
-        with open(path("task.hoa"), "w") as f:
-            f.write(parsers.write_dra(d))
-        with open(path("utilities_bonus0.txt"), "w") as f:
-            f.write(parsers.write_utilities(m, reward_family(0.0), cost))
-        sweep = _case2_sweep(m, d, reward_family, cost, args)
-        with open(path("bonus_sweep.csv"), "w") as f:
-            f.write(sweep)
-        _emit({"schema": "effsynth/1", "generated": ["model.mdp", "task.hoa",
-                                                     "utilities_bonus0.txt",
-                                                     "bonus_sweep.csv"],
-               "manifest": _manifest(args, digests)}, None)
+        files = {"model.mdp": parsers.write_mdp(m),
+                 "task.hoa": parsers.write_dra(d),
+                 "utilities_bonus0.txt": parsers.write_utilities(
+                     m, reward_family(0.0), cost),
+                 "bonus_sweep.csv": _case2_sweep(m, d, reward_family, cost,
+                                                 args)}
+    for name, text in files.items():
+        _write(text, os.path.join(args.out_dir, name))
+    _emit({"schema": "effsynth/1", "generated": list(files),
+           "manifest": _manifest(args, digests)}, None)
     return 0
 
 

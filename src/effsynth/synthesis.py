@@ -6,8 +6,8 @@ components, solves the ratio program in each, and then blends the winning
 component's optimal policy with an irreducible one.  The mixing weight (the
 perturbation degree) is either the closed-form bound from the ratio
 deviation of chain.ratio_deviation ('es') or the largest weight that stays
-within epsilon of optimal ('ex'), found by a bracketed secant search on the
-blend's stationary ratio and certified by the full chain analysis.  The
+within epsilon of optimal ('ex'), found by Brent's method (scipy's brentq)
+on the blend's stationary ratio and certified by the full chain analysis.  The
 general solver decomposes the product once, restricts it once to the
 almost-sure region, scores every accepting component that way on the MAECs
 it contains, turns the scores into a surrogate reward with a steeply
@@ -154,18 +154,15 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
     """Largest degree, to within width, that keeps the blended efficiency
     within epsilon of the optimum, certified by the full evaluator.
 
-    A safeguarded regula falsi with the Illinois step (Dowell & Jarratt
-    1971) on f(delta) = J(delta) - (J - epsilon - 1e-12) keeps the bracket
-    f(lo) >= 0 > f(hi), from the closed-form degree (which qualifies) to
-    1 - width.  For delta > 0 the blend with the irreducible mu_irr is
-    irreducible, so a probe is one stationary solve of the whole blended
-    chain, with the J(delta) that efficiency(analyze(...)) gives.  Steps
-    land at least width/2 inside the bracket; after two in a row that
-    halved neither the bracket nor |f| (the secant nears a root close to
-    one end from that side) the next one bisects.  The search stops at
-    width or when no float lies inside the bracket; analyze and efficiency
-    then check lo, or 1 - width when the probe passes it, and NotUnichain
-    is raised if no positive degree passes.
+    Brent's method (scipy's brentq; Brent 1973, ch. 4) closes a bracket of
+    f(delta) = J(delta) - (J - epsilon - 1e-12) to width, from the
+    closed-form degree (which qualifies) to 1 - width.  For delta > 0 the
+    blend with the irreducible mu_irr is irreducible, so a probe is one
+    stationary solve of the whole blended chain, with the J(delta) that
+    efficiency(analyze(...)) gives; f(0), the optimal policy's own, is
+    known and never probed.  analyze and efficiency then check the largest
+    probe with f >= 0, or 1 - width when the probe passes it, and
+    NotUnichain is raised if no positive degree passes.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -186,50 +183,35 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
         return efficiency(ca_d, m, r, c, w, m.initial) >= target
 
     hi = 1.0 - width
-    f_hi = f(hi)
-    if f_hi >= 0.0:
+    known = {0.0: j_opt - target, hi: f(hi)}  # 0: the optimal policy itself
+    if known[hi] >= 0.0:
         if certified(hi):
             return PerturbationPlan(hi, "exact", d_inf, c_min, degenerate)
-        f_hi = -np.inf  # analyze split a chain the probe took as irreducible
-    lo, f_lo = 0.0, j_opt - target  # the optimal policy itself
-    moved = 0  # the end the last probe moved: -1 lo, 1 hi
+        known[hi] = -np.inf  # analyze split the chain the probe solved whole
+    lo = 0.0
     if not degenerate:
         guess = min(epsilon * c_min / d_inf, hi / 2)
-        f_guess = f(guess)
-        if f_guess >= 0.0:
-            lo, f_lo, moved = guess, f_guess, -1
+        known[guess] = f(guess)
+        if known[guess] >= 0.0:
+            lo = guess
         else:  # rounding broke the closed-form guarantee
-            hi, f_hi, moved = guess, f_guess, 1
-    last = min(f_lo, -f_hi)  # |f| at the last probe
-    slow = 0  # steps in a row that halved neither the bracket nor |f|
-    while hi - lo > width:
-        x = 0.5 * (lo + hi)
-        if slow < 2:
-            step = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-            step = min(max(step, lo + width / 2), hi - width / 2)
-            if lo < step < hi:
-                x = step
-        if not lo < x < hi:
-            break  # no float lies strictly inside the bracket
-        f_x = f(x)
-        before = hi - lo
-        if f_x >= 0.0:
-            lo, f_lo = x, f_x
-            if moved < 0:  # Illinois: the same end moved twice in a row
-                f_hi /= 2.0
-            moved = -1
-        else:
-            hi, f_hi = x, f_x
-            if moved > 0:
-                f_lo /= 2.0
-            moved = 1
-        slow = slow + 1 if hi - lo > before / 2 and abs(f_x) > last / 2 \
-            else 0
-        last = abs(f_x)
-    if lo <= 0.0 or not certified(lo):
+            hi = guess
+    best = lo
+
+    def probe(delta):
+        nonlocal best
+        f_x = known[delta] if delta in known else f(delta)
+        if f_x >= 0.0 and delta > best:
+            best = delta
+        return f_x
+
+    from scipy.optimize import brentq
+    # disp=False: a search cut off at maxiter returns instead of raising
+    brentq(probe, lo, hi, xtol=width, disp=False)
+    if best <= 0.0 or not certified(best):
         raise NotUnichain("the degree search closed without a certified "
                           "positive degree")
-    return PerturbationPlan(lo, "exact", d_inf, c_min, degenerate)
+    return PerturbationPlan(best, "exact", d_inf, c_min, degenerate)
 
 
 def _certificate(pm: ProductMdp, policy) -> Certificate:

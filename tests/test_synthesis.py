@@ -173,7 +173,7 @@ def qualifies(m, mu_opt, mu_irr, r, c, epsilon, delta):
 
 def bisected_degree(m, mu_opt, mu_irr, r, c, epsilon, width=1e-6):
     """The exact degree by plain bisection on the full evaluator, warm
-    started from the closed-form bound: the reference the bracketed secant
+    started from the closed-form bound: the reference the Brent
     search is held to."""
     _, _, d = ratio_deviation(m, mu_opt, mu_irr, r, c)
     d_inf = float(np.max(np.abs(d)))
@@ -218,7 +218,7 @@ def lopsided_blend():
 
 def test_exact_degree_agrees_with_bisection(rng):
     """On 30 random communicating models and the lopsided instance, the
-    secant search's degree and plain bisection's both qualify, the search
+    Brent search's degree and plain bisection's both qualify, the search
     never returns less than the closed-form degree, and wherever the
     verdict changes once along a 200-point grid the two degrees lie within
     the width of each other."""
@@ -316,6 +316,26 @@ def test_exact_degree_terminates_below_float_spacing():
     assert qualifies(*inst, 1e-3, fine.delta)
     assert abs(fine.delta - perturbation_degree_exact(*inst, 1e-3).delta) \
         <= 1e-6
+
+
+def test_exact_degree_survives_a_search_cut_off(monkeypatch):
+    """A Brent search stopped at its iteration limit returns instead of
+    raising RuntimeError: the largest probe that passed is certified, and
+    it is no smaller than the closed-form degree."""
+    import scipy.optimize
+    brentq = scipy.optimize.brentq
+    calls = []
+
+    def cut_off(*args, **kwargs):
+        calls.append(kwargs)
+        return brentq(*args, **{**kwargs, "maxiter": 1})
+
+    monkeypatch.setattr(scipy.optimize, "brentq", cut_off)
+    inst = lopsided_blend()
+    plan = perturbation_degree_exact(*inst, 1e-3)
+    assert calls == [{"xtol": 1e-6, "disp": False}]
+    assert plan.delta >= perturbation_degree_estimated(*inst, 1e-3).delta
+    assert qualifies(*inst, 1e-3, plan.delta)
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -641,7 +661,7 @@ def count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("method, analyses, chains",
-                         [("es", 3, 4), ("ex", 4, 13)])
+                         [("es", 3, 4), ("ex", 4, 12)])
 def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
                                           chains):
     """The decoder's analysis of the optimal policy's chain serves the
@@ -649,7 +669,7 @@ def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
     once more; a single accepting component covering the product is solved
     on the product itself, whose certificate is the only one built.  The
     other chains are the irreducible policy's (for the deviation), one blend
-    per cheap exact-degree probe (8 here), one more for the returned
+    per cheap exact-degree probe (7 here), one more for the returned
     degree, which alone of the blends is analyzed, and the certificate's."""
     m, _, task2, reward, cost = gen_case1()
     pm = build_product(m, task2)
