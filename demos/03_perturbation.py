@@ -9,7 +9,7 @@ lopsided instance the one-shot bound is wildly conservative.
 
 import numpy as np
 
-from effsynth import (Mdp, UtilityFn, analyze, blend, efficiency, induce_chain,
+from effsynth import (Mdp, UtilityFn, analyze, blend, efficiency,
                       perturbation_degree_estimated, perturbation_degree_exact,
                       policy_from_rule, ratio_perturbation_identity_check,
                       uniform_policy)
@@ -40,10 +40,10 @@ print(f"  secant search:  delta={ex.delta:.6f}")
 print(f"  conservatism: {ex.delta / es.delta:.0f}x")
 
 print("\nactual efficiency along the blend:")
-ca = analyze(induce_chain(m, mu_opt))
+ca = analyze(m, mu_opt)
 base = efficiency(ca, m, r, c, mu_opt, 0)
 for delta in (es.delta, ex.delta, 2 * ex.delta):
     mu_d = blend(mu_opt, mu_irr, delta)
-    cad = analyze(induce_chain(m, mu_d))
+    cad = analyze(m, mu_d)
     val = efficiency(cad, m, r, c, mu_d, 0)
     print(f"  delta={delta:.5f}: efficiency {val:.6f} (loss {base - val:.6f})")

@@ -10,7 +10,7 @@ reach.
 import numpy as np
 
 from effsynth import (ProductMdp, UtilityFn, analyze, efficiency,
-                      induce_chain, synth_general)
+                      synth_general)
 
 trans = {
     (0, 0): {1: 1.0},               # start feeds the left loop only
@@ -29,7 +29,7 @@ print(f"value achievable from the start state: {rep.value:.4f}")
 print(f"surrogate-reward program gain (uniform initial weights): "
       f"{rep.avg_gain:.4f}")
 
-ca = analyze(induce_chain(pm, rep.policy))
+ca = analyze(pm, rep.policy)
 print(f"achieved efficiency from start: "
       f"{efficiency(ca, pm, r, c, rep.policy, 0):.4f}")
 cert = rep.certificate

@@ -7,8 +7,8 @@ skips, so the policy is blended; the table shows how the blending degree and
 the charging-cell limit probability scale with the efficiency budget.
 """
 
-from effsynth import analyze, build_product, induce_chain, \
-    lift_utilities, limit_distribution, synth_general
+from effsynth import analyze, build_product, lift_utilities, \
+    limit_distribution, synth_general
 from effsynth.casestudies import gen_case1
 
 m, task_deliver, task_deliver_charge, reward, cost = gen_case1()
@@ -18,7 +18,7 @@ print(f"workspace model: {m.n_states} states "
 pm1 = build_product(m, task_deliver)
 r1, c1 = lift_utilities(pm1, reward, cost)
 rep = synth_general(pm1, r1, c1, epsilon=0.01)
-ca = analyze(induce_chain(pm1, rep.policy))
+ca = analyze(pm1, rep.policy)
 cells = sorted({pm1.state_names[s].split("&")[0].split("_")[0]
                 for s in ca.recurrent_classes[0]})
 print(f"\ntask 1: optimal efficiency {rep.value:.4f}, "
@@ -33,7 +33,7 @@ print("budget   method   degree      charge-cell limit prob")
 for eps in (0.005, 0.01, 0.05, 0.1):
     for method in ("es", "ex"):
         rep2 = synth_general(pm2, r2, c2, eps, method)
-        ca2 = analyze(induce_chain(pm2, rep2.policy))
+        ca2 = analyze(pm2, rep2.policy)
         limit = limit_distribution(ca2)
         charge = float(limit[charge_states].sum())
         delta = rep2.plan.delta if rep2.plan else 0.0

@@ -10,10 +10,9 @@ from .model import (Dra, Mc, Mdp, ProductMdp, UtilityFn, Violation, blend,
 from .graph import (almost_sure_region, amec_filter, attractor_policy,
                     closed_pairs, is_communicating, maec_decompose,
                     mec_decompose, restrict)
-from .chain import (ChainAnalysis, analyze, average_utility, deviation_vector,
-                    efficiency, limit_distribution, potential_vector,
-                    ratio_deviation, ratio_perturbation_identity_check,
-                    utility_vector)
+from .chain import (ChainAnalysis, analyze, average_utility, efficiency,
+                    limit_distribution, potential_vector, ratio_deviation,
+                    ratio_perturbation_identity_check, utility_vector)
 from .lp import (AvgLpSolution, LfpSolution, LpProblem, LpResult,
                  decode_avg_policy, decode_ratio_policy, solve_avg_reward_lp,
                  solve_lp, solve_ratio_lfp)

@@ -1,13 +1,17 @@
 """Exact analysis of finite Markov chains.
 
-Everything here is dense linear algebra: recurrent classes are the bottom
-strongly connected components of the support graph, and stationary
-distributions and absorption probabilities come from LU solves.  The limit
-matrix P* is assembled from them only when it is read (the average utility,
-potentials and the limit distribution read it; the efficiency does not).
+A policy's chain on a model is classified on its exact support graph (s ->
+t iff a pair of s with positive weight has a positive-probability entry at
+t), so no threshold on a product w * p can drop an edge.  Its bottom
+strongly connected components are the recurrent classes, and accepted_wp1
+is the one verdict that the acceptance condition holds with probability
+one.  Stationary distributions and absorption probabilities come from LU
+solves on the dense induced P; the limit matrix P* is assembled from them
+only when it is read (the average utility, potentials and the limit
+distribution read it; the efficiency does not).
 On top of that sit the long-run average utility, the
-reward-to-cost efficiency for general multichain chains, potential vectors
-g = (I - P + P*)^{-1} v and deviation vectors, returned as plain arrays.
+reward-to-cost efficiency for general multichain chains and potential
+vectors g = (I - P + P*)^{-1} v, returned as plain arrays.
 ratio_deviation is the one perturbation step: a unichain policy's efficiency
 J and its ratio deviation d_r - J d_c towards another policy, read by the
 perturbation degrees and by the perturbation identity relating the
@@ -21,10 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Mc, Mdp, blend, induce_chain
-from .graph import adjacency_lists, strongly_connected_components
+from .model import Mc, Mdp, blend, induce_chain, rabin_witness
+from .graph import _successors, strongly_connected_components
 
-SUPPORT_EPS = 1e-12   # edge threshold guarding float dust from policy mixtures
 LIMIT_TOL = 1e-9      # limit-matrix algebra tolerance
 POTENTIAL_TOL = 1e-8  # residual tolerance for potential solves
 
@@ -41,11 +44,13 @@ class NotUnichain(Exception):
 class ChainAnalysis:
     """Recurrent structure of a chain, and its limit matrix on demand.
 
-    absorb[s, k] is the probability of ending up (and staying forever) in
-    recurrent class k when starting from s; the column of a transient state in
-    limit_matrix is identically zero.
+    support maps each state to its ascending successors on the support
+    graph.  absorb[s, k] is the probability of ending up (and staying
+    forever) in recurrent class k when starting from s; the column of a
+    transient state in limit_matrix is identically zero.
     """
     chain: Mc
+    support: dict
     recurrent_classes: tuple
     transient: frozenset
     stationary: tuple       # per-class stationary distribution over class states
@@ -88,24 +93,22 @@ def stationary_distribution(block) -> np.ndarray:
     return np.maximum(pi, 0.0)
 
 
-def analyze(chain: Mc) -> ChainAnalysis:
-    """Classify states and solve for stationary and absorption structure;
-    the limit matrix P* is assembled only when it is read."""
+def analyze(m: Mdp, w) -> ChainAnalysis:
+    """Classify the states of the chain that policy w induces on m, on the
+    exact support graph, and solve for its stationary and absorption
+    structure; the limit matrix P* is assembled only when it is read."""
+    chain = induce_chain(m, w)
     P = chain.P
     n = chain.n_states
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("chain is not row-stochastic")
-    src, dst = np.nonzero(P > SUPPORT_EPS)
-    sccs = strongly_connected_components(range(n),
-                                         adjacency_lists(n, src, dst))
-    comp = np.empty(n, dtype=np.intp)
-    for i, states in enumerate(sccs):
-        comp[states] = i
+    adj = _successors(m, w > 0.0)
+    sccs = strongly_connected_components(range(n), adj)
+    comp = {s: i for i, states in enumerate(sccs) for s in states}
     # an SCC is a recurrent class unless one of its edges leaves it
-    leaves = np.zeros(len(sccs), dtype=bool)
-    leaves[comp[src][comp[src] != comp[dst]]] = True
-    classes = tuple(sorted(tuple(states) for i, states in enumerate(sccs)
-                           if not leaves[i]))
+    classes = tuple(sorted(
+        tuple(states) for i, states in enumerate(sccs)
+        if all(comp[t] == i for s in states for t in adj[s])))
     klass = np.full(n, -1)  # each state's class, -1 when transient
     for k, states in enumerate(classes):
         klass[list(states)] = k
@@ -128,10 +131,27 @@ def analyze(chain: Mc) -> ChainAnalysis:
         except np.linalg.LinAlgError as e:
             raise SingularSystem(f"absorption solve failed: {e}") from e
 
-    return ChainAnalysis(chain=chain, recurrent_classes=classes,
+    return ChainAnalysis(chain=chain, support=adj, recurrent_classes=classes,
                          transient=frozenset(tr.tolist()),
                          stationary=tuple(stationary),
                          absorb=absorb)
+
+
+def accepted_wp1(ca: ChainAnalysis, acc_pairs, start) -> bool:
+    """The Rabin condition acc_pairs holds with probability one from start.
+
+    A finite chain is absorbed into its recurrent classes with probability
+    one (Kemeny & Snell, Finite Markov Chains, 1960, ch. III), so this holds
+    exactly when every class that start reaches on the support graph has a
+    Rabin witness; no probability is read.  The states start reaches are
+    the SCCs of one traversal from it, made only if some class (named by
+    its first state) has no witness.
+    """
+    bad = {comp[0] for comp in ca.recurrent_classes
+           if rabin_witness(comp, acc_pairs) is None}
+    return not bad or not any(
+        bad.intersection(scc)
+        for scc in strongly_connected_components([start], ca.support))
 
 
 def utility_vector(m: Mdp, u, p) -> np.ndarray:
@@ -193,13 +213,6 @@ def _deviation(m, ca, chain_p, mu, mu_prime, u):
     return (v_p - v) + (chain_p.P - ca.chain.P) @ g
 
 
-def deviation_vector(m: Mdp, mu, mu_prime, u) -> np.ndarray:
-    """Deviation of mu_prime from mu w.r.t. u, built on mu's potential."""
-    chain = induce_chain(m, mu)
-    chain_p = induce_chain(m, mu_prime)
-    return _deviation(m, analyze(chain), chain_p, mu, mu_prime, u)
-
-
 def ratio_deviation(m: Mdp, mu, mu_prime, r, c):
     """The perturbation step towards mu_prime from a unichain policy mu.
 
@@ -208,7 +221,7 @@ def ratio_deviation(m: Mdp, mu, mu_prime, r, c):
     chain is induced once and mu's is analyzed once.  Raises NotUnichain
     unless mu induces a single recurrent class.
     """
-    ca = analyze(induce_chain(m, mu))
+    ca = analyze(m, mu)
     if not ca.is_unichain():
         raise NotUnichain(
             f"{len(ca.recurrent_classes)} recurrent classes under mu")
@@ -234,7 +247,7 @@ def ratio_perturbation_identity_check(m: Mdp, mu, mu_prime, r, c,
     """
     _, j_mu, d = ratio_deviation(m, mu, mu_prime, r, c)
     mu_delta = blend(mu, mu_prime, delta)
-    ca_d = analyze(induce_chain(m, mu_delta))
+    ca_d = analyze(m, mu_delta)
     lhs = efficiency(ca_d, m, r, c, mu_delta, m.initial) - j_mu
     pi_d = limit_distribution(ca_d)
     vc_d = utility_vector(m, c, mu_delta)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .model import PROB_TOL, AlphabetMismatch, ModelError, PolicyMismatch, \
-    build_product, induce_chain, lift_utilities, policy_domain, rabin_witness
+    build_product, lift_utilities, policy_domain, rabin_witness
 from . import casestudies, chain, graph, lp, parsers, sim, synthesis
 
 EXIT_PARSE = 2
@@ -216,7 +216,7 @@ def _load_scoped_policy(args, digests):
 def cmd_evaluate(args):
     digests = {}
     pm, policy, r, c = _load_scoped_policy(args, digests)
-    ca = chain.analyze(induce_chain(pm, policy))
+    ca = chain.analyze(pm, policy)
     eff = chain.efficiency(ca, pm, r, c, policy, pm.initial)
     classes = []
     sat_mass = 0.0
@@ -231,7 +231,8 @@ def cmd_evaluate(args):
                "efficiency": eff,
                "recurrent_classes": classes,
                "satisfaction_probability": sat_mass,
-               "accepted_wp1": abs(sat_mass - 1.0) <= 1e-9,
+               "accepted_wp1": chain.accepted_wp1(ca, pm.acc_pairs,
+                                                  pm.initial),
                "manifest": _manifest(args, digests)}
     _emit(payload, args.out)
     return 0
@@ -367,7 +368,7 @@ def _case1_tables(m, dra, reward, cost):
         for eps in thresholds:
             rep = synthesis.synth_general(pm, r, c, eps, method)
             delta = rep.plan.delta if rep.plan else 0.0
-            ca = chain.analyze(induce_chain(pm, rep.policy))
+            ca = chain.analyze(pm, rep.policy)
             limit = chain.limit_distribution(ca)
             rows[method].append(delta)
             limits[method].append(float(limit[charge_states].sum()))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Mdp, induce_chain
+from .model import Mdp
 from .graph import attractor_policy, is_communicating
 from .chain import analyze
 
@@ -422,12 +422,12 @@ def decode_ratio_policy(m: Mdp, sol: LfpSolution,
     dist[keep] = sol.gamma[keep] / mass[m.pair_state[keep]]
     policy = attractor_policy(m, np.flatnonzero(support),
                               _normalized(m, dist, keep))
-    ca = analyze(induce_chain(m, policy))
+    ca = analyze(m, policy)
     if len(ca.recurrent_classes) > 1:
         chosen = min(ca.recurrent_classes, key=lambda comp: comp[0])
         kept = np.where(np.isin(m.pair_state, chosen), policy, 0.0)
         policy = attractor_policy(m, chosen, kept)
-        ca = analyze(induce_chain(m, policy))
+        ca = analyze(m, policy)
     return policy, ca
 
 

@@ -260,23 +260,6 @@ class Dra:
             raise AlphabetMismatch(f"no transition from {q} on {set(symbol)!r}")
         return self.delta[key]
 
-    def accepts_lasso(self, prefix, cycle):
-        """Rabin acceptance of the ultimately periodic word prefix.cycle^w."""
-        q = self.initial
-        for sym in prefix:
-            q = self.step(q, sym)
-        # run the cycle until the (state, position) pair repeats
-        seen = {}
-        trace = []
-        pos = 0
-        while (q, pos) not in seen:
-            seen[(q, pos)] = len(trace)
-            q = self.step(q, cycle[pos])
-            trace.append(q)
-            pos = (pos + 1) % len(cycle)
-        inf = set(trace[seen[(q, pos)]:])
-        return rabin_witness(inf, self.pairs) is not None
-
 
 def policy_from_rule(m: Mdp, rule) -> np.ndarray:
     """The policy of a {state: {action: probability}} rule as a read-only

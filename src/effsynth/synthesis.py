@@ -29,8 +29,9 @@ from .model import (Mdp, ModelError, ProductMdp, blend, induce_chain,
 from .graph import (almost_sure_region, amec_filter, attractor_policy,
                     closed_pairs, maec_decompose, mec_decompose, restrict,
                     within)
-from .chain import (NotUnichain, analyze, average_utility, efficiency,
-                    ratio_deviation, stationary_distribution, utility_vector)
+from .chain import (NotUnichain, accepted_wp1, analyze, average_utility,
+                    efficiency, ratio_deviation, stationary_distribution,
+                    utility_vector)
 from .lp import SUPPORT_THRESHOLD, decode_avg_policy, decode_ratio_policy, \
     solve_avg_reward_lp, solve_ratio_lfp
 
@@ -98,18 +99,16 @@ class PerturbationPlan:
 class Certificate:
     """Witness that the synthesized chain satisfies the acceptance condition.
 
-    Every recurrent class is listed with the Rabin pair it satisfies; the
-    absorption defect is 1 minus the least total probability, over states, of
-    reaching the recurrent classes.
+    Every recurrent class is listed with the Rabin pair it satisfies (None
+    if it meets none); accepted is chain.accepted_wp1's exact verdict that
+    every class the initial state reaches has one.  The absorption defect,
+    1 minus the least total probability, over states, of reaching the
+    recurrent classes, is reported as a number and decides nothing.
     """
     recurrent_classes: tuple
     witness_pairs: tuple
     absorption_defect: float
-
-    @property
-    def accepted(self):
-        return all(k is not None for k in self.witness_pairs) and \
-            self.absorption_defect <= 1e-9
+    accepted: bool
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,7 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
 
     def certified(delta):
         w = blend(mu_opt, mu_irr, delta)
-        ca_d = analyze(induce_chain(m, w))
+        ca_d = analyze(m, w)
         return efficiency(ca_d, m, r, c, w, m.initial) >= target
 
     hi = 1.0 - width
@@ -187,7 +186,7 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
     if known[hi] >= 0.0:
         if certified(hi):
             return PerturbationPlan(hi, "exact", d_inf, c_min, degenerate)
-        known[hi] = -np.inf  # analyze split the chain the probe solved whole
+        known[hi] = -np.inf  # the certifying evaluation fell short
     lo = 0.0
     if not degenerate:
         guess = min(epsilon * c_min / d_inf, hi / 2)
@@ -215,13 +214,14 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
 
 
 def _certificate(pm: ProductMdp, policy) -> Certificate:
-    ca = analyze(induce_chain(pm, policy))
+    ca = analyze(pm, policy)
     witnesses = [rabin_witness(comp, pm.acc_pairs)
                  for comp in ca.recurrent_classes]
     defect = float(1.0 - ca.absorb.sum(axis=1).min())
     return Certificate(recurrent_classes=ca.recurrent_classes,
                        witness_pairs=tuple(witnesses),
-                       absorption_defect=abs(defect))
+                       absorption_defect=abs(defect),
+                       accepted=accepted_wp1(ca, pm.acc_pairs, pm.initial))
 
 
 def _lift(m: Mdp, sub_m: Mdp, ids, w, onto=None):
@@ -395,7 +395,7 @@ def _synth_region(pm: ProductMdp, r, c, amecs, maecs, epsilon, method,
     lp_sol = solve_avg_reward_lp(pm, rk)
     mu_k = decode_avg_policy(pm, lp_sol,
                              support_threshold=tol.support_threshold)
-    ca_k = analyze(induce_chain(pm, mu_k))
+    ca_k = analyze(pm, mu_k)
     recurrent = np.zeros(pm.n_states, dtype=bool)
     recurrent[[s for comp in ca_k.recurrent_classes for s in comp]] = True
     claimed = average_utility(ca_k, pm, rk, mu_k, pm.initial)

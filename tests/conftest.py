@@ -12,11 +12,11 @@ import itertools
 import numpy as np
 import pytest
 
-from effsynth.model import Mdp, ProductMdp, UtilityFn, induce_chain, \
-    policy_domain, policy_from_rule
+from effsynth.model import Mdp, ProductMdp, UtilityFn, csr_arrays, \
+    induce_chain, policy_domain, policy_from_rule, rabin_witness
 from effsynth.graph import (amec_filter, is_communicating, maec_decompose,
                             mec_decompose, strongly_connected_components)
-from effsynth.chain import analyze, efficiency, average_utility
+from effsynth.chain import _deviation, analyze, efficiency, average_utility
 
 
 def example1_mdp():
@@ -54,6 +54,19 @@ def random_mdp(rng, n_states, n_actions, p_avail=0.75, max_branch=3):
     names = [f"s{i}" for i in range(n_states)]
     return Mdp(names, [f"a{j}" for j in range(n_actions)],
                int(rng.integers(n_states)), trans)
+
+
+def chain_model(P, initial=0):
+    """A row-stochastic matrix as (model, policy): one action per state whose
+    successor entries are the row's positive entries, played with weight 1,
+    so that the policy induces P on the model."""
+    P = np.asarray(P, dtype=float)
+    n = P.shape[0]
+    src, dst = np.nonzero(P > 0.0)
+    m = Mdp.from_arrays([f"s{i}" for i in range(n)], ["a"], initial,
+                        *csr_arrays(n, src, np.zeros_like(src), dst,
+                                    P[src, dst]))
+    return m, np.ones(m.n_pairs)
 
 
 def random_communicating_mdp(rng, n_states, n_actions, **kw):
@@ -159,9 +172,35 @@ def utility_dict(m, u):
 def random_unichain_policy(rng, m, tries=200):
     for _ in range(tries):
         p = random_policy(rng, m)
-        if analyze(induce_chain(m, p)).is_unichain():
+        if analyze(m, p).is_unichain():
             return p
     raise RuntimeError("could not draw a unichain policy")
+
+
+def deviation_vector(m, mu, mu_prime, u):
+    """Deviation of mu_prime from mu w.r.t. u, built on mu's potential: the
+    step chain.ratio_deviation takes for reward and cost at once."""
+    return _deviation(m, analyze(m, mu), induce_chain(m, mu_prime), mu,
+                      mu_prime, u)
+
+
+def accepts_lasso(dra, prefix, cycle):
+    """Rabin acceptance by dra of the ultimately periodic word
+    prefix.cycle^w."""
+    q = dra.initial
+    for sym in prefix:
+        q = dra.step(q, sym)
+    # run the cycle until the (state, position) pair repeats
+    seen = {}
+    trace = []
+    pos = 0
+    while (q, pos) not in seen:
+        seen[(q, pos)] = len(trace)
+        q = dra.step(q, cycle[pos])
+        trace.append(q)
+        pos = (pos + 1) % len(cycle)
+    inf = set(trace[seen[(q, pos)]:])
+    return rabin_witness(inf, dra.pairs) is not None
 
 
 def deterministic_policies(m):
@@ -175,7 +214,7 @@ def brute_force_best_ratio(m, r, c, start):
     """Max analytic efficiency over all deterministic stationary policies."""
     best = -np.inf
     for p in deterministic_policies(m):
-        ca = analyze(induce_chain(m, p))
+        ca = analyze(m, p)
         best = max(best, efficiency(ca, m, r, c, p, start))
     return best
 
@@ -184,7 +223,7 @@ def brute_force_best_gain(m, u):
     """Per-state optimal average reward over deterministic policies."""
     best = np.full(m.n_states, -np.inf)
     for p in deterministic_policies(m):
-        ca = analyze(induce_chain(m, p))
+        ca = analyze(m, p)
         for s in range(m.n_states):
             best[s] = max(best[s], average_utility(ca, m, u, p, s))
     return best

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from effsynth.model import (Mdp, ProductMdp, blend, build_product,
-                            induce_chain, lift_utilities, uniform_policy)
+                            lift_utilities, uniform_policy)
 from effsynth.graph import maec_decompose, mec_decompose, restrict
 from effsynth.chain import (analyze, average_utility, efficiency,
                             limit_distribution, potential_vector,
                             ratio_perturbation_identity_check,
-                            utility_vector, deviation_vector)
+                            utility_vector)
 from effsynth.lp import (decode_avg_policy, decode_ratio_policy,
                          solve_avg_reward_lp, solve_ratio_lfp)
 from effsynth.synthesis import (build_reward_k, perturbation_degree_estimated,
@@ -27,8 +27,8 @@ from effsynth.sim import RolloutConfig, simulate
 from effsynth.casestudies import (COST_BY_DISTANCE, Case1Params, Case2Params,
                                   gen_case1, gen_case2)
 
-from conftest import (amecs_of, brute_force_best_ratio, ec_parts,
-                      example1_mdp,
+from conftest import (amecs_of, brute_force_best_ratio, deviation_vector,
+                      ec_parts, example1_mdp,
                       example1_product, random_communicating_mdp,
                       random_communicating_product, random_mdp,
                       random_policy, random_unichain_policy,
@@ -83,7 +83,7 @@ def test_criterion_2_perturbation_identity():
                                                        delta)
         d = deviation_vector(m, mu, mu_p, r)
         mu_d = blend(mu, mu_p, delta)
-        pi_d = limit_distribution(analyze(induce_chain(m, mu_d)))
+        pi_d = limit_distribution(analyze(m, mu_d))
         classical = delta * float(pi_d @ d)
         worst_classic = max(worst_classic, abs(rhs1 - classical),
                             abs(lhs1 - rhs1))
@@ -123,7 +123,7 @@ def test_criterion_4_epsilon_optimality():
         for eps in (1e-3, 1e-2, 1e-1):
             rep = synth_communicating(pm, r, c, eps,
                                       "es" if count % 2 else "ex")
-            ca = analyze(induce_chain(pm, rep.policy))
+            ca = analyze(pm, rep.policy)
             got = efficiency(ca, pm, r, c, rep.policy, pm.initial)
             ok = ok and got >= rep.value - eps - 1e-8
             ok = ok and rep.certificate.accepted
@@ -162,7 +162,7 @@ def test_criterion_5_general_case():
         rk, _ = build_reward_k(pm, amecs_of(pm), list(rep.amec_values),
                                r, c)
         gain = solve_avg_reward_lp(pm, rk).gain
-        ca = analyze(induce_chain(pm, rep.policy))
+        ca = analyze(pm, rep.policy)
         weighted = float(np.mean([efficiency(ca, pm, r, c, rep.policy, s)
                                   for s in range(pm.n_states)]))
         ok = ok and weighted >= gain - eps - 1e-7
@@ -251,7 +251,7 @@ def test_criterion_7_case_study_1():
     pm1 = build_product(m, d1)
     r1, c1 = lift_utilities(pm1, reward, cost)
     rep1 = synth_general(pm1, r1, c1, 0.01)
-    ca1 = analyze(induce_chain(pm1, rep1.policy))
+    ca1 = analyze(pm1, rep1.policy)
     rec = ca1.recurrent_classes[0]
     rows = {int(pm1.state_names[s].split("c")[0][1:]) for s in rec}
     ok = ok and rows <= {8, 9}
@@ -264,7 +264,7 @@ def test_criterion_7_case_study_1():
     for method in ("es", "ex"):
         for eps in (0.005, 0.01, 0.05, 0.1):
             rep2 = synth_general(pm2, r2, c2, eps, method)
-            ca2 = analyze(induce_chain(pm2, rep2.policy))
+            ca2 = analyze(pm2, rep2.policy)
             limit = limit_distribution(ca2)
             charge = sum(limit[i] for i in range(pm2.n_states)
                          if "c" in pm2.labels[i])
@@ -291,7 +291,7 @@ def test_criterion_8_monte_carlo():
         pm = random_communicating_product(rng, int(rng.integers(3, 7)), 2)
         r, c = random_utilities(rng, pm)
         rep = synth_communicating(pm, r, c, 0.05)
-        ca = analyze(induce_chain(pm, rep.policy))
+        ca = analyze(pm, rep.policy)
         stochastic = any(
             np.any((ca.chain.P[s] > 1e-12) & (ca.chain.P[s] < 1 - 1e-12))
             for s in ca.recurrent_classes[0])
@@ -319,9 +319,8 @@ def test_criterion_9_chain_algebra():
     worst_res = 0.0
     for _ in range(500):
         m = random_mdp(rng, int(rng.integers(2, 9)), 2)
-        chain = induce_chain(m, random_policy(rng, m))
-        ca = analyze(chain)
-        P, star = chain.P, ca.limit_matrix
+        ca = analyze(m, random_policy(rng, m))
+        P, star = ca.chain.P, ca.limit_matrix
         for prod in (P @ star, star @ P, star @ star):
             worst_alg = max(worst_alg, float(np.max(np.abs(prod - star))))
         v = rng.normal(size=m.n_states)
@@ -345,7 +344,7 @@ def test_criterion_10_case_study_2_threshold():
         sol = solve_ratio_lfp(m, reward_family(float(bonus)).pair_values(m),
                               cost.pair_values(m))
         policy, _ = decode_ratio_policy(m, sol)
-        ca = analyze(induce_chain(m, policy))
+        ca = analyze(m, policy)
         labs = set()
         for s in ca.recurrent_classes[0]:
             labs |= m.labels[s]

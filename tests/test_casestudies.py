@@ -15,6 +15,8 @@ from effsynth.casestudies import (COST_BY_DISTANCE, MAX_SIZE, Case1Params,
                                   dra_recurrence_avoid_charge, gen_case1,
                                   gen_case2)
 
+from conftest import accepts_lasso
+
 
 def cell_of(m, s):
     tag = m.state_names[s].split("_")[0][1:]
@@ -173,23 +175,23 @@ def word(*syms):
 def test_case1_dra_phi1_words():
     d = dra_recurrence_avoid()
     # d forever: accepted; empty forever: rejected; b once: rejected forever
-    assert d.accepts_lasso(word(), word({"d"}))
-    assert not d.accepts_lasso(word(), word(set()))
-    assert not d.accepts_lasso(word({"b"}), word({"d"}))
-    assert d.accepts_lasso(word(set(), set()), word({"d"}, set(), set()))
-    assert not d.accepts_lasso(word({"d"}, {"d"}), word(set()))
+    assert accepts_lasso(d, word(), word({"d"}))
+    assert not accepts_lasso(d, word(), word(set()))
+    assert not accepts_lasso(d, word({"b"}), word({"d"}))
+    assert accepts_lasso(d, word(set(), set()), word({"d"}, set(), set()))
+    assert not accepts_lasso(d, word({"d"}, {"d"}), word(set()))
     # c alone never helps phi1
-    assert not d.accepts_lasso(word(), word({"c"}))
+    assert not accepts_lasso(d, word(), word({"c"}))
 
 
 def test_case1_dra_phi2_words():
     d = dra_recurrence_avoid_charge()
-    assert d.accepts_lasso(word(), word({"d"}, {"c"}))
-    assert d.accepts_lasso(word(), word({"d"}, set(), {"c"}, set()))
-    assert not d.accepts_lasso(word(), word({"d"}))      # no charging
-    assert not d.accepts_lasso(word(), word({"c"}))      # no delivery
-    assert not d.accepts_lasso(word({"b"}), word({"d"}, {"c"}))
-    assert d.accepts_lasso(word({"c"}, {"c"}), word({"c"}, {"d"}))
+    assert accepts_lasso(d, word(), word({"d"}, {"c"}))
+    assert accepts_lasso(d, word(), word({"d"}, set(), {"c"}, set()))
+    assert not accepts_lasso(d, word(), word({"d"}))      # no charging
+    assert not accepts_lasso(d, word(), word({"c"}))      # no delivery
+    assert not accepts_lasso(d, word({"b"}), word({"d"}, {"c"}))
+    assert accepts_lasso(d, word({"c"}, {"c"}), word({"c"}, {"d"}))
 
 
 def test_case1_dra_brute_force_language_check(rng):
@@ -208,8 +210,8 @@ def test_case1_dra_brute_force_language_check(rng):
         no_b = all("b" not in s for s in prefix + cycle)
         d_io = any("d" in s for s in cycle)
         c_io = any("c" in s for s in cycle)
-        assert d1.accepts_lasso(prefix, cycle) == (no_b and d_io)
-        assert d2.accepts_lasso(prefix, cycle) == (no_b and d_io and c_io)
+        assert accepts_lasso(d1, prefix, cycle) == (no_b and d_io)
+        assert accepts_lasso(d2, prefix, cycle) == (no_b and d_io and c_io)
 
 
 def test_case2_shape_and_determinism():
@@ -225,11 +227,11 @@ def test_case2_shape_and_determinism():
 
 def test_case2_dra_words():
     d = dra_command_then_material()
-    assert d.accepts_lasso(word(), word({"g"}, {"r"}))
-    assert d.accepts_lasso(word(), word({"r"}, {"g"}))   # both recur
-    assert not d.accepts_lasso(word(), word({"g"}))
-    assert not d.accepts_lasso(word(), word({"r"}))
-    assert not d.accepts_lasso(word({"g"}, {"r"}), word(set()))
+    assert accepts_lasso(d, word(), word({"g"}, {"r"}))
+    assert accepts_lasso(d, word(), word({"r"}, {"g"}))   # both recur
+    assert not accepts_lasso(d, word(), word({"g"}))
+    assert not accepts_lasso(d, word(), word({"r"}))
+    assert not accepts_lasso(d, word({"g"}, {"r"}), word(set()))
 
 
 def test_case2_permission_bit_dynamics():
@@ -276,7 +278,7 @@ def test_case2_threshold_structure():
         sol = solve_ratio_lfp(m, reward_family(bonus).pair_values(m),
                               cost.pair_values(m))
         policy, _ = decode_ratio_policy(m, sol)
-        ca = analyze(induce_chain(m, policy))
+        ca = analyze(m, policy)
         labs = set()
         for s in ca.recurrent_classes[0]:
             labs |= m.labels[s]

@@ -3,40 +3,98 @@ import math
 import numpy as np
 import pytest
 
-from effsynth.model import Mc, Mdp, UtilityFn, blend, induce_chain
-from effsynth.chain import (NotUnichain, analyze, average_utility,
-                            deviation_vector, efficiency, limit_distribution,
+from effsynth.model import Mdp, UtilityFn, blend, induce_chain, \
+    uniform_policy
+from effsynth.chain import (NotUnichain, accepted_wp1, analyze,
+                            average_utility, efficiency, limit_distribution,
                             potential_vector, ratio_deviation,
-                            ratio_perturbation_identity_check, utility_vector)
+                            ratio_perturbation_identity_check,
+                            stationary_distribution, utility_vector)
+from effsynth.graph import maec_decompose, restrict
+from effsynth.lp import decode_ratio_policy, solve_ratio_lfp
 
-from conftest import (delivery_grid_product, deterministic, random_mdp,
-                      random_policy, random_unichain_policy, random_utilities)
-
-
-def chain_of(P, initial=0):
-    P = np.asarray(P, dtype=float)
-    pi0 = np.zeros(P.shape[0])
-    pi0[initial] = 1.0
-    return Mc(P=P, pi0=pi0)
+from conftest import (chain_model, delivery_grid_product, deterministic,
+                      deviation_vector, random_mdp, random_policy,
+                      random_unichain_policy, random_utilities)
 
 
 def random_chain(rng, n_states=None):
+    """A random model and policy, whose chain the tests analyze."""
     n = n_states or int(rng.integers(2, 9))
     m = random_mdp(rng, n, 2)
-    return induce_chain(m, random_policy(rng, m))
+    return m, random_policy(rng, m)
 
 
 def test_identity_chain():
-    ca = analyze(chain_of(np.eye(3)))
+    ca = analyze(*chain_model(np.eye(3)))
     assert len(ca.recurrent_classes) == 3
     assert ca.transient == frozenset()
     assert np.array_equal(ca.limit_matrix, np.eye(3))
 
 
 def test_two_state_swap():
-    ca = analyze(chain_of([[0, 1], [1, 0]]))
+    ca = analyze(*chain_model([[0, 1], [1, 0]]))
     assert ca.recurrent_classes == ((0, 1),)
     assert np.allclose(ca.limit_matrix, 0.5)
+
+
+def thresholded_classes(P, eps=1e-12):
+    """Recurrent classes of the edges P > eps, from their boolean
+    transitive closure: s is recurrent iff every state it reaches reaches it
+    back, and its class is the set of states it reaches."""
+    n = len(P)
+    reach = (P > eps) | np.eye(n, dtype=bool)
+    while True:
+        grown = reach | (reach.astype(int) @ reach.astype(int) > 0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    return tuple(sorted({tuple(np.flatnonzero(reach[s]).tolist())
+                         for s in range(n) if reach[reach[s], s].all()}))
+
+
+def test_classes_match_a_thresholded_reference(rng):
+    """On chains without entries in (0, 1e-12], the exact support graph and
+    a 1e-12 threshold on P give the same classes."""
+    done = 0
+    while done < 40:
+        m, p = random_chain(rng)
+        P = induce_chain(m, p).P
+        if P[P > 0.0].min() <= 1e-12:
+            continue
+        assert analyze(m, p).recurrent_classes == thresholded_classes(P)
+        done += 1
+
+
+@pytest.mark.parametrize("delta", [1e-14, 1e-12])
+def test_tiny_blend_on_the_grid9_maec_is_one_class(delta):
+    """The blend of the case-1 grid-9 MAEC's optimal policy with the
+    uniform one puts positive weight on every pair of the communicating
+    MAEC, so its chain is irreducible for any delta > 0, however small the
+    products delta * p: one recurrent class, no transient state, and the
+    whole-chain stationary solve of the ex probes succeeds."""
+    pm, r, c = delivery_grid_product(9)
+    sub, _ = restrict(pm, maec_decompose(pm)[0])
+    pp = sub.parent_pair
+    mu_opt, _ = decode_ratio_policy(sub, solve_ratio_lfp(sub, r[pp], c[pp]))
+    w = blend(mu_opt, uniform_policy(sub), delta)
+    ca = analyze(sub, w)
+    assert [len(comp) for comp in ca.recurrent_classes] == \
+        [sub.n_states] == [274]
+    assert ca.transient == frozenset()
+    pi = stationary_distribution(induce_chain(sub, w).P)
+    assert pi.sum() == pytest.approx(1.0)
+
+
+def test_accepted_wp1_reads_only_the_classes_start_reaches():
+    """0 -> 1 absorbing, and 2 absorbing: from 0 only the class {1} is
+    reached, from 2 only {2}; the pair (B, G) = ({2}, {1}) accepts {1}."""
+    ca = analyze(*chain_model([[0, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    assert ca.recurrent_classes == ((1,), (2,))
+    pairs = [(frozenset({2}), frozenset({1}))]
+    assert accepted_wp1(ca, pairs, 0)
+    assert accepted_wp1(ca, pairs, 1)
+    assert not accepted_wp1(ca, pairs, 2)
 
 
 def cesaro_average(P, n):
@@ -56,7 +114,7 @@ def test_limit_matrix_matches_power_averaging(rng):
     """
     for trial in range(4):
         P = rng.dirichlet(np.ones(6), size=6)
-        ca = analyze(chain_of(P))
+        ca = analyze(*chain_model(P))
         assert np.max(np.abs(cesaro_average(P, 100000) - ca.limit_matrix)) \
             <= 1e-4
     P = np.array([[0.0, 1.0, 0.0, 0.0, 0.0],
@@ -64,15 +122,14 @@ def test_limit_matrix_matches_power_averaging(rng):
                   [0.0, 0.0, 0.4, 0.6, 0.0],
                   [0.0, 0.0, 0.7, 0.3, 0.0],
                   [0.3, 0.2, 0.3, 0.1, 0.1]])
-    ca = analyze(chain_of(P))
+    ca = analyze(*chain_model(P))
     assert len(ca.recurrent_classes) == 2 and ca.transient == {4}
     assert np.max(np.abs(cesaro_average(P, 100000) - ca.limit_matrix)) <= 1e-4
 
 
 def test_transient_column_is_zero(rng):
     for trial in range(10):
-        chain = random_chain(rng)
-        ca = analyze(chain)
+        ca = analyze(*random_chain(rng))
         for s in ca.transient:
             assert np.all(ca.limit_matrix[:, s] == 0.0)
         rec = [s for comp in ca.recurrent_classes for s in comp]
@@ -82,9 +139,8 @@ def test_transient_column_is_zero(rng):
 
 def test_limit_matrix_algebra(rng):
     for trial in range(25):
-        chain = random_chain(rng)
-        ca = analyze(chain)
-        P, star = chain.P, ca.limit_matrix
+        ca = analyze(*random_chain(rng))
+        P, star = ca.chain.P, ca.limit_matrix
         for prod in (P @ star, star @ P, star @ star):
             assert np.max(np.abs(prod - star)) <= 1e-9
         assert np.max(np.abs(star.sum(axis=1) - 1.0)) <= 1e-9
@@ -94,7 +150,7 @@ def test_average_utility_single_state():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}})
     u = UtilityFn({(0, 0): 3.0}, "reward").pair_values(m)
     p = deterministic(m, {0: 0})
-    ca = analyze(induce_chain(m, p))
+    ca = analyze(m, p)
     assert average_utility(ca, m, u, p, 0) == pytest.approx(3.0)
 
 
@@ -102,7 +158,7 @@ def test_average_utility_two_cycle():
     m = Mdp(["x", "y"], ["a"], 0, {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}})
     u = UtilityFn({(0, 0): 1.0, (1, 0): 3.0}, "reward").pair_values(m)
     p = deterministic(m, {0: 0, 1: 0})
-    ca = analyze(induce_chain(m, p))
+    ca = analyze(m, p)
     assert average_utility(ca, m, u, p, 0) == pytest.approx(2.0)
 
 
@@ -111,8 +167,8 @@ def test_average_utility_matches_monte_carlo(rng):
     m = random_mdp(rng, 4, 2)
     p = random_unichain_policy(rng, m)
     u, _ = random_utilities(rng, m)
-    chain = induce_chain(m, p)
-    ca = analyze(chain)
+    ca = analyze(m, p)
+    chain = ca.chain
     analytic = average_utility(ca, m, u, p, m.initial)
     n = 200000
     cum = np.cumsum(chain.P, axis=1)
@@ -139,7 +195,7 @@ def test_efficiency_reduces_to_mean_payoff_with_unit_cost(rng):
         p = random_policy(rng, m)
         u, _ = random_utilities(rng, m)
         ones = np.full(m.n_pairs, 1.0)
-        ca = analyze(induce_chain(m, p))
+        ca = analyze(m, p)
         assert efficiency(ca, m, u, ones, p, m.initial) == pytest.approx(
             average_utility(ca, m, u, p, m.initial), abs=1e-12)
 
@@ -149,7 +205,7 @@ def test_efficiency_single_state():
     r = UtilityFn({(0, 0): 2.0}, "reward").pair_values(m)
     c = UtilityFn({(0, 0): 4.0}, "cost").pair_values(m)
     p = deterministic(m, {0: 0})
-    ca = analyze(induce_chain(m, p))
+    ca = analyze(m, p)
     assert efficiency(ca, m, r, c, p, 0) == pytest.approx(0.5)
 
 
@@ -164,7 +220,7 @@ def test_efficiency_mixes_class_ratios_by_absorption():
     c = UtilityFn({(0, 0): 1.0, (1, 0): 1.0, (2, 0): 2.0},
                   "cost").pair_values(m)
     p = deterministic(m, {0: 0, 1: 0, 2: 0})
-    ca = analyze(induce_chain(m, p))
+    ca = analyze(m, p)
     assert efficiency(ca, m, r, c, p, 0) == pytest.approx(
         0.25 * 1.0 + 0.75 * 3.0)
 
@@ -173,7 +229,7 @@ def test_potential_single_state():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}})
     u = UtilityFn({(0, 0): 5.0}, "reward").pair_values(m)
     p = deterministic(m, {0: 0})
-    ca = analyze(induce_chain(m, p))
+    ca = analyze(m, p)
     g = potential_vector(ca, m, u, p)
     assert g[0] == pytest.approx(5.0)
 
@@ -182,7 +238,7 @@ def test_potential_zero_utility(rng):
     m = random_mdp(rng, 5, 2)
     p = random_policy(rng, m)
     u = np.full(m.n_pairs, 0.0)
-    ca = analyze(induce_chain(m, p))
+    ca = analyze(m, p)
     assert np.max(np.abs(potential_vector(ca, m, u, p))) <= 1e-12
 
 
@@ -192,7 +248,7 @@ def test_potential_contracts_to_average(rng):
         m = random_mdp(rng, int(rng.integers(2, 7)), 2)
         p = random_unichain_policy(rng, m)
         u, _ = random_utilities(rng, m)
-        ca = analyze(induce_chain(m, p))
+        ca = analyze(m, p)
         pi = limit_distribution(ca)
         g = potential_vector(ca, m, u, p)
         v = utility_vector(m, u, p)
@@ -203,11 +259,10 @@ def test_potential_contracts_to_average(rng):
 
 def test_potential_residual(rng):
     for trial in range(20):
-        chain = random_chain(rng)
-        n = chain.n_states
-        ca = analyze(chain)
+        ca = analyze(*random_chain(rng))
+        n = ca.chain.n_states
         v = rng.normal(size=n)
-        a = np.eye(n) - chain.P + ca.limit_matrix
+        a = np.eye(n) - ca.chain.P + ca.limit_matrix
         g = np.linalg.solve(a, v)
         assert np.max(np.abs(a @ g - v)) <= 1e-8
 
@@ -242,11 +297,11 @@ def test_deviation_reproduces_average_difference(rng):
         mu_p = random_policy(rng, m)
         u, _ = random_utilities(rng, m)
         d = deviation_vector(m, mu, mu_p, u)
-        ca = analyze(induce_chain(m, mu))
+        ca = analyze(m, mu)
         w_mu = average_utility(ca, m, u, mu, m.initial)
         for delta in (0.1, 0.5):
             mu_d = blend(mu, mu_p, delta)
-            ca_d = analyze(induce_chain(m, mu_d))
+            ca_d = analyze(m, mu_d)
             w_d = average_utility(ca_d, m, u, mu_d, m.initial)
             pi_d = limit_distribution(ca_d)
             assert w_d - w_mu == pytest.approx(delta * float(pi_d @ d),
@@ -274,7 +329,7 @@ def test_identity_check_unit_cost_degenerates_to_classical(rng):
     lhs, rhs = ratio_perturbation_identity_check(m, mu, mu_p, u, ones, delta)
     d = deviation_vector(m, mu, mu_p, u)
     mu_d = blend(mu, mu_p, delta)
-    pi_d = limit_distribution(analyze(induce_chain(m, mu_d)))
+    pi_d = limit_distribution(analyze(m, mu_d))
     classical = delta * float(pi_d @ d)
     assert rhs == pytest.approx(classical, abs=1e-10)
     assert lhs == pytest.approx(rhs, abs=1e-8)
@@ -318,7 +373,7 @@ def test_ratio_deviation_matches_deviation_vectors(rng):
         r, c = random_utilities(rng, m)
         ca, j, d = ratio_deviation(m, mu, mu_p, r, c)
         assert np.array_equal(ca.limit_matrix,
-                              analyze(induce_chain(m, mu)).limit_matrix)
+                              analyze(m, mu).limit_matrix)
         assert j == efficiency(ca, m, r, c, mu, m.initial)
         assert np.array_equal(d, deviation_vector(m, mu, mu_p, r)
                               - j * deviation_vector(m, mu, mu_p, c))
@@ -345,27 +400,33 @@ def test_mixture_preserves_unichain(rng):
             continue
         mu_p = random_policy(rng, m)
         for delta in (0.01, 0.5, 1.0):
-            ca = analyze(induce_chain(m, blend(mu, mu_p, delta)))
+            ca = analyze(m, blend(mu, mu_p, delta))
             assert ca.is_unichain()
         done += 1
 
 
-def test_analyze_peak_memory_on_grid13_es_chain():
+def test_analyze_peak_memory_on_grid13_es_chain(monkeypatch):
     """analyze on the chain of the case-1 task-2 grid-13 es policy (one
-    recurrent class of all 626 states) peaks below 1.5 n x n float arrays:
-    a class of every state is solved from P itself, not a copy, and the
+    recurrent class of all 626 states) peaks below 1.5 n x n float arrays
+    beyond the induced P, which is induced here before tracing starts: a
+    class of every state is solved from P itself, not a copy, the
     stationary system is built in one n x n array, with no identity matrix
-    and no separate difference."""
+    and no separate difference, and the support graph comes from the
+    model's successor entries, with no n x n mask."""
     import tracemalloc
+    from effsynth import chain
     from effsynth.synthesis import synth_general
     pm, r, c = delivery_grid_product(13)
-    mc = induce_chain(pm, synth_general(pm, r, c, 0.01, "es").policy)
+    policy = synth_general(pm, r, c, 0.01, "es").policy
+    mc = induce_chain(pm, policy)
+    monkeypatch.setattr(chain, "induce_chain", lambda m, w: mc)
     n = mc.n_states
     tracemalloc.start()
     try:
-        ca = analyze(mc)
+        ca = analyze(pm, policy)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert ca.chain is mc
     assert [len(comp) for comp in ca.recurrent_classes] == [n] == [626]
     assert peak < 1.5 * n * n * 8

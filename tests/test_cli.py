@@ -236,6 +236,98 @@ def test_evaluate_detects_unsatisfying_policy(files, tmp_path, capsys):
     assert payload["satisfaction_probability"] == pytest.approx(0.0)
 
 
+def test_evaluate_ignores_a_class_the_initial_state_cannot_reach(
+        files, tmp_path, capsys):
+    """The policy is defined on the non-accepting loop at state 2 as well,
+    but from state 1 it moves into the accepting 3-4 cycle: the loop is a
+    recurrent class of the chain that the initial state never reaches."""
+    pol = tmp_path / "policy.txt"
+    pol.write_text("rule 1&q0 a2 1\nrule 2&q0 a1 1\nrule 3&q0 a1 1\n"
+                   "rule 4&q1 a1 1\n")
+    code = main(["evaluate", files["model.mdp"], files["task.hoa"],
+                 files["utilities.txt"], str(pol)])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [(c["states"], c["witness_pair"])
+            for c in payload["recurrent_classes"]] == [
+        (["2&q0"], None), (["3&q0", "4&q1"], 0)]
+    assert payload["accepted_wp1"] is True
+
+
+# Fin(b) & Inf(g) over AP g, b: state 0 marks b, state 1 marks g, state 2
+# neither; all three move on b to 0, on g alone to 1, and otherwise to 2.
+FIN_B_INF_G = """\
+HOA: v1
+States: 3
+Start: 2
+AP: 2 "g" "b"
+Acceptance: 2 Fin(0) & Inf(1)
+--BODY--
+""" + "".join(f"State: {q}{sets}\n[1] 0\n[!1 & 0] 1\n[!1 & !0] 2\n"
+              for q, sets in ((0, " {0}"), (1, " {1}"), (2, ""))) + \
+    "--END--\n"
+
+
+# (model, policy): g -> b with probability 1e-13, b -> g with 1; the model
+# file also lists the utilities.
+EDGE_1E13 = ("\n".join([
+    "mdp", "states: g b", "actions: a", "props: g b", "initial: g",
+    "label g: g", "label b: b",
+    "trans g a g 0.9999999999999", "trans g a b 0.0000000000001",
+    "trans b a g 1", "reward g a 1", "reward b a 1", "cost g a 1",
+    "cost b a 1"]) + "\n", "rule b&q0 a 1\nrule g&q1 a 1\n")
+
+
+def evaluate_fin_b_inf_g(tmp_path, capsys, model, policy):
+    """The payload of evaluate on model (which also serves as its own
+    utility file) under FIN_B_INF_G with the given policy-file text."""
+    paths = []
+    for name, text in (("model.mdp", model), ("task.hoa", FIN_B_INF_G),
+                       ("policy.txt", policy)):
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    code = main(["evaluate", paths[0], paths[1], paths[0], paths[2]])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_evaluate_keeps_an_edge_of_probability_1e13(tmp_path, capsys):
+    """g -> b with probability 1e-13 and b -> g with 1: the chain is
+    irreducible, so b recurs almost surely and the task fails with
+    probability one.  Any threshold on P at or above 1e-13 would drop the
+    edge and call g closed."""
+    payload = evaluate_fin_b_inf_g(tmp_path, capsys, *EDGE_1E13)
+    assert payload["recurrent_classes"] == [
+        {"states": ["g&q1", "b&q0"], "witness_pair": None,
+         "mass_from_initial": 1.0}]
+    assert payload["satisfaction_probability"] == 0.0
+    assert payload["accepted_wp1"] is False
+
+
+def test_evaluate_rejects_a_leak_of_probability_1e11(tmp_path, capsys):
+    """s moves to the absorbing g with 1 - 1e-11 and to the absorbing b
+    with 1e-11: b's class is reached and has no witness, so the task fails
+    with positive probability, however small, though the satisfaction
+    probability is within 1e-9 of one."""
+    model = "\n".join([
+        "mdp", "states: s g b", "actions: a", "props: g b", "initial: s",
+        "label g: g", "label b: b",
+        "trans s a g 0.99999999999", "trans s a b 0.00000000001",
+        "trans g a g 1", "trans b a b 1"] +
+        [f"{kind} {s} a 1" for kind in ("reward", "cost") for s in "sgb"]) \
+        + "\n"
+    payload = evaluate_fin_b_inf_g(
+        tmp_path, capsys, model,
+        "rule s&q2 a 1\nrule g&q1 a 1\nrule b&q0 a 1\n")
+    assert payload["recurrent_classes"] == [
+        {"states": ["g&q1"], "witness_pair": 0,
+         "mass_from_initial": 0.99999999999},
+        {"states": ["b&q0"], "witness_pair": None,
+         "mass_from_initial": 1e-11}]
+    assert payload["satisfaction_probability"] == 0.99999999999
+    assert payload["accepted_wp1"] is False
+
+
 def test_evaluate_rejects_mismatched_policy(files, tmp_path):
     pol = tmp_path / "mismatch.txt"
     pol.write_text("rule nosuch a1 1\n")

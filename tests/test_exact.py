@@ -20,14 +20,15 @@ from effsynth.graph import (Unreachable, almost_sure_region, attractor_policy,
 from effsynth.lp import (AvgLpSolution, DegenerateDecoding, LfpSolution,
                          decode_avg_policy, decode_ratio_policy,
                          solve_avg_reward_lp)
-from effsynth.model import (Dra, Mc, Mdp, PolicyMismatch, ProductMdp,
+from effsynth.model import (Dra, Mdp, PolicyMismatch, ProductMdp,
                             UtilityFn, blend, build_product, induce_chain,
                             lift_utilities, policy_from_rule, uniform_policy)
 from effsynth import synthesis
 from effsynth.synthesis import build_reward_k, synth_communicating, \
     synth_general
 
-from conftest import (amecs_of, ec_parts, random_communicating_mdp,
+from conftest import (amecs_of, chain_model, ec_parts,
+                      random_communicating_mdp,
                       random_mdp, random_product, random_rule,
                       random_utilities, random_utility_tables, rule_of,
                       utility_dict)
@@ -133,10 +134,10 @@ def attractor_reference(m, target, rule):
 
 
 def classes_reference(m, rule):
-    pi0 = np.zeros(m.n_states)
-    pi0[m.initial] = 1.0
+    """The recurrent classes of the loop-built chain of rule, analyzed as a
+    one-action model whose entries are that chain's positive entries."""
     P = chain_reference(m.trans, m.n_states, rule)
-    return analyze(Mc(P=P, pi0=pi0)).recurrent_classes
+    return analyze(*chain_model(P, m.initial)).recurrent_classes
 
 
 def decode_ratio_reference(m, gamma, support_threshold=1e-9):
@@ -363,7 +364,7 @@ def test_weight_blend_is_the_rule_mix(rng):
             assert np.array_equal(utility_vector(m, c, w),
                                   utility_reference(utility_dict(m, c),
                                                     m.n_states, mixed))
-            ca = analyze(induce_chain(m, w))
+            ca = analyze(m, w)
             assert efficiency(ca, m, r, c, w, m.initial) == \
                 efficiency(ca, m, r, c, policy_from_rule(m, mixed),
                            m.initial)

@@ -231,7 +231,7 @@ def test_attractor_makes_outside_states_transient(rng):
             reached = np.maximum(reached, chain.P @ reached)
         assert np.all(reached > 0.0)
         from effsynth.chain import analyze
-        ca = analyze(chain)
+        ca = analyze(pm, p)
         for s in set(range(pm.n_states)) - set(target):
             assert s in ca.transient
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from effsynth import lp
-from effsynth.model import Mdp, UtilityFn, induce_chain
+from effsynth.model import Mdp, UtilityFn
 from effsynth.chain import analyze, average_utility, efficiency
 from effsynth.lp import (DegenerateDecoding, LpProblem, NotCommunicating,
                          decode_avg_policy, decode_ratio_policy, solve_lp,
@@ -226,7 +226,7 @@ def test_decode_is_unichain_and_achieves_value(rng):
         r, c = random_utilities(rng, m)
         sol = solve_ratio_lfp(m, r, c)
         policy, ca_decoded = decode_ratio_policy(m, sol)
-        ca = analyze(induce_chain(m, policy))
+        ca = analyze(m, policy)
         assert np.array_equal(ca_decoded.limit_matrix, ca.limit_matrix)
         assert ca.is_unichain()
         got = efficiency(ca, m, r, c, policy, m.initial)
@@ -300,7 +300,7 @@ def test_decode_avg_policy_achieves_gain(rng):
         r, _ = random_utilities(rng, m)
         sol = solve_avg_reward_lp(m, r)
         policy = decode_avg_policy(m, sol)
-        ca = analyze(induce_chain(m, policy))
+        ca = analyze(m, policy)
         weighted = np.mean([average_utility(ca, m, r, policy, s)
                             for s in range(m.n_states)])
         assert weighted == pytest.approx(sol.gain, abs=1e-7)
@@ -329,7 +329,7 @@ def test_decode_avg_policy_optimal_from_every_state(rng):
         r, _ = random_utilities(rng, m)
         sol = solve_avg_reward_lp(m, r)
         policy = decode_avg_policy(m, sol)
-        ca = analyze(induce_chain(m, policy))
+        ca = analyze(m, policy)
         best = brute_force_best_gain(m, r)
         for s in range(m.n_states):
             assert average_utility(ca, m, r, policy, s) == pytest.approx(

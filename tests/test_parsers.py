@@ -10,7 +10,8 @@ from effsynth.parsers import (IncompletenessError, NondeterminismError,
                               write_dra, write_mdp, write_policy,
                               write_utilities)
 
-from conftest import example1_mdp, random_mdp, random_policy, rule_of
+from conftest import (accepts_lasso, example1_mdp, random_mdp, random_policy,
+                      rule_of)
 
 
 EXAMPLE1_TEXT = """\
@@ -188,7 +189,7 @@ def test_parse_infinitely_often_g_and_run_words():
         ((g,), (e, g, e), True),
     ]
     for prefix, cycle, expect in cases:
-        assert d.accepts_lasso(prefix, cycle) is expect
+        assert accepts_lasso(d, prefix, cycle) is expect
 
 
 def test_parse_dra_rejects_overlapping_guards():

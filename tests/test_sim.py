@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from effsynth.model import Mdp, ProductMdp, UtilityFn, induce_chain, \
-    uniform_policy
+from effsynth.model import Mdp, ProductMdp, UtilityFn, uniform_policy
 from effsynth.chain import analyze, efficiency, limit_distribution
 from effsynth.sim import RolloutConfig, simulate
 from effsynth.synthesis import synth_communicating
@@ -65,7 +64,7 @@ def test_simulated_ratio_approaches_analytic(rng):
         pm = random_communicating_product(rng, int(rng.integers(3, 6)), 2)
         r, c = random_utilities(rng, pm)
         rep = synth_communicating(pm, r, c, 0.05)
-        ca = analyze(induce_chain(pm, rep.policy))
+        ca = analyze(pm, rep.policy)
         analytic = efficiency(ca, pm, r, c, rep.policy, pm.initial)
         stats = simulate(pm, rep.policy, r, c,
                          RolloutConfig(steps=200000, rollouts=5, seed=done))
@@ -80,7 +79,7 @@ def test_label_frequency_matches_limit_distribution(rng):
         pm = random_communicating_product(rng, 4, 2)
         r, c = random_utilities(rng, pm)
         p = uniform_policy(pm)
-        ca = analyze(induce_chain(pm, p))
+        ca = analyze(pm, p)
         limit = limit_distribution(ca)
         stats = simulate(pm, p, r, c,
                          RolloutConfig(steps=200000, rollouts=4, seed=done))

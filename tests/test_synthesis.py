@@ -6,8 +6,7 @@ import pytest
 from effsynth import chain, graph, model, synthesis
 from effsynth.casestudies import gen_case1
 from effsynth.model import (Mdp, ModelError, ProductMdp, UtilityFn, blend,
-                            build_product, induce_chain, lift_utilities,
-                            uniform_policy)
+                            build_product, lift_utilities, uniform_policy)
 from effsynth.graph import (almost_sure_region, maec_decompose, mec_decompose,
                             restrict)
 from effsynth.chain import (NotUnichain, analyze, average_utility,
@@ -59,7 +58,7 @@ def test_uniform_irreducible_makes_component_recurrent(rng):
         for ec in mecs:
             sub, ids = restrict(m, ec)
             p = uniform_policy(sub)
-            ca = analyze(induce_chain(sub, p))
+            ca = analyze(sub, p)
             assert ca.recurrent_classes == (tuple(range(sub.n_states)),)
 
 
@@ -108,7 +107,7 @@ def test_estimated_degree_guarantees_epsilon(rng):
         eps = float(rng.choice([1e-3, 1e-2, 1e-1]))
         plan = perturbation_degree_estimated(pm, mu_opt, mu_irr, r, c, eps)
         mu_d = blend(mu_opt, mu_irr, plan.delta)
-        ca = analyze(induce_chain(pm, mu_d))
+        ca = analyze(pm, mu_d)
         got = efficiency(ca, pm, r, c, mu_d, pm.initial)
         assert got >= sol.value - eps - 1e-8
         done += 1
@@ -150,8 +149,8 @@ def test_exact_degree_still_qualifies(rng):
     for eps in (1e-4, 1e-2):
         plan = perturbation_degree_exact(m, mu_opt, mu_irr, r, c, eps)
         mu_d = blend(mu_opt, mu_irr, plan.delta)
-        ca = analyze(induce_chain(m, mu_d))
-        ca_o = analyze(induce_chain(m, mu_opt))
+        ca = analyze(m, mu_d)
+        ca_o = analyze(m, mu_opt)
         assert efficiency(ca, m, r, c, mu_d, 0) >= \
             efficiency(ca_o, m, r, c, mu_opt, 0) - eps - 1e-10
 
@@ -160,7 +159,7 @@ def blend_efficiency(m, mu_opt, mu_irr, r, c, delta):
     """The full evaluator's efficiency, from the initial state, of the blend
     of degree delta."""
     w = blend(mu_opt, mu_irr, delta)
-    return efficiency(analyze(induce_chain(m, w)), m, r, c, w, m.initial)
+    return efficiency(analyze(m, w), m, r, c, w, m.initial)
 
 
 def qualifies(m, mu_opt, mu_irr, r, c, epsilon, delta):
@@ -376,7 +375,7 @@ def test_synth_unique_policy_single_action():
     r = UtilityFn({(0, 0): 2.0, (1, 0): 0.0}, "reward").pair_values(pm)
     c = np.full(pm.n_pairs, 1.0)
     rep = synth_communicating(pm, r, c, 0.05)
-    ca = analyze(induce_chain(pm, rep.policy))
+    ca = analyze(pm, rep.policy)
     assert rep.value == pytest.approx(
         efficiency(ca, pm, r, c, rep.policy, 0))
     assert rep.value == pytest.approx(1.0)
@@ -401,7 +400,7 @@ def test_synth_communicating_epsilon_optimal(rng):
         eps = float(rng.choice([1e-3, 1e-2, 1e-1]))
         method = "es" if done % 2 == 0 else "ex"
         rep = synth_communicating(pm, r, c, eps, method)
-        ca = analyze(induce_chain(pm, rep.policy))
+        ca = analyze(pm, rep.policy)
         got = efficiency(ca, pm, r, c, rep.policy, pm.initial)
         assert got >= rep.value - eps - 1e-8
         assert rep.certificate.accepted
@@ -465,7 +464,7 @@ def test_synth_general_two_amec_reachability():
     assert sorted(rep.amec_values) == [pytest.approx(1.0), pytest.approx(3.0)]
     # from the start state only the value-1 block is reachable
     assert rep.value == pytest.approx(1.0, abs=1e-8)
-    ca = analyze(induce_chain(pm, rep.policy))
+    ca = analyze(pm, rep.policy)
     assert efficiency(ca, pm, r, c, rep.policy, 0) >= 1.0 - 0.01 - 1e-8
     amec_states = [ec_parts(pm, amec)[0] for amec in amecs_of(pm)]
     for comp in ca.recurrent_classes:
@@ -602,7 +601,7 @@ def test_synth_general_multichain_random(rng):
         lp_sol = solve_avg_reward_lp(
             pm, build_reward_k(pm, amecs_of(pm), list(rep.amec_values),
                                r, c)[0])
-        ca = analyze(induce_chain(pm, rep.policy))
+        ca = analyze(pm, rep.policy)
         weighted = np.mean([efficiency(ca, pm, r, c, rep.policy, s)
                             for s in range(pm.n_states)])
         assert weighted >= lp_sol.gain - eps - 1e-7
@@ -631,7 +630,7 @@ def test_gain_equivalence_on_multichain(rng):
         from effsynth.lp import decode_avg_policy
         lp_sol = solve_avg_reward_lp(pm, rk)
         mu_k = decode_avg_policy(pm, lp_sol)
-        ca = analyze(induce_chain(pm, mu_k))
+        ca = analyze(pm, mu_k)
         expect = 0.0
         for i, amec in enumerate(amecs_of(pm)):
             stay = 0.0
@@ -703,3 +702,18 @@ def test_synth_general_decomposes_the_product_once(monkeypatch):
     assert len(maecs) == 1
     assert len(regions) == 1
     assert len(certificates) == 1
+
+
+def test_certificate_reads_the_exact_verdict():
+    """The certificate of a policy whose irreducible chain visits b through
+    an edge of probability 1e-13 lists one class, without a witness, and is
+    not accepted."""
+    from effsynth.parsers import parse_dra, parse_mdp, parse_policy
+    from test_cli import EDGE_1E13, FIN_B_INF_G
+    model_text, policy_text = EDGE_1E13
+    pm = model.build_product(parse_mdp(model_text), parse_dra(FIN_B_INF_G))
+    cert = synthesis._certificate(pm, parse_policy(policy_text, pm))
+    assert cert.recurrent_classes == ((0, 1),)
+    assert cert.witness_pairs == (None,)
+    assert cert.absorption_defect == 0.0
+    assert cert.accepted is False

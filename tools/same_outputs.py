@@ -14,13 +14,15 @@ directory (their perturbation tables and bonus sweep decode policies outside
 grid-9 and `mc00` inputs with one line corrupted per directive kind of the
 model, utility, policy and automaton formats (MALFORMED), each run through
 `evaluate`, so that the parsers' error texts and exit codes are compared
-too.  Inputs and outputs sit at the same paths for every tree, so
-the run manifests agree; each call's output files, standard output, standard
-error and exit code are copied into <out-dir>.  Last, each of the tree's
-`demos/*.py` scripts runs in a subprocess with that tree's `src` on the
-path, and its exit code, standard output and standard error are written to
-<out-dir>/demos.  Two trees give the same
-outputs exactly when
+too.  A fixed verdict corpus (VERDICTS) then runs through `evaluate`:
+small chains whose acceptance hinges on an edge or a leak of probability
+below 1e-9, so that the verdicts are compared as well.  Inputs and outputs
+sit at the same paths for every tree, so the run manifests agree; each
+call's output files, standard output, standard error and exit code are
+copied into <out-dir>.  Last, each of the tree's `demos/*.py` scripts runs
+in a subprocess with that tree's `src` on the path, and its exit code,
+standard output and standard error are written to <out-dir>/demos.  Two
+trees give the same outputs exactly when
 
     diff -r <out-dir-1> <out-dir-2>
 
@@ -104,6 +106,34 @@ MALFORMED = (
 )
 
 
+# Fin(b) & Inf(g) over AP g, b: state 0 marks b, state 1 marks g, state 2
+# neither; all three move on b to 0, on g alone to 1, and otherwise to 2.
+FIN_B_INF_G = ("HOA: v1\nStates: 3\nStart: 2\nAP: 2 \"g\" \"b\"\n"
+               "Acceptance: 2 Fin(0) & Inf(1)\n--BODY--\n" +
+               "".join(f"State: {q}{sets}\n[1] 0\n[!1 & 0] 1\n[!1 & !0] 2\n"
+                       for q, sets in ((0, " {0}"), (1, " {1}"), (2, ""))) +
+               "--END--\n")
+
+# (case, model, policy), each evaluated under FIN_B_INF_G with the model as
+# its own utility file: an irreducible chain with an edge of 1e-13 into b,
+# and a leak of 1e-11 into an absorbing b.  Both fail the task.
+VERDICTS = (
+    ("edge_1e-13",
+     "mdp\nstates: g b\nactions: a\nprops: g b\ninitial: g\n"
+     "label g: g\nlabel b: b\ntrans g a g 0.9999999999999\n"
+     "trans g a b 0.0000000000001\ntrans b a g 1\nreward g a 1\n"
+     "reward b a 1\ncost g a 1\ncost b a 1\n",
+     "rule b&q0 a 1\nrule g&q1 a 1\n"),
+    ("leak_1e-11",
+     "mdp\nstates: s g b\nactions: a\nprops: g b\ninitial: s\n"
+     "label g: g\nlabel b: b\ntrans s a g 0.99999999999\n"
+     "trans s a b 0.00000000001\ntrans g a g 1\ntrans b a b 1\n" +
+     "".join(f"{kind} {s} a 1\n" for kind in ("reward", "cost")
+             for s in "sgb"),
+     "rule s&q2 a 1\nrule g&q1 a 1\nrule b&q0 a 1\n"),
+)
+
+
 def _run(cli, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -175,6 +205,25 @@ def _record_malformed(cli, dest):
                 d, dest)
 
 
+def _record_verdicts(cli, dest):
+    """Run evaluate on each VERDICTS case, written under WORK, and record
+    its output and console in dest."""
+    for case, model, policy in VERDICTS:
+        d = os.path.join(WORK, "verdicts", case)
+        os.makedirs(d)
+        files = {"model.mdp": model, "task.hoa": FIN_B_INF_G,
+                 "policy.txt": policy}
+        for f, text in files.items():
+            with open(os.path.join(d, f), "w") as out:
+                out.write(text)
+        model_path, task_path, policy_path = (os.path.join(d, f)
+                                              for f in files)
+        _record(cli, case, ["evaluate", model_path, task_path, model_path,
+                            policy_path, "--out",
+                            os.path.join(d, f"{case}.evaluate.json")],
+                d, dest)
+
+
 def _record_demos(tree, dest):
     """Run every demo script of tree with its src on the path, and write
     each one's exit code and console into dest."""
@@ -220,6 +269,9 @@ def main(argv=None):
     dest = os.path.join(out_dir, "malformed")
     os.makedirs(dest, exist_ok=True)
     _record_malformed(cli, dest)
+    dest = os.path.join(out_dir, "verdicts")
+    os.makedirs(dest, exist_ok=True)
+    _record_verdicts(cli, dest)
     shutil.rmtree(WORK, ignore_errors=True)
     _record_demos(tree, os.path.join(out_dir, "demos"))
     return 0
