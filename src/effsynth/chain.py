@@ -5,13 +5,17 @@ t iff a pair of s with positive weight has a positive-probability entry at
 t), so no threshold on a product w * p can drop an edge.  Its bottom
 strongly connected components are the recurrent classes, and accepted_wp1
 is the one verdict that the acceptance condition holds with probability
-one.  Stationary distributions and absorption probabilities come from LU
-solves on the dense induced P; the limit matrix P* is assembled from them
-only when it is read (the average utility, potentials and the limit
-distribution read it; the efficiency does not).
-On top of that sit the long-run average utility, the
+one.  The chain itself is kept in CSR form (model.Mc), and no n x n array
+is formed: stationary distributions, absorption probabilities and
+potentials come from one solve helper, dense LU on a block of at most
+DENSE_MAX states and SuperLU (scipy.sparse.linalg.splu) above that, on
+systems built from the CSR arrays.  The limit matrix P* is assembled only
+when limit_matrix is read; the average utility and the limit distribution
+take its rows from the absorption probabilities and the per-class
+stationary vectors.  On top of that sit the long-run average utility, the
 reward-to-cost efficiency for general multichain chains and potential
-vectors g = (I - P + P*)^{-1} v, returned as plain arrays.
+vectors g = (I - P + P*)^{-1} v, solved class by class without P*, all
+returned as plain arrays.
 ratio_deviation is the one perturbation step: a unichain policy's efficiency
 J and its ratio deviation d_r - J d_c towards another policy, read by the
 perturbation degrees and by the perturbation identity relating the
@@ -25,11 +29,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Mc, Mdp, blend, induce_chain, rabin_witness
+from .model import Mc, Mdp, _ranges, blend, induce_chain, rabin_witness
 from .graph import _successors, strongly_connected_components
 
 LIMIT_TOL = 1e-9      # limit-matrix algebra tolerance
 POTENTIAL_TOL = 1e-8  # residual tolerance for potential solves
+DENSE_MAX = 250       # largest system solved by dense LU; SuperLU above it
 
 
 class SingularSystem(Exception):
@@ -61,9 +66,10 @@ class ChainAnalysis:
 
     @cached_property
     def limit_matrix(self):
-        """P* (the Cesaro limit of the powers of P): the sum over the
-        classes k of absorb[:, k] times the class's stationary row.  Built
-        on first use; the efficiency needs only absorb and stationary."""
+        """P* (the Cesaro limit of the powers of P) as a dense n x n array:
+        the sum over the classes k of absorb[:, k] times the class's
+        stationary row.  Built on first use; no result of the program reads
+        it, since each needs only rows of it (see _limit_row)."""
         n = self.chain.n_states
         star = np.zeros((n, n))
         for k, comp in enumerate(self.recurrent_classes):
@@ -73,21 +79,107 @@ class ChainAnalysis:
         return star
 
 
-def stationary_distribution(block) -> np.ndarray:
-    """The stationary row vector of an irreducible stochastic block: one LU
-    solve of (block^T - I) pi = 0 with its last equation replaced by
-    sum(pi) = 1, checked and clipped at zero.  The system is built in one
-    k x k array: block^T with 1 taken off its diagonal."""
-    k = block.shape[0]
-    a = block.T.copy()
-    a[np.diag_indices(k)] -= 1.0
-    a[-1, :] = 1.0
+def _entries(*runs):
+    """The (rows, cols, vals) runs of a matrix's entries joined into one
+    such triplet, in run order."""
+    return tuple(np.concatenate(t) for t in zip(*runs))
+
+
+def _solve(k, system, b, what, transpose=False, tol=None):
+    """x with M x = b, or M^T x = b when transpose, for M the k x k matrix
+    whose entries are the (rows, cols, vals) triplet system, duplicates
+    added in their order.  At most DENSE_MAX states are solved by dense LU;
+    above that by SuperLU (scipy.sparse.linalg, imported only then), which
+    factors M^T: M grouped into CSR arrays by a stable sort on the rows, the
+    same three arrays read as CSC.  With tol, the residual max |M x - b|
+    must not exceed it."""
+    rows, cols, vals = system
+    if k <= DENSE_MAX:
+        a = np.bincount(rows * k + cols, weights=vals,
+                        minlength=k * k).reshape(k, k)
+        try:
+            x = np.linalg.solve(a.T if transpose else a, b)
+        except np.linalg.LinAlgError as e:
+            raise SingularSystem(f"{what} solve failed: {e}") from e
+    else:
+        from scipy.sparse import csc_array
+        from scipy.sparse.linalg import splu
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
+                                                            minlength=k))))
+        try:
+            lu = splu(csc_array((vals[order], cols[order], indptr),
+                                shape=(k, k)))
+        except RuntimeError as e:
+            raise SingularSystem(f"{what} solve failed: {e}") from e
+        x = lu.solve(b, trans="N" if transpose else "T")
+    if tol is not None:
+        resid = float(np.max(np.abs(np.bincount(
+            rows, weights=vals * x[cols], minlength=k) - b)))
+        if resid > tol:
+            raise SingularSystem(f"{what} residual {resid:g} above tolerance")
+    return x
+
+
+def _bordered(blk: Mc, sign):
+    """The entries of sign (P - I), P the matrix of blk, with its last
+    column replaced by ones: P's, then the diagonal, then the ones."""
+    k = blk.n_states
+    keep = blk.indices != k - 1
+    diag = np.arange(k - 1)
+    return _entries((blk.row[keep], blk.indices[keep], sign * blk.data[keep]),
+                    (diag, diag, np.full(k - 1, -sign)),
+                    (np.arange(k), np.full(k, k - 1), np.ones(k)))
+
+
+def _class_block(chain: Mc, states) -> Mc:
+    """The recurrent class states (ascending, so no row leaves it) as a
+    chain of its own, renumbered in that order; a class of every state is
+    the chain itself."""
+    if len(states) == chain.n_states:
+        return chain
+    idx = np.asarray(states)
+    lens = np.diff(chain.indptr)[idx]
+    e = _ranges(chain.indptr[idx], lens)
+    return Mc(indptr=np.concatenate(([0], np.cumsum(lens))),
+              indices=np.searchsorted(idx, chain.indices[e]),
+              data=chain.data[e], pi0=None)
+
+
+def _class_index(n, classes):
+    """Each state's class in classes, -1 for a transient state."""
+    klass = np.full(n, -1)
+    for k, states in enumerate(classes):
+        klass[list(states)] = k
+    return klass
+
+
+def _transient_system(chain: Mc, klass):
+    """The entries of I - P_TT on the transient states T (klass -1), the
+    diagonal first, and those of P that leave T: their row in T, column and
+    value."""
+    tr = np.flatnonzero(klass < 0)
+    lens = np.diff(chain.indptr)[tr]
+    e = _ranges(chain.indptr[tr], lens)
+    rows = np.repeat(np.arange(tr.size), lens)
+    cols, vals = chain.indices[e], chain.data[e]
+    inside = klass[cols] < 0
+    diag = np.arange(tr.size)
+    system = _entries((diag, diag, np.ones(tr.size)),
+                      (rows[inside], np.searchsorted(tr, cols[inside]),
+                       -vals[inside]))
+    return system, rows[~inside], cols[~inside], vals[~inside]
+
+
+def stationary_distribution(chain: Mc) -> np.ndarray:
+    """The stationary row vector of an irreducible chain: one LU solve of
+    (P^T - I) pi = 0 with its last equation replaced by sum(pi) = 1, checked
+    and clipped at zero.  The solve reads the system through its transpose,
+    P - I with its last column replaced by ones."""
+    k = chain.n_states
     b = np.zeros(k)
     b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as e:
-        raise SingularSystem(f"stationary solve failed: {e}") from e
+    pi = _solve(k, _bordered(chain, 1.0), b, "stationary", transpose=True)
     if np.any(pi < -LIMIT_TOL) or abs(pi.sum() - 1.0) > 1e-7:
         raise SingularSystem("stationary distribution out of tolerance")
     return np.maximum(pi, 0.0)
@@ -98,9 +190,8 @@ def analyze(m: Mdp, w) -> ChainAnalysis:
     exact support graph, and solve for its stationary and absorption
     structure; the limit matrix P* is assembled only when it is read."""
     chain = induce_chain(m, w)
-    P = chain.P
     n = chain.n_states
-    if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-9:
+    if np.max(np.abs(chain.matvec(np.ones(n)) - 1.0)) > 1e-9:
         raise ValueError("chain is not row-stochastic")
     adj = _successors(m, w > 0.0)
     sccs = strongly_connected_components(range(n), adj)
@@ -109,27 +200,21 @@ def analyze(m: Mdp, w) -> ChainAnalysis:
     classes = tuple(sorted(
         tuple(states) for i, states in enumerate(sccs)
         if all(comp[t] == i for s in states for t in adj[s])))
-    klass = np.full(n, -1)  # each state's class, -1 when transient
-    for k, states in enumerate(classes):
-        klass[list(states)] = k
+    klass = _class_index(n, classes)
     rec = klass >= 0
     tr = np.flatnonzero(~rec)
 
-    # classes are sorted, so a class of all n states is P itself, uncopied
-    stationary = [stationary_distribution(
-        P if len(states) == n else P[np.ix_(states, states)])
-        for states in classes]
+    stationary = [stationary_distribution(_class_block(chain, states))
+                  for states in classes]
 
     absorb = np.zeros((n, len(classes)))
     absorb[rec, klass[rec]] = 1.0
     if tr.size:
-        a = np.eye(tr.size) - P[np.ix_(tr, tr)]
-        rhs = np.column_stack([P[np.ix_(tr, states)].sum(axis=1)
-                               for states in classes])
-        try:
-            absorb[tr] = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as e:
-            raise SingularSystem(f"absorption solve failed: {e}") from e
+        system, rows, cols, vals = _transient_system(chain, klass)
+        rhs = np.bincount(rows * len(classes) + klass[cols], weights=vals,
+                          minlength=tr.size * len(classes))
+        absorb[tr] = _solve(tr.size, system,
+                            rhs.reshape(tr.size, len(classes)), "absorption")
 
     return ChainAnalysis(chain=chain, support=adj, recurrent_classes=classes,
                          transient=frozenset(tr.tolist()),
@@ -160,10 +245,18 @@ def utility_vector(m: Mdp, u, p) -> np.ndarray:
     return np.bincount(m.pair_state, weights=p * u, minlength=m.n_states)
 
 
+def _limit_row(ca: ChainAnalysis, a) -> np.ndarray:
+    """x P* for the class weights a = x absorb: a[k] times class k's
+    stationary vector on its states, zero on the transient ones."""
+    row = np.zeros(ca.chain.n_states)
+    for k, comp in enumerate(ca.recurrent_classes):
+        row[list(comp)] = a[k] * ca.stationary[k]
+    return row
+
+
 def average_utility(ca: ChainAnalysis, m: Mdp, u, p, start) -> float:
     """Long-run average utility from `start`: the start row of P* times v."""
-    v = utility_vector(m, u, p)
-    return float(ca.limit_matrix[start, :] @ v)
+    return float(_limit_row(ca, ca.absorb[start]) @ utility_vector(m, u, p))
 
 
 def efficiency(ca: ChainAnalysis, m: Mdp, r, c, p, start) -> float:
@@ -187,21 +280,34 @@ def efficiency(ca: ChainAnalysis, m: Mdp, r, c, p, start) -> float:
 
 
 def potential_vector(ca: ChainAnalysis, m: Mdp, u, p) -> np.ndarray:
-    """The potential g solving (I - P + P*) g = v, by direct dense
-    factorization.
+    """The potential g solving (I - P + P*) g = v, without forming P*
+    (relative values, Puterman, Markov Decision Processes, 1994, 8.2).
 
-    The system matrix I - P + P* is always invertible; a residual above
-    tolerance therefore signals degenerate numerics, not a modeling error.
+    On each recurrent class k, (I - P_kk) h + rho_k 1 = v_k with h = 0 at
+    the class's last state, whose column holds the ones, so rho_k is the
+    solution there; g_k = h shifted so that pi_k g_k = rho_k.  On the
+    transient states T, g_T = (I - P_TT)^{-1} (v_T + P_TR g_R - absorb_T
+    rho).  Each system is invertible, so a residual above POTENTIAL_TOL
+    signals degenerate numerics, not a modeling error.
     """
     v = utility_vector(m, u, p)
-    a = np.eye(ca.chain.n_states) - ca.chain.P + ca.limit_matrix
-    try:
-        g = np.linalg.solve(a, v)
-    except np.linalg.LinAlgError as e:
-        raise SingularSystem(f"potential solve failed: {e}") from e
-    resid = float(np.max(np.abs(a @ g - v)))
-    if resid > POTENTIAL_TOL:
-        raise SingularSystem(f"potential residual {resid:g} above tolerance")
+    chain = ca.chain
+    g = np.zeros(chain.n_states)
+    rho = np.zeros(len(ca.recurrent_classes))
+    for k, states in enumerate(ca.recurrent_classes):
+        idx = list(states)
+        x = _solve(len(idx), _bordered(_class_block(chain, states), -1.0),
+                   v[idx], "potential", tol=POTENTIAL_TOL)
+        rho[k] = x[-1]
+        x[-1] = 0.0
+        g[idx] = x + (rho[k] - float(ca.stationary[k] @ x))
+    if ca.transient:
+        klass = _class_index(chain.n_states, ca.recurrent_classes)
+        tr = np.flatnonzero(klass < 0)
+        system, rows, cols, vals = _transient_system(chain, klass)
+        rhs = v[tr] + np.bincount(rows, weights=vals * g[cols],
+                                  minlength=tr.size) - ca.absorb[tr] @ rho
+        g[tr] = _solve(tr.size, system, rhs, "potential", tol=POTENTIAL_TOL)
     return g
 
 
@@ -210,7 +316,7 @@ def _deviation(m, ca, chain_p, mu, mu_prime, u):
     g = potential_vector(ca, m, u, mu)
     v = utility_vector(m, u, mu)
     v_p = utility_vector(m, u, mu_prime)
-    return (v_p - v) + (chain_p.P - ca.chain.P) @ g
+    return (v_p - v) + (chain_p.matvec(g) - ca.chain.matvec(g))
 
 
 def ratio_deviation(m: Mdp, mu, mu_prime, r, c):
@@ -234,7 +340,7 @@ def ratio_deviation(m: Mdp, mu, mu_prime, r, c):
 
 def limit_distribution(ca: ChainAnalysis) -> np.ndarray:
     """pi0 P*: the limit distribution seen from the chain's initial state."""
-    return ca.chain.pi0 @ ca.limit_matrix
+    return _limit_row(ca, ca.chain.pi0 @ ca.absorb)
 
 
 def ratio_perturbation_identity_check(m: Mdp, mu, mu_prime, r, c,

@@ -13,7 +13,9 @@ positive mass.  A utility is likewise a value vector over a model's pairs
 (UtilityFn is the table it is read from at the input edge), and a sub-model
 takes its share of any such vector by one gather through its parent_pair.
 Inducing a chain or a per-state utility is one scatter over the entries,
-summed in the same order as a loop over the pairs would sum.  All
+summed in the same order as a loop over the pairs would sum; an induced
+chain (Mc) keeps its matrix in CSR form, with an entry exactly on each
+edge of its support graph.  All
 containers are immutable after construction so models can be shared freely
 across workers.
 """
@@ -437,13 +439,29 @@ def rabin_witness(states, pairs):
 
 @dataclass(frozen=True)
 class Mc:
-    """Finite Markov chain: row-stochastic matrix P and initial distribution."""
-    P: np.ndarray
-    pi0: np.ndarray
+    """Finite Markov chain: its row-stochastic matrix P in CSR form and its
+    initial distribution pi0.  Row s of P holds P[s, indices[k]] = data[k]
+    for k in indptr[s]:indptr[s + 1], columns ascending and each at most
+    once; no n x n array is kept.  A block of a chain (a recurrent class,
+    renumbered) is an Mc too, with pi0 None."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    pi0: np.ndarray | None
 
     @property
     def n_states(self):
-        return self.P.shape[0]
+        return len(self.indptr) - 1
+
+    @cached_property
+    def row(self):
+        """The row of each entry."""
+        return np.repeat(np.arange(self.n_states), np.diff(self.indptr))
+
+    def matvec(self, x):
+        """P @ x, each row summed in entry order."""
+        return np.bincount(self.row, weights=self.data * x[self.indices],
+                           minlength=self.n_states)
 
 
 def validate_mdp(m: Mdp):
@@ -557,18 +575,23 @@ def build_product(m: Mdp, d: Dra) -> ProductMdp:
 
 def induce_chain(m: Mdp, w) -> Mc:
     """Markov chain induced by a stationary policy, a weight vector over m's
-    pairs defined at every state: P[i,j] = sum_a mu(i,a)P(j|i,a).  One
-    scatter over the successor entries adds each entry's terms in action
-    order, as a loop would.
+    pairs defined at every state: P[i,j] = sum_a mu(i,a)P(j|i,a).  An entry
+    is stored exactly where some pair of i with positive weight has an entry
+    at j with positive probability (the support graph's edges, however small
+    the products), and one bincount over those successor entries adds each
+    entry's terms in action order, as a loop would.
     """
     n = m.n_states
     undefined = np.flatnonzero(~policy_domain(m, w))
     if undefined.size:
         raise PolicyMismatch(
             f"policy undefined at state {m.state_names[undefined[0]]}")
-    P = np.bincount(m.succ_src * n + m.succ_state,
-                    weights=w[m.succ_pair] * m.succ_prob,
-                    minlength=n * n).reshape(n, n)
+    keep = (w[m.succ_pair] > 0.0) & (m.succ_prob > 0.0)
+    code, slot = np.unique(m.succ_src[keep] * n + m.succ_state[keep],
+                           return_inverse=True)
+    data = np.bincount(slot, weights=w[m.succ_pair[keep]] * m.succ_prob[keep],
+                       minlength=len(code))
     pi0 = np.zeros(n)
     pi0[m.initial] = 1.0
-    return Mc(P=P, pi0=pi0)
+    return Mc(indptr=np.searchsorted(code, np.arange(n + 1) * n),
+              indices=code % n, data=data, pi0=pi0)

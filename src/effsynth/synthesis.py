@@ -172,7 +172,7 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
 
     def f(delta):
         w = blend(mu_opt, mu_irr, delta)
-        pi = stationary_distribution(induce_chain(m, w).P)
+        pi = stationary_distribution(induce_chain(m, w))
         return float(pi @ utility_vector(m, r, w)) / \
             float(pi @ utility_vector(m, c, w)) - target
 

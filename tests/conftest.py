@@ -69,6 +69,14 @@ def chain_model(P, initial=0):
     return m, np.ones(m.n_pairs)
 
 
+def dense_p(chain):
+    """A dense copy of a chain's matrix P, which the program keeps only in
+    CSR form."""
+    P = np.zeros((chain.n_states, chain.n_states))
+    P[chain.row, chain.indices] = chain.data
+    return P
+
+
 def random_communicating_mdp(rng, n_states, n_actions, **kw):
     for _ in range(200):
         m = random_mdp(rng, n_states, n_actions, **kw)
@@ -283,7 +291,7 @@ def max_reach_probability(m, target):
     target = set(target)
     best = np.zeros(m.n_states)
     for p in deterministic_policies(m):
-        chain = induce_chain(m, p)
+        P = dense_p(induce_chain(m, p))
         n = m.n_states
         # hitting probabilities: h = 1 on target, h = P h elsewhere, with
         # states that cannot reach the target pinned to zero
@@ -294,7 +302,7 @@ def max_reach_probability(m, target):
             for s in range(n):
                 if s in reach:
                     continue
-                if any(chain.P[s, t] > 0 for t in reach):
+                if any(P[s, t] > 0 for t in reach):
                     reach.add(s)
                     frontier = True
         rest = sorted(reach - target)
@@ -302,8 +310,8 @@ def max_reach_probability(m, target):
         for s in target:
             h[s] = 1.0
         if rest:
-            a = np.eye(len(rest)) - chain.P[np.ix_(rest, rest)]
-            b = np.array([sum(chain.P[s, t] * h[t]
+            a = np.eye(len(rest)) - P[np.ix_(rest, rest)]
+            b = np.array([sum(P[s, t] * h[t]
                               for t in range(n) if t not in rest)
                           for s in rest])
             sol = np.linalg.solve(a, b)

@@ -27,8 +27,8 @@ from effsynth.sim import RolloutConfig, simulate
 from effsynth.casestudies import (COST_BY_DISTANCE, Case1Params, Case2Params,
                                   gen_case1, gen_case2)
 
-from conftest import (amecs_of, brute_force_best_ratio, deviation_vector,
-                      ec_parts, example1_mdp,
+from conftest import (amecs_of, brute_force_best_ratio, dense_p,
+                      deviation_vector, ec_parts, example1_mdp,
                       example1_product, random_communicating_mdp,
                       random_communicating_product, random_mdp,
                       random_policy, random_unichain_policy,
@@ -292,8 +292,9 @@ def test_criterion_8_monte_carlo():
         r, c = random_utilities(rng, pm)
         rep = synth_communicating(pm, r, c, 0.05)
         ca = analyze(pm, rep.policy)
+        P = dense_p(ca.chain)
         stochastic = any(
-            np.any((ca.chain.P[s] > 1e-12) & (ca.chain.P[s] < 1 - 1e-12))
+            np.any((P[s] > 1e-12) & (P[s] < 1 - 1e-12))
             for s in ca.recurrent_classes[0])
         if not stochastic:
             continue
@@ -320,7 +321,7 @@ def test_criterion_9_chain_algebra():
     for _ in range(500):
         m = random_mdp(rng, int(rng.integers(2, 9)), 2)
         ca = analyze(m, random_policy(rng, m))
-        P, star = ca.chain.P, ca.limit_matrix
+        P, star = dense_p(ca.chain), ca.limit_matrix
         for prod in (P @ star, star @ P, star @ star):
             worst_alg = max(worst_alg, float(np.max(np.abs(prod - star))))
         v = rng.normal(size=m.n_states)

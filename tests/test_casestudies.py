@@ -15,7 +15,7 @@ from effsynth.casestudies import (COST_BY_DISTANCE, MAX_SIZE, Case1Params,
                                   dra_recurrence_avoid_charge, gen_case1,
                                   gen_case2)
 
-from conftest import accepts_lasso
+from conftest import accepts_lasso, dense_p
 
 
 def cell_of(m, s):
@@ -304,7 +304,7 @@ def test_case1_task2_decoded_policy_reaches_support_quickly():
     support = {s for (s, a), g in zip(pm.state_action_pairs(), sol.gamma)
                if g > 1e-9}
     outside = sorted(set(range(pm.n_states)) - support)
-    P = induce_chain(pm, policy).P
+    P = dense_p(induce_chain(pm, policy))
     steps = np.linalg.solve(np.eye(len(outside)) - P[np.ix_(outside, outside)],
                             np.ones(len(outside)))
     assert steps.max() <= 50.0

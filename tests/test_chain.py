@@ -13,9 +13,9 @@ from effsynth.chain import (NotUnichain, accepted_wp1, analyze,
 from effsynth.graph import maec_decompose, restrict
 from effsynth.lp import decode_ratio_policy, solve_ratio_lfp
 
-from conftest import (chain_model, delivery_grid_product, deterministic,
-                      deviation_vector, random_mdp, random_policy,
-                      random_unichain_policy, random_utilities)
+from conftest import (chain_model, delivery_grid_product, dense_p,
+                      deterministic, deviation_vector, random_mdp,
+                      random_policy, random_unichain_policy, random_utilities)
 
 
 def random_chain(rng, n_states=None):
@@ -59,7 +59,7 @@ def test_classes_match_a_thresholded_reference(rng):
     done = 0
     while done < 40:
         m, p = random_chain(rng)
-        P = induce_chain(m, p).P
+        P = dense_p(induce_chain(m, p))
         if P[P > 0.0].min() <= 1e-12:
             continue
         assert analyze(m, p).recurrent_classes == thresholded_classes(P)
@@ -82,7 +82,7 @@ def test_tiny_blend_on_the_grid9_maec_is_one_class(delta):
     assert [len(comp) for comp in ca.recurrent_classes] == \
         [sub.n_states] == [274]
     assert ca.transient == frozenset()
-    pi = stationary_distribution(induce_chain(sub, w).P)
+    pi = stationary_distribution(induce_chain(sub, w))
     assert pi.sum() == pytest.approx(1.0)
 
 
@@ -140,7 +140,7 @@ def test_transient_column_is_zero(rng):
 def test_limit_matrix_algebra(rng):
     for trial in range(25):
         ca = analyze(*random_chain(rng))
-        P, star = ca.chain.P, ca.limit_matrix
+        P, star = dense_p(ca.chain), ca.limit_matrix
         for prod in (P @ star, star @ P, star @ star):
             assert np.max(np.abs(prod - star)) <= 1e-9
         assert np.max(np.abs(star.sum(axis=1) - 1.0)) <= 1e-9
@@ -171,7 +171,7 @@ def test_average_utility_matches_monte_carlo(rng):
     chain = ca.chain
     analytic = average_utility(ca, m, u, p, m.initial)
     n = 200000
-    cum = np.cumsum(chain.P, axis=1)
+    cum = np.cumsum(dense_p(chain), axis=1)
     draws = rng.random(n)
     s = m.initial
     total = 0.0
@@ -258,13 +258,15 @@ def test_potential_contracts_to_average(rng):
 
 
 def test_potential_residual(rng):
+    """potential_vector, which never forms P*, solves (I - P + P*) g = v on
+    random multichain chains with transient states too."""
     for trial in range(20):
-        ca = analyze(*random_chain(rng))
-        n = ca.chain.n_states
-        v = rng.normal(size=n)
-        a = np.eye(n) - ca.chain.P + ca.limit_matrix
-        g = np.linalg.solve(a, v)
-        assert np.max(np.abs(a @ g - v)) <= 1e-8
+        m, p = random_chain(rng)
+        ca = analyze(m, p)
+        u = rng.normal(size=m.n_pairs)
+        g = potential_vector(ca, m, u, p)
+        a = np.eye(m.n_states) - dense_p(ca.chain) + ca.limit_matrix
+        assert np.max(np.abs(a @ g - utility_vector(m, u, p))) <= 1e-8
 
 
 def test_deviation_zero_for_equal_policies(rng):
@@ -408,11 +410,10 @@ def test_mixture_preserves_unichain(rng):
 def test_analyze_peak_memory_on_grid13_es_chain(monkeypatch):
     """analyze on the chain of the case-1 task-2 grid-13 es policy (one
     recurrent class of all 626 states) peaks below 1.5 n x n float arrays
-    beyond the induced P, which is induced here before tracing starts: a
-    class of every state is solved from P itself, not a copy, the
-    stationary system is built in one n x n array, with no identity matrix
-    and no separate difference, and the support graph comes from the
-    model's successor entries, with no n x n mask."""
+    beyond the induced chain, which is induced here before tracing starts:
+    the stationary system is built from the chain's CSR arrays and solved
+    by SuperLU (whose own C allocations are not traced), and the support
+    graph comes from the model's successor entries, with no n x n mask."""
     import tracemalloc
     from effsynth import chain
     from effsynth.synthesis import synth_general
@@ -430,3 +431,67 @@ def test_analyze_peak_memory_on_grid13_es_chain(monkeypatch):
     assert ca.chain is mc
     assert [len(comp) for comp in ca.recurrent_classes] == [n] == [626]
     assert peak < 1.5 * n * n * 8
+
+
+def chain_results(m, w, r, c):
+    """analyze's classes, transient states, stationary vectors and
+    absorption matrix, the potential of r and the efficiency r / c."""
+    ca = analyze(m, w)
+    return (ca.recurrent_classes, ca.transient, ca.stationary, ca.absorb,
+            potential_vector(ca, m, r, w),
+            efficiency(ca, m, r, c, w, m.initial))
+
+
+def assert_same_results(got, want):
+    """Equal structure; every number equal to 1e-12 relative (max norm)."""
+    assert got[:2] == want[:2]
+    pairs = [*zip(got[2], want[2]), *zip(got[3:], want[3:])]
+    for x, ref in pairs:
+        x, ref = np.asarray(x), np.asarray(ref)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_sparse_solves_match_dense_on_multichain_chains(rng, monkeypatch):
+    """With DENSE_MAX at 0 every system goes to SuperLU: on random chains
+    with several classes and transient states, the results match the dense
+    LU's."""
+    from effsynth import chain
+    done = 0
+    while done < 20:
+        m, p = random_chain(rng, int(rng.integers(4, 9)))
+        ca = analyze(m, p)
+        if ca.is_unichain() or not ca.transient:
+            continue
+        r, c = random_utilities(rng, m)
+        dense = chain_results(m, p, r, c)
+        with monkeypatch.context() as mp:
+            mp.setattr(chain, "DENSE_MAX", 0)
+            assert_same_results(chain_results(m, p, r, c), dense)
+        done += 1
+
+
+def test_sparse_solves_match_dense_on_the_grid9_maec(monkeypatch):
+    """The case-1 grid-9 MAEC's blend chain (274 states) lies above the cut,
+    so it is solved by SuperLU; with the cut raised to its size, dense LU gives
+    the same results."""
+    from effsynth import chain
+    pm, r, c = delivery_grid_product(9)
+    sub, _ = restrict(pm, maec_decompose(pm)[0])
+    r, c = r[sub.parent_pair], c[sub.parent_pair]
+    mu_opt, _ = decode_ratio_policy(sub, solve_ratio_lfp(sub, r, c))
+    w = blend(mu_opt, uniform_policy(sub), 0.05)
+    assert chain.DENSE_MAX < sub.n_states == 274
+    sparse = chain_results(sub, w, r, c)
+    monkeypatch.setattr(chain, "DENSE_MAX", sub.n_states)
+    assert_same_results(sparse, chain_results(sub, w, r, c))
+
+
+@pytest.mark.parametrize("dense_max", [0, 250])
+def test_singular_system_is_typed_on_both_paths(monkeypatch, dense_max):
+    """A singular system raises SingularSystem whether dense LU or SuperLU
+    (whose RuntimeError it replaces) factors it."""
+    from effsynth import chain
+    monkeypatch.setattr(chain, "DENSE_MAX", dense_max)
+    system = (np.array([0, 1]), np.array([0, 0]), np.array([1.0, 1.0]))
+    with pytest.raises(chain.SingularSystem):
+        chain._solve(2, system, np.ones(2), "test")

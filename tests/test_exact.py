@@ -27,7 +27,7 @@ from effsynth import synthesis
 from effsynth.synthesis import build_reward_k, synth_communicating, \
     synth_general
 
-from conftest import (amecs_of, chain_model, ec_parts,
+from conftest import (amecs_of, chain_model, dense_p, ec_parts,
                       random_communicating_mdp,
                       random_mdp, random_product, random_rule,
                       random_utilities, random_utility_tables, rule_of,
@@ -321,7 +321,7 @@ def test_induce_chain_and_utility_vector_match_loops(rng):
         rule = random_rule(rng, m)
         p = policy_from_rule(m, rule)
         n = m.n_states
-        assert np.array_equal(induce_chain(m, p).P,
+        assert np.array_equal(dense_p(induce_chain(m, p)),
                               chain_reference(m.trans, n, rule))
         assert np.array_equal(utility_vector(m, r, p),
                               utility_reference(utility_dict(m, r), n,
@@ -337,7 +337,7 @@ def test_deterministic_rules_skip_zero_weights(rng):
     rule = {s: {a: (1.0 if k == 0 else 0.0) for k, a in enumerate(acts)}
             for s, acts in enumerate(m.available)}
     p = policy_from_rule(m, rule)
-    assert np.array_equal(induce_chain(m, p).P,
+    assert np.array_equal(dense_p(induce_chain(m, p)),
                           chain_reference(m.trans, m.n_states, rule))
     assert np.array_equal(utility_vector(m, r, p),
                           utility_reference(utility_dict(m, r), m.n_states,
@@ -359,7 +359,7 @@ def test_weight_blend_is_the_rule_mix(rng):
             w = blend(mu, mu_p, delta)
             mixed = mix_reference(rule, rule_p, delta)
             assert np.array_equal(w, policy_from_rule(m, mixed))
-            assert np.array_equal(induce_chain(m, w).P,
+            assert np.array_equal(dense_p(induce_chain(m, w)),
                                   chain_reference(m.trans, m.n_states, mixed))
             assert np.array_equal(utility_vector(m, c, w),
                                   utility_reference(utility_dict(m, c),
@@ -393,7 +393,7 @@ def test_partial_policy_scope_matches_loops(rng):
         assert sub.trans == trans
         rule_local = {ids.index(s): d for s, d in rule.items()}
         n = len(ids)
-        assert np.array_equal(induce_chain(sub, local).P,
+        assert np.array_equal(dense_p(induce_chain(sub, local)),
                               chain_reference(trans, n, rule_local))
         r_local = {(ids.index(s), a): v
                    for (s, a), v in utility_dict(pm, r).items() if s in ids}

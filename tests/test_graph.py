@@ -8,9 +8,10 @@ from effsynth.graph import (Unreachable, almost_sure_region, amec_filter,
                             maec_decompose, mec_decompose, restrict,
                             strongly_connected_components, within)
 
-from conftest import (amecs_of, ec_parts, enumerate_ecs, example1_mdp,
-                      example1_product, max_reach_probability, maximal_ecs,
-                      random_mdp, random_product, region_states, rule_of)
+from conftest import (amecs_of, dense_p, ec_parts, enumerate_ecs,
+                      example1_mdp, example1_product, max_reach_probability,
+                      maximal_ecs, random_mdp, random_product, region_states,
+                      rule_of)
 
 
 def as_key(m, ec):
@@ -223,12 +224,12 @@ def test_attractor_makes_outside_states_transient(rng):
             p = attractor_policy(pm, set(target), inside)
         except Unreachable:
             continue
-        chain = induce_chain(pm, p)
+        P = dense_p(induce_chain(pm, p))
         hit = np.zeros(pm.n_states)
         hit[sorted(target)] = 1.0
         reached = hit.copy()
         for _ in range(pm.n_states):
-            reached = np.maximum(reached, chain.P @ reached)
+            reached = np.maximum(reached, P @ reached)
         assert np.all(reached > 0.0)
         from effsynth.chain import analyze
         ca = analyze(pm, p)

@@ -6,7 +6,8 @@ from effsynth.model import (AlphabetMismatch, Dra, Mdp, ModelError,
                             build_product, induce_chain, policy_from_rule,
                             uniform_policy, validate_mdp)
 
-from conftest import deterministic, example1_mdp, random_mdp, random_policy
+from conftest import dense_p, deterministic, example1_mdp, random_mdp, \
+    random_policy
 
 
 def all_symbols(ap):
@@ -119,7 +120,7 @@ def test_induce_chain_deterministic_is_zero_one():
     m = example1_mdp()
     p = deterministic(m, {0: 0, 1: 0, 2: 0, 3: 0})
     chain = induce_chain(m, p)
-    assert set(np.unique(chain.P)) <= {0.0, 1.0}
+    assert set(np.unique(dense_p(chain))) <= {0.0, 1.0}
     assert chain.pi0[m.initial] == 1.0
 
 
@@ -128,8 +129,9 @@ def test_induce_chain_uniform_on_example1_state4():
     p = uniform_policy(m)
     chain = induce_chain(m, p)
     # state "4" mixes its two actions: half to "3", half back to itself
-    assert chain.P[3, 2] == pytest.approx(0.5)
-    assert chain.P[3, 3] == pytest.approx(0.5)
+    P = dense_p(chain)
+    assert P[3, 2] == pytest.approx(0.5)
+    assert P[3, 3] == pytest.approx(0.5)
 
 
 def test_induce_chain_rejects_unavailable_action():
@@ -146,9 +148,9 @@ def test_mixture_linearity(rng):
         pa = random_policy(rng, m)
         pb = random_policy(rng, m)
         delta = float(rng.uniform(0.05, 0.95))
-        mixed = induce_chain(m, blend(pa, pb, delta)).P
-        direct = (1 - delta) * induce_chain(m, pa).P + \
-            delta * induce_chain(m, pb).P
+        mixed = dense_p(induce_chain(m, blend(pa, pb, delta)))
+        direct = (1 - delta) * dense_p(induce_chain(m, pa)) + \
+            delta * dense_p(induce_chain(m, pb))
         assert np.max(np.abs(mixed - direct)) <= 1e-12
 
 
@@ -157,15 +159,16 @@ def test_mixture_quarter_weight():
     pa = deterministic(m, {0: 0, 1: 0, 2: 0, 3: 0})
     pb = deterministic(m, {0: 1, 1: 0, 2: 0, 3: 1})
     chain = induce_chain(m, blend(pa, pb, 0.25))
-    expect = 0.75 * induce_chain(m, pa).P + 0.25 * induce_chain(m, pb).P
-    assert np.array_equal(chain.P, expect)
+    expect = 0.75 * dense_p(induce_chain(m, pa)) + \
+        0.25 * dense_p(induce_chain(m, pb))
+    assert np.array_equal(dense_p(chain), expect)
 
 
 def test_row_stochasticity_of_random_chains(rng):
     for trial in range(20):
         m = random_mdp(rng, int(rng.integers(2, 8)), 3)
         chain = induce_chain(m, random_policy(rng, m))
-        assert np.max(np.abs(chain.P.sum(axis=1) - 1.0)) <= 1e-9
+        assert np.max(np.abs(dense_p(chain).sum(axis=1) - 1.0)) <= 1e-9
 
 
 def test_cost_utility_must_be_positive():

@@ -19,9 +19,10 @@ from effsynth.synthesis import (NoMaec, TaskUnsatisfiable, Tolerances,
                                 perturbation_degree_exact,
                                 synth_communicating, synth_general)
 
-from conftest import (amecs_of, deterministic, ec_parts, example1_product,
-                      random_communicating_mdp, random_communicating_product,
-                      random_mdp, random_utilities, rule_of)
+from conftest import (amecs_of, delivery_grid_product, deterministic,
+                      ec_parts, example1_product, random_communicating_mdp,
+                      random_communicating_product, random_mdp,
+                      random_utilities, rule_of)
 
 
 def two_state_unit_cost_instance():
@@ -717,3 +718,26 @@ def test_certificate_reads_the_exact_verdict():
     assert cert.witness_pairs == (None,)
     assert cert.absorption_defect == 0.0
     assert cert.accepted is False
+
+
+def test_grid25_es_rung_forms_no_n_by_n_array():
+    """synth_general es on the case-1 task-2 grid 25 (2450 states, 9308
+    pairs) certifies the ladder's value, and its traced peak stays below
+    2 KB per pair, which one 2450 x 2450 float array (48 MB) would exceed:
+    the chains, their solves and the ratio program stay sparse.
+    tracemalloc sees the numpy and Python allocations only; SuperLU's and
+    HiGHS's own C allocations are not traced."""
+    import scipy.optimize  # noqa: F401  (imported first: not in the peak)
+    import scipy.sparse.linalg  # noqa: F401
+    import tracemalloc
+    pm, r, c = delivery_grid_product(25)
+    assert (pm.n_states, pm.n_pairs) == (2450, 9308)
+    tracemalloc.start()
+    try:
+        rep = synth_general(pm, r, c, 0.01, "es")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.value == pytest.approx(0.1171506882895, abs=1e-12)
+    assert rep.certificate.accepted
+    assert peak < 2048 * pm.n_pairs < pm.n_states ** 2 * 8
