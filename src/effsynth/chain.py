@@ -1,21 +1,21 @@
 """Exact analysis of finite Markov chains.
 
-A policy's chain on a model is classified on its exact support graph (s ->
-t iff a pair of s with positive weight has a positive-probability entry at
-t), so no threshold on a product w * p can drop an edge.  Its bottom
-strongly connected components are the recurrent classes, and accepted_wp1
-is the one verdict that the acceptance condition holds with probability
-one.  The chain itself is kept in CSR form (model.Mc), and no n x n array
-is formed: stationary distributions, absorption probabilities and
-potentials come from one solve helper, dense LU on a block of at most
-DENSE_MAX states and SuperLU (scipy.sparse.linalg.splu) above that, on
-systems built from the CSR arrays.  The limit matrix P* is assembled only
-when limit_matrix is read; the average utility and the limit distribution
-take its rows from the absorption probabilities and the per-class
-stationary vectors.  On top of that sit the long-run average utility, the
-reward-to-cost efficiency for general multichain chains and potential
-vectors g = (I - P + P*)^{-1} v, solved class by class without P*, all
-returned as plain arrays.
+A policy's chain on a model is kept in CSR form (model.Mc), whose entries
+are exactly its support graph (s -> t iff a pair of s with positive weight
+has a positive-probability entry at t), so no threshold on a product w * p
+can drop an edge.  Tarjan's algorithm (graph) labels the strongly connected
+components of that graph on the CSR arrays; the bottom ones are the
+recurrent classes, and accepted_wp1 is the one verdict that the acceptance
+condition holds with probability one.  No n x n array is formed: stationary
+distributions, absorption probabilities and potentials come from one solve
+helper, dense LU on a block of at most DENSE_MAX states and SuperLU
+(scipy.sparse.linalg.splu) above that, on systems built from the CSR
+arrays.  The limit matrix P* is assembled only when limit_matrix is read;
+the average utility and the limit distribution take its rows from the
+absorption probabilities and the per-class stationary vectors.  On top of
+that sit the long-run average utility, the reward-to-cost efficiency for
+general multichain chains and potential vectors g = (I - P + P*)^{-1} v,
+solved class by class without P*, all returned as plain arrays.
 ratio_deviation is the one perturbation step: a unichain policy's efficiency
 J and its ratio deviation d_r - J d_c towards another policy, read by the
 perturbation degrees and by the perturbation identity relating the
@@ -29,8 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Mc, Mdp, _ranges, blend, induce_chain, rabin_witness
-from .graph import _successors, strongly_connected_components
+from .model import PROB_TOL, Mc, Mdp, ModelError, _ranges, blend, \
+    induce_chain, rabin_witness
+from .graph import strongly_connected_components
 
 LIMIT_TOL = 1e-9      # limit-matrix algebra tolerance
 POTENTIAL_TOL = 1e-8  # residual tolerance for potential solves
@@ -49,13 +50,11 @@ class NotUnichain(Exception):
 class ChainAnalysis:
     """Recurrent structure of a chain, and its limit matrix on demand.
 
-    support maps each state to its ascending successors on the support
-    graph.  absorb[s, k] is the probability of ending up (and staying
-    forever) in recurrent class k when starting from s; the column of a
-    transient state in limit_matrix is identically zero.
+    absorb[s, k] is the probability of ending up (and staying forever) in
+    recurrent class k when starting from s; the column of a transient state
+    in limit_matrix is identically zero.
     """
     chain: Mc
-    support: dict
     recurrent_classes: tuple
     transient: frozenset
     stationary: tuple       # per-class stationary distribution over class states
@@ -191,18 +190,21 @@ def analyze(m: Mdp, w) -> ChainAnalysis:
     structure; the limit matrix P* is assembled only when it is read."""
     chain = induce_chain(m, w)
     n = chain.n_states
-    if np.max(np.abs(chain.matvec(np.ones(n)) - 1.0)) > 1e-9:
-        raise ValueError("chain is not row-stochastic")
-    adj = _successors(m, w > 0.0)
-    sccs = strongly_connected_components(range(n), adj)
-    comp = {s: i for i, states in enumerate(sccs) for s in states}
-    # an SCC is a recurrent class unless one of its edges leaves it
-    classes = tuple(sorted(
-        tuple(states) for i, states in enumerate(sccs)
-        if all(comp[t] == i for s in states for t in adj[s])))
-    klass = _class_index(n, classes)
+    # validated model and policy rows keep each chain row sum within
+    # (1 + PROB_TOL)^2 - 1 of 1, up to rounding
+    off = float(np.max(np.abs(chain.matvec(np.ones(n)) - 1.0)))
+    if off > (1.0 + PROB_TOL) ** 2 - 1.0 + 1e-12:
+        raise ModelError(f"a chain row sum is off 1 by {off:.3g}")
+    comp = strongly_connected_components(chain.indptr, chain.indices)
+    # a component is a recurrent class unless one of its edges leaves it
+    leaves = np.zeros(n, dtype=bool)
+    leaves[comp[chain.row[comp[chain.row] != comp[chain.indices]]]] = True
+    klass = np.where(leaves[comp], -1, np.cumsum(~leaves)[comp] - 1)
     rec = klass >= 0
     tr = np.flatnonzero(~rec)
+    order = np.argsort(klass, kind="stable")[tr.size:]
+    classes = tuple(tuple(states.tolist()) for states in np.split(
+        order, np.flatnonzero(np.diff(klass[order])) + 1))
 
     stationary = [stationary_distribution(_class_block(chain, states))
                   for states in classes]
@@ -216,7 +218,7 @@ def analyze(m: Mdp, w) -> ChainAnalysis:
         absorb[tr] = _solve(tr.size, system,
                             rhs.reshape(tr.size, len(classes)), "absorption")
 
-    return ChainAnalysis(chain=chain, support=adj, recurrent_classes=classes,
+    return ChainAnalysis(chain=chain, recurrent_classes=classes,
                          transient=frozenset(tr.tolist()),
                          stationary=tuple(stationary),
                          absorb=absorb)
@@ -227,16 +229,15 @@ def accepted_wp1(ca: ChainAnalysis, acc_pairs, start) -> bool:
 
     A finite chain is absorbed into its recurrent classes with probability
     one (Kemeny & Snell, Finite Markov Chains, 1960, ch. III), so this holds
-    exactly when every class that start reaches on the support graph has a
-    Rabin witness; no probability is read.  The states start reaches are
-    the SCCs of one traversal from it, made only if some class (named by
-    its first state) has no witness.
+    exactly when every class that start reaches on the support graph (the
+    chain's CSR entries) has a Rabin witness; no probability is read.  The
+    states start reaches are labelled by one traversal from it, made only
+    if some class (named by its first state) has no witness.
     """
-    bad = {comp[0] for comp in ca.recurrent_classes
-           if rabin_witness(comp, acc_pairs) is None}
-    return not bad or not any(
-        bad.intersection(scc)
-        for scc in strongly_connected_components([start], ca.support))
+    bad = [comp[0] for comp in ca.recurrent_classes
+           if rabin_witness(comp, acc_pairs) is None]
+    return not bad or not (strongly_connected_components(
+        ca.chain.indptr, ca.chain.indices, roots=[start])[bad] >= 0).any()
 
 
 def utility_vector(m: Mdp, u, p) -> np.ndarray:

@@ -6,9 +6,11 @@ action sets are boolean masks over the pairs, and each round of a fixpoint
 is a few array operations over all successor entries at once.  An end
 component is what a policy is, a read-only array over its model's pairs:
 the boolean mask of its kept pairs, whose states are those owning a kept
-pair.  A region is a boolean state mask.  The SCC refinement in
-mec_decompose makes each component strongly connected, and no walk witness
-is stored.  amec_filter takes the MECs and MAECs, and almost_sure_region
+pair.  A region is a boolean state mask.  A support digraph is only ever
+the CSR arrays (indptr, indices) that model.support_csr builds, and
+strongly_connected_components, one iterative Tarjan, labels its nodes on
+them.  The SCC refinement in mec_decompose makes each component strongly
+connected, and no walk witness is stored.  amec_filter takes the MECs and MAECs, and almost_sure_region
 the AMECs, that the caller has already computed, so a synthesis decomposes
 the product once; a sub-model cut by restrict gathers its share of those
 masks through its parent_pair.
@@ -19,7 +21,7 @@ the lowest action index.
 
 import numpy as np
 
-from .model import Mdp, ProductMdp, gather_pairs
+from .model import Mdp, ProductMdp, gather_pairs, support_csr
 
 
 class Unreachable(Exception):
@@ -47,69 +49,60 @@ def _with_pair(m, pairs):
     return out
 
 
-def adjacency_lists(n, src, dst):
-    """Per node 0..n-1, the ascending distinct targets of the edges
-    src[k] -> dst[k]."""
-    code = np.unique(src * n + dst)
-    bounds = np.searchsorted(code, np.arange(n + 1) * n).tolist()
-    targets = (code % n).tolist() if n else []
-    return {v: targets[bounds[v]:bounds[v + 1]] for v in range(n)}
-
-
 def _successors(m, keep):
-    """Induced digraph adjacency of the kept pairs (a boolean mask): state ->
-    ascending successors reached with positive probability."""
+    """The support digraph of the kept pairs (a boolean mask) as CSR arrays
+    (indptr, indices): s -> t iff a kept pair of s can move to t."""
     e = keep[m.succ_pair] & (m.succ_prob > 0.0)
-    return adjacency_lists(m.n_states, m.succ_src[e], m.succ_state[e])
+    return support_csr(m.n_states, m.succ_src[e], m.succ_state[e])[:2]
 
 
-def strongly_connected_components(nodes, adj):
-    """Tarjan's algorithm, iterative.  Returns a list of sorted node lists."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
+def strongly_connected_components(indptr, indices, roots=None):
+    """Tarjan's algorithm (SIAM J. Comput. 1972), iterative, on the digraph
+    whose node v has the successors indices[indptr[v]:indptr[v + 1]].
 
-    for root in sorted(nodes):
-        if root in index:
-            continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
+    Returns each node's component label: the nodes reached from roots
+    (default: every node) are labelled 0, 1, ... in the order of their
+    components' lowest nodes, and the nodes no root reaches read -1.  A
+    visited node is on Tarjan's stack exactly while it has no label.
+    """
+    n = len(indptr) - 1
+    ptr, succ = indptr.tolist(), indices.tolist()
+    nxt = ptr[:-1]          # each node's next edge to scan
+    index, low, label = [-1] * n, [0] * n, [-1] * n
+    stack, path = [], []
+    count = n_comp = 0
+    for root in range(n) if roots is None else np.asarray(roots).tolist():
+        if index[root] < 0:
+            path.append(root)
+        while path:
+            v = path[-1]
+            if index[v] < 0:
+                index[v] = low[v] = count
+                count += 1
+                stack.append(v)
+            for k in range(nxt[v], ptr[v + 1]):
+                w = succ[k]
+                if index[w] < 0:
+                    nxt[v] = k + 1
+                    path.append(w)
                     break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
+                if label[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+                if low[v] == index[v]:
+                    while label[v] < 0:
+                        label[stack.pop()] = n_comp
+                    n_comp += 1
+    # renumber the components in the order of their lowest nodes
+    label = np.array(label, dtype=np.int64)
+    seen = label >= 0
+    _, first, inv = np.unique(label[seen], return_index=True,
+                              return_inverse=True)
+    label[seen] = np.argsort(np.argsort(first))[inv]
+    return label
 
 
 def mec_decompose(m: Mdp, states=None):
@@ -129,12 +122,9 @@ def mec_decompose(m: Mdp, states=None):
         alive = _with_pair(m, keep)
         if not alive.any():
             return []
-        sccs = strongly_connected_components(np.flatnonzero(alive).tolist(),
-                                             _successors(m, keep))
-        comp = np.full(m.n_states, -1)
-        for i, c in enumerate(sccs):
-            comp[c] = i
-        comp[~alive] = -1
+        # a state left without pairs has no edge out: its own component
+        comp = strongly_connected_components(*_successors(m, keep),
+                                             roots=np.flatnonzero(alive))
         cut = pos & (comp[m.succ_state] != comp[m.succ_src])
         dropped = keep.copy()
         dropped[m.succ_pair[cut]] = False
@@ -142,13 +132,12 @@ def mec_decompose(m: Mdp, states=None):
             break
         keep = dropped
 
-    pair_comp = np.where(keep, comp[m.pair_state], -1)
-    mecs = []
-    for i in sorted(range(len(sccs)), key=lambda i: sccs[i][0]):
-        ec = pair_comp == i
-        ec.flags.writeable = False
-        mecs.append(ec)
-    return mecs
+    # stable, no kept pair leaves its component, so only alive states are
+    # labelled, in the order of their lowest states: one MEC per label
+    mecs = np.where(keep, comp[m.pair_state], -1) == \
+        np.arange(comp.max() + 1)[:, None]
+    mecs.flags.writeable = False
+    return list(mecs)
 
 
 def within(inner, outer):
@@ -297,5 +286,5 @@ def closed_pairs(m: Mdp, region):
 def is_communicating(m: Mdp):
     """Every state can reach every other under some policy: the full induced
     digraph is one strongly connected component."""
-    adj = _successors(m, np.ones(m.n_pairs, dtype=bool))
-    return len(strongly_connected_components(range(m.n_states), adj)) == 1
+    return not strongly_connected_components(
+        *_successors(m, np.ones(m.n_pairs, dtype=bool))).any()

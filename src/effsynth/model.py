@@ -573,6 +573,14 @@ def build_product(m: Mdp, d: Dra) -> ProductMdp:
         components=order, base=m, base_pair=base_pair)
 
 
+def support_csr(n, src, dst):
+    """CSR arrays (indptr, indices) of the digraph on 0..n-1 with the edges
+    src[k] -> dst[k], each node's distinct targets ascending, and slot[k],
+    edge k's position in indices."""
+    code, slot = np.unique(src * n + dst, return_inverse=True)
+    return np.searchsorted(code, np.arange(n + 1) * n), code % n, slot
+
+
 def induce_chain(m: Mdp, w) -> Mc:
     """Markov chain induced by a stationary policy, a weight vector over m's
     pairs defined at every state: P[i,j] = sum_a mu(i,a)P(j|i,a).  An entry
@@ -587,11 +595,10 @@ def induce_chain(m: Mdp, w) -> Mc:
         raise PolicyMismatch(
             f"policy undefined at state {m.state_names[undefined[0]]}")
     keep = (w[m.succ_pair] > 0.0) & (m.succ_prob > 0.0)
-    code, slot = np.unique(m.succ_src[keep] * n + m.succ_state[keep],
-                           return_inverse=True)
+    indptr, indices, slot = support_csr(n, m.succ_src[keep],
+                                        m.succ_state[keep])
     data = np.bincount(slot, weights=w[m.succ_pair[keep]] * m.succ_prob[keep],
-                       minlength=len(code))
+                       minlength=len(indices))
     pi0 = np.zeros(n)
     pi0[m.initial] = 1.0
-    return Mc(indptr=np.searchsorted(code, np.arange(n + 1) * n),
-              indices=code % n, data=data, pi0=pi0)
+    return Mc(indptr=indptr, indices=indices, data=data, pi0=pi0)

@@ -15,7 +15,7 @@ import pytest
 from effsynth.model import Mdp, ProductMdp, UtilityFn, csr_arrays, \
     induce_chain, policy_domain, policy_from_rule, rabin_witness
 from effsynth.graph import (amec_filter, is_communicating, maec_decompose,
-                            mec_decompose, strongly_connected_components)
+                            mec_decompose)
 from effsynth.chain import _deviation, analyze, efficiency, average_utility
 
 
@@ -237,6 +237,29 @@ def brute_force_best_gain(m, u):
     return best
 
 
+def reach_sets(adj):
+    """Per node of the adjacency dict adj (node -> successors), the set of
+    nodes it reaches, itself included, by a depth-first search from it."""
+    out = {}
+    for s in adj:
+        seen = {s}
+        stack = [s]
+        while stack:
+            for t in adj[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        out[s] = seen
+    return out
+
+
+def scc_reference(adj):
+    """The strongly connected components of the adjacency dict adj, by
+    their definition: s and t share one iff each reaches the other."""
+    reach = reach_sets(adj)
+    return {frozenset(t for t in reach[s] if s in reach[t]) for s in adj}
+
+
 def enumerate_ecs(m):
     """Every end component, by enumerating all sub-MDPs (exponential)."""
     per_state = []
@@ -261,8 +284,7 @@ def enumerate_ecs(m):
         adj = {s: sorted({t for a in chosen[s]
                           for t, p in m.trans[(s, a)].items() if p > 0.0})
                for s in state_set}
-        sccs = strongly_connected_components(state_set, adj)
-        if len(sccs) == 1:
+        if len(scc_reference(adj)) == 1:
             ecs.append((frozenset(state_set),
                         {s: frozenset(a) for s, a in chosen.items()}))
     return ecs

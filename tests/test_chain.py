@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from effsynth.model import Mdp, UtilityFn, blend, induce_chain, \
-    uniform_policy
+from effsynth.model import Mdp, ModelError, UtilityFn, blend, csr_arrays, \
+    induce_chain, uniform_policy
 from effsynth.chain import (NotUnichain, accepted_wp1, analyze,
                             average_utility, efficiency, limit_distribution,
                             potential_vector, ratio_deviation,
@@ -36,6 +36,30 @@ def test_two_state_swap():
     ca = analyze(*chain_model([[0, 1], [1, 0]]))
     assert ca.recurrent_classes == ((0, 1),)
     assert np.allclose(ca.limit_matrix, 0.5)
+
+
+def test_20000_state_path_classifies_without_recursion():
+    """The SCC pass walks a path of 20000 states into an absorbing one,
+    far deeper than the interpreter's recursion limit: one recurrent class,
+    reached with probability one from every transient state."""
+    n = 20_000
+    src = np.arange(n)
+    m = Mdp.from_arrays([f"s{i}" for i in range(n)], ["a"], 0,
+                        *csr_arrays(n, src, np.zeros(n, dtype=np.int64),
+                                    np.minimum(src + 1, n - 1), np.ones(n)))
+    ca = analyze(m, np.ones(m.n_pairs))
+    assert ca.recurrent_classes == ((n - 1,),)
+    assert ca.transient == frozenset(range(n - 1))
+    assert np.array_equal(ca.absorb, np.ones((n, 1)))
+
+
+def test_analyze_bounds_row_sums_by_the_validation_tolerance():
+    """A chain row may be off 1 by what a validated model row times a
+    validated policy row allows, (1 + 1e-9)^2 - 1, and not by more; the
+    rejection is a model error, which the CLI maps to exit 2."""
+    assert analyze(*chain_model([[0.5, 0.5 + 2e-9], [1, 0]])).is_unichain()
+    with pytest.raises(ModelError, match="off 1 by 2.1e-09"):
+        analyze(*chain_model([[0.5, 0.5 + 2.1e-9], [1, 0]]))
 
 
 def thresholded_classes(P, eps=1e-12):

@@ -328,6 +328,31 @@ def test_evaluate_rejects_a_leak_of_probability_1e11(tmp_path, capsys):
     assert payload["accepted_wp1"] is False
 
 
+def test_evaluate_admits_rows_off_one_within_the_validation_tolerance(
+        tmp_path, capsys):
+    """A model row off 1 by 0.9e-9 and a policy row off 1 by 0.8e-9 each
+    pass validation, and their chain's row at s sums to 1 + 1.7e-9: evaluate
+    admits it and accepts, since every state is accepting."""
+    model = "\n".join([
+        "mdp", "states: s t", "actions: a b", "props: g", "initial: s",
+        "label s: g", "trans s a s 0.5000000009", "trans s a t 0.5",
+        "trans s b t 1", "trans t a s 1"] +
+        [f"{kind} {s} 1" for kind in ("reward", "cost")
+         for s in ("s a", "s b", "t a")]) + "\n"
+    task = ("HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"g\"\n"
+            "Acceptance: 2 Fin(0) & Inf(1)\n--BODY--\nState: 0 {1}\n"
+            "[t] 0\n--END--\n")
+    policy = ("rule s&q0 a 0.9999999991\nrule s&q0 b 0.0000000017\n"
+              "rule t&q0 a 1\n")
+    paths = []
+    for name, text in (("model.mdp", model), ("task.hoa", task),
+                       ("policy.txt", policy)):
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    assert main(["evaluate", paths[0], paths[1], paths[0], paths[2]]) == 0
+    assert json.loads(capsys.readouterr().out)["accepted_wp1"] is True
+
+
 def test_evaluate_rejects_mismatched_policy(files, tmp_path):
     pol = tmp_path / "mismatch.txt"
     pol.write_text("rule nosuch a1 1\n")

@@ -10,8 +10,8 @@ from effsynth.graph import (Unreachable, almost_sure_region, amec_filter,
 
 from conftest import (amecs_of, dense_p, ec_parts, enumerate_ecs,
                       example1_mdp, example1_product, max_reach_probability,
-                      maximal_ecs, random_mdp, random_product, region_states,
-                      rule_of)
+                      maximal_ecs, random_mdp, random_product, reach_sets,
+                      region_states, rule_of, scc_reference)
 
 
 def as_key(m, ec):
@@ -20,30 +20,51 @@ def as_key(m, ec):
     return states, tuple(sorted(acts.items()))
 
 
+def csr_of(adj):
+    """The CSR arrays (indptr, indices) of the adjacency dict adj over the
+    nodes 0..len(adj)-1."""
+    lens = [len(adj[s]) for s in range(len(adj))]
+    indices = [t for s in range(len(adj)) for t in adj[s]]
+    return (np.concatenate(([0], np.cumsum(lens))).astype(np.int64),
+            np.array(indices, dtype=np.int64))
+
+
 def test_scc_matches_reachability_oracle(rng):
-    """Tarjan agrees with the mutual-reachability definition."""
+    """Tarjan agrees with the mutual-reachability definition: from every
+    root, and from a random root set, where exactly the nodes no root
+    reaches read -1; components are labelled in the order of their lowest
+    nodes."""
     for trial in range(30):
         n = int(rng.integers(1, 9))
         adj = {s: sorted({int(t) for t in
                           rng.choice(n, size=int(rng.integers(0, n + 1)))})
                for s in range(n)}
-        reach = [[False] * n for _ in range(n)]
-        for s in range(n):
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if not reach[s][v]:
-                        reach[s][v] = True
-                        stack.append(v)
-        expected = set()
-        for s in range(n):
-            comp = frozenset(t for t in range(n)
-                             if (s == t) or (reach[s][t] and reach[t][s]))
-            expected.add(comp)
-        got = {frozenset(c) for c in
-               strongly_connected_components(range(n), adj)}
-        assert got == expected
+        reach = reach_sets(adj)
+        comps = scc_reference(adj)
+        roots = sorted({int(r) for r in
+                        rng.choice(n, size=int(rng.integers(0, n + 1)))})
+        reached = set().union(*(reach[r] for r in roots))
+        for rs, seen in ((None, set(range(n))), (roots, reached)):
+            label = strongly_connected_components(*csr_of(adj), roots=rs)
+            assert {s for s in range(n) if label[s] >= 0} == seen
+            got = {frozenset(np.flatnonzero(label == k).tolist())
+                   for k in range(label.max() + 1)}
+            assert got == {c for c in comps if c <= seen}
+            lowest = [np.flatnonzero(label == k)[0]
+                      for k in range(label.max() + 1)]
+            assert lowest == sorted(lowest)
+
+
+def test_scc_is_iterative_on_200k_node_path_and_ring():
+    """Far beyond the interpreter's recursion limit: a path of n nodes has
+    n components, a ring of them one."""
+    n = 200_000
+    path = strongly_connected_components(
+        np.minimum(np.arange(n + 1), n - 1), np.arange(1, n))
+    assert np.array_equal(path, np.arange(n))
+    ring = strongly_connected_components(np.arange(n + 1),
+                                         (np.arange(n) + 1) % n)
+    assert not ring.any()
 
 
 def test_mec_example1_exact():
@@ -87,7 +108,7 @@ def test_mec_disjoint_and_closed(rng):
                               for t, p in m.trans[(s, a)].items() if p > 0.0})
                    for s, sa in acts.items()}
             assert all(set(succ) <= states for succ in adj.values())
-            assert len(strongly_connected_components(states, adj)) == 1
+            assert scc_reference(adj) == {states}
 
 
 def test_maec_example1():

@@ -16,7 +16,8 @@ model, utility, policy and automaton formats (MALFORMED), each run through
 `evaluate`, so that the parsers' error texts and exit codes are compared
 too.  A fixed verdict corpus (VERDICTS) then runs through `evaluate`:
 small chains whose acceptance hinges on an edge or a leak of probability
-below 1e-9, so that the verdicts are compared as well.  Inputs and outputs
+below 1e-9, or on which classes the initial state reaches, so that the
+verdicts are compared as well.  Inputs and outputs
 sit at the same paths for every tree, so the run manifests agree; each
 call's output files, standard output, standard error and exit code are
 copied into <out-dir>.  Last, each of the tree's `demos/*.py` scripts runs
@@ -116,7 +117,9 @@ FIN_B_INF_G = ("HOA: v1\nStates: 3\nStart: 2\nAP: 2 \"g\" \"b\"\n"
 
 # (case, model, policy), each evaluated under FIN_B_INF_G with the model as
 # its own utility file: an irreducible chain with an edge of 1e-13 into b,
-# and a leak of 1e-11 into an absorbing b.  Both fail the task.
+# and a leak of 1e-11 into an absorbing b, both failing the task; then an
+# absorbing b that the policy never reaches from the initial g, which
+# passes, and one reached only through the transient t, which fails.
 VERDICTS = (
     ("edge_1e-13",
      "mdp\nstates: g b\nactions: a\nprops: g b\ninitial: g\n"
@@ -131,6 +134,20 @@ VERDICTS = (
      "".join(f"{kind} {s} a 1\n" for kind in ("reward", "cost")
              for s in "sgb"),
      "rule s&q2 a 1\nrule g&q1 a 1\nrule b&q0 a 1\n"),
+    ("unreached_b",
+     "mdp\nstates: g b\nactions: a c\nprops: g b\ninitial: g\n"
+     "label g: g\nlabel b: b\ntrans g a g 1\ntrans g c b 1\n"
+     "trans b a b 1\n" +
+     "".join(f"{kind} {p} 1\n" for kind in ("reward", "cost")
+             for p in ("g a", "g c", "b a")),
+     "rule g&q1 a 1\nrule b&q0 a 1\n"),
+    ("b_via_transient",
+     "mdp\nstates: s t g b\nactions: a\nprops: g b\ninitial: s\n"
+     "label g: g\nlabel b: b\ntrans s a g 0.5\ntrans s a t 0.5\n"
+     "trans t a b 1\ntrans g a g 1\ntrans b a b 1\n" +
+     "".join(f"{kind} {s} a 1\n" for kind in ("reward", "cost")
+             for s in "stgb"),
+     "rule s&q2 a 1\nrule t&q2 a 1\nrule g&q1 a 1\nrule b&q0 a 1\n"),
 )
 
 
