@@ -8,7 +8,7 @@ reward/cost ratio converges on the analytic long-run value.
 import numpy as np
 
 from effsynth import (ProductMdp, RolloutConfig, UtilityFn, analyze, efficiency,
-                      simulate, synth_communicating)
+                      simulate, synth_general)
 
 trans = {
     (0, 0): {1: 0.6, 0: 0.4}, (0, 1): {2: 1.0},
@@ -21,7 +21,7 @@ r = UtilityFn({(0, 0): 1.0, (0, 1): 0.2, (1, 0): 3.0,
                (2, 0): 0.5, (2, 1): 2.0}, "reward").pair_values(pm)
 c = np.full(pm.n_pairs, 1.0)
 
-rep = synth_communicating(pm, r, c, epsilon=0.01)
+rep = synth_general(pm, r, c, epsilon=0.01)
 ca = analyze(pm, rep.policy)
 analytic = efficiency(ca, pm, r, c, rep.policy, 0)
 print(f"analytic efficiency of the synthesized policy: {analytic:.6f}")

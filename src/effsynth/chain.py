@@ -5,15 +5,15 @@ are exactly its support graph (s -> t iff a pair of s with positive weight
 has a positive-probability entry at t), so no threshold on a product w * p
 can drop an edge.  Tarjan's algorithm (graph) labels the strongly connected
 components of that graph on the CSR arrays; the bottom ones are the
-recurrent classes, and accepted_wp1 is the one verdict that the acceptance
-condition holds with probability one.  No n x n array is formed: stationary
-distributions, absorption probabilities and potentials come from one solve
-helper, dense LU on a block of at most DENSE_MAX states and SuperLU
-(scipy.sparse.linalg.splu) above that, on systems built from the CSR
-arrays.  The limit matrix P* is assembled only when limit_matrix is read;
-the average utility and the limit distribution take its rows from the
-absorption probabilities and the per-class stationary vectors.  On top of
-that sit the long-run average utility, the reward-to-cost efficiency for
+recurrent classes, and certify builds the one Certificate, whose verdict
+is that the acceptance condition holds with probability one.  No n x n
+array is formed: stationary distributions, absorption probabilities and
+potentials come from one solve helper, dense LU on a block of at most
+DENSE_MAX states and SuperLU (scipy.sparse.linalg.splu) above that, on
+systems built from the CSR arrays.  The limit matrix P* is assembled only
+when limit_matrix is read; the average utility and the limit distribution
+take its rows from the absorption probabilities and the per-class
+stationary vectors.  On top of that sit the long-run average utility, the reward-to-cost efficiency for
 general multichain chains and potential vectors g = (I - P + P*)^{-1} v,
 solved class by class without P*, all returned as plain arrays.
 ratio_deviation is the one perturbation step: a unichain policy's efficiency
@@ -224,8 +224,25 @@ def analyze(m: Mdp, w) -> ChainAnalysis:
                          absorb=absorb)
 
 
-def accepted_wp1(ca: ChainAnalysis, acc_pairs, start) -> bool:
-    """The Rabin condition acc_pairs holds with probability one from start.
+@dataclass(frozen=True)
+class Certificate:
+    """Witness that a chain satisfies the acceptance condition.
+
+    Every recurrent class is listed with the Rabin pair it satisfies (None
+    if it meets none); accepted is the exact verdict that every class the
+    start state reaches has one.  The absorption defect, 1 minus the
+    least total probability, over states, of reaching the recurrent
+    classes, is reported as a number and decides nothing.
+    """
+    recurrent_classes: tuple
+    witness_pairs: tuple
+    absorption_defect: float
+    accepted: bool
+
+
+def certify(ca: ChainAnalysis, acc_pairs, start) -> Certificate:
+    """The certificate that the Rabin condition acc_pairs holds with
+    probability one from start, each class's witness computed once.
 
     A finite chain is absorbed into its recurrent classes with probability
     one (Kemeny & Snell, Finite Markov Chains, 1960, ch. III), so this holds
@@ -234,10 +251,16 @@ def accepted_wp1(ca: ChainAnalysis, acc_pairs, start) -> bool:
     states start reaches are labelled by one traversal from it, made only
     if some class (named by its first state) has no witness.
     """
-    bad = [comp[0] for comp in ca.recurrent_classes
-           if rabin_witness(comp, acc_pairs) is None]
-    return not bad or not (strongly_connected_components(
+    witnesses = tuple(rabin_witness(comp, acc_pairs)
+                      for comp in ca.recurrent_classes)
+    bad = [comp[0] for comp, k in zip(ca.recurrent_classes, witnesses)
+           if k is None]
+    accepted = not bad or not (strongly_connected_components(
         ca.chain.indptr, ca.chain.indices, roots=[start])[bad] >= 0).any()
+    defect = float(1.0 - ca.absorb.sum(axis=1).min())
+    return Certificate(recurrent_classes=ca.recurrent_classes,
+                       witness_pairs=witnesses, absorption_defect=abs(defect),
+                       accepted=accepted)
 
 
 def utility_vector(m: Mdp, u, p) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .model import PROB_TOL, AlphabetMismatch, ModelError, PolicyMismatch, \
-    build_product, lift_utilities, policy_domain, rabin_witness
+    build_product, lift_utilities, policy_domain
 from . import casestudies, chain, graph, lp, parsers, sim, synthesis
 
 EXIT_PARSE = 2
@@ -33,9 +33,10 @@ EXIT_SOLVER = 4
 
 PARSE_ERRORS = (parsers.ParseError, parsers.ValidationError, ModelError,
                 AlphabetMismatch, PolicyMismatch, casestudies.ParamError)
-UNSAT_ERRORS = (synthesis.TaskUnsatisfiable, synthesis.NoMaec)
+UNSAT_ERRORS = (synthesis.TaskUnsatisfiable,)
 SOLVER_ERRORS = (lp.NumericalFailure, lp.InfeasibleError, lp.NotCommunicating,
-                 chain.SingularSystem, chain.NotUnichain, graph.Unreachable)
+                 lp.DegenerateDecoding, chain.SingularSystem,
+                 chain.NotUnichain, graph.Unreachable)
 
 
 def _read(path, digests):
@@ -217,12 +218,12 @@ def cmd_evaluate(args):
     digests = {}
     pm, policy, r, c = _load_scoped_policy(args, digests)
     ca = chain.analyze(pm, policy)
+    cert = chain.certify(ca, pm.acc_pairs, pm.initial)
     eff = chain.efficiency(ca, pm, r, c, policy, pm.initial)
     classes = []
     sat_mass = 0.0
-    for k, comp in enumerate(ca.recurrent_classes):
-        witness = rabin_witness(comp, pm.acc_pairs)
-        mass = float(ca.absorb[pm.initial, k])
+    for comp, witness, mass in zip(cert.recurrent_classes, cert.witness_pairs,
+                                   ca.absorb[pm.initial].tolist()):
         if witness is not None:
             sat_mass += mass
         classes.append({"states": [pm.state_names[s] for s in comp],
@@ -231,8 +232,7 @@ def cmd_evaluate(args):
                "efficiency": eff,
                "recurrent_classes": classes,
                "satisfaction_probability": sat_mass,
-               "accepted_wp1": chain.accepted_wp1(ca, pm.acc_pairs,
-                                                  pm.initial),
+               "accepted_wp1": cert.accepted,
                "manifest": _manifest(args, digests)}
     _emit(payload, args.out)
     return 0

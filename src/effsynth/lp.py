@@ -10,12 +10,13 @@ program over occupation measures is reduced to an LP by the Charnes-Cooper
 substitution and assembled sparse, straight from the model's pair and
 successor arrays.
 
-The multichain average-reward LP still runs on the in-house dense primal
-tableau (_solve_tableau: two phases, Bland's rule on degenerate stalls,
-periodic reinversion, block-sparse pivots).  HiGHS solves multichain
-instances on which the tableau fails, and the benchmark's evaluate time, a
-sum over every policy a round makes, would read their extra policies as a
-slowdown; the LP moves once evaluate is timed per call.
+The multichain average-reward LP is assembled the same way, but still
+runs on the in-house dense primal tableau (_solve_tableau: two phases,
+Bland's rule on degenerate stalls, periodic reinversion, block-sparse
+pivots).  HiGHS solves multichain instances on which the tableau fails,
+and the benchmark's evaluate time, a sum over every policy a round makes,
+would read their extra policies as a slowdown; the LP moves once evaluate
+is timed per call.
 
 Rewards and costs come in, and solutions stay, as vectors over the model's
 pairs; the decoders turn solutions into policy weight vectors, summing
@@ -28,7 +29,7 @@ import numpy as np
 
 from .model import Mdp
 from .graph import attractor_policy, is_communicating
-from .chain import analyze
+from .chain import _entries, analyze
 
 HIGHS_METHOD = "highs-ds"  # linprog's method for solve_lp
 PIVOT_TOL = 1e-9
@@ -49,7 +50,8 @@ class NotCommunicating(Exception):
 
 
 class DegenerateDecoding(Exception):
-    """Both x and y rows vanish at some state (solver tolerance issue)."""
+    """The support threshold leaves no mass to decode: at some state for
+    both the x and y rows, or anywhere in the occupation weights."""
 
 
 @dataclass(frozen=True)
@@ -344,13 +346,23 @@ def _solve_lp(p: LpProblem, safe: bool) -> LpResult:
     return LpResult(status="optimal", x=x, value=float(c @ x))
 
 
-def _flow_balance(m: Mdp, a_eq, row0=0, col0=0):
-    """Write each pair's flow balance into its column of a_eq (col0 + its
-    pair number): +1 at its state's row, then -P(t|s,a) at each successor's
-    row, all rows offset by row0.  No (row, column) entry is hit twice by
-    one update, so each entry is 1 - p or -p exactly as a loop makes it."""
-    a_eq[row0 + m.pair_state, col0 + np.arange(m.n_pairs)] += 1.0
-    a_eq[row0 + m.succ_state, col0 + m.succ_pair] -= m.succ_prob
+def _flow_entries(m: Mdp, row0=0, col0=0):
+    """The (rows, cols, vals) entries of each pair's flow balance in its
+    column (col0 + its pair number): +1 at its state's row, then -P(t|s,a)
+    at each successor's row, all rows offset by row0."""
+    return (np.concatenate([row0 + m.pair_state, row0 + m.succ_state]),
+            np.concatenate([col0 + np.arange(m.n_pairs), col0 + m.succ_pair]),
+            np.concatenate([np.ones(m.n_pairs), -m.succ_prob]))
+
+
+def _csr(shape, *runs):
+    """The csr_array of the given shape whose entries are the (rows, cols,
+    vals) runs, an entry hit twice holding the sum.  Each entry of the LPs
+    below sums at most two terms, +1 and -p, so it is 1 - p or -p exactly
+    as a loop over the pairs makes it."""
+    from scipy.sparse import csr_array
+    rows, cols, vals = _entries(*runs)
+    return csr_array((vals, (rows, cols)), shape=shape)
 
 
 @dataclass(frozen=True)
@@ -370,22 +382,14 @@ def solve_ratio_lfp(m: Mdp, r, c) -> LfpSolution:
     sum to one.  The value equals the optimal ratio from every state of the
     communicating model.
 
-    The constraint matrix is a csr_array built from triplets: +1 at each
-    pair's state, -P(t|s,a) at each successor t and the cost on row n.  A
-    self-loop's two entries sum to 1 - p, the value a dense flow-balance
-    assembly writes.
+    The constraint matrix is a csr_array: the flow balance of each pair
+    (_flow_entries) and the cost on row n.
     """
-    from scipy.sparse import csr_array
-
     if not is_communicating(m):
         raise NotCommunicating("ratio program needs a communicating model")
     n, k = m.n_states, m.n_pairs
-    cols = np.arange(k)
-    a_eq = csr_array(
-        (np.concatenate([np.ones(k), -m.succ_prob, c]),
-         (np.concatenate([m.pair_state, m.succ_state, np.full(k, n)]),
-          np.concatenate([cols, m.succ_pair, cols]))),
-        shape=(n + 1, k))
+    a_eq = _csr((n + 1, k), _flow_entries(m),
+                (np.full(k, n), np.arange(k), c))
     b_eq = np.zeros(n + 1)
     b_eq[n] = 1.0
 
@@ -411,12 +415,17 @@ def decode_ratio_policy(m: Mdp, sol: LfpSolution,
     assigned so Q is reached w.p.1.  If the support splits into several
     recurrent classes (they tie in ratio at an optimum), everything is steered
     into the class with the lowest state index so the result is unichain.
-    Occupation mass at or below support_threshold counts as zero; a support
+    Occupation mass at or below support_threshold counts as zero (if no
+    state's mass lies above it, DegenerateDecoding names it); a support
     state whose pairs all lie at or below it keeps its first largest pair
     alone.
     """
     mass = np.bincount(m.pair_state, weights=sol.gamma, minlength=m.n_states)
     support = mass > support_threshold
+    if not support.any():
+        raise DegenerateDecoding(
+            f"no state's occupation mass lies above the support threshold "
+            f"{support_threshold:g}")
     keep = _kept_pairs(m, sol.gamma, support, support_threshold)
     dist = np.zeros(m.n_pairs)
     dist[keep] = sol.gamma[keep] / mass[m.pair_state[keep]]
@@ -468,16 +477,18 @@ def solve_avg_reward_lp(m: Mdp, reward) -> AvgLpSolution:
     Variables x(s,a) (stationary occupation) and y(s,a) (deviation flow);
     constraints balance the stationary flow and route alpha mass into the
     occupation support.  The objective is the alpha-weighted optimal gain.
+    The constraint matrix is assembled as the ratio program's is, from the
+    two flow-balance blocks and the occupation rows, and handed to the
+    tableau dense.
     """
     k = m.n_pairs
     ns = m.n_states
     alpha = np.full(ns, 1.0 / ns)
 
-    a_eq = np.zeros((2 * ns, 2 * k))
+    a_eq = _csr((2 * ns, 2 * k), _flow_entries(m),
+                (ns + m.pair_state, np.arange(k), np.ones(k)),
+                _flow_entries(m, row0=ns, col0=k)).toarray()
     b_eq = np.zeros(2 * ns)
-    _flow_balance(m, a_eq)
-    a_eq[ns + m.pair_state, np.arange(k)] += 1.0
-    _flow_balance(m, a_eq, row0=ns, col0=k)
     b_eq[ns:] = alpha
     cobj = np.zeros(2 * k)
     cobj[:k] = reward
@@ -503,7 +514,8 @@ def decode_avg_policy(m: Mdp, sol: AvgLpSolution,
     vanish = np.flatnonzero(~use_x & ~use_y)
     if vanish.size:
         raise DegenerateDecoding(
-            f"state {m.state_names[vanish[0]]}: x and y both vanish")
+            f"state {m.state_names[vanish[0]]}: x and y both vanish at the "
+            f"support threshold {support_threshold:g}")
     row = np.where(use_x[m.pair_state], sol.x, sol.y)
     w = _normalized(m, row, _kept_pairs(m, row, np.ones(n, dtype=bool),
                                         support_threshold))

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-PROB_TOL = 1e-9  # validation tolerance for distributions
+PROB_TOL = 1e-9  # validation tolerance of a row sum and of an entry above 1
 
 
 class ModelError(Exception):
@@ -60,6 +60,18 @@ def csr_arrays(n_states, src, act, dst, prob):
     start = np.flatnonzero(np.diff(src, prepend=-1) | np.diff(act, prepend=-1))
     return (np.searchsorted(src[start], np.arange(n_states + 1)), act[start],
             np.append(start, len(src)), dst[order], prob[order])
+
+
+def _find_pairs(keys, width, states, actions):
+    """Positions in keys, the ascending codes state * width + action of
+    some pairs, of the pairs (states[i], actions[i]), by binary search, and
+    a mask of those found (elsewhere the position is meaningless)."""
+    actions = np.asarray(actions, dtype=np.int64)
+    want = np.asarray(states, dtype=np.int64) * width + actions
+    idx = np.searchsorted(keys, want)
+    found = (idx < len(keys)) & (actions >= 0) & (actions < width)
+    found[found] = keys[idx[found]] == want[found]
+    return idx, found
 
 
 def _ranges(starts, lens):
@@ -169,17 +181,7 @@ class Mdp:
     def pair_index(self, states, actions):
         """Pair numbers of the pairs (states[i], actions[i]), and a mask of
         those that exist (elsewhere the number is meaningless)."""
-        states = np.asarray(states, dtype=np.int64)
-        actions = np.asarray(actions, dtype=np.int64)
-        if not self.n_pairs:
-            return np.zeros(states.shape, dtype=np.int64), \
-                np.zeros(states.shape, dtype=bool)
-        want = states * self.n_actions + actions
-        idx = np.minimum(np.searchsorted(self._pair_key, want),
-                         self.n_pairs - 1)
-        found = (self._pair_key[idx] == want) & (actions >= 0) & \
-            (actions < self.n_actions)
-        return idx, found
+        return _find_pairs(self._pair_key, self.n_actions, states, actions)
 
     @cached_property
     def _pair_key(self):
@@ -290,15 +292,15 @@ def policy_from_entries(m: Mdp, states, actions, probs) -> np.ndarray:
     Raises PolicyMismatch unless every listed state's entries are a
     distribution over its available actions.  States are checked in the
     order they are first listed and each state's entries by action: the
-    first entry that puts mass on an unavailable action or lies outside
-    [0, 1], else a mass off 1, which is summed in action order.
+    first entry that puts mass on an unavailable action, is negative or
+    exceeds 1 + PROB_TOL, else a mass off 1 by more than PROB_TOL, summed
+    in action order.
     """
     idx, found = m.pair_index(states, actions)
     _, first, group = np.unique(states, return_index=True,
                                 return_inverse=True)
     order = np.lexsort((actions, first[group]))
-    bad = (~found & (probs != 0.0)) | (probs < -PROB_TOL) | \
-        (probs > 1 + PROB_TOL)
+    bad = (~found & (probs != 0.0)) | (probs < 0.0) | (probs > 1 + PROB_TOL)
     kept = order[found[order]]
     mass = np.bincount(group[kept], weights=probs[kept],
                        minlength=len(first))
@@ -385,21 +387,10 @@ class UtilityFn:
         for arr in (self.states, self.actions, self.vals):
             arr.flags.writeable = False
         self._width = int(actions.max()) + 1 if actions.size else 1
-        # one key per entry, ascending, then a sentinel no query matches
-        self._keys = np.append(self.states * self._width + self.actions, -1)
-
-    def _find(self, states, actions):
-        """Entry indices of the pairs (states[i], actions[i]), and a mask of
-        those that exist (elsewhere the index is meaningless)."""
-        actions = np.asarray(actions, dtype=np.int64)
-        want = np.asarray(states, dtype=np.int64) * self._width + actions
-        idx = np.searchsorted(self._keys[:-1], want)
-        found = (self._keys[idx] == want) & (actions >= 0) & \
-            (actions < self._width)
-        return idx, found
+        self._keys = self.states * self._width + self.actions  # ascending
 
     def __call__(self, s, a):
-        (i,), (ok,) = self._find([s], [a])
+        (i,), (ok,) = _find_pairs(self._keys, self._width, [s], [a])
         if not ok:
             raise KeyError((s, a))
         return float(self.vals[i])
@@ -407,7 +398,8 @@ class UtilityFn:
     def pair_values(self, m: Mdp) -> np.ndarray:
         """The utility as a vector over m's pairs; raises ModelError when it
         lacks one of them."""
-        idx, found = self._find(m.pair_state, m.pair_action)
+        idx, found = _find_pairs(self._keys, self._width, m.pair_state,
+                                 m.pair_action)
         if not found.all():
             missing = np.flatnonzero(~found)
             j = missing[0]
@@ -469,7 +461,8 @@ def validate_mdp(m: Mdp):
 
     Violations come in a fixed order: the initial state; states without an
     action; pair by pair in (state, action) order, each entry out of range
-    in entry order, then the row sum (added up in entry order); labels."""
+    (negative, or above 1 + PROB_TOL) in entry order, then the row sum
+    (added up in entry order) off 1 by more than PROB_TOL; labels."""
     out = []
     if not (0 <= m.initial < m.n_states):
         out.append(Violation("bad_initial", detail=f"initial={m.initial}"))
@@ -478,7 +471,7 @@ def validate_mdp(m: Mdp):
                              detail=f"state {m.state_names[s]} has no action"))
     total = np.bincount(m.succ_pair, weights=m.succ_prob,
                         minlength=m.n_pairs)
-    bad_entry = (m.succ_prob < -PROB_TOL) | (m.succ_prob > 1 + PROB_TOL)
+    bad_entry = (m.succ_prob < 0.0) | (m.succ_prob > 1 + PROB_TOL)
     bad_row = np.abs(total - 1.0) > PROB_TOL
     bad_pair = bad_row | (np.bincount(m.succ_pair, weights=bad_entry,
                                       minlength=m.n_pairs) > 0)

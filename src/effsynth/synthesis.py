@@ -1,23 +1,24 @@
 """Policy synthesis: maximize long-run reward-to-cost efficiency while the
 Rabin condition holds with probability one.
 
-The communicating solver decomposes the model into maximal accepting end
-components, solves the ratio program in each, and then blends the winning
-component's optimal policy with an irreducible one.  The mixing weight (the
+synth_general is the one entry point.  It decomposes the product once,
+restricts it once to the almost-sure region and scores every accepting
+component on the MAECs it contains.  That communicating stage
+(_solve_maecs) solves the ratio program in each MAEC and blends the winning
+one's optimal policy with an irreducible one.  The mixing weight (the
 perturbation degree) is either the closed-form bound from the ratio
 deviation of chain.ratio_deviation ('es') or the largest weight that stays
 within epsilon of optimal ('ex'), found by Brent's method (scipy's brentq)
-on the blend's stationary ratio and certified by the full chain analysis.  The
-general solver decomposes the product once, restricts it once to the
-almost-sure region, scores every accepting component that way on the MAECs
-it contains, turns the scores into a surrogate reward with a steeply
-negative off-component level, solves the average-reward program for a basic
-policy, and patches the component policies back in wherever the basic
+on the blend's stationary ratio and certified by the full chain analysis.
+The component scores then become a surrogate reward with a steeply
+negative off-component level; the average-reward program gives a basic
+policy, and the component policies are patched back in wherever the basic
 policy settles.  Policies, utilities and end components are arrays over a
 model's pairs: a sub-model gathers them through its parent_pair, a
 sub-model's policy lifts to its parent by a scatter through the same array
 (_lift), and the region's report returns to the product's ids through
-_lift_report.  A certificate is built only for the report that is returned.
+_lift_report.  A certificate (chain.certify) is built only for the report
+that is returned.
 """
 
 from dataclasses import dataclass, replace
@@ -29,9 +30,9 @@ from .model import (Mdp, ModelError, ProductMdp, blend, induce_chain,
 from .graph import (almost_sure_region, amec_filter, attractor_policy,
                     closed_pairs, maec_decompose, mec_decompose, restrict,
                     within)
-from .chain import (NotUnichain, accepted_wp1, analyze, average_utility,
-                    efficiency, ratio_deviation, stationary_distribution,
-                    utility_vector)
+from .chain import (Certificate, NotUnichain, analyze, average_utility,
+                    certify, efficiency, ratio_deviation,
+                    stationary_distribution, utility_vector)
 from .lp import SUPPORT_THRESHOLD, decode_avg_policy, decode_ratio_policy, \
     solve_avg_reward_lp, solve_ratio_lfp
 
@@ -71,10 +72,6 @@ class Tolerances:
                                             f"{bounds}, got {x!r}")
 
 
-class NoMaec(Exception):
-    """No accepting end component: the task cannot be met from anywhere."""
-
-
 class TaskUnsatisfiable(Exception):
     """The initial state admits no almost-sure satisfying policy."""
 
@@ -93,22 +90,6 @@ class PerturbationPlan:
     d_inf: float
     c_min: float
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Witness that the synthesized chain satisfies the acceptance condition.
-
-    Every recurrent class is listed with the Rabin pair it satisfies (None
-    if it meets none); accepted is chain.accepted_wp1's exact verdict that
-    every class the initial state reaches has one.  The absorption defect,
-    1 minus the least total probability, over states, of reaching the
-    recurrent classes, is reported as a number and decides nothing.
-    """
-    recurrent_classes: tuple
-    witness_pairs: tuple
-    absorption_defect: float
-    accepted: bool
 
 
 @dataclass(frozen=True)
@@ -213,17 +194,6 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
     return PerturbationPlan(best, "exact", d_inf, c_min, degenerate)
 
 
-def _certificate(pm: ProductMdp, policy) -> Certificate:
-    ca = analyze(pm, policy)
-    witnesses = [rabin_witness(comp, pm.acc_pairs)
-                 for comp in ca.recurrent_classes]
-    defect = float(1.0 - ca.absorb.sum(axis=1).min())
-    return Certificate(recurrent_classes=ca.recurrent_classes,
-                       witness_pairs=tuple(witnesses),
-                       absorption_defect=abs(defect),
-                       accepted=accepted_wp1(ca, pm.acc_pairs, pm.initial))
-
-
 def _lift(m: Mdp, sub_m: Mdp, ids, w, onto=None):
     """Policy w of sub_m (whose state i is state ids[i] of m) on m's pairs:
     onto (default: no rows) with the rows of ids replaced by w."""
@@ -302,26 +272,6 @@ def _solve_maecs(pm: ProductMdp, r, c, maecs, epsilon, method,
                            certificate=None)
 
 
-def synth_communicating(pm: ProductMdp, r, c, epsilon: float,
-                        method: str = "es",
-                        tol: Tolerances = Tolerances()) -> SynthesisReport:
-    """Epsilon-optimal synthesis for a communicating model; r and c are
-    value vectors over pm's pairs.
-
-    Solves the ratio program in every maximal accepting end component, keeps
-    the best one, and blends its optimal policy with an irreducible one unless
-    the optimal policy's recurrent class already witnesses acceptance (then no
-    perturbation is needed).  States outside the winning component reach it
-    w.p.1 through the peeling assignment.
-    """
-    _check_args(pm, c, epsilon, method)
-    maecs = maec_decompose(pm)
-    if not maecs:
-        raise NoMaec("no accepting end component")
-    rep = _solve_maecs(pm, r, c, maecs, epsilon, method, tol)
-    return replace(rep, certificate=_certificate(pm, rep.policy))
-
-
 def build_reward_k(pm: ProductMdp, amecs, values, r, c, k_margin=K_MARGIN):
     """Surrogate reward over pm's pairs: the component's optimal value
     inside each accepting component, and K = -max|R|/min C - k_margin
@@ -378,8 +328,9 @@ def _synth_region(pm: ProductMdp, r, c, amecs, maecs, epsilon, method,
         # stage cannot change anything, so the component solution on the
         # product itself is the answer
         rep = _solve_maecs(pm, r, c, maecs, epsilon, method, tol)
+        cert = certify(analyze(pm, rep.policy), pm.acc_pairs, pm.initial)
         return replace(rep, amec_values=(rep.value,), amec_chosen=0,
-                       certificate=_certificate(pm, rep.policy))
+                       certificate=cert)
 
     sub_reports = []
     for amec in amecs:
@@ -407,7 +358,7 @@ def _synth_region(pm: ProductMdp, r, c, amecs, maecs, epsilon, method,
             rep, sub_m, ids = sub_reports[i]
             policy = _lift(pm, sub_m, ids, rep.policy, onto=policy)
             kept.append(i)
-    cert = _certificate(pm, policy)
+    cert = certify(analyze(pm, policy), pm.acc_pairs, pm.initial)
     kept_reports = [sub_reports[i][0] for i in kept]
     return SynthesisReport(policy=policy, value=float(claimed),
                            epsilon=epsilon, amec_values=tuple(values),

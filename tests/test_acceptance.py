@@ -21,8 +21,7 @@ from effsynth.chain import (analyze, average_utility, efficiency,
 from effsynth.lp import (decode_avg_policy, decode_ratio_policy,
                          solve_avg_reward_lp, solve_ratio_lfp)
 from effsynth.synthesis import (build_reward_k, perturbation_degree_estimated,
-                                perturbation_degree_exact,
-                                synth_communicating, synth_general)
+                                perturbation_degree_exact, synth_general)
 from effsynth.sim import RolloutConfig, simulate
 from effsynth.casestudies import (COST_BY_DISTANCE, Case1Params, Case2Params,
                                   gen_case1, gen_case2)
@@ -121,13 +120,12 @@ def test_criterion_4_epsilon_optimality():
                                           n_pairs=int(rng.integers(1, 3)))
         r, c = random_utilities(rng, pm)
         for eps in (1e-3, 1e-2, 1e-1):
-            rep = synth_communicating(pm, r, c, eps,
-                                      "es" if count % 2 else "ex")
+            rep = synth_general(pm, r, c, eps, "es" if count % 2 else "ex")
             ca = analyze(pm, rep.policy)
             got = efficiency(ca, pm, r, c, rep.policy, pm.initial)
             ok = ok and got >= rep.value - eps - 1e-8
             ok = ok and rep.certificate.accepted
-            chosen = ec_parts(pm, maec_decompose(pm)[rep.amec_chosen])[0]
+            chosen = ec_parts(pm, amecs_of(pm)[rep.amec_chosen])[0]
             mec = next(states for states, _ in
                        (ec_parts(pm, mm) for mm in mec_decompose(pm))
                        if chosen <= states)
@@ -290,7 +288,7 @@ def test_criterion_8_monte_carlo():
     while k < 20:
         pm = random_communicating_product(rng, int(rng.integers(3, 7)), 2)
         r, c = random_utilities(rng, pm)
-        rep = synth_communicating(pm, r, c, 0.05)
+        rep = synth_general(pm, r, c, 0.05)
         ca = analyze(pm, rep.policy)
         P = dense_p(ca.chain)
         stochastic = any(

@@ -5,8 +5,8 @@ import pytest
 
 from effsynth.model import Mdp, ModelError, UtilityFn, blend, csr_arrays, \
     induce_chain, uniform_policy
-from effsynth.chain import (NotUnichain, accepted_wp1, analyze,
-                            average_utility, efficiency, limit_distribution,
+from effsynth.chain import (NotUnichain, analyze, average_utility, certify,
+                            efficiency, limit_distribution,
                             potential_vector, ratio_deviation,
                             ratio_perturbation_identity_check,
                             stationary_distribution, utility_vector)
@@ -110,15 +110,19 @@ def test_tiny_blend_on_the_grid9_maec_is_one_class(delta):
     assert pi.sum() == pytest.approx(1.0)
 
 
-def test_accepted_wp1_reads_only_the_classes_start_reaches():
+def test_certify_reads_only_the_classes_start_reaches():
     """0 -> 1 absorbing, and 2 absorbing: from 0 only the class {1} is
-    reached, from 2 only {2}; the pair (B, G) = ({2}, {1}) accepts {1}."""
+    reached, from 2 only {2}; the pair (B, G) = ({2}, {1}) accepts {1}.
+    The classes and their witnesses are the same from every start."""
     ca = analyze(*chain_model([[0, 1, 0], [0, 1, 0], [0, 0, 1]]))
     assert ca.recurrent_classes == ((1,), (2,))
     pairs = [(frozenset({2}), frozenset({1}))]
-    assert accepted_wp1(ca, pairs, 0)
-    assert accepted_wp1(ca, pairs, 1)
-    assert not accepted_wp1(ca, pairs, 2)
+    certs = [certify(ca, pairs, start) for start in range(3)]
+    assert [cert.accepted for cert in certs] == [True, True, False]
+    for cert in certs:
+        assert cert.recurrent_classes == ((1,), (2,))
+        assert cert.witness_pairs == (0, None)
+        assert cert.absorption_defect == 0.0
 
 
 def cesaro_average(P, n):

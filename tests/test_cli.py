@@ -353,6 +353,43 @@ def test_evaluate_admits_rows_off_one_within_the_validation_tolerance(
     assert json.loads(capsys.readouterr().out)["accepted_wp1"] is True
 
 
+# One accepting automaton state: every run satisfies Fin(0) & Inf(1).
+ALWAYS_ACCEPT = ("HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"g\"\n"
+                 "Acceptance: 2 Fin(0) & Inf(1)\n--BODY--\nState: 0 {1}\n"
+                 "[t] 0\n--END--\n")
+
+
+@pytest.mark.parametrize("rows, policy, message", [
+    (["trans s a t 0.5000000009", "trans s a u 0.5000000009",
+      "trans s a s -0.0000000009"],
+     "rule s&q0 a 1.0000000008\n",
+     "1 violation(s), first: prob_range (P(0|0,0)=-9e-10)"),
+    (["trans s a t 0.5", "trans s a u 0.5", "trans s b t 1"],
+     "rule s&q0 a 1.0000000009\nrule s&q0 b -0.0000000009\n",
+     "state s&q0: probability -9e-10 out of range")],
+    ids=["model", "policy"])
+def test_negative_probability_is_a_validation_error(tmp_path, capsys, rows,
+                                                    policy, message):
+    """A negative entry, however small, fails validation with exit 2 and
+    one line naming it; the row sums are within 1e-9 of 1.  Kept, the
+    model's entry would leave positive mass 1 + 1.8e-9 in the row, which
+    the chain dropped with the negative entry."""
+    trans = rows + ["trans t a s 1", "trans u a s 1"]
+    pairs = dict.fromkeys(" ".join(row.split()[1:3]) for row in trans)
+    model = "\n".join([
+        "mdp", "states: s t u", "actions: a b", "props: g", "initial: s",
+        "label s: g", *trans] + [f"{kind} {pair} 1" for kind in
+                                 ("reward", "cost") for pair in pairs]) + "\n"
+    paths = []
+    for name, text in (("model.mdp", model), ("task.hoa", ALWAYS_ACCEPT),
+                       ("policy.txt", policy + "rule t&q0 a 1\n"
+                                               "rule u&q0 a 1\n")):
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    assert main(["evaluate", paths[0], paths[1], paths[0], paths[2]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_evaluate_rejects_mismatched_policy(files, tmp_path):
     pol = tmp_path / "mismatch.txt"
     pol.write_text("rule nosuch a1 1\n")
@@ -661,6 +698,28 @@ def test_out_of_range_tolerance_flag_exits_2(files, tmp_path, capsys, flag,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error: argument {flag}: ")
+
+
+@pytest.mark.parametrize("threshold, message", [
+    ("0.4", "state 1&q0: x and y both vanish at the support threshold 0.4"),
+    ("0.6", "no state's occupation mass lies above the support threshold "
+            "0.6")])
+def test_support_threshold_that_empties_a_decoding_exits_4(
+        files, tmp_path, capsys, threshold, message):
+    """On the multichain model whose accepting component is the ring 3 <-> 4
+    (occupation mass 1/2 at each state), a --tol-support of 0.6 empties the
+    ring's support, and one of 0.4 empties both rows of the average-reward
+    LP at state 1 (x = 0, y = 1/3 from the uniform initial weights): each
+    is a solver failure reported on one line."""
+    model = tmp_path / "ring.mdp"
+    model.write_text(MODEL.replace("trans 4 a2 4 1.0\n", ""))
+    util = tmp_path / "ring.txt"
+    util.write_text("".join(line + "\n" for line in UTILITIES.splitlines()
+                            if not line.startswith(("reward 4 a2",
+                                                    "cost 4 a2"))))
+    assert main(["synthesize", str(model), files["task.hoa"], str(util),
+                 "--epsilon", "0.01", "--tol-support", threshold]) == 4
+    assert capsys.readouterr().err == f"solver failure: {message}\n"
 
 
 def test_width_below_float_spacing_ends(files, tmp_path):

@@ -24,8 +24,7 @@ from effsynth.model import (Dra, Mdp, PolicyMismatch, ProductMdp,
                             UtilityFn, blend, build_product, induce_chain,
                             lift_utilities, policy_from_rule, uniform_policy)
 from effsynth import synthesis
-from effsynth.synthesis import build_reward_k, synth_communicating, \
-    synth_general
+from effsynth.synthesis import build_reward_k, synth_general
 
 from conftest import (amecs_of, chain_model, dense_p, ec_parts,
                       random_communicating_mdp,
@@ -200,8 +199,8 @@ def general_reference(pm, r, c, epsilon):
     subs = []
     for amec in amecs:
         sub_m, ids = restrict(pm, amec)
-        rep = synth_communicating(sub_m, r[sub_m.parent_pair],
-                                  c[sub_m.parent_pair], epsilon)
+        rep = synth_general(sub_m, r[sub_m.parent_pair],
+                            c[sub_m.parent_pair], epsilon)
         sub_rule = rule_of(sub_m, rep.policy)
         subs.append(({ids[s]: d for s, d in sub_rule.items()}, rep.value))
     if len(amecs) == 1 and len(ec_parts(pm, amecs[0])[0]) == pm.n_states:

@@ -44,9 +44,40 @@ def test_empty_distribution_is_rejected():
 
 
 def test_validate_flags_out_of_range_probability():
+    """Also a negative entry however small: PROB_TOL bounds the row sum and
+    the upper end only."""
     m = Mdp(["x"], ["a"], 0, {(0, 0): {0: 1.1}})
     kinds = {v.kind for v in validate_mdp(m)}
     assert "prob_range" in kinds and "stochasticity" in kinds
+    m = Mdp(["x", "y"], ["a"], 0, {(0, 0): {0: 1.0000000005, 1: -1e-15},
+                                   (1, 0): {1: 1.0}})
+    assert [(v.kind, v.detail) for v in validate_mdp(m)] == \
+        [("prob_range", "P(1|0,0)=-1e-15")]
+
+
+def test_pair_lookups_agree_with_a_linear_scan():
+    """Mdp.pair_index and a UtilityFn over the same pairs find exactly the
+    listed pairs: not a missing pair, a negative or unknown action, a state
+    past the last, or anything in an empty table."""
+    m = Mdp(["x", "y", "z"], ["a", "b", "c"], 0,
+            {(0, 1): {0: 1.0}, (1, 0): {2: 1.0}, (1, 2): {0: 1.0},
+             (2, 1): {1: 1.0}})
+    pairs = list(m.state_action_pairs())
+    fn = UtilityFn({sa: float(j) for j, sa in enumerate(pairs)}, "reward")
+    queries = [(s, a) for s in range(-1, 5) for a in range(-2, 5)]
+    states, actions = (np.array(q) for q in zip(*queries))
+    idx, found = m.pair_index(states, actions)
+    assert found.tolist() == [q in pairs for q in queries]
+    assert idx[found].tolist() == [pairs.index(q) for q in queries
+                                   if q in pairs]
+    for q in queries:
+        if q in pairs:
+            assert fn(*q) == pairs.index(q)
+        else:
+            with pytest.raises(KeyError):
+                fn(*q)
+    with pytest.raises(KeyError):
+        UtilityFn({}, "reward")(0, 0)
 
 
 def test_product_identity_case():

@@ -85,7 +85,7 @@ def ref_validate_mdp(m):
                        m.succ_ptr.tolist())
     for j, (s, a) in enumerate(m.state_action_pairs()):
         for k in range(ptr[j], ptr[j + 1]):
-            if prob[k] < -PROB_TOL or prob[k] > 1 + PROB_TOL:
+            if prob[k] < 0.0 or prob[k] > 1 + PROB_TOL:
                 out.append(Violation("prob_range", state=s, action=a,
                                      detail=f"P({succ[k]}|{s},{a})={prob[k]}"))
         if abs(total[j] - 1.0) > PROB_TOL:
@@ -229,7 +229,7 @@ def ref_policy_from_rule(m, rule):
                 raise PolicyMismatch(
                     f"state {m.state_names[s]}: action {m.action_names[a]} "
                     f"not available")
-            if p < -PROB_TOL or p > 1 + PROB_TOL:
+            if p < 0.0 or p > 1 + PROB_TOL:
                 raise PolicyMismatch(
                     f"state {m.state_names[s]}: probability {p} out of range")
         mass = sum(p for a, p in d if a in avail)

@@ -4,7 +4,7 @@ import pytest
 from effsynth.model import Mdp, ProductMdp, UtilityFn, uniform_policy
 from effsynth.chain import analyze, efficiency, limit_distribution
 from effsynth.sim import RolloutConfig, simulate
-from effsynth.synthesis import synth_communicating
+from effsynth.synthesis import synth_general
 
 from conftest import (deterministic, random_communicating_product,
                       random_utilities)
@@ -63,7 +63,7 @@ def test_simulated_ratio_approaches_analytic(rng):
     while done < 3:
         pm = random_communicating_product(rng, int(rng.integers(3, 6)), 2)
         r, c = random_utilities(rng, pm)
-        rep = synth_communicating(pm, r, c, 0.05)
+        rep = synth_general(pm, r, c, 0.05)
         ca = analyze(pm, rep.policy)
         analytic = efficiency(ca, pm, r, c, rep.policy, pm.initial)
         stats = simulate(pm, rep.policy, r, c,

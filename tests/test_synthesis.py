@@ -13,14 +13,14 @@ from effsynth.chain import (NotUnichain, analyze, average_utility,
                             efficiency, ratio_deviation)
 from effsynth.lp import (decode_ratio_policy, solve_avg_reward_lp,
                          solve_ratio_lfp)
-from effsynth.synthesis import (NoMaec, TaskUnsatisfiable, Tolerances,
+from effsynth.synthesis import (TaskUnsatisfiable, Tolerances,
                                 build_reward_k,
                                 perturbation_degree_estimated,
-                                perturbation_degree_exact,
-                                synth_communicating, synth_general)
+                                perturbation_degree_exact, synth_general)
 
-from conftest import (amecs_of, delivery_grid_product, deterministic,
-                      ec_parts, example1_product, random_communicating_mdp,
+from conftest import (amecs_of, brute_force_best_ratio,
+                      delivery_grid_product, deterministic, ec_parts,
+                      example1_product, random_communicating_mdp,
                       random_communicating_product, random_mdp,
                       random_utilities, rule_of)
 
@@ -361,8 +361,7 @@ def test_synth_no_perturbation_when_optimum_accepts():
                   "reward").pair_values(pm)
     c = np.full(pm.n_pairs, 1.0)
     sub, ids = restrict(pm, amecs_of(pm)[0])
-    rep = synth_communicating(sub, r[sub.parent_pair], c[sub.parent_pair],
-                              0.01)
+    rep = synth_general(sub, r[sub.parent_pair], c[sub.parent_pair], 0.01)
     assert rep.no_perturbation
     assert rep.plan is None
     assert rep.value == pytest.approx(5.0)
@@ -375,7 +374,7 @@ def test_synth_unique_policy_single_action():
                     [(set(), {1})])
     r = UtilityFn({(0, 0): 2.0, (1, 0): 0.0}, "reward").pair_values(pm)
     c = np.full(pm.n_pairs, 1.0)
-    rep = synth_communicating(pm, r, c, 0.05)
+    rep = synth_general(pm, r, c, 0.05)
     ca = analyze(pm, rep.policy)
     assert rep.value == pytest.approx(
         efficiency(ca, pm, r, c, rep.policy, 0))
@@ -388,11 +387,11 @@ def test_synth_raises_without_accepting_component():
                     [({0}, {1})])  # the only loop passes through B
     r = np.full(pm.n_pairs, 1.0)
     c = np.full(pm.n_pairs, 1.0)
-    with pytest.raises(NoMaec):
-        synth_communicating(pm, r, c, 0.1)
+    with pytest.raises(TaskUnsatisfiable):
+        synth_general(pm, r, c, 0.1)
 
 
-def test_synth_communicating_epsilon_optimal(rng):
+def test_synth_general_epsilon_optimal_on_communicating_products(rng):
     done = 0
     while done < 20:
         pm = random_communicating_product(rng, int(rng.integers(2, 7)), 2,
@@ -400,13 +399,13 @@ def test_synth_communicating_epsilon_optimal(rng):
         r, c = random_utilities(rng, pm)
         eps = float(rng.choice([1e-3, 1e-2, 1e-1]))
         method = "es" if done % 2 == 0 else "ex"
-        rep = synth_communicating(pm, r, c, eps, method)
+        rep = synth_general(pm, r, c, eps, method)
         ca = analyze(pm, rep.policy)
         got = efficiency(ca, pm, r, c, rep.policy, pm.initial)
         assert got >= rep.value - eps - 1e-8
         assert rep.certificate.accepted
         # recurrent classes stay within the chosen accepting component
-        chosen = ec_parts(pm, maec_decompose(pm)[rep.amec_chosen])[0]
+        chosen = ec_parts(pm, amecs_of(pm)[rep.amec_chosen])[0]
         mec = next(states for states, _ in
                    (ec_parts(pm, m) for m in mec_decompose(pm))
                    if chosen <= states)
@@ -434,13 +433,21 @@ def test_build_reward_k_values_and_level():
 
 
 def test_synth_general_matches_communicating_on_communicating_input(rng):
+    """On a communicating product synth_general claims the communicating
+    case's optimum: the best ratio, over deterministic policies, of the
+    best MAEC."""
     done = 0
     while done < 8:
         pm = random_communicating_product(rng, int(rng.integers(2, 6)), 2)
         r, c = random_utilities(rng, pm)
-        rep_g = synth_general(pm, r, c, 0.01)
-        rep_c = synth_communicating(pm, r, c, 0.01)
-        assert rep_g.value == pytest.approx(rep_c.value, abs=1e-8)
+        rep = synth_general(pm, r, c, 0.01)
+        best = -np.inf
+        for maec in maec_decompose(pm):
+            sub, _ = restrict(pm, maec)
+            pp = sub.parent_pair
+            best = max(best, brute_force_best_ratio(sub, r[pp], c[pp],
+                                                    sub.initial))
+        assert rep.value == pytest.approx(best, abs=1e-8)
         done += 1
 
 
@@ -522,28 +529,25 @@ def test_synth_general_unsatisfiable_from_initial():
         synth_general(pm, r, c, 0.1)
 
 
-@pytest.mark.parametrize("synth, unsat",
-                         [(synth_general, TaskUnsatisfiable),
-                          (synth_communicating, NoMaec)])
-def test_arguments_are_checked_before_any_work(synth, unsat):
-    """Both entry points check epsilon, the method and the cost's sign
-    first: on a product without accepting component each still reports
-    the bad argument, not the missing component."""
+def test_arguments_are_checked_before_any_work():
+    """synth_general checks epsilon, the method and the cost's sign first:
+    on a product without accepting component it still reports the bad
+    argument, not the missing component."""
     pm = ProductMdp(["x", "y"], ["a"], 0, {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
                     [({0}, {1})])  # the only loop passes through B
     r = np.full(pm.n_pairs, 1.0)
     c = np.full(pm.n_pairs, 1.0)
     with pytest.raises(ValueError, match="epsilon must be positive"):
-        synth(pm, r, c, 0.0)
+        synth_general(pm, r, c, 0.0)
     with pytest.raises(ValueError, match="method must be 'es' or 'ex'"):
-        synth(pm, r, c, 0.1, "bogus")
+        synth_general(pm, r, c, 0.1, "bogus")
     for bad in (0.0, -2.0):
         with pytest.raises(ModelError) as err:
-            synth(pm, r, np.array([1.0, bad]), 0.1)
+            synth_general(pm, r, np.array([1.0, bad]), 0.1)
         assert str(err.value) == \
             f"cost must be strictly positive, got {bad} at state y, action a"
-    with pytest.raises(unsat):
-        synth(pm, r, c, 0.1)
+    with pytest.raises(TaskUnsatisfiable):
+        synth_general(pm, r, c, 0.1)
 
 
 def random_multichain_product(rng, distinct_gap=0.05):
@@ -695,7 +699,7 @@ def test_synth_general_decomposes_the_product_once(monkeypatch):
     mecs = count_calls(monkeypatch, graph, "mec_decompose")
     maecs = count_calls(monkeypatch, graph, "maec_decompose")
     regions = count_calls(monkeypatch, graph, "almost_sure_region")
-    certificates = count_calls(monkeypatch, synthesis, "_certificate")
+    certificates = count_calls(monkeypatch, chain, "certify")
     rep = synth_general(pm, r, c, 0.01)
     assert rep.certificate.accepted
     assert rep.value == pytest.approx(1.0, abs=1e-8)
@@ -713,7 +717,8 @@ def test_certificate_reads_the_exact_verdict():
     from test_cli import EDGE_1E13, FIN_B_INF_G
     model_text, policy_text = EDGE_1E13
     pm = model.build_product(parse_mdp(model_text), parse_dra(FIN_B_INF_G))
-    cert = synthesis._certificate(pm, parse_policy(policy_text, pm))
+    cert = chain.certify(analyze(pm, parse_policy(policy_text, pm)),
+                         pm.acc_pairs, pm.initial)
     assert cert.recurrent_classes == ((0, 1),)
     assert cert.witness_pairs == (None,)
     assert cert.absorption_defect == 0.0
