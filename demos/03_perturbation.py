@@ -23,6 +23,7 @@ r = UtilityFn({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0,
 c = np.full(m.n_pairs, 1.0)
 mu_opt = policy_from_rule(m, {0: {0: 1.0}, 1: {0: 1.0}, 2: {0: 1.0}})
 mu_irr = uniform_policy(m)
+ca_opt = analyze(m, mu_opt)
 
 print("identity check (difference of efficiencies vs deviation formula):")
 for delta in (0.1, 0.4, 0.8):
@@ -32,16 +33,15 @@ for delta in (0.1, 0.4, 0.8):
           f"gap={abs(lhs - rhs):.2e}")
 
 print("\nblending degree for a 0.01 efficiency budget:")
-es = perturbation_degree_estimated(m, mu_opt, mu_irr, r, c, 0.01)
-ex = perturbation_degree_exact(m, mu_opt, mu_irr, r, c, 0.01)
+es = perturbation_degree_estimated(ca_opt, m, mu_opt, mu_irr, r, c, 0.01)
+ex = perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, 0.01)
 print(f"  one-shot bound: delta={es.delta:.6f} "
       f"(worst-state gap {es.d_inf:.2f}, min cost {es.c_min})")
 print(f"  secant search:  delta={ex.delta:.6f}")
 print(f"  conservatism: {ex.delta / es.delta:.0f}x")
 
 print("\nactual efficiency along the blend:")
-ca = analyze(m, mu_opt)
-base = efficiency(ca, m, r, c, mu_opt, 0)
+base = efficiency(ca_opt, m, r, c, mu_opt, 0)
 for delta in (es.delta, ex.delta, 2 * ex.delta):
     mu_d = blend(mu_opt, mu_irr, delta)
     cad = analyze(m, mu_d)

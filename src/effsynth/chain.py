@@ -10,18 +10,21 @@ is that the acceptance condition holds with probability one.  No n x n
 array is formed: stationary distributions, absorption probabilities and
 potentials come from one solve helper, dense LU on a block of at most
 DENSE_MAX states and SuperLU (scipy.sparse.linalg.splu) above that, on
-systems built from the CSR arrays.  The limit matrix P* is assembled only
+systems built from the CSR arrays (_solve says how SuperLU is set up for
+them).  The limit matrix P* is assembled only
 when limit_matrix is read; the average utility and the limit distribution
 take its rows from the absorption probabilities and the per-class
 stationary vectors.  On top of that sit the long-run average utility, the reward-to-cost efficiency for
 general multichain chains and potential vectors g = (I - P + P*)^{-1} v,
 solved class by class without P*, all returned as plain arrays.
 ratio_deviation is the one perturbation step: a unichain policy's efficiency
-J and its ratio deviation d_r - J d_c towards another policy, read by the
-perturbation degrees and by the perturbation identity relating the
-efficiencies of a policy and its mixture with another policy.  Policies are
-weight vectors over the model's pairs (see model), so a mixture is the
-blend of two vectors; utilities are value vectors over the same pairs.
+J and its ratio deviation d_r - J d_c towards another policy, from the
+caller's analysis of the policy and its reward and cost potentials solved
+on one factor per block, read by the perturbation degrees and by the
+perturbation identity relating the efficiencies of a policy and its
+mixture with another policy.  Policies are weight vectors over the model's
+pairs (see model), so a mixture is the blend of two vectors; utilities are
+value vectors over the same pairs.
 """
 
 from dataclasses import dataclass
@@ -87,11 +90,16 @@ def _entries(*runs):
 def _solve(k, system, b, what, transpose=False, tol=None):
     """x with M x = b, or M^T x = b when transpose, for M the k x k matrix
     whose entries are the (rows, cols, vals) triplet system, duplicates
-    added in their order.  At most DENSE_MAX states are solved by dense LU;
-    above that by SuperLU (scipy.sparse.linalg, imported only then), which
-    factors M^T: M grouped into CSR arrays by a stable sort on the rows, the
-    same three arrays read as CSC.  With tol, the residual max |M x - b|
-    must not exceed it."""
+    added in their order; b is a vector or a k x q array of q right-hand
+    sides, all solved on one factor.  At most DENSE_MAX states are solved
+    by dense LU; above that by SuperLU (scipy.sparse.linalg, imported only
+    then), which factors M^T: M grouped into CSR arrays by a stable sort on
+    the rows, the same three arrays read as CSC.  It orders by minimum
+    degree on M^T + M and keeps a diagonal pivot down to a tenth of its
+    column's largest entry: with its defaults (COLAMD, partial pivoting)
+    the dense row of ones in M^T of a bordered system is picked early and
+    fills the factors, about n^2/2 entries on an n-state cycle.  With tol,
+    the residual max |M x - b| must not exceed it."""
     rows, cols, vals = system
     if k <= DENSE_MAX:
         a = np.bincount(rows * k + cols, weights=vals,
@@ -108,13 +116,15 @@ def _solve(k, system, b, what, transpose=False, tol=None):
                                                             minlength=k))))
         try:
             lu = splu(csc_array((vals[order], cols[order], indptr),
-                                shape=(k, k)))
+                                shape=(k, k)),
+                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
         except RuntimeError as e:
             raise SingularSystem(f"{what} solve failed: {e}") from e
         x = lu.solve(b, trans="N" if transpose else "T")
     if tol is not None:
-        resid = float(np.max(np.abs(np.bincount(
-            rows, weights=vals * x[cols], minlength=k) - b)))
+        mx = [np.bincount(rows, weights=vals * xj[cols], minlength=k)
+              for xj in x.reshape(k, -1).T]
+        resid = float(np.max(np.abs(np.stack(mx, axis=1) - b.reshape(k, -1))))
         if resid > tol:
             raise SingularSystem(f"{what} residual {resid:g} above tolerance")
     return x
@@ -307,59 +317,65 @@ def potential_vector(ca: ChainAnalysis, m: Mdp, u, p) -> np.ndarray:
     """The potential g solving (I - P + P*) g = v, without forming P*
     (relative values, Puterman, Markov Decision Processes, 1994, 8.2).
 
-    On each recurrent class k, (I - P_kk) h + rho_k 1 = v_k with h = 0 at
-    the class's last state, whose column holds the ones, so rho_k is the
-    solution there; g_k = h shifted so that pi_k g_k = rho_k.  On the
-    transient states T, g_T = (I - P_TT)^{-1} (v_T + P_TR g_R - absorb_T
-    rho).  Each system is invertible, so a residual above POTENTIAL_TOL
-    signals degenerate numerics, not a modeling error.
+    u is one utility over m's pairs, or several stacked as the rows of a
+    2-D array; then g has one row per utility, and each block below is
+    factored once for all of them.  On each recurrent class k,
+    (I - P_kk) h + rho_k 1 = v_k with h = 0 at the class's last state,
+    whose column holds the ones, so rho_k is the solution there; g_k = h
+    shifted so that pi_k g_k = rho_k.  On the transient states T,
+    g_T = (I - P_TT)^{-1} (v_T + P_TR g_R - absorb_T rho).  Each system is
+    invertible, so a residual above POTENTIAL_TOL signals degenerate
+    numerics, not a modeling error.
     """
-    v = utility_vector(m, u, p)
+    v = np.stack([utility_vector(m, uj, p) for uj in np.atleast_2d(u)],
+                 axis=1)
     chain = ca.chain
-    g = np.zeros(chain.n_states)
-    rho = np.zeros(len(ca.recurrent_classes))
+    g = np.zeros(v.shape)
+    rho = np.zeros((len(ca.recurrent_classes), v.shape[1]))
     for k, states in enumerate(ca.recurrent_classes):
         idx = list(states)
         x = _solve(len(idx), _bordered(_class_block(chain, states), -1.0),
                    v[idx], "potential", tol=POTENTIAL_TOL)
         rho[k] = x[-1]
         x[-1] = 0.0
-        g[idx] = x + (rho[k] - float(ca.stationary[k] @ x))
+        g[idx] = x + (rho[k] - ca.stationary[k] @ x)
     if ca.transient:
         klass = _class_index(chain.n_states, ca.recurrent_classes)
         tr = np.flatnonzero(klass < 0)
         system, rows, cols, vals = _transient_system(chain, klass)
-        rhs = v[tr] + np.bincount(rows, weights=vals * g[cols],
-                                  minlength=tr.size) - ca.absorb[tr] @ rho
+        p_g = np.stack([np.bincount(rows, weights=vals * gj[cols],
+                                    minlength=tr.size) for gj in g.T], axis=1)
+        rhs = v[tr] + p_g - ca.absorb[tr] @ rho
         g[tr] = _solve(tr.size, system, rhs, "potential", tol=POTENTIAL_TOL)
-    return g
+    return g.T if np.ndim(u) == 2 else g[:, 0]
 
 
-def _deviation(m, ca, chain_p, mu, mu_prime, u):
-    """d = (v' - v) + (P' - P) g, with P and g from mu's analysis ca."""
-    g = potential_vector(ca, m, u, mu)
+def _deviation(m, ca, chain_p, mu, mu_prime, u, g):
+    """d = (v' - v) + (P' - P) g, with P from mu's analysis ca and g mu's
+    potential for u."""
     v = utility_vector(m, u, mu)
     v_p = utility_vector(m, u, mu_prime)
     return (v_p - v) + (chain_p.matvec(g) - ca.chain.matvec(g))
 
 
-def ratio_deviation(m: Mdp, mu, mu_prime, r, c):
-    """The perturbation step towards mu_prime from a unichain policy mu.
+def ratio_deviation(ca: ChainAnalysis, m: Mdp, mu, mu_prime, r, c):
+    """The perturbation step towards mu_prime from a unichain policy mu,
+    whose chain analysis on m is ca (as decode_ratio_policy returns it).
 
-    Returns (ca, j, d): mu's chain analysis, mu's efficiency j from the
-    initial state, and the ratio deviation d = d_r - j d_c.  Each policy's
-    chain is induced once and mu's is analyzed once.  Raises NotUnichain
-    unless mu induces a single recurrent class.
+    Returns (j, d): mu's efficiency j from the initial state, and the ratio
+    deviation d = d_r - j d_c, from mu's potentials for r and c, solved
+    together.  mu_prime's chain is induced once.  Raises NotUnichain unless
+    ca has a single recurrent class.
     """
-    ca = analyze(m, mu)
     if not ca.is_unichain():
         raise NotUnichain(
             f"{len(ca.recurrent_classes)} recurrent classes under mu")
     chain_p = induce_chain(m, mu_prime)
     j = efficiency(ca, m, r, c, mu, m.initial)
-    d_r = _deviation(m, ca, chain_p, mu, mu_prime, r)
-    d_c = _deviation(m, ca, chain_p, mu, mu_prime, c)
-    return ca, j, d_r - j * d_c
+    g_r, g_c = potential_vector(ca, m, np.stack((r, c)), mu)
+    d_r = _deviation(m, ca, chain_p, mu, mu_prime, r, g_r)
+    d_c = _deviation(m, ca, chain_p, mu, mu_prime, c, g_c)
+    return j, d_r - j * d_c
 
 
 def limit_distribution(ca: ChainAnalysis) -> np.ndarray:
@@ -375,7 +391,7 @@ def ratio_perturbation_identity_check(m: Mdp, mu, mu_prime, r, c,
     lhs is the direct difference of efficiencies; rhs rebuilds it from the
     deviation vectors of reward and cost.  Requires mu to induce a unichain.
     """
-    _, j_mu, d = ratio_deviation(m, mu, mu_prime, r, c)
+    j_mu, d = ratio_deviation(analyze(m, mu), m, mu, mu_prime, r, c)
     mu_delta = blend(mu, mu_prime, delta)
     ca_d = analyze(m, mu_delta)
     lhs = efficiency(ca_d, m, r, c, mu_delta, m.initial) - j_mu

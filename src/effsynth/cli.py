@@ -68,10 +68,11 @@ def _manifest(args, digests, tol=synthesis.Tolerances()):
 
 
 def _lp_manifest():
-    """synthesize's LP solver: linprog's method and the version of scipy,
-    which the solve has already imported."""
+    """synthesize's LP solver: linprog's method, its options and the version
+    of scipy, which the solve has already imported."""
     import scipy
-    return {"method": lp.HIGHS_METHOD, "scipy": scipy.__version__}
+    return {"method": lp.HIGHS_METHOD, "options": lp.HIGHS_OPTIONS,
+            "scipy": scipy.__version__}
 
 
 def _write(text, path):

@@ -4,11 +4,14 @@ dense tableau for the average-reward LP.
 solve_lp hands an equality-form LP (max c.x, A x = b, x >= 0; A dense or a
 scipy csr_array) to HiGHS's dual simplex, which returns a vertex, as the
 support-based decoders need, and checks the status, the signs and the
-backward error of what comes back.  scipy is imported inside the solvers,
-so a process that solves no LP never loads it.  The reward-to-cost ratio
-program over occupation measures is reduced to an LP by the Charnes-Cooper
-substitution and assembled sparse, straight from the model's pair and
-successor arrays.
+backward error of what comes back.  HiGHS runs without presolve
+(HIGHS_OPTIONS): on the ratio programs of the delivery grids and of random
+multichain products it cost about a fifth of the solve time, and each
+program keeps its optimal support without it.  scipy is imported inside
+the solvers, so a process that solves no LP never loads it.  The
+reward-to-cost ratio program over occupation measures is reduced to an LP
+by the Charnes-Cooper substitution and assembled sparse, straight from the
+model's pair and successor arrays.
 
 The multichain average-reward LP is assembled the same way, but still
 runs on the in-house dense primal tableau (_solve_tableau: two phases,
@@ -32,6 +35,7 @@ from .graph import attractor_policy, is_communicating
 from .chain import _entries, analyze
 
 HIGHS_METHOD = "highs-ds"  # linprog's method for solve_lp
+HIGHS_OPTIONS = {"presolve": False}  # and its options
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-9
 SUPPORT_THRESHOLD = 1e-9  # occupation mass below this is treated as zero
@@ -207,7 +211,7 @@ def _iterate(t: _Tableau, n_cols, max_iter, safe=False):
 
 
 def solve_lp(p: LpProblem) -> LpResult:
-    """HiGHS's dual simplex (linprog's HIGHS_METHOD, default options).
+    """HiGHS's dual simplex (linprog's HIGHS_METHOD, with HIGHS_OPTIONS).
 
     Status 0 is optimal, 2 infeasible and 3 unbounded; any other status (an
     iteration limit, a numerical error) is a NumericalFailure naming it and
@@ -221,7 +225,8 @@ def solve_lp(p: LpProblem) -> LpResult:
     a = p.a_eq
     b = np.asarray(p.b_eq, dtype=float)
     c = np.asarray(p.c, dtype=float)
-    res = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method=HIGHS_METHOD)
+    res = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method=HIGHS_METHOD,
+                  options=HIGHS_OPTIONS)
     if res.status == 2:
         return LpResult(status="infeasible")
     if res.status == 3:

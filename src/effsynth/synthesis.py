@@ -30,8 +30,8 @@ from .model import (Mdp, ModelError, ProductMdp, blend, induce_chain,
 from .graph import (almost_sure_region, amec_filter, attractor_policy,
                     closed_pairs, maec_decompose, mec_decompose, restrict,
                     within)
-from .chain import (Certificate, NotUnichain, analyze, average_utility,
-                    certify, efficiency, ratio_deviation,
+from .chain import (Certificate, ChainAnalysis, NotUnichain, analyze,
+                    average_utility, certify, efficiency, ratio_deviation,
                     stationary_distribution, utility_vector)
 from .lp import SUPPORT_THRESHOLD, decode_avg_policy, decode_ratio_policy, \
     solve_avg_reward_lp, solve_ratio_lfp
@@ -105,22 +105,23 @@ class SynthesisReport:
     avg_gain: float | None = None  # general case: surrogate-reward LP gain
 
 
-def _deviation_gap(m, mu_opt, mu_irr, r, c):
+def _deviation_gap(ca_opt, m, mu_opt, mu_irr, r, c):
     """d_inf = max |d_r - J d_c| and the optimal policy's efficiency J,
     shared by both degree rules."""
-    _, j_opt, d = ratio_deviation(m, mu_opt, mu_irr, r, c)
+    j_opt, d = ratio_deviation(ca_opt, m, mu_opt, mu_irr, r, c)
     return float(np.max(np.abs(d))), j_opt
 
 
-def perturbation_degree_estimated(m: Mdp, mu_opt, mu_irr, r, c,
-                                  epsilon) -> PerturbationPlan:
-    """Closed-form degree: delta = epsilon * c_min / d_inf, capped below one.
+def perturbation_degree_estimated(ca_opt: ChainAnalysis, m: Mdp, mu_opt,
+                                  mu_irr, r, c, epsilon) -> PerturbationPlan:
+    """Closed-form degree: delta = epsilon * c_min / d_inf, capped below one;
+    ca_opt is mu_opt's chain analysis on m.
 
     Guarantees the blended policy loses at most epsilon of efficiency.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    d_inf, _ = _deviation_gap(m, mu_opt, mu_irr, r, c)
+    d_inf, _ = _deviation_gap(ca_opt, m, mu_opt, mu_irr, r, c)
     c_min = float(np.min(c))
     if d_inf <= 1e-14:
         return PerturbationPlan(0.5, "estimated", d_inf, c_min,
@@ -129,10 +130,12 @@ def perturbation_degree_estimated(m: Mdp, mu_opt, mu_irr, r, c,
     return PerturbationPlan(delta, "estimated", d_inf, c_min)
 
 
-def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
+def perturbation_degree_exact(ca_opt: ChainAnalysis, m: Mdp, mu_opt, mu_irr,
+                              r, c, epsilon,
                               width=BISECT_WIDTH) -> PerturbationPlan:
     """Largest degree, to within width, that keeps the blended efficiency
-    within epsilon of the optimum, certified by the full evaluator.
+    within epsilon of the optimum, certified by the full evaluator; ca_opt
+    is mu_opt's chain analysis on m.
 
     Brent's method (scipy's brentq; Brent 1973, ch. 4) closes a bracket of
     f(delta) = J(delta) - (J - epsilon - 1e-12) to width, from the
@@ -146,7 +149,7 @@ def perturbation_degree_exact(m: Mdp, mu_opt, mu_irr, r, c, epsilon,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    d_inf, j_opt = _deviation_gap(m, mu_opt, mu_irr, r, c)
+    d_inf, j_opt = _deviation_gap(ca_opt, m, mu_opt, mu_irr, r, c)
     c_min = float(np.min(c))
     degenerate = d_inf <= 1e-14
     target = j_opt - epsilon - 1e-12
@@ -260,7 +263,7 @@ def _solve_maecs(pm: ProductMdp, r, c, maecs, epsilon, method,
         mu_final_sub = mu_opt
     else:
         mu_irr = uniform_policy(sub_m)
-        pair = (sub_m, mu_opt, mu_irr, r_sub, c_sub, epsilon)
+        pair = (ca_opt, sub_m, mu_opt, mu_irr, r_sub, c_sub, epsilon)
         plan = (perturbation_degree_estimated(*pair) if method == "es" else
                 perturbation_degree_exact(*pair, width=tol.bisect_width))
         mu_final_sub = blend(mu_opt, mu_irr, plan.delta)

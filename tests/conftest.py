@@ -16,7 +16,8 @@ from effsynth.model import Mdp, ProductMdp, UtilityFn, csr_arrays, \
     induce_chain, policy_domain, policy_from_rule, rabin_witness
 from effsynth.graph import (amec_filter, is_communicating, maec_decompose,
                             mec_decompose)
-from effsynth.chain import _deviation, analyze, efficiency, average_utility
+from effsynth.chain import (_deviation, analyze, average_utility, efficiency,
+                            potential_vector)
 
 
 def example1_mdp():
@@ -185,11 +186,14 @@ def random_unichain_policy(rng, m, tries=200):
     raise RuntimeError("could not draw a unichain policy")
 
 
-def deviation_vector(m, mu, mu_prime, u):
-    """Deviation of mu_prime from mu w.r.t. u, built on mu's potential: the
-    step chain.ratio_deviation takes for reward and cost at once."""
-    return _deviation(m, analyze(m, mu), induce_chain(m, mu_prime), mu,
-                      mu_prime, u)
+def deviation_vector(m, mu, mu_prime, u, g=None):
+    """Deviation of mu_prime from mu w.r.t. u, built on mu's potential g
+    (by default solved for u alone): the step chain.ratio_deviation takes
+    for reward and cost at once."""
+    ca = analyze(m, mu)
+    if g is None:
+        g = potential_vector(ca, m, u, mu)
+    return _deviation(m, ca, induce_chain(m, mu_prime), mu, mu_prime, u, g)
 
 
 def accepts_lasso(dra, prefix, cycle):

@@ -187,25 +187,28 @@ def test_criterion_6_es_ex_relationship():
         pm = random_communicating_product(rng, int(rng.integers(2, 6)), 2)
         r, c = random_utilities(rng, pm)
         sol = solve_ratio_lfp(pm, r, c)
-        mu_opt, _ = decode_ratio_policy(pm, sol)
+        mu_opt, ca_opt = decode_ratio_policy(pm, sol)
         mu_irr = uniform_policy(pm)
         eps = float(rng.choice([1e-3, 1e-2, 1e-1]))
-        es = perturbation_degree_estimated(pm, mu_opt, mu_irr, r, c, eps)
+        es = perturbation_degree_estimated(ca_opt, pm, mu_opt, mu_irr, r, c,
+                                           eps)
         if es.degenerate:
             continue
-        ex = perturbation_degree_exact(pm, mu_opt, mu_irr, r, c, eps)
+        ex = perturbation_degree_exact(ca_opt, pm, mu_opt, mu_irr, r, c, eps)
         ok = ok and ex.delta >= es.delta
         done += 1
     # linearity of the closed-form degree in epsilon, below the clamp
     m, r, c, mu_opt, mu_irr = lopsided_instance()
-    base = perturbation_degree_estimated(m, mu_opt, mu_irr, r, c, 1e-4).delta
+    ca_opt = analyze(m, mu_opt)
+    base = perturbation_degree_estimated(ca_opt, m, mu_opt, mu_irr, r, c,
+                                         1e-4).delta
     for mult in (2.0, 4.0, 8.0, 64.0):
-        d = perturbation_degree_estimated(m, mu_opt, mu_irr, r, c,
+        d = perturbation_degree_estimated(ca_opt, m, mu_opt, mu_irr, r, c,
                                           1e-4 * mult).delta
         ok = ok and abs(d - mult * base) <= 1e-9
     # constructed instance where the bound is at least 5x conservative
-    es = perturbation_degree_estimated(m, mu_opt, mu_irr, r, c, 0.01)
-    ex = perturbation_degree_exact(m, mu_opt, mu_irr, r, c, 0.01)
+    es = perturbation_degree_estimated(ca_opt, m, mu_opt, mu_irr, r, c, 0.01)
+    ex = perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, 0.01)
     ratio = ex.delta / es.delta
     ok = ok and ratio >= 5.0
     report(6, f"the exact degree dominates the closed-form one (constructed "

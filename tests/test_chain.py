@@ -285,6 +285,21 @@ def test_potential_contracts_to_average(rng):
         assert float(pi @ v) == pytest.approx(w, abs=1e-8)
 
 
+def test_potential_vector_solves_utilities_together():
+    """Stacked as rows, reward and cost get the potentials of two single
+    solves to 1e-15 relative (max norm), on the case-1 grid-9 optimal
+    policy (an 11-state class, solved dense, and 263 transient states,
+    solved by SuperLU) and its blend (one class of 274 states)."""
+    pm, r, c = delivery_grid_product(9)
+    mu_opt, _ = decode_ratio_policy(pm, solve_ratio_lfp(pm, r, c))
+    for w in (mu_opt, blend(mu_opt, uniform_policy(pm), 0.003)):
+        ca = analyze(pm, w)
+        for u, g in zip((r, c), potential_vector(ca, pm, np.stack((r, c)),
+                                                 w)):
+            ref = potential_vector(ca, pm, u, w)
+            assert np.max(np.abs(g - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_potential_residual(rng):
     """potential_vector, which never forms P*, solves (I - P + P*) g = v on
     random multichain chains with transient states too."""
@@ -390,8 +405,11 @@ def test_identity_check_rejects_multichain():
 
 
 def test_ratio_deviation_matches_deviation_vectors(rng):
-    """One analysis of mu gives bit for bit what the two deviation vectors
-    and mu's efficiency give separately."""
+    """Given mu's analysis, ratio_deviation gives bit for bit mu's efficiency
+    and d_r - j d_c, the deviation vectors built on mu's potentials for r
+    and c as potential_vector solves them together; d lies within 1e-12
+    (relative, max norm, at least 1) of the same built from two single
+    potential solves."""
     done = 0
     while done < 15:
         m = random_mdp(rng, int(rng.integers(2, 8)), 2)
@@ -401,12 +419,16 @@ def test_ratio_deviation_matches_deviation_vectors(rng):
             continue
         mu_p = random_policy(rng, m)
         r, c = random_utilities(rng, m)
-        ca, j, d = ratio_deviation(m, mu, mu_p, r, c)
-        assert np.array_equal(ca.limit_matrix,
-                              analyze(m, mu).limit_matrix)
+        ca = analyze(m, mu)
+        j, d = ratio_deviation(ca, m, mu, mu_p, r, c)
+        g_r, g_c = potential_vector(ca, m, np.stack((r, c)), mu)
         assert j == efficiency(ca, m, r, c, mu, m.initial)
-        assert np.array_equal(d, deviation_vector(m, mu, mu_p, r)
-                              - j * deviation_vector(m, mu, mu_p, c))
+        assert np.array_equal(d, deviation_vector(m, mu, mu_p, r, g_r)
+                              - j * deviation_vector(m, mu, mu_p, c, g_c))
+        single = deviation_vector(m, mu, mu_p, r) \
+            - j * deviation_vector(m, mu, mu_p, c)
+        assert np.max(np.abs(d - single)) <= \
+            1e-12 * max(1.0, np.max(np.abs(single)))
         done += 1
 
 
@@ -416,7 +438,7 @@ def test_ratio_deviation_rejects_multichain():
     r = np.full(m.n_pairs, 1.0)
     c = np.full(m.n_pairs, 1.0)
     with pytest.raises(NotUnichain):
-        ratio_deviation(m, p, p, r, c)
+        ratio_deviation(analyze(m, p), m, p, p, r, c)
 
 
 def test_mixture_preserves_unichain(rng):
@@ -512,6 +534,34 @@ def test_sparse_solves_match_dense_on_the_grid9_maec(monkeypatch):
     sparse = chain_results(sub, w, r, c)
     monkeypatch.setattr(chain, "DENSE_MAX", sub.n_states)
     assert_same_results(sparse, chain_results(sub, w, r, c))
+
+
+def test_cycle_stationary_solve_fills_linearly(monkeypatch):
+    """A 2000-state cycle with self-loops (0.5 each) lies above DENSE_MAX;
+    SuperLU's factors of its bordered stationary system hold at most 10
+    entries per state (COLAMD with partial pivoting fills about n^2/2),
+    and pi is uniform to 1e-12."""
+    import scipy.sparse.linalg
+    from effsynth import chain
+    splu = scipy.sparse.linalg.splu
+    fill = []
+
+    def recorded(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        fill.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
+    n = 2000
+    src = np.repeat(np.arange(n), 2)
+    dst = np.stack((np.arange(n), (np.arange(n) + 1) % n), axis=1).ravel()
+    m = Mdp.from_arrays([f"s{i}" for i in range(n)], ["a"], 0,
+                        *csr_arrays(n, src, np.zeros(2 * n, dtype=np.int64),
+                                    dst, np.full(2 * n, 0.5)))
+    assert n > chain.DENSE_MAX
+    pi = stationary_distribution(induce_chain(m, np.ones(m.n_pairs)))
+    assert len(fill) == 1 and fill[0] <= 10 * n
+    assert np.max(np.abs(pi - 1.0 / n)) <= 1e-12
 
 
 @pytest.mark.parametrize("dense_max", [0, 250])

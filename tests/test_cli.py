@@ -124,6 +124,7 @@ def test_synthesize_value_matches_lfp(files, capsys):
     assert open(out).read().startswith("# policy")
     import scipy
     assert payload["manifest"]["lp"] == {"method": "highs-ds",
+                                         "options": {"presolve": False},
                                          "scipy": scipy.__version__}
 
 

@@ -65,7 +65,8 @@ def test_uniform_irreducible_makes_component_recurrent(rng):
 
 def test_estimated_degree_formula():
     m, r, c, mu_opt, mu_irr = two_state_unit_cost_instance()
-    plan = perturbation_degree_estimated(m, mu_opt, mu_irr, r, c, 0.01)
+    ca_opt = analyze(m, mu_opt)
+    plan = perturbation_degree_estimated(ca_opt, m, mu_opt, mu_irr, r, c, 0.01)
     assert plan.c_min == pytest.approx(1.0)
     assert plan.d_inf == pytest.approx(2.0)
     assert plan.delta == pytest.approx(0.005)
@@ -74,7 +75,9 @@ def test_estimated_degree_formula():
 
 def test_estimated_degree_linear_in_epsilon():
     m, r, c, mu_opt, mu_irr = two_state_unit_cost_instance()
-    deltas = [perturbation_degree_estimated(m, mu_opt, mu_irr, r, c, eps).delta
+    ca_opt = analyze(m, mu_opt)
+    deltas = [perturbation_degree_estimated(ca_opt, m, mu_opt, mu_irr, r, c,
+                                            eps).delta
               for eps in (0.001, 0.002, 0.004, 0.008)]
     base = deltas[0] / 0.001
     for eps, d in zip((0.001, 0.002, 0.004, 0.008), deltas):
@@ -83,13 +86,16 @@ def test_estimated_degree_linear_in_epsilon():
 
 def test_estimated_degree_clamps_below_one():
     m, r, c, mu_opt, mu_irr = two_state_unit_cost_instance()
-    plan = perturbation_degree_estimated(m, mu_opt, mu_irr, r, c, 1000.0)
+    ca_opt = analyze(m, mu_opt)
+    plan = perturbation_degree_estimated(ca_opt, m, mu_opt, mu_irr, r, c,
+                                         1000.0)
     assert 0 < plan.delta < 1
 
 
 def test_estimated_degree_degenerate_when_policies_equal():
     m, r, c, mu_opt, _ = two_state_unit_cost_instance()
-    plan = perturbation_degree_estimated(m, mu_opt, mu_opt, r, c, 0.01)
+    ca_opt = analyze(m, mu_opt)
+    plan = perturbation_degree_estimated(ca_opt, m, mu_opt, mu_opt, r, c, 0.01)
     assert plan.degenerate
     assert plan.delta == 0.5
     assert plan.d_inf == 0.0
@@ -103,10 +109,11 @@ def test_estimated_degree_guarantees_epsilon(rng):
         r, c = random_utilities(rng, pm)
         from effsynth.lp import solve_ratio_lfp, decode_ratio_policy
         sol = solve_ratio_lfp(pm, r, c)
-        mu_opt, _ = decode_ratio_policy(pm, sol)
+        mu_opt, ca_opt = decode_ratio_policy(pm, sol)
         mu_irr = uniform_policy(pm)
         eps = float(rng.choice([1e-3, 1e-2, 1e-1]))
-        plan = perturbation_degree_estimated(pm, mu_opt, mu_irr, r, c, eps)
+        plan = perturbation_degree_estimated(ca_opt, pm, mu_opt, mu_irr, r, c,
+                                             eps)
         mu_d = blend(mu_opt, mu_irr, plan.delta)
         ca = analyze(pm, mu_d)
         got = efficiency(ca, pm, r, c, mu_d, pm.initial)
@@ -116,13 +123,16 @@ def test_estimated_degree_guarantees_epsilon(rng):
 
 def test_exact_degree_saturates_for_huge_epsilon():
     m, r, c, mu_opt, mu_irr = two_state_unit_cost_instance()
-    plan = perturbation_degree_exact(m, mu_opt, mu_irr, r, c, 100.0)
+    ca_opt = analyze(m, mu_opt)
+    plan = perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, 100.0)
     assert plan.delta == pytest.approx(1.0 - 1e-6)
 
 
 def test_exact_degree_shrinks_with_epsilon():
     m, r, c, mu_opt, mu_irr = lopsided_instance()
-    deltas = [perturbation_degree_exact(m, mu_opt, mu_irr, r, c, eps).delta
+    ca_opt = analyze(m, mu_opt)
+    deltas = [perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c,
+                                        eps).delta
               for eps in (1e-5, 1e-3, 1e-1)]
     assert deltas[0] < deltas[1] < deltas[2]
     assert deltas[0] < 1e-3
@@ -130,9 +140,11 @@ def test_exact_degree_shrinks_with_epsilon():
 
 def test_exact_degree_dominates_estimated(rng):
     m, r, c, mu_opt, mu_irr = lopsided_instance()
+    ca_opt = analyze(m, mu_opt)
     for eps in (1e-4, 1e-3, 1e-2):
-        es = perturbation_degree_estimated(m, mu_opt, mu_irr, r, c, eps)
-        ex = perturbation_degree_exact(m, mu_opt, mu_irr, r, c, eps)
+        es = perturbation_degree_estimated(ca_opt, m, mu_opt, mu_irr, r, c,
+                                           eps)
+        ex = perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, eps)
         assert ex.delta >= es.delta
 
 
@@ -140,20 +152,21 @@ def test_exact_degree_much_larger_on_lopsided_instance():
     """The closed-form bound prices the worst state even when it is almost
     never visited; bisection prices the actual limit distribution."""
     m, r, c, mu_opt, mu_irr = lopsided_instance()
-    es = perturbation_degree_estimated(m, mu_opt, mu_irr, r, c, 0.01)
-    ex = perturbation_degree_exact(m, mu_opt, mu_irr, r, c, 0.01)
+    ca_opt = analyze(m, mu_opt)
+    es = perturbation_degree_estimated(ca_opt, m, mu_opt, mu_irr, r, c, 0.01)
+    ex = perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, 0.01)
     assert ex.delta >= 5 * es.delta
 
 
 def test_exact_degree_still_qualifies(rng):
     m, r, c, mu_opt, mu_irr = lopsided_instance()
+    ca_opt = analyze(m, mu_opt)
     for eps in (1e-4, 1e-2):
-        plan = perturbation_degree_exact(m, mu_opt, mu_irr, r, c, eps)
+        plan = perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, eps)
         mu_d = blend(mu_opt, mu_irr, plan.delta)
         ca = analyze(m, mu_d)
-        ca_o = analyze(m, mu_opt)
         assert efficiency(ca, m, r, c, mu_d, 0) >= \
-            efficiency(ca_o, m, r, c, mu_opt, 0) - eps - 1e-10
+            efficiency(ca_opt, m, r, c, mu_opt, 0) - eps - 1e-10
 
 
 def blend_efficiency(m, mu_opt, mu_irr, r, c, delta):
@@ -175,7 +188,7 @@ def bisected_degree(m, mu_opt, mu_irr, r, c, epsilon, width=1e-6):
     """The exact degree by plain bisection on the full evaluator, warm
     started from the closed-form bound: the reference the Brent
     search is held to."""
-    _, _, d = ratio_deviation(m, mu_opt, mu_irr, r, c)
+    _, d = ratio_deviation(analyze(m, mu_opt), m, mu_opt, mu_irr, r, c)
     d_inf = float(np.max(np.abs(d)))
 
     def ok(delta):
@@ -211,6 +224,12 @@ def communicating_blends(rng, count):
     return out
 
 
+def analyzed(inst):
+    """A degree instance (m, mu_opt, mu_irr, r, c) led by mu_opt's chain
+    analysis, as the degree rules take it."""
+    return (analyze(*inst[:2]), *inst)
+
+
 def lopsided_blend():
     m, r, c, mu_opt, mu_irr = lopsided_instance()
     return m, mu_opt, mu_irr, r, c
@@ -228,11 +247,11 @@ def test_exact_degree_agrees_with_bisection(rng):
         j_grid = np.array([blend_efficiency(*inst, x) for x in grid])
         j_opt = blend_efficiency(*inst, 0.0)
         for eps in (1e-4, 1e-3, 1e-2, 1e-1):
-            new = perturbation_degree_exact(*inst, eps)
+            new = perturbation_degree_exact(*analyzed(inst), eps)
             old = bisected_degree(*inst, eps)
             assert qualifies(*inst, eps, new.delta)
             assert qualifies(*inst, eps, old)
-            es = perturbation_degree_estimated(*inst, eps)
+            es = perturbation_degree_estimated(*analyzed(inst), eps)
             if not es.degenerate:
                 assert new.delta >= min(es.delta, 1.0 - 1e-6)
             verdict = j_grid >= j_opt - eps - 1e-12
@@ -270,6 +289,25 @@ def case1_task2_blend():
     return sub, mu_opt, uniform_policy(sub), r, c
 
 
+def test_ratio_deviation_reads_the_decoders_analysis(rng):
+    """The analysis decode_ratio_policy returns with the optimal policy
+    serves the perturbation step: ratio_deviation gives bit for bit the
+    (j, d) that a fresh analysis of that policy gives, on the case-1 grid-9
+    MAEC and on random communicating models."""
+    sub, _, _, r, c = case1_task2_blend()
+    instances = [(sub, r, c)]
+    while len(instances) < 11:
+        m = random_communicating_mdp(rng, int(rng.integers(2, 7)), 2)
+        instances.append((m, *random_utilities(rng, m)))
+    for m, r, c in instances:
+        mu_opt, ca_opt = decode_ratio_policy(m, solve_ratio_lfp(m, r, c))
+        inst = (m, mu_opt, uniform_policy(m), r, c)
+        j, d = ratio_deviation(ca_opt, *inst)
+        j_fresh, d_fresh = ratio_deviation(analyze(m, mu_opt), *inst)
+        assert j == j_fresh
+        assert np.array_equal(d, d_fresh)
+
+
 @pytest.mark.parametrize("case, eps", [("case1", 0.01), ("lopsided", 1e-5),
                                        ("lopsided", 1e-3),
                                        ("lopsided", 1e-1)])
@@ -278,7 +316,7 @@ def test_exact_degree_probe_budget(monkeypatch, case, eps):
     returned degree, which lies below 1 - width on these instances."""
     inst = case1_task2_blend() if case == "case1" else lopsided_blend()
     probes = count_degree_probes(monkeypatch)
-    plan = perturbation_degree_exact(*inst, eps)
+    plan = perturbation_degree_exact(*analyzed(inst), eps)
     assert plan.delta < 1.0 - 1e-6
     assert probes["cheap"] <= 10
     assert probes["full"] == 1
@@ -289,11 +327,12 @@ def test_exact_degree_rechecks_a_rejected_top(monkeypatch):
     the search goes on below it, and its end is evaluated once more: two
     full evaluations."""
     m, r, c, mu_opt, mu_irr = two_state_unit_cost_instance()
+    ca_opt = analyze(m, mu_opt)
     probes = count_degree_probes(monkeypatch)
     verdicts = iter([-np.inf, 1.0])
     monkeypatch.setattr(synthesis, "efficiency",
                         lambda *args: next(verdicts))
-    plan = perturbation_degree_exact(m, mu_opt, mu_irr, r, c, 100.0)
+    plan = perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, 100.0)
     assert probes["full"] == 2
     assert 1.0 - 2e-6 <= plan.delta < 1.0 - 1e-6
 
@@ -302,9 +341,10 @@ def test_exact_degree_raises_when_nothing_certifies(monkeypatch):
     """A full evaluator that rejects every degree leaves no certified
     positive degree: NotUnichain, the solver-failure exit."""
     m, r, c, mu_opt, mu_irr = lopsided_instance()
+    ca_opt = analyze(m, mu_opt)
     monkeypatch.setattr(synthesis, "efficiency", lambda *args: -np.inf)
     with pytest.raises(NotUnichain):
-        perturbation_degree_exact(m, mu_opt, mu_irr, r, c, 1e-3)
+        perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, 1e-3)
 
 
 def test_exact_degree_terminates_below_float_spacing():
@@ -312,9 +352,10 @@ def test_exact_degree_terminates_below_float_spacing():
     when no float lies inside the bracket; the degree still qualifies and
     agrees with the default width's."""
     inst = lopsided_blend()
-    fine = perturbation_degree_exact(*inst, 1e-3, width=1e-20)
+    fine = perturbation_degree_exact(*analyzed(inst), 1e-3, width=1e-20)
     assert qualifies(*inst, 1e-3, fine.delta)
-    assert abs(fine.delta - perturbation_degree_exact(*inst, 1e-3).delta) \
+    assert abs(fine.delta
+               - perturbation_degree_exact(*analyzed(inst), 1e-3).delta) \
         <= 1e-6
 
 
@@ -332,9 +373,10 @@ def test_exact_degree_survives_a_search_cut_off(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "brentq", cut_off)
     inst = lopsided_blend()
-    plan = perturbation_degree_exact(*inst, 1e-3)
+    plan = perturbation_degree_exact(*analyzed(inst), 1e-3)
     assert calls == [{"xtol": 1e-6, "disp": False}]
-    assert plan.delta >= perturbation_degree_estimated(*inst, 1e-3).delta
+    assert plan.delta >= \
+        perturbation_degree_estimated(*analyzed(inst), 1e-3).delta
     assert qualifies(*inst, 1e-3, plan.delta)
 
 
@@ -665,16 +707,17 @@ def count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("method, analyses, chains",
-                         [("es", 3, 4), ("ex", 4, 12)])
+                         [("es", 2, 3), ("ex", 3, 11)])
 def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
                                           chains):
     """The decoder's analysis of the optimal policy's chain serves the
-    no-perturbation test, and the perturbation step analyzes that chain
-    once more; a single accepting component covering the product is solved
-    on the product itself, whose certificate is the only one built.  The
-    other chains are the irreducible policy's (for the deviation), one blend
-    per cheap exact-degree probe (7 here), one more for the returned
-    degree, which alone of the blends is analyzed, and the certificate's."""
+    no-perturbation test and the perturbation step, so that chain is
+    induced and analyzed once; a single accepting component covering the
+    product is solved on the product itself, whose certificate is the only
+    one built.  The other chains are the irreducible policy's (for the
+    deviation), one blend per cheap exact-degree probe (7 here), one more
+    for the returned degree, which alone of the blends is analyzed, and the
+    certificate's."""
     m, _, task2, reward, cost = gen_case1()
     pm = build_product(m, task2)
     r, c = lift_utilities(pm, reward, cost)

@@ -28,13 +28,23 @@ trees give the same outputs exactly when
     diff -r <out-dir-1> <out-dir-2>
 
 is empty.  Each tree runs in its own process, so run the script once per
-tree.
+tree.  Where they differ,
+
+    python3 tools/same_outputs.py --compare <out-dir-1> <out-dir-2>
+
+lists each file that differs.  When only numbers moved (the two texts
+agree once every decimal is set aside, and hold as many), it gives the
+largest relative move |a - b| / max(|a|, |b|) of a number; otherwise it
+prints the lines that differ verbatim.  It exits 0 when the trees are
+the same and 1 when not.
 """
 
 import contextlib
+import difflib
 import glob
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -256,8 +266,65 @@ def _record_demos(tree, dest):
         print(f"demos {name}: exit {proc.returncode}", flush=True)
 
 
+# a decimal that is not part of a name such as r1c1_0
+NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"(?![\w.])")
+
+
+def _read(path):
+    with open(path) as f:
+        return f.read()
+
+
+def _numeric_move(a, b):
+    """The largest relative move between the numbers of texts a and b when
+    nothing else differs, else None."""
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return None
+    xs, ys = ([float(t) for t in NUMBER.findall(text)] for text in (a, b))
+    if len(xs) != len(ys):
+        return None
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(xs, ys)
+                if x != y), default=0.0)
+
+
+def compare(dir_a, dir_b):
+    """Report every file that differs between two output directories; 0
+    when none does, else 1."""
+    files = set()
+    for d in (dir_a, dir_b):
+        for root, _, names in os.walk(d):
+            files.update(os.path.relpath(os.path.join(root, n), d)
+                         for n in names)
+    differ = 0
+    for rel in sorted(files):
+        paths = [os.path.join(d, rel) for d in (dir_a, dir_b)]
+        if not all(os.path.exists(p) for p in paths):
+            print(f"{rel}: only in "
+                  f"{dir_a if os.path.exists(paths[0]) else dir_b}")
+            differ += 1
+            continue
+        a, b = (_read(p) for p in paths)
+        if a == b:
+            continue
+        differ += 1
+        move = _numeric_move(a, b)
+        if move is not None:
+            print(f"{rel}: numbers only, largest relative move {move:.3g}")
+            continue
+        print(f"{rel}: differs")
+        sys.stdout.writelines(
+            line + "\n" for line in difflib.unified_diff(
+                a.splitlines(), b.splitlines(), paths[0], paths[1],
+                lineterm="", n=0))
+    print(f"{differ} of {len(files)} files differ")
+    return 1 if differ else 0
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
