@@ -7,16 +7,18 @@ can drop an edge.  Tarjan's algorithm (graph) labels the strongly connected
 components of that graph on the CSR arrays; the bottom ones are the
 recurrent classes, and certify builds the one Certificate, whose verdict
 is that the acceptance condition holds with probability one.  No n x n
-array is formed: stationary distributions, absorption probabilities and
-potentials come from one solve helper, dense LU on a block of at most
+array is formed: stationary distributions and absorption probabilities
+come from one factor-then-solve helper, dense LU on a block of at most
 DENSE_MAX states and SuperLU (scipy.sparse.linalg.splu) above that, on
 systems built from the CSR arrays (_solve says how SuperLU is set up for
-them).  The limit matrix P* is assembled only
-when limit_matrix is read; the average utility and the limit distribution
-take its rows from the absorption probabilities and the per-class
-stationary vectors.  On top of that sit the long-run average utility, the reward-to-cost efficiency for
-general multichain chains and potential vectors g = (I - P + P*)^{-1} v,
-solved class by class without P*, all returned as plain arrays.
+them).  analyze keeps the helper's handle on each system it factors, so
+the potential vectors g = (I - P + P*)^{-1} v, solved class by class
+without P*, reuse those factors and factor nothing themselves.  The limit
+matrix P* is assembled only when limit_matrix is read; the average
+utility and the limit distribution take its rows from the absorption
+probabilities and the per-class stationary vectors.  On top of that sit
+the long-run average utility and the reward-to-cost efficiency for
+general multichain chains, all returned as plain arrays.
 ratio_deviation is the one perturbation step: a unichain policy's efficiency
 J and its ratio deviation d_r - J d_c towards another policy, from the
 caller's analysis of the policy and its reward and cost potentials solved
@@ -27,7 +29,7 @@ pairs (see model), so a mixture is the blend of two vectors; utilities are
 value vectors over the same pairs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,6 +64,8 @@ class ChainAnalysis:
     transient: frozenset
     stationary: tuple       # per-class stationary distribution over class states
     absorb: np.ndarray      # n_states x n_classes
+    # _solve's handles: each class's stationary system, then T's absorption
+    _solves: tuple = field(compare=False, repr=False)
 
     def is_unichain(self):
         return len(self.recurrent_classes) == 1
@@ -90,24 +94,21 @@ def _entries(*runs):
 def _solve(k, system, b, what, transpose=False, tol=None):
     """x with M x = b, or M^T x = b when transpose, for M the k x k matrix
     whose entries are the (rows, cols, vals) triplet system, duplicates
-    added in their order; b is a vector or a k x q array of q right-hand
-    sides, all solved on one factor.  At most DENSE_MAX states are solved
-    by dense LU; above that by SuperLU (scipy.sparse.linalg, imported only
+    added in their order, and the handle solve(b, what, transpose=False,
+    tol=None) that solves again on the same factor; b is a vector or a
+    k x q array of q right-hand sides.  At most DENSE_MAX states are solved
+    by dense LU of the kept matrix; above that by SuperLU (imported only
     then), which factors M^T: M grouped into CSR arrays by a stable sort on
-    the rows, the same three arrays read as CSC.  It orders by minimum
-    degree on M^T + M and keeps a diagonal pivot down to a tenth of its
-    column's largest entry: with its defaults (COLAMD, partial pivoting)
-    the dense row of ones in M^T of a bordered system is picked early and
-    fills the factors, about n^2/2 entries on an n-state cycle.  With tol,
-    the residual max |M x - b| must not exceed it."""
+    the rows, the same arrays read as CSC.  It orders by minimum degree on
+    M^T + M and keeps a diagonal pivot down to a tenth of its column's
+    largest entry: with its defaults (COLAMD, partial pivoting) the dense
+    row of ones in M^T of a bordered system is picked early and fills the
+    factors, about n^2/2 entries on an n-state cycle.  With tol, the
+    residual max |M x - b| must not exceed it."""
     rows, cols, vals = system
     if k <= DENSE_MAX:
         a = np.bincount(rows * k + cols, weights=vals,
                         minlength=k * k).reshape(k, k)
-        try:
-            x = np.linalg.solve(a.T if transpose else a, b)
-        except np.linalg.LinAlgError as e:
-            raise SingularSystem(f"{what} solve failed: {e}") from e
     else:
         from scipy.sparse import csc_array
         from scipy.sparse.linalg import splu
@@ -120,24 +121,33 @@ def _solve(k, system, b, what, transpose=False, tol=None):
                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
         except RuntimeError as e:
             raise SingularSystem(f"{what} solve failed: {e}") from e
-        x = lu.solve(b, trans="N" if transpose else "T")
-    if tol is not None:
+
+    def solve(b, what, transpose=False, tol=None):
+        try:
+            x = (lu.solve(b, trans="N" if transpose else "T") if k > DENSE_MAX
+                 else np.linalg.solve(a.T if transpose else a, b))
+        except np.linalg.LinAlgError as e:
+            raise SingularSystem(f"{what} solve failed: {e}") from e
+        if tol is None:
+            return x
         mx = [np.bincount(rows, weights=vals * xj[cols], minlength=k)
               for xj in x.reshape(k, -1).T]
         resid = float(np.max(np.abs(np.stack(mx, axis=1) - b.reshape(k, -1))))
         if resid > tol:
             raise SingularSystem(f"{what} residual {resid:g} above tolerance")
-    return x
+        return x
+
+    return solve(b, what, transpose, tol), solve
 
 
-def _bordered(blk: Mc, sign):
-    """The entries of sign (P - I), P the matrix of blk, with its last
-    column replaced by ones: P's, then the diagonal, then the ones."""
+def _bordered(blk: Mc):
+    """The entries of P - I, P the matrix of blk, with its last column
+    replaced by ones: P's, then the diagonal, then the ones."""
     k = blk.n_states
     keep = blk.indices != k - 1
     diag = np.arange(k - 1)
-    return _entries((blk.row[keep], blk.indices[keep], sign * blk.data[keep]),
-                    (diag, diag, np.full(k - 1, -sign)),
+    return _entries((blk.row[keep], blk.indices[keep], blk.data[keep]),
+                    (diag, diag, np.full(k - 1, -1.0)),
                     (np.arange(k), np.full(k, k - 1), np.ones(k)))
 
 
@@ -153,14 +163,6 @@ def _class_block(chain: Mc, states) -> Mc:
     return Mc(indptr=np.concatenate(([0], np.cumsum(lens))),
               indices=np.searchsorted(idx, chain.indices[e]),
               data=chain.data[e], pi0=None)
-
-
-def _class_index(n, classes):
-    """Each state's class in classes, -1 for a transient state."""
-    klass = np.full(n, -1)
-    for k, states in enumerate(classes):
-        klass[list(states)] = k
-    return klass
 
 
 def _transient_system(chain: Mc, klass):
@@ -180,18 +182,24 @@ def _transient_system(chain: Mc, klass):
     return system, rows[~inside], cols[~inside], vals[~inside]
 
 
-def stationary_distribution(chain: Mc) -> np.ndarray:
-    """The stationary row vector of an irreducible chain: one LU solve of
-    (P^T - I) pi = 0 with its last equation replaced by sum(pi) = 1, checked
-    and clipped at zero.  The solve reads the system through its transpose,
-    P - I with its last column replaced by ones."""
+def _stationary(chain: Mc):
+    """The stationary row vector of an irreducible chain, and the handle
+    of its factored system (see _solve): one LU solve of (P^T - I) pi = 0
+    with its last equation replaced by sum(pi) = 1, checked and clipped at
+    zero.  The solve reads the system through its transpose, P - I with its
+    last column replaced by ones."""
     k = chain.n_states
     b = np.zeros(k)
     b[-1] = 1.0
-    pi = _solve(k, _bordered(chain, 1.0), b, "stationary", transpose=True)
+    pi, solve = _solve(k, _bordered(chain), b, "stationary", transpose=True)
     if np.any(pi < -LIMIT_TOL) or abs(pi.sum() - 1.0) > 1e-7:
         raise SingularSystem("stationary distribution out of tolerance")
-    return np.maximum(pi, 0.0)
+    return np.maximum(pi, 0.0), solve
+
+
+def stationary_distribution(chain: Mc) -> np.ndarray:
+    """The stationary row vector of an irreducible chain (_stationary)."""
+    return _stationary(chain)[0]
 
 
 def analyze(m: Mdp, w) -> ChainAnalysis:
@@ -216,8 +224,8 @@ def analyze(m: Mdp, w) -> ChainAnalysis:
     classes = tuple(tuple(states.tolist()) for states in np.split(
         order, np.flatnonzero(np.diff(klass[order])) + 1))
 
-    stationary = [stationary_distribution(_class_block(chain, states))
-                  for states in classes]
+    stationary, solves = zip(*(_stationary(_class_block(chain, states))
+                               for states in classes))
 
     absorb = np.zeros((n, len(classes)))
     absorb[rec, klass[rec]] = 1.0
@@ -225,13 +233,14 @@ def analyze(m: Mdp, w) -> ChainAnalysis:
         system, rows, cols, vals = _transient_system(chain, klass)
         rhs = np.bincount(rows * len(classes) + klass[cols], weights=vals,
                           minlength=tr.size * len(classes))
-        absorb[tr] = _solve(tr.size, system,
-                            rhs.reshape(tr.size, len(classes)), "absorption")
+        absorb[tr], solve = _solve(tr.size, system, rhs.reshape(tr.size, -1),
+                                   "absorption")
+        solves += (solve,)
 
     return ChainAnalysis(chain=chain, recurrent_classes=classes,
                          transient=frozenset(tr.tolist()),
-                         stationary=tuple(stationary),
-                         absorb=absorb)
+                         stationary=stationary, absorb=absorb,
+                         _solves=solves)
 
 
 @dataclass(frozen=True)
@@ -315,38 +324,35 @@ def efficiency(ca: ChainAnalysis, m: Mdp, r, c, p, start) -> float:
 
 def potential_vector(ca: ChainAnalysis, m: Mdp, u, p) -> np.ndarray:
     """The potential g solving (I - P + P*) g = v, without forming P*
-    (relative values, Puterman, Markov Decision Processes, 1994, 8.2).
+    (relative values, Puterman, Markov Decision Processes, 1994, 8.2), on
+    the factors of ca's analysis: no system is assembled or factored here.
 
     u is one utility over m's pairs, or several stacked as the rows of a
-    2-D array; then g has one row per utility, and each block below is
-    factored once for all of them.  On each recurrent class k,
+    2-D array; then g has one row per utility.  On each recurrent class k,
     (I - P_kk) h + rho_k 1 = v_k with h = 0 at the class's last state,
-    whose column holds the ones, so rho_k is the solution there; g_k = h
-    shifted so that pi_k g_k = rho_k.  On the transient states T,
-    g_T = (I - P_TT)^{-1} (v_T + P_TR g_R - absorb_T rho).  Each system is
-    invertible, so a residual above POTENTIAL_TOL signals degenerate
-    numerics, not a modeling error.
+    whose column holds the ones, so rho_k is the solution there; that
+    matrix is the class's stationary one times diag(-1, ..., -1, 1).
+    g_k = h shifted so that pi_k g_k = rho_k.  On the transient states T,
+    the absorption system gives g_T = (I - P_TT)^{-1} (v_T + P_TR g_R -
+    absorb_T rho).  Each system is invertible, so a residual above
+    POTENTIAL_TOL signals degenerate numerics, not a modeling error.
     """
     v = np.stack([utility_vector(m, uj, p) for uj in np.atleast_2d(u)],
                  axis=1)
-    chain = ca.chain
     g = np.zeros(v.shape)
     rho = np.zeros((len(ca.recurrent_classes), v.shape[1]))
     for k, states in enumerate(ca.recurrent_classes):
         idx = list(states)
-        x = _solve(len(idx), _bordered(_class_block(chain, states), -1.0),
-                   v[idx], "potential", tol=POTENTIAL_TOL)
-        rho[k] = x[-1]
-        x[-1] = 0.0
-        g[idx] = x + (rho[k] - ca.stationary[k] @ x)
+        h = -ca._solves[k](v[idx], "potential", tol=POTENTIAL_TOL)
+        rho[k] = -h[-1]
+        h[-1] = 0.0
+        g[idx] = h + (rho[k] - ca.stationary[k] @ h)
     if ca.transient:
-        klass = _class_index(chain.n_states, ca.recurrent_classes)
-        tr = np.flatnonzero(klass < 0)
-        system, rows, cols, vals = _transient_system(chain, klass)
-        p_g = np.stack([np.bincount(rows, weights=vals * gj[cols],
-                                    minlength=tr.size) for gj in g.T], axis=1)
-        rhs = v[tr] + p_g - ca.absorb[tr] @ rho
-        g[tr] = _solve(tr.size, system, rhs, "potential", tol=POTENTIAL_TOL)
+        tr = np.array(sorted(ca.transient))
+        # g is still zero on T, so P g is P_TR g_R there
+        p_g = np.stack([ca.chain.matvec(gj)[tr] for gj in g.T], axis=1)
+        g[tr] = ca._solves[-1](v[tr] + p_g - ca.absorb[tr] @ rho,
+                               "potential", tol=POTENTIAL_TOL)
     return g.T if np.ndim(u) == 2 else g[:, 0]
 
 

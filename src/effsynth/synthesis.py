@@ -9,7 +9,7 @@ one's optimal policy with an irreducible one.  The mixing weight (the
 perturbation degree) is either the closed-form bound from the ratio
 deviation of chain.ratio_deviation ('es') or the largest weight that stays
 within epsilon of optimal ('ex'), found by Brent's method (scipy's brentq)
-on the blend's stationary ratio and certified by the full chain analysis.
+on the blend's stationary ratio, each probe being its own certificate.
 The component scores then become a surrogate reward with a steeply
 negative off-component level; the average-reward program gives a basic
 policy, and the component policies are patched back in wherever the basic
@@ -31,7 +31,7 @@ from .graph import (almost_sure_region, amec_filter, attractor_policy,
                     closed_pairs, maec_decompose, mec_decompose, restrict,
                     within)
 from .chain import (Certificate, ChainAnalysis, NotUnichain, analyze,
-                    average_utility, certify, efficiency, ratio_deviation,
+                    average_utility, certify, ratio_deviation,
                     stationary_distribution, utility_vector)
 from .lp import SUPPORT_THRESHOLD, decode_avg_policy, decode_ratio_policy, \
     solve_avg_reward_lp, solve_ratio_lfp
@@ -106,10 +106,11 @@ class SynthesisReport:
 
 
 def _deviation_gap(ca_opt, m, mu_opt, mu_irr, r, c):
-    """d_inf = max |d_r - J d_c| and the optimal policy's efficiency J,
-    shared by both degree rules."""
+    """d_inf = max |d_r - J d_c|, mu_opt's efficiency J, the least cost and
+    whether d_inf is zero up to rounding, shared by both degree rules."""
     j_opt, d = ratio_deviation(ca_opt, m, mu_opt, mu_irr, r, c)
-    return float(np.max(np.abs(d))), j_opt
+    d_inf = float(np.max(np.abs(d)))
+    return d_inf, j_opt, float(np.min(c)), d_inf <= 1e-14
 
 
 def perturbation_degree_estimated(ca_opt: ChainAnalysis, m: Mdp, mu_opt,
@@ -121,9 +122,9 @@ def perturbation_degree_estimated(ca_opt: ChainAnalysis, m: Mdp, mu_opt,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    d_inf, _ = _deviation_gap(ca_opt, m, mu_opt, mu_irr, r, c)
-    c_min = float(np.min(c))
-    if d_inf <= 1e-14:
+    d_inf, _, c_min, degenerate = _deviation_gap(ca_opt, m, mu_opt, mu_irr,
+                                                 r, c)
+    if degenerate:
         return PerturbationPlan(0.5, "estimated", d_inf, c_min,
                                 degenerate=True)
     delta = min(epsilon * c_min / d_inf, DELTA_CAP)
@@ -134,24 +135,23 @@ def perturbation_degree_exact(ca_opt: ChainAnalysis, m: Mdp, mu_opt, mu_irr,
                               r, c, epsilon,
                               width=BISECT_WIDTH) -> PerturbationPlan:
     """Largest degree, to within width, that keeps the blended efficiency
-    within epsilon of the optimum, certified by the full evaluator; ca_opt
-    is mu_opt's chain analysis on m.
+    within epsilon of the optimum; ca_opt is mu_opt's chain analysis on m.
 
     Brent's method (scipy's brentq; Brent 1973, ch. 4) closes a bracket of
     f(delta) = J(delta) - (J - epsilon - 1e-12) to width, from the
-    closed-form degree (which qualifies) to 1 - width.  For delta > 0 the
-    blend with the irreducible mu_irr is irreducible, so a probe is one
-    stationary solve of the whole blended chain, with the J(delta) that
-    efficiency(analyze(...)) gives; f(0), the optimal policy's own, is
-    known and never probed.  analyze and efficiency then check the largest
-    probe with f >= 0, or 1 - width when the probe passes it, and
+    closed-form degree (which qualifies) to 1 - width; f(0), the optimal
+    policy's own, is known and never probed.  For delta in (0, 1) the blend
+    with the irreducible mu_irr on m (which the ratio program proved
+    communicating) is irreducible, so a probe, one stationary solve of the
+    whole blended chain, is its own certificate: analyze would find one
+    class of every state, and efficiency the probe's J(delta) bit for bit.
+    1 - width is returned when it passes, else the largest passing probe;
     NotUnichain is raised if no positive degree passes.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    d_inf, j_opt = _deviation_gap(ca_opt, m, mu_opt, mu_irr, r, c)
-    c_min = float(np.min(c))
-    degenerate = d_inf <= 1e-14
+    d_inf, j_opt, c_min, degenerate = _deviation_gap(ca_opt, m, mu_opt,
+                                                     mu_irr, r, c)
     target = j_opt - epsilon - 1e-12
 
     def f(delta):
@@ -160,17 +160,10 @@ def perturbation_degree_exact(ca_opt: ChainAnalysis, m: Mdp, mu_opt, mu_irr,
         return float(pi @ utility_vector(m, r, w)) / \
             float(pi @ utility_vector(m, c, w)) - target
 
-    def certified(delta):
-        w = blend(mu_opt, mu_irr, delta)
-        ca_d = analyze(m, w)
-        return efficiency(ca_d, m, r, c, w, m.initial) >= target
-
     hi = 1.0 - width
     known = {0.0: j_opt - target, hi: f(hi)}  # 0: the optimal policy itself
     if known[hi] >= 0.0:
-        if certified(hi):
-            return PerturbationPlan(hi, "exact", d_inf, c_min, degenerate)
-        known[hi] = -np.inf  # the certifying evaluation fell short
+        return PerturbationPlan(hi, "exact", d_inf, c_min, degenerate)
     lo = 0.0
     if not degenerate:
         guess = min(epsilon * c_min / d_inf, hi / 2)
@@ -191,7 +184,7 @@ def perturbation_degree_exact(ca_opt: ChainAnalysis, m: Mdp, mu_opt, mu_irr,
     from scipy.optimize import brentq
     # disp=False: a search cut off at maxiter returns instead of raising
     brentq(probe, lo, hi, xtol=width, disp=False)
-    if best <= 0.0 or not certified(best):
+    if best <= 0.0:
         raise NotUnichain("the degree search closed without a certified "
                           "positive degree")
     return PerturbationPlan(best, "exact", d_inf, c_min, degenerate)
@@ -240,19 +233,19 @@ def _solve_maecs(pm: ProductMdp, r, c, maecs, epsilon, method,
     """The MAEC stage: solve the ratio program in each of pm's MAECs (pair
     masks), keep the best, perturb its optimal policy if needed and extend
     it to all of pm by the attractor.  The report carries no certificate."""
-    values = []
-    subs = []
+    solved = []
     for maec in maecs:
         sub_m, ids = restrict(pm, maec)
-        r_sub, c_sub = r[sub_m.parent_pair], c[sub_m.parent_pair]
-        sol = solve_ratio_lfp(sub_m, r_sub, c_sub)
-        values.append(sol.value)
-        decoded = decode_ratio_policy(sub_m, sol,
-                                      support_threshold=tol.support_threshold)
-        subs.append((sub_m, ids, r_sub, c_sub, *decoded))
+        pp = sub_m.parent_pair
+        solved.append((sub_m, ids, solve_ratio_lfp(sub_m, r[pp], c[pp])))
+    values = [sol.value for _, _, sol in solved]
     best = max(range(len(maecs)), key=lambda i: (values[i], -i))
 
-    sub_m, ids, r_sub, c_sub, mu_opt, ca_opt = subs[best]
+    # the LP values alone choose the winner, so only its policy is decoded
+    sub_m, ids, sol = solved[best]
+    r_sub, c_sub = r[sub_m.parent_pair], c[sub_m.parent_pair]
+    mu_opt, ca_opt = decode_ratio_policy(
+        sub_m, sol, support_threshold=tol.support_threshold)
 
     # adopt the optimal policy unperturbed when its recurrent class already
     # meets some G-set while avoiding the paired B-set

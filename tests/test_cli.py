@@ -740,10 +740,13 @@ def test_synthesize_rejects_non_finite_epsilon(files, value):
 
 def test_uncertified_exact_degree_exits_4(files, tmp_path, monkeypatch,
                                           capsys):
-    """When the full evaluator certifies no degree the search found,
-    synthesize fails as a solver failure."""
+    """When no probe of the exact degree qualifies, synthesize fails as a
+    solver failure: here every probe finds the blend settled at the MAEC's
+    second state, model state 4, whose best reward 3 is short of the
+    optimum 5."""
     from effsynth import synthesis
-    monkeypatch.setattr(synthesis, "efficiency", lambda *args: -np.inf)
+    monkeypatch.setattr(synthesis, "stationary_distribution",
+                        lambda chain: np.eye(chain.n_states)[1])
     argv = blended_synthesis(files, tmp_path) + [
         "--epsilon", "0.05", "--method", "ex"]
     assert main(argv) == 4

@@ -3,14 +3,16 @@ import sys
 import numpy as np
 import pytest
 
-from effsynth import chain, graph, model, synthesis
+from effsynth import chain, graph, lp, model, synthesis
 from effsynth.casestudies import gen_case1
 from effsynth.model import (Mdp, ModelError, ProductMdp, UtilityFn, blend,
-                            build_product, lift_utilities, uniform_policy)
+                            build_product, induce_chain, lift_utilities,
+                            uniform_policy)
 from effsynth.graph import (almost_sure_region, maec_decompose, mec_decompose,
                             restrict)
 from effsynth.chain import (NotUnichain, analyze, average_utility,
-                            efficiency, ratio_deviation)
+                            efficiency, ratio_deviation,
+                            stationary_distribution, utility_vector)
 from effsynth.lp import (decode_ratio_policy, solve_avg_reward_lp,
                          solve_ratio_lfp)
 from effsynth.synthesis import (TaskUnsatisfiable, Tolerances,
@@ -235,12 +237,23 @@ def lopsided_blend():
     return m, mu_opt, mu_irr, r, c
 
 
+def probe_ratio(m, mu_opt, mu_irr, r, c, delta):
+    """The exact degree's probe: the stationary ratio of the blend of
+    degree delta, computed as the search computes it."""
+    w = blend(mu_opt, mu_irr, delta)
+    pi = stationary_distribution(induce_chain(m, w))
+    return float(pi @ utility_vector(m, r, w)) / \
+        float(pi @ utility_vector(m, c, w))
+
+
 def test_exact_degree_agrees_with_bisection(rng):
     """On 30 random communicating models and the lopsided instance, the
     Brent search's degree and plain bisection's both qualify, the search
     never returns less than the closed-form degree, and wherever the
     verdict changes once along a 200-point grid the two degrees lie within
-    the width of each other."""
+    the width of each other.  At each returned degree the full analysis
+    finds one class holding every state, and its efficiency is the probe's
+    ratio bit for bit: the probe is its own certificate."""
     grid = np.linspace(0.0, 1.0 - 1e-6, 201)[1:]
     compared = 0
     for inst in communicating_blends(rng, 30) + [lopsided_blend()]:
@@ -249,6 +262,11 @@ def test_exact_degree_agrees_with_bisection(rng):
         for eps in (1e-4, 1e-3, 1e-2, 1e-1):
             new = perturbation_degree_exact(*analyzed(inst), eps)
             old = bisected_degree(*inst, eps)
+            m = inst[0]
+            ca = analyze(m, blend(*inst[1:3], new.delta))
+            assert ca.recurrent_classes == (tuple(range(m.n_states)),)
+            assert blend_efficiency(*inst, new.delta) == \
+                probe_ratio(*inst, new.delta)
             assert qualifies(*inst, eps, new.delta)
             assert qualifies(*inst, eps, old)
             es = perturbation_degree_estimated(*analyzed(inst), eps)
@@ -312,37 +330,25 @@ def test_ratio_deviation_reads_the_decoders_analysis(rng):
                                        ("lopsided", 1e-3),
                                        ("lopsided", 1e-1)])
 def test_exact_degree_probe_budget(monkeypatch, case, eps):
-    """At most 10 cheap probes and a single full evaluation, of the
-    returned degree, which lies below 1 - width on these instances."""
+    """At most 10 cheap probes and no full evaluation (each probe is its
+    own certificate); the returned degree lies below 1 - width on these
+    instances."""
     inst = case1_task2_blend() if case == "case1" else lopsided_blend()
     probes = count_degree_probes(monkeypatch)
     plan = perturbation_degree_exact(*analyzed(inst), eps)
     assert plan.delta < 1.0 - 1e-6
     assert probes["cheap"] <= 10
-    assert probes["full"] == 1
-
-
-def test_exact_degree_rechecks_a_rejected_top(monkeypatch):
-    """When the probe passes 1 - width but the full evaluator rejects it,
-    the search goes on below it, and its end is evaluated once more: two
-    full evaluations."""
-    m, r, c, mu_opt, mu_irr = two_state_unit_cost_instance()
-    ca_opt = analyze(m, mu_opt)
-    probes = count_degree_probes(monkeypatch)
-    verdicts = iter([-np.inf, 1.0])
-    monkeypatch.setattr(synthesis, "efficiency",
-                        lambda *args: next(verdicts))
-    plan = perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, 100.0)
-    assert probes["full"] == 2
-    assert 1.0 - 2e-6 <= plan.delta < 1.0 - 1e-6
+    assert probes["full"] == 0
 
 
 def test_exact_degree_raises_when_nothing_certifies(monkeypatch):
-    """A full evaluator that rejects every degree leaves no certified
+    """A probe that finds every blend settled at far, whose ratio -25 delta
+    never comes within epsilon of the optimum 1, leaves no qualifying
     positive degree: NotUnichain, the solver-failure exit."""
     m, r, c, mu_opt, mu_irr = lopsided_instance()
     ca_opt = analyze(m, mu_opt)
-    monkeypatch.setattr(synthesis, "efficiency", lambda *args: -np.inf)
+    monkeypatch.setattr(synthesis, "stationary_distribution",
+                        lambda chain: np.eye(chain.n_states)[2])
     with pytest.raises(NotUnichain):
         perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, 1e-3)
 
@@ -361,7 +367,7 @@ def test_exact_degree_terminates_below_float_spacing():
 
 def test_exact_degree_survives_a_search_cut_off(monkeypatch):
     """A Brent search stopped at its iteration limit returns instead of
-    raising RuntimeError: the largest probe that passed is certified, and
+    raising RuntimeError: the largest probe that passed is the degree, and
     it is no smaller than the closed-form degree."""
     import scipy.optimize
     brentq = scipy.optimize.brentq
@@ -707,7 +713,7 @@ def count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("method, analyses, chains",
-                         [("es", 2, 3), ("ex", 3, 11)])
+                         [("es", 2, 3), ("ex", 2, 10)])
 def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
                                           chains):
     """The decoder's analysis of the optimal policy's chain serves the
@@ -715,9 +721,8 @@ def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
     induced and analyzed once; a single accepting component covering the
     product is solved on the product itself, whose certificate is the only
     one built.  The other chains are the irreducible policy's (for the
-    deviation), one blend per cheap exact-degree probe (7 here), one more
-    for the returned degree, which alone of the blends is analyzed, and the
-    certificate's."""
+    deviation), one blend per exact-degree probe (7 here), none of which
+    is analyzed, and the certificate's."""
     m, _, task2, reward, cost = gen_case1()
     pm = build_product(m, task2)
     r, c = lift_utilities(pm, reward, cost)
@@ -727,6 +732,67 @@ def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
     assert rep.certificate.accepted
     assert len(analyzed) == analyses
     assert len(induced) == chains
+
+
+@pytest.mark.parametrize("method, factored", [("es", 2), ("ex", 9)])
+def test_case1_task2_synthesis_factorizations(monkeypatch, method, factored):
+    """Each system above DENSE_MAX is factored once per synthesis on grid
+    9: the optimal policy's transient block (263 states) serves both its
+    absorption probabilities and its potentials, and the certificate's
+    chain (274 states) is the other; ex adds one factor per probe (7 here)
+    and none to certify the degree."""
+    import scipy.sparse.linalg
+    splu = scipy.sparse.linalg.splu
+    sizes = []
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
+    m, _, task2, reward, cost = gen_case1()
+    pm = build_product(m, task2)
+    r, c = lift_utilities(pm, reward, cost)
+    assert synth_general(pm, r, c, 0.01, method).certificate.accepted
+    assert sorted(sizes) == [263] + [274] * (factored - 1)
+
+
+def two_maec_instance():
+    """One accepting component holding two MAECs: the G-loops at left
+    (reward 1) and right (reward 2), joined through the B-state mid."""
+    trans = {(0, 0): {0: 1.0}, (0, 1): {1: 1.0},
+             (1, 0): {0: 1.0}, (1, 1): {2: 1.0},
+             (2, 0): {2: 1.0}, (2, 1): {1: 1.0}}
+    pm = ProductMdp(["left", "mid", "right"], ["a", "b"], 0, trans,
+                    [({1}, {0, 2})])
+    r = UtilityFn({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0,
+                   (2, 0): 2.0, (2, 1): 0.0}, "reward").pair_values(pm)
+    return pm, r, np.full(pm.n_pairs, 1.0)
+
+
+def test_only_the_winning_maec_is_decoded(monkeypatch):
+    """In a component with two MAECs, both ratio programs run but only the
+    winner's policy is decoded; the MAEC stage's report is the one it
+    gives with the winner alone, apart from the values it lists, and the
+    synthesis settles in right."""
+    pm, r, c = two_maec_instance()
+    maecs = maec_decompose(pm)
+    assert len(maecs) == 2 and len(amecs_of(pm)) == 1
+    decoded = count_calls(monkeypatch, lp, "decode_ratio_policy")
+    rep = synthesis._solve_maecs(pm, r, c, maecs, 0.01, "es", Tolerances())
+    assert len(decoded) == 1
+    assert rep.amec_values == pytest.approx((1.0, 2.0), abs=1e-9)
+    assert rep.amec_chosen == 1
+    alone = synthesis._solve_maecs(pm, r, c, maecs[1:], 0.01, "es",
+                                   Tolerances())
+    assert np.array_equal(rep.policy, alone.policy)
+    assert (rep.value, rep.plan, rep.no_perturbation) == \
+        (alone.value, alone.plan, alone.no_perturbation)
+    full = synth_general(pm, r, c, 0.01)
+    assert rule_of(pm, full.policy) == {0: {1: 1.0}, 1: {1: 1.0},
+                                        2: {0: 1.0}}
+    assert full.value == pytest.approx(2.0, abs=1e-9)
+    assert full.certificate.accepted
 
 
 def test_synth_general_decomposes_the_product_once(monkeypatch):
