@@ -3,22 +3,24 @@
 A policy's chain on a model is kept in CSR form (model.Mc), whose entries
 are exactly its support graph (s -> t iff a pair of s with positive weight
 has a positive-probability entry at t), so no threshold on a product w * p
-can drop an edge.  Tarjan's algorithm (graph) labels the strongly connected
-components of that graph on the CSR arrays; the bottom ones are the
-recurrent classes, and certify builds the one Certificate, whose verdict
-is that the acceptance condition holds with probability one.  No n x n
-array is formed: stationary distributions and absorption probabilities
-come from one factor-then-solve helper, dense LU on a block of at most
-DENSE_MAX states and SuperLU (scipy.sparse.linalg.splu) above that, on
-systems built from the CSR arrays (_solve says how SuperLU is set up for
-them).  analyze keeps the helper's handle on each system it factors, so
-the potential vectors g = (I - P + P*)^{-1} v, solved class by class
-without P*, reuse those factors and factor nothing themselves.  The limit
-matrix P* is assembled only when limit_matrix is read; the average
-utility and the limit distribution take its rows from the absorption
-probabilities and the per-class stationary vectors.  On top of that sit
-the long-run average utility and the reward-to-cost efficiency for
-general multichain chains, all returned as plain arrays.
+can drop an edge.  graph.strongly_connected_components labels the strongly
+connected components of that graph on the CSR arrays; the bottom ones are
+the recurrent classes, and certify builds the one Certificate, whose
+verdict is that the acceptance condition holds with probability one.  No
+n x n array is formed: stationary distributions and absorption
+probabilities come from one factor-then-solve helper, dense LU on a block
+of at most DENSE_MAX states and SuperLU (scipy.sparse.linalg.splu) above
+that, on systems built from the CSR arrays (_solve says how SuperLU is set
+up for them).  analyze solves the absorption system at once and each
+class's stationary system on first read, so a certificate, which reads
+only the classes and absorption, factors nothing on an irreducible chain.
+The analysis keeps the helper's handle on each system it factors, so the
+potential vectors g = (I - P + P*)^{-1} v, solved class by class without
+P*, reuse those factors and factor nothing themselves.  The average
+utility and the limit distribution take their rows of P* from the
+absorption probabilities and the per-class stationary vectors.  On top of
+that sit the long-run average utility and the reward-to-cost efficiency
+for general multichain chains, all returned as plain arrays.
 ratio_deviation is the one perturbation step: a unichain policy's efficiency
 J and its ratio deviation d_r - J d_c towards another policy, from the
 caller's analysis of the policy and its reward and cost potentials solved
@@ -40,7 +42,9 @@ from .graph import strongly_connected_components
 
 LIMIT_TOL = 1e-9      # limit-matrix algebra tolerance
 POTENTIAL_TOL = 1e-8  # residual tolerance for potential solves
-DENSE_MAX = 250       # largest system solved by dense LU; SuperLU above it
+# largest system solved by dense LU (SuperLU above it), and largest graph
+# whose components graph labels in Python (scipy's csgraph above it)
+DENSE_MAX = 250
 
 
 class SingularSystem(Exception):
@@ -53,36 +57,37 @@ class NotUnichain(Exception):
 
 @dataclass(frozen=True)
 class ChainAnalysis:
-    """Recurrent structure of a chain, and its limit matrix on demand.
+    """Recurrent structure of a chain, with its class stationary vectors
+    solved on first read.
 
     absorb[s, k] is the probability of ending up (and staying forever) in
-    recurrent class k when starting from s; the column of a transient state
-    in limit_matrix is identically zero.
+    recurrent class k when starting from s.
     """
     chain: Mc
     recurrent_classes: tuple
     transient: frozenset
-    stationary: tuple       # per-class stationary distribution over class states
     absorb: np.ndarray      # n_states x n_classes
-    # _solve's handles: each class's stationary system, then T's absorption
-    _solves: tuple = field(compare=False, repr=False)
+    # _solve's handle on T's absorption system, None without transient states
+    _absorb_solve: object = field(compare=False, repr=False)
+    # each class's (stationary vector, handle) when the caller holds them
+    _known: tuple = field(default=None, compare=False, repr=False)
 
     def is_unichain(self):
         return len(self.recurrent_classes) == 1
 
     @cached_property
-    def limit_matrix(self):
-        """P* (the Cesaro limit of the powers of P) as a dense n x n array:
-        the sum over the classes k of absorb[:, k] times the class's
-        stationary row.  Built on first use; no result of the program reads
-        it, since each needs only rows of it (see _limit_row)."""
-        n = self.chain.n_states
-        star = np.zeros((n, n))
-        for k, comp in enumerate(self.recurrent_classes):
-            row = np.zeros(n)
-            row[list(comp)] = self.stationary[k]
-            star += np.outer(self.absorb[:, k], row)
-        return star
+    def _factors(self):
+        """Each class's stationary vector and _solve's handle on its
+        factored system (_stationary), solved when first read: a
+        certificate reads only the classes and absorb."""
+        return self._known or tuple(
+            _stationary(_class_block(self.chain, states))
+            for states in self.recurrent_classes)
+
+    @cached_property
+    def stationary(self):
+        """Per-class stationary distribution over the class's states."""
+        return tuple(pi for pi, _ in self._factors)
 
 
 def _entries(*runs):
@@ -197,15 +202,11 @@ def _stationary(chain: Mc):
     return np.maximum(pi, 0.0), solve
 
 
-def stationary_distribution(chain: Mc) -> np.ndarray:
-    """The stationary row vector of an irreducible chain (_stationary)."""
-    return _stationary(chain)[0]
-
-
 def analyze(m: Mdp, w) -> ChainAnalysis:
     """Classify the states of the chain that policy w induces on m, on the
-    exact support graph, and solve for its stationary and absorption
-    structure; the limit matrix P* is assembled only when it is read."""
+    exact support graph, and solve for its absorption probabilities; each
+    class's stationary vector is solved when the analysis is first asked
+    for it."""
     chain = induce_chain(m, w)
     n = chain.n_states
     # validated model and policy rows keep each chain row sum within
@@ -224,23 +225,29 @@ def analyze(m: Mdp, w) -> ChainAnalysis:
     classes = tuple(tuple(states.tolist()) for states in np.split(
         order, np.flatnonzero(np.diff(klass[order])) + 1))
 
-    stationary, solves = zip(*(_stationary(_class_block(chain, states))
-                               for states in classes))
-
     absorb = np.zeros((n, len(classes)))
     absorb[rec, klass[rec]] = 1.0
+    solve = None
     if tr.size:
         system, rows, cols, vals = _transient_system(chain, klass)
         rhs = np.bincount(rows * len(classes) + klass[cols], weights=vals,
                           minlength=tr.size * len(classes))
         absorb[tr], solve = _solve(tr.size, system, rhs.reshape(tr.size, -1),
                                    "absorption")
-        solves += (solve,)
 
     return ChainAnalysis(chain=chain, recurrent_classes=classes,
-                         transient=frozenset(tr.tolist()),
-                         stationary=stationary, absorb=absorb,
-                         _solves=solves)
+                         transient=frozenset(tr.tolist()), absorb=absorb,
+                         _absorb_solve=solve)
+
+
+def _one_class(chain: Mc, factor) -> ChainAnalysis:
+    """The analysis of an irreducible chain whose _stationary result
+    factor, (pi, handle), the caller already holds: one class of every
+    state, absorbed from everywhere, and nothing solved here."""
+    n = chain.n_states
+    return ChainAnalysis(chain=chain, recurrent_classes=(tuple(range(n)),),
+                         transient=frozenset(), absorb=np.ones((n, 1)),
+                         _absorb_solve=None, _known=(factor,))
 
 
 @dataclass(frozen=True)
@@ -343,7 +350,7 @@ def potential_vector(ca: ChainAnalysis, m: Mdp, u, p) -> np.ndarray:
     rho = np.zeros((len(ca.recurrent_classes), v.shape[1]))
     for k, states in enumerate(ca.recurrent_classes):
         idx = list(states)
-        h = -ca._solves[k](v[idx], "potential", tol=POTENTIAL_TOL)
+        h = -ca._factors[k][1](v[idx], "potential", tol=POTENTIAL_TOL)
         rho[k] = -h[-1]
         h[-1] = 0.0
         g[idx] = h + (rho[k] - ca.stationary[k] @ h)
@@ -351,8 +358,8 @@ def potential_vector(ca: ChainAnalysis, m: Mdp, u, p) -> np.ndarray:
         tr = np.array(sorted(ca.transient))
         # g is still zero on T, so P g is P_TR g_R there
         p_g = np.stack([ca.chain.matvec(gj)[tr] for gj in g.T], axis=1)
-        g[tr] = ca._solves[-1](v[tr] + p_g - ca.absorb[tr] @ rho,
-                               "potential", tol=POTENTIAL_TOL)
+        g[tr] = ca._absorb_solve(v[tr] + p_g - ca.absorb[tr] @ rho,
+                                 "potential", tol=POTENTIAL_TOL)
     return g.T if np.ndim(u) == 2 else g[:, 0]
 
 
@@ -364,19 +371,21 @@ def _deviation(m, ca, chain_p, mu, mu_prime, u, g):
     return (v_p - v) + (chain_p.matvec(g) - ca.chain.matvec(g))
 
 
-def ratio_deviation(ca: ChainAnalysis, m: Mdp, mu, mu_prime, r, c):
+def ratio_deviation(ca: ChainAnalysis, m: Mdp, mu, mu_prime, r, c,
+                    chain_prime=None):
     """The perturbation step towards mu_prime from a unichain policy mu,
     whose chain analysis on m is ca (as decode_ratio_policy returns it).
 
     Returns (j, d): mu's efficiency j from the initial state, and the ratio
     deviation d = d_r - j d_c, from mu's potentials for r and c, solved
-    together.  mu_prime's chain is induced once.  Raises NotUnichain unless
-    ca has a single recurrent class.
+    together.  mu_prime's chain is chain_prime, induced here when not
+    given.  Raises NotUnichain unless ca has a single recurrent class.
     """
     if not ca.is_unichain():
         raise NotUnichain(
             f"{len(ca.recurrent_classes)} recurrent classes under mu")
-    chain_p = induce_chain(m, mu_prime)
+    chain_p = (induce_chain(m, mu_prime) if chain_prime is None
+               else chain_prime)
     j = efficiency(ca, m, r, c, mu, m.initial)
     g_r, g_c = potential_vector(ca, m, np.stack((r, c)), mu)
     d_r = _deviation(m, ca, chain_p, mu, mu_prime, r, g_r)

@@ -8,12 +8,14 @@ component is what a policy is, a read-only array over its model's pairs:
 the boolean mask of its kept pairs, whose states are those owning a kept
 pair.  A region is a boolean state mask.  A support digraph is only ever
 the CSR arrays (indptr, indices) that model.support_csr builds, and
-strongly_connected_components, one iterative Tarjan, labels its nodes on
-them.  The SCC refinement in mec_decompose makes each component strongly
-connected, and no walk witness is stored.  amec_filter takes the MECs and MAECs, and almost_sure_region
-the AMECs, that the caller has already computed, so a synthesis decomposes
-the product once; a sub-model cut by restrict gathers its share of those
-masks through its parent_pair.
+strongly_connected_components labels its nodes on them: an iterative
+Tarjan in Python up to chain.DENSE_MAX nodes, so that small runs load no
+scipy, and scipy's compiled kernel above it, with the same labels.  The
+SCC refinement in mec_decompose makes each component strongly connected,
+and no walk witness is stored.  amec_filter takes the MECs and MAECs, and
+almost_sure_region the AMECs, that the caller has already computed, so a
+synthesis decomposes the product once; a sub-model cut by restrict
+gathers its share of those masks through its parent_pair.
 
 All algorithms are deterministic: ties break on the lowest state index, then
 the lowest action index.
@@ -57,14 +59,31 @@ def _successors(m, keep):
 
 
 def strongly_connected_components(indptr, indices, roots=None):
-    """Tarjan's algorithm (SIAM J. Comput. 1972), iterative, on the digraph
-    whose node v has the successors indices[indptr[v]:indptr[v + 1]].
+    """The strongly connected components of the digraph whose node v has
+    the successors indices[indptr[v]:indptr[v + 1]].
 
     Returns each node's component label: the nodes reached from roots
     (default: every node) are labelled 0, 1, ... in the order of their
     components' lowest nodes, and the nodes no root reaches read -1.  A
-    visited node is on Tarjan's stack exactly while it has no label.
+    graph of at most chain.DENSE_MAX nodes is labelled by _tarjan, in
+    Python, so that small runs load no scipy; a larger one by _pearce, in
+    compiled code.  Both give the same labels once renumbered here.
     """
+    from .chain import DENSE_MAX  # read at call time: chain imports graph
+    label = (_tarjan if len(indptr) - 1 <= DENSE_MAX else _pearce)(
+        indptr, indices, roots)
+    # renumber the components in the order of their lowest nodes
+    seen = label >= 0
+    _, first, inv = np.unique(label[seen], return_index=True,
+                              return_inverse=True)
+    label[seen] = np.argsort(np.argsort(first))[inv]
+    return label
+
+
+def _tarjan(indptr, indices, roots):
+    """Tarjan's algorithm (SIAM J. Comput. 1972), iterative: a component
+    label per node reached from roots (None: every node), -1 elsewhere.
+    A visited node is on Tarjan's stack exactly while it has no label."""
     n = len(indptr) - 1
     ptr, succ = indptr.tolist(), indices.tolist()
     nxt = ptr[:-1]          # each node's next edge to scan
@@ -96,12 +115,33 @@ def strongly_connected_components(indptr, indices, roots=None):
                     while label[v] < 0:
                         label[stack.pop()] = n_comp
                     n_comp += 1
-    # renumber the components in the order of their lowest nodes
-    label = np.array(label, dtype=np.int64)
-    seen = label >= 0
-    _, first, inv = np.unique(label[seen], return_index=True,
-                              return_inverse=True)
-    label[seen] = np.argsort(np.argsort(first))[inv]
+    return np.array(label, dtype=np.int64)
+
+
+def _pearce(indptr, indices, roots):
+    """_tarjan's labels up to numbering, from scipy's compiled components
+    (Pearce, "An improved algorithm for finding the strongly connected
+    components of a directed graph", 2005).  A component holding a node
+    reached from roots is reached whole, so the other nodes are masked to
+    -1: those that one breadth-first search misses from an extra node whose
+    edges lead to every root."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order, \
+        connected_components
+    n = len(indptr) - 1
+    graph = csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    label = connected_components(graph, connection="strong")[1].astype(
+        np.int64)
+    if roots is not None:
+        roots = np.asarray(roots, dtype=indices.dtype)
+        graph = csr_array(
+            (np.ones(len(indices) + len(roots)),
+             np.concatenate((indices, roots)),
+             np.append(indptr, indptr[-1] + len(roots))), shape=(n + 1, n + 1))
+        reached = np.zeros(n + 1, dtype=bool)
+        reached[breadth_first_order(graph, n,
+                                    return_predecessors=False)] = True
+        label[~reached[:n]] = -1
     return label
 
 

@@ -8,19 +8,20 @@ component on the MAECs it contains.  That communicating stage
 one's optimal policy with an irreducible one.  The mixing weight (the
 perturbation degree) is either the closed-form bound from the ratio
 deviation of chain.ratio_deviation ('es') or the largest weight that stays
-within epsilon of optimal ('ex'), found by Brent's method (scipy's brentq)
-on the blend's stationary ratio, each probe being its own certificate.
-The component scores then become a surrogate reward with a steeply
-negative off-component level; the average-reward program gives a basic
-policy, and the component policies are patched back in wherever the basic
-policy settles.  Policies, utilities and end components are arrays over a
-model's pairs: a sub-model gathers them through its parent_pair, a
-sub-model's policy lifts to its parent by a scatter through the same array
-(_lift), and the region's report returns to the product's ids through
-_lift_report.  A certificate (chain.certify) is built only for the report
-that is returned.
+within epsilon of optimal ('ex'), found by a safeguarded Newton search on
+the blend's stationary ratio, each probe being its own certificate and
+reading the ratio's slope off its own factor.  The component scores then
+become a surrogate reward with a steeply negative off-component level; the
+average-reward program gives a basic policy, and the component policies
+are patched back in wherever the basic policy settles.  Policies,
+utilities and end components are arrays over a model's pairs: a sub-model
+gathers them through its parent_pair, a sub-model's policy lifts to its
+parent by a scatter through the same array (_lift), and the region's
+report returns to the product's ids through _lift_report.  A certificate
+(chain.certify) is built only for the report that is returned.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,15 +31,16 @@ from .model import (Mdp, ModelError, ProductMdp, blend, induce_chain,
 from .graph import (almost_sure_region, amec_filter, attractor_policy,
                     closed_pairs, maec_decompose, mec_decompose, restrict,
                     within)
-from .chain import (Certificate, ChainAnalysis, NotUnichain, analyze,
-                    average_utility, certify, ratio_deviation,
-                    stationary_distribution, utility_vector)
+from .chain import (Certificate, ChainAnalysis, NotUnichain, _one_class,
+                    _stationary, analyze, average_utility, certify,
+                    ratio_deviation, utility_vector)
 from .lp import SUPPORT_THRESHOLD, decode_avg_policy, decode_ratio_policy, \
     solve_avg_reward_lp, solve_ratio_lfp
 
 BISECT_WIDTH = 1e-6
 DELTA_CAP = 1.0 - 1e-9
 K_MARGIN = 1.0
+MAX_PROBES = 100  # the exact-degree search's probe cap
 
 
 class ToleranceError(ValueError):
@@ -105,12 +107,14 @@ class SynthesisReport:
     avg_gain: float | None = None  # general case: surrogate-reward LP gain
 
 
-def _deviation_gap(ca_opt, m, mu_opt, mu_irr, r, c):
-    """d_inf = max |d_r - J d_c|, mu_opt's efficiency J, the least cost and
-    whether d_inf is zero up to rounding, shared by both degree rules."""
-    j_opt, d = ratio_deviation(ca_opt, m, mu_opt, mu_irr, r, c)
+def _deviation_gap(ca_opt, m, mu_opt, mu_irr, r, c, chain_irr=None):
+    """mu_opt's efficiency J and ratio deviation d towards mu_irr (whose
+    chain is chain_irr, induced when not given), d_inf = max |d|, the least
+    cost and whether d_inf is zero up to rounding, shared by both degree
+    rules."""
+    j_opt, d = ratio_deviation(ca_opt, m, mu_opt, mu_irr, r, c, chain_irr)
     d_inf = float(np.max(np.abs(d)))
-    return d_inf, j_opt, float(np.min(c)), d_inf <= 1e-14
+    return j_opt, d, d_inf, float(np.min(c)), d_inf <= 1e-14
 
 
 def perturbation_degree_estimated(ca_opt: ChainAnalysis, m: Mdp, mu_opt,
@@ -122,13 +126,64 @@ def perturbation_degree_estimated(ca_opt: ChainAnalysis, m: Mdp, mu_opt,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    d_inf, _, c_min, degenerate = _deviation_gap(ca_opt, m, mu_opt, mu_irr,
-                                                 r, c)
+    _, _, d_inf, c_min, degenerate = _deviation_gap(ca_opt, m, mu_opt, mu_irr,
+                                                    r, c)
     if degenerate:
         return PerturbationPlan(0.5, "estimated", d_inf, c_min,
                                 degenerate=True)
     delta = min(epsilon * c_min / d_inf, DELTA_CAP)
     return PerturbationPlan(delta, "estimated", d_inf, c_min)
+
+
+def _probe(m, mu_opt, mu_irr, chain_irr, r, c, delta):
+    """J(delta) and J'(delta) of the blend of mu_opt and mu_irr (whose chain
+    is chain_irr) of degree delta, from one factor of the blend's chain.
+
+    The blend is irreducible, so its stationary solve gives the one-class
+    analysis, and the perturbation step towards mu_irr on that analysis
+    gives J(delta) (bit for bit the efficiency that analyze would certify)
+    and the deviation d.  Since mu_(delta + h) is the blend of mu_delta and
+    mu_irr of degree h / (1 - delta), the perturbation identity gives
+    J'(delta) = pi d / ((1 - delta) pi v_c), v_c the blend's cost vector
+    (Schweitzer, "Perturbation theory and finite Markov chains", J. Appl.
+    Prob. 1968).
+    """
+    w = blend(mu_opt, mu_irr, delta)
+    chain = induce_chain(m, w)
+    ca = _one_class(chain, _stationary(chain))
+    j, d = ratio_deviation(ca, m, w, mu_irr, r, c, chain_irr)
+    pi = ca.stationary[0]
+    return j, float(pi @ d) / ((1.0 - delta)
+                               * float(pi @ utility_vector(m, c, w)))
+
+
+def _next_degree(lo, hi, floor, top, width, x, f_x, slope):
+    """The exact search's next degree from its last point x, where f is f_x
+    and J' is slope, inside the bracket (lo, end): lo passed, and end is hi,
+    the least failing probe, or top = 1 - width while none failed.
+
+    The Newton step, except that once it is within width / 2 it goes a
+    quarter width further, onto the root's far side, so that the bracket
+    closes; top when the step would pass it, or when the tangent at a
+    passing x never falls to the target.  A step that leaves the bracket,
+    or a slope at or above zero elsewhere, falls back to the midpoint.
+    Nothing is placed below floor, the closed-form degree (which
+    qualifies), while it lies inside the bracket.
+    """
+    end = top if hi is None else hi
+    low = max(lo, floor) if floor < end else lo
+    if slope < 0.0:
+        step = -f_x / slope
+        if abs(step) <= width / 2:
+            step += math.copysign(width / 4, step)
+        guess = max(x + step, low)
+        if hi is None and guess >= top:
+            return top
+        if lo < guess < end:
+            return guess
+    elif f_x >= 0.0 and hi is None:
+        return top
+    return 0.5 * (low + end)
 
 
 def perturbation_degree_exact(ca_opt: ChainAnalysis, m: Mdp, mu_opt, mu_irr,
@@ -137,57 +192,51 @@ def perturbation_degree_exact(ca_opt: ChainAnalysis, m: Mdp, mu_opt, mu_irr,
     """Largest degree, to within width, that keeps the blended efficiency
     within epsilon of the optimum; ca_opt is mu_opt's chain analysis on m.
 
-    Brent's method (scipy's brentq; Brent 1973, ch. 4) closes a bracket of
-    f(delta) = J(delta) - (J - epsilon - 1e-12) to width, from the
-    closed-form degree (which qualifies) to 1 - width; f(0), the optimal
-    policy's own, is known and never probed.  For delta in (0, 1) the blend
-    with the irreducible mu_irr on m (which the ratio program proved
-    communicating) is irreducible, so a probe, one stationary solve of the
-    whole blended chain, is its own certificate: analyze would find one
-    class of every state, and efficiency the probe's J(delta) bit for bit.
-    1 - width is returned when it passes, else the largest passing probe;
-    NotUnichain is raised if no positive degree passes.
+    A safeguarded Newton search (_next_degree) for the root of f(delta) =
+    J(delta) - (J - epsilon - 1e-12).  It starts at 0, the optimal policy
+    itself, where f and J'(0) = pi d / pi v_c come from ca_opt and the
+    deviation d that the closed-form degree reads; it is never probed.
+    For delta in (0, 1) the blend with the irreducible mu_irr on m (which
+    the ratio program proved communicating) is irreducible, so a probe
+    (_probe), one stationary solve of the whole blended chain, is its own
+    certificate and also gives J'(delta).  mu_irr's chain is induced once.
+    1 - width is probed only when a step would pass it, and returned when
+    it passes.  Otherwise the search closes with a failing probe within
+    width above the largest passing one, or with no float between them, or
+    after MAX_PROBES probes, and returns the largest passing probe;
+    NotUnichain is raised if no positive degree passed.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    d_inf, j_opt, c_min, degenerate = _deviation_gap(ca_opt, m, mu_opt,
-                                                     mu_irr, r, c)
+    chain_irr = induce_chain(m, mu_irr)
+    j_opt, d, d_inf, c_min, degenerate = _deviation_gap(
+        ca_opt, m, mu_opt, mu_irr, r, c, chain_irr)
     target = j_opt - epsilon - 1e-12
-
-    def f(delta):
-        w = blend(mu_opt, mu_irr, delta)
-        pi = stationary_distribution(induce_chain(m, w))
-        return float(pi @ utility_vector(m, r, w)) / \
-            float(pi @ utility_vector(m, c, w)) - target
-
-    hi = 1.0 - width
-    known = {0.0: j_opt - target, hi: f(hi)}  # 0: the optimal policy itself
-    if known[hi] >= 0.0:
-        return PerturbationPlan(hi, "exact", d_inf, c_min, degenerate)
-    lo = 0.0
-    if not degenerate:
-        guess = min(epsilon * c_min / d_inf, hi / 2)
-        known[guess] = f(guess)
-        if known[guess] >= 0.0:
-            lo = guess
-        else:  # rounding broke the closed-form guarantee
-            hi = guess
-    best = lo
-
-    def probe(delta):
-        nonlocal best
-        f_x = known[delta] if delta in known else f(delta)
-        if f_x >= 0.0 and delta > best:
-            best = delta
-        return f_x
-
-    from scipy.optimize import brentq
-    # disp=False: a search cut off at maxiter returns instead of raising
-    brentq(probe, lo, hi, xtol=width, disp=False)
-    if best <= 0.0:
+    floor = 0.0 if degenerate else epsilon * c_min / d_inf
+    top = 1.0 - width
+    idx = list(ca_opt.recurrent_classes[0])
+    pi = ca_opt.stationary[0]
+    slope = float(pi @ d[idx]) / \
+        float(pi @ utility_vector(m, c, mu_opt)[idx])
+    x, f_x = 0.0, j_opt - target
+    lo, hi = 0.0, None
+    for _ in range(MAX_PROBES):
+        x = _next_degree(lo, hi, floor, top, width, x, f_x, slope)
+        j, slope = _probe(m, mu_opt, mu_irr, chain_irr, r, c, x)
+        f_x = j - target
+        if f_x >= 0.0 and x == top:
+            return PerturbationPlan(top, "exact", d_inf, c_min, degenerate)
+        if f_x >= 0.0:
+            lo = x
+        else:
+            hi = x
+        if hi is not None and (hi - lo <= width
+                               or np.nextafter(lo, hi) >= hi):
+            break
+    if lo <= 0.0:
         raise NotUnichain("the degree search closed without a certified "
                           "positive degree")
-    return PerturbationPlan(best, "exact", d_inf, c_min, degenerate)
+    return PerturbationPlan(lo, "exact", d_inf, c_min, degenerate)
 
 
 def _lift(m: Mdp, sub_m: Mdp, ids, w, onto=None):

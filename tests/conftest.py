@@ -16,8 +16,8 @@ from effsynth.model import Mdp, ProductMdp, UtilityFn, csr_arrays, \
     induce_chain, policy_domain, policy_from_rule, rabin_witness
 from effsynth.graph import (amec_filter, is_communicating, maec_decompose,
                             mec_decompose)
-from effsynth.chain import (_deviation, analyze, average_utility, efficiency,
-                            potential_vector)
+from effsynth.chain import (_deviation, _stationary, analyze, average_utility,
+                            efficiency, potential_vector)
 
 
 def example1_mdp():
@@ -76,6 +76,26 @@ def dense_p(chain):
     P = np.zeros((chain.n_states, chain.n_states))
     P[chain.row, chain.indices] = chain.data
     return P
+
+
+def stationary_distribution(chain):
+    """The stationary row vector of an irreducible chain, without the
+    handle on its factor that chain._stationary also returns."""
+    return _stationary(chain)[0]
+
+
+def limit_matrix(ca):
+    """P* (the Cesaro limit of the powers of P) as a dense n x n array:
+    the sum over the classes k of absorb[:, k] times the class's
+    stationary row.  No result of the program reads it, since each needs
+    only rows of it (see chain._limit_row)."""
+    n = ca.chain.n_states
+    star = np.zeros((n, n))
+    for k, comp in enumerate(ca.recurrent_classes):
+        row = np.zeros(n)
+        row[list(comp)] = ca.stationary[k]
+        star += np.outer(ca.absorb[:, k], row)
+    return star
 
 
 def random_communicating_mdp(rng, n_states, n_actions, **kw):

@@ -28,7 +28,8 @@ from effsynth.casestudies import (COST_BY_DISTANCE, Case1Params, Case2Params,
 
 from conftest import (amecs_of, brute_force_best_ratio, dense_p,
                       deviation_vector, ec_parts, example1_mdp,
-                      example1_product, random_communicating_mdp,
+                      example1_product, limit_matrix,
+                      random_communicating_mdp,
                       random_communicating_product, random_mdp,
                       random_policy, random_unichain_policy,
                       random_utilities)
@@ -322,7 +323,7 @@ def test_criterion_9_chain_algebra():
     for _ in range(500):
         m = random_mdp(rng, int(rng.integers(2, 9)), 2)
         ca = analyze(m, random_policy(rng, m))
-        P, star = dense_p(ca.chain), ca.limit_matrix
+        P, star = dense_p(ca.chain), limit_matrix(ca)
         for prod in (P @ star, star @ P, star @ star):
             worst_alg = max(worst_alg, float(np.max(np.abs(prod - star))))
         v = rng.normal(size=m.n_states)

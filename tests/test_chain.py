@@ -9,13 +9,14 @@ from effsynth.chain import (NotUnichain, analyze, average_utility, certify,
                             efficiency, limit_distribution,
                             potential_vector, ratio_deviation,
                             ratio_perturbation_identity_check,
-                            stationary_distribution, utility_vector)
+                            utility_vector)
 from effsynth.graph import maec_decompose, restrict
 from effsynth.lp import decode_ratio_policy, solve_ratio_lfp
 
 from conftest import (chain_model, delivery_grid_product, dense_p,
-                      deterministic, deviation_vector, random_mdp,
-                      random_policy, random_unichain_policy, random_utilities)
+                      deterministic, deviation_vector, limit_matrix,
+                      random_mdp, random_policy, random_unichain_policy,
+                      random_utilities, stationary_distribution)
 
 
 def random_chain(rng, n_states=None):
@@ -29,13 +30,44 @@ def test_identity_chain():
     ca = analyze(*chain_model(np.eye(3)))
     assert len(ca.recurrent_classes) == 3
     assert ca.transient == frozenset()
-    assert np.array_equal(ca.limit_matrix, np.eye(3))
+    assert np.array_equal(limit_matrix(ca), np.eye(3))
 
 
 def test_two_state_swap():
     ca = analyze(*chain_model([[0, 1], [1, 0]]))
     assert ca.recurrent_classes == ((0, 1),)
-    assert np.allclose(ca.limit_matrix, 0.5)
+    assert np.allclose(limit_matrix(ca), 0.5)
+
+
+def test_stationary_is_solved_once_on_first_read(rng, monkeypatch):
+    """analyze solves no class's stationary system; the first read of the
+    stationary vectors solves each class once, and a second read, the
+    efficiency and the potentials reuse those solves and factors."""
+    from effsynth import chain
+    solved = []
+    stationary = chain._stationary
+
+    def recorded(mc):
+        solved.append(mc.n_states)
+        return stationary(mc)
+
+    monkeypatch.setattr(chain, "_stationary", recorded)
+    done = 0
+    while done < 10:
+        m, p = random_chain(rng)
+        ca = analyze(m, p)
+        if ca.is_unichain():
+            continue
+        assert solved == []
+        first = ca.stationary
+        assert solved == [len(comp) for comp in ca.recurrent_classes]
+        r, c = random_utilities(rng, m)
+        efficiency(ca, m, r, c, p, m.initial)
+        potential_vector(ca, m, r, p)
+        assert ca.stationary is first
+        assert len(solved) == len(ca.recurrent_classes)
+        solved.clear()
+        done += 1
 
 
 def test_20000_state_path_classifies_without_recursion():
@@ -143,7 +175,7 @@ def test_limit_matrix_matches_power_averaging(rng):
     for trial in range(4):
         P = rng.dirichlet(np.ones(6), size=6)
         ca = analyze(*chain_model(P))
-        assert np.max(np.abs(cesaro_average(P, 100000) - ca.limit_matrix)) \
+        assert np.max(np.abs(cesaro_average(P, 100000) - limit_matrix(ca))) \
             <= 1e-4
     P = np.array([[0.0, 1.0, 0.0, 0.0, 0.0],
                   [1.0, 0.0, 0.0, 0.0, 0.0],
@@ -152,23 +184,23 @@ def test_limit_matrix_matches_power_averaging(rng):
                   [0.3, 0.2, 0.3, 0.1, 0.1]])
     ca = analyze(*chain_model(P))
     assert len(ca.recurrent_classes) == 2 and ca.transient == {4}
-    assert np.max(np.abs(cesaro_average(P, 100000) - ca.limit_matrix)) <= 1e-4
+    assert np.max(np.abs(cesaro_average(P, 100000) - limit_matrix(ca))) <= 1e-4
 
 
 def test_transient_column_is_zero(rng):
     for trial in range(10):
         ca = analyze(*random_chain(rng))
         for s in ca.transient:
-            assert np.all(ca.limit_matrix[:, s] == 0.0)
+            assert np.all(limit_matrix(ca)[:, s] == 0.0)
         rec = [s for comp in ca.recurrent_classes for s in comp]
         for s in rec:
-            assert ca.limit_matrix[s, s] > 0.0
+            assert limit_matrix(ca)[s, s] > 0.0
 
 
 def test_limit_matrix_algebra(rng):
     for trial in range(25):
         ca = analyze(*random_chain(rng))
-        P, star = dense_p(ca.chain), ca.limit_matrix
+        P, star = dense_p(ca.chain), limit_matrix(ca)
         for prod in (P @ star, star @ P, star @ star):
             assert np.max(np.abs(prod - star)) <= 1e-9
         assert np.max(np.abs(star.sum(axis=1) - 1.0)) <= 1e-9
@@ -308,7 +340,7 @@ def test_potential_residual(rng):
         ca = analyze(m, p)
         u = rng.normal(size=m.n_pairs)
         g = potential_vector(ca, m, u, p)
-        a = np.eye(m.n_states) - dense_p(ca.chain) + ca.limit_matrix
+        a = np.eye(m.n_states) - dense_p(ca.chain) + limit_matrix(ca)
         assert np.max(np.abs(a @ g - utility_vector(m, u, p))) <= 1e-8
 
 

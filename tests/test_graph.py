@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from effsynth.model import (Mdp, ProductMdp, induce_chain, policy_from_rule,
-                            rabin_witness, uniform_policy)
-from effsynth.graph import (Unreachable, almost_sure_region, amec_filter,
-                            attractor_policy, closed_pairs, is_communicating,
-                            maec_decompose, mec_decompose, restrict,
-                            strongly_connected_components, within)
+                            rabin_witness, support_csr, uniform_policy)
+from effsynth.graph import (Unreachable, _successors, almost_sure_region,
+                            amec_filter, attractor_policy, closed_pairs,
+                            is_communicating, maec_decompose, mec_decompose,
+                            restrict, strongly_connected_components, within)
+from effsynth.lp import decode_ratio_policy, solve_ratio_lfp
 
-from conftest import (amecs_of, dense_p, ec_parts, enumerate_ecs,
-                      example1_mdp, example1_product, max_reach_probability,
-                      maximal_ecs, random_mdp, random_product, reach_sets,
-                      region_states, rule_of, scc_reference)
+from conftest import (amecs_of, delivery_grid_product, dense_p, ec_parts,
+                      enumerate_ecs, example1_mdp, example1_product,
+                      max_reach_probability, maximal_ecs, random_mdp,
+                      random_product, reach_sets, region_states, rule_of,
+                      scc_reference)
 
 
 def as_key(m, ec):
@@ -29,12 +31,29 @@ def csr_of(adj):
             np.array(indices, dtype=np.int64))
 
 
-def test_scc_matches_reachability_oracle(rng):
-    """Tarjan agrees with the mutual-reachability definition: from every
-    root, and from a random root set, where exactly the nodes no root
-    reaches read -1; components are labelled in the order of their lowest
-    nodes."""
-    for trial in range(30):
+def scc_both_ways(monkeypatch, indptr, indices, roots=None):
+    """strongly_connected_components' labels with every graph sent to the
+    array Tarjan, then with every graph sent to scipy's compiled kernel
+    (chain.DENSE_MAX sets the cut)."""
+    from effsynth import chain
+    out = []
+    for cut in (np.iinfo(np.int64).max, -1):
+        with monkeypatch.context() as mp:
+            mp.setattr(chain, "DENSE_MAX", cut)
+            out.append(strongly_connected_components(indptr, indices,
+                                                     roots=roots))
+    return out
+
+
+def test_scc_matches_reachability_oracle(rng, monkeypatch):
+    """Both kernels, the array Tarjan (at most DENSE_MAX nodes) and scipy's
+    (above it; the cut forced to -1), agree with the mutual-reachability
+    definition: from every root, and from a random root set, where exactly
+    the nodes no root reaches read -1; components are labelled in the order
+    of their lowest nodes."""
+    from effsynth import chain
+    for trial in range(60):
+        monkeypatch.setattr(chain, "DENSE_MAX", 250 if trial % 2 else -1)
         n = int(rng.integers(1, 9))
         adj = {s: sorted({int(t) for t in
                           rng.choice(n, size=int(rng.integers(0, n + 1)))})
@@ -55,16 +74,58 @@ def test_scc_matches_reachability_oracle(rng):
             assert lowest == sorted(lowest)
 
 
-def test_scc_is_iterative_on_200k_node_path_and_ring():
+def test_compiled_scc_matches_tarjan_on_random_digraphs(rng, monkeypatch):
+    """On random sparse digraphs of up to 600 nodes, with and without
+    roots (repeated, unsorted, or none at all), both kernels give the same
+    labels, array for array."""
+    for trial in range(60):
+        n = int(rng.integers(1, 600))
+        e = int(rng.integers(0, 3 * n))
+        src, dst = rng.integers(0, n, e), rng.integers(0, n, e)
+        indptr, indices = support_csr(n, src, dst)[:2]
+        roots = (None if trial % 3 == 0 else
+                 rng.integers(0, n, int(rng.integers(0, 5))))
+        tarjan, compiled = scc_both_ways(monkeypatch, indptr, indices, roots)
+        assert compiled.dtype == tarjan.dtype == np.int64
+        assert np.array_equal(compiled, tarjan)
+
+
+def test_scc_is_iterative_on_200k_node_path_and_ring(monkeypatch):
     """Far beyond the interpreter's recursion limit: a path of n nodes has
-    n components, a ring of them one."""
+    n components, a ring of them one, in both kernels; and a path from its
+    middle node reaches only its second half."""
     n = 200_000
-    path = strongly_connected_components(
-        np.minimum(np.arange(n + 1), n - 1), np.arange(1, n))
-    assert np.array_equal(path, np.arange(n))
-    ring = strongly_connected_components(np.arange(n + 1),
-                                         (np.arange(n) + 1) % n)
-    assert not ring.any()
+    path = (np.minimum(np.arange(n + 1), n - 1), np.arange(1, n))
+    for label in scc_both_ways(monkeypatch, *path):
+        assert np.array_equal(label, np.arange(n))
+    for label in scc_both_ways(monkeypatch, *path, roots=[n // 2]):
+        assert np.array_equal(label[n // 2:], np.arange(n - n // 2))
+        assert (label[:n // 2] == -1).all()
+    ring = (np.arange(n + 1), (np.arange(n) + 1) % n)
+    for label in scc_both_ways(monkeypatch, *ring):
+        assert not label.any()
+
+
+@pytest.mark.parametrize("size", [9, 17])
+def test_compiled_scc_matches_tarjan_on_grid_chains(monkeypatch, size):
+    """On the case-1 task-2 grid products (above DENSE_MAX), both kernels
+    give the same labels: on the ratio-optimal policy's chain (one class
+    and its transient states, as the decoder classifies it) and on the
+    uniform policy's, each from every node and from the initial state (as
+    certify reaches), and on the product's pair-support graph (as
+    is_communicating and mec_decompose's first round read it)."""
+    pm, r, c = delivery_grid_product(size)
+    assert pm.n_states > 250
+    mu_opt, _ = decode_ratio_policy(pm, solve_ratio_lfp(pm, r, c))
+    for w in (mu_opt, uniform_policy(pm)):
+        mc = induce_chain(pm, w)
+        for roots in (None, [pm.initial]):
+            tarjan, compiled = scc_both_ways(monkeypatch, mc.indptr,
+                                             mc.indices, roots)
+            assert np.array_equal(compiled, tarjan)
+    graph = _successors(pm, np.ones(pm.n_pairs, dtype=bool))
+    tarjan, compiled = scc_both_ways(monkeypatch, *graph)
+    assert np.array_equal(compiled, tarjan)
 
 
 def test_mec_example1_exact():

@@ -11,8 +11,7 @@ from effsynth.model import (Mdp, ModelError, ProductMdp, UtilityFn, blend,
 from effsynth.graph import (almost_sure_region, maec_decompose, mec_decompose,
                             restrict)
 from effsynth.chain import (NotUnichain, analyze, average_utility,
-                            efficiency, ratio_deviation,
-                            stationary_distribution, utility_vector)
+                            efficiency, ratio_deviation)
 from effsynth.lp import (decode_ratio_policy, solve_avg_reward_lp,
                          solve_ratio_lfp)
 from effsynth.synthesis import (TaskUnsatisfiable, Tolerances,
@@ -188,7 +187,7 @@ def qualifies(m, mu_opt, mu_irr, r, c, epsilon, delta):
 
 def bisected_degree(m, mu_opt, mu_irr, r, c, epsilon, width=1e-6):
     """The exact degree by plain bisection on the full evaluator, warm
-    started from the closed-form bound: the reference the Brent
+    started from the closed-form bound: the reference the Newton
     search is held to."""
     _, d = ratio_deviation(analyze(m, mu_opt), m, mu_opt, mu_irr, r, c)
     d_inf = float(np.max(np.abs(d)))
@@ -238,17 +237,15 @@ def lopsided_blend():
 
 
 def probe_ratio(m, mu_opt, mu_irr, r, c, delta):
-    """The exact degree's probe: the stationary ratio of the blend of
-    degree delta, computed as the search computes it."""
-    w = blend(mu_opt, mu_irr, delta)
-    pi = stationary_distribution(induce_chain(m, w))
-    return float(pi @ utility_vector(m, r, w)) / \
-        float(pi @ utility_vector(m, c, w))
+    """The exact degree's probe: the stationary ratio J(delta) of the blend
+    of degree delta, as the search computes it."""
+    return synthesis._probe(m, mu_opt, mu_irr, induce_chain(m, mu_irr), r,
+                            c, delta)[0]
 
 
 def test_exact_degree_agrees_with_bisection(rng):
     """On 30 random communicating models and the lopsided instance, the
-    Brent search's degree and plain bisection's both qualify, the search
+    Newton search's degree and plain bisection's both qualify, the search
     never returns less than the closed-form degree, and wherever the
     verdict changes once along a 200-point grid the two degrees lie within
     the width of each other.  At each returned degree the full analysis
@@ -279,12 +276,32 @@ def test_exact_degree_agrees_with_bisection(rng):
     assert compared >= 60
 
 
+def test_exact_degree_slope_matches_finite_difference(rng):
+    """The probe's J'(delta), read from its own stationary factor, matches
+    a central difference of the probe's J to a relative 1e-7 on the
+    grid-9 MAEC and 10 random communicating models, near 0, at 0.05 and at
+    0.5; its J is the full evaluator's, bit for bit."""
+    h = 1e-5
+    for m, mu_opt, mu_irr, r, c in ([case1_task2_blend()]
+                                    + communicating_blends(rng, 10)):
+        chain_irr = induce_chain(m, mu_irr)
+
+        def probe(delta):
+            return synthesis._probe(m, mu_opt, mu_irr, chain_irr, r, c,
+                                    delta)
+        for delta in (1e-3, 0.05, 0.5):
+            j, slope = probe(delta)
+            assert j == blend_efficiency(m, mu_opt, mu_irr, r, c, delta)
+            diff = (probe(delta + h)[0] - probe(delta - h)[0]) / (2 * h)
+            assert abs(slope - diff) <= 1e-7 * max(abs(slope), abs(diff))
+
+
 def count_degree_probes(monkeypatch):
-    """Counts of the exact degree's cheap probes (stationary solves called
+    """Counts of the exact degree's cheap probes (stationary factors called
     from synthesis) and full evaluations (analyze called from synthesis;
     the perturbation step's own analysis runs inside chain)."""
     probes = {"cheap": 0, "full": 0}
-    for key, name in (("cheap", "stationary_distribution"),
+    for key, name in (("cheap", "_stationary"),
                       ("full", "analyze")):
         def counted(*args, _key=key, _orig=getattr(synthesis, name)):
             probes[_key] += 1
@@ -330,15 +347,27 @@ def test_ratio_deviation_reads_the_decoders_analysis(rng):
                                        ("lopsided", 1e-3),
                                        ("lopsided", 1e-1)])
 def test_exact_degree_probe_budget(monkeypatch, case, eps):
-    """At most 10 cheap probes and no full evaluation (each probe is its
-    own certificate); the returned degree lies below 1 - width on these
-    instances."""
+    """Exactly 4 cheap probes on case 1 (three Newton steps and one a
+    quarter width past the root), at most 10 on the lopsided instance, and
+    no full evaluation (each probe is its own certificate); the returned
+    degree lies below 1 - width on these instances."""
     inst = case1_task2_blend() if case == "case1" else lopsided_blend()
     probes = count_degree_probes(monkeypatch)
     plan = perturbation_degree_exact(*analyzed(inst), eps)
     assert plan.delta < 1.0 - 1e-6
-    assert probes["cheap"] <= 10
+    if case == "case1":
+        assert probes["cheap"] == 4
+    else:
+        assert probes["cheap"] <= 10
     assert probes["full"] == 0
+
+
+def settled_at(state):
+    """A stand-in for the exact degree's stationary factor (its probe seam)
+    that finds every blend settled at state, on the chain's real factor."""
+    def factor(mc):
+        return np.eye(mc.n_states)[state], chain._stationary(mc)[1]
+    return factor
 
 
 def test_exact_degree_raises_when_nothing_certifies(monkeypatch):
@@ -347,10 +376,33 @@ def test_exact_degree_raises_when_nothing_certifies(monkeypatch):
     positive degree: NotUnichain, the solver-failure exit."""
     m, r, c, mu_opt, mu_irr = lopsided_instance()
     ca_opt = analyze(m, mu_opt)
-    monkeypatch.setattr(synthesis, "stationary_distribution",
-                        lambda chain: np.eye(chain.n_states)[2])
-    with pytest.raises(NotUnichain):
+    monkeypatch.setattr(synthesis, "_stationary", settled_at(2))
+    with pytest.raises(NotUnichain, match="without a certified positive"):
         perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, 1e-3)
+
+
+def one_state_linear_instance():
+    """One state with two self-loops of unit cost, rewards 1 and 0: the
+    blend of degree delta has J(delta) = 1 - delta / 2, a line, so the
+    first Newton step lands on the root of f itself."""
+    m = Mdp(["s"], ["a", "b"], 0, {(0, 0): {0: 1.0}, (0, 1): {0: 1.0}})
+    r = UtilityFn({(0, 0): 1.0, (0, 1): 0.0}, "reward").pair_values(m)
+    mu_opt = deterministic(m, {0: 0})
+    return m, mu_opt, uniform_policy(m), r, np.full(m.n_pairs, 1.0)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-2, 0.3])
+def test_exact_degree_closes_past_an_exact_newton_root(monkeypatch, eps):
+    """Where the Newton step lands on the root, whose verdict is left to
+    rounding, the next probe goes a quarter width past it and fails, so
+    the search closes in 2 probes; the degree qualifies and lies within
+    the width below the root, 2 eps + 2e-12 (the target's slack)."""
+    inst = one_state_linear_instance()
+    probes = count_degree_probes(monkeypatch)
+    plan = perturbation_degree_exact(*analyzed(inst), eps)
+    assert probes["cheap"] == 2
+    assert qualifies(*inst, eps, plan.delta)
+    assert 2 * eps - 1e-6 <= plan.delta <= 2 * eps + 3e-12
 
 
 def test_exact_degree_terminates_below_float_spacing():
@@ -366,24 +418,25 @@ def test_exact_degree_terminates_below_float_spacing():
 
 
 def test_exact_degree_survives_a_search_cut_off(monkeypatch):
-    """A Brent search stopped at its iteration limit returns instead of
-    raising RuntimeError: the largest probe that passed is the degree, and
-    it is no smaller than the closed-form degree."""
-    import scipy.optimize
-    brentq = scipy.optimize.brentq
-    calls = []
-
-    def cut_off(*args, **kwargs):
-        calls.append(kwargs)
-        return brentq(*args, **{**kwargs, "maxiter": 1})
-
-    monkeypatch.setattr(scipy.optimize, "brentq", cut_off)
-    inst = lopsided_blend()
-    plan = perturbation_degree_exact(*analyzed(inst), 1e-3)
-    assert calls == [{"xtol": 1e-6, "disp": False}]
-    assert plan.delta >= \
-        perturbation_degree_estimated(*analyzed(inst), 1e-3).delta
-    assert qualifies(*inst, 1e-3, plan.delta)
+    """A search stopped at its probe cap (1, 2 or 3 probes) returns the
+    largest probe that passed, which qualifies and is no smaller than the
+    closed-form degree: the first probe, the Newton step from 0, already
+    lies at or above it, and on the grid-9 MAEC, where J is convex, every
+    Newton step passes.  The degree grows with the cap, up to the full
+    search's."""
+    inst = case1_task2_blend()
+    es = perturbation_degree_estimated(*analyzed(inst), 0.01).delta
+    full = perturbation_degree_exact(*analyzed(inst), 0.01).delta
+    probes = count_degree_probes(monkeypatch)
+    degrees = []
+    for cap in (1, 2, 3):
+        monkeypatch.setattr(synthesis, "MAX_PROBES", cap)
+        probes["cheap"] = 0
+        degrees.append(perturbation_degree_exact(*analyzed(inst),
+                                                 0.01).delta)
+        assert probes["cheap"] == cap
+        assert qualifies(*inst, 0.01, degrees[-1])
+    assert es <= degrees[0] < degrees[1] < degrees[2] <= full
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -713,16 +766,16 @@ def count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("method, analyses, chains",
-                         [("es", 2, 3), ("ex", 2, 10)])
+                         [("es", 2, 3), ("ex", 2, 7)])
 def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
                                           chains):
     """The decoder's analysis of the optimal policy's chain serves the
     no-perturbation test and the perturbation step, so that chain is
     induced and analyzed once; a single accepting component covering the
     product is solved on the product itself, whose certificate is the only
-    one built.  The other chains are the irreducible policy's (for the
-    deviation), one blend per exact-degree probe (7 here), none of which
-    is analyzed, and the certificate's."""
+    one built.  The other chains are the irreducible policy's (induced once
+    for the deviation and every probe's slope), one blend per exact-degree
+    probe (4 here), none of which is analyzed, and the certificate's."""
     m, _, task2, reward, cost = gen_case1()
     pm = build_product(m, task2)
     r, c = lift_utilities(pm, reward, cost)
@@ -734,13 +787,15 @@ def test_case1_task2_synthesis_chain_work(monkeypatch, method, analyses,
     assert len(induced) == chains
 
 
-@pytest.mark.parametrize("method, factored", [("es", 2), ("ex", 9)])
+@pytest.mark.parametrize("method, factored", [("es", 1), ("ex", 5)])
 def test_case1_task2_synthesis_factorizations(monkeypatch, method, factored):
-    """Each system above DENSE_MAX is factored once per synthesis on grid
-    9: the optimal policy's transient block (263 states) serves both its
-    absorption probabilities and its potentials, and the certificate's
-    chain (274 states) is the other; ex adds one factor per probe (7 here)
-    and none to certify the degree."""
+    """Each system above DENSE_MAX is factored at most once per synthesis on
+    grid 9: the optimal policy's transient block (263 states) serves both
+    its absorption probabilities and its potentials, and the certificate's
+    irreducible chain (274 states) is classified without a stationary
+    solve, which it never reads; ex adds one factor per probe (4 here),
+    which serves both the probe's J and its slope, and none to certify the
+    degree."""
     import scipy.sparse.linalg
     splu = scipy.sparse.linalg.splu
     sizes = []
@@ -755,6 +810,26 @@ def test_case1_task2_synthesis_factorizations(monkeypatch, method, factored):
     r, c = lift_utilities(pm, reward, cost)
     assert synth_general(pm, r, c, 0.01, method).certificate.accepted
     assert sorted(sizes) == [263] + [274] * (factored - 1)
+
+
+@pytest.mark.parametrize("method", ["es", "ex"])
+def test_case1_task2_certificate_solves_no_stationary(monkeypatch, method):
+    """The certificate of a grid-9 synthesis reads only the classes and the
+    absorption of its irreducible chain, so no stationary system of that
+    chain is solved: es solves the optimal policy's 11-state class alone,
+    and ex adds its 4 probes, each on its own blend's chain."""
+    m, _, task2, reward, cost = gen_case1()
+    pm = build_product(m, task2)
+    r, c = lift_utilities(pm, reward, cost)
+    solved = count_calls(monkeypatch, chain, "_stationary")
+    certified = count_calls(monkeypatch, chain, "certify")
+    rep = synth_general(pm, r, c, 0.01, method)
+    assert rep.certificate.accepted
+    ((ca, *_),) = certified
+    assert ca.recurrent_classes == (tuple(range(pm.n_states)),)
+    assert all(mc is not ca.chain for (mc,) in solved)
+    assert [mc.n_states for (mc,) in solved] == \
+        [11] + [pm.n_states] * (4 if method == "ex" else 0)
 
 
 def two_maec_instance():
