@@ -2,17 +2,18 @@
 
 The efficiency loss of the blend (1-delta)*optimal + delta*exploring obeys a
 closed-form identity built from deviation vectors.  Inverting its worst-case
-bound gives a safe blending degree in one shot ('es'); Brent's root search
-on the exact evaluator gives the largest safe degree ('ex').  On a
-lopsided instance the one-shot bound is wildly conservative.
+bound gives a safe blending degree in one shot ('es'); a Newton search on
+the exact evaluator gives the largest safe degree ('ex').  On a lopsided
+instance the one-shot bound is wildly conservative.
 """
 
 import numpy as np
 
 from effsynth import (Mdp, UtilityFn, analyze, blend, efficiency,
-                      perturbation_degree_estimated, perturbation_degree_exact,
-                      policy_from_rule, ratio_perturbation_identity_check,
+                      limit_distribution, perturbation_degree_estimated,
+                      perturbation_degree_exact, policy_from_rule,
                       uniform_policy)
+from effsynth.chain import ratio_deviation, utility_vector
 
 m = Mdp(["hub", "way", "far"], ["a", "b"], 0,
         {(0, 0): {0: 1.0}, (0, 1): {1: 1.0},
@@ -26,9 +27,15 @@ mu_irr = uniform_policy(m)
 ca_opt = analyze(m, mu_opt)
 
 print("identity check (difference of efficiencies vs deviation formula):")
+# J(delta) - J(0) = delta * pi_delta d / (pi_delta v_c,delta), where d is the
+# ratio deviation of mu_opt towards mu_irr
+j_opt, d = ratio_deviation(ca_opt, m, mu_opt, mu_irr, r, c)
 for delta in (0.1, 0.4, 0.8):
-    lhs, rhs = ratio_perturbation_identity_check(m, mu_opt, mu_irr, r, c,
-                                                 delta)
+    mu_d = blend(mu_opt, mu_irr, delta)
+    ca_d = analyze(m, mu_d)
+    lhs = efficiency(ca_d, m, r, c, mu_d, m.initial) - j_opt
+    pi_d = limit_distribution(ca_d)
+    rhs = delta / float(pi_d @ utility_vector(m, c, mu_d)) * float(pi_d @ d)
     print(f"  delta={delta}: lhs={lhs:+.9f} rhs={rhs:+.9f} "
           f"gap={abs(lhs - rhs):.2e}")
 
@@ -37,7 +44,7 @@ es = perturbation_degree_estimated(ca_opt, m, mu_opt, mu_irr, r, c, 0.01)
 ex = perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, 0.01)
 print(f"  one-shot bound: delta={es.delta:.6f} "
       f"(worst-state gap {es.d_inf:.2f}, min cost {es.c_min})")
-print(f"  secant search:  delta={ex.delta:.6f}")
+print(f"  Newton search:  delta={ex.delta:.6f}")
 print(f"  conservatism: {ex.delta / es.delta:.0f}x")
 
 print("\nactual efficiency along the blend:")

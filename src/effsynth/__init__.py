@@ -3,21 +3,12 @@ omega-regular tasks given as deterministic Rabin automata."""
 
 __version__ = "0.1.0"
 
-from .model import (Dra, Mc, Mdp, ProductMdp, UtilityFn, Violation, blend,
-                    build_product, induce_chain, lift_utilities,
-                    policy_domain, policy_from_rule, rabin_witness,
-                    uniform_policy, validate_mdp)
-from .graph import (almost_sure_region, amec_filter, attractor_policy,
-                    closed_pairs, is_communicating, maec_decompose,
-                    mec_decompose, restrict)
-from .chain import (Certificate, ChainAnalysis, analyze, average_utility,
-                    certify, efficiency, limit_distribution,
-                    potential_vector, ratio_deviation,
-                    ratio_perturbation_identity_check, utility_vector)
-from .lp import (AvgLpSolution, LfpSolution, LpProblem, LpResult,
-                 decode_avg_policy, decode_ratio_policy, solve_avg_reward_lp,
-                 solve_lp, solve_ratio_lfp)
-from .synthesis import (PerturbationPlan, SynthesisReport, Tolerances,
-                        build_reward_k, perturbation_degree_estimated,
+from .model import (Mdp, ProductMdp, UtilityFn, blend, build_product,
+                    lift_utilities, policy_from_rule, uniform_policy)
+from .graph import (almost_sure_region, amec_filter, maec_decompose,
+                    mec_decompose)
+from .chain import analyze, efficiency, limit_distribution
+from .lp import decode_ratio_policy, solve_ratio_lfp
+from .synthesis import (Tolerances, perturbation_degree_estimated,
                         perturbation_degree_exact, synth_general)
-from .sim import RolloutConfig, RolloutStats, simulate
+from .sim import RolloutConfig, simulate

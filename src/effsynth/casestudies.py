@@ -12,11 +12,17 @@ published only as pictures, so the generators take the fields as parameters
 and ship documented defaults that reproduce the qualitative structure (item
 probability grows with distance from the paying destination; the middle ring
 is the efficient-but-nonaccepting loop).
+
+Like the parsers, the generators collect transition entries and build the
+model's arrays from them (model.csr_arrays), and read each utility from
+(state, action, value) entries (UtilityFn.from_entries).
 """
 
 from dataclasses import dataclass, field
 
-from .model import Dra, Mdp, UtilityFn
+import numpy as np
+
+from .model import Dra, Mdp, UtilityFn, alphabet, csr_arrays
 
 
 class ParamError(Exception):
@@ -130,51 +136,39 @@ def gen_case1(params: Case1Params | None = None):
                     and tgt not in params.obstacles:
                 yield a, tgt
 
-    trans = {}
-    for (cell, carry) in states:
-        at_dest = carry == 1 and cell in dest_cells
+    # transition entries: a carried item stays found, so it is found with
+    # probability 1; a successor of probability 0 is left out
+    src, act, dst, probs = [], [], [], []
+    labels, reward_s, cost_s = [], [], []
+    for si, (cell, carry) in enumerate(states):
+        delivers = carry == 1 and cell in dest_cells
         for a, tgt in moves_from(cell):
-            p_found = prob[tgt]
-            if carry == 0 or at_dest:
-                dist = {}
-                if p_found > 0.0:
-                    dist[sidx[(tgt, 1)]] = p_found
-                if p_found < 1.0:
-                    dist[sidx[(tgt, 0)]] = 1.0 - p_found
-            else:
-                dist = {sidx[(tgt, 1)]: 1.0}
-            trans[(sidx[(cell, carry)], aidx[a])] = dist
-
-    labels = []
-    for (cell, carry) in states:
-        lab = set()
-        if carry == 1 and cell in dest_cells:
-            lab.add("d")
-        if cell == params.charging:
-            lab.add("c")
-        labels.append(frozenset(lab))
-    m = Mdp(names, actions, sidx[(params.initial, 0)], trans,
-            ("d", "b", "c"), labels)
-
-    def nearest_dest(cell):
-        return min(abs(cell[0] - d[0]) + abs(cell[1] - d[1])
+            p_found = prob[tgt] if carry == 0 or delivers else 1.0
+            for found, p in ((1, p_found), (0, 1.0 - p_found)):
+                if p > 0.0:
+                    src.append(si)
+                    act.append(aidx[a])
+                    dst.append(sidx[(tgt, found)])
+                    probs.append(p)
+        labels.append(frozenset(
+            prop for prop, holds in (("d", delivers),
+                                     ("c", cell == params.charging)) if holds))
+        dist = min(abs(cell[0] - d[0]) + abs(cell[1] - d[1])
                    for d in dest_cells)
-
-    reward_vals = {}
-    cost_vals = {}
-    for (cell, carry) in states:
-        si = sidx[(cell, carry)]
-        dist = nearest_dest(cell)
         if dist not in params.cost_table:
             raise ParamError(f"cost table lacks distance {dist}")
-        for a in m.available[si]:
-            cost_vals[(si, a)] = params.cost_table[dist]
-            if carry == 1 and cell in dest_cells:
-                reward_vals[(si, a)] = params.destinations[cell]
-            else:
-                reward_vals[(si, a)] = 0.0
-    reward = UtilityFn(reward_vals, "reward")
-    cost = UtilityFn(cost_vals, "cost")
+        cost_s.append(params.cost_table[dist])
+        reward_s.append(params.destinations[cell] if delivers else 0.0)
+    m = Mdp.from_arrays(
+        names, actions, sidx[(params.initial, 0)],
+        *csr_arrays(len(states), *(np.array(x, dtype=np.int64)
+                                   for x in (src, act, dst)),
+                    np.array(probs, dtype=float)),
+        atomic_props=("d", "b", "c"), labels=labels)
+    # a state's utilities hold on each of its pairs
+    reward, cost = (UtilityFn.from_entries(
+        m.pair_state, m.pair_action, np.array(v, dtype=float)[m.pair_state],
+        kind) for v, kind in ((reward_s, "reward"), (cost_s, "cost")))
     return m, dra_recurrence_avoid(), dra_recurrence_avoid_charge(), reward, cost
 
 
@@ -186,14 +180,14 @@ def dra_recurrence_avoid() -> Dra:
     ap = ("d", "b", "c")
     delta = {}
     for q in (0, 1):
-        for sym in _symbols(ap):
+        for sym in alphabet(ap):
             if "b" in sym:
                 delta[(q, sym)] = 2
             elif "d" in sym:
                 delta[(q, sym)] = 1
             else:
                 delta[(q, sym)] = 0
-    for sym in _symbols(ap):
+    for sym in alphabet(ap):
         delta[(2, sym)] = 2
     return Dra(3, 0, ap, delta, [({2}, {1})])
 
@@ -207,14 +201,14 @@ def dra_recurrence_avoid_charge() -> Dra:
     ap = ("d", "b", "c")
     delta = {}
     for q in (0, 1, 3):
-        for sym in _symbols(ap):
+        for sym in alphabet(ap):
             if "b" in sym:
                 delta[(q, sym)] = 4
             elif "d" in sym:
                 delta[(q, sym)] = 2
             else:
                 delta[(q, sym)] = 1
-    for sym in _symbols(ap):
+    for sym in alphabet(ap):
         if "b" in sym:
             delta[(2, sym)] = 4
         elif "c" in sym:
@@ -223,13 +217,6 @@ def dra_recurrence_avoid_charge() -> Dra:
             delta[(2, sym)] = 2
         delta[(4, sym)] = 4
     return Dra(5, 0, ap, delta, [({4}, {3})])
-
-
-def _symbols(ap):
-    out = []
-    for bits in range(2 ** len(ap)):
-        out.append(frozenset(p for i, p in enumerate(ap) if bits & (1 << i)))
-    return out
 
 
 # --- case 2: nested-ring factory ------------------------------------------
@@ -297,6 +284,11 @@ def gen_case2(params: Case2Params | None = None):
         if cell not in ring_of:
             raise ParamError(f"cell {cell} is not on a ring")
 
+    def moves(cell):
+        """(action, cell entered) of each move from cell."""
+        return [("go", follow[cell])] + [(a, tgt) for (hc, a), tgt
+                                         in hops.items() if hc == cell]
+
     def perm_after(perm, tgt):
         if tgt == params.command:
             return 1
@@ -312,9 +304,7 @@ def gen_case2(params: Case2Params | None = None):
     frontier = [(params.initial, 0)]
     while frontier:
         cell, perm = frontier.pop()
-        outs = [follow[cell]] + [tgt for (hc, _), tgt in hops.items()
-                                 if hc == cell]
-        for tgt in outs:
+        for _, tgt in moves(cell):
             nxt = (tgt, perm_after(perm, tgt))
             if nxt not in reach:
                 reach.add(nxt)
@@ -326,42 +316,35 @@ def gen_case2(params: Case2Params | None = None):
     actions = ["go", "in", "out"]
     aidx = {a: i for i, a in enumerate(actions)}
 
-    trans = {}
-    targets = {}
-    for (cell, perm) in states:
-        si = sidx[(cell, perm)]
-        outs = {"go": follow[cell]}
-        for (hc, act), tgt in hops.items():
-            if hc == cell:
-                outs[act] = tgt
-        for act, tgt in outs.items():
-            trans[(si, aidx[act])] = {sidx[(tgt, perm_after(perm, tgt))]: 1.0}
-            targets[(si, aidx[act])] = tgt
+    # each pair is one deterministic move: its entry, the ring reward of
+    # the cell it enters (none at the command and material cells), and
+    # whether it arrives at the material cell holding permission
+    src, act, dst, ring, paid = [], [], [], [], []
     labels = []
-    for (cell, perm) in states:
-        lab = set()
-        if cell == params.command:
-            lab.add("g")
-        if cell == params.material:
-            lab.add("r")
-        labels.append(frozenset(lab))
-    m = Mdp(names, actions, sidx[(params.initial, 0)], trans,
-            ("g", "r"), labels)
+    for si, (cell, perm) in enumerate(states):
+        for a, tgt in moves(cell):
+            src.append(si)
+            act.append(aidx[a])
+            dst.append(sidx[(tgt, perm_after(perm, tgt))])
+            ring.append(0.0 if tgt in (params.command, params.material)
+                        else params.ring_reward[ring_of[tgt]])
+            paid.append(tgt == params.material and perm == 1)
+        labels.append(frozenset(
+            prop for prop, holds in (("g", cell == params.command),
+                                     ("r", cell == params.material)) if holds))
+    src, act, dst = (np.array(x, dtype=np.int64) for x in (src, act, dst))
+    ring, paid = np.array(ring, dtype=float), np.array(paid)
+    m = Mdp.from_arrays(names, actions, sidx[(params.initial, 0)],
+                        *csr_arrays(len(states), src, act, dst,
+                                    np.ones(len(src))),
+                        atomic_props=("g", "r"), labels=labels)
 
-    cost = UtilityFn({(s, a): params.cell_cost for (s, a) in targets},
-                     "cost")
+    cost = UtilityFn.from_entries(
+        src, act, np.full(len(src), params.cell_cost, dtype=float), "cost")
 
     def reward_family(bonus):
-        vals = {}
-        for ((si, ai), tgt) in targets.items():
-            base = params.ring_reward[ring_of[tgt]]
-            if tgt in (params.command, params.material):
-                base = 0.0
-            cell, perm = states[si]
-            if tgt == params.material and perm == 1:
-                base += bonus
-            vals[(si, ai)] = base
-        return UtilityFn(vals, "reward")
+        return UtilityFn.from_entries(
+            src, act, np.where(paid, ring + bonus, ring), "reward")
 
     return m, dra_command_then_material(), reward_family, cost
 
@@ -371,7 +354,7 @@ def dra_command_then_material() -> Dra:
     material visit (round-robin over g then r)."""
     ap = ("g", "r")
     delta = {}
-    for sym in _symbols(ap):
+    for sym in alphabet(ap):
         delta[(0, sym)] = 1 if "g" in sym else 0
         delta[(1, sym)] = 2 if "r" in sym else 1
         delta[(2, sym)] = 1 if "g" in sym else 0

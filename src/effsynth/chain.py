@@ -13,7 +13,8 @@ of at most DENSE_MAX states and SuperLU (scipy.sparse.linalg.splu) above
 that, on systems built from the CSR arrays (_solve says how SuperLU is set
 up for them).  analyze solves the absorption system at once and each
 class's stationary system on first read, so a certificate, which reads
-only the classes and absorption, factors nothing on an irreducible chain.
+only the classes and absorption, factors nothing on an irreducible chain;
+_one_class is that analysis of a chain the caller knows is irreducible.
 The analysis keeps the helper's handle on each system it factors, so the
 potential vectors g = (I - P + P*)^{-1} v, solved class by class without
 P*, reuse those factors and factor nothing themselves.  The average
@@ -24,11 +25,8 @@ for general multichain chains, all returned as plain arrays.
 ratio_deviation is the one perturbation step: a unichain policy's efficiency
 J and its ratio deviation d_r - J d_c towards another policy, from the
 caller's analysis of the policy and its reward and cost potentials solved
-on one factor per block, read by the perturbation degrees and by the
-perturbation identity relating the efficiencies of a policy and its
-mixture with another policy.  Policies are weight vectors over the model's
-pairs (see model), so a mixture is the blend of two vectors; utilities are
-value vectors over the same pairs.
+on one factor per block, read by the perturbation degrees.  Policies and
+utilities are vectors over the model's pairs (see model).
 """
 
 from dataclasses import dataclass, field
@@ -36,11 +34,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import PROB_TOL, Mc, Mdp, ModelError, _ranges, blend, \
-    induce_chain, rabin_witness
+from .model import PROB_TOL, Mc, Mdp, ModelError, _ranges, induce_chain, \
+    rabin_witness
 from .graph import strongly_connected_components
 
-LIMIT_TOL = 1e-9      # limit-matrix algebra tolerance
+LIMIT_TOL = 1e-9      # most negative entry a stationary vector may have
 POTENTIAL_TOL = 1e-8  # residual tolerance for potential solves
 # largest system solved by dense LU (SuperLU above it), and largest graph
 # whose components graph labels in Python (scipy's csgraph above it)
@@ -69,8 +67,6 @@ class ChainAnalysis:
     absorb: np.ndarray      # n_states x n_classes
     # _solve's handle on T's absorption system, None without transient states
     _absorb_solve: object = field(compare=False, repr=False)
-    # each class's (stationary vector, handle) when the caller holds them
-    _known: tuple = field(default=None, compare=False, repr=False)
 
     def is_unichain(self):
         return len(self.recurrent_classes) == 1
@@ -80,9 +76,8 @@ class ChainAnalysis:
         """Each class's stationary vector and _solve's handle on its
         factored system (_stationary), solved when first read: a
         certificate reads only the classes and absorb."""
-        return self._known or tuple(
-            _stationary(_class_block(self.chain, states))
-            for states in self.recurrent_classes)
+        return tuple(_stationary(_class_block(self.chain, states))
+                     for states in self.recurrent_classes)
 
     @cached_property
     def stationary(self):
@@ -240,14 +235,14 @@ def analyze(m: Mdp, w) -> ChainAnalysis:
                          _absorb_solve=solve)
 
 
-def _one_class(chain: Mc, factor) -> ChainAnalysis:
-    """The analysis of an irreducible chain whose _stationary result
-    factor, (pi, handle), the caller already holds: one class of every
-    state, absorbed from everywhere, and nothing solved here."""
+def _one_class(chain: Mc) -> ChainAnalysis:
+    """The analysis of an irreducible chain, classified by the caller: one
+    class of every state, absorbed from everywhere, whose stationary vector
+    is solved on first read, as analyze's are."""
     n = chain.n_states
     return ChainAnalysis(chain=chain, recurrent_classes=(tuple(range(n)),),
                          transient=frozenset(), absorb=np.ones((n, 1)),
-                         _absorb_solve=None, _known=(factor,))
+                         _absorb_solve=None)
 
 
 @dataclass(frozen=True)
@@ -397,20 +392,3 @@ def limit_distribution(ca: ChainAnalysis) -> np.ndarray:
     """pi0 P*: the limit distribution seen from the chain's initial state."""
     return _limit_row(ca, ca.chain.pi0 @ ca.absorb)
 
-
-def ratio_perturbation_identity_check(m: Mdp, mu, mu_prime, r, c,
-                                      delta: float):
-    """Both sides of the efficiency-difference identity for the mixture
-    (1-delta) mu + delta mu'.
-
-    lhs is the direct difference of efficiencies; rhs rebuilds it from the
-    deviation vectors of reward and cost.  Requires mu to induce a unichain.
-    """
-    j_mu, d = ratio_deviation(analyze(m, mu), m, mu, mu_prime, r, c)
-    mu_delta = blend(mu, mu_prime, delta)
-    ca_d = analyze(m, mu_delta)
-    lhs = efficiency(ca_d, m, r, c, mu_delta, m.initial) - j_mu
-    pi_d = limit_distribution(ca_d)
-    vc_d = utility_vector(m, c, mu_delta)
-    rhs = delta / float(pi_d @ vc_d) * float(pi_d @ d)
-    return lhs, rhs

@@ -363,8 +363,7 @@ def _case1_tables(m, dra, reward, cost):
     thresholds = [0.005, 0.01, 0.05, 0.1]
     rows = {"es": [], "ex": []}
     limits = {"es": [], "ex": []}
-    charge_states = [i for i, (s, q) in enumerate(pm.components)
-                     if "c" in pm.labels[i]]
+    charge_states = [i for i, lab in enumerate(pm.labels) if "c" in lab]
     for method in ("es", "ex"):
         for eps in thresholds:
             rep = synthesis.synth_general(pm, r, c, eps, method)

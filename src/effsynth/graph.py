@@ -230,7 +230,7 @@ def almost_sure_region(pm: ProductMdp, amecs):
     target = _with_pair(pm, covered)
     u = np.ones(pm.n_states, dtype=bool)
     while True:
-        stays = u[pm.pair_state] & ~_entering(pm, ~u)
+        stays = closed_pairs(pm, u)
         r = target & u
         while True:
             grown = r | _with_pair(pm, stays & _entering(pm, r))

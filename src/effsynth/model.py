@@ -4,20 +4,21 @@ States and actions are dense integer indices; names are kept only for I/O and
 error messages.  Transitions are stored in one flat state-action (CSR) form
 that every layer reads: the available (state, action) pairs are numbered in
 (state, action) order, each with a slice of successor entries.  csr_arrays
-builds that form from transition entries, for the parser and for the dict
-constructor alike.  A stationary policy is a read-only weight vector over
-those pairs (policy_from_entries reads one from (state, action, probability)
-entries, as a policy file lists them; policy_from_rule from a {state:
-{action: probability}} rule); its domain is the set of states whose row has
-positive mass.  A utility is likewise a value vector over a model's pairs
-(UtilityFn is the table it is read from at the input edge), and a sub-model
+builds that form from transition entries.  A stationary policy is a
+read-only weight vector over those pairs (policy_from_entries reads one
+from (state, action, probability) entries, as a policy file lists them);
+its domain is the set of states whose row has positive mass.  A utility is
+likewise a value vector over a model's pairs (UtilityFn is the table it is
+read from at the input edge).  The dict forms (the Mdp constructor's
+trans, Mdp.trans, Mdp.available, UtilityFn(dict) and policy_from_rule)
+are adapters over the same builders and arrays: no module of the package
+calls them; they serve in-memory callers such as the tests.  A sub-model
 takes its share of any such vector by one gather through its parent_pair.
 Inducing a chain or a per-state utility is one scatter over the entries,
 summed in the same order as a loop over the pairs would sum; an induced
 chain (Mc) keeps its matrix in CSR form, with an entry exactly on each
-edge of its support graph.  All
-containers are immutable after construction so models can be shared freely
-across workers.
+edge of its support graph.  All containers are immutable after
+construction so models can be shared freely across workers.
 """
 
 from dataclasses import dataclass
@@ -92,12 +93,12 @@ class Mdp:
 
     The constructor takes trans, a map (state, action) -> {successor:
     probability}, flattens it into transition entries and builds the arrays
-    from them with csr_arrays, as parse_mdp does with the entries it reads;
-    products and sub-models are built straight from arrays by from_arrays.
-    trans reads the arrays back as such a map, for code that walks a model
-    pair by pair.  A
-    sub-model cut out of a parent (graph.restrict) records in parent_pair[j]
-    the parent pair that its pair j copies; other models leave it None.
+    from them with csr_arrays; trans reads the arrays back as such a map.
+    The package itself builds every model from arrays (from_arrays): the
+    parsers and case studies from csr_arrays, products and sub-models by
+    gathers.  A sub-model cut out of a parent (graph.restrict) records in
+    parent_pair[j] the parent pair that its pair j copies; other models
+    leave it None.
     """
 
     def __init__(self, state_names, action_names, initial, trans,
@@ -265,6 +266,13 @@ class Dra:
         return self.delta[key]
 
 
+def alphabet(ap):
+    """The symbols of 2^AP in their numbering: symbol b holds ap[i] iff
+    bit i of b is set."""
+    return [frozenset(p for i, p in enumerate(ap) if b >> i & 1)
+            for b in range(2 ** len(ap))]
+
+
 def policy_from_rule(m: Mdp, rule) -> np.ndarray:
     """The policy of a {state: {action: probability}} rule as a read-only
     weight vector over m's pairs (see policy_from_entries).  A state listed
@@ -350,8 +358,9 @@ class UtilityFn:
     cost.  kind is 'reward' or 'cost'; costs must be strictly positive.
 
     Built from a {(state, action): value} dict, or by from_entries from
-    (state, action, value) arrays as parse_utilities reads them, and stored
-    as those arrays sorted by (state, action), tied to no model.  Inside the
+    (state, action, value) arrays as parse_utilities and the case studies
+    build them, and stored as those arrays sorted by (state, action), tied
+    to no model.  Inside the
     program a utility is the vector pair_values(m) over the pairs of a model
     the table covers; a sub-model gathers it through its parent_pair.
     """

@@ -20,8 +20,8 @@ import re
 
 import numpy as np
 
-from .model import (Dra, Mdp, UtilityFn, csr_arrays, policy_domain,
-                    policy_from_entries, validate_mdp)
+from .model import (Dra, Mdp, UtilityFn, alphabet, csr_arrays,
+                    policy_domain, policy_from_entries, validate_mdp)
 
 
 class ParseError(Exception):
@@ -112,6 +112,10 @@ def parse_mdp(text) -> Mdp:
     sidx = {}
     aidx = {}
     pidx = {}
+    # each declaration line's names, their index and what they name
+    declare = {"states:": (states, sidx, "state"),
+               "actions:": (actions, aidx, "action"),
+               "props:": (props, pidx, "prop")}
     src, act, dst, probs, where = [], [], [], [], []
     error = None
     try:
@@ -133,24 +137,13 @@ def parse_mdp(text) -> Mdp:
                 where.append(ln)
             elif head in ("mdp", "reward", "cost"):
                 continue  # utility lines are read by parse_utilities
-            elif head == "states:":
+            elif head in declare:
+                names, index, kind = declare[head]
                 for name in tok[1:]:
-                    if name in sidx:
-                        raise ParseError(f"duplicate state {name!r}", ln)
-                    sidx[name] = len(states)
-                    states.append(name)
-            elif head == "actions:":
-                for name in tok[1:]:
-                    if name in aidx:
-                        raise ParseError(f"duplicate action {name!r}", ln)
-                    aidx[name] = len(actions)
-                    actions.append(name)
-            elif head == "props:":
-                for name in tok[1:]:
-                    if name in pidx:
-                        raise ParseError(f"duplicate prop {name!r}", ln)
-                    pidx[name] = len(props)
-                    props.append(name)
+                    if name in index:
+                        raise ParseError(f"duplicate {kind} {name!r}", ln)
+                    index[name] = len(names)
+                    names.append(name)
             elif head == "initial:":
                 if len(tok) != 2 or tok[1] not in sidx:
                     raise ParseError("initial: needs one declared state", ln)
@@ -259,7 +252,7 @@ class _GuardParser:
     """Boolean guards over AP indices: literals, !, &, |, parentheses, t/f.
 
     A guard is evaluated while it is parsed, as the bitset of the symbols
-    (numbered by their AP bits, as in parse_dra) that satisfy it; an index
+    (numbered as model.alphabet numbers them) that satisfy it; an index
     beyond the declared APs is a proposition that never holds."""
 
     def __init__(self, text, ln, lit, full):
@@ -331,10 +324,10 @@ def _header_int(line, ln):
 
 def parse_dra(text) -> Dra:
     """HOA-subset automata: Rabin acceptance only, state-based membership,
-    one deterministic and complete guard set per state.  Symbol b is the
-    set of APs i with bit i of b set; each guard is evaluated once, as the
-    bitset of the symbols it admits, and a state's faults are read off the
-    overlaps and gaps of its guards' bitsets, first symbol first."""
+    one deterministic and complete guard set per state.  Symbols are
+    numbered as model.alphabet numbers them; each guard is evaluated once,
+    as the bitset of the symbols it admits, and a state's faults are read
+    off the overlaps and gaps of its guards' bitsets, first symbol first."""
     n_states = None
     start = None
     ap = None
@@ -424,8 +417,7 @@ def parse_dra(text) -> Dra:
                 raise ParseError(f"state {q} references acceptance set {idx} "
                                  "beyond the declared count")
 
-    symbols = [frozenset(ap[i] for i in range(len(ap)) if b >> i & 1)
-               for b in range(n_sym)]
+    symbols = alphabet(ap)
     delta = {}
     for q in range(n_states):
         covered = overlap = wrong = 0
@@ -510,6 +502,7 @@ def write_dra(d: Dra) -> str:
            " | ".join(f"Fin({2 * i}) & Inf({2 * i + 1})"
                       for i in range(len(d.pairs))),
            "--BODY--"]
+    symbols = alphabet(d.ap)
     for q in range(d.n_states):
         sets = []
         for i, (b, g) in enumerate(d.pairs):
@@ -519,11 +512,9 @@ def write_dra(d: Dra) -> str:
                 sets.append(2 * i + 1)
         suffix = (" {" + " ".join(str(x) for x in sets) + "}") if sets else ""
         out.append(f"State: {q}{suffix}")
-        for bits in range(2 ** len(d.ap)):
-            present = {i for i in range(len(d.ap)) if bits & (1 << i)}
-            sym = frozenset(d.ap[i] for i in present)
-            lits = [(str(i) if i in present else f"!{i}")
-                    for i in range(len(d.ap))] or ["t"]
+        for sym in symbols:
+            lits = [(str(i) if p in sym else f"!{i}")
+                    for i, p in enumerate(d.ap)] or ["t"]
             out.append(f"[{' & '.join(lits)}] {d.delta[(q, sym)]}")
     out.append("--END--")
     return "\n".join(out) + "\n"

@@ -9,8 +9,9 @@ one's optimal policy with an irreducible one.  The mixing weight (the
 perturbation degree) is either the closed-form bound from the ratio
 deviation of chain.ratio_deviation ('es') or the largest weight that stays
 within epsilon of optimal ('ex'), found by a safeguarded Newton search on
-the blend's stationary ratio, each probe being its own certificate and
-reading the ratio's slope off its own factor.  The component scores then
+the blend's stationary ratio, each probe being its own certificate.  One
+rule (_slope) reads the ratio's slope off an analysis's one class, at the
+optimal policy and at each probe's blend.  The component scores then
 become a surrogate reward with a steeply negative off-component level; the
 average-reward program gives a basic policy, and the component policies
 are patched back in wherever the basic policy settles.  Policies,
@@ -32,12 +33,12 @@ from .graph import (almost_sure_region, amec_filter, attractor_policy,
                     closed_pairs, maec_decompose, mec_decompose, restrict,
                     within)
 from .chain import (Certificate, ChainAnalysis, NotUnichain, _one_class,
-                    _stationary, analyze, average_utility, certify,
-                    ratio_deviation, utility_vector)
+                    analyze, average_utility, certify, ratio_deviation,
+                    utility_vector)
 from .lp import SUPPORT_THRESHOLD, decode_avg_policy, decode_ratio_policy, \
     solve_avg_reward_lp, solve_ratio_lfp
 
-BISECT_WIDTH = 1e-6
+BISECT_WIDTH = 1e-6  # the Newton degree search's default closing width
 DELTA_CAP = 1.0 - 1e-9
 K_MARGIN = 1.0
 MAX_PROBES = 100  # the exact-degree search's probe cap
@@ -135,26 +136,33 @@ def perturbation_degree_estimated(ca_opt: ChainAnalysis, m: Mdp, mu_opt,
     return PerturbationPlan(delta, "estimated", d_inf, c_min)
 
 
+def _slope(ca, m, w, c, d, delta):
+    """J'(delta) = pi d / ((1 - delta) pi v_c) at the blend w of degree
+    delta, whose analysis ca has one class with stationary vector pi, and
+    whose ratio deviation towards mu_irr is d; v_c is w's cost vector.
+    Since mu_(delta + h) is the blend of mu_delta and mu_irr of degree
+    h / (1 - delta), this is the perturbation identity's slope
+    (Schweitzer, "Perturbation theory and finite Markov chains", J. Appl.
+    Prob. 1968)."""
+    idx = list(ca.recurrent_classes[0])
+    pi = ca.stationary[0]
+    return float(pi @ d[idx]) / \
+        ((1.0 - delta) * float(pi @ utility_vector(m, c, w)[idx]))
+
+
 def _probe(m, mu_opt, mu_irr, chain_irr, r, c, delta):
     """J(delta) and J'(delta) of the blend of mu_opt and mu_irr (whose chain
     is chain_irr) of degree delta, from one factor of the blend's chain.
 
-    The blend is irreducible, so its stationary solve gives the one-class
-    analysis, and the perturbation step towards mu_irr on that analysis
-    gives J(delta) (bit for bit the efficiency that analyze would certify)
-    and the deviation d.  Since mu_(delta + h) is the blend of mu_delta and
-    mu_irr of degree h / (1 - delta), the perturbation identity gives
-    J'(delta) = pi d / ((1 - delta) pi v_c), v_c the blend's cost vector
-    (Schweitzer, "Perturbation theory and finite Markov chains", J. Appl.
-    Prob. 1968).
+    The blend is irreducible, so it is one class, and the perturbation
+    step towards mu_irr on that analysis gives J(delta) (bit for bit the
+    efficiency that analyze would certify) and the deviation d for the
+    slope (_slope).
     """
     w = blend(mu_opt, mu_irr, delta)
-    chain = induce_chain(m, w)
-    ca = _one_class(chain, _stationary(chain))
+    ca = _one_class(induce_chain(m, w))
     j, d = ratio_deviation(ca, m, w, mu_irr, r, c, chain_irr)
-    pi = ca.stationary[0]
-    return j, float(pi @ d) / ((1.0 - delta)
-                               * float(pi @ utility_vector(m, c, w)))
+    return j, _slope(ca, m, w, c, d, delta)
 
 
 def _next_degree(lo, hi, floor, top, width, x, f_x, slope):
@@ -214,10 +222,7 @@ def perturbation_degree_exact(ca_opt: ChainAnalysis, m: Mdp, mu_opt, mu_irr,
     target = j_opt - epsilon - 1e-12
     floor = 0.0 if degenerate else epsilon * c_min / d_inf
     top = 1.0 - width
-    idx = list(ca_opt.recurrent_classes[0])
-    pi = ca_opt.stationary[0]
-    slope = float(pi @ d[idx]) / \
-        float(pi @ utility_vector(m, c, mu_opt)[idx])
+    slope = _slope(ca_opt, m, mu_opt, c, d, 0.0)
     x, f_x = 0.0, j_opt - target
     lo, hi = 0.0, None
     for _ in range(MAX_PROBES):

@@ -12,12 +12,13 @@ import itertools
 import numpy as np
 import pytest
 
-from effsynth.model import Mdp, ProductMdp, UtilityFn, csr_arrays, \
+from effsynth.model import Mdp, ProductMdp, UtilityFn, blend, csr_arrays, \
     induce_chain, policy_domain, policy_from_rule, rabin_witness
 from effsynth.graph import (amec_filter, is_communicating, maec_decompose,
                             mec_decompose)
 from effsynth.chain import (_deviation, _stationary, analyze, average_utility,
-                            efficiency, potential_vector)
+                            efficiency, limit_distribution, potential_vector,
+                            ratio_deviation, utility_vector)
 
 
 def example1_mdp():
@@ -82,6 +83,40 @@ def stationary_distribution(chain):
     """The stationary row vector of an irreducible chain, without the
     handle on its factor that chain._stationary also returns."""
     return _stationary(chain)[0]
+
+
+def ratio_perturbation_identity_check(m: Mdp, mu, mu_prime, r, c,
+                                      delta: float):
+    """Both sides of the efficiency-difference identity for the mixture
+    (1-delta) mu + delta mu'.
+
+    lhs is the direct difference of efficiencies; rhs rebuilds it from the
+    deviation vectors of reward and cost.  Requires mu to induce a unichain.
+    """
+    j_mu, d = ratio_deviation(analyze(m, mu), m, mu, mu_prime, r, c)
+    mu_delta = blend(mu, mu_prime, delta)
+    ca_d = analyze(m, mu_delta)
+    lhs = efficiency(ca_d, m, r, c, mu_delta, m.initial) - j_mu
+    pi_d = limit_distribution(ca_d)
+    vc_d = utility_vector(m, c, mu_delta)
+    rhs = delta / float(pi_d @ vc_d) * float(pi_d @ d)
+    return lhs, rhs
+
+
+def settled_probes(monkeypatch, state):
+    """Make every probe of the exact degree search (synthesis._probe) find
+    its blend settled at state: while a probe runs, the stationary factor
+    returns that point mass next to the handle on the chain's real factor.
+    Nothing outside the probes is touched."""
+    from effsynth import chain, synthesis
+    probe, stationary = synthesis._probe, chain._stationary
+
+    def settled(*args):
+        with monkeypatch.context() as inner:
+            inner.setattr(chain, "_stationary", lambda mc: (
+                np.eye(mc.n_states)[state], stationary(mc)[1]))
+            return probe(*args)
+    monkeypatch.setattr(synthesis, "_probe", settled)
 
 
 def limit_matrix(ca):

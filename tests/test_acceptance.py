@@ -16,7 +16,6 @@ from effsynth.model import (Mdp, ProductMdp, blend, build_product,
 from effsynth.graph import maec_decompose, mec_decompose, restrict
 from effsynth.chain import (analyze, average_utility, efficiency,
                             limit_distribution, potential_vector,
-                            ratio_perturbation_identity_check,
                             utility_vector)
 from effsynth.lp import (decode_avg_policy, decode_ratio_policy,
                          solve_avg_reward_lp, solve_ratio_lfp)
@@ -32,7 +31,7 @@ from conftest import (amecs_of, brute_force_best_ratio, dense_p,
                       random_communicating_mdp,
                       random_communicating_product, random_mdp,
                       random_policy, random_unichain_policy,
-                      random_utilities)
+                      random_utilities, ratio_perturbation_identity_check)
 
 from test_synthesis import lopsided_instance, random_multichain_product
 

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -15,7 +16,9 @@ from effsynth.casestudies import (COST_BY_DISTANCE, MAX_SIZE, Case1Params,
                                   dra_recurrence_avoid_charge, gen_case1,
                                   gen_case2)
 
-from conftest import accepts_lasso, dense_p
+from effsynth.parsers import write_dra, write_mdp, write_utilities
+
+from conftest import accepts_lasso, delivery_grid, dense_p
 
 
 def cell_of(m, s):
@@ -31,6 +34,50 @@ def carry_of(m, s):
 def test_cost_table_entries():
     assert COST_BY_DISTANCE == {0: 3.2, 1: 3.0, 2: 2.7, 3: 2.5, 4: 1.5,
                                 5: 1.0, 6: 1.0, 7: 1.0, 8: 1.0}
+
+
+def case_study_files(case):
+    """The text files of a case study: its model, its utilities and its
+    automata, as the casestudy command writes them."""
+    if case == "case2":
+        m, d, reward_family, cost = gen_case2()
+        return [write_mdp(m), write_utilities(m, reward_family(0.0), cost),
+                write_utilities(m, reward_family(40.0), cost), write_dra(d)]
+    if case == "grid9":
+        m, d1, d2, reward, cost = gen_case1()
+        return [write_mdp(m), write_utilities(m, reward, cost),
+                write_dra(d1), write_dra(d2)]
+    m, d2, reward, cost = delivery_grid(13)
+    return [write_mdp(m), write_utilities(m, reward, cost), write_dra(d2)]
+
+
+# sha256 of each case_study_files text
+CASE_STUDY_DIGESTS = {
+    "grid9": (
+        "46ed8239c59f802017dd7987c37e6914ecf90eaa773fb45b1be02f4d43ab5807",
+        "fcf2f45dfbe32634244e67527ad213a035a42af03ebc33bcaea7c9725d139784",
+        "a8564bb8b10af95e12f140c71b32600755507562be4cda798eecf80ad38d1798",
+        "ccd9d4d5625c2a408a66572f753c36b137ab2fbfc66079e659514d5d9e651e9d"),
+    "grid13": (
+        "60ab522bd93b061ca98c9cba24a4f185db04b648a3446ecc77b25f89b2d4045e",
+        "58a1c81f8f1902f9622c492b93529423d0c9e88aa2a0498df145d7ae8a839527",
+        "ccd9d4d5625c2a408a66572f753c36b137ab2fbfc66079e659514d5d9e651e9d"),
+    "case2": (
+        "f0285277b970dd3d1e74f2751a4f779dc6439562dba16698a25f034fd7ae9f4d",
+        "3f772f7ebdbee8f5a6173f74a1cb2710f639f29e5175e81eed06c0d122315f06",
+        "8b61fc94e0ccf9cb44693dcda0a52fdbb0bddbdea7ef3f4c8fadf6dae8632f15",
+        "35a2c2493fbd6792dd05b1cbc43f3d222be9f0b82c42661dc7b305164cecbc87"),
+}
+
+
+@pytest.mark.parametrize("case", list(CASE_STUDY_DIGESTS))
+def test_case_study_files_are_byte_stable(case):
+    """The generated case-study files keep their bytes (sha256): the
+    default grid 9 with both tasks, grid 13 as the benchmark scales it, and
+    case 2 with bonus 0 and 40.  The benchmark's reference values rest on
+    these texts."""
+    assert tuple(hashlib.sha256(t.encode()).hexdigest()
+                 for t in case_study_files(case)) == CASE_STUDY_DIGESTS[case]
 
 
 def test_case1_shape_and_validity():

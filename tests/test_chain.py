@@ -8,7 +8,6 @@ from effsynth.model import Mdp, ModelError, UtilityFn, blend, csr_arrays, \
 from effsynth.chain import (NotUnichain, analyze, average_utility, certify,
                             efficiency, limit_distribution,
                             potential_vector, ratio_deviation,
-                            ratio_perturbation_identity_check,
                             utility_vector)
 from effsynth.graph import maec_decompose, restrict
 from effsynth.lp import decode_ratio_policy, solve_ratio_lfp
@@ -16,7 +15,8 @@ from effsynth.lp import decode_ratio_policy, solve_ratio_lfp
 from conftest import (chain_model, delivery_grid_product, dense_p,
                       deterministic, deviation_vector, limit_matrix,
                       random_mdp, random_policy, random_unichain_policy,
-                      random_utilities, stationary_distribution)
+                      random_utilities, ratio_perturbation_identity_check,
+                      stationary_distribution)
 
 
 def random_chain(rng, n_states=None):

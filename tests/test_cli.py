@@ -9,7 +9,7 @@ import pytest
 import effsynth
 from effsynth.cli import main
 
-from conftest import delivery_grid
+from conftest import delivery_grid, settled_probes
 
 MODEL = """\
 mdp
@@ -744,9 +744,7 @@ def test_uncertified_exact_degree_exits_4(files, tmp_path, monkeypatch,
     solver failure: here every probe finds the blend settled at the MAEC's
     second state, model state 4, whose best reward 3 is short of the
     optimum 5."""
-    from effsynth import chain, synthesis
-    monkeypatch.setattr(synthesis, "_stationary", lambda mc: (
-        np.eye(mc.n_states)[1], chain._stationary(mc)[1]))
+    settled_probes(monkeypatch, 1)
     argv = blended_synthesis(files, tmp_path) + [
         "--epsilon", "0.05", "--method", "ex"]
     assert main(argv) == 4

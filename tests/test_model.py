@@ -2,21 +2,22 @@ import numpy as np
 import pytest
 
 from effsynth.model import (AlphabetMismatch, Dra, Mdp, ModelError,
-                            PolicyMismatch, ProductMdp, UtilityFn, blend,
-                            build_product, induce_chain, policy_from_rule,
-                            uniform_policy, validate_mdp)
+                            PolicyMismatch, ProductMdp, UtilityFn, alphabet,
+                            blend, build_product, induce_chain,
+                            policy_from_rule, uniform_policy, validate_mdp)
 
 from conftest import dense_p, deterministic, example1_mdp, random_mdp, \
     random_policy
 
 
-def all_symbols(ap):
-    return [frozenset(p for i, p in enumerate(ap) if bits & (1 << i))
-            for bits in range(2 ** len(ap))]
+def test_alphabet_numbers_symbols_by_bits():
+    """Symbol b holds proposition i iff bit i of b is set."""
+    assert alphabet(("a", "b")) == [frozenset(), {"a"}, {"b"}, {"a", "b"}]
+    assert alphabet(()) == [frozenset()]
 
 
 def accept_everything_dra(ap=("g",)):
-    delta = {(0, sym): 0 for sym in all_symbols(ap)}
+    delta = {(0, sym): 0 for sym in alphabet(ap)}
     return Dra(1, 0, ap, delta, [(set(), {0})])
 
 
@@ -93,7 +94,7 @@ def three_state_dra():
     b (dead q2): enough structure to exercise the product."""
     ap = ("g", "b")
     delta = {}
-    for sym in all_symbols(ap):
+    for sym in alphabet(ap):
         for q in (0, 1):
             delta[(q, sym)] = 2 if "b" in sym else (1 if "g" in sym else 0)
         delta[(2, sym)] = 2

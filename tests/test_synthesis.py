@@ -23,7 +23,7 @@ from conftest import (amecs_of, brute_force_best_ratio,
                       delivery_grid_product, deterministic, ec_parts,
                       example1_product, random_communicating_mdp,
                       random_communicating_product, random_mdp,
-                      random_utilities, rule_of)
+                      random_utilities, rule_of, settled_probes)
 
 
 def two_state_unit_cost_instance():
@@ -297,11 +297,11 @@ def test_exact_degree_slope_matches_finite_difference(rng):
 
 
 def count_degree_probes(monkeypatch):
-    """Counts of the exact degree's cheap probes (stationary factors called
-    from synthesis) and full evaluations (analyze called from synthesis;
-    the perturbation step's own analysis runs inside chain)."""
+    """Counts of the exact degree's cheap probes (synthesis._probe calls)
+    and full evaluations (analyze called from synthesis; the perturbation
+    step's own analysis runs inside chain)."""
     probes = {"cheap": 0, "full": 0}
-    for key, name in (("cheap", "_stationary"),
+    for key, name in (("cheap", "_probe"),
                       ("full", "analyze")):
         def counted(*args, _key=key, _orig=getattr(synthesis, name)):
             probes[_key] += 1
@@ -362,21 +362,13 @@ def test_exact_degree_probe_budget(monkeypatch, case, eps):
     assert probes["full"] == 0
 
 
-def settled_at(state):
-    """A stand-in for the exact degree's stationary factor (its probe seam)
-    that finds every blend settled at state, on the chain's real factor."""
-    def factor(mc):
-        return np.eye(mc.n_states)[state], chain._stationary(mc)[1]
-    return factor
-
-
 def test_exact_degree_raises_when_nothing_certifies(monkeypatch):
     """A probe that finds every blend settled at far, whose ratio -25 delta
     never comes within epsilon of the optimum 1, leaves no qualifying
     positive degree: NotUnichain, the solver-failure exit."""
     m, r, c, mu_opt, mu_irr = lopsided_instance()
     ca_opt = analyze(m, mu_opt)
-    monkeypatch.setattr(synthesis, "_stationary", settled_at(2))
+    settled_probes(monkeypatch, 2)
     with pytest.raises(NotUnichain, match="without a certified positive"):
         perturbation_degree_exact(ca_opt, m, mu_opt, mu_irr, r, c, 1e-3)
 
