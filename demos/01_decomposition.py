@@ -10,8 +10,8 @@ actions; the almost-sure region is a boolean mask over the states.
 
 import numpy as np
 
-from effsynth import (ProductMdp, almost_sure_region, amec_filter,
-                      maec_decompose, mec_decompose)
+from effsynth import (Mdp, almost_sure_region, amec_filter, maec_decompose,
+                      mec_decompose)
 
 trans = {
     (0, 0): {1: 1.0},   # 1 -a1-> 2
@@ -21,8 +21,8 @@ trans = {
     (3, 0): {2: 1.0},   # 4 -a1-> 3
     (3, 1): {3: 1.0},   # 4 -a2-> 4
 }
-pm = ProductMdp(["1", "2", "3", "4"], ["a1", "a2"], 0, trans,
-                acc_pairs=[({2}, {3})])
+pm = Mdp(["1", "2", "3", "4"], ["a1", "a2"], 0, trans,
+         acc_pairs=[({2}, {3})])
 
 
 def show(tag, components):

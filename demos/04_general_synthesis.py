@@ -9,16 +9,15 @@ reach.
 
 import numpy as np
 
-from effsynth import (ProductMdp, UtilityFn, analyze, efficiency,
-                      synth_general)
+from effsynth import Mdp, UtilityFn, analyze, efficiency, synth_general
 
 trans = {
     (0, 0): {1: 1.0},               # start feeds the left loop only
     (1, 0): {2: 1.0}, (2, 0): {1: 1.0},
     (3, 0): {4: 1.0}, (4, 0): {3: 1.0},
 }
-pm = ProductMdp(["start", "a1", "a2", "b1", "b2"], ["a"], 0, trans,
-                acc_pairs=[(set(), {1, 3})])
+pm = Mdp(["start", "a1", "a2", "b1", "b2"], ["a"], 0, trans,
+         acc_pairs=[(set(), {1, 3})])
 r = UtilityFn({(0, 0): 0.0, (1, 0): 1.0, (2, 0): 1.0,
                (3, 0): 3.0, (4, 0): 3.0}, "reward").pair_values(pm)
 c = np.full(pm.n_pairs, 1.0)

@@ -7,7 +7,7 @@ reward/cost ratio converges on the analytic long-run value.
 
 import numpy as np
 
-from effsynth import (ProductMdp, RolloutConfig, UtilityFn, analyze, efficiency,
+from effsynth import (Mdp, RolloutConfig, UtilityFn, analyze, efficiency,
                       simulate, synth_general)
 
 trans = {
@@ -15,8 +15,7 @@ trans = {
     (1, 0): {0: 0.5, 2: 0.5},
     (2, 0): {0: 0.3, 2: 0.7}, (2, 1): {1: 1.0},
 }
-pm = ProductMdp(["u", "v", "w"], ["a", "b"], 0, trans,
-                acc_pairs=[(set(), {1})])
+pm = Mdp(["u", "v", "w"], ["a", "b"], 0, trans, acc_pairs=[(set(), {1})])
 r = UtilityFn({(0, 0): 1.0, (0, 1): 0.2, (1, 0): 3.0,
                (2, 0): 0.5, (2, 1): 2.0}, "reward").pair_values(pm)
 c = np.full(pm.n_pairs, 1.0)

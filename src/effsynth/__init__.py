@@ -3,8 +3,8 @@ omega-regular tasks given as deterministic Rabin automata."""
 
 __version__ = "0.1.0"
 
-from .model import (Mdp, ProductMdp, UtilityFn, blend, build_product,
-                    lift_utilities, policy_from_rule, uniform_policy)
+from .model import (Mdp, UtilityFn, blend, build_product, lift_utilities,
+                    policy_from_rule, uniform_policy)
 from .graph import (almost_sure_region, amec_filter, maec_decompose,
                     mec_decompose)
 from .chain import analyze, efficiency, limit_distribution

@@ -14,8 +14,9 @@ scipy, and scipy's compiled kernel above it, with the same labels.  The
 SCC refinement in mec_decompose makes each component strongly connected,
 and no walk witness is stored.  amec_filter takes the MECs and MAECs, and
 almost_sure_region the AMECs, that the caller has already computed, so a
-synthesis decomposes the product once; a sub-model cut by restrict
-gathers its share of those masks through its parent_pair.
+synthesis decomposes the product once; a sub-model cut by restrict keeps
+the Rabin pairs re-keyed and gathers its share of those masks through its
+parent_pair.
 
 All algorithms are deterministic: ties break on the lowest state index, then
 the lowest action index.
@@ -23,7 +24,7 @@ the lowest action index.
 
 import numpy as np
 
-from .model import Mdp, ProductMdp, gather_pairs, support_csr
+from .model import Mdp, gather_pairs, support_csr
 
 
 class Unreachable(Exception):
@@ -185,7 +186,7 @@ def within(inner, outer):
     return not (inner & ~outer).any()
 
 
-def maec_decompose(pm: ProductMdp):
+def maec_decompose(pm: Mdp):
     """All maximal accepting end components.
 
     Per Rabin pair (B, G): decompose the MDP restricted to states outside B
@@ -217,7 +218,7 @@ def amec_filter(mecs, maecs):
     return [mec for mec in mecs if any(within(ma, mec) for ma in maecs)]
 
 
-def almost_sure_region(pm: ProductMdp, amecs):
+def almost_sure_region(pm: Mdp, amecs):
     """The boolean mask of product states from which some policy reaches
     the states of amecs (the result of amec_filter) w.p.1.
 
@@ -272,10 +273,10 @@ def restrict(m: Mdp, pairs, initial=None):
     owning one of them; returns (model, ids), where ids[i] is the index in m
     of local state i.
 
-    The kept pairs must stay inside those states.  The sub-model's
-    parent_pair lists the kept pairs, so a policy on it lifts to m by a
-    scatter and one on m scopes to it by a gather.  Acceptance pairs of
-    products are intersected and re-keyed.  The local initial state maps the
+    The kept pairs must stay inside those states.  The sub-model's parent
+    is m and its parent_pair lists the kept pairs, so a policy on it lifts
+    to m by a scatter and one on m scopes to it by a gather.  Acceptance
+    pairs are intersected and re-keyed.  The local initial state maps the
     given global one, defaulting to the lowest kept state (fine for callers
     that never depend on it).
     """
@@ -289,30 +290,18 @@ def restrict(m: Mdp, pairs, initial=None):
     succ_state = local[m.succ_state[entries]]
     if (succ_state < 0).any():
         raise ValueError("the sub-MDP is not closed")
-    arrays = (state_ptr, pair_action, succ_ptr, succ_state,
-              m.succ_prob[entries])
-    names = [m.state_names[g] for g in ids]
-    labels = [m.labels[g] for g in ids]
     init = int(local[initial]) if initial is not None else 0
     if init < 0:
         raise KeyError(initial)
-    if isinstance(m, ProductMdp):
-        loc = local.tolist()
-        acc = [(frozenset(loc[s] for s in b if loc[s] >= 0),
-                frozenset(loc[s] for s in g if loc[s] >= 0))
-               for b, g in m.acc_pairs]
-        comps = ([m.components[g] for g in ids]
-                 if m.components is not None else None)
-        sub_m = ProductMdp.from_arrays(
-            names, m.action_names, init, *arrays,
-            atomic_props=m.atomic_props, labels=labels, acc_pairs=acc,
-            components=comps, base=m.base,
-            base_pair=None if m.base_pair is None else m.base_pair[kept],
-            parent_pair=kept)
-    else:
-        sub_m = Mdp.from_arrays(names, m.action_names, init, *arrays,
-                                atomic_props=m.atomic_props, labels=labels,
-                                parent_pair=kept)
+    loc = local.tolist()
+    acc = [(frozenset(loc[s] for s in b if loc[s] >= 0),
+            frozenset(loc[s] for s in g if loc[s] >= 0))
+           for b, g in m.acc_pairs]
+    sub_m = Mdp.from_arrays(
+        [m.state_names[g] for g in ids], m.action_names, init, state_ptr,
+        pair_action, succ_ptr, succ_state, m.succ_prob[entries],
+        atomic_props=m.atomic_props, labels=[m.labels[g] for g in ids],
+        acc_pairs=acc, parent=m, parent_pair=kept)
     return sub_m, ids
 
 

@@ -12,8 +12,9 @@ likewise a value vector over a model's pairs (UtilityFn is the table it is
 read from at the input edge).  The dict forms (the Mdp constructor's
 trans, Mdp.trans, Mdp.available, UtilityFn(dict) and policy_from_rule)
 are adapters over the same builders and arrays: no module of the package
-calls them; they serve in-memory callers such as the tests.  A sub-model
-takes its share of any such vector by one gather through its parent_pair.
+calls them; they serve in-memory callers such as the tests.  A product
+(an Mdp with Rabin pairs) and a sub-model each take their share of any such
+vector by one gather through parent_pair, their one link to their parent.
 Inducing a chain or a per-state utility is one scatter over the entries,
 summed in the same order as a loop over the pairs would sum; an induced
 chain (Mc) keeps its matrix in CSR form, with an entry exactly on each
@@ -96,38 +97,41 @@ class Mdp:
     from them with csr_arrays; trans reads the arrays back as such a map.
     The package itself builds every model from arrays (from_arrays): the
     parsers and case studies from csr_arrays, products and sub-models by
-    gathers.  A sub-model cut out of a parent (graph.restrict) records in
-    parent_pair[j] the parent pair that its pair j copies; other models
-    leave it None.
+    gathers.  acc_pairs holds Rabin pairs (B, G) of states, () on a plain
+    model; components[i] is a product state's (base state, automaton
+    state), None on other models.  A product (build_product) and a
+    sub-model (graph.restrict) record the model they copy as parent, and
+    in parent_pair[j] the parent pair that their pair j copies; other
+    models leave both None.
     """
 
     def __init__(self, state_names, action_names, initial, trans,
-                 atomic_props=(), labels=None):
-        self._set(state_names, action_names, initial, atomic_props, labels)
+                 atomic_props=(), labels=None, *, acc_pairs=()):
         dists = list(trans.values())
         lens = [len(d) for d in dists]
         if 0 in lens:
             s, a = list(trans)[lens.index(0)]
             raise ModelError(f"pair ({s}, {a}) has an empty distribution")
         n = sum(lens)
-        self._set_arrays(*csr_arrays(
-            self.n_states,
+        self._set(state_names, action_names, initial, *csr_arrays(
+            len(state_names),
             np.repeat(np.fromiter((s for s, _ in trans), np.int64), lens),
             np.repeat(np.fromiter((a for _, a in trans), np.int64), lens),
             np.fromiter((t for d in dists for t in d), np.int64, n),
-            np.fromiter((p for d in dists for p in d.values()), float, n)))
+            np.fromiter((p for d in dists for p in d.values()), float, n)),
+            atomic_props, labels, acc_pairs)
 
     @classmethod
-    def from_arrays(cls, state_names, action_names, initial, state_ptr,
-                    pair_action, succ_ptr, succ_state, succ_prob,
-                    atomic_props=(), labels=None, parent_pair=None):
+    def from_arrays(cls, *args, **kw):
+        """The model of the given arrays and attributes, as _set takes them."""
         m = cls.__new__(cls)
-        m._set(state_names, action_names, initial, atomic_props, labels)
-        m._set_arrays(state_ptr, pair_action, succ_ptr, succ_state, succ_prob,
-                      parent_pair)
+        m._set(*args, **kw)
         return m
 
-    def _set(self, state_names, action_names, initial, atomic_props, labels):
+    def _set(self, state_names, action_names, initial, state_ptr,
+             pair_action, succ_ptr, succ_state, succ_prob, atomic_props=(),
+             labels=None, acc_pairs=(), components=None, parent=None,
+             parent_pair=None):
         self.state_names = tuple(state_names)
         self.action_names = tuple(action_names)
         self.initial = int(initial)
@@ -135,10 +139,10 @@ class Mdp:
         if labels is None:
             labels = [frozenset() for _ in self.state_names]
         self.labels = tuple(frozenset(l) for l in labels)
-
-    def _set_arrays(self, state_ptr, pair_action, succ_ptr, succ_state,
-                    succ_prob, parent_pair=None):
-        self.parent_pair = parent_pair
+        self.acc_pairs = tuple((frozenset(b), frozenset(g))
+                               for b, g in acc_pairs)
+        self.components = None if components is None else tuple(components)
+        self.parent, self.parent_pair = parent, parent_pair
         self.state_ptr = np.asarray(state_ptr, dtype=np.int64)
         self.pair_action = np.asarray(pair_action, dtype=np.int64)
         self.succ_ptr = np.asarray(succ_ptr, dtype=np.int64)
@@ -204,37 +208,6 @@ class Mdp:
     def __repr__(self):
         return (f"Mdp(|S|={self.n_states}, |A|={self.n_actions}, "
                 f"initial={self.state_names[self.initial]!r})")
-
-
-class ProductMdp(Mdp):
-    """MDP carrying Rabin acceptance pairs over its own state space.
-
-    When the instance was built by build_product, components[i] =
-    (base_state, aut_state), base is the base model and base_pair[j] the
-    base pair that product pair j copies; synthetic instances leave them None.
-    """
-
-    def __init__(self, state_names, action_names, initial, trans, acc_pairs,
-                 atomic_props=(), labels=None, components=None):
-        super().__init__(state_names, action_names, initial, trans,
-                         atomic_props, labels)
-        self._set_product(acc_pairs, components)
-
-    @classmethod
-    def from_arrays(cls, *arrays, acc_pairs, components=None, base=None,
-                    base_pair=None, **kw):
-        pm = super().from_arrays(*arrays, **kw)
-        pm._set_product(acc_pairs, components, base, base_pair)
-        return pm
-
-    def _set_product(self, acc_pairs, components, base=None, base_pair=None):
-        self.acc_pairs = tuple((frozenset(b), frozenset(g)) for b, g in acc_pairs)
-        self.components = tuple(components) if components is not None else None
-        self.base = base
-        self.base_pair = base_pair
-
-    def __repr__(self):
-        return (f"ProductMdp(|S|={self.n_states}, pairs={len(self.acc_pairs)})")
 
 
 class Dra:
@@ -419,11 +392,12 @@ class UtilityFn:
         return self.vals[idx]
 
 
-def lift_utilities(pm: "ProductMdp", reward, cost):
+def lift_utilities(pm: Mdp, reward, cost):
     """Reward and cost tables of the base model as value vectors over the
     pairs of a product built by build_product: each product pair takes the
-    value of the base pair it copies."""
-    out = tuple(u.pair_values(pm.base)[pm.base_pair] for u in (reward, cost))
+    value of the parent pair it copies."""
+    out = tuple(u.pair_values(pm.parent)[pm.parent_pair]
+                for u in (reward, cost))
     for v in out:
         v.flags.writeable = False
     return out
@@ -513,15 +487,16 @@ def gather_pairs(m: Mdp, pairs):
             entries)
 
 
-def build_product(m: Mdp, d: Dra) -> ProductMdp:
+def build_product(m: Mdp, d: Dra) -> Mdp:
     """Synchronous product of an MDP with a DRA, pruned to reachable states.
 
     The automaton moves on the label of the *successor* base state, and the
     initial product state is (s0, delta(q0, label(s0))).  Acceptance pairs are
     lifted to product state sets.  Product states are numbered in
-    breadth-first order over the base pairs' successors; each product pair
-    copies a base pair, recorded in base_pair, with its successors renumbered
-    and sorted.
+    breadth-first order over the base pairs' successors, and components[i]
+    is product state i's (base state, automaton state).  The product's
+    parent is m, and product pair j copies the base pair parent_pair[j], with
+    its successors renumbered and sorted.
     """
     for s in range(m.n_states):
         if not m.labels[s] <= set(d.ap):
@@ -552,14 +527,14 @@ def build_product(m: Mdp, d: Dra) -> ProductMdp:
     base_s = np.array([s for s, _ in order], dtype=np.int64)
     base_q = np.array([q for _, q in order], dtype=np.int64)
     counts = np.diff(m.state_ptr)[base_s]
-    base_pair = _ranges(m.state_ptr[base_s], counts)
-    pair_action, succ_ptr, entries = gather_pairs(m, base_pair)
+    parent_pair = _ranges(m.state_ptr[base_s], counts)
+    pair_action, succ_ptr, entries = gather_pairs(m, parent_pair)
     number = np.full((m.n_states, d.n_states), -1, dtype=np.int64)
     number[base_s, base_q] = np.arange(len(order))
     t = m.succ_state[entries]
     q_from = np.repeat(np.repeat(base_q, counts), np.diff(succ_ptr))
     succ_state = number[t, np.array(step, dtype=np.int64)[q_from, t]]
-    perm = np.lexsort((succ_state, np.repeat(np.arange(len(base_pair)),
+    perm = np.lexsort((succ_state, np.repeat(np.arange(len(parent_pair)),
                                              np.diff(succ_ptr))))
     names = [f"{m.state_names[s]}&q{q}" for s, q in order]
     labels = [m.labels[s] for s, q in order]
@@ -568,11 +543,11 @@ def build_product(m: Mdp, d: Dra) -> ProductMdp:
         bx = frozenset(i for i, (s, q) in enumerate(order) if q in b)
         gx = frozenset(i for i, (s, q) in enumerate(order) if q in g)
         acc.append((bx, gx))
-    return ProductMdp.from_arrays(
+    return Mdp.from_arrays(
         names, m.action_names, 0, np.concatenate(([0], np.cumsum(counts))),
         pair_action, succ_ptr, succ_state[perm], m.succ_prob[entries][perm],
         atomic_props=m.atomic_props, labels=labels, acc_pairs=acc,
-        components=order, base=m, base_pair=base_pair)
+        components=order, parent=m, parent_pair=parent_pair)
 
 
 def support_csr(n, src, dst):

@@ -357,6 +357,10 @@ def parse_dra(text) -> Dra:
             names = re.findall(r'"([^"]*)"', line)
             if _header_int(line, ln) != len(names):
                 raise ParseError("AP count disagrees with names", ln)
+            dup = next((p for i, p in enumerate(names) if p in names[:i]),
+                       None)
+            if dup is not None:
+                raise ParseError(f"duplicate AP {dup!r}", ln)
             ap = names
         elif line.startswith("Acceptance:"):
             rest = line.split(":", 1)[1].strip()

@@ -16,10 +16,11 @@ become a surrogate reward with a steeply negative off-component level; the
 average-reward program gives a basic policy, and the component policies
 are patched back in wherever the basic policy settles.  Policies,
 utilities and end components are arrays over a model's pairs: a sub-model
-gathers them through its parent_pair, a sub-model's policy lifts to its
-parent by a scatter through the same array (_lift), and the region's
-report returns to the product's ids through _lift_report.  A certificate
-(chain.certify) is built only for the report that is returned.
+gathers them through its parent_pair, its policy lifts to its parent by a
+scatter through the same array (_lift), its report returns to the parent's
+ids through _lift_report, and it holds its share of the Rabin pairs, on
+which a MAEC's witness is read.  A certificate (chain.certify) is built
+only for the report that is returned.
 """
 
 import math
@@ -27,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (Mdp, ModelError, ProductMdp, blend, induce_chain,
-                    rabin_witness, uniform_policy)
+from .model import (Mdp, ModelError, blend, induce_chain, rabin_witness,
+                    uniform_policy)
 from .graph import (almost_sure_region, amec_filter, attractor_policy,
                     closed_pairs, maec_decompose, mec_decompose, restrict,
                     within)
@@ -244,9 +245,10 @@ def perturbation_degree_exact(ca_opt: ChainAnalysis, m: Mdp, mu_opt, mu_irr,
     return PerturbationPlan(lo, "exact", d_inf, c_min, degenerate)
 
 
-def _lift(m: Mdp, sub_m: Mdp, ids, w, onto=None):
-    """Policy w of sub_m (whose state i is state ids[i] of m) on m's pairs:
-    onto (default: no rows) with the rows of ids replaced by w."""
+def _lift(sub_m: Mdp, ids, w, onto=None):
+    """Policy w of sub_m (whose state i is state ids[i] of its parent m) on
+    m's pairs: onto (default: no rows) with the rows of ids replaced by w."""
+    m = sub_m.parent
     out = np.zeros(m.n_pairs) if onto is None else onto.copy()
     out[np.isin(m.pair_state, ids)] = 0.0
     out[sub_m.parent_pair] = w
@@ -254,15 +256,14 @@ def _lift(m: Mdp, sub_m: Mdp, ids, w, onto=None):
     return out
 
 
-def _lift_report(rep: SynthesisReport, m: Mdp, sub_m: Mdp,
-                 ids) -> SynthesisReport:
-    """A report on sub_m, cut out of m, on m's ids (sub-model state i is
-    state ids[i] of m): its policy is lifted and its certificate's
+def _lift_report(rep: SynthesisReport, sub_m: Mdp, ids) -> SynthesisReport:
+    """A report on sub_m, on its parent's ids (sub-model state i is state
+    ids[i] of the parent): its policy is lifted and its certificate's
     recurrent classes are re-keyed."""
     classes = tuple(tuple(ids[s] for s in comp)
                     for comp in rep.certificate.recurrent_classes)
     cert = replace(rep.certificate, recurrent_classes=classes)
-    return replace(rep, policy=_lift(m, sub_m, ids, rep.policy),
+    return replace(rep, policy=_lift(sub_m, ids, rep.policy),
                    certificate=cert)
 
 
@@ -282,7 +283,7 @@ def _check_args(m: Mdp, c, epsilon, method):
             f"{m.action_names[m.pair_action[j]]}")
 
 
-def _solve_maecs(pm: ProductMdp, r, c, maecs, epsilon, method,
+def _solve_maecs(pm: Mdp, r, c, maecs, epsilon, method,
                  tol) -> SynthesisReport:
     """The MAEC stage: solve the ratio program in each of pm's MAECs (pair
     masks), keep the best, perturb its optimal policy if needed and extend
@@ -303,8 +304,8 @@ def _solve_maecs(pm: ProductMdp, r, c, maecs, epsilon, method,
 
     # adopt the optimal policy unperturbed when its recurrent class already
     # meets some G-set while avoiding the paired B-set
-    rec_global = {ids[s] for s in ca_opt.recurrent_classes[0]}
-    no_pert = rabin_witness(rec_global, pm.acc_pairs) is not None
+    no_pert = rabin_witness(ca_opt.recurrent_classes[0],
+                            sub_m.acc_pairs) is not None
     plan = None
     if no_pert:
         mu_final_sub = mu_opt
@@ -315,14 +316,14 @@ def _solve_maecs(pm: ProductMdp, r, c, maecs, epsilon, method,
                 perturbation_degree_exact(*pair, width=tol.bisect_width))
         mu_final_sub = blend(mu_opt, mu_irr, plan.delta)
 
-    policy = attractor_policy(pm, ids, _lift(pm, sub_m, ids, mu_final_sub))
+    policy = attractor_policy(pm, ids, _lift(sub_m, ids, mu_final_sub))
     return SynthesisReport(policy=policy, value=values[best], epsilon=epsilon,
                            amec_values=tuple(values), amec_chosen=best,
                            plan=plan, no_perturbation=no_pert,
                            certificate=None)
 
 
-def build_reward_k(pm: ProductMdp, amecs, values, r, c, k_margin=K_MARGIN):
+def build_reward_k(pm: Mdp, amecs, values, r, c, k_margin=K_MARGIN):
     """Surrogate reward over pm's pairs: the component's optimal value
     inside each accepting component, and K = -max|R|/min C - k_margin
     everywhere else.  Returns (reward vector, K)."""
@@ -333,7 +334,7 @@ def build_reward_k(pm: ProductMdp, amecs, values, r, c, k_margin=K_MARGIN):
     return vals, big_k
 
 
-def synth_general(pm: ProductMdp, r, c, epsilon: float, method: str = "es",
+def synth_general(pm: Mdp, r, c, epsilon: float, method: str = "es",
                   tol: Tolerances = Tolerances()) -> SynthesisReport:
     """Epsilon-optimal synthesis for arbitrary (multichain) models; r and c
     are value vectors over pm's pairs.
@@ -366,10 +367,10 @@ def synth_general(pm: ProductMdp, r, c, epsilon: float, method: str = "es",
     pp = rm.parent_pair
     rep = _synth_region(rm, r[pp], c[pp], [a[pp] for a in amecs],
                         [a[pp] for a in maecs], epsilon, method, tol)
-    return _lift_report(rep, pm, rm, rids)
+    return _lift_report(rep, rm, rids)
 
 
-def _synth_region(pm: ProductMdp, r, c, amecs, maecs, epsilon, method,
+def _synth_region(pm: Mdp, r, c, amecs, maecs, epsilon, method,
                   tol) -> SynthesisReport:
     """synth_general on a product that is its own almost-sure region, given
     its AMECs and MAECs."""
@@ -406,7 +407,7 @@ def _synth_region(pm: ProductMdp, r, c, amecs, maecs, epsilon, method,
     for i, amec in enumerate(amecs):
         if (amec & recurrent[pm.pair_state]).any():
             rep, sub_m, ids = sub_reports[i]
-            policy = _lift(pm, sub_m, ids, rep.policy, onto=policy)
+            policy = _lift(sub_m, ids, rep.policy, onto=policy)
             kept.append(i)
     cert = certify(analyze(pm, policy), pm.acc_pairs, pm.initial)
     kept_reports = [sub_reports[i][0] for i in kept]

@@ -12,8 +12,8 @@ import itertools
 import numpy as np
 import pytest
 
-from effsynth.model import Mdp, ProductMdp, UtilityFn, blend, csr_arrays, \
-    induce_chain, policy_domain, policy_from_rule, rabin_witness
+from effsynth.model import Mdp, UtilityFn, blend, csr_arrays, induce_chain, \
+    policy_domain, policy_from_rule, rabin_witness
 from effsynth.graph import (amec_filter, is_communicating, maec_decompose,
                             mec_decompose)
 from effsynth.chain import (_deviation, _stationary, analyze, average_utility,
@@ -37,8 +37,8 @@ def example1_mdp():
 def example1_product():
     """Example-1 viewed as a product with the single pair (B={3}, G={4})."""
     m = example1_mdp()
-    return ProductMdp(m.state_names, m.action_names, m.initial, m.trans,
-                      [({2}, {3})])
+    return Mdp(m.state_names, m.action_names, m.initial, m.trans,
+               acc_pairs=[({2}, {3})])
 
 
 def random_mdp(rng, n_states, n_actions, p_avail=0.75, max_branch=3):
@@ -152,7 +152,8 @@ def random_product(rng, n_states, n_actions, n_pairs=1, **kw):
                                         size=int(rng.integers(1, 3)),
                                         replace=False)}
         pairs.append((b, g))
-    return ProductMdp(m.state_names, m.action_names, m.initial, m.trans, pairs)
+    return Mdp(m.state_names, m.action_names, m.initial, m.trans,
+               acc_pairs=pairs)
 
 
 def amecs_of(pm):

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from effsynth.model import (Mdp, ProductMdp, blend, build_product,
-                            lift_utilities, uniform_policy)
+from effsynth.model import (Mdp, blend, build_product, lift_utilities,
+                            uniform_policy)
 from effsynth.graph import maec_decompose, mec_decompose, restrict
 from effsynth.chain import (analyze, average_utility, efficiency,
                             limit_distribution, potential_vector,

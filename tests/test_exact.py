@@ -20,9 +20,9 @@ from effsynth.graph import (Unreachable, almost_sure_region, attractor_policy,
 from effsynth.lp import (AvgLpSolution, DegenerateDecoding, LfpSolution,
                          decode_avg_policy, decode_ratio_policy,
                          solve_avg_reward_lp)
-from effsynth.model import (Dra, Mdp, PolicyMismatch, ProductMdp,
-                            UtilityFn, blend, build_product, induce_chain,
-                            lift_utilities, policy_from_rule, uniform_policy)
+from effsynth.model import (Dra, Mdp, PolicyMismatch, UtilityFn, blend,
+                            build_product, induce_chain, lift_utilities,
+                            policy_from_rule, uniform_policy)
 from effsynth import synthesis
 from effsynth.synthesis import build_reward_k, synth_general
 
@@ -296,6 +296,7 @@ def test_product_matches_dict_bfs(rng):
         order, trans, acc = product_reference(m, d)
         pm = build_product(m, d)
         assert list(pm.components) == order
+        assert pm.parent is m
         assert pm.state_names == tuple(f"{m.state_names[s]}&q{q}"
                                        for s, q in order)
         assert pm.labels == tuple(m.labels[s] for s, _ in order)
@@ -306,8 +307,8 @@ def test_product_matches_dict_bfs(rng):
         assert pm.trans == trans
         assert all(list(pm.trans[sa]) == list(trans[sa]) for sa in trans)
         for j, (i, a) in enumerate(pm.state_action_pairs()):
-            assert int(pm.base_pair[j]) == list(m.state_action_pairs()).index(
-                (order[i][0], a))
+            assert int(pm.parent_pair[j]) == list(
+                m.state_action_pairs()).index((order[i][0], a))
 
 
 def test_induce_chain_and_utility_vector_match_loops(rng):
@@ -381,8 +382,8 @@ def test_partial_policy_scope_matches_loops(rng):
         if not mecs or len(mecs[0][0]) == base.n_states:
             continue
         states, ec_acts = mecs[0]
-        pm = ProductMdp(base.state_names, base.action_names,
-                        min(states), base.trans, [(set(), states)])
+        pm = Mdp(base.state_names, base.action_names, min(states),
+                 base.trans, acc_pairs=[(set(), states)])
         r, c = random_utilities(rng, pm)
         rule = {s: {a: 1.0 / len(acts) for a in sorted(acts)}
                 for s, acts in ec_acts.items()}
@@ -676,12 +677,12 @@ def test_lift_replaces_whole_rows(rng):
             ref = dict(base_rule)
             ref.update({ids[s]: d for s, d in sub_rule.items()})
             onto = policy_from_rule(m, base_rule)
-            got = synthesis._lift(m, sub, ids, policy_from_rule(sub, sub_rule),
+            got = synthesis._lift(sub, ids, policy_from_rule(sub, sub_rule),
                                   onto=onto)
             assert np.array_equal(got, weights_reference(m, ref))
             alone = {ids[s]: d for s, d in sub_rule.items()}
             assert np.array_equal(
-                synthesis._lift(m, sub, ids, policy_from_rule(sub, sub_rule)),
+                synthesis._lift(sub, ids, policy_from_rule(sub, sub_rule)),
                 weights_reference(m, alone))
             dropped += sub.n_pairs < sum(len(m.available[g]) for g in ids)
     assert dropped > 0
@@ -715,14 +716,14 @@ def test_parent_pair_records_where_sub_pairs_come_from(rng):
             region[pm.pair_state[ec]] = True
         sub, ids = restrict(pm, closed_pairs(pm, region))
         check_parent_pairs(pm, sub, ids)
-        assert np.array_equal(sub.base_pair, pm.base_pair[sub.parent_pair])
+        assert sub.parent is pm
         for ec in mec_decompose(sub):
             sub2, ids2 = restrict(sub, ec)
             check_parent_pairs(sub, sub2, ids2)
-            composed = sub.parent_pair[sub2.parent_pair]
-            assert np.array_equal(sub2.base_pair, pm.base_pair[composed])
+            assert sub2.parent is sub
             done += 1
         for ec in mecs:
             sub3, ids3 = restrict(pm, ec)
             check_parent_pairs(pm, sub3, ids3)
-    assert pm.parent_pair is None and m.parent_pair is None
+            assert sub3.parent is pm
+    assert m.parent is None and m.parent_pair is None

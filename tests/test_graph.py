@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from effsynth.model import (Mdp, ProductMdp, induce_chain, policy_from_rule,
+from effsynth.model import (Mdp, induce_chain, policy_from_rule,
                             rabin_witness, support_csr, uniform_policy)
 from effsynth.graph import (Unreachable, _successors, almost_sure_region,
                             amec_filter, attractor_policy, closed_pairs,
@@ -180,9 +180,23 @@ def test_maec_example1():
 
 def test_maec_empty_when_no_accepting_state():
     pm = example1_product()
-    pm = ProductMdp(pm.state_names, pm.action_names, pm.initial, pm.trans,
-                    [({2}, set())])
+    pm = Mdp(pm.state_names, pm.action_names, pm.initial, pm.trans,
+             acc_pairs=[({2}, set())])
     assert maec_decompose(pm) == []
+
+
+def test_plain_model_has_no_acceptance_pairs(rng):
+    """A model built without Rabin pairs, and each sub-model cut out of it,
+    carries acc_pairs == () and no components, so it has no MAEC."""
+    for trial in range(8):
+        m = random_mdp(rng, int(rng.integers(3, 8)), 2)
+        assert m.acc_pairs == () and m.components is None
+        assert maec_decompose(m) == []
+        for ec in mec_decompose(m):
+            sub, _ = restrict(m, ec)
+            assert sub.acc_pairs == () and sub.components is None
+            assert sub.parent is m
+            assert maec_decompose(sub) == []
 
 
 def test_maec_matches_brute_force(rng):
@@ -206,9 +220,9 @@ def test_amec_example1():
 
 
 def test_amec_when_maec_is_whole_mec():
-    pm = ProductMdp(["x", "y"], ["a"], 0,
-                    {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
-                    [(set(), {1})])
+    pm = Mdp(["x", "y"], ["a"], 0,
+             {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
+             acc_pairs=[(set(), {1})])
     amecs = amecs_of(pm)
     assert len(amecs) == 1
     assert ec_parts(pm, amecs[0])[0] == frozenset({0, 1})
@@ -235,9 +249,9 @@ def test_region_includes_amec_states():
 
 
 def test_region_excludes_unconnected_sink():
-    pm = ProductMdp(["s", "t"], ["a"], 0,
-                    {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}},
-                    [(set(), {0})])
+    pm = Mdp(["s", "t"], ["a"], 0,
+             {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}},
+             acc_pairs=[(set(), {0})])
     assert region_states(almost_sure_region(pm, amecs_of(pm))) == {0}
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from effsynth.model import (AlphabetMismatch, Dra, Mdp, ModelError,
-                            PolicyMismatch, ProductMdp, UtilityFn, alphabet,
-                            blend, build_product, induce_chain,
-                            policy_from_rule, uniform_policy, validate_mdp)
+                            PolicyMismatch, UtilityFn, alphabet, blend,
+                            build_product, induce_chain, policy_from_rule,
+                            uniform_policy, validate_mdp)
 
 from conftest import dense_p, deterministic, example1_mdp, random_mdp, \
     random_policy

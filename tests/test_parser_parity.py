@@ -371,6 +371,10 @@ def ref_parse_dra(text):
             count = int(line.split()[1])
             if count != len(names):
                 raise ParseError("AP count disagrees with names", ln)
+            dup = next((p for i, p in enumerate(names) if p in names[:i]),
+                       None)
+            if dup is not None:
+                raise ParseError(f"duplicate AP {dup!r}", ln)
             ap = names
         elif line.startswith("Acceptance:"):
             rest = line.split(":", 1)[1].strip()
@@ -1005,6 +1009,7 @@ DRA_CASES = {
     "acceptance set beyond the count": (11, "State: 1 {1 4}"),
     "unknown header": (4, 'APs: 2 "g" "b"'),
     "AP count mismatch": (4, 'AP: 3 "g" "b"'),
+    "duplicate AP": (4, 'AP: 2 "g" "g"'),
     "bad Acceptance header": (5, "Acceptance: Fin(0) & Inf(1)"),
     "non-Rabin term": (5, "Acceptance: 2 Inf(1)"),
     "acceptance index out of range": (5, "Acceptance: 2 Fin(0) & Inf(3)"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from effsynth.model import Mdp, ProductMdp, UtilityFn, uniform_policy
+from effsynth.model import Mdp, UtilityFn, uniform_policy
 from effsynth.chain import analyze, efficiency, limit_distribution
 from effsynth.sim import RolloutConfig, simulate
 from effsynth.synthesis import synth_general
@@ -101,7 +101,7 @@ def pair_visits(pm, p, cfg):
 def test_acceptance_visits_grow_only_for_accepting_class():
     # two-state accepting loop vs an absorbing rejecting state
     trans = {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}, (2, 0): {2: 1.0}}
-    pm = ProductMdp(["g0", "g1", "bad"], ["a"], 0, trans, [({2}, {1})])
+    pm = Mdp(["g0", "g1", "bad"], ["a"], 0, trans, acc_pairs=[({2}, {1})])
     p = deterministic(pm, {0: 0, 1: 0, 2: 0})
     short = pair_visits(pm, p, RolloutConfig(steps=1000, rollouts=2, seed=3))
     long = pair_visits(pm, p, RolloutConfig(steps=4000, rollouts=2, seed=3))
@@ -112,7 +112,7 @@ def test_acceptance_visits_grow_only_for_accepting_class():
 def test_acceptance_visits_count_bad_states():
     # a policy violating acceptance by construction: B recurs with the loop
     trans = {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}}
-    pm = ProductMdp(["x", "y"], ["a"], 0, trans, [({1}, {0})])
+    pm = Mdp(["x", "y"], ["a"], 0, trans, acc_pairs=[({1}, {0})])
     p = deterministic(pm, {0: 0, 1: 0})
     visits = pair_visits(pm, p, RolloutConfig(steps=1000, rollouts=1, seed=0))
     assert visits[0][1] == 500  # B-state hit every other step

@@ -5,9 +5,8 @@ import pytest
 
 from effsynth import chain, graph, lp, model, synthesis
 from effsynth.casestudies import gen_case1
-from effsynth.model import (Mdp, ModelError, ProductMdp, UtilityFn, blend,
-                            build_product, induce_chain, lift_utilities,
-                            uniform_policy)
+from effsynth.model import (Mdp, ModelError, UtilityFn, blend, build_product,
+                            induce_chain, lift_utilities, uniform_policy)
 from effsynth.graph import (almost_sure_region, maec_decompose, mec_decompose,
                             restrict)
 from effsynth.chain import (NotUnichain, analyze, average_utility,
@@ -462,9 +461,9 @@ def test_synth_no_perturbation_when_optimum_accepts():
 
 
 def test_synth_unique_policy_single_action():
-    pm = ProductMdp(["x", "y"], ["a"], 0,
-                    {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
-                    [(set(), {1})])
+    pm = Mdp(["x", "y"], ["a"], 0,
+             {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
+             acc_pairs=[(set(), {1})])
     r = UtilityFn({(0, 0): 2.0, (1, 0): 0.0}, "reward").pair_values(pm)
     c = np.full(pm.n_pairs, 1.0)
     rep = synth_general(pm, r, c, 0.05)
@@ -475,9 +474,9 @@ def test_synth_unique_policy_single_action():
 
 
 def test_synth_raises_without_accepting_component():
-    pm = ProductMdp(["x", "y"], ["a"], 0,
-                    {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
-                    [({0}, {1})])  # the only loop passes through B
+    pm = Mdp(["x", "y"], ["a"], 0,
+             {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
+             acc_pairs=[({0}, {1})])  # the only loop passes through B
     r = np.full(pm.n_pairs, 1.0)
     c = np.full(pm.n_pairs, 1.0)
     with pytest.raises(TaskUnsatisfiable):
@@ -551,8 +550,8 @@ def two_amec_instance():
         (1, 0): {2: 1.0}, (2, 0): {1: 1.0},
         (3, 0): {4: 1.0}, (4, 0): {3: 1.0},
     }
-    pm = ProductMdp(["start", "a1", "a2", "b1", "b2"], ["a"], 0, trans,
-                    [(set(), {1, 3})])
+    pm = Mdp(["start", "a1", "a2", "b1", "b2"], ["a"], 0, trans,
+             acc_pairs=[(set(), {1, 3})])
     r = UtilityFn({(0, 0): 0.0, (1, 0): 1.0, (2, 0): 1.0,
                    (3, 0): 3.0, (4, 0): 3.0}, "reward").pair_values(pm)
     c = np.full(pm.n_pairs, 1.0)
@@ -582,8 +581,8 @@ def trap_instance(acc_pairs=((set(), {2, 4}),)):
         (2, 0): {3: 1.0}, (3, 0): {2: 1.0},
         (4, 0): {5: 1.0}, (5, 0): {4: 1.0},
     }
-    pm = ProductMdp(["start", "trap", "a1", "a2", "b1", "b2"],
-                    ["a", "b"], 0, trans, acc_pairs)
+    pm = Mdp(["start", "trap", "a1", "a2", "b1", "b2"],
+             ["a", "b"], 0, trans, acc_pairs=acc_pairs)
     r = UtilityFn({(0, 0): 0.0, (0, 1): 0.0, (1, 0): 9.0,
                    (2, 0): 1.0, (3, 0): 1.0, (4, 0): 2.0, (5, 0): 2.0},
                   "reward").pair_values(pm)
@@ -605,7 +604,7 @@ def test_synth_general_region_restriction_with_trap():
 
 
 def test_synth_general_unsatisfiable_without_amec():
-    pm = ProductMdp(["x"], ["a"], 0, {(0, 0): {0: 1.0}}, [({0}, {0})])
+    pm = Mdp(["x"], ["a"], 0, {(0, 0): {0: 1.0}}, acc_pairs=[({0}, {0})])
     r = np.full(pm.n_pairs, 1.0)
     c = np.full(pm.n_pairs, 1.0)
     with pytest.raises(TaskUnsatisfiable):
@@ -615,7 +614,7 @@ def test_synth_general_unsatisfiable_without_amec():
 def test_synth_general_unsatisfiable_from_initial():
     # accepting loop exists but the initial state cannot reach it
     trans = {(0, 0): {0: 1.0}, (1, 0): {1: 1.0}}
-    pm = ProductMdp(["trap", "good"], ["a"], 0, trans, [(set(), {1})])
+    pm = Mdp(["trap", "good"], ["a"], 0, trans, acc_pairs=[(set(), {1})])
     r = np.full(pm.n_pairs, 1.0)
     c = np.full(pm.n_pairs, 1.0)
     with pytest.raises(TaskUnsatisfiable):
@@ -626,8 +625,8 @@ def test_arguments_are_checked_before_any_work():
     """synth_general checks epsilon, the method and the cost's sign first:
     on a product without accepting component it still reports the bad
     argument, not the missing component."""
-    pm = ProductMdp(["x", "y"], ["a"], 0, {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
-                    [({0}, {1})])  # the only loop passes through B
+    pm = Mdp(["x", "y"], ["a"], 0, {(0, 0): {1: 1.0}, (1, 0): {0: 1.0}},
+             acc_pairs=[({0}, {1})])  # the only loop passes through B
     r = np.full(pm.n_pairs, 1.0)
     c = np.full(pm.n_pairs, 1.0)
     with pytest.raises(ValueError, match="epsilon must be positive"):
@@ -671,7 +670,7 @@ def random_multichain_product(rng, distinct_gap=0.05):
     n = base + n_tr
     names = [f"s{i}" for i in range(n)]
     g = {blocks[0][0], blocks[1][0]}
-    pm = ProductMdp(names, ["a", "b"], tr_ids[0], trans, [(set(), g)])
+    pm = Mdp(names, ["a", "b"], tr_ids[0], trans, acc_pairs=[(set(), g)])
     r, c = random_utilities(rng, pm)
     amecs = amecs_of(pm)
     if len(amecs) != 2:
@@ -830,8 +829,8 @@ def two_maec_instance():
     trans = {(0, 0): {0: 1.0}, (0, 1): {1: 1.0},
              (1, 0): {0: 1.0}, (1, 1): {2: 1.0},
              (2, 0): {2: 1.0}, (2, 1): {1: 1.0}}
-    pm = ProductMdp(["left", "mid", "right"], ["a", "b"], 0, trans,
-                    [({1}, {0, 2})])
+    pm = Mdp(["left", "mid", "right"], ["a", "b"], 0, trans,
+             acc_pairs=[({1}, {0, 2})])
     r = UtilityFn({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0,
                    (2, 0): 2.0, (2, 1): 0.0}, "reward").pair_values(pm)
     return pm, r, np.full(pm.n_pairs, 1.0)

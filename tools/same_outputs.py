@@ -104,6 +104,8 @@ MALFORMED = (
      lambda l: l.replace("rule", "rules", 1)),
     ("hoa_states", "grid9", "task.hoa", "States:", lambda l: "States: 9"),
     ("hoa_ap", "grid9", "task.hoa", "AP:", lambda l: 'AP: 4 "d" "b" "c"'),
+    ("hoa_ap_repeat", "grid9", "task.hoa", "AP:",
+     lambda l: 'AP: 3 "d" "d" "c"'),
     ("hoa_acceptance", "mc00", "task.hoa", "Acceptance:",
      lambda l: "Acceptance: 2 Inf(1)"),
     ("hoa_state_sets", "mc00", "task.hoa", "State:",
