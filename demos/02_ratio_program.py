@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from effsynth import (Mdp, UtilityFn, analyze, decode_ratio_policy,
-                      efficiency, policy_from_rule, solve_ratio_lfp)
+                      efficiency, policy_from_entries, solve_ratio_lfp)
 
 rng = np.random.default_rng(7)
 n = 5
@@ -42,7 +42,7 @@ print(f"decoded policy efficiency: "
 
 best = -np.inf
 for combo in itertools.product(*[m.available[s] for s in range(n)]):
-    p = policy_from_rule(m, {s: {a: 1.0} for s, a in enumerate(combo)})
+    p = policy_from_entries(m, np.arange(n), np.array(combo), np.ones(n))
     cb = analyze(m, p)
     best = max(best, efficiency(cb, m, r, c, p, m.initial))
 print(f"brute force over {2 ** n} deterministic policies: {best:.6f}")

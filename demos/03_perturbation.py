@@ -11,7 +11,7 @@ import numpy as np
 
 from effsynth import (Mdp, UtilityFn, analyze, blend, efficiency,
                       limit_distribution, perturbation_degree_estimated,
-                      perturbation_degree_exact, policy_from_rule,
+                      perturbation_degree_exact, policy_from_entries,
                       uniform_policy)
 from effsynth.chain import ratio_deviation, utility_vector
 
@@ -22,7 +22,8 @@ m = Mdp(["hub", "way", "far"], ["a", "b"], 0,
 r = UtilityFn({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0,
                (2, 0): 0.0, (2, 1): -50.0}, "reward").pair_values(m)
 c = np.full(m.n_pairs, 1.0)
-mu_opt = policy_from_rule(m, {0: {0: 1.0}, 1: {0: 1.0}, 2: {0: 1.0}})
+mu_opt = policy_from_entries(m, np.arange(3), np.zeros(3, dtype=np.int64),
+                             np.ones(3))
 mu_irr = uniform_policy(m)
 ca_opt = analyze(m, mu_opt)
 

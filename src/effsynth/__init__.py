@@ -4,7 +4,7 @@ omega-regular tasks given as deterministic Rabin automata."""
 __version__ = "0.1.0"
 
 from .model import (Mdp, UtilityFn, blend, build_product, lift_utilities,
-                    policy_from_rule, uniform_policy)
+                    policy_from_entries, uniform_policy)
 from .graph import (almost_sure_region, amec_filter, maec_decompose,
                     mec_decompose)
 from .chain import analyze, efficiency, limit_distribution

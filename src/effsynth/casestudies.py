@@ -178,18 +178,9 @@ def dra_recurrence_avoid() -> Dra:
     q0 waits for d, q1 flags a d-visit, q2 is the absorbing failure state.
     """
     ap = ("d", "b", "c")
-    delta = {}
-    for q in (0, 1):
-        for sym in alphabet(ap):
-            if "b" in sym:
-                delta[(q, sym)] = 2
-            elif "d" in sym:
-                delta[(q, sym)] = 1
-            else:
-                delta[(q, sym)] = 0
-    for sym in alphabet(ap):
-        delta[(2, sym)] = 2
-    return Dra(3, 0, ap, delta, [({2}, {1})])
+    wait = [2 if "b" in sym else 1 if "d" in sym else 0
+            for sym in alphabet(ap)]
+    return Dra(3, 0, ap, [wait, wait, [2] * len(wait)], [({2}, {1})])
 
 
 def dra_recurrence_avoid_charge() -> Dra:
@@ -199,24 +190,12 @@ def dra_recurrence_avoid_charge() -> Dra:
     completed d-then-c round, q4 is the absorbing failure state.
     """
     ap = ("d", "b", "c")
-    delta = {}
-    for q in (0, 1, 3):
-        for sym in alphabet(ap):
-            if "b" in sym:
-                delta[(q, sym)] = 4
-            elif "d" in sym:
-                delta[(q, sym)] = 2
-            else:
-                delta[(q, sym)] = 1
-    for sym in alphabet(ap):
-        if "b" in sym:
-            delta[(2, sym)] = 4
-        elif "c" in sym:
-            delta[(2, sym)] = 3
-        else:
-            delta[(2, sym)] = 2
-        delta[(4, sym)] = 4
-    return Dra(5, 0, ap, delta, [({4}, {3})])
+    wait_d = [4 if "b" in sym else 2 if "d" in sym else 1
+              for sym in alphabet(ap)]
+    wait_c = [4 if "b" in sym else 3 if "c" in sym else 2
+              for sym in alphabet(ap)]
+    return Dra(5, 0, ap, [wait_d, wait_d, wait_c, wait_d, [4] * len(wait_d)],
+               [({4}, {3})])
 
 
 # --- case 2: nested-ring factory ------------------------------------------
@@ -353,9 +332,6 @@ def dra_command_then_material() -> Dra:
     """3-state automaton for: infinitely often, a command visit followed by a
     material visit (round-robin over g then r)."""
     ap = ("g", "r")
-    delta = {}
-    for sym in alphabet(ap):
-        delta[(0, sym)] = 1 if "g" in sym else 0
-        delta[(1, sym)] = 2 if "r" in sym else 1
-        delta[(2, sym)] = 1 if "g" in sym else 0
-    return Dra(3, 0, ap, delta, [(set(), {2})])
+    wait_g = [1 if "g" in sym else 0 for sym in alphabet(ap)]
+    wait_r = [2 if "r" in sym else 1 for sym in alphabet(ap)]
+    return Dra(3, 0, ap, [wait_g, wait_r, wait_g], [(set(), {2})])

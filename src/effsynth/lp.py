@@ -7,11 +7,13 @@ support-based decoders need, and checks the status, the signs and the
 backward error of what comes back.  HiGHS runs without presolve
 (HIGHS_OPTIONS): on the ratio programs of the delivery grids and of random
 multichain products it cost about a fifth of the solve time, and each
-program keeps its optimal support without it.  scipy is imported inside
-the solvers, so a process that solves no LP never loads it.  The
-reward-to-cost ratio program over occupation measures is reduced to an LP
-by the Charnes-Cooper substitution and assembled sparse, straight from the
-model's pair and successor arrays.
+program keeps its optimal support without it.  Its primal and dual
+feasibility tolerances are 1e-10, below the FEAS_TOL its answers are
+checked at; at the default 1e-7, small random products failed those
+checks.  scipy is imported inside the solvers, so a process that solves
+no LP never loads it.  The reward-to-cost ratio program over occupation
+measures is reduced to an LP by the Charnes-Cooper substitution and
+assembled sparse, straight from the model's pair and successor arrays.
 
 The multichain average-reward LP is assembled the same way, but still
 runs on the in-house dense primal tableau (_solve_tableau: two phases,
@@ -35,7 +37,8 @@ from .graph import attractor_policy, is_communicating
 from .chain import _entries, analyze
 
 HIGHS_METHOD = "highs-ds"  # linprog's method for solve_lp
-HIGHS_OPTIONS = {"presolve": False}  # and its options
+HIGHS_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10}  # and its options
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-9
 SUPPORT_THRESHOLD = 1e-9  # occupation mass below this is treated as zero

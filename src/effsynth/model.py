@@ -9,12 +9,14 @@ read-only weight vector over those pairs (policy_from_entries reads one
 from (state, action, probability) entries, as a policy file lists them);
 its domain is the set of states whose row has positive mass.  A utility is
 likewise a value vector over a model's pairs (UtilityFn is the table it is
-read from at the input edge).  The dict forms (the Mdp constructor's
-trans, Mdp.trans, Mdp.available, UtilityFn(dict) and policy_from_rule)
-are adapters over the same builders and arrays: no module of the package
-calls them; they serve in-memory callers such as the tests.  A product
-(an Mdp with Rabin pairs) and a sub-model each take their share of any such
-vector by one gather through parent_pair, their one link to their parent.
+read from at the input edge).  A Rabin automaton (Dra) is one transition
+table over the symbols of 2^AP, numbered as alphabet numbers them.  The
+dict forms (the Mdp constructor's trans, Mdp.trans, Mdp.available,
+UtilityFn(dict) and the Dra.delta view) are adapters over the same builders
+and arrays: no module of the package calls them; they serve in-memory
+callers such as the tests.  A product (an Mdp with Rabin pairs) and a
+sub-model each take their share of any such vector by one gather through
+parent_pair, their one link to their parent.
 Inducing a chain or a per-state utility is one scatter over the entries,
 summed in the same order as a loop over the pairs would sum; an induced
 chain (Mc) keeps its matrix in CSR form, with an entry exactly on each
@@ -213,30 +215,45 @@ class Mdp:
 class Dra:
     """Deterministic Rabin automaton over the alphabet 2^AP.
 
-    delta maps (aut_state, frozenset-of-props) -> aut_state and must be total.
-    pairs is a nonempty list of (B, G) state sets.
+    table[q, b] is the state entered from q on symbol b, the symbols
+    numbered as alphabet(ap) numbers them: a read-only int64 array of shape
+    (n_states, 2^|AP|).  pairs is a nonempty list of (B, G) state sets.
     """
 
-    def __init__(self, n_states, initial, ap, delta, pairs):
+    def __init__(self, n_states, initial, ap, table, pairs):
         self.n_states = int(n_states)
         self.initial = int(initial)
         self.ap = tuple(ap)
-        self.delta = {(int(q), frozenset(sym)): int(q2)
-                      for (q, sym), q2 in delta.items()}
+        self.table = np.array(table, dtype=np.int64)
+        self.table.flags.writeable = False
         self.pairs = tuple((frozenset(b), frozenset(g)) for b, g in pairs)
         if not self.pairs:
             raise ModelError("a Rabin automaton needs at least one pair")
-        n_syms = 2 ** len(self.ap)
-        if len(self.delta) != self.n_states * n_syms:
-            raise ModelError(
-                f"delta is not total: {len(self.delta)} entries, "
-                f"expected {self.n_states * n_syms}")
+        if not 0 <= self.initial < self.n_states:
+            raise ModelError(f"initial state {self.initial} is not one of "
+                             f"the {self.n_states} states")
+        shape = (self.n_states, 2 ** len(self.ap))
+        if self.table.shape != shape:
+            raise ModelError(f"table has shape {self.table.shape}, "
+                             f"expected {shape}")
+        if ((self.table < 0) | (self.table >= self.n_states)).any():
+            raise ModelError("table enters a state outside "
+                             f"0..{self.n_states - 1}")
 
-    def step(self, q, symbol):
-        key = (q, frozenset(symbol))
-        if key not in self.delta:
-            raise AlphabetMismatch(f"no transition from {q} on {set(symbol)!r}")
-        return self.delta[key]
+    def symbol(self, props):
+        """The number of the symbol that holds exactly props; ValueError
+        if props names a proposition outside ap."""
+        return sum(1 << self.ap.index(p) for p in props)
+
+    def step(self, q, props):
+        return int(self.table[q, self.symbol(props)])
+
+    @cached_property
+    def delta(self):
+        """The table as a {(q, frozenset of props): q'} dict, q-major and
+        then by symbol number; perfbench/oracle.py reads it."""
+        return {(q, sym): dest for q, row in enumerate(self.table.tolist())
+                for sym, dest in zip(alphabet(self.ap), row)}
 
 
 def alphabet(ap):
@@ -244,25 +261,6 @@ def alphabet(ap):
     bit i of b is set."""
     return [frozenset(p for i, p in enumerate(ap) if b >> i & 1)
             for b in range(2 ** len(ap))]
-
-
-def policy_from_rule(m: Mdp, rule) -> np.ndarray:
-    """The policy of a {state: {action: probability}} rule as a read-only
-    weight vector over m's pairs (see policy_from_entries).  A state listed
-    with no action at all has mass 0."""
-    rows = [(int(s), sorted((int(a), float(p)) for a, p in d.items()))
-            for s, d in rule.items()]
-    empty = next((i for i, (_, d) in enumerate(rows) if not d), len(rows))
-    rows, rest = rows[:empty], rows[empty:]
-    n = sum(len(d) for _, d in rows)
-    w = policy_from_entries(
-        m, np.fromiter((s for s, d in rows for _ in d), np.int64, n),
-        np.fromiter((a for _, d in rows for a, _ in d), np.int64, n),
-        np.fromiter((p for _, d in rows for _, p in d), float, n))
-    if rest:   # raised after any fault of the states listed before it
-        raise PolicyMismatch(
-            f"state {m.state_names[rest[0][0]]}: probabilities sum to 0")
-    return w
 
 
 def policy_from_entries(m: Mdp, states, actions, probs) -> np.ndarray:
@@ -503,20 +501,21 @@ def build_product(m: Mdp, d: Dra) -> Mdp:
             raise AlphabetMismatch(
                 f"state {m.state_names[s]} labeled {set(m.labels[s])!r} "
                 f"outside automaton alphabet {d.ap!r}")
-    # step[q][t]: the automaton state after entering base state t from q
-    step = [[d.step(q, lab) for lab in m.labels] for q in range(d.n_states)]
+    # step[q, t]: the automaton state after entering base state t from q
+    step = d.table[:, [d.symbol(lab) for lab in m.labels]]
+    rows = step.tolist()
     succ, ptr, sptr = (m.succ_state.tolist(), m.succ_ptr.tolist(),
                        m.state_ptr.tolist())
     # each base state's successors, in first-seen pair-then-successor order
     targets = [list(dict.fromkeys(succ[ptr[sptr[s]]:ptr[sptr[s + 1]]]))
                for s in range(m.n_states)]
-    start = (m.initial, d.step(d.initial, m.labels[m.initial]))
+    start = (m.initial, rows[d.initial][m.initial])
     index = {start: 0}
     order = [start]
     i = 0
     while i < len(order):
         s, q = order[i]
-        row = step[q]
+        row = rows[q]
         for t in targets[s]:
             key = (t, row[t])
             if key not in index:
@@ -533,7 +532,7 @@ def build_product(m: Mdp, d: Dra) -> Mdp:
     number[base_s, base_q] = np.arange(len(order))
     t = m.succ_state[entries]
     q_from = np.repeat(np.repeat(base_q, counts), np.diff(succ_ptr))
-    succ_state = number[t, np.array(step, dtype=np.int64)[q_from, t]]
+    succ_state = number[t, step[q_from, t]]
     perm = np.lexsort((succ_state, np.repeat(np.arange(len(parent_pair)),
                                              np.diff(succ_ptr))))
     names = [f"{m.state_names[s]}&q{q}" for s, q in order]

@@ -421,19 +421,22 @@ def parse_dra(text) -> Dra:
                 raise ParseError(f"state {q} references acceptance set {idx} "
                                  "beyond the declared count")
 
-    symbols = alphabet(ap)
-    delta = {}
+    table = []
     for q in range(n_states):
         covered = overlap = wrong = 0
+        row = [0] * n_sym
         for bits, dest, _ in edges[q]:
             overlap |= covered & bits
             covered |= bits
             if not 0 <= dest < n_states:
                 wrong |= bits
+            for b in range(n_sym):
+                if bits >> b & 1:
+                    row[b] = dest
         fault = overlap | wrong | full & ~covered
         if fault:
             b = (fault & -fault).bit_length() - 1
-            sym = symbols[b]
+            sym = alphabet(ap)[b]
             hits = [(dest, ln) for bits, dest, ln in edges[q] if bits >> b & 1]
             if len(hits) > 1:
                 raise NondeterminismError(
@@ -443,19 +446,14 @@ def parse_dra(text) -> Dra:
                 raise IncompletenessError(
                     f"state {q}: no edge for symbol {set(sym) or '{}'}")
             raise ParseError(f"edge to unknown state {hits[0][0]}")
-        row = [None] * n_sym
-        for bits, dest, _ in edges[q]:
-            for b in range(n_sym):
-                if bits >> b & 1:
-                    row[b] = dest
-        delta.update(((q, sym), dest) for sym, dest in zip(symbols, row))
+        table.append(row)
 
     pairs = []
     for fin_i, inf_i in pairs_idx:
         b = {q for q, sets in memberships.items() if fin_i in sets}
         g = {q for q, sets in memberships.items() if inf_i in sets}
         pairs.append((b, g))
-    return Dra(n_states, start, ap, delta, pairs)
+    return Dra(n_states, start, ap, table, pairs)
 
 
 # --- canonical writers ----------------------------------------------------
@@ -506,8 +504,7 @@ def write_dra(d: Dra) -> str:
            " | ".join(f"Fin({2 * i}) & Inf({2 * i + 1})"
                       for i in range(len(d.pairs))),
            "--BODY--"]
-    symbols = alphabet(d.ap)
-    for q in range(d.n_states):
+    for q, row in enumerate(d.table.tolist()):
         sets = []
         for i, (b, g) in enumerate(d.pairs):
             if q in b:
@@ -516,10 +513,10 @@ def write_dra(d: Dra) -> str:
                 sets.append(2 * i + 1)
         suffix = (" {" + " ".join(str(x) for x in sets) + "}") if sets else ""
         out.append(f"State: {q}{suffix}")
-        for sym in symbols:
-            lits = [(str(i) if p in sym else f"!{i}")
-                    for i, p in enumerate(d.ap)] or ["t"]
-            out.append(f"[{' & '.join(lits)}] {d.delta[(q, sym)]}")
+        for sym, dest in enumerate(row):
+            lits = [(str(i) if sym >> i & 1 else f"!{i}")
+                    for i in range(len(d.ap))] or ["t"]
+            out.append(f"[{' & '.join(lits)}] {dest}")
     out.append("--END--")
     return "\n".join(out) + "\n"
 

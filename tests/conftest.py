@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from effsynth.model import Mdp, UtilityFn, blend, csr_arrays, induce_chain, \
-    policy_domain, policy_from_rule, rabin_witness
+    policy_domain, policy_from_entries, rabin_witness
 from effsynth.graph import (amec_filter, is_communicating, maec_decompose,
                             mec_decompose)
 from effsynth.chain import (_deviation, _stationary, analyze, average_utility,
@@ -201,8 +201,19 @@ def random_utilities(rng, m, **kw):
     return r.pair_values(m), c.pair_values(m)
 
 
+def rule_policy(m, rule):
+    """The policy of a {state: {action: probability}} rule, read by
+    policy_from_entries from its entries, state by state and each state's
+    by action."""
+    rows = [(s, sorted(d.items())) for s, d in rule.items()]
+    return policy_from_entries(
+        m, np.array([s for s, d in rows for _ in d], dtype=np.int64),
+        np.array([a for _, d in rows for a, _ in d], dtype=np.int64),
+        np.array([p for _, d in rows for _, p in d], dtype=float))
+
+
 def random_policy(rng, m):
-    return policy_from_rule(m, random_rule(rng, m))
+    return rule_policy(m, random_rule(rng, m))
 
 
 def random_rule(rng, m):
@@ -215,7 +226,7 @@ def random_rule(rng, m):
 
 def deterministic(m, assignment):
     """The policy taking action assignment[s] at each state s it lists."""
-    return policy_from_rule(m, {s: {a: 1.0} for s, a in assignment.items()})
+    return rule_policy(m, {s: {a: 1.0} for s, a in assignment.items()})
 
 
 def rule_of(m, w):

@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from effsynth.model import (build_product, induce_chain, lift_utilities,
-                            validate_mdp)
+from effsynth.model import (alphabet, build_product, induce_chain,
+                            lift_utilities, validate_mdp)
 from effsynth.graph import is_communicating
 from effsynth.chain import analyze, efficiency
 from effsynth.lp import decode_ratio_policy, solve_ratio_lfp
@@ -16,9 +16,10 @@ from effsynth.casestudies import (COST_BY_DISTANCE, MAX_SIZE, Case1Params,
                                   dra_recurrence_avoid_charge, gen_case1,
                                   gen_case2)
 
-from effsynth.parsers import write_dra, write_mdp, write_utilities
+from effsynth.parsers import parse_dra, write_dra, write_mdp, write_utilities
 
 from conftest import accepts_lasso, delivery_grid, dense_p
+from test_model import dict_dra_delta
 
 
 def cell_of(m, s):
@@ -239,6 +240,40 @@ def test_case1_dra_phi2_words():
     assert not accepts_lasso(d, word(), word({"c"}))      # no delivery
     assert not accepts_lasso(d, word({"b"}), word({"d"}, {"c"}))
     assert accepts_lasso(d, word({"c"}, {"c"}), word({"c"}, {"d"}))
+
+
+def dict_built_automata():
+    """The delta dicts the three case-study automata were once built from,
+    as (automaton, n_states, ap, delta)."""
+    ap1, ap2 = ("d", "b", "c"), ("g", "r")
+    phi1, phi2, task2 = {}, {}, {}
+    for sym in alphabet(ap1):
+        for q in (0, 1):
+            phi1[(q, sym)] = 2 if "b" in sym else 1 if "d" in sym else 0
+        phi1[(2, sym)] = 2
+        for q in (0, 1, 3):
+            phi2[(q, sym)] = 4 if "b" in sym else 2 if "d" in sym else 1
+        phi2[(2, sym)] = 4 if "b" in sym else 3 if "c" in sym else 2
+        phi2[(4, sym)] = 4
+    for sym in alphabet(ap2):
+        task2[(0, sym)] = 1 if "g" in sym else 0
+        task2[(1, sym)] = 2 if "r" in sym else 1
+        task2[(2, sym)] = 1 if "g" in sym else 0
+    return [(dra_recurrence_avoid(), 3, ap1, phi1),
+            (dra_recurrence_avoid_charge(), 5, ap1, phi2),
+            (dra_command_then_material(), 3, ap2, task2)]
+
+
+def test_case_study_tables_are_the_dict_built_automata():
+    """Each case-study automaton's table, read through the delta view, is
+    the mapping its dict form stored, and it round-trips through the HOA
+    writer."""
+    for d, n, ap, delta in dict_built_automata():
+        assert (d.n_states, d.ap) == (n, ap)
+        assert d.delta == dict_dra_delta(n, ap, delta)
+        back = parse_dra(write_dra(d))
+        assert np.array_equal(back.table, d.table)
+        assert (back.initial, back.pairs) == (d.initial, d.pairs)
 
 
 def test_case1_dra_brute_force_language_check(rng):

@@ -123,9 +123,11 @@ def test_synthesize_value_matches_lfp(files, capsys):
     assert payload["report"]["certificate"]["accepted"] is True
     assert open(out).read().startswith("# policy")
     import scipy
-    assert payload["manifest"]["lp"] == {"method": "highs-ds",
-                                         "options": {"presolve": False},
-                                         "scipy": scipy.__version__}
+    assert payload["manifest"]["lp"] == {
+        "method": "highs-ds",
+        "options": {"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                    "dual_feasibility_tolerance": 1e-10},
+        "scipy": scipy.__version__}
 
 
 @pytest.mark.parametrize("status", [1, 4])

@@ -22,7 +22,7 @@ from effsynth.lp import (AvgLpSolution, DegenerateDecoding, LfpSolution,
                          solve_avg_reward_lp)
 from effsynth.model import (Dra, Mdp, PolicyMismatch, UtilityFn, blend,
                             build_product, induce_chain, lift_utilities,
-                            policy_from_rule, uniform_policy)
+                            uniform_policy)
 from effsynth import synthesis
 from effsynth.synthesis import build_reward_k, synth_general
 
@@ -30,24 +30,22 @@ from conftest import (amecs_of, chain_model, dense_p, ec_parts,
                       random_communicating_mdp,
                       random_mdp, random_product, random_rule,
                       random_utilities, random_utility_tables, rule_of,
-                      utility_dict)
+                      rule_policy, utility_dict)
 from test_synthesis import random_multichain_product
 
 AP = ("g", "b")
 
 
 def random_dra(rng, n_states):
-    symbols = [frozenset(p for i, p in enumerate(AP) if bits & (1 << i))
-               for bits in range(2 ** len(AP))]
-    delta = {(q, sym): int(rng.integers(n_states))
-             for q in range(n_states) for sym in symbols}
+    table = [[int(rng.integers(n_states)) for _ in range(2 ** len(AP))]
+             for _ in range(n_states)]
 
     def some(lo, hi):
         k = min(int(rng.integers(lo, hi)), n_states)
         return {int(q) for q in rng.choice(n_states, size=k, replace=False)}
 
     pairs = [(some(0, 2), some(1, 3)) for _ in range(int(rng.integers(1, 3)))]
-    return Dra(n_states, int(rng.integers(n_states)), AP, delta, pairs)
+    return Dra(n_states, int(rng.integers(n_states)), AP, table, pairs)
 
 
 def labeled_mdp(rng, n_states, n_actions):
@@ -319,7 +317,7 @@ def test_induce_chain_and_utility_vector_match_loops(rng):
                        p_avail=0.9)
         r, _ = random_utilities(rng, m)
         rule = random_rule(rng, m)
-        p = policy_from_rule(m, rule)
+        p = rule_policy(m, rule)
         n = m.n_states
         assert np.array_equal(dense_p(induce_chain(m, p)),
                               chain_reference(m.trans, n, rule))
@@ -336,7 +334,7 @@ def test_deterministic_rules_skip_zero_weights(rng):
                   "reward").pair_values(m)
     rule = {s: {a: (1.0 if k == 0 else 0.0) for k, a in enumerate(acts)}
             for s, acts in enumerate(m.available)}
-    p = policy_from_rule(m, rule)
+    p = rule_policy(m, rule)
     assert np.array_equal(dense_p(induce_chain(m, p)),
                           chain_reference(m.trans, m.n_states, rule))
     assert np.array_equal(utility_vector(m, r, p),
@@ -353,12 +351,12 @@ def test_weight_blend_is_the_rule_mix(rng):
         rule = random_rule(rng, m)
         rule_p = {s: {a: 1.0 / len(acts) for a in acts}
                   for s, acts in enumerate(m.available)}
-        mu, mu_p = policy_from_rule(m, rule), uniform_policy(m)
-        assert np.array_equal(mu_p, policy_from_rule(m, rule_p))
+        mu, mu_p = rule_policy(m, rule), uniform_policy(m)
+        assert np.array_equal(mu_p, rule_policy(m, rule_p))
         for delta in (1e-6, 0.3, 0.999999):
             w = blend(mu, mu_p, delta)
             mixed = mix_reference(rule, rule_p, delta)
-            assert np.array_equal(w, policy_from_rule(m, mixed))
+            assert np.array_equal(w, rule_policy(m, mixed))
             assert np.array_equal(dense_p(induce_chain(m, w)),
                                   chain_reference(m.trans, m.n_states, mixed))
             assert np.array_equal(utility_vector(m, c, w),
@@ -366,7 +364,7 @@ def test_weight_blend_is_the_rule_mix(rng):
                                                     m.n_states, mixed))
             ca = analyze(m, w)
             assert efficiency(ca, m, r, c, w, m.initial) == \
-                efficiency(ca, m, r, c, policy_from_rule(m, mixed),
+                efficiency(ca, m, r, c, rule_policy(m, mixed),
                            m.initial)
 
 
@@ -387,7 +385,7 @@ def test_partial_policy_scope_matches_loops(rng):
         r, c = random_utilities(rng, pm)
         rule = {s: {a: 1.0 / len(acts) for a in sorted(acts)}
                 for s, acts in ec_acts.items()}
-        policy = policy_from_rule(pm, rule)
+        policy = rule_policy(pm, rule)
         sub, local, r_sub, c_sub = cli._policy_scope(pm, policy, r, c)
         trans, ids = restrict_reference(pm.trans, pm.n_states, states)
         assert sub.trans == trans
@@ -465,7 +463,7 @@ def test_rollout_matches_numpy_indexed_loop(rng):
         m = random_communicating_mdp(rng, int(rng.integers(2, 7)), 2)
         r, c = random_utilities(rng, m)
         rule = random_rule(rng, m)
-        rows = sim._compound_rows(m, policy_from_rule(m, rule), r, c)
+        rows = sim._compound_rows(m, rule_policy(m, rule), r, c)
         ref = rows_reference(m.trans, m.n_states, rule, utility_dict(m, r),
                              utility_dict(m, c))
         assert [row[:4] for row in rows] == ref
@@ -628,10 +626,10 @@ def test_attractor_policy_matches_dict_layers(rng):
             ref = attractor_reference(m, target, rule)
         except Unreachable:
             with pytest.raises(Unreachable):
-                attractor_policy(m, target, policy_from_rule(m, rule))
+                attractor_policy(m, target, rule_policy(m, rule))
             unreachable += 1
             continue
-        got = attractor_policy(m, target, policy_from_rule(m, rule))
+        got = attractor_policy(m, target, rule_policy(m, rule))
         assert np.array_equal(got, weights_reference(m, ref))
         assert not got.flags.writeable
         done += 1
@@ -676,13 +674,13 @@ def test_lift_replaces_whole_rows(rng):
             sub_rule = random_rule(rng, sub)
             ref = dict(base_rule)
             ref.update({ids[s]: d for s, d in sub_rule.items()})
-            onto = policy_from_rule(m, base_rule)
-            got = synthesis._lift(sub, ids, policy_from_rule(sub, sub_rule),
+            onto = rule_policy(m, base_rule)
+            got = synthesis._lift(sub, ids, rule_policy(sub, sub_rule),
                                   onto=onto)
             assert np.array_equal(got, weights_reference(m, ref))
             alone = {ids[s]: d for s, d in sub_rule.items()}
             assert np.array_equal(
-                synthesis._lift(sub, ids, policy_from_rule(sub, sub_rule)),
+                synthesis._lift(sub, ids, rule_policy(sub, sub_rule)),
                 weights_reference(m, alone))
             dropped += sub.n_pairs < sum(len(m.available[g]) for g in ids)
     assert dropped > 0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from effsynth.model import (Mdp, induce_chain, policy_from_rule,
-                            rabin_witness, support_csr, uniform_policy)
+from effsynth.model import (Mdp, induce_chain, rabin_witness, support_csr,
+                            uniform_policy)
 from effsynth.graph import (Unreachable, _successors, almost_sure_region,
                             amec_filter, attractor_policy, closed_pairs,
                             is_communicating, maec_decompose, mec_decompose,
@@ -13,7 +13,7 @@ from conftest import (amecs_of, delivery_grid_product, dense_p, ec_parts,
                       enumerate_ecs, example1_mdp, example1_product,
                       max_reach_probability, maximal_ecs, random_mdp,
                       random_product, reach_sets, region_states, rule_of,
-                      scc_reference)
+                      rule_policy, scc_reference)
 
 
 def as_key(m, ec):
@@ -281,7 +281,7 @@ def test_attractor_on_line_graph():
     m = Mdp(["l", "m", "r"], ["left", "right"], 0,
             {(0, 1): {1: 1.0}, (1, 0): {0: 1.0}, (1, 1): {2: 1.0},
              (2, 0): {1: 1.0}, (2, 1): {2: 1.0}})
-    p = policy_from_rule(m, {2: {1: 1.0}})
+    p = rule_policy(m, {2: {1: 1.0}})
     full = rule_of(m, attractor_policy(m, {2}, p))
     assert full[0] == {1: 1.0}
     assert full[1] == {1: 1.0}
@@ -295,14 +295,14 @@ def test_attractor_prefers_the_earliest_layer():
             {(0, 0): {0: 0.99, 2: 0.01}, (1, 0): {0: 1.0}, (1, 1): {2: 1.0},
              (2, 0): {2: 1.0}})
     full = rule_of(m, attractor_policy(m, {2},
-                                       policy_from_rule(m, {2: {0: 1.0}})))
+                                       rule_policy(m, {2: {0: 1.0}})))
     assert full[0] == {0: 1.0}
     assert full[1] == {1: 1.0}
 
 
 def test_attractor_unreachable_on_example1():
     m = example1_mdp()
-    p = policy_from_rule(m, {2: {0: 1.0}, 3: {0: 0.5, 1: 0.5}})
+    p = rule_policy(m, {2: {0: 1.0}, 3: {0: 0.5, 1: 0.5}})
     with pytest.raises(Unreachable, match="1"):
         attractor_policy(m, {2, 3}, p)
 
@@ -314,7 +314,7 @@ def test_attractor_makes_outside_states_transient(rng):
         pm = random_product(rng, int(rng.integers(3, 8)), 2)
         mecs = mec_decompose(pm)
         target, acts0 = ec_parts(pm, mecs[0])
-        inside = policy_from_rule(pm, {s: {a: 1.0 / len(acts) for a in acts}
+        inside = rule_policy(pm, {s: {a: 1.0 / len(acts) for a in acts}
                                        for s, acts in acts0.items()})
         try:
             p = attractor_policy(pm, set(target), inside)

@@ -9,11 +9,12 @@ from effsynth.chain import analyze, average_utility, efficiency
 from effsynth.lp import (DegenerateDecoding, LpProblem, NotCommunicating,
                          decode_avg_policy, decode_ratio_policy, solve_lp,
                          solve_avg_reward_lp, solve_ratio_lfp)
+from effsynth.synthesis import synth_general
 
 from conftest import (amecs_of, brute_force_best_gain, brute_force_best_ratio,
                       delivery_grid_product, limit_matrix,
                       random_communicating_mdp,
-                      random_mdp, random_utilities, rule_of)
+                      random_mdp, random_product, random_utilities, rule_of)
 
 
 def pair_table(m, vals):
@@ -124,6 +125,22 @@ def test_lp_degenerate_cycling_guard():
         assert res.value == pytest.approx(enumerate_vertices_best(c, a, b),
                                           abs=1e-10)
         assert res.value == pytest.approx(0.05)
+
+
+def test_highs_answers_pass_the_backward_error_checks():
+    """Two small random products of one seeded draw whose ratio programs
+    HiGHS, at its default feasibility tolerance of 1e-7, answered outside
+    solve_lp's 1e-9 checks (trial 247 by its residual, trial 267 by a
+    negative basic value): each synthesis now certifies."""
+    rng = np.random.default_rng(7)
+    for trial in range(268):
+        n, k, p = (int(rng.integers(lo, hi)) for lo, hi in ((6, 30), (2, 4),
+                                                             (1, 3)))
+        pm = random_product(rng, n, k, n_pairs=p)
+        r = rng.uniform(0.1, 2.0, pm.n_pairs)
+        c = rng.uniform(0.5, 2.0, pm.n_pairs)
+        if trial in (247, 267):
+            assert synth_general(pm, r, c, 0.01, "es").certificate.accepted
 
 
 def single_state_two_loops():

@@ -3,11 +3,12 @@ import pytest
 
 from effsynth.model import (AlphabetMismatch, Dra, Mdp, ModelError,
                             PolicyMismatch, UtilityFn, alphabet, blend,
-                            build_product, induce_chain, policy_from_rule,
-                            uniform_policy, validate_mdp)
+                            build_product, induce_chain, uniform_policy,
+                            validate_mdp)
 
 from conftest import dense_p, deterministic, example1_mdp, random_mdp, \
-    random_policy
+    random_policy, rule_policy
+from test_exact import AP, random_dra
 
 
 def test_alphabet_numbers_symbols_by_bits():
@@ -17,8 +18,7 @@ def test_alphabet_numbers_symbols_by_bits():
 
 
 def accept_everything_dra(ap=("g",)):
-    delta = {(0, sym): 0 for sym in alphabet(ap)}
-    return Dra(1, 0, ap, delta, [(set(), {0})])
+    return Dra(1, 0, ap, [[0] * 2 ** len(ap)], [(set(), {0})])
 
 
 def test_validate_example1_clean():
@@ -93,12 +93,9 @@ def three_state_dra():
     """Tracks whether the last symbol contained g (q1) or was empty after a
     b (dead q2): enough structure to exercise the product."""
     ap = ("g", "b")
-    delta = {}
-    for sym in alphabet(ap):
-        for q in (0, 1):
-            delta[(q, sym)] = 2 if "b" in sym else (1 if "g" in sym else 0)
-        delta[(2, sym)] = 2
-    return Dra(3, 0, ap, delta, [({2}, {1})])
+    move = [2 if "b" in sym else (1 if "g" in sym else 0)
+            for sym in alphabet(ap)]
+    return Dra(3, 0, ap, [move, move, [2] * 4], [({2}, {1})])
 
 
 def test_product_obeys_transition_rule_exhaustively(rng):
@@ -142,6 +139,53 @@ def test_product_acceptance_pairs_lifted():
         assert (i in g) == (q == 1)
 
 
+def test_dra_table_is_checked_and_read_by_symbol_number():
+    """The constructor takes an (n_states, 2^|AP|) table of states, a
+    state as initial and at least one pair; symbol numbers a set of
+    propositions as alphabet does, and step reads the table."""
+    ap = ("g", "b")
+    table = [[0, 1, 1, 0], [1, 1, 0, 1]]
+    d = Dra(2, 1, ap, table, [({0}, {1})])
+    assert d.table.dtype == np.int64 and not d.table.flags.writeable
+    assert [d.symbol(sym) for sym in alphabet(ap)] == [0, 1, 2, 3]
+    assert [d.step(1, sym) for sym in alphabet(ap)] == table[1]
+    bad = [("shape", 2, 0, [[0, 1, 1], [0, 1, 1]], [({0}, {1})]),
+           ("shape", 3, 0, table, [({0}, {1})]),
+           ("shape", 1, 0, [0, 1, 0, 0], [({0}, {1})]),
+           ("outside 0..1", 2, 0, [[0, 1, 2, 1], [1, 1, 0, 1]],
+            [({0}, {1})]),
+           ("outside 0..1", 2, 0, [[0, -1, 1, 1], [1, 1, 0, 1]],
+            [({0}, {1})]),
+           ("at least one pair", 2, 0, table, []),
+           ("initial state 2", 2, 2, table, [({0}, {1})]),
+           ("initial state -1", 2, -1, table, [({0}, {1})])]
+    for match, n, initial, tab, pairs in bad:
+        with pytest.raises(ModelError, match=match):
+            Dra(n, initial, ap, tab, pairs)
+
+
+def dict_dra_delta(n_states, ap, delta):
+    """The {(state, frozenset): state} dict a Dra built from a delta dict
+    stored, with the totality check it made."""
+    out = {(int(q), frozenset(sym)): int(q2) for (q, sym), q2 in delta.items()}
+    assert len(out) == n_states * 2 ** len(ap)
+    return out
+
+
+def test_delta_view_is_the_dict_form_of_random_automata(rng):
+    """random_dra's table, drawn as the delta dict once was (state by
+    state, symbol by symbol), reads back as that dict, in its key order."""
+    for trial in range(30):
+        seed, n = int(rng.integers(2 ** 32)), int(rng.integers(1, 5))
+        d = random_dra(np.random.default_rng(seed), n)
+        draw = np.random.default_rng(seed)
+        want = dict_dra_delta(n, AP, {
+            (q, frozenset(p for i, p in enumerate(AP) if bits & (1 << i))):
+                int(draw.integers(n))
+            for q in range(n) for bits in range(2 ** len(AP))})
+        assert list(d.delta.items()) == list(want.items())
+
+
 def test_product_rejects_unknown_label():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}}, ("x",), [frozenset({"x"})])
     with pytest.raises(AlphabetMismatch):
@@ -170,7 +214,7 @@ def test_induce_chain_rejects_unavailable_action():
     m = example1_mdp()
     rule = {0: {1: 1.0}, 1: {1: 1.0}, 2: {0: 1.0}, 3: {0: 1.0}}
     with pytest.raises(PolicyMismatch):
-        induce_chain(m, policy_from_rule(m, rule))
+        induce_chain(m, rule_policy(m, rule))
 
 
 def test_mixture_linearity(rng):

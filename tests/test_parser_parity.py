@@ -17,15 +17,15 @@ import numpy as np
 import pytest
 
 from effsynth.model import (Dra, Mdp, ModelError, PolicyMismatch, PROB_TOL,
-                            Violation, build_product, policy_from_rule,
-                            validate_mdp)
+                            Violation, build_product, validate_mdp)
 from effsynth.parsers import (IncompletenessError, NondeterminismError,
                               ParseError, ValidationError, parse_dra,
                               parse_mdp, parse_policy, parse_utilities,
                               write_dra, write_mdp, write_policy,
                               write_utilities)
 
-from conftest import random_mdp, random_rule, random_utility_tables
+from conftest import random_mdp, random_rule, random_utility_tables, \
+    rule_policy
 from test_exact import random_dra
 
 AP = ("g", "b")
@@ -452,7 +452,9 @@ def ref_parse_dra(text):
         b = {q for q, sets in memberships.items() if fin_i in sets}
         g = {q for q, sets in memberships.items() if inf_i in sets}
         pairs.append((b, g))
-    return Dra(n_states, start, ap, delta, pairs)
+    return Dra(n_states, start, ap,
+               [[delta[(q, sym)] for _, sym in symbols]
+                for q in range(n_states)], pairs)
 
 
 # --- comparing outcomes --------------------------------------------------
@@ -616,7 +618,7 @@ def test_valid_policies_parse_to_the_same_vector(rng):
                     del rule[s]
                 elif rng.random() < 0.3:
                     rule[s] = {m.available[s][0]: 1.0}
-        text = decorate(write_policy(m, policy_from_rule(m, rule)), rng,
+        text = decorate(write_policy(m, rule_policy(m, rule)), rng,
                         shuffle_from=1)
         assert check_parity(parse_policy, ref_parse_policy, same_policy,
                             text, m) is None
@@ -688,7 +690,9 @@ def test_validate_mdp_reports_the_same_violations(rng):
         assert validate_mdp(x) == ref_validate_mdp(x)
 
 
-def test_policy_from_rule_reports_the_same_fault(rng):
+def test_policy_from_entries_reports_the_same_fault(rng):
+    """A rule's entries, read by policy_from_entries, fail as the reference
+    reads the rule; a state left with no entry at all is not listed."""
     seen = set()
     for trial in range(300):
         m = labeled_model(rng)
@@ -707,7 +711,8 @@ def test_policy_from_rule_reports_the_same_fault(rng):
             elif x < 0.3:   # no available action, maybe no action at all
                 rule[s] = {a: 0.0 for a in range(m.n_actions)
                            if a not in m.available[s]}
-        err = check_parity(policy_from_rule, ref_policy_from_rule,
+        rule = {s: d for s, d in rule.items() if d}
+        err = check_parity(rule_policy, ref_policy_from_rule,
                            same_policy, m, rule)
         seen.add(str(err).split(": ")[-1].split()[0] if err else None)
     assert {None, "action", "probability", "probabilities"} <= seen
@@ -967,7 +972,7 @@ def test_random_policy_corruptions_fail_the_same_way(rng):
                 Mdp(m.state_names, m.action_names, m.initial, m.trans, AP,
                     [lab & set(AP) for lab in m.labels]),
                 random_dra(rng, 2))
-        text = decorate(write_policy(m, policy_from_rule(
+        text = decorate(write_policy(m, rule_policy(
             m, random_rule(rng, m))), rng, shuffle_from=1)
         names = list(m.state_names[:4] + m.action_names) + ["rule"]
         failures += check_parity(parse_policy, ref_parse_policy, same_policy,

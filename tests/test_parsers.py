@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from effsynth.graph import mec_decompose, restrict
-from effsynth.model import (Dra, Mdp, UtilityFn, build_product,
+from effsynth.model import (Dra, Mdp, ModelError, UtilityFn, build_product,
                             uniform_policy, validate_mdp)
 from effsynth.parsers import (IncompletenessError, NondeterminismError,
                               ParseError, ValidationError, parse_dra,
@@ -102,9 +102,7 @@ def test_products_and_submodels_write_and_validate(rng):
     """Models built from arrays (a product, its end components) validate,
     read back as trans, and round-trip through the writer, which prints
     12 significant digits."""
-    flip = {(q, frozenset(sym)): int(bool(sym)) for q in (0, 1)
-            for sym in ((), ("g",))}
-    d = Dra(2, 0, ("g",), flip, [(set(), {1})])
+    d = Dra(2, 0, ("g",), [[0, 1], [0, 1]], [(set(), {1})])
     for trial in range(5):
         m = random_mdp(rng, 5, 2)
         m = Mdp(m.state_names, m.action_names, m.initial, m.trans, ("g",),
@@ -209,6 +207,13 @@ def test_parse_dra_rejects_non_rabin_acceptance():
                                "Acceptance: 1 Inf(0)")
     with pytest.raises(ParseError):
         parse_dra(text)
+
+
+def test_parse_dra_rejects_a_start_outside_the_states():
+    """A Start: beyond the States: count fails as the automaton is built,
+    before any product reads its table."""
+    with pytest.raises(ModelError, match="initial state 2 is not one of"):
+        parse_dra(INF_OFTEN_G.replace("Start: 0", "Start: 2"))
 
 
 def test_dra_roundtrip():
