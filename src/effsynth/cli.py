@@ -68,8 +68,9 @@ def _manifest(args, digests, tol=synthesis.Tolerances()):
 
 
 def _lp_manifest():
-    """synthesize's LP solver: linprog's method, its options and the version
-    of scipy, which the solve has already imported."""
+    """synthesize's LP solver: HiGHS's dual simplex by scipy's method name,
+    its options and the version of scipy, whose HiGHS bindings the solve
+    has already imported."""
     import scipy
     return {"method": lp.HIGHS_METHOD, "options": lp.HIGHS_OPTIONS,
             "scipy": scipy.__version__}

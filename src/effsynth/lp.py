@@ -4,7 +4,10 @@ dense tableau for the average-reward LP.
 solve_lp hands an equality-form LP (max c.x, A x = b, x >= 0; A dense or a
 scipy csr_array) to HiGHS's dual simplex, which returns a vertex, as the
 support-based decoders need, and checks the status, the signs and the
-backward error of what comes back.  HiGHS runs without presolve
+backward error of what comes back.  It drives HiGHS through the bindings
+scipy ships (_highs): scipy's linear-programming front end runs the same
+solver with the same options, but its Python layer cost as much as the
+solve itself on the ratio programs.  HiGHS runs without presolve
 (HIGHS_OPTIONS): on the ratio programs of the delivery grids and of random
 multichain products it cost about a fifth of the solve time, and each
 program keeps its optimal support without it.  Its primal and dual
@@ -36,7 +39,7 @@ from .model import Mdp
 from .graph import attractor_policy, is_communicating
 from .chain import _entries, analyze
 
-HIGHS_METHOD = "highs-ds"  # linprog's method for solve_lp
+HIGHS_METHOD = "highs-ds"  # scipy's name for the dual simplex solve_lp runs
 HIGHS_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10}  # and its options
 PIVOT_TOL = 1e-9
@@ -214,29 +217,36 @@ def _iterate(t: _Tableau, n_cols, max_iter, safe=False):
 
 
 def solve_lp(p: LpProblem) -> LpResult:
-    """HiGHS's dual simplex (linprog's HIGHS_METHOD, with HIGHS_OPTIONS).
+    """HiGHS's dual simplex (HIGHS_METHOD, with HIGHS_OPTIONS), run by _highs.
 
-    Status 0 is optimal, 2 infeasible and 3 unbounded; any other status (an
-    iteration limit, a numerical error) is a NumericalFailure naming it and
-    HiGHS's message.  The solution is checked as the tableau's is, except
-    that its residual is bounded by backward error:
-    |Ax - b| <= FEAS_TOL (|A| |x| + |b|) in the infinity norm.  linprog
-    raises ValueError on inconsistent dimensions and non-finite data.
+    HiGHS's model status kOptimal is optimal, kInfeasible infeasible and
+    kUnbounded unbounded; any other status (an iteration limit, a numerical
+    error, kUnboundedOrInfeasible) is a NumericalFailure naming it and
+    HiGHS's string for it.  The solution is checked as the tableau's is,
+    except that its residual is bounded by backward error:
+    |Ax - b| <= FEAS_TOL (|A| |x| + |b|) in the infinity norm.
+    Inconsistent dimensions and non-finite data raise ValueError.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy._core import HighsModelStatus
+    from scipy.sparse import csc_array
 
     a = p.a_eq
     b = np.asarray(p.b_eq, dtype=float)
     c = np.asarray(p.c, dtype=float)
-    res = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method=HIGHS_METHOD,
-                  options=HIGHS_OPTIONS)
-    if res.status == 2:
+    cols = csc_array(a)
+    if cols.shape != (b.size, c.size):
+        raise ValueError("inconsistent LP dimensions")
+    if not (np.isfinite(cols.data).all() and np.isfinite(b).all()
+            and np.isfinite(c).all()):
+        raise ValueError("LP data must be finite")
+    status, message, x = _highs(cols, b, c)
+    if status == HighsModelStatus.kInfeasible:
         return LpResult(status="infeasible")
-    if res.status == 3:
+    if status == HighsModelStatus.kUnbounded:
         return LpResult(status="unbounded")
-    if res.status != 0:
-        raise NumericalFailure(f"HiGHS status {res.status}: {res.message}")
-    x = _cleaned(np.array(res.x, dtype=float))
+    if status != HighsModelStatus.kOptimal:
+        raise NumericalFailure(f"HiGHS status {int(status)}: {message}")
+    x = _cleaned(np.array(x, dtype=float))
     resid = float(np.max(np.abs(a @ x - b)))
     bound = FEAS_TOL * (float(np.max(abs(a).sum(axis=1))) * float(x.max())
                         + float(np.max(np.abs(b))))
@@ -245,6 +255,46 @@ def solve_lp(p: LpProblem) -> LpResult:
             f"solution residual {resid:g} beyond backward-error bound "
             f"{bound:g}")
     return LpResult(status="optimal", x=x, value=float(c @ x))
+
+
+def _highs(a, b, c):
+    """max c.x subject to a x = b and x >= 0, with a a csc_array, on a fresh
+    HiGHS instance, so that no basis carries over between solves: returns
+    HiGHS's model status, its string and the column values.
+
+    The LP is posed as HiGHS's minimization of -c.x with columns in
+    [0, kHighsInf] and rows fixed at b, and HiGHS runs with HIGHS_OPTIONS
+    plus what the highs-ds method sets: the simplex solver, its dual
+    strategy and no output.  The arrays go in as lists, which the bindings
+    copy faster than numpy arrays."""
+    from scipy.optimize._highspy import _core as h
+
+    n_rows, n_cols = a.shape
+    model = h.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n_cols
+    model.num_row_ = model.a_matrix_.num_row_ = n_rows
+    model.a_matrix_.format_ = h.MatrixFormat.kColwise
+    model.a_matrix_.start_ = a.indptr.tolist()
+    model.a_matrix_.index_ = a.indices.tolist()
+    model.a_matrix_.value_ = a.data.tolist()
+    model.col_cost_ = (-c).tolist()
+    model.col_lower_ = [0.0] * n_cols
+    model.col_upper_ = [h.kHighsInf] * n_cols
+    model.row_lower_ = model.row_upper_ = b.tolist()
+    highs = h._Highs()
+    dual = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options = dict(HIGHS_OPTIONS,
+                   presolve="on" if HIGHS_OPTIONS["presolve"] else "off",
+                   solver="simplex", simplex_strategy=int(dual),
+                   output_flag=False, log_to_console=False)
+    for key, val in options.items():
+        if highs.setOptionValue(key, val) != h.HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejects option {key}={val!r}")
+    highs.passModel(model)
+    highs.run()
+    status = highs.getModelStatus()
+    return (status, highs.modelStatusToString(status),
+            highs.getSolution().col_value)
 
 
 def _cleaned(x):

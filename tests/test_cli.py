@@ -133,14 +133,12 @@ def test_synthesize_value_matches_lfp(files, capsys):
 @pytest.mark.parametrize("status", [1, 4])
 def test_synthesize_exits_4_on_non_optimal_highs_status(files, monkeypatch,
                                                         capsys, status):
-    """A HiGHS status other than optimal, infeasible or unbounded fails the
-    synthesis fast: exit 4 and one line naming the status."""
-    import scipy.optimize
-    result = scipy.optimize.OptimizeResult(status=status, x=None,
-                                           message="HiGHS gave up.",
-                                           success=False)
-    monkeypatch.setattr(scipy.optimize, "linprog",
-                        lambda *args, **kwargs: result)
+    """A HiGHS model status other than optimal, infeasible or unbounded
+    (here kLoadError and kSolveError) fails the synthesis fast: exit 4 and
+    one line naming the status."""
+    from scipy.optimize._highspy._core import HighsModelStatus
+    answer = (HighsModelStatus(status), "HiGHS gave up.", None)
+    monkeypatch.setattr(effsynth.lp, "_highs", lambda a, b, c: answer)
     code = main(["synthesize", files["model.mdp"], files["task.hoa"],
                  files["utilities.txt"], "--epsilon", "0.01"])
     assert code == 4

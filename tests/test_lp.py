@@ -67,20 +67,30 @@ def test_lp_two_variables_sum_one():
         assert res.value == pytest.approx(1.0)
 
 
+INFEASIBLE = LpProblem(c=np.array([1.0]), a_eq=np.array([[1.0]]),
+                       b_eq=np.array([-1.0]))
+UNBOUNDED = LpProblem(c=np.array([1.0, 0.0]), a_eq=np.array([[0.0, 1.0]]),
+                      b_eq=np.array([1.0]))
+
+
 def test_lp_infeasible():
     for solve in SOLVERS:
-        res = solve(LpProblem(c=np.array([1.0]),
-                              a_eq=np.array([[1.0]]),
-                              b_eq=np.array([-1.0])))
-        assert res.status == "infeasible"
+        assert solve(INFEASIBLE).status == "infeasible"
 
 
 def test_lp_unbounded():
     for solve in SOLVERS:
-        res = solve(LpProblem(c=np.array([1.0, 0.0]),
-                              a_eq=np.array([[0.0, 1.0]]),
-                              b_eq=np.array([1.0])))
-        assert res.status == "unbounded"
+        assert solve(UNBOUNDED).status == "unbounded"
+
+
+def test_lp_rejects_malformed_data():
+    for solve in SOLVERS:
+        with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+            solve(LpProblem(c=np.array([1.0, 2.0]), a_eq=np.array([[1.0]]),
+                            b_eq=np.array([1.0])))
+        with pytest.raises(ValueError, match="LP data must be finite"):
+            solve(LpProblem(c=np.array([1.0]), a_eq=np.array([[np.nan]]),
+                            b_eq=np.array([1.0])))
 
 
 def test_lp_redundant_rows():
@@ -127,18 +137,24 @@ def test_lp_degenerate_cycling_guard():
         assert res.value == pytest.approx(0.05)
 
 
+def seed7_products(trials):
+    """(pm, r, c) for the first trials of one seeded draw of small random
+    products with rewards and costs."""
+    rng = np.random.default_rng(7)
+    for _ in range(trials):
+        n, k, p = (int(rng.integers(lo, hi)) for lo, hi in ((6, 30), (2, 4),
+                                                             (1, 3)))
+        pm = random_product(rng, n, k, n_pairs=p)
+        r = rng.uniform(0.1, 2.0, pm.n_pairs)
+        yield pm, r, rng.uniform(0.5, 2.0, pm.n_pairs)
+
+
 def test_highs_answers_pass_the_backward_error_checks():
     """Two small random products of one seeded draw whose ratio programs
     HiGHS, at its default feasibility tolerance of 1e-7, answered outside
     solve_lp's 1e-9 checks (trial 247 by its residual, trial 267 by a
     negative basic value): each synthesis now certifies."""
-    rng = np.random.default_rng(7)
-    for trial in range(268):
-        n, k, p = (int(rng.integers(lo, hi)) for lo, hi in ((6, 30), (2, 4),
-                                                             (1, 3)))
-        pm = random_product(rng, n, k, n_pairs=p)
-        r = rng.uniform(0.1, 2.0, pm.n_pairs)
-        c = rng.uniform(0.5, 2.0, pm.n_pairs)
+    for trial, (pm, r, c) in enumerate(seed7_products(268)):
         if trial in (247, 267):
             assert synth_general(pm, r, c, 0.01, "es").certificate.accepted
 
@@ -586,35 +602,82 @@ def test_ratio_lfp_forms_no_dense_matrix():
     assert peak < (m.n_states + 1) * m.n_pairs * 8 / 4
 
 
+def linprog_answer(p):
+    """p solved by scipy's linprog with solve_lp's HIGHS_METHOD and
+    HIGHS_OPTIONS: (status, x cleaned as solve_lp cleans it)."""
+    from scipy.optimize import linprog
+    res = linprog(-np.asarray(p.c, dtype=float), A_eq=p.a_eq, b_eq=p.b_eq,
+                  bounds=(0, None), method=lp.HIGHS_METHOD,
+                  options=lp.HIGHS_OPTIONS)
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, None if res.x is None else lp._cleaned(res.x)
+
+
+def random_maec_programs(trials):
+    """(sub, r, c) for every MAEC of the first trials of seed7_products."""
+    from effsynth.graph import maec_decompose, restrict
+    for pm, r, c in seed7_products(trials):
+        for mask in maec_decompose(pm):
+            sub, _ = restrict(pm, mask)
+            yield sub, r[sub.parent_pair], c[sub.parent_pair]
+
+
+def test_solve_lp_returns_linprogs_vertex():
+    """solve_lp runs the HiGHS solve that linprog runs for HIGHS_METHOD
+    and HIGHS_OPTIONS: bitwise the same x on the ratio LPs of grids 9 and
+    17 and of random products' MAECs, and the same status on an
+    infeasible and an unbounded LP."""
+    programs = [largest_maec_program(9), largest_maec_program(17),
+                *random_maec_programs(16)]
+    assert len(programs) == 18
+    for program in programs:
+        p = posed_ratio_lp(*program)
+        status, x = linprog_answer(p)
+        res = solve_lp(p)
+        assert res.status == status == "optimal"
+        assert res.x.tobytes() == x.tobytes()
+    for p in (INFEASIBLE, UNBOUNDED):
+        assert solve_lp(p).status == linprog_answer(p)[0]
+
+
 # --- HiGHS statuses and solution checks ---------------------------------------
 
 ONE_VAR = LpProblem(c=np.array([1.0]), a_eq=np.array([[1.0]]),
                     b_eq=np.array([1.0]))
 
 
-def fake_linprog(monkeypatch, status, x=None, message="fake message"):
-    """Make linprog return the given status, x and message."""
-    import scipy.optimize
-    result = scipy.optimize.OptimizeResult(
-        status=status, x=None if x is None else np.array(x, dtype=float),
-        message=message, success=status == 0)
-    monkeypatch.setattr(scipy.optimize, "linprog",
-                        lambda *args, **kwargs: result)
+def fake_highs(monkeypatch, status, x=None, message="fake message"):
+    """Make lp._highs return the given HiGHS model status (its number; 7 is
+    kOptimal), a status string and column values."""
+    from scipy.optimize._highspy._core import HighsModelStatus
+    answer = (HighsModelStatus(status), message, x)
+    monkeypatch.setattr(lp, "_highs", lambda a, b, c: answer)
 
 
 @pytest.mark.parametrize("status, message", [
-    (1, "Iteration limit reached."),
-    (4, "Numerical difficulties encountered.")])
+    (14, "Iteration limit reached"),
+    (4, "Solve error"),
+    (9, "Primal infeasible or unbounded")])
 def test_non_optimal_highs_status_is_numerical_failure(monkeypatch, status,
                                                        message):
-    fake_linprog(monkeypatch, status, message=message)
+    """HiGHS's kIterationLimit, kSolveError and kUnboundedOrInfeasible."""
+    fake_highs(monkeypatch, status, message=message)
     with pytest.raises(lp.NumericalFailure,
                        match=f"HiGHS status {status}: {message}"):
         solve_lp(ONE_VAR)
 
 
+def test_option_highs_rejects_is_value_error(monkeypatch):
+    """A HIGHS_OPTIONS key HiGHS does not know is not silently dropped."""
+    monkeypatch.setattr(lp, "HIGHS_OPTIONS",
+                        dict(lp.HIGHS_OPTIONS, primal_feasibility_tol=1e-10))
+    with pytest.raises(ValueError, match="HiGHS rejects option "
+                                         "primal_feasibility_tol"):
+        solve_lp(ONE_VAR)
+
+
 def test_negative_highs_solution_is_numerical_failure(monkeypatch):
-    fake_linprog(monkeypatch, 0, x=[-1e-6])
+    fake_highs(monkeypatch, 7, x=[-1e-6])
     with pytest.raises(lp.NumericalFailure, match="negative basic value"):
         solve_lp(ONE_VAR)
 
@@ -623,7 +686,7 @@ def test_highs_solution_beyond_backward_error_is_numerical_failure(
         monkeypatch):
     """x = 1 + 1e-8 against b = 1: residual 1e-8 above the bound
     1e-9 (|A| |x| + |b|), about 2e-9."""
-    fake_linprog(monkeypatch, 0, x=[1.0 + 1e-8])
+    fake_highs(monkeypatch, 7, x=[1.0 + 1e-8])
     with pytest.raises(lp.NumericalFailure, match="backward-error"):
         solve_lp(ONE_VAR)
 
@@ -633,7 +696,7 @@ def test_highs_solution_dust_cleared(monkeypatch):
     p = LpProblem(c=np.array([1.0, 0.0, 0.0]), a_eq=np.array([[1.0, 1.0,
                                                                 1.0]]),
                   b_eq=np.array([1.0]))
-    fake_linprog(monkeypatch, 0, x=[1.0, -1e-12, 5e-15])
+    fake_highs(monkeypatch, 7, x=[1.0, -1e-12, 5e-15])
     res = solve_lp(p)
     assert res.status == "optimal"
     assert res.x.tolist() == [1.0, 0.0, 0.0]
