@@ -2,7 +2,7 @@
 dense tableau for the average-reward LP.
 
 solve_lp hands an equality-form LP (max c.x, A x = b, x >= 0; A dense or a
-scipy csr_array) to HiGHS's dual simplex, which returns a vertex, as the
+scipy sparse array) to HiGHS's dual simplex, which returns a vertex, as the
 support-based decoders need, and checks the status, the signs and the
 backward error of what comes back.  It drives HiGHS through the bindings
 scipy ships (_highs): scipy's linear-programming front end runs the same
@@ -21,10 +21,12 @@ assembled sparse, straight from the model's pair and successor arrays.
 The multichain average-reward LP is assembled the same way, but still
 runs on the in-house dense primal tableau (_solve_tableau: two phases,
 Bland's rule on degenerate stalls, periodic reinversion, block-sparse
-pivots).  HiGHS solves multichain instances on which the tableau fails,
-and the benchmark's evaluate time, a sum over every policy a round makes,
-would read their extra policies as a slowdown; the LP moves once evaluate
-is timed per call.
+pivots, and a safe-mode retry that reinverts after every pivot but solves
+only for the columns the next pivot choice reads).  HiGHS solves
+multichain instances on which the tableau fails, and the benchmark's
+evaluate time, a sum over every policy a round makes, would read their
+extra policies as a slowdown; the LP moves once evaluate is timed per
+call.
 
 Rewards and costs come in, and solutions stay, as vectors over the model's
 pairs; the decoders turn solutions into policy weight vectors, summing
@@ -67,7 +69,8 @@ class DegenerateDecoding(Exception):
 @dataclass(frozen=True)
 class LpProblem:
     """max c.x  s.t.  a_eq x = b_eq, x >= 0; a_eq is a dense array or a
-    scipy csr_array (the tableau takes dense only)."""
+    scipy sparse array, best a csc_array, which solve_lp passes to HiGHS
+    as it is (the tableau takes dense only)."""
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
@@ -88,14 +91,23 @@ class _Tableau:
     """Dense simplex tableau with periodic reinversion.
 
     The basis list is the source of truth: refresh() recomputes the tableau
-    as B^-1 [A | b] from the original data, so roundoff from long runs of
-    rank-one pivot updates never compounds past REFRESH_INTERVAL pivots.
-    A pivot touches only the block its nonzeros span (see pivot()).
+    as B^-1 [A | b] from the original data ([A | b] is built once), so
+    roundoff from long runs of rank-one pivot updates never compounds past
+    REFRESH_INTERVAL pivots.  A pivot touches only the block its nonzeros
+    span (see pivot()).
+
+    In safe mode a pivot only changes the basis, and the reinversion after
+    it solves only the nonbasic columns and b: the next pivot choice reads
+    nothing else.  The fast mode's reinversions solve every column, because
+    the rank-1 pivots after them carry the basic columns forward (a leaving
+    variable's column is its basic column updated), and so does phase 1's
+    drive-out of artificials, whose argmax over a row reads them.
     """
 
     def __init__(self, a, b, cost):
         self.a = a
         self.b = b
+        self.ab = np.hstack([a, b.reshape(-1, 1)])
         self.cost = cost
         self.m, self.n_total = a.shape
         self.basis = None
@@ -108,14 +120,23 @@ class _Tableau:
         self.in_basis[self.basis] = True
         self.refresh()
 
-    def refresh(self):
+    def refresh(self, full=True):
+        """Recompute the tableau as B^-1 [A | b] and the reduced costs.
+        With full False only the nonbasic columns and b are solved for and
+        the basic columns are left zero.  LAPACK gives a solved column the
+        same bits whatever columns come with it, and the reduced costs are
+        formed over the full width (over the solved columns alone they
+        would round differently), so every value _iterate reads is the
+        full reinversion's, bit for bit."""
         bmat = self.a[:, self.basis]
+        cols = slice(None) if full else \
+            np.append(np.flatnonzero(~self.in_basis), self.n_total)
         try:
-            sol = np.linalg.solve(bmat, np.hstack([self.a,
-                                                   self.b.reshape(-1, 1)]))
+            sol = np.linalg.solve(bmat, self.ab[:, cols])
         except np.linalg.LinAlgError as e:
             raise NumericalFailure(f"singular basis on reinversion: {e}") from e
-        self.tab = sol
+        self.tab = np.zeros_like(self.ab)
+        self.tab[:, cols] = sol
         rhs = self.tab[:, -1]
         if np.any(rhs < -1e-7):
             raise NumericalFailure(
@@ -125,7 +146,7 @@ class _Tableau:
         self.obj = cb @ self.tab
         self.obj[:-1] -= self.cost
 
-    def pivot(self, row, col):
+    def pivot(self, row, col, update=True):
         """Pivot on (row, col): the row is divided by the pivot, and the
         rank-1 update tab -= outer(colv, prow) (colv the pivot column with
         the pivot row zeroed, prow the divided row) is subtracted only on
@@ -133,19 +154,21 @@ class _Tableau:
         Each touched cell gets the same arithmetic as the full update; a
         skipped cell would only lose a signed zero, so at most the sign of
         a zero differs, which nothing reads.  No tableau-sized array is
-        allocated."""
+        allocated.  With update False only the basis changes (the pivot
+        element is still checked), for a caller that reinverts next."""
         piv = self.tab[row, col]
         if abs(piv) < 1e-11:
             raise NumericalFailure(f"pivot element {piv:g} too small")
-        self.tab[row, :] /= piv
-        prow = self.tab[row, :]
-        colv = self.tab[:, col].copy()
-        colv[row] = 0.0
-        rows = np.flatnonzero(colv)
-        cols = np.flatnonzero(prow)
-        block = np.ix_(rows, cols)
-        self.tab[block] -= np.multiply.outer(colv[rows], prow[cols])
-        self.obj -= self.obj[col] * prow
+        if update:
+            self.tab[row, :] /= piv
+            prow = self.tab[row, :]
+            colv = self.tab[:, col].copy()
+            colv[row] = 0.0
+            rows = np.flatnonzero(colv)
+            cols = np.flatnonzero(prow)
+            block = np.ix_(rows, cols)
+            self.tab[block] -= np.multiply.outer(colv[rows], prow[cols])
+            self.obj -= self.obj[col] * prow
         self.in_basis[self.basis[row]] = False
         self.in_basis[col] = True
         self.basis[row] = col
@@ -161,9 +184,11 @@ def _iterate(t: _Tableau, n_cols, max_iter, safe=False):
     ratio test that prefers the largest pivot element among minimum-ratio
     rows.  A long degenerate stall switches to Bland's smallest-index rule,
     whose pivots cannot cycle, until the objective moves again.  Safe mode
-    reinverts after every pivot; the fast mode reinverts periodically and
-    whenever a pivot would land on a suspiciously small element of a stale
-    tableau (the true value might be zero, which would corrupt the basis).
+    reinverts after every pivot, solving only for the nonbasic columns and
+    b (the pivot itself only changes the basis); the fast mode reinverts
+    every column, periodically and whenever a pivot would land on a
+    suspiciously small element of a stale tableau (the true value might be
+    zero, which would corrupt the basis).
     """
     stall = 0
     bland = False
@@ -198,11 +223,11 @@ def _iterate(t: _Tableau, n_cols, max_iter, safe=False):
             t.refresh()
             since_refresh = 0
             continue  # re-derive the choice from exact data
-        t.pivot(leave, enter)
+        t.pivot(leave, enter, update=not safe)
         since_refresh += 1
         if safe or since_refresh >= REFRESH_INTERVAL \
                 or np.any(t.tab[:, -1] < -1e-9):
-            t.refresh()
+            t.refresh(full=not safe)
             since_refresh = 0
         now = t.value()
         if now > last + 1e-12:
@@ -224,7 +249,8 @@ def solve_lp(p: LpProblem) -> LpResult:
     error, kUnboundedOrInfeasible) is a NumericalFailure naming it and
     HiGHS's string for it.  The solution is checked as the tableau's is,
     except that its residual is bounded by backward error:
-    |Ax - b| <= FEAS_TOL (|A| |x| + |b|) in the infinity norm.
+    |Ax - b| <= FEAS_TOL (|A| |x| + |b|) in the infinity norm, with A's
+    absolute row sums taken from its column-wise arrays.
     Inconsistent dimensions and non-finite data raise ValueError.
     """
     from scipy.optimize._highspy._core import HighsModelStatus
@@ -247,8 +273,10 @@ def solve_lp(p: LpProblem) -> LpResult:
     if status != HighsModelStatus.kOptimal:
         raise NumericalFailure(f"HiGHS status {int(status)}: {message}")
     x = _cleaned(np.array(x, dtype=float))
-    resid = float(np.max(np.abs(a @ x - b)))
-    bound = FEAS_TOL * (float(np.max(abs(a).sum(axis=1))) * float(x.max())
+    resid = float(np.max(np.abs(cols @ x - b)))
+    row_abs = np.bincount(cols.indices, weights=np.abs(cols.data),
+                          minlength=b.size)
+    bound = FEAS_TOL * (float(np.max(row_abs)) * float(x.max())
                         + float(np.max(np.abs(b))))
     if resid > bound:
         raise NumericalFailure(
@@ -315,7 +343,9 @@ def _solve_tableau(p: LpProblem) -> LpResult:
     Dantzig pricing with Bland's smallest-index rule engaged on degenerate
     stalls (anti-cycling), Harris-style largest-pivot ratio ties, and
     reinversion every few dozen pivots for numerical hygiene.  A numerical
-    failure triggers one retry with reinversion after every pivot.
+    failure triggers one retry with reinversion after every pivot; that
+    retry solves only the nonbasic columns and b, and the fast attempt and
+    phase 1's drive-out every column (see _Tableau).
     """
     try:
         return _solve_lp(p, safe=False)
@@ -413,14 +443,15 @@ def _flow_entries(m: Mdp, row0=0, col0=0):
             np.concatenate([np.ones(m.n_pairs), -m.succ_prob]))
 
 
-def _csr(shape, *runs):
-    """The csr_array of the given shape whose entries are the (rows, cols,
+def _csc(shape, *runs):
+    """The csc_array of the given shape whose entries are the (rows, cols,
     vals) runs, an entry hit twice holding the sum.  Each entry of the LPs
     below sums at most two terms, +1 and -p, so it is 1 - p or -p exactly
-    as a loop over the pairs makes it."""
-    from scipy.sparse import csr_array
+    as a loop over the pairs makes it.  Column-wise is the layout HiGHS
+    takes, so solve_lp converts nothing."""
+    from scipy.sparse import csc_array
     rows, cols, vals = _entries(*runs)
-    return csr_array((vals, (rows, cols)), shape=shape)
+    return csc_array((vals, (rows, cols)), shape=shape)
 
 
 @dataclass(frozen=True)
@@ -440,13 +471,13 @@ def solve_ratio_lfp(m: Mdp, r, c) -> LfpSolution:
     sum to one.  The value equals the optimal ratio from every state of the
     communicating model.
 
-    The constraint matrix is a csr_array: the flow balance of each pair
+    The constraint matrix is a csc_array: the flow balance of each pair
     (_flow_entries) and the cost on row n.
     """
     if not is_communicating(m):
         raise NotCommunicating("ratio program needs a communicating model")
     n, k = m.n_states, m.n_pairs
-    a_eq = _csr((n + 1, k), _flow_entries(m),
+    a_eq = _csc((n + 1, k), _flow_entries(m),
                 (np.full(k, n), np.arange(k), c))
     b_eq = np.zeros(n + 1)
     b_eq[n] = 1.0
@@ -543,7 +574,7 @@ def solve_avg_reward_lp(m: Mdp, reward) -> AvgLpSolution:
     ns = m.n_states
     alpha = np.full(ns, 1.0 / ns)
 
-    a_eq = _csr((2 * ns, 2 * k), _flow_entries(m),
+    a_eq = _csc((2 * ns, 2 * k), _flow_entries(m),
                 (ns + m.pair_state, np.arange(k), np.ones(k)),
                 _flow_entries(m, row0=ns, col0=k)).toarray()
     b_eq = np.zeros(2 * ns)

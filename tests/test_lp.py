@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -519,33 +521,131 @@ def grid9_ratio_lp():
     return dense(posed_ratio_lp(*largest_maec_program(9)))
 
 
-def pivot_paths(monkeypatch, p):
-    """p solved by the tableau with the sparse pivot and with the dense
-    reference, each with the (leave, enter) path it took:
-    (new, new_path, ref, ref_path)."""
-    def run(update):
-        path = []
+def traced_solve(monkeypatch, p, pivot=lp._Tableau.pivot,
+                 refresh=lp._Tableau.refresh):
+    """p solved by _solve_tableau with the given pivot and refresh in the
+    tableau's place: (the LpResult, or the NumericalFailure raised, and the
+    (leave, enter) path of every pivot)."""
+    path = []
 
-        def pivot(t, row, col):
-            path.append((row, col))
-            update(t, row, col)
-        monkeypatch.setattr(lp._Tableau, "pivot", pivot)
+    def traced(t, row, col, update=True):
+        path.append((row, col))
+        pivot(t, row, col, update)
+    monkeypatch.setattr(lp._Tableau, "pivot", traced)
+    monkeypatch.setattr(lp._Tableau, "refresh", refresh)
+    try:
         return lp._solve_tableau(p), path
+    except lp.NumericalFailure as e:
+        return e, path
 
-    sparse = lp._Tableau.pivot
-    return (*run(sparse), *run(dense_pivot))
+
+def every_pivot_dense(t, row, col, update=True):
+    """dense_pivot whatever update says."""
+    dense_pivot(t, row, col)
 
 
 def test_ratio_lp_pivots_match_dense_update(monkeypatch, grid9_ratio_lp):
     """On the grid-9 ratio LP (both phases), the sparse pivot takes the same
     (leave, enter) path as the dense update and gives a bitwise-equal
     solution."""
-    new, new_path, ref, ref_path = pivot_paths(monkeypatch, grid9_ratio_lp)
+    new, new_path = traced_solve(monkeypatch, grid9_ratio_lp)
+    ref, ref_path = traced_solve(monkeypatch, grid9_ratio_lp,
+                                 pivot=every_pivot_dense)
     assert len(new_path) > 100
     assert new_path == ref_path
     assert new.status == ref.status == "optimal"
     assert new.x.tobytes() == ref.x.tobytes()
     assert new.value == ref.value
+
+
+# --- the safe-mode retry -----------------------------------------------------
+
+def full_refresh(t, full=True):
+    """The full reinversion whatever full says, every column of
+    B^-1 [A | b] solved: the reference for safe mode's partial one."""
+    bmat = t.a[:, t.basis]
+    try:
+        t.tab = np.linalg.solve(bmat, np.hstack([t.a, t.b.reshape(-1, 1)]))
+    except np.linalg.LinAlgError as e:
+        raise lp.NumericalFailure(f"singular basis on reinversion: {e}") \
+            from e
+    rhs = t.tab[:, -1]
+    if np.any(rhs < -1e-7):
+        raise lp.NumericalFailure(
+            f"lost primal feasibility (min rhs {rhs.min():g})")
+    np.clip(rhs, 0.0, None, out=rhs)
+    t.obj = t.cost[t.basis] @ t.tab
+    t.obj[:-1] -= t.cost
+
+
+@pytest.fixture(scope="module")
+def bench_instances():
+    """perfbench/instances.py, loaded by path."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "instances.py")
+    spec = importlib.util.spec_from_file_location("instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _Posed(Exception):
+    pass
+
+
+def posed_avg_reward_lp(monkeypatch, inst):
+    """The average-reward LpProblem that synthesize --method es poses on
+    the instance's files."""
+    from effsynth import parsers
+    from effsynth.model import build_product, lift_utilities
+    m = parsers.parse_mdp(inst.files["model.mdp"])
+    pm = build_product(m, parsers.parse_dra(inst.files["task.hoa"]))
+    reward, cost = parsers.parse_utilities(inst.files["utilities.txt"], m)
+    r, c = lift_utilities(pm, reward, cost)
+    posed = []
+
+    def record(p):
+        posed.append(p)
+        raise _Posed
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "_solve_tableau", record)
+        with pytest.raises(_Posed):
+            synth_general(pm, r, c, 0.01, "es")
+    return posed[0]
+
+
+def test_safe_retry_matches_full_reinversion(monkeypatch, bench_instances):
+    """On the average-reward LPs of multichain_batch's mc02, mc05 and mc00
+    the tableau takes the (leave, enter) path of a reference that pivots
+    densely and reinverts every column, and ends the same: a bitwise-equal
+    x, or the same NumericalFailure.  With one BLAS thread the fast attempt
+    fails on all three, and the safe retry solves mc02, loses a singular
+    basis on mc05 and primal feasibility on mc00; with two, mc00's fast
+    attempt stops at "unbounded" and never retries."""
+    shipped = lp._Tableau.refresh
+    retried = {}
+    for index in (2, 5, 0):
+        p = posed_avg_reward_lp(
+            monkeypatch, bench_instances.multichain_instance(index))
+        partial = []
+
+        def counted(t, full=True):
+            partial.append(not full)
+            shipped(t, full)
+        new, new_path = traced_solve(monkeypatch, p, refresh=counted)
+        ref, ref_path = traced_solve(monkeypatch, p, pivot=every_pivot_dense,
+                                     refresh=full_refresh)
+        retried[index] = any(partial)
+        assert new_path == ref_path
+        assert type(new) is type(ref)
+        if isinstance(ref, lp.NumericalFailure):
+            assert str(new) == str(ref)
+        else:
+            assert new.status == ref.status
+            assert (new.x is None) == (ref.x is None)
+            if ref.x is not None:
+                assert new.x.tobytes() == ref.x.tobytes()
+    assert retried[2] and retried[5]
 
 
 def ratio_lp_on_both(m, r, c):

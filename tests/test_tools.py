@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -49,3 +52,28 @@ def test_compare_of_equal_trees_exits_0(same_outputs, tmp_path, capsys):
     assert same_outputs.main(["--compare", str(tmp_path / "a"),
                               str(tmp_path / "b")]) == 0
     assert capsys.readouterr().out == "0 of 1 files differ\n"
+
+
+def test_pythonpath_tree_is_the_one_tested(tmp_path):
+    """A test run from this checkout with PYTHONPATH naming another tree
+    imports that tree's effsynth (here a stub that prints sys.path and
+    nothing more), and this checkout's src comes after it and ahead of
+    site-packages."""
+    (tmp_path / "effsynth").mkdir()
+    (tmp_path / "effsynth" / "__init__.py").write_text(
+        "import json, sys\nprint('stub effsynth', json.dumps(sys.path))\n")
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                        os.pardir))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-s", "-q", "-p", "no:cacheprovider",
+         "--collect-only", os.path.join("tests", "test_tools.py")],
+        cwd=root, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True, text=True, timeout=120)
+    lines = [line for line in run.stdout.splitlines()
+             if line.startswith("stub effsynth ")]
+    assert lines, run.stdout + run.stderr
+    path = [os.path.abspath(p) for p in json.loads(lines[0].split(" ", 2)[2])]
+    src = path.index(os.path.join(root, "src"))
+    assert path.index(str(tmp_path)) < src
+    assert all(src < i for i, p in enumerate(path)
+               if os.path.basename(p) == "site-packages")
