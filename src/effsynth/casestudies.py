@@ -29,7 +29,7 @@ class ParamError(Exception):
     pass
 
 
-# largest grid either generator builds; the scale ladder's top rung is 49
+# largest grid either generator builds (case 1 at 64 has 16 334 states)
 MAX_SIZE = 64
 
 
@@ -57,6 +57,11 @@ CASE1_OBSTACLES = frozenset({(2, 2), (2, 3), (3, 2), (3, 3),
 MOVES = {"left": (0, -1), "right": (0, 1), "up": (-1, 0), "down": (1, 0)}
 
 
+def _distance(cell, dests):
+    """Manhattan distance from cell to the nearest of dests."""
+    return min(abs(cell[0] - r) + abs(cell[1] - c) for r, c in dests)
+
+
 def _default_item_field(size, dests):
     """Item probability grows with the distance to the nearest destination
     (cells right next to a delivery point rarely hold items), with a small
@@ -65,7 +70,7 @@ def _default_item_field(size, dests):
     out = {}
     for row in range(1, size + 1):
         for col in range(1, size + 1):
-            d = min(abs(row - dr) + abs(col - dc) for dr, dc in dests)
+            d = _distance((row, col), dests)
             out[(row, col)] = min(0.02 + 0.10 * d + 0.01 * (col - 1), 0.9)
     return out
 
@@ -81,16 +86,14 @@ class Case1Params:
     cost_table: dict = field(default_factory=lambda: dict(COST_BY_DISTANCE))
 
     def resolved_field(self):
-        field_ = self.item_prob or _default_item_field(self.size,
-                                                       set(self.destinations))
-        for cell, p in field_.items():
-            if not 0.0 <= p <= 1.0:
-                raise ParamError(f"item probability {p} at {cell} out of [0,1]")
-        return field_
+        return self.item_prob or _default_item_field(self.size,
+                                                     set(self.destinations))
 
     def validate(self):
         _check_grid(self.size, [("destination", d) for d in self.destinations]
                     + [("initial", self.initial), ("charging", self.charging)])
+        if not self.destinations:
+            raise ParamError("no destination cell")
         for d, v in self.cost_table.items():
             if v <= 0.0:
                 raise ParamError(f"cost table entry {d} -> {v} not positive")
@@ -99,6 +102,12 @@ class Case1Params:
                 raise ParamError(f"destination {cell} is an obstacle")
         if self.initial in self.obstacles or self.charging in self.obstacles:
             raise ParamError("initial/charging cell is an obstacle")
+        for cell, p in (self.item_prob or {}).items():
+            if not 0.0 <= p <= 1.0:
+                raise ParamError(f"item probability {p} at {cell} out of [0,1]")
+        for cell in _free_cells(self) if self.item_prob else ():
+            if cell not in self.item_prob:
+                raise ParamError(f"item_prob lacks cell {cell}")
 
 
 def _free_cells(params):
@@ -153,8 +162,7 @@ def gen_case1(params: Case1Params | None = None):
         labels.append(frozenset(
             prop for prop, holds in (("d", delivers),
                                      ("c", cell == params.charging)) if holds))
-        dist = min(abs(cell[0] - d[0]) + abs(cell[1] - d[1])
-                   for d in dest_cells)
+        dist = _distance(cell, dest_cells)
         if dist not in params.cost_table:
             raise ParamError(f"cost table lacks distance {dist}")
         cost_s.append(params.cost_table[dist])

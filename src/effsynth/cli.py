@@ -277,16 +277,25 @@ _JSON_TYPES = {int: (int,), float: (int, float), tuple: (list,),
                frozenset: (list,), dict: (dict,), type(None): (dict, type(None))}
 
 
+def _finite(literal, kind=float):
+    """A JSON number literal as kind, refused unless finite as a float."""
+    if not np.isfinite(float(literal)):
+        raise ValueError(f"{literal} is not a finite number")
+    return kind(literal)
+
+
 def _case_params(path, name, digests):
-    """The --params file as the case's validated parameter dataclass.  A
-    file that is not a JSON object, an unknown field, a value whose JSON
-    type does not fit its field, a cell key that is not "row,col" and a
-    failed validation are errors naming the file."""
+    """The --params file as the case's parameter dataclass.  A file that
+    is not a JSON object of finite numbers, an unknown field, a value whose
+    JSON type does not fit its field and a cell key that is not "row,col"
+    are errors naming the file, as cmd_casestudy makes a failed validation."""
     cls = casestudies.Case1Params if name == "case1" \
         else casestudies.Case2Params
     try:
-        raw = json.loads(_read(path, digests))
-    except (json.JSONDecodeError, RecursionError) as e:
+        raw = json.loads(_read(path, digests), parse_float=_finite,
+                         parse_constant=_finite,
+                         parse_int=lambda literal: _finite(literal, int))
+    except (ValueError, RecursionError) as e:
         raise parsers.ParseError(f"{path}: not JSON ({e})") from e
     if not isinstance(raw, dict):
         raise parsers.ParseError(f"{path}: not a JSON object")
@@ -304,14 +313,12 @@ def _case_params(path, name, digests):
                                      f"type ({json.dumps(value)[:40]})")
     try:
         if name == "case1":
-            if raw.get("item_prob") is not None:
-                raw["item_prob"] = {tuple(map(int, k.split(","))): v
-                                    for k, v in raw["item_prob"].items()}
+            for key in ("item_prob", "destinations"):  # "row,col" keys
+                if raw.get(key) is not None:
+                    raw[key] = {tuple(map(int, k.split(","))): v
+                                for k, v in raw[key].items()}
             if "obstacles" in raw:
                 raw["obstacles"] = frozenset(tuple(x) for x in raw["obstacles"])
-            if "destinations" in raw:
-                raw["destinations"] = {tuple(map(int, k.split(","))): v
-                                       for k, v in raw["destinations"].items()}
             if "cost_table" in raw:
                 raw["cost_table"] = {int(k): v
                                      for k, v in raw["cost_table"].items()}
@@ -320,12 +327,7 @@ def _case_params(path, name, digests):
                 raw[key] = tuple(value)
     except (TypeError, ValueError) as e:
         raise parsers.ParseError(f"{path}: bad {name} parameters ({e})") from e
-    params = cls(**raw)
-    try:
-        params.validate()
-    except casestudies.ParamError as e:
-        raise casestudies.ParamError(f"{path}: {e}") from None
-    return params
+    return cls(**raw)
 
 
 def cmd_casestudy(args):
@@ -333,8 +335,13 @@ def cmd_casestudy(args):
     digests = {}
     params = (_case_params(args.params, args.name, digests)
               if args.params else None)
+    try:  # the generator validates params
+        built = (casestudies.gen_case1 if args.name == "case1"
+                 else casestudies.gen_case2)(params)
+    except casestudies.ParamError as e:
+        raise casestudies.ParamError(f"{args.params}: {e}") from None
     if args.name == "case1":
-        m, d1, d2, reward, cost = casestudies.gen_case1(params)
+        m, d1, d2, reward, cost = built
         files = {"model.mdp": parsers.write_mdp(m),
                  "task1.hoa": parsers.write_dra(d1),
                  "task2.hoa": parsers.write_dra(d2),
@@ -342,7 +349,7 @@ def cmd_casestudy(args):
                  "perturbation_tables.csv": _case1_tables(m, d2, reward,
                                                           cost)}
     else:
-        m, d, reward_family, cost = casestudies.gen_case2(params)
+        m, d, reward_family, cost = built
         files = {"model.mdp": parsers.write_mdp(m),
                  "task.hoa": parsers.write_dra(d),
                  "utilities_bonus0.txt": parsers.write_utilities(

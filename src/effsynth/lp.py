@@ -20,7 +20,7 @@ assembled sparse, straight from the model's pair and successor arrays.
 
 The multichain average-reward LP is assembled the same way, but still
 runs on the in-house dense primal tableau (_solve_tableau: two phases,
-Bland's rule on degenerate stalls, periodic reinversion, block-sparse
+Bland's rule on degenerate stalls, periodic reinversion, row-wise
 pivots, and a safe-mode retry that reinverts after every pivot but solves
 only for the columns the next pivot choice reads).  HiGHS solves
 multichain instances on which the tableau fails, and the benchmark's
@@ -93,8 +93,8 @@ class _Tableau:
     The basis list is the source of truth: refresh() recomputes the tableau
     as B^-1 [A | b] from the original data ([A | b] is built once), so
     roundoff from long runs of rank-one pivot updates never compounds past
-    REFRESH_INTERVAL pivots.  A pivot touches only the block its nonzeros
-    span (see pivot()).
+    REFRESH_INTERVAL pivots.  A pivot updates only the rows its column
+    reaches (see pivot()).
 
     In safe mode a pivot only changes the basis, and the reinversion after
     it solves only the nonbasic columns and b: the next pivot choice reads
@@ -148,26 +148,21 @@ class _Tableau:
 
     def pivot(self, row, col, update=True):
         """Pivot on (row, col): the row is divided by the pivot, and the
-        rank-1 update tab -= outer(colv, prow) (colv the pivot column with
-        the pivot row zeroed, prow the divided row) is subtracted only on
-        the rows where colv and the columns where prow are exactly nonzero.
-        Each touched cell gets the same arithmetic as the full update; a
-        skipped cell would only lose a signed zero, so at most the sign of
-        a zero differs, which nothing reads.  No tableau-sized array is
-        allocated.  With update False only the basis changes (the pivot
-        element is still checked), for a caller that reinverts next."""
+        rank-1 update tab -= outer(colv, prow) (colv the pivot column, prow
+        the divided row) is subtracted on the other rows where colv is
+        exactly nonzero, with the full update's arithmetic: a skipped row
+        would only lose signed zeros, which nothing reads.  No tableau-sized
+        array is allocated.  With update False only the basis changes (the
+        pivot element is still checked), for a caller that reinverts next."""
         piv = self.tab[row, col]
         if abs(piv) < 1e-11:
             raise NumericalFailure(f"pivot element {piv:g} too small")
         if update:
             self.tab[row, :] /= piv
             prow = self.tab[row, :]
-            colv = self.tab[:, col].copy()
-            colv[row] = 0.0
-            rows = np.flatnonzero(colv)
-            cols = np.flatnonzero(prow)
-            block = np.ix_(rows, cols)
-            self.tab[block] -= np.multiply.outer(colv[rows], prow[cols])
+            rows = np.flatnonzero(self.tab[:, col])
+            rows = rows[rows != row]
+            self.tab[rows] -= np.multiply.outer(self.tab[rows, col], prow)
             self.obj -= self.obj[col] * prow
         self.in_basis[self.basis[row]] = False
         self.in_basis[col] = True
@@ -186,8 +181,9 @@ def _iterate(t: _Tableau, n_cols, max_iter, safe=False):
     whose pivots cannot cycle, until the objective moves again.  Safe mode
     reinverts after every pivot, solving only for the nonbasic columns and
     b (the pivot itself only changes the basis); the fast mode reinverts
-    every column, periodically and whenever a pivot would land on a
-    suspiciously small element of a stale tableau (the true value might be
+    every column, periodically and whenever the entering column of a stale
+    tableau has no positive entry (it might only seem unbounded) or a pivot
+    would land on a suspiciously small element (the true value might be
     zero, which would corrupt the basis).
     """
     stall = 0
@@ -209,6 +205,10 @@ def _iterate(t: _Tableau, n_cols, max_iter, safe=False):
         col = t.tab[:, enter]
         mask = col > PIVOT_TOL
         if not mask.any():
+            if since_refresh:
+                t.refresh()
+                since_refresh = 0
+                continue
             return "unbounded"
         rhs = t.tab[:, -1]
         ratios = np.where(mask, rhs / np.where(mask, col, 1.0), np.inf)
@@ -256,15 +256,8 @@ def solve_lp(p: LpProblem) -> LpResult:
     from scipy.optimize._highspy._core import HighsModelStatus
     from scipy.sparse import csc_array
 
-    a = p.a_eq
-    b = np.asarray(p.b_eq, dtype=float)
-    c = np.asarray(p.c, dtype=float)
-    cols = csc_array(a)
-    if cols.shape != (b.size, c.size):
-        raise ValueError("inconsistent LP dimensions")
-    if not (np.isfinite(cols.data).all() and np.isfinite(b).all()
-            and np.isfinite(c).all()):
-        raise ValueError("LP data must be finite")
+    cols = csc_array(p.a_eq)
+    b, c = _lp_data(p, cols.shape, cols.data)
     status, message, x = _highs(cols, b, c)
     if status == HighsModelStatus.kInfeasible:
         return LpResult(status="infeasible")
@@ -283,6 +276,19 @@ def solve_lp(p: LpProblem) -> LpResult:
             f"solution residual {resid:g} beyond backward-error bound "
             f"{bound:g}")
     return LpResult(status="optimal", x=x, value=float(c @ x))
+
+
+def _lp_data(p, shape, entries):
+    """p's b_eq and c as float arrays; ValueError unless its constraint
+    matrix's shape is (b.size, c.size) and entries, b and c are finite."""
+    b = np.asarray(p.b_eq, dtype=float)
+    c = np.asarray(p.c, dtype=float)
+    if shape != (b.size, c.size):
+        raise ValueError("inconsistent LP dimensions")
+    if not (np.isfinite(entries).all() and np.isfinite(b).all()
+            and np.isfinite(c).all()):
+        raise ValueError("LP data must be finite")
+    return b, c
 
 
 def _highs(a, b, c):
@@ -391,18 +397,11 @@ def _phase1(a, b, max_iter, safe):
 
 def _solve_lp(p: LpProblem, safe: bool) -> LpResult:
     a = np.asarray(p.a_eq, dtype=float)
-    b = np.asarray(p.b_eq, dtype=float).copy()
-    c = np.asarray(p.c, dtype=float)
-    if a.ndim != 2 or a.shape[0] != b.size or a.shape[1] != c.size:
-        raise ValueError("inconsistent LP dimensions")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-            and np.all(np.isfinite(c))):
-        raise ValueError("LP data must be finite")
+    b, c = _lp_data(p, a.shape, a)
     m, n = a.shape
-    a = a.copy()
     neg = b < 0
-    a[neg, :] *= -1.0
-    b[neg] *= -1.0
+    a = np.where(neg[:, None], -a, a)
+    b = np.where(neg, -b, b)
     max_iter = 20000 + 200 * (m + n)
     start = _phase1(a, b, max_iter, safe)
     if start is None:

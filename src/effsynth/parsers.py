@@ -9,9 +9,10 @@ within 1e-12.
 Each reader makes one pass over the lines and fills the arrays the program
 uses, with no per-pair dict: a model's transition entries go to csr_arrays,
 utility entries to UtilityFn.from_entries, policy rules to
-policy_from_entries.  The pass checks each line's shape and names; the
-decimal literals and repeated keys of all entries are checked in bulk after
-it (_entry_values), and a malformed file is reported at its first bad line
+policy_from_entries; utility and rule lines share one reader
+(_entry_lines).  The pass checks each line's shape and names; the decimal
+literals and repeated keys of all entries are checked in bulk after it
+(_entry_values), and a malformed file is reported at its first bad line
 whichever check finds it.  An automaton guard is evaluated once, as the
 bitset of the symbols it admits.
 """
@@ -189,6 +190,54 @@ def parse_mdp(text) -> Mdp:
     return m
 
 
+def _entry_lines(text, m: Mdp, heads, value, strict=False):
+    """(head, state, action, value) arrays, in file order, of the lines
+    `<head> <state> <action> <value>` with a head in heads (an index into
+    heads; value names the last token in shape errors).  Other lines are
+    skipped, or with strict unknown directives.  Repeats are worded
+    "duplicate <head> entry", or "duplicate <head>" for a single head."""
+    sidx = _first_index(m.state_names)
+    aidx = _first_index(m.action_names)
+    hidx = {head: i for i, head in enumerate(heads)}
+    found, states, actions, vals, where = [], [], [], [], []
+    error = None
+    try:
+        for ln, tok in _lines(text):
+            head = tok[0]
+            if head not in hidx:
+                if strict:
+                    raise ParseError(f"unknown directive {head!r}", ln)
+                continue
+            if len(tok) != 4:
+                raise ParseError(f"{head} <state> <action> <{value}>", ln)
+            _, s, a, val = tok
+            if s not in sidx:
+                raise ParseError(f"unknown state {s!r}", ln)
+            if a not in aidx:
+                raise ParseError(f"unknown action {a!r}", ln)
+            found.append(hidx[head])
+            states.append(sidx[s])
+            actions.append(aidx[a])
+            vals.append(val)
+            where.append(ln)
+    except ParseError as e:
+        error = e
+    found, states, actions = (np.array(x, dtype=np.int64)
+                              for x in (found, states, actions))
+
+    def duplicate(i):
+        entry = " entry" if len(heads) > 1 else ""
+        return (f"duplicate {heads[found[i]]}{entry} "
+                f"{m.state_names[states[i]]} {m.action_names[actions[i]]}")
+
+    vals = _entry_values(
+        vals, where, (found * m.n_states + states) * m.n_actions + actions,
+        duplicate)
+    if error is not None:
+        raise error
+    return found, states, actions, vals
+
+
 def parse_utilities(text, m: Mdp):
     """Reward/cost lines from a model file or a standalone table.
 
@@ -196,50 +245,15 @@ def parse_utilities(text, m: Mdp):
     kind that is present must cover every available state-action pair.  The
     entries of each kind go straight into its table (UtilityFn.from_entries).
     """
-    sidx = _first_index(m.state_names)
-    aidx = _first_index(m.action_names)
-    kinds, states, actions, vals, where = [], [], [], [], []
-    error = None
-    try:
-        for ln, tok in _lines(text):
-            kind = tok[0]
-            if kind != "reward" and kind != "cost":
-                continue
-            if len(tok) != 4:
-                raise ParseError(f"{kind} <state> <action> <value>", ln)
-            _, s, a, val = tok
-            if s not in sidx:
-                raise ParseError(f"unknown state {s!r}", ln)
-            if a not in aidx:
-                raise ParseError(f"unknown action {a!r}", ln)
-            kinds.append(kind == "cost")
-            states.append(sidx[s])
-            actions.append(aidx[a])
-            vals.append(val)
-            where.append(ln)
-    except ParseError as e:
-        error = e
-    kinds = np.array(kinds, dtype=bool)
-    states, actions = (np.array(x, dtype=np.int64) for x in (states, actions))
-
-    def duplicate(i):
-        return (f"duplicate {'cost' if kinds[i] else 'reward'} entry "
-                f"{m.state_names[states[i]]} {m.action_names[actions[i]]}")
-
-    vals = _entry_values(
-        vals, where, (kinds * m.n_states + states) * m.n_actions + actions,
-        duplicate)
-    if error is not None:
-        raise error
-    out = []
-    for kind, rows in (("reward", ~kinds), ("cost", kinds)):
-        if not rows.any():
-            out.append(None)
-            continue
-        fn = UtilityFn.from_entries(states[rows], actions[rows], vals[rows],
-                                    kind)
-        fn.pair_values(m)  # raises unless every pair has a value
-        out.append(fn)
+    kinds = ("reward", "cost")
+    found, states, actions, vals = _entry_lines(text, m, kinds, "value")
+    out = [None, None]
+    for i, kind in enumerate(kinds):
+        rows = found == i
+        if rows.any():
+            out[i] = UtilityFn.from_entries(states[rows], actions[rows],
+                                            vals[rows], kind)
+            out[i].pair_values(m)  # raises unless every pair has a value
     return tuple(out)
 
 
@@ -547,36 +561,7 @@ def write_policy(m: Mdp, p, meta=None) -> str:
 
 def parse_policy(text, m: Mdp) -> np.ndarray:
     """A policy file as a weight vector over m's pairs, filled straight from
-    its rule lines (policy_from_entries)."""
-    sidx = _first_index(m.state_names)
-    aidx = _first_index(m.action_names)
-    states, actions, probs, where = [], [], [], []
-    error = None
-    try:
-        for ln, tok in _lines(text):
-            if tok[0] != "rule":
-                raise ParseError(f"unknown directive {tok[0]!r}", ln)
-            if len(tok) != 4:
-                raise ParseError("rule <state> <action> <prob>", ln)
-            _, s, a, prob = tok
-            if s not in sidx:
-                raise ParseError(f"unknown state {s!r}", ln)
-            if a not in aidx:
-                raise ParseError(f"unknown action {a!r}", ln)
-            states.append(sidx[s])
-            actions.append(aidx[a])
-            probs.append(prob)
-            where.append(ln)
-    except ParseError as e:
-        error = e
-    states, actions = (np.array(x, dtype=np.int64) for x in (states, actions))
-
-    def duplicate(i):
-        return (f"duplicate rule {m.state_names[states[i]]} "
-                f"{m.action_names[actions[i]]}")
-
-    probs = _entry_values(probs, where, states * m.n_actions + actions,
-                          duplicate)
-    if error is not None:
-        raise error
+    its rule lines (policy_from_entries); no other line is allowed."""
+    _, states, actions, probs = _entry_lines(text, m, ("rule",), "prob",
+                                         strict=True)
     return policy_from_entries(m, states, actions, probs)

@@ -618,15 +618,27 @@ def test_casestudy_rejects_bad_params(tmp_path):
      "initial cell (0, 1) is off the 9x9 grid"),
     ("case2", json.dumps({"material": [8, 7]}),
      "material cell (8, 7) is off the 7x7 grid"),
+    ("case1", json.dumps({"item_prob": {"1,1": 0.5}}),
+     "item_prob lacks cell (1, 2)"),
+    ("case1", json.dumps({"destinations": {}}), "no destination cell"),
+    ("case1", json.dumps({"item_prob": {"1,1": 2}}),
+     "item probability 2 at (1, 1) out of [0,1]"),
+    ("case1", json.dumps({"cost_table": {}}), "cost table lacks distance 8"),
+    ("case2", '{"cell_cost": NaN}', "NaN is not a finite number"),
+    ("case1", '{"destinations": {"9,1": 1e999, "1,9": 1.0}}',
+     "1e999 is not a finite number"),
 ], ids=["case2-not-json", "case2-deep-json", "case2-wrong-type",
         "case2-unknown-field", "case2-wrong-entry-type", "case2-missing-ring",
         "case1-wrong-type", "case1-wrong-entry-type", "case1-bad-cell-key",
-        "case1-huge-size", "case1-off-grid", "case2-off-grid"])
+        "case1-huge-size", "case1-off-grid", "case2-off-grid",
+        "case1-partial-item-field", "case1-no-destination",
+        "case1-item-prob-above-one", "case1-empty-cost-table",
+        "case2-nan", "case1-infinite-number"])
 def test_casestudy_bad_params_file_exits_2(tmp_path, capsys, name, text,
                                            phrase):
-    """A --params file that is not JSON, names an unknown field, gives a
-    field the wrong type or fails validation is a one-line error naming the
-    file."""
+    """A --params file that is not JSON, holds a number that is not
+    finite, names an unknown field, gives a field the wrong type or fails
+    validation is a one-line error naming the file."""
     params = tmp_path / "params.json"
     params.write_text(text)
     code = main(["casestudy", name, "--params", str(params),

@@ -467,8 +467,8 @@ def test_pivot_special_columns_and_rows(rng):
 
 
 def test_pivot_allocates_no_tableau_sized_array(rng):
-    """A pivot whose row and column are sparse allocates far less than the
-    tableau: only the block the update touches."""
+    """A pivot whose column is sparse allocates far less than the tableau:
+    only the rows the update touches."""
     import tracemalloc
     m, n = 400, 1500
     t = random_tableau(rng, m, n, 1.0)
@@ -620,8 +620,10 @@ def test_safe_retry_matches_full_reinversion(monkeypatch, bench_instances):
     densely and reinverts every column, and ends the same: a bitwise-equal
     x, or the same NumericalFailure.  With one BLAS thread the fast attempt
     fails on all three, and the safe retry solves mc02, loses a singular
-    basis on mc05 and primal feasibility on mc00; with two, mc00's fast
-    attempt stops at "unbounded" and never retries."""
+    basis on mc05 and primal feasibility on mc00.  With two, mc00's fast
+    attempt meets an entering column with no positive entry on a stale
+    tableau, reinverts instead of ending "unbounded", fails later, and
+    the retry loses primal feasibility."""
     shipped = lp._Tableau.refresh
     retried = {}
     for index in (2, 5, 0):
@@ -646,6 +648,36 @@ def test_safe_retry_matches_full_reinversion(monkeypatch, bench_instances):
             if ref.x is not None:
                 assert new.x.tobytes() == ref.x.tobytes()
     assert retried[2] and retried[5]
+
+
+def test_stale_unbounded_column_is_reinverted(monkeypatch):
+    """A fast pivot that drifts every improving column to non-positive
+    entries once (each stays improving) does not end the bounded LP as
+    unbounded: the tableau reinverts from exact data before it trusts an
+    entering column with no positive entry, and ends at the undrifted
+    optimum.  The columns put the slacks first, so phase 1 ends on them
+    and phase 2 pivots three times."""
+    n = 3
+    p = LpProblem(c=np.r_[np.zeros(n), 1.0, 2.0, 3.0],
+                  a_eq=np.hstack([np.eye(n), np.eye(n)]), b_eq=np.ones(n))
+    want = lp._solve_tableau(p)
+    assert want.status == "optimal" and want.value == 6.0
+    shipped = lp._Tableau.pivot
+    drifted = []
+
+    def drifting(t, row, col, update=True):
+        shipped(t, row, col, update)
+        if update and t.n_total == 2 * n and not drifted:
+            improving = np.flatnonzero((t.obj[:-1] < -lp.PIVOT_TOL)
+                                       & ~t.in_basis)
+            t.tab[:, improving] = -np.abs(t.tab[:, improving])
+            drifted.extend(improving.tolist())
+    monkeypatch.setattr(lp._Tableau, "pivot", drifting)
+    got = lp._solve_tableau(p)
+    assert drifted == [3, 4]
+    assert got.status == "optimal"
+    assert got.value == want.value
+    assert got.x.tobytes() == want.x.tobytes()
 
 
 def ratio_lp_on_both(m, r, c):
