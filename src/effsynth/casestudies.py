@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Dra, Mdp, UtilityFn, alphabet, csr_arrays
+from .model import Dra, InputError, Mdp, UtilityFn, alphabet, csr_arrays
 
 
-class ParamError(Exception):
+class ParamError(InputError):
     pass
 
 
@@ -108,6 +108,10 @@ class Case1Params:
         for cell in _free_cells(self) if self.item_prob else ():
             if cell not in self.item_prob:
                 raise ParamError(f"item_prob lacks cell {cell}")
+        dests = set(self.destinations)
+        for cell in _free_cells(self):  # in row-major order
+            if (dist := _distance(cell, dests)) not in self.cost_table:
+                raise ParamError(f"cost table lacks distance {dist}")
 
 
 def _free_cells(params):
@@ -162,10 +166,7 @@ def gen_case1(params: Case1Params | None = None):
         labels.append(frozenset(
             prop for prop, holds in (("d", delivers),
                                      ("c", cell == params.charging)) if holds))
-        dist = _distance(cell, dest_cells)
-        if dist not in params.cost_table:
-            raise ParamError(f"cost table lacks distance {dist}")
-        cost_s.append(params.cost_table[dist])
+        cost_s.append(params.cost_table[_distance(cell, dest_cells)])
         reward_s.append(params.destinations[cell] if delivers else 0.0)
     m = Mdp.from_arrays(
         names, actions, sidx[(params.initial, 0)],
@@ -223,6 +224,12 @@ def _ring(top, left, bottom, right):
     return {cells[i]: cells[(i + 1) % len(cells)] for i in range(len(cells))}
 
 
+def _rings(n):
+    """The three rings of an n x n factory, by name."""
+    return {"outer": _ring(1, 1, n, n), "middle": _ring(2, 2, n - 1, n - 1),
+            "inner": _ring(3, 3, n - 2, n - 2)}
+
+
 @dataclass
 class Case2Params:
     size: int = 7
@@ -242,6 +249,10 @@ class Case2Params:
         missing = {"outer", "middle", "inner"} - set(self.ring_reward)
         if missing:
             raise ParamError(f"ring_reward lacks {sorted(missing)}")
+        on_ring = set().union(*_rings(self.size).values())
+        for cell in (self.command, self.material, self.initial):
+            if cell not in on_ring:
+                raise ParamError(f"cell {cell} is not on a ring")
 
 
 def gen_case2(params: Case2Params | None = None):
@@ -255,21 +266,15 @@ def gen_case2(params: Case2Params | None = None):
     params = params or Case2Params()
     params.validate()
     n = params.size
-    rings = {"outer": _ring(1, 1, n, n),
-             "middle": _ring(2, 2, n - 1, n - 1),
-             "inner": _ring(3, 3, n - 2, n - 2)}
     ring_of = {}
     follow = {}
-    for name, ring in rings.items():
+    for name, ring in _rings(n).items():
         for cell, nxt in ring.items():
             ring_of[cell] = name
             follow[cell] = nxt
     mid = (n + 1) // 2
     hops = {((mid, 1), "in"): (mid, 2), ((mid, 2), "out"): (mid, 1),
             ((mid, 2), "in"): (mid, 3), ((mid, 3), "out"): (mid, 2)}
-    for cell in (params.command, params.material, params.initial):
-        if cell not in ring_of:
-            raise ParamError(f"cell {cell} is not on a ring")
 
     def moves(cell):
         """(action, cell entered) of each move from cell."""

@@ -34,8 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import PROB_TOL, Mc, Mdp, ModelError, _ranges, induce_chain, \
-    rabin_witness
+from .model import PROB_TOL, Mc, Mdp, ModelError, SolverError, _ranges, \
+    induce_chain, rabin_witness
 from .graph import strongly_connected_components
 
 LIMIT_TOL = 1e-9      # most negative entry a stationary vector may have
@@ -45,11 +45,11 @@ POTENTIAL_TOL = 1e-8  # residual tolerance for potential solves
 DENSE_MAX = 250
 
 
-class SingularSystem(Exception):
+class SingularSystem(SolverError):
     """A linear solve failed beyond tolerance."""
 
 
-class NotUnichain(Exception):
+class NotUnichain(SolverError):
     """An operation required a single recurrent class."""
 
 

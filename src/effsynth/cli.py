@@ -3,8 +3,9 @@
 Subcommands: decompose, synthesize, evaluate, simulate, casestudy.  Outputs
 are machine-readable JSON (schema effsynth/1) with a run manifest (input
 hashes, version, seed, active numeric knobs).  Exit codes: 0 ok, 2 parse or
-validation failure (also argparse usage errors, and an input that cannot be
-read or is not UTF-8), 3 task unsatisfiable, 4 solver failure.
+validation failure (an InputError; also argparse usage errors, and an input
+that cannot be read or is not UTF-8), 3 task unsatisfiable
+(TaskUnsatisfiable), 4 solver failure (a SolverError).
 
 A call opens each input file once: its bytes are hashed for the manifest
 and decoded for the parser.  The argument parser is built once per process;
@@ -23,20 +24,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .model import PROB_TOL, AlphabetMismatch, ModelError, PolicyMismatch, \
+from .model import PROB_TOL, InputError, PolicyMismatch, SolverError, \
     build_product, lift_utilities, policy_domain
 from . import casestudies, chain, graph, lp, parsers, sim, synthesis
 
 EXIT_PARSE = 2
 EXIT_UNSAT = 3
 EXIT_SOLVER = 4
-
-PARSE_ERRORS = (parsers.ParseError, parsers.ValidationError, ModelError,
-                AlphabetMismatch, PolicyMismatch, casestudies.ParamError)
-UNSAT_ERRORS = (synthesis.TaskUnsatisfiable,)
-SOLVER_ERRORS = (lp.NumericalFailure, lp.InfeasibleError, lp.NotCommunicating,
-                 lp.DegenerateDecoding, chain.SingularSystem,
-                 chain.NotUnichain, graph.Unreachable)
 
 
 def _read(path, digests):
@@ -285,10 +279,10 @@ def _finite(literal, kind=float):
 
 
 def _case_params(path, name, digests):
-    """The --params file as the case's parameter dataclass.  A file that
-    is not a JSON object of finite numbers, an unknown field, a value whose
-    JSON type does not fit its field and a cell key that is not "row,col"
-    are errors naming the file, as cmd_casestudy makes a failed validation."""
+    """The --params file as the case's validated parameter dataclass.  A
+    file that is not a JSON object of finite numbers, an unknown field, a
+    value whose JSON type does not fit its field, a cell key that is not
+    "row,col" and a failed validation are errors naming the file."""
     cls = casestudies.Case1Params if name == "case1" \
         else casestudies.Case2Params
     try:
@@ -327,19 +321,20 @@ def _case_params(path, name, digests):
                 raw[key] = tuple(value)
     except (TypeError, ValueError) as e:
         raise parsers.ParseError(f"{path}: bad {name} parameters ({e})") from e
-    return cls(**raw)
+    params = cls(**raw)
+    try:
+        params.validate()
+    except casestudies.ParamError as e:
+        raise casestudies.ParamError(f"{path}: {e}") from None
+    return params
 
 
 def cmd_casestudy(args):
-    os.makedirs(args.out_dir, exist_ok=True)
     digests = {}
     params = (_case_params(args.params, args.name, digests)
               if args.params else None)
-    try:  # the generator validates params
-        built = (casestudies.gen_case1 if args.name == "case1"
-                 else casestudies.gen_case2)(params)
-    except casestudies.ParamError as e:
-        raise casestudies.ParamError(f"{args.params}: {e}") from None
+    built = (casestudies.gen_case1 if args.name == "case1"
+             else casestudies.gen_case2)(params)
     if args.name == "case1":
         m, d1, d2, reward, cost = built
         files = {"model.mdp": parsers.write_mdp(m),
@@ -356,6 +351,8 @@ def cmd_casestudy(args):
                      m, reward_family(0.0), cost),
                  "bonus_sweep.csv": _case2_sweep(m, d, reward_family, cost,
                                                  args)}
+    # made only now, so that a rejected input leaves no directory behind
+    os.makedirs(args.out_dir, exist_ok=True)
     for name, text in files.items():
         _write(text, os.path.join(args.out_dir, name))
     _emit({"schema": "effsynth/1", "generated": list(files),
@@ -486,13 +483,13 @@ def main(argv=None):
     command = globals()["cmd_" + args.command]
     try:
         return command(args)
-    except PARSE_ERRORS as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except UNSAT_ERRORS as e:
+    except synthesis.TaskUnsatisfiable as e:
         print(f"task unsatisfiable: {e}", file=sys.stderr)
         return EXIT_UNSAT
-    except SOLVER_ERRORS as e:
+    except SolverError as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -24,10 +24,10 @@ the lowest action index.
 
 import numpy as np
 
-from .model import Mdp, gather_pairs, support_csr
+from .model import Mdp, SolverError, gather_pairs, support_csr
 
 
-class Unreachable(Exception):
+class Unreachable(SolverError):
     """The peeling loop stalled before every state was assigned."""
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Mdp
+from .model import Mdp, SolverError
 from .graph import attractor_policy, is_communicating
 from .chain import _entries, analyze
 
@@ -49,19 +49,19 @@ FEAS_TOL = 1e-9
 SUPPORT_THRESHOLD = 1e-9  # occupation mass below this is treated as zero
 
 
-class NumericalFailure(Exception):
+class NumericalFailure(SolverError):
     """Solver breakdown, or a solution beyond tolerance."""
 
 
-class InfeasibleError(Exception):
+class InfeasibleError(SolverError):
     """The program has no feasible point (malformed model upstream)."""
 
 
-class NotCommunicating(Exception):
+class NotCommunicating(SolverError):
     """The ratio program requires a communicating model."""
 
 
-class DegenerateDecoding(Exception):
+class DegenerateDecoding(SolverError):
     """The support threshold leaves no mass to decode: at some state for
     both the x and y rows, or anywhere in the occupation weights."""
 

@@ -32,7 +32,15 @@ import numpy as np
 PROB_TOL = 1e-9  # validation tolerance of a row sum and of an entry above 1
 
 
-class ModelError(Exception):
+class InputError(Exception):
+    """The program rejects its input: the CLI exits 2."""
+
+
+class SolverError(Exception):
+    """A solve broke down or its result failed its check: the CLI exits 4."""
+
+
+class ModelError(InputError):
     """Base class for model-layer failures."""
 
 

@@ -14,24 +14,25 @@ policy_from_entries; utility and rule lines share one reader
 literals and repeated keys of all entries are checked in bulk after it
 (_entry_values), and a malformed file is reported at its first bad line
 whichever check finds it.  An automaton guard is evaluated once, as the
-bitset of the symbols it admits.
+bitset of the symbols it admits, and the automaton's table is read off
+those bitsets whole, never symbol by symbol for each edge.
 """
 
 import re
 
 import numpy as np
 
-from .model import (Dra, Mdp, UtilityFn, alphabet, csr_arrays,
+from .model import (Dra, InputError, Mdp, UtilityFn, csr_arrays,
                     policy_domain, policy_from_entries, validate_mdp)
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     def __init__(self, msg, line=None):
         self.line = line
         super().__init__(f"line {line}: {msg}" if line else msg)
 
 
-class ValidationError(Exception):
+class ValidationError(InputError):
     def __init__(self, violations):
         self.violations = list(violations)
         first = self.violations[0]
@@ -259,7 +260,14 @@ def parse_utilities(text, m: Mdp):
 
 # --- HOA-subset Rabin automata ------------------------------------------
 
+# most atomic propositions an automaton may declare: each state's table row
+# holds 2^|AP| symbols, 8 MB at 20
+MAX_AP = 20
+
 _ACC_PAIR = re.compile(r"Fin\s*\(\s*(\d+)\s*\)\s*&\s*Inf\s*\(\s*(\d+)\s*\)")
+_STATE_LINE = re.compile(r"State:\s*(\d+)\s*(\{([\d\s]*)\})?\s*$")
+_EDGE_LINE = re.compile(r"\[(.*)\]\s*(\d+)\s*$")
+_GUARD_TOKEN = re.compile(r"\d+|[!&|()tf]")
 
 
 class _GuardParser:
@@ -270,7 +278,7 @@ class _GuardParser:
     beyond the declared APs is a proposition that never holds."""
 
     def __init__(self, text, ln, lit, full):
-        self.toks = re.findall(r"\d+|[!&|()tf]", text)
+        self.toks = _GUARD_TOKEN.findall(text)
         if "".join(self.toks).replace(" ", "") != text.replace(" ", ""):
             raise ParseError(f"bad guard {text!r}", ln)
         self.pos = 0
@@ -341,7 +349,9 @@ def parse_dra(text) -> Dra:
     one deterministic and complete guard set per state.  Symbols are
     numbered as model.alphabet numbers them; each guard is evaluated once,
     as the bitset of the symbols it admits, and a state's faults are read
-    off the overlaps and gaps of its guards' bitsets, first symbol first."""
+    off the overlaps and gaps of its guards' bitsets, first symbol first.
+    At most MAX_AP propositions are declared, and the States: count is
+    checked against the body before any row is built."""
     n_states = None
     start = None
     ap = None
@@ -371,6 +381,9 @@ def parse_dra(text) -> Dra:
             names = re.findall(r'"([^"]*)"', line)
             if _header_int(line, ln) != len(names):
                 raise ParseError("AP count disagrees with names", ln)
+            if len(names) > MAX_AP:
+                raise ParseError(f"{len(names)} APs exceed the limit of "
+                                 f"{MAX_AP}", ln)
             dup = next((p for i, p in enumerate(names) if p in names[:i]),
                        None)
             if dup is not None:
@@ -399,18 +412,19 @@ def parse_dra(text) -> Dra:
     if None in (n_states, start, ap, pairs_idx):
         raise ParseError("missing required HOA headers")
 
-    state_re = re.compile(r"State:\s*(\d+)\s*(\{([\d\s]*)\})?\s*$")
-    edge_re = re.compile(r"\[(.*)\]\s*(\d+)\s*$")
-    n_sym = 2 ** len(ap)
+    # lit[i]: the symbols that hold AP i, grown one AP at a time as the
+    # symbols double, in time linear in them
+    lit, n_sym = [], 1
+    for _ in ap:
+        lit = [x | x << n_sym for x in lit] + [((1 << n_sym) - 1) << n_sym]
+        n_sym *= 2
     full = (1 << n_sym) - 1
-    lit = [sum(1 << b for b in range(n_sym) if b >> i & 1)
-           for i in range(len(ap))]
     guards = {}  # guard text -> its bitset; states repeat their guards
     memberships = {}
     edges = {}
     current = None
     for ln, line in body:
-        mo = state_re.match(line)
+        mo = _STATE_LINE.match(line)
         if mo:
             current = int(mo.group(1))
             if current in edges:
@@ -419,7 +433,7 @@ def parse_dra(text) -> Dra:
             memberships[current] = sets
             edges[current] = []
             continue
-        mo = edge_re.match(line)
+        mo = _EDGE_LINE.match(line)
         if mo and current is not None:
             guard = mo.group(1)
             if guard not in guards:
@@ -427,7 +441,8 @@ def parse_dra(text) -> Dra:
             edges[current].append((guards[guard], int(mo.group(2)), ln))
             continue
         raise ParseError(f"bad body line {line!r}", ln)
-    if set(edges) != set(range(n_states)):
+    # counted before anything is built for the declared states
+    if len(edges) != n_states or any(q >= n_states for q in edges):
         raise ParseError("body does not define every state exactly once")
     for q, sets in memberships.items():
         for idx in sets:
@@ -435,22 +450,26 @@ def parse_dra(text) -> Dra:
                 raise ParseError(f"state {q} references acceptance set {idx} "
                                  "beyond the declared count")
 
-    table = []
+    # planes[k][q]: the symbols on which q enters a state with bit k set
+    # (one plane at least, so that a one-state table has rows to fill)
+    planes = [[0] * n_states
+              for _ in range(max(n_states - 1, 1).bit_length())]
     for q in range(n_states):
         covered = overlap = wrong = 0
-        row = [0] * n_sym
         for bits, dest, _ in edges[q]:
             overlap |= covered & bits
             covered |= bits
             if not 0 <= dest < n_states:
                 wrong |= bits
-            for b in range(n_sym):
-                if bits >> b & 1:
-                    row[b] = dest
+                continue
+            while dest:
+                k = dest.bit_length() - 1
+                planes[k][q] |= bits
+                dest ^= 1 << k
         fault = overlap | wrong | full & ~covered
         if fault:
             b = (fault & -fault).bit_length() - 1
-            sym = alphabet(ap)[b]
+            sym = [p for i, p in enumerate(ap) if b >> i & 1]
             hits = [(dest, ln) for bits, dest, ln in edges[q] if bits >> b & 1]
             if len(hits) > 1:
                 raise NondeterminismError(
@@ -460,14 +479,23 @@ def parse_dra(text) -> Dra:
                 raise IncompletenessError(
                     f"state {q}: no edge for symbol {set(sym) or '{}'}")
             raise ParseError(f"edge to unknown state {hits[0][0]}")
-        table.append(row)
+    # every plane's rows as one bit per symbol (padded to whole bytes);
+    # plane k adds 2^k to the table wherever its bit is set
+    width = -(-n_sym // 8) * 8
+    packed = b"".join(x.to_bytes(width // 8, "little")
+                      for plane in planes for x in plane)
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
+    bits = bits.view(bool).reshape(len(planes), n_states, width)
+    table = np.zeros((n_states, width), dtype=np.int64)
+    for k, plane in enumerate(bits):
+        np.add(table, 1 << k, out=table, where=plane)
 
     pairs = []
     for fin_i, inf_i in pairs_idx:
         b = {q for q, sets in memberships.items() if fin_i in sets}
         g = {q for q, sets in memberships.items() if inf_i in sets}
         pairs.append((b, g))
-    return Dra(n_states, start, ap, table, pairs)
+    return Dra(n_states, start, ap, table[:, :n_sym], pairs)
 
 
 # --- canonical writers ----------------------------------------------------

@@ -73,6 +73,11 @@ def _compound_rows(m: Mdp, p, r, c):
     return rows
 
 
+# doubles drawn at a time: a rollout's memory does not grow with its steps,
+# and Philox hands out the same doubles in chunks as in one draw
+CHUNK = 1 << 16
+
+
 def _stream(seed, rollout):
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1),
                                                       rollout]))
@@ -83,19 +88,20 @@ def _one_rollout(rows, initial, steps, gen):
     total_r = 0.0
     total_c = 0.0
     s = initial
-    # Python floats: the same doubles as the generator's array, compared by
-    # bisect without making a numpy scalar per step
-    for x in gen.random(steps).tolist():
-        counts[s] += 1
-        row = rows[s]
-        if row is None:
-            raise PolicyMismatch(f"rollout reached undefined state {s}")
-        cum, nxt, rinc, cinc, last = row
-        # a draw above the row's total (rounding) takes the last outcome
-        j = bisect_left(cum, x, 0, last)
-        total_r += rinc[j]
-        total_c += cinc[j]
-        s = nxt[j]
+    for done in range(0, steps, CHUNK):
+        # Python floats: the same doubles as the generator's array, compared
+        # by bisect without making a numpy scalar per step
+        for x in gen.random(min(CHUNK, steps - done)).tolist():
+            counts[s] += 1
+            row = rows[s]
+            if row is None:
+                raise PolicyMismatch(f"rollout reached undefined state {s}")
+            cum, nxt, rinc, cinc, last = row
+            # a draw above the row's total (rounding) takes the last outcome
+            j = bisect_left(cum, x, 0, last)
+            total_r += rinc[j]
+            total_c += cinc[j]
+            s = nxt[j]
     return counts, total_r, total_c
 
 

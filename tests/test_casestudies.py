@@ -199,21 +199,31 @@ def test_case1_rejects_bad_params():
     (Case2Params(size=6), "material cell (7, 7) is off the 6x6 grid"),
     (Case2Params(command=(3, 4, 1)), "command cell (3, 4, 1) is off"),
     (Case2Params(initial=(4, 0)), "initial cell (4, 0) is off"),
+    (Case1Params(size=13), "cost table lacks distance 9"),
+    (Case2Params(command=(4, 4)), "cell (4, 4) is not on a ring"),
 ], ids=["case1-huge", "case1-above-cap", "case1-float", "case1-bool",
         "case1-below-cells", "case1-initial", "case1-charging",
         "case1-destination", "case2-zero", "case2-below-cells",
-        "case2-command", "case2-initial"])
+        "case2-command", "case2-initial", "case1-cost-table",
+        "case2-off-ring"])
 def test_params_bound_size_and_keep_cells_on_grid(params, phrase):
     """A size that is not an int from the smallest grid holding the named
-    cells up to MAX_SIZE, or a named cell off the grid, fails validation
-    before any grid is built."""
+    cells up to MAX_SIZE, a named cell off the grid, a case-1 cost table
+    that misses a distance of the grid (the first one in row-major order)
+    and a case-2 cell off the rings fail validation, before any model is
+    built."""
     with pytest.raises(ParamError, match=re.escape(phrase)):
         params.validate()
 
 
 def test_params_accept_the_largest_size():
-    Case1Params(size=MAX_SIZE).validate()
-    Case2Params(size=MAX_SIZE).validate()
+    """The largest grids validate: case 1 given a cost table that covers
+    its distances (as perfbench/instances.grid_params builds one), case 2
+    with the material cell moved to the outer ring's corner."""
+    cost = dict(COST_BY_DISTANCE)
+    cost.update({d: 1.0 for d in range(max(cost) + 1, 2 * MAX_SIZE)})
+    Case1Params(size=MAX_SIZE, cost_table=cost).validate()
+    Case2Params(size=MAX_SIZE, material=(MAX_SIZE, MAX_SIZE)).validate()
 
 
 def word(*syms):

@@ -624,6 +624,7 @@ def test_casestudy_rejects_bad_params(tmp_path):
     ("case1", json.dumps({"item_prob": {"1,1": 2}}),
      "item probability 2 at (1, 1) out of [0,1]"),
     ("case1", json.dumps({"cost_table": {}}), "cost table lacks distance 8"),
+    ("case2", json.dumps({"command": [4, 4]}), "cell (4, 4) is not on a ring"),
     ("case2", '{"cell_cost": NaN}', "NaN is not a finite number"),
     ("case1", '{"destinations": {"9,1": 1e999, "1,9": 1.0}}',
      "1e999 is not a finite number"),
@@ -633,12 +634,13 @@ def test_casestudy_rejects_bad_params(tmp_path):
         "case1-huge-size", "case1-off-grid", "case2-off-grid",
         "case1-partial-item-field", "case1-no-destination",
         "case1-item-prob-above-one", "case1-empty-cost-table",
-        "case2-nan", "case1-infinite-number"])
+        "case2-off-ring", "case2-nan", "case1-infinite-number"])
 def test_casestudy_bad_params_file_exits_2(tmp_path, capsys, name, text,
                                            phrase):
     """A --params file that is not JSON, holds a number that is not
     finite, names an unknown field, gives a field the wrong type or fails
-    validation is a one-line error naming the file."""
+    validation is a one-line error naming the file, and no --out-dir is
+    left behind."""
     params = tmp_path / "params.json"
     params.write_text(text)
     code = main(["casestudy", name, "--params", str(params),
@@ -647,6 +649,57 @@ def test_casestudy_bad_params_file_exits_2(tmp_path, capsys, name, text,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert str(params) in err and phrase in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_every_failure_class_has_one_outcome():
+    """Each exception class the package defines derives from exactly one
+    of InputError (exit 2), TaskUnsatisfiable (exit 3) and SolverError
+    (exit 4), so the CLI maps it without knowing it.  ToleranceError alone
+    stays a ValueError: synthesize maps it to the flag it names."""
+    import importlib
+    import inspect
+    import pkgutil
+    from effsynth import casestudies, graph, lp, parsers
+    from effsynth.synthesis import ToleranceError
+    outcomes = (effsynth.InputError, effsynth.TaskUnsatisfiable,
+                effsynth.SolverError)
+    found = []
+    for info in pkgutil.iter_modules(effsynth.__path__):
+        module = importlib.import_module(f"effsynth.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and \
+                    cls.__module__ == module.__name__:
+                found.append(cls)
+                if cls is ToleranceError:
+                    assert not issubclass(cls, outcomes)
+                    assert issubclass(cls, ValueError)
+                    continue
+                assert sum(issubclass(cls, o) for o in outcomes) == 1, cls
+    assert {ToleranceError, parsers.ParseError, casestudies.ParamError,
+            lp.NumericalFailure, graph.Unreachable} <= set(found)
+
+
+@pytest.mark.parametrize("base, code, prefix", [
+    ("InputError", 2, "error: "),
+    ("TaskUnsatisfiable", 3, "task unsatisfiable: "),
+    ("SolverError", 4, "solver failure: "),
+])
+def test_new_failure_class_takes_its_exit_code_from_its_base(
+        files, monkeypatch, capsys, base, code, prefix):
+    """A failure class that no module of the CLI names exits by its base
+    class, with the base's one-line message."""
+    from effsynth import cli
+
+    class Fresh(getattr(effsynth, base)):
+        pass
+
+    def failing(args):
+        raise Fresh("it broke")
+
+    monkeypatch.setattr(cli, "cmd_decompose", failing)
+    assert main(["decompose", files["model.mdp"], files["task.hoa"]]) == code
+    assert capsys.readouterr().err == f"{prefix}it broke\n"
 
 
 @pytest.mark.parametrize("guard", ["!" * 3000 + "0",

@@ -4,8 +4,9 @@ import pytest
 from effsynth.graph import mec_decompose, restrict
 from effsynth.model import (Dra, Mdp, ModelError, UtilityFn, build_product,
                             uniform_policy, validate_mdp)
-from effsynth.parsers import (IncompletenessError, NondeterminismError,
-                              ParseError, ValidationError, parse_dra,
+from effsynth.parsers import (MAX_AP, IncompletenessError,
+                              NondeterminismError, ParseError,
+                              ValidationError, parse_dra,
                               parse_mdp, parse_policy, parse_utilities,
                               write_dra, write_mdp, write_policy,
                               write_utilities)
@@ -214,6 +215,63 @@ def test_parse_dra_rejects_a_start_outside_the_states():
     before any product reads its table."""
     with pytest.raises(ModelError, match="initial state 2 is not one of"):
         parse_dra(INF_OFTEN_G.replace("Start: 0", "Start: 2"))
+
+
+def hoa(n_states, n_ap, body):
+    """An automaton text with n_ap propositions p0, p1, ... and the given
+    body lines."""
+    names = " ".join(f'"p{i}"' for i in range(n_ap))
+    return "\n".join(["HOA: v1", f"States: {n_states}", "Start: 0",
+                      f"AP: {n_ap} {names}", "Acceptance: 2 Fin(0) & Inf(1)",
+                      "--BODY--", *body, "--END--"]) + "\n"
+
+
+def test_parse_dra_counts_states_before_building_them():
+    """A States: count the body does not meet fails before anything is
+    built for the declared states; States: 0 with an empty body reaches
+    the automaton, which has no initial state."""
+    with pytest.raises(ModelError, match="initial state 0 is not one of "
+                                         "the 0 states"):
+        parse_dra(hoa(0, 1, []))
+    import tracemalloc
+    text = hoa(2_000_000, 1, ["State: 0 {1}", "[t] 0"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="body does not define every "
+                                             "state exactly once"):
+            parse_dra(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_parse_dra_bounds_the_alphabet():
+    """An AP: count above MAX_AP is an error at its line; MAX_AP itself
+    parses, each proposition holding on the symbols with its bit set."""
+    with pytest.raises(ParseError, match=f"line 4: {MAX_AP + 1} APs exceed "
+                                         f"the limit of {MAX_AP}"):
+        parse_dra(hoa(1, MAX_AP + 1, ["State: 0 {1}", "[t] 0"]))
+    top = MAX_AP - 1
+    d = parse_dra(hoa(3, MAX_AP, [
+        line for q in range(3)
+        for line in (f"State: {q} {{1}}", f"[{top} & !0] 2",
+                     f"[!{top} | 0] {q}")]))
+    sym = np.arange(2 ** MAX_AP)
+    hit = (sym >> top & 1 == 1) & (sym & 1 == 0)
+    for q in range(3):
+        assert (d.table[q] == np.where(hit, 2, q)).all()
+
+
+def test_written_automaton_parses_to_its_table(rng):
+    """write_dra's one guard per symbol, over enough APs and states that
+    the symbols span many bytes and the destinations many bits."""
+    n_states, n_ap = 11, 9
+    table = rng.integers(n_states, size=(n_states, 2 ** n_ap))
+    d = Dra(n_states, 3, [f"p{i}" for i in range(n_ap)], table,
+            [({0}, {1, 2})])
+    d2 = parse_dra(write_dra(d))
+    assert (d2.table == table).all() and d2.pairs == d.pairs
 
 
 def test_dra_roundtrip():

@@ -40,6 +40,42 @@ def test_same_seed_is_bitwise_identical(rng):
     assert a.visit_freq == b.visit_freq and a.label_freq == b.label_freq
 
 
+def test_chunked_draws_change_nothing(rng, monkeypatch):
+    """Rollouts draw their streams CHUNK doubles at a time: chunks of 7
+    give bitwise the statistics of one chunk per rollout."""
+    from effsynth import sim
+    pm = random_communicating_product(rng, 4, 2)
+    r, c = random_utilities(rng, pm)
+    p = uniform_policy(pm)
+    cfg = RolloutConfig(steps=5000, rollouts=3, seed=11)
+    whole = simulate(pm, p, r, c, cfg)
+    monkeypatch.setattr(sim, "CHUNK", 7)
+    assert simulate(pm, p, r, c, cfg) == whole
+
+
+def test_rollout_memory_does_not_grow_with_steps():
+    """A rollout of three chunks of steps peaks no higher than one of a
+    chunk, give or take a byte a step: drawn at once, its doubles would
+    take 32 bytes a step more."""
+    import tracemalloc
+    from effsynth import sim
+    m = Mdp(["s", "t"], ["a"], 0, {(0, 0): {0: 0.5, 1: 0.5},
+                                   (1, 0): {0: 1.0}})
+    p = uniform_policy(m)
+    ones = np.ones(m.n_pairs)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for chunks in (1, 3):
+            tracemalloc.reset_peak()
+            simulate(m, p, ones, ones, RolloutConfig(
+                steps=chunks * sim.CHUNK, rollouts=1, seed=0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 3 * sim.CHUNK
+
+
 def test_different_seed_differs(rng):
     pm = random_communicating_product(rng, 4, 2)
     r, c = random_utilities(rng, pm)
