@@ -33,8 +33,8 @@ print(f"simulated: {stats.mean_ratio:.6f} +- {stats.stderr:.2e} "
 again = simulate(pm, rep.policy, r, c, cfg)
 print(f"same seed, same bits: {again == stats}")
 
-for k, (b_set, g_set) in enumerate(pm.acc_pairs):
-    g = sum(stats.visit_counts[s] for s in g_set)
-    b = sum(stats.visit_counts[s] for s in b_set)
-    print(f"pair {k}: {g} visits to G, {b} visits to B "
-          f"across {cfg.rollouts} rollouts")
+# each Rabin pair is a (B, G) pair of boolean state masks
+counts = np.array(stats.visit_counts)
+for k, (b, g) in enumerate(pm.acc_pairs):
+    print(f"pair {k}: {counts[g].sum()} visits to G, {counts[b].sum()} "
+          f"visits to B across {cfg.rollouts} rollouts")

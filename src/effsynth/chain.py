@@ -63,7 +63,7 @@ class ChainAnalysis:
     """
     chain: Mc
     recurrent_classes: tuple
-    transient: frozenset
+    transient: np.ndarray   # the transient states, ascending
     absorb: np.ndarray      # n_states x n_classes
     # _solve's handle on T's absorption system, None without transient states
     _absorb_solve: object = field(compare=False, repr=False)
@@ -231,8 +231,7 @@ def analyze(m: Mdp, w) -> ChainAnalysis:
                                    "absorption")
 
     return ChainAnalysis(chain=chain, recurrent_classes=classes,
-                         transient=frozenset(tr.tolist()), absorb=absorb,
-                         _absorb_solve=solve)
+                         transient=tr, absorb=absorb, _absorb_solve=solve)
 
 
 def _one_class(chain: Mc) -> ChainAnalysis:
@@ -241,8 +240,8 @@ def _one_class(chain: Mc) -> ChainAnalysis:
     is solved on first read, as analyze's are."""
     n = chain.n_states
     return ChainAnalysis(chain=chain, recurrent_classes=(tuple(range(n)),),
-                         transient=frozenset(), absorb=np.ones((n, 1)),
-                         _absorb_solve=None)
+                         transient=np.zeros(0, dtype=np.int64),
+                         absorb=np.ones((n, 1)), _absorb_solve=None)
 
 
 @dataclass(frozen=True)
@@ -349,8 +348,8 @@ def potential_vector(ca: ChainAnalysis, m: Mdp, u, p) -> np.ndarray:
         rho[k] = -h[-1]
         h[-1] = 0.0
         g[idx] = h + (rho[k] - ca.stationary[k] @ h)
-    if ca.transient:
-        tr = np.array(sorted(ca.transient))
+    tr = ca.transient
+    if tr.size:
         # g is still zero on T, so P g is P_TR g_R there
         p_g = np.stack([ca.chain.matvec(gj)[tr] for gj in g.T], axis=1)
         g[tr] = ca._absorb_solve(v[tr] + p_g - ca.absorb[tr] @ rho,

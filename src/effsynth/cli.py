@@ -248,15 +248,15 @@ def cmd_simulate(args):
         lines.append(f"stderr,{stats.stderr:.12g}")
         _write("\n".join(lines) + "\n", args.out)
         return 0
-    counts = stats.visit_counts
+    counts = np.array(stats.visit_counts)
     payload = {"schema": "effsynth/1",
                "mean_ratio": stats.mean_ratio,
                "stderr": stats.stderr,
                "ratios": list(stats.ratios),
                "label_freq": stats.label_freq,
                "acceptance_visits": [
-                   {"pair": k, "g_visits": sum(counts[s] for s in g),
-                    "b_visits": sum(counts[s] for s in b)}
+                   {"pair": k, "g_visits": int(counts[g].sum()),
+                    "b_visits": int(counts[b].sum())}
                    for k, (b, g) in enumerate(pm.acc_pairs)],
                "manifest": _manifest(args, digests)}
     _emit(payload, args.out)

@@ -14,9 +14,9 @@ scipy, and scipy's compiled kernel above it, with the same labels.  The
 SCC refinement in mec_decompose makes each component strongly connected,
 and no walk witness is stored.  amec_filter takes the MECs and MAECs, and
 almost_sure_region the AMECs, that the caller has already computed, so a
-synthesis decomposes the product once; a sub-model cut by restrict keeps
-the Rabin pairs re-keyed and gathers its share of those masks through its
-parent_pair.
+synthesis decomposes the product once; a sub-model cut by restrict gathers
+its share of those masks through its parent_pair, and of the Rabin pairs'
+state masks through its states' indices.
 
 All algorithms are deterministic: ties break on the lowest state index, then
 the lowest action index.
@@ -29,12 +29,6 @@ from .model import Mdp, SolverError, gather_pairs, support_csr
 
 class Unreachable(SolverError):
     """The peeling loop stalled before every state was assigned."""
-
-
-def _state_mask(m, states):
-    mask = np.zeros(m.n_states, dtype=bool)
-    mask[list(states)] = True
-    return mask
 
 
 def _entering(m, target):
@@ -195,8 +189,8 @@ def maec_decompose(pm: Mdp):
     """
     candidates = []
     for b, g in pm.acc_pairs:
-        meets_g = _state_mask(pm, g)[pm.pair_state]
-        for ec in mec_decompose(pm, ~_state_mask(pm, b)):
+        meets_g = g[pm.pair_state]
+        for ec in mec_decompose(pm, ~b):
             if (ec & meets_g).any():
                 candidates.append(ec)
     out = []
@@ -252,7 +246,7 @@ def attractor_policy(m: Mdp, target, w) -> np.ndarray:
     thus moves at least one layer closer to the target, which keeps expected
     hitting times short.  A state so assigned loses whatever row w gave it.
     """
-    grown = _state_mask(m, target)
+    grown = np.isin(np.arange(m.n_states), list(target))
     out = np.array(w, dtype=float)
     out[~grown[m.pair_state]] = 0.0
     while not grown.all():
@@ -270,17 +264,16 @@ def attractor_policy(m: Mdp, target, w) -> np.ndarray:
 
 def restrict(m: Mdp, pairs, initial=None):
     """The sub-model with the pairs of the boolean mask pairs, on the states
-    owning one of them; returns (model, ids), where ids[i] is the index in m
-    of local state i.
+    owning one of them; returns (model, ids), where ids is the ascending
+    array of those states' indices in m.
 
     The kept pairs must stay inside those states.  The sub-model's parent
     is m and its parent_pair lists the kept pairs, so a policy on it lifts
-    to m by a scatter and one on m scopes to it by a gather.  Acceptance
-    pairs are intersected and re-keyed.  The local initial state maps the
-    given global one, defaulting to the lowest kept state (fine for callers
-    that never depend on it).
+    to m by a scatter and one on m scopes to it by a gather.  The local
+    initial state maps the given global one, defaulting to the lowest kept
+    state (fine for callers that never depend on it).
     """
-    ids = np.flatnonzero(_with_pair(m, pairs)).tolist()
+    ids = np.flatnonzero(_with_pair(m, pairs))
     local = np.full(m.n_states, -1, dtype=np.int64)
     local[ids] = np.arange(len(ids))
     kept = np.flatnonzero(pairs)
@@ -293,15 +286,12 @@ def restrict(m: Mdp, pairs, initial=None):
     init = int(local[initial]) if initial is not None else 0
     if init < 0:
         raise KeyError(initial)
-    loc = local.tolist()
-    acc = [(frozenset(loc[s] for s in b if loc[s] >= 0),
-            frozenset(loc[s] for s in g if loc[s] >= 0))
-           for b, g in m.acc_pairs]
     sub_m = Mdp.from_arrays(
         [m.state_names[g] for g in ids], m.action_names, init, state_ptr,
         pair_action, succ_ptr, succ_state, m.succ_prob[entries],
         atomic_props=m.atomic_props, labels=[m.labels[g] for g in ids],
-        acc_pairs=acc, parent=m, parent_pair=kept)
+        acc_pairs=[(b[ids], g[ids]) for b, g in m.acc_pairs], parent=m,
+        parent_pair=kept)
     return sub_m, ids
 
 

@@ -11,12 +11,13 @@ its domain is the set of states whose row has positive mass.  A utility is
 likewise a value vector over a model's pairs (UtilityFn is the table it is
 read from at the input edge).  A Rabin automaton (Dra) is one transition
 table over the symbols of 2^AP, numbered as alphabet numbers them.  The
-dict forms (the Mdp constructor's trans, Mdp.trans, Mdp.available,
-UtilityFn(dict) and the Dra.delta view) are adapters over the same builders
-and arrays: no module of the package calls them; they serve in-memory
-callers such as the tests.  A product (an Mdp with Rabin pairs) and a
-sub-model each take their share of any such vector by one gather through
-parent_pair, their one link to their parent.
+dict forms (the Mdp constructor's trans and index-set acc_pairs, Mdp.trans,
+Mdp.available, UtilityFn(dict) and the Dra.delta view) are adapters over
+the same builders and arrays: no module of the package calls them; they
+serve in-memory callers such as the tests.  A product (an Mdp with Rabin
+pairs, each a (B, G) pair of boolean state masks) and a sub-model each take
+their share of any such vector or mask by one gather through parent_pair or
+their states' indices in their parent.
 Inducing a chain or a per-state utility is one scatter over the entries,
 summed in the same order as a loop over the pairs would sum; an induced
 chain (Mc) keeps its matrix in CSR form, with an entry exactly on each
@@ -103,11 +104,10 @@ class Mdp:
     probability succ_prob[k].  Rows must sum to 1.
 
     The constructor takes trans, a map (state, action) -> {successor:
-    probability}, flattens it into transition entries and builds the arrays
-    from them with csr_arrays; trans reads the arrays back as such a map.
-    The package itself builds every model from arrays (from_arrays): the
-    parsers and case studies from csr_arrays, products and sub-models by
-    gathers.  acc_pairs holds Rabin pairs (B, G) of states, () on a plain
+    probability}, and acc_pairs as (B, G) sets of states, and converts
+    both once; trans reads the arrays back as such a map.  The package
+    itself builds every model from arrays (from_arrays).  acc_pairs holds
+    the Rabin pairs (B, G) as read-only boolean state masks, () on a plain
     model; components[i] is a product state's (base state, automaton
     state), None on other models.  A product (build_product) and a
     sub-model (graph.restrict) record the model they copy as parent, and
@@ -122,14 +122,14 @@ class Mdp:
         if 0 in lens:
             s, a = list(trans)[lens.index(0)]
             raise ModelError(f"pair ({s}, {a}) has an empty distribution")
-        n = sum(lens)
+        n, k = sum(lens), len(state_names)
         self._set(state_names, action_names, initial, *csr_arrays(
-            len(state_names),
-            np.repeat(np.fromiter((s for s, _ in trans), np.int64), lens),
+            k, np.repeat(np.fromiter((s for s, _ in trans), np.int64), lens),
             np.repeat(np.fromiter((a for _, a in trans), np.int64), lens),
             np.fromiter((t for d in dists for t in d), np.int64, n),
             np.fromiter((p for d in dists for p in d.values()), float, n)),
-            atomic_props, labels, acc_pairs)
+            atomic_props, labels, [tuple(np.isin(np.arange(k), list(x))
+                                         for x in pair) for pair in acc_pairs])
 
     @classmethod
     def from_arrays(cls, *args, **kw):
@@ -149,8 +149,9 @@ class Mdp:
         if labels is None:
             labels = [frozenset() for _ in self.state_names]
         self.labels = tuple(frozenset(l) for l in labels)
-        self.acc_pairs = tuple((frozenset(b), frozenset(g))
-                               for b, g in acc_pairs)
+        self.acc_pairs = tuple((b, g) for b, g in acc_pairs)
+        for b, g in self.acc_pairs:
+            b.flags.writeable = g.flags.writeable = False
         self.components = None if components is None else tuple(components)
         self.parent, self.parent_pair = parent, parent_pair
         self.state_ptr = np.asarray(state_ptr, dtype=np.int64)
@@ -225,14 +226,18 @@ class Dra:
 
     table[q, b] is the state entered from q on symbol b, the symbols
     numbered as alphabet(ap) numbers them: a read-only int64 array of shape
-    (n_states, 2^|AP|).  pairs is a nonempty list of (B, G) state sets.
+    (n_states, 2^|AP|), kept as given when it is one already (as the parser
+    hands it over) and a copy of any other input.  pairs is a nonempty list
+    of (B, G) state sets.
     """
 
     def __init__(self, n_states, initial, ap, table, pairs):
         self.n_states = int(n_states)
         self.initial = int(initial)
         self.ap = tuple(ap)
-        self.table = np.array(table, dtype=np.int64)
+        self.table = np.asarray(table, dtype=np.int64)
+        if self.table is table and table.flags.writeable:
+            self.table = table.copy()  # the caller's array stays theirs
         self.table.flags.writeable = False
         self.pairs = tuple((frozenset(b), frozenset(g)) for b, g in pairs)
         if not self.pairs:
@@ -244,7 +249,8 @@ class Dra:
         if self.table.shape != shape:
             raise ModelError(f"table has shape {self.table.shape}, "
                              f"expected {shape}")
-        if ((self.table < 0) | (self.table >= self.n_states)).any():
+        # min and max make no table-sized temporary; the table is not empty
+        if self.table.min() < 0 or self.table.max() >= self.n_states:
             raise ModelError("table enters a state outside "
                              f"0..{self.n_states - 1}")
 
@@ -410,12 +416,12 @@ def lift_utilities(pm: Mdp, reward, cost):
 
 
 def rabin_witness(states, pairs):
-    """Index of the first Rabin pair (B, G) whose condition a set of states
-    visited infinitely often meets (it misses B and meets G), else None."""
-    for k, (b, g) in enumerate(pairs):
-        if b.isdisjoint(states) and not g.isdisjoint(states):
-            return k
-    return None
+    """Index of the first Rabin pair (B, G) of state masks whose condition
+    the listed states, visited infinitely often, meet (they miss B and meet
+    G), else None."""
+    idx = list(states)
+    return next((k for k, (b, g) in enumerate(pairs)
+                 if not b[idx].any() and g[idx].any()), None)
 
 
 @dataclass(frozen=True)
@@ -497,12 +503,11 @@ def build_product(m: Mdp, d: Dra) -> Mdp:
     """Synchronous product of an MDP with a DRA, pruned to reachable states.
 
     The automaton moves on the label of the *successor* base state, and the
-    initial product state is (s0, delta(q0, label(s0))).  Acceptance pairs are
-    lifted to product state sets.  Product states are numbered in
-    breadth-first order over the base pairs' successors, and components[i]
-    is product state i's (base state, automaton state).  The product's
-    parent is m, and product pair j copies the base pair parent_pair[j], with
-    its successors renumbered and sorted.
+    initial product state is (s0, delta(q0, label(s0))).  Product states are
+    numbered in breadth-first order over the base pairs' successors, and
+    components[i] is product state i's (base state, automaton state).  The
+    product's parent is m, and product pair j copies the base pair
+    parent_pair[j], with its successors renumbered and sorted.
     """
     for s in range(m.n_states):
         if not m.labels[s] <= set(d.ap):
@@ -545,11 +550,7 @@ def build_product(m: Mdp, d: Dra) -> Mdp:
                                              np.diff(succ_ptr))))
     names = [f"{m.state_names[s]}&q{q}" for s, q in order]
     labels = [m.labels[s] for s, q in order]
-    acc = []
-    for b, g in d.pairs:
-        bx = frozenset(i for i, (s, q) in enumerate(order) if q in b)
-        gx = frozenset(i for i, (s, q) in enumerate(order) if q in g)
-        acc.append((bx, gx))
+    acc = [tuple(np.isin(base_q, list(x)) for x in pair) for pair in d.pairs]
     return Mdp.from_arrays(
         names, m.action_names, 0, np.concatenate(([0], np.cumsum(counts))),
         pair_action, succ_ptr, succ_state[perm], m.succ_prob[entries][perm],

@@ -263,6 +263,9 @@ def parse_utilities(text, m: Mdp):
 # most atomic propositions an automaton may declare: each state's table row
 # holds 2^|AP| symbols, 8 MB at 20
 MAX_AP = 20
+# most entries (states x 2^|AP|) an automaton's table may hold, 1 GiB of
+# int64: a larger table took over a second to build at the time it was set
+MAX_TABLE = 2 ** 27
 
 _ACC_PAIR = re.compile(r"Fin\s*\(\s*(\d+)\s*\)\s*&\s*Inf\s*\(\s*(\d+)\s*\)")
 _STATE_LINE = re.compile(r"State:\s*(\d+)\s*(\{([\d\s]*)\})?\s*$")
@@ -300,7 +303,7 @@ class _GuardParser:
         except RecursionError:
             raise ParseError("guard nested too deeply", self.ln) from None
         if self._peek() is not None:
-            raise ParseError(f"trailing guard tokens", self.ln)
+            raise ParseError("trailing guard tokens", self.ln)
         return bits
 
     def _expr(self):
@@ -350,8 +353,9 @@ def parse_dra(text) -> Dra:
     numbered as model.alphabet numbers them; each guard is evaluated once,
     as the bitset of the symbols it admits, and a state's faults are read
     off the overlaps and gaps of its guards' bitsets, first symbol first.
-    At most MAX_AP propositions are declared, and the States: count is
-    checked against the body before any row is built."""
+    At most MAX_AP propositions are declared, the table's size is checked
+    against MAX_TABLE at the later of the States: and AP: headers, and the
+    States: count against the body, before any row is built."""
     n_states = None
     start = None
     ap = None
@@ -409,6 +413,10 @@ def parse_dra(text) -> Dra:
             continue
         else:
             raise ParseError(f"unknown header line {line!r}", ln)
+        if (line.startswith(("States:", "AP:")) and None not in (n_states, ap)
+                and n_states << len(ap) > MAX_TABLE):
+            raise ParseError(f"{n_states} states over {len(ap)} APs exceed "
+                             f"the table limit of {MAX_TABLE} entries", ln)
     if None in (n_states, start, ap, pairs_idx):
         raise ParseError("missing required HOA headers")
 
@@ -479,23 +487,24 @@ def parse_dra(text) -> Dra:
                 raise IncompletenessError(
                     f"state {q}: no edge for symbol {set(sym) or '{}'}")
             raise ParseError(f"edge to unknown state {hits[0][0]}")
-    # every plane's rows as one bit per symbol (padded to whole bytes);
-    # plane k adds 2^k to the table wherever its bit is set
-    width = -(-n_sym // 8) * 8
-    packed = b"".join(x.to_bytes(width // 8, "little")
-                      for plane in planes for x in plane)
-    bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
-    bits = bits.view(bool).reshape(len(planes), n_states, width)
-    table = np.zeros((n_states, width), dtype=np.int64)
-    for k, plane in enumerate(bits):
-        np.add(table, 1 << k, out=table, where=plane)
+    # plane k adds 2^k to the table wherever its bit is set, unpacked one
+    # plane at a time so that the table is the one large array
+    width = -(-n_sym // 8)
+    table = np.zeros((n_states, n_sym), dtype=np.int64)
+    for k, plane in enumerate(planes):
+        packed = np.frombuffer(b"".join(x.to_bytes(width, "little")
+                                        for x in plane), np.uint8)
+        bits = np.unpackbits(packed.reshape(n_states, width), axis=1,
+                             count=n_sym, bitorder="little")
+        np.add(table, 1 << k, out=table, where=bits.view(bool))
+    table.flags.writeable = False
 
     pairs = []
     for fin_i, inf_i in pairs_idx:
         b = {q for q, sets in memberships.items() if fin_i in sets}
         g = {q for q, sets in memberships.items() if inf_i in sets}
         pairs.append((b, g))
-    return Dra(n_states, start, ap, table[:, :n_sym], pairs)
+    return Dra(n_states, start, ap, table, pairs)
 
 
 # --- canonical writers ----------------------------------------------------

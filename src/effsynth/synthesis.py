@@ -260,7 +260,7 @@ def _lift_report(rep: SynthesisReport, sub_m: Mdp, ids) -> SynthesisReport:
     """A report on sub_m, on its parent's ids (sub-model state i is state
     ids[i] of the parent): its policy is lifted and its certificate's
     recurrent classes are re-keyed."""
-    classes = tuple(tuple(ids[s] for s in comp)
+    classes = tuple(tuple(ids[list(comp)].tolist())
                     for comp in rep.certificate.recurrent_classes)
     cert = replace(rep.certificate, recurrent_classes=classes)
     return replace(rep, policy=_lift(sub_m, ids, rep.policy),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from effsynth.model import Mdp, UtilityFn, blend, csr_arrays, induce_chain, \
-    policy_domain, policy_from_entries, rabin_witness
+    policy_domain, policy_from_entries
 from effsynth.graph import (amec_filter, is_communicating, maec_decompose,
                             mec_decompose)
 from effsynth.chain import (_deviation, _stationary, analyze, average_utility,
@@ -279,7 +279,8 @@ def accepts_lasso(dra, prefix, cycle):
         trace.append(q)
         pos = (pos + 1) % len(cycle)
     inf = set(trace[seen[(q, pos)]:])
-    return rabin_witness(inf, dra.pairs) is not None
+    return any(b.isdisjoint(inf) and not g.isdisjoint(inf)
+               for b, g in dra.pairs)
 
 
 def deterministic_policies(m):

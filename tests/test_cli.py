@@ -486,10 +486,41 @@ def test_simulate_draws_each_rollout_once(files, monkeypatch, capsys):
     counts = stats.visit_counts
     assert sum(counts) == 500 * 3
     assert payload["acceptance_visits"] == [
-        {"pair": k, "g_visits": sum(counts[s] for s in g),
-         "b_visits": sum(counts[s] for s in b)}
+        {"pair": k, "g_visits": sum(counts[s] for s in np.flatnonzero(g)),
+         "b_visits": sum(counts[s] for s in np.flatnonzero(b))}
         for k, (b, g) in enumerate(pm.acc_pairs)]
     assert payload["acceptance_visits"][0]["g_visits"] > 0
+
+
+def test_simulate_visits_are_the_pairs_set_sums(files, monkeypatch, capsys):
+    """acceptance_visits total the visit counts over each pair's B and G
+    states, here read as sets of state names: a task whose B holds every
+    q0 state, under a policy that cycles through 3&q0 and 4&q1."""
+    from effsynth import sim
+    hoa = files["dir"] / "fin.hoa"
+    hoa.write_text(INF_OFTEN_G.replace("State: 0\n", "State: 0 {0}\n"))
+    policy = files["dir"] / "cycle.policy"
+    policy.write_text("rule 1&q0 a2 1\nrule 3&q0 a1 1\n"
+                      "rule 4&q1 a1 0.5\nrule 4&q1 a2 0.5\n")
+    runs = []
+    simulate = sim.simulate
+
+    def kept_simulate(m, *args):
+        runs.append((m, simulate(m, *args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(sim, "simulate", kept_simulate)
+    assert main(["simulate", files["model.mdp"], str(hoa),
+                 files["utilities.txt"], str(policy), "--steps", "500",
+                 "--rollouts", "2", "--seed", "3"]) == 0
+    ((pm, stats),) = runs
+    counts = stats.visit_counts
+    b = {s for s, name in enumerate(pm.state_names) if name.endswith("&q0")}
+    g = {s for s, name in enumerate(pm.state_names) if name.endswith("&q1")}
+    visits = json.loads(capsys.readouterr().out)["acceptance_visits"]
+    assert visits == [{"pair": 0, "g_visits": sum(counts[s] for s in g),
+                       "b_visits": sum(counts[s] for s in b)}]
+    assert visits[0]["g_visits"] > 0 and visits[0]["b_visits"] > 0
 
 
 def test_decompose_decomposes_once(tmp_path, monkeypatch, capsys):

@@ -287,7 +287,15 @@ def rollout_reference(rows, initial, steps, gen):
 
 # --- tests ------------------------------------------------------------------
 
+def acc_sets(pm):
+    """pm's Rabin pairs, each a (B, G) pair of state masks, read back as
+    frozensets of state indices."""
+    return tuple(tuple(frozenset(np.flatnonzero(x).tolist()) for x in pair)
+                 for pair in pm.acc_pairs)
+
+
 def test_product_matches_dict_bfs(rng):
+    several_with_b = 0
     for trial in range(25):
         m = labeled_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(1, 4)))
         d = random_dra(rng, int(rng.integers(1, 4)))
@@ -298,7 +306,11 @@ def test_product_matches_dict_bfs(rng):
         assert pm.state_names == tuple(f"{m.state_names[s]}&q{q}"
                                        for s, q in order)
         assert pm.labels == tuple(m.labels[s] for s, _ in order)
-        assert pm.acc_pairs == tuple(acc)
+        assert acc_sets(pm) == tuple(acc)
+        assert all(x.dtype == bool and x.shape == (pm.n_states,)
+                   and not x.flags.writeable
+                   for pair in pm.acc_pairs for x in pair)
+        several_with_b += len(acc) > 1 and any(b for b, _ in acc)
         assert pm.available == tuple(
             tuple(a for (i, a) in sorted(trans) if i == k)
             for k in range(len(order)))
@@ -307,6 +319,7 @@ def test_product_matches_dict_bfs(rng):
         for j, (i, a) in enumerate(pm.state_action_pairs()):
             assert int(pm.parent_pair[j]) == list(
                 m.state_action_pairs()).index((order[i][0], a))
+    assert several_with_b > 0
 
 
 def test_induce_chain_and_utility_vector_match_loops(rng):

@@ -337,12 +337,36 @@ def test_restrict_roundtrip_indices():
     pm = example1_product()
     amec = amecs_of(pm)[0]
     sub, ids = restrict(pm, amec)
-    assert ids == [2, 3]
+    assert ids.tolist() == [2, 3]
     assert sub.n_states == 2
     assert sub.trans[(0, 0)] == {1: 1.0}
     # the pair's B-state "3" sits inside this component, so it is kept
-    assert sub.acc_pairs == ((frozenset({0}), frozenset({1})),)
+    ((b, g),) = sub.acc_pairs
+    assert b.tolist() == [True, False] and g.tolist() == [False, True]
     assert is_communicating(sub)
+
+
+def test_restrict_gathers_the_rabin_masks(rng):
+    """On random products with several pairs, restrict's ids are the states
+    owning a kept pair, ascending, and each sub-model mask is its parent's
+    set cut to those states and re-keyed to their local numbers."""
+    nonempty_b = 0
+    for trial in range(20):
+        pm = random_product(rng, int(rng.integers(3, 8)), 2, n_pairs=3)
+        for ec in mec_decompose(pm):
+            sub, ids = restrict(pm, ec)
+            owners = sorted(set(pm.pair_state[ec].tolist()))
+            assert ids.dtype.kind == "i" and ids.tolist() == owners
+            local = {s: i for i, s in enumerate(owners)}
+            for masks, parent in zip(sub.acc_pairs, pm.acc_pairs):
+                for mask, whole in zip(masks, parent):
+                    want = {local[s] for s in np.flatnonzero(whole).tolist()
+                            if s in local}
+                    assert mask.tolist() == [i in want
+                                             for i in range(sub.n_states)]
+                    assert not mask.flags.writeable
+            nonempty_b += any(b.any() for b, _ in sub.acc_pairs)
+    assert nonempty_b > 0
 
 
 def test_restrict_reads_its_states_off_the_mask(rng):
@@ -367,7 +391,7 @@ def test_restrict_reads_its_states_off_the_mask(rng):
             continue
         sub, ids = restrict(m, pairs)
         assert np.array_equal(sub.parent_pair, np.flatnonzero(pairs))
-        assert ids == sorted(owners)
+        assert ids.tolist() == sorted(owners)
         assert sub.n_states == len(owners)
         assert sub.initial == 0
         closed += 1

@@ -81,11 +81,26 @@ def test_pair_lookups_agree_with_a_linear_scan():
         UtilityFn({}, "reward")(0, 0)
 
 
+def test_dict_adapter_reads_index_sets_as_masks(rng):
+    """The constructor's (B, G) index sets, in any iterable form, become
+    read-only boolean masks over the states."""
+    m = random_mdp(rng, 6, 2)
+    pairs = [({0, 5}, {1}), (set(), frozenset({2, 3, 4})), (range(2), [5])]
+    pm = Mdp(m.state_names, m.action_names, m.initial, m.trans,
+             acc_pairs=pairs)
+    assert len(pm.acc_pairs) == len(pairs)
+    for masks, sets in zip(pm.acc_pairs, pairs):
+        for mask, states in zip(masks, sets):
+            assert mask.tolist() == [s in set(states) for s in range(6)]
+            assert not mask.flags.writeable
+
+
 def test_product_identity_case():
     m = Mdp(["s"], ["a"], 0, {(0, 0): {0: 1.0}}, ("g",), [frozenset()])
     pm = build_product(m, accept_everything_dra())
     assert pm.n_states == 1
-    assert pm.acc_pairs == ((frozenset(), frozenset({0})),)
+    ((b, g),) = pm.acc_pairs
+    assert b.tolist() == [False] and g.tolist() == [True]
     assert pm.trans[(0, 0)] == {0: 1.0}
 
 
@@ -134,9 +149,8 @@ def test_product_acceptance_pairs_lifted():
             [frozenset(), frozenset({"g"}), frozenset(), frozenset({"g"})])
     pm = build_product(m, d)
     b, g = pm.acc_pairs[0]
-    for i, (s, q) in enumerate(pm.components):
-        assert (i in b) == (q == 2)
-        assert (i in g) == (q == 1)
+    assert b.tolist() == [q == 2 for _, q in pm.components]
+    assert g.tolist() == [q == 1 for _, q in pm.components]
 
 
 def test_dra_table_is_checked_and_read_by_symbol_number():

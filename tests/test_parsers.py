@@ -4,7 +4,7 @@ import pytest
 from effsynth.graph import mec_decompose, restrict
 from effsynth.model import (Dra, Mdp, ModelError, UtilityFn, build_product,
                             uniform_policy, validate_mdp)
-from effsynth.parsers import (MAX_AP, IncompletenessError,
+from effsynth.parsers import (MAX_AP, MAX_TABLE, IncompletenessError,
                               NondeterminismError, ParseError,
                               ValidationError, parse_dra,
                               parse_mdp, parse_policy, parse_utilities,
@@ -261,6 +261,57 @@ def test_parse_dra_bounds_the_alphabet():
     hit = (sym >> top & 1 == 1) & (sym & 1 == 0)
     for q in range(3):
         assert (d.table[q] == np.where(hit, 2, q)).all()
+
+
+def test_parse_dra_bounds_the_table():
+    """A States: count times 2^|AP| above MAX_TABLE is an error at the
+    later of the two headers, before the body is read, so a 1000-state
+    20-AP automaton fails in well under a MB; a table of exactly MAX_TABLE
+    entries passes the headers."""
+    import tracemalloc
+    body = ["State: 0 {1}", "[t] 0"]
+    top = MAX_TABLE >> MAX_AP
+    with pytest.raises(ParseError, match="body does not define every state"):
+        parse_dra(hoa(top, MAX_AP, body))
+    with pytest.raises(ParseError, match=(
+            f"line 4: {top + 1} states over {MAX_AP} APs exceed the table "
+            f"limit of {MAX_TABLE} entries")):
+        parse_dra(hoa(top + 1, MAX_AP, body))
+    lines = hoa(1000, MAX_AP, body).splitlines()
+    lines.insert(4, lines.pop(1))  # States: after AP: and Acceptance:
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="line 5: 1000 states over"):
+            parse_dra("\n".join(lines))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_parse_dra_builds_its_table_once():
+    """The parser hands its read-only table to the automaton, which keeps
+    it, so at 4 MB of table the parse's peak stays under 1.5 times the
+    table; a writeable table from an in-memory caller is copied."""
+    import tracemalloc
+    n, n_ap = 8, 16
+    text = hoa(n, n_ap, [line for q in range(n)
+                         for line in (f"State: {q} {{1}}",
+                                      f"[0 & !1] {(q + 1) % n}",
+                                      f"[!0 | 1] {q}")])
+    tracemalloc.start()
+    try:
+        d = parse_dra(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.table.nbytes == n * 2 ** n_ap * 8
+    assert peak < 1.5 * d.table.nbytes
+    assert Dra(n, 0, d.ap, d.table, d.pairs).table is d.table
+    mine = np.array(d.table)
+    kept = Dra(n, 0, d.ap, mine, d.pairs).table
+    assert kept is not mine and (kept == mine).all()
+    assert not kept.flags.writeable and mine.flags.writeable
 
 
 def test_written_automaton_parses_to_its_table(rng):

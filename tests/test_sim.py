@@ -130,7 +130,8 @@ def pair_visits(pm, p, cfg):
     """(G-visits, B-visits) per Rabin pair, from simulate's visit counts."""
     counts = simulate(pm, p, np.full(pm.n_pairs, 1.0),
                       np.full(pm.n_pairs, 1.0), cfg).visit_counts
-    return [(sum(counts[s] for s in g), sum(counts[s] for s in b))
+    return [(sum(counts[s] for s in np.flatnonzero(g)),
+             sum(counts[s] for s in np.flatnonzero(b)))
             for b, g in pm.acc_pairs]
 
 

@@ -7,14 +7,20 @@ import sys
 import pytest
 
 
-@pytest.fixture
-def same_outputs():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
-                        "same_outputs.py")
-    spec = importlib.util.spec_from_file_location("same_outputs", path)
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def _tool(name):
+    path = os.path.join(ROOT, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def same_outputs():
+    return _tool("same_outputs")
 
 
 def test_compare_tells_numeric_moves_from_other_changes(same_outputs,
@@ -52,6 +58,27 @@ def test_compare_of_equal_trees_exits_0(same_outputs, tmp_path, capsys):
     assert same_outputs.main(["--compare", str(tmp_path / "a"),
                               str(tmp_path / "b")]) == 0
     assert capsys.readouterr().out == "0 of 1 files differ\n"
+
+
+def test_line_count_parts_sum_to_each_module():
+    """Each package module's code, docstring, comment-only and blank lines
+    add up to its line count, and a sample is split as the tool says: a
+    docstring first, then any token but a comment, then a comment."""
+    line_count = _tool("line_count")
+    pkg = os.path.join(ROOT, "src", "effsynth")
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            path = os.path.join(pkg, name)
+            with open(path, encoding="utf-8") as f:
+                n = len(f.read().splitlines())
+            got = line_count.count(path)
+            assert got["total"] == n == sum(got[p] for p in line_count.PARTS)
+    sample = ('"""Doc\n\nmore."""\n\n# note\nx = """a\n\nb"""  # why\n\n'
+              'def f():\n    """One."""\n    return x\n')
+    assert list(line_count.classify(sample).values()) == [
+        "docstring", "docstring", "docstring", "blank", "comment", "code",
+        "code", "code", "blank", "code", "docstring", "code"]
+    assert "| **total** |" in line_count.table(ROOT)
 
 
 def test_pythonpath_tree_is_the_one_tested(tmp_path):
