@@ -36,7 +36,7 @@ import numpy as np
 
 from .model import PROB_TOL, Mc, Mdp, ModelError, SolverError, _ranges, \
     induce_chain, rabin_witness
-from .graph import strongly_connected_components
+from .graph import reachable, strongly_connected_components
 
 LIMIT_TOL = 1e-9      # most negative entry a stationary vector may have
 POTENTIAL_TOL = 1e-8  # residual tolerance for potential solves
@@ -268,15 +268,15 @@ def certify(ca: ChainAnalysis, acc_pairs, start) -> Certificate:
     one (Kemeny & Snell, Finite Markov Chains, 1960, ch. III), so this holds
     exactly when every class that start reaches on the support graph (the
     chain's CSR entries) has a Rabin witness; no probability is read.  The
-    states start reaches are labelled by one traversal from it, made only
-    if some class (named by its first state) has no witness.
+    states start reaches are found by one search from it (graph.reachable),
+    made only if some class (named by its first state) has no witness.
     """
     witnesses = tuple(rabin_witness(comp, acc_pairs)
                       for comp in ca.recurrent_classes)
     bad = [comp[0] for comp, k in zip(ca.recurrent_classes, witnesses)
            if k is None]
-    accepted = not bad or not (strongly_connected_components(
-        ca.chain.indptr, ca.chain.indices, roots=[start])[bad] >= 0).any()
+    accepted = not bad or not reachable(ca.chain.indptr, ca.chain.indices,
+                                        start)[bad].any()
     defect = float(1.0 - ca.absorb.sum(axis=1).min())
     return Certificate(recurrent_classes=ca.recurrent_classes,
                        witness_pairs=witnesses, absorption_defect=abs(defect),

@@ -8,15 +8,20 @@ component is what a policy is, a read-only array over its model's pairs:
 the boolean mask of its kept pairs, whose states are those owning a kept
 pair.  A region is a boolean state mask.  A support digraph is only ever
 the CSR arrays (indptr, indices) that model.support_csr builds, and
-strongly_connected_components labels its nodes on them: an iterative
+strongly_connected_components labels every node on them: an iterative
 Tarjan in Python up to chain.DENSE_MAX nodes, so that small runs load no
-scipy, and scipy's compiled kernel above it, with the same labels.  The
-SCC refinement in mec_decompose makes each component strongly connected,
-and no walk witness is stored.  amec_filter takes the MECs and MAECs, and
-almost_sure_region the AMECs, that the caller has already computed, so a
-synthesis decomposes the product once; a sub-model cut by restrict gathers
-its share of those masks through its parent_pair, and of the Rabin pairs'
-state masks through its states' indices.
+scipy, and scipy's compiled kernel above it, with the same labels;
+reachable is the one forward search, the mask of what some nodes reach.
+The SCC refinement in mec_decompose makes each component strongly
+connected, and no walk witness is stored.  amec_filter takes the MECs and
+MAECs, and almost_sure_region the AMECs, that the caller has already
+computed, so a synthesis decomposes the product once; a sub-model cut by
+restrict gathers its share of those masks through its parent_pair, and of
+the Rabin pairs' state masks through its states' indices.  One backward
+breadth-first search grows a state mask through a pair mask:
+almost_sure_region runs it through the pairs that stay inside its
+candidate set, and attractor_policy through every pair, keeping each
+joining state's lowest pair into the grown region.
 
 All algorithms are deterministic: ties break on the lowest state index, then
 the lowest action index.
@@ -53,39 +58,35 @@ def _successors(m, keep):
     return support_csr(m.n_states, m.succ_src[e], m.succ_state[e])[:2]
 
 
-def strongly_connected_components(indptr, indices, roots=None):
+def strongly_connected_components(indptr, indices):
     """The strongly connected components of the digraph whose node v has
     the successors indices[indptr[v]:indptr[v + 1]].
 
-    Returns each node's component label: the nodes reached from roots
-    (default: every node) are labelled 0, 1, ... in the order of their
-    components' lowest nodes, and the nodes no root reaches read -1.  A
-    graph of at most chain.DENSE_MAX nodes is labelled by _tarjan, in
-    Python, so that small runs load no scipy; a larger one by _pearce, in
-    compiled code.  Both give the same labels once renumbered here.
+    Returns each node's component label: 0, 1, ... in the order of the
+    components' lowest nodes.  A graph of at most chain.DENSE_MAX nodes is
+    labelled by _tarjan, in Python, so that small runs load no scipy; a
+    larger one by _pearce, in compiled code.  Both give the same labels once
+    renumbered here.
     """
     from .chain import DENSE_MAX  # read at call time: chain imports graph
     label = (_tarjan if len(indptr) - 1 <= DENSE_MAX else _pearce)(
-        indptr, indices, roots)
+        indptr, indices)
     # renumber the components in the order of their lowest nodes
-    seen = label >= 0
-    _, first, inv = np.unique(label[seen], return_index=True,
-                              return_inverse=True)
-    label[seen] = np.argsort(np.argsort(first))[inv]
-    return label
+    _, first, inv = np.unique(label, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inv]
 
 
-def _tarjan(indptr, indices, roots):
+def _tarjan(indptr, indices):
     """Tarjan's algorithm (SIAM J. Comput. 1972), iterative: a component
-    label per node reached from roots (None: every node), -1 elsewhere.
-    A visited node is on Tarjan's stack exactly while it has no label."""
+    label per node.  A visited node is on Tarjan's stack exactly while it
+    has no label."""
     n = len(indptr) - 1
     ptr, succ = indptr.tolist(), indices.tolist()
     nxt = ptr[:-1]          # each node's next edge to scan
     index, low, label = [-1] * n, [0] * n, [-1] * n
     stack, path = [], []
     count = n_comp = 0
-    for root in range(n) if roots is None else np.asarray(roots).tolist():
+    for root in range(n):
         if index[root] < 0:
             path.append(root)
         while path:
@@ -113,31 +114,30 @@ def _tarjan(indptr, indices, roots):
     return np.array(label, dtype=np.int64)
 
 
-def _pearce(indptr, indices, roots):
+def _pearce(indptr, indices):
     """_tarjan's labels up to numbering, from scipy's compiled components
     (Pearce, "An improved algorithm for finding the strongly connected
-    components of a directed graph", 2005).  A component holding a node
-    reached from roots is reached whole, so the other nodes are masked to
-    -1: those that one breadth-first search misses from an extra node whose
-    edges lead to every root."""
+    components of a directed graph", 2005)."""
     from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import breadth_first_order, \
-        connected_components
+    from scipy.sparse.csgraph import connected_components
     n = len(indptr) - 1
     graph = csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
-    label = connected_components(graph, connection="strong")[1].astype(
-        np.int64)
-    if roots is not None:
-        roots = np.asarray(roots, dtype=indices.dtype)
-        graph = csr_array(
-            (np.ones(len(indices) + len(roots)),
-             np.concatenate((indices, roots)),
-             np.append(indptr, indptr[-1] + len(roots))), shape=(n + 1, n + 1))
-        reached = np.zeros(n + 1, dtype=bool)
-        reached[breadth_first_order(graph, n,
-                                    return_predecessors=False)] = True
-        label[~reached[:n]] = -1
-    return label
+    return connected_components(graph, connection="strong")[1]
+
+
+def reachable(indptr, indices, sources):
+    """The boolean mask of the nodes that the nodes sources reach, these
+    included, in the digraph of strongly_connected_components: one
+    depth-first search in Python, linear in the edges it scans."""
+    ptr, succ = indptr.tolist(), indices.tolist()
+    stack = np.unique(sources).tolist()
+    seen = set(stack)
+    while stack:
+        v = stack.pop()
+        new = set(succ[ptr[v]:ptr[v + 1]]) - seen
+        seen |= new
+        stack.extend(new)
+    return np.isin(np.arange(len(ptr) - 1), list(seen))
 
 
 def mec_decompose(m: Mdp, states=None):
@@ -154,12 +154,7 @@ def mec_decompose(m: Mdp, states=None):
                         else states)
     pos = m.succ_prob > 0.0
     while True:
-        alive = _with_pair(m, keep)
-        if not alive.any():
-            return []
-        # a state left without pairs has no edge out: its own component
-        comp = strongly_connected_components(*_successors(m, keep),
-                                             roots=np.flatnonzero(alive))
+        comp = strongly_connected_components(*_successors(m, keep))
         cut = pos & (comp[m.succ_state] != comp[m.succ_src])
         dropped = keep.copy()
         dropped[m.succ_pair[cut]] = False
@@ -167,10 +162,10 @@ def mec_decompose(m: Mdp, states=None):
             break
         keep = dropped
 
-    # stable, no kept pair leaves its component, so only alive states are
-    # labelled, in the order of their lowest states: one MEC per label
+    # stable, no kept pair leaves its component: one MEC per component of
+    # the states still owning a pair, in the order of their lowest states
     mecs = np.where(keep, comp[m.pair_state], -1) == \
-        np.arange(comp.max() + 1)[:, None]
+        np.unique(comp[_with_pair(m, keep)])[:, None]
     mecs.flags.writeable = False
     return list(mecs)
 
@@ -212,6 +207,26 @@ def amec_filter(mecs, maecs):
     return [mec for mec in mecs if any(within(ma, mec) for ma in maecs)]
 
 
+def _backward_search(m, grown, allowed):
+    """Grow the boolean state mask grown, in place, by breadth-first layers
+    backward through the boolean pair mask allowed, until no state joins or
+    every state has: each state outside grown owning an allowed pair with
+    a positive-probability successor inside it joins, the whole layer at
+    once.  Returns the boolean mask of each joining state's lowest such
+    pair."""
+    chosen = np.zeros(m.n_pairs, dtype=bool)
+    while not grown.all():
+        pairs = np.flatnonzero(allowed & _entering(m, grown) &
+                               ~grown[m.pair_state])
+        if not pairs.size:
+            break
+        # pairs ascend by (state, action): each state's first is its lowest
+        layer, first = np.unique(m.pair_state[pairs], return_index=True)
+        chosen[pairs[first]] = True
+        grown[layer] = True
+    return chosen
+
+
 def almost_sure_region(pm: Mdp, amecs):
     """The boolean mask of product states from which some policy reaches
     the states of amecs (the result of amec_filter) w.p.1.
@@ -225,13 +240,8 @@ def almost_sure_region(pm: Mdp, amecs):
     target = _with_pair(pm, covered)
     u = np.ones(pm.n_states, dtype=bool)
     while True:
-        stays = closed_pairs(pm, u)
         r = target & u
-        while True:
-            grown = r | _with_pair(pm, stays & _entering(pm, r))
-            if (grown == r).all():
-                break
-            r = grown
+        _backward_search(pm, r, closed_pairs(pm, u))
         if (r == u).all():
             return u
         u = r
@@ -240,24 +250,20 @@ def almost_sure_region(pm: Mdp, amecs):
 def attractor_policy(m: Mdp, target, w) -> np.ndarray:
     """Extend policy w from target to all states so target is reached w.p.1.
 
-    Breadth-first layers: every state outside the grown region that has an
-    action with positive one-step probability into it takes its lowest such
-    action, and the whole layer joins the region at once.  Each fixed action
-    thus moves at least one layer closer to the target, which keeps expected
-    hitting times short.  A state so assigned loses whatever row w gave it.
+    Breadth-first layers (_backward_search through every pair): every state
+    outside the grown region that has an action with positive one-step
+    probability into it takes its lowest such action, and the whole layer
+    joins the region at once.  Each fixed action thus moves at least one
+    layer closer to the target, which keeps expected hitting times short.
+    A state so assigned loses whatever row w gave it.
     """
     grown = np.isin(np.arange(m.n_states), list(target))
     out = np.array(w, dtype=float)
     out[~grown[m.pair_state]] = 0.0
-    while not grown.all():
-        pairs = np.flatnonzero(_entering(m, grown) & ~grown[m.pair_state])
-        if not pairs.size:
-            raise Unreachable(f"states {np.flatnonzero(~grown).tolist()} "
-                              f"cannot reach the target")
-        # pairs ascend by (state, action): each state's first is its lowest
-        layer, first = np.unique(m.pair_state[pairs], return_index=True)
-        out[pairs[first]] = 1.0
-        grown[layer] = True
+    out[_backward_search(m, grown, np.ones(m.n_pairs, dtype=bool))] = 1.0
+    if not grown.all():
+        raise Unreachable(f"states {np.flatnonzero(~grown).tolist()} "
+                          f"cannot reach the target")
     out.flags.writeable = False
     return out
 

@@ -10,12 +10,16 @@ Each reader makes one pass over the lines and fills the arrays the program
 uses, with no per-pair dict: a model's transition entries go to csr_arrays,
 utility entries to UtilityFn.from_entries, policy rules to
 policy_from_entries; utility and rule lines share one reader
-(_entry_lines).  The pass checks each line's shape and names; the decimal
-literals and repeated keys of all entries are checked in bulk after it
-(_entry_values), and a malformed file is reported at its first bad line
-whichever check finds it.  An automaton guard is evaluated once, as the
-bitset of the symbols it admits, and the automaton's table is read off
-those bitsets whole, never symbol by symbol for each edge.
+(_entry_lines).  The pass checks each line's shape and names, and that
+no singleton line (a model's initial: line and each state's label line,
+an automaton's States:, Start:, AP: and Acceptance: headers) is repeated;
+the decimal literals, repeated keys and cost signs of all entries are
+checked in bulk after it (_entry_values), and a malformed file is
+reported at its first bad line whichever check finds it.  An automaton
+guard is evaluated as the bitset of the symbols it admits and folded into
+its state's coverage and table planes, then dropped, and the automaton's
+table is read off those planes whole, never symbol by symbol for each
+edge.
 """
 
 import re
@@ -73,27 +77,36 @@ def _decimals(tokens):
         return None
 
 
-def _entry_values(tokens, lines, keys, duplicate):
+def _entry_values(tokens, lines, keys, entry, positive=None):
     """The values of the entries read from a file, one decimal token per
-    entry in file order, at lines[i], with keys[i] naming what it sets.
+    entry in file order, at lines[i], with keys[i] naming what it sets and
+    entry(i) wording it.
 
     Raises the ParseError of the first line, in file order, whose key an
-    earlier entry already set (worded by duplicate(i)) or whose token is
-    not a decimal literal; on one line the repeat is reported first.
+    earlier entry already set, whose token is not a decimal literal, or
+    whose value is not above 0 where the boolean mask positive is set; on
+    one line the checks report in that order.
     """
     keys = np.asarray(keys, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     again = order[1:][keys[order[1:]] == keys[order[:-1]]]
     first = int(again.min()) if again.size else len(tokens)
     vals = _decimals(tokens)
+    bad = len(tokens)
     if vals is None:
         bad = next(i for i, tok in enumerate(tokens)
                    if not _DECIMAL.fullmatch(tok))
-        if bad < first:
-            raise ParseError(f"bad decimal literal {tokens[bad]!r}",
-                             lines[bad])
+        vals = _decimals(tokens[:bad])
+    if positive is not None:
+        low = np.flatnonzero(positive[:bad] & (vals <= 0.0))
+        if low.size and low[0] < min(first, bad):
+            j = low[0]
+            raise ParseError(f"{entry(j)} must be strictly positive, got "
+                             f"{float(vals[j])}", lines[j])
+    if bad < first:
+        raise ParseError(f"bad decimal literal {tokens[bad]!r}", lines[bad])
     if first < len(tokens):
-        raise ParseError(duplicate(first), lines[first])
+        raise ParseError(f"duplicate {entry(first)}", lines[first])
     return vals
 
 
@@ -147,6 +160,8 @@ def parse_mdp(text) -> Mdp:
                     index[name] = len(names)
                     names.append(name)
             elif head == "initial:":
+                if initial is not None:
+                    raise ParseError("duplicate initial: line", ln)
                 if len(tok) != 2 or tok[1] not in sidx:
                     raise ParseError("initial: needs one declared state", ln)
                 initial = sidx[tok[1]]
@@ -156,6 +171,8 @@ def parse_mdp(text) -> Mdp:
                 name = tok[1][:-1]
                 if name not in sidx:
                     raise ParseError(f"unknown state {name!r}", ln)
+                if sidx[name] in labels:
+                    raise ParseError(f"duplicate label of {name!r}", ln)
                 for prop in tok[2:]:
                     if prop not in pidx:
                         raise ParseError(f"unknown prop {prop!r}", ln)
@@ -166,14 +183,14 @@ def parse_mdp(text) -> Mdp:
         error = e
     src, act, dst = (np.array(x, dtype=np.int64) for x in (src, act, dst))
 
-    def duplicate(i):
-        return (f"duplicate transition {states[src[i]]} {actions[act[i]]} "
+    def entry(i):
+        return (f"transition {states[src[i]]} {actions[act[i]]} "
                 f"{states[dst[i]]}")
 
     # an entry's fault lies on a line before the one that stopped the loop
     probs = _entry_values(probs, where,
                           (src * len(actions) + act) * len(states) + dst,
-                          duplicate)
+                          entry)
     if error is not None:
         raise error
     if not states:
@@ -191,12 +208,13 @@ def parse_mdp(text) -> Mdp:
     return m
 
 
-def _entry_lines(text, m: Mdp, heads, value, strict=False):
+def _entry_lines(text, m: Mdp, heads, value, strict=False, positive=None):
     """(head, state, action, value) arrays, in file order, of the lines
     `<head> <state> <action> <value>` with a head in heads (an index into
     heads; value names the last token in shape errors).  Other lines are
-    skipped, or with strict unknown directives.  Repeats are worded
-    "duplicate <head> entry", or "duplicate <head>" for a single head."""
+    skipped, or with strict unknown directives.  The values of the head
+    positive must be above 0.  An entry is worded "<head> entry <state>
+    <action>", or "<head> <state> <action>" for a single head."""
     sidx = _first_index(m.state_names)
     aidx = _first_index(m.action_names)
     hidx = {head: i for i, head in enumerate(heads)}
@@ -226,14 +244,14 @@ def _entry_lines(text, m: Mdp, heads, value, strict=False):
     found, states, actions = (np.array(x, dtype=np.int64)
                               for x in (found, states, actions))
 
-    def duplicate(i):
-        entry = " entry" if len(heads) > 1 else ""
-        return (f"duplicate {heads[found[i]]}{entry} "
-                f"{m.state_names[states[i]]} {m.action_names[actions[i]]}")
+    def entry(i):
+        kind = " entry" if len(heads) > 1 else ""
+        return (f"{heads[found[i]]}{kind} {m.state_names[states[i]]} "
+                f"{m.action_names[actions[i]]}")
 
     vals = _entry_values(
         vals, where, (found * m.n_states + states) * m.n_actions + actions,
-        duplicate)
+        entry, None if positive is None else found == heads.index(positive))
     if error is not None:
         raise error
     return found, states, actions, vals
@@ -247,7 +265,8 @@ def parse_utilities(text, m: Mdp):
     entries of each kind go straight into its table (UtilityFn.from_entries).
     """
     kinds = ("reward", "cost")
-    found, states, actions, vals = _entry_lines(text, m, kinds, "value")
+    found, states, actions, vals = _entry_lines(text, m, kinds, "value",
+                                                positive="cost")
     out = [None, None]
     for i, kind in enumerate(kinds):
         rows = found == i
@@ -281,16 +300,18 @@ class _GuardParser:
     beyond the declared APs is a proposition that never holds."""
 
     def __init__(self, text, ln, lit, full):
-        self.toks = _GUARD_TOKEN.findall(text)
-        if "".join(self.toks).replace(" ", "") != text.replace(" ", ""):
+        toks = _GUARD_TOKEN.findall(text)
+        if "".join(toks).replace(" ", "") != text.replace(" ", ""):
             raise ParseError(f"bad guard {text!r}", ln)
+        # None ends the tokens; the parser raises once it takes it
+        self.toks = toks + [None]
         self.pos = 0
         self.ln = ln
         self.lit = lit    # lit[i]: the symbols that hold AP i
         self.full = full  # every symbol
 
     def _peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        return self.toks[self.pos]
 
     def _next(self):
         tok = self._peek()
@@ -350,18 +371,20 @@ def _header_int(line, ln):
 def parse_dra(text) -> Dra:
     """HOA-subset automata: Rabin acceptance only, state-based membership,
     one deterministic and complete guard set per state.  Symbols are
-    numbered as model.alphabet numbers them; each guard is evaluated once,
-    as the bitset of the symbols it admits, and a state's faults are read
-    off the overlaps and gaps of its guards' bitsets, first symbol first.
-    At most MAX_AP propositions are declared, the table's size is checked
-    against MAX_TABLE at the later of the States: and AP: headers, and the
-    States: count against the body, before any row is built."""
+    numbered as model.alphabet numbers them; each guard is evaluated as the
+    bitset of the symbols it admits and folded into its state's coverage,
+    overlaps and table planes, and a state's faults are read off those,
+    first symbol first.  Each header is given once, at most MAX_AP
+    propositions are declared, the table's size is checked against
+    MAX_TABLE at the later of the States: and AP: headers, and the States:
+    count against the body, before any row is built."""
     n_states = None
     start = None
     ap = None
     pairs_idx = None
     body = []
     in_body = False
+    seen = set()  # the headers read, each at most once
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("/*"):
@@ -377,6 +400,11 @@ def parse_dra(text) -> Dra:
             continue
         if line.startswith("HOA:"):
             continue
+        head = line.split(":", 1)[0] + ":"
+        if head in ("States:", "Start:", "AP:", "Acceptance:"):
+            if head in seen:
+                raise ParseError(f"duplicate {head} header", ln)
+            seen.add(head)
         if line.startswith("States:"):
             n_states = _header_int(line, ln)
         elif line.startswith("Start:"):
@@ -427,30 +455,50 @@ def parse_dra(text) -> Dra:
         lit = [x | x << n_sym for x in lit] + [((1 << n_sym) - 1) << n_sym]
         n_sym *= 2
     full = (1 << n_sym) - 1
-    guards = {}  # guard text -> its bitset; states repeat their guards
+    # a guard's bitset is cached only if it is no longer than the guard's
+    # text, so the cache never outgrows the file
+    guards = {}
+    n_planes = max(n_states - 1, 1).bit_length()
     memberships = {}
-    edges = {}
+    first = {}  # state -> the index in body of its State: line
+    rows = {}
     current = None
-    for ln, line in body:
+    for i, (ln, line) in enumerate(body):
+        mo = _EDGE_LINE.match(line)
+        if mo and current is not None:
+            guard, dest = mo.group(1), int(mo.group(2))
+            bits = guards.get(guard)
+            if bits is None:
+                bits = _GuardParser(guard, ln, lit, full).parse()
+                if n_sym <= 8 * len(guard):
+                    guards[guard] = bits
+            row[1] |= row[0] & bits
+            row[0] |= bits
+            if dest >= n_states:
+                row[2] |= bits
+                continue
+            while dest:
+                k = dest.bit_length() - 1
+                row[3 + k] |= bits
+                dest ^= 1 << k
+            continue
         mo = _STATE_LINE.match(line)
         if mo:
             current = int(mo.group(1))
-            if current in edges:
+            if current in first:
                 raise ParseError(f"duplicate State: {current}", ln)
-            sets = [int(x) for x in (mo.group(3) or "").split()]
-            memberships[current] = sets
-            edges[current] = []
-            continue
-        mo = _EDGE_LINE.match(line)
-        if mo and current is not None:
-            guard = mo.group(1)
-            if guard not in guards:
-                guards[guard] = _GuardParser(guard, ln, lit, full).parse()
-            edges[current].append((guards[guard], int(mo.group(2)), ln))
+            memberships[current] = [int(x) for x in
+                                    (mo.group(3) or "").split()]
+            first[current] = i
+            # the symbols the state's edges cover, cover twice and send out
+            # of range, then per plane k those on which it enters a state
+            # with bit k set (one plane at least, so that a one-state table
+            # has rows to fill); each edge is folded in and dropped
+            row = rows[current] = [0] * (3 + n_planes)
             continue
         raise ParseError(f"bad body line {line!r}", ln)
     # counted before anything is built for the declared states
-    if len(edges) != n_states or any(q >= n_states for q in edges):
+    if len(first) != n_states or any(q >= n_states for q in first):
         raise ParseError("body does not define every state exactly once")
     for q, sets in memberships.items():
         for idx in sets:
@@ -458,27 +506,20 @@ def parse_dra(text) -> Dra:
                 raise ParseError(f"state {q} references acceptance set {idx} "
                                  "beyond the declared count")
 
-    # planes[k][q]: the symbols on which q enters a state with bit k set
-    # (one plane at least, so that a one-state table has rows to fill)
-    planes = [[0] * n_states
-              for _ in range(max(n_states - 1, 1).bit_length())]
     for q in range(n_states):
-        covered = overlap = wrong = 0
-        for bits, dest, _ in edges[q]:
-            overlap |= covered & bits
-            covered |= bits
-            if not 0 <= dest < n_states:
-                wrong |= bits
-                continue
-            while dest:
-                k = dest.bit_length() - 1
-                planes[k][q] |= bits
-                dest ^= 1 << k
+        covered, overlap, wrong = rows[q][:3]
         fault = overlap | wrong | full & ~covered
         if fault:
+            # the first faulty state's edges are read again to name the hits
             b = (fault & -fault).bit_length() - 1
             sym = [p for i, p in enumerate(ap) if b >> i & 1]
-            hits = [(dest, ln) for bits, dest, ln in edges[q] if bits >> b & 1]
+            hits = []
+            for ln, line in body[first[q] + 1:]:
+                mo = _EDGE_LINE.match(line)
+                if not mo:
+                    break
+                if _GuardParser(mo.group(1), ln, lit, full).parse() >> b & 1:
+                    hits.append((int(mo.group(2)), ln))
             if len(hits) > 1:
                 raise NondeterminismError(
                     f"state {q}: symbol {set(sym) or '{}'} matches "
@@ -491,9 +532,9 @@ def parse_dra(text) -> Dra:
     # plane at a time so that the table is the one large array
     width = -(-n_sym // 8)
     table = np.zeros((n_states, n_sym), dtype=np.int64)
-    for k, plane in enumerate(planes):
-        packed = np.frombuffer(b"".join(x.to_bytes(width, "little")
-                                        for x in plane), np.uint8)
+    for k in range(n_planes):
+        packed = np.frombuffer(b"".join(rows[q][3 + k].to_bytes(
+            width, "little") for q in range(n_states)), np.uint8)
         bits = np.unpackbits(packed.reshape(n_states, width), axis=1,
                              count=n_sym, bitorder="little")
         np.add(table, 1 << k, out=table, where=bits.view(bool))

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from effsynth.model import (Mdp, induce_chain, rabin_witness, support_csr,
 from effsynth.graph import (Unreachable, _successors, almost_sure_region,
                             amec_filter, attractor_policy, closed_pairs,
                             is_communicating, maec_decompose, mec_decompose,
-                            restrict, strongly_connected_components, within)
+                            reachable, restrict,
+                            strongly_connected_components, within)
 from effsynth.lp import decode_ratio_policy, solve_ratio_lfp
 
 from conftest import (amecs_of, delivery_grid_product, dense_p, ec_parts,
@@ -31,7 +34,7 @@ def csr_of(adj):
             np.array(indices, dtype=np.int64))
 
 
-def scc_both_ways(monkeypatch, indptr, indices, roots=None):
+def scc_both_ways(monkeypatch, indptr, indices):
     """strongly_connected_components' labels with every graph sent to the
     array Tarjan, then with every graph sent to scipy's compiled kernel
     (chain.DENSE_MAX sets the cut)."""
@@ -40,17 +43,31 @@ def scc_both_ways(monkeypatch, indptr, indices, roots=None):
     for cut in (np.iinfo(np.int64).max, -1):
         with monkeypatch.context() as mp:
             mp.setattr(chain, "DENSE_MAX", cut)
-            out.append(strongly_connected_components(indptr, indices,
-                                                     roots=roots))
+            out.append(strongly_connected_components(indptr, indices))
     return out
+
+
+def bfs_reach(indptr, indices, sources):
+    """The boolean mask of the nodes reached from sources, these included,
+    by a breadth-first search over the CSR arrays' adjacency lists."""
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    queue = deque(int(v) for v in sources)
+    seen[list(queue)] = True
+    while queue:
+        v = queue.popleft()
+        for w in indices[indptr[v]:indptr[v + 1]].tolist():
+            if not seen[w]:
+                seen[w] = True
+                queue.append(w)
+    return seen
 
 
 def test_scc_matches_reachability_oracle(rng, monkeypatch):
     """Both kernels, the array Tarjan (at most DENSE_MAX nodes) and scipy's
     (above it; the cut forced to -1), agree with the mutual-reachability
-    definition: from every root, and from a random root set, where exactly
-    the nodes no root reaches read -1; components are labelled in the order
-    of their lowest nodes."""
+    definition on every node, and components are labelled in the order of
+    their lowest nodes; reachable from a random root set (or none) marks
+    exactly the nodes some root reaches."""
     from effsynth import chain
     for trial in range(60):
         monkeypatch.setattr(chain, "DENSE_MAX", 250 if trial % 2 else -1)
@@ -59,51 +76,53 @@ def test_scc_matches_reachability_oracle(rng, monkeypatch):
                           rng.choice(n, size=int(rng.integers(0, n + 1)))})
                for s in range(n)}
         reach = reach_sets(adj)
-        comps = scc_reference(adj)
         roots = sorted({int(r) for r in
                         rng.choice(n, size=int(rng.integers(0, n + 1)))})
         reached = set().union(*(reach[r] for r in roots))
-        for rs, seen in ((None, set(range(n))), (roots, reached)):
-            label = strongly_connected_components(*csr_of(adj), roots=rs)
-            assert {s for s in range(n) if label[s] >= 0} == seen
-            got = {frozenset(np.flatnonzero(label == k).tolist())
-                   for k in range(label.max() + 1)}
-            assert got == {c for c in comps if c <= seen}
-            lowest = [np.flatnonzero(label == k)[0]
-                      for k in range(label.max() + 1)]
-            assert lowest == sorted(lowest)
+        label = strongly_connected_components(*csr_of(adj))
+        assert (label >= 0).all()
+        got = {frozenset(np.flatnonzero(label == k).tolist())
+               for k in range(label.max() + 1)}
+        assert got == scc_reference(adj)
+        lowest = [np.flatnonzero(label == k)[0]
+                  for k in range(label.max() + 1)]
+        assert lowest == sorted(lowest)
+        seen = reachable(*csr_of(adj), roots)
+        assert seen.dtype == bool
+        assert set(np.flatnonzero(seen).tolist()) == reached
 
 
 def test_compiled_scc_matches_tarjan_on_random_digraphs(rng, monkeypatch):
-    """On random sparse digraphs of up to 600 nodes, with and without
-    roots (repeated, unsorted, or none at all), both kernels give the same
-    labels, array for array."""
+    """On random sparse digraphs of up to 600 nodes, both kernels give the
+    same labels, array for array; and reachable from random roots
+    (repeated, unsorted, or none at all) matches a breadth-first search."""
     for trial in range(60):
         n = int(rng.integers(1, 600))
         e = int(rng.integers(0, 3 * n))
         src, dst = rng.integers(0, n, e), rng.integers(0, n, e)
         indptr, indices = support_csr(n, src, dst)[:2]
-        roots = (None if trial % 3 == 0 else
-                 rng.integers(0, n, int(rng.integers(0, 5))))
-        tarjan, compiled = scc_both_ways(monkeypatch, indptr, indices, roots)
+        tarjan, compiled = scc_both_ways(monkeypatch, indptr, indices)
         assert compiled.dtype == tarjan.dtype == np.int64
         assert np.array_equal(compiled, tarjan)
+        roots = rng.integers(0, n, int(rng.integers(0, 5)))
+        assert np.array_equal(reachable(indptr, indices, roots),
+                              bfs_reach(indptr, indices, roots))
 
 
 def test_scc_is_iterative_on_200k_node_path_and_ring(monkeypatch):
     """Far beyond the interpreter's recursion limit: a path of n nodes has
-    n components, a ring of them one, in both kernels; and a path from its
-    middle node reaches only its second half."""
+    n components, a ring of them one, in both kernels; and from its middle
+    node a path reaches only its second half, a ring every node."""
     n = 200_000
     path = (np.minimum(np.arange(n + 1), n - 1), np.arange(1, n))
     for label in scc_both_ways(monkeypatch, *path):
         assert np.array_equal(label, np.arange(n))
-    for label in scc_both_ways(monkeypatch, *path, roots=[n // 2]):
-        assert np.array_equal(label[n // 2:], np.arange(n - n // 2))
-        assert (label[:n // 2] == -1).all()
+    seen = reachable(*path, [n // 2])
+    assert seen[n // 2:].all() and not seen[:n // 2].any()
     ring = (np.arange(n + 1), (np.arange(n) + 1) % n)
     for label in scc_both_ways(monkeypatch, *ring):
         assert not label.any()
+    assert reachable(*ring, [n // 2]).all()
 
 
 @pytest.mark.parametrize("size", [9, 17])
@@ -111,18 +130,20 @@ def test_compiled_scc_matches_tarjan_on_grid_chains(monkeypatch, size):
     """On the case-1 task-2 grid products (above DENSE_MAX), both kernels
     give the same labels: on the ratio-optimal policy's chain (one class
     and its transient states, as the decoder classifies it) and on the
-    uniform policy's, each from every node and from the initial state (as
-    certify reaches), and on the product's pair-support graph (as
-    is_communicating and mec_decompose's first round read it)."""
+    uniform policy's, where reachable from the initial state (as certify
+    asks it) matches a breadth-first search, and on the product's
+    pair-support graph (as is_communicating and mec_decompose's first round
+    read it)."""
     pm, r, c = delivery_grid_product(size)
     assert pm.n_states > 250
     mu_opt, _ = decode_ratio_policy(pm, solve_ratio_lfp(pm, r, c))
     for w in (mu_opt, uniform_policy(pm)):
         mc = induce_chain(pm, w)
-        for roots in (None, [pm.initial]):
-            tarjan, compiled = scc_both_ways(monkeypatch, mc.indptr,
-                                             mc.indices, roots)
-            assert np.array_equal(compiled, tarjan)
+        tarjan, compiled = scc_both_ways(monkeypatch, mc.indptr, mc.indices)
+        assert np.array_equal(compiled, tarjan)
+        assert np.array_equal(
+            reachable(mc.indptr, mc.indices, [pm.initial]),
+            bfs_reach(mc.indptr, mc.indices, [pm.initial]))
     graph = _successors(pm, np.ones(pm.n_pairs, dtype=bool))
     tarjan, compiled = scc_both_ways(monkeypatch, *graph)
     assert np.array_equal(compiled, tarjan)

@@ -127,6 +127,8 @@ def ref_parse_mdp(text):
                 pidx[name] = len(props)
                 props.append(name)
         elif head == "initial:":
+            if initial is not None:
+                raise ParseError("duplicate initial: line", ln)
             if len(tok) != 2 or tok[1] not in sidx:
                 raise ParseError("initial: needs one declared state", ln)
             initial = sidx[tok[1]]
@@ -136,6 +138,8 @@ def ref_parse_mdp(text):
             name = tok[1][:-1]
             if name not in sidx:
                 raise ParseError(f"unknown state {name!r}", ln)
+            if sidx[name] in labels:
+                raise ParseError(f"duplicate label of {name!r}", ln)
             for prop in tok[2:]:
                 if prop not in pidx:
                     raise ParseError(f"unknown prop {prop!r}", ln)
@@ -173,17 +177,10 @@ def ref_parse_mdp(text):
 
 def ref_utility(values, kind, m):
     """A {(state, action): value} table as sorted (state, action, value)
-    arrays, checked for cost signs and for covering m's pairs."""
+    arrays, checked for covering m's pairs."""
     states = np.array([int(s) for s, _ in values], dtype=np.int64)
     actions = np.array([int(a) for _, a in values], dtype=np.int64)
     vals = np.array([float(v) for v in values.values()], dtype=float)
-    if kind == "cost":
-        bad = np.flatnonzero(vals <= 0.0)
-        if bad.size:
-            j = bad[0]
-            raise ModelError(
-                f"cost must be strictly positive, got {float(vals[j])} "
-                f"at state {int(states[j])}, action {int(actions[j])}")
     missing = [(s, a) for s, a in m.state_action_pairs()
                if (s, a) not in values]
     if missing:
@@ -214,6 +211,9 @@ def ref_parse_utilities(text, m):
         if key in entries[tok[0]]:
             raise ParseError(f"duplicate {tok[0]} entry {s} {a}", ln)
         entries[tok[0]][key] = ref_prob(val, ln)
+        if tok[0] == "cost" and entries["cost"][key] <= 0.0:
+            raise ParseError(f"cost entry {s} {a} must be strictly positive, "
+                             f"got {entries['cost'][key]}", ln)
     return tuple(ref_utility(entries[kind], kind, m) if entries[kind]
                  else None for kind in ("reward", "cost"))
 
@@ -347,6 +347,7 @@ def ref_parse_dra(text):
     n_states = start = ap = pairs_idx = None
     body = []
     in_body = False
+    seen = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("/*"):
@@ -362,6 +363,11 @@ def ref_parse_dra(text):
             continue
         if line.startswith("HOA:"):
             continue
+        for head in ("States:", "Start:", "AP:", "Acceptance:"):
+            if line.startswith(head):
+                if head in seen:
+                    raise ParseError(f"duplicate {head} header", ln)
+                seen.add(head)
         if line.startswith("States:"):
             n_states = int(line.split()[1])
         elif line.startswith("Start:"):
@@ -772,6 +778,8 @@ MODEL_CASES = {
     "negative probability": (12, "trans s1 a s2 -1"),
     "a state without action": (13, "trans s0 c s2 0.25"),
     "no initial": (6, "# initial: s0"),
+    "repeated initial": (6, "initial: s0\ninitial: s1"),
+    "repeated label": (8, "label s2: g h\nlabel s2: g"),
     **{f"bad decimal {tok}": (9, f"trans s0 a s1 {tok}")
        for tok in BAD_DECIMALS},
 }
@@ -1020,6 +1028,11 @@ DRA_CASES = {
     "acceptance index out of range": (5, "Acceptance: 2 Fin(0) & Inf(3)"),
     "missing header": (3, "name: x"),
     "edge before any State:": (7, "[t] 0"),
+    "repeated States:": (2, "States: 2\nStates: 2"),
+    "repeated Start:": (3, "Start: 0\nStart: 1"),
+    "repeated AP:": (4, 'AP: 2 "g" "b"\nAP: 2 "b" "g"'),
+    "repeated Acceptance:": (5, "Acceptance: 2 Fin(0) & Inf(1)\n"
+                                "Acceptance: 2 Fin(1) & Inf(0)"),
 }
 
 

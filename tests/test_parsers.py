@@ -81,6 +81,62 @@ def test_parse_rejects_bad_literal():
         parse_mdp(text)
 
 
+LABELED = """\
+mdp
+states: 1 2
+actions: a
+props: g
+initial: 1
+label 2: g
+trans 1 a 2 1.0
+trans 2 a 1 1.0
+"""
+
+
+@pytest.mark.parametrize("after, repeat, message", [
+    (5, "initial: 2", "duplicate initial: line"),
+    (6, "label 2:", "duplicate label of '2'"),
+])
+def test_a_repeated_model_line_fails_at_the_repeat(after, repeat, message):
+    """A second initial: line, or a second label line for one state, is an
+    error at its own line rather than a silent replacement of the first."""
+    lines = LABELED.splitlines()
+    assert parse_mdp(LABELED).initial == 0
+    lines.insert(after, repeat)
+    with pytest.raises(ParseError) as err:
+        parse_mdp("\n".join(lines))
+    assert err.value.line == after + 1
+    assert str(err.value) == f"line {after + 1}: {message}"
+
+
+def test_nonpositive_cost_fails_at_its_line_with_names():
+    """A cost of 0 or below is a parse error at its line, naming the state
+    and action; an earlier faulty line is reported first and a later one
+    after it, whichever check finds either.  UtilityFn keeps the check for
+    tables built in memory."""
+    m = parse_mdp(EXAMPLE1_TEXT)
+    lines = [f"cost {s} {a} 1.5" for s, a in
+             (("1", "a1"), ("1", "a2"), ("2", "a1"), ("3", "a1"),
+              ("4", "a1"), ("4", "a2"))]
+    assert parse_utilities("\n".join(lines), m)[1](0, 0) == 1.5
+    for value in ("0", "-0.0", "-1"):
+        bad = lines[:2] + [f"cost 2 a1 {value}"] + lines[3:]
+        with pytest.raises(ParseError) as err:
+            parse_utilities("\n".join(bad), m)
+        assert str(err.value) == (f"line 3: cost entry 2 a1 must be strictly "
+                                  f"positive, got {float(value)}")
+        for later in ("cost 1 a1 1.5", "cost 1 a1 inf", "cost 9 a1 1"):
+            with pytest.raises(ParseError, match="line 3: cost entry 2 a1"):
+                parse_utilities("\n".join(bad + [later]), m)
+        for earlier in ("cost 1 a1 1_0", "cost 9 a1 1"):
+            with pytest.raises(ParseError, match="line 1: "):
+                parse_utilities("\n".join([earlier] + bad[1:]), m)
+    with pytest.raises(ParseError, match="line 3: duplicate cost entry 1 a1"):
+        parse_utilities("\n".join(lines[:2] + ["cost 1 a1 0"]), m)
+    with pytest.raises(ModelError, match="at state 1, action 0"):
+        UtilityFn({(1, 0): 0.0}, "cost")
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(ParseError, match="line 7"):
         parse_mdp(EXAMPLE1_TEXT.replace("trans 1 a2 3 1.0",
@@ -244,6 +300,44 @@ def test_parse_dra_counts_states_before_building_them():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+@pytest.mark.parametrize("header, repeat", [
+    ("States:", "States: 2"), ("Start:", "Start: 1"),
+    ("AP:", 'AP: 1 "h"'), ("Acceptance:", "Acceptance: 2 Fin(1) & Inf(0)"),
+])
+def test_a_repeated_automaton_header_fails_at_the_repeat(header, repeat):
+    """A second States:, Start:, AP: or Acceptance: header is an error at
+    its own line, even where it agrees with the first, rather than a silent
+    replacement of it (a swapped Acceptance: would yield the pair
+    ({1}, {}) that no run meets)."""
+    lines = INF_OFTEN_G.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(header))
+    for text in (repeat, lines[at]):
+        bad = lines[:at + 1] + [text] + lines[at + 1:]
+        with pytest.raises(ParseError) as err:
+            parse_dra("\n".join(bad))
+        assert str(err.value) == f"line {at + 2}: duplicate {header} header"
+
+
+def test_parse_dra_keeps_no_guard_past_its_state():
+    """Each edge's guard is folded into its state and dropped: write_dra's
+    one-state automaton over 14 APs (16 384 guards of 2 KB each, 1.1 MB of
+    text) parses within 8 MB of traced peak, where keeping every guard's
+    bitset took 30 MB."""
+    import tracemalloc
+    n_ap = 14
+    text = write_dra(Dra(1, 0, [f"p{i}" for i in range(n_ap)],
+                         np.zeros((1, 2 ** n_ap), dtype=np.int64),
+                         [({0}, set())]))
+    tracemalloc.start()
+    try:
+        d = parse_dra(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not d.table.any()
+    assert peak < 8e6
 
 
 def test_parse_dra_bounds_the_alphabet():
