@@ -189,7 +189,8 @@ def dra_recurrence_avoid() -> Dra:
     ap = ("d", "b", "c")
     wait = [2 if "b" in sym else 1 if "d" in sym else 0
             for sym in alphabet(ap)]
-    return Dra(3, 0, ap, [wait, wait, [2] * len(wait)], [({2}, {1})])
+    return Dra.from_table(3, 0, ap, [wait, wait, [2] * len(wait)],
+                          [({2}, {1})])
 
 
 def dra_recurrence_avoid_charge() -> Dra:
@@ -203,8 +204,9 @@ def dra_recurrence_avoid_charge() -> Dra:
               for sym in alphabet(ap)]
     wait_c = [4 if "b" in sym else 3 if "c" in sym else 2
               for sym in alphabet(ap)]
-    return Dra(5, 0, ap, [wait_d, wait_d, wait_c, wait_d, [4] * len(wait_d)],
-               [({4}, {3})])
+    return Dra.from_table(
+        5, 0, ap, [wait_d, wait_d, wait_c, wait_d, [4] * len(wait_d)],
+        [({4}, {3})])
 
 
 # --- case 2: nested-ring factory ------------------------------------------
@@ -347,4 +349,5 @@ def dra_command_then_material() -> Dra:
     ap = ("g", "r")
     wait_g = [1 if "g" in sym else 0 for sym in alphabet(ap)]
     wait_r = [2 if "r" in sym else 1 for sym in alphabet(ap)]
-    return Dra(3, 0, ap, [wait_g, wait_r, wait_g], [(set(), {2})])
+    return Dra.from_table(3, 0, ap, [wait_g, wait_r, wait_g],
+                          [(set(), {2})])

@@ -9,8 +9,10 @@ read-only weight vector over those pairs (policy_from_entries reads one
 from (state, action, probability) entries, as a policy file lists them);
 its domain is the set of states whose row has positive mass.  A utility is
 likewise a value vector over a model's pairs (UtilityFn is the table it is
-read from at the input edge).  A Rabin automaton (Dra) is one transition
-table over the symbols of 2^AP, numbered as alphabet numbers them.  The
+read from at the input edge).  A Rabin automaton (Dra) keeps its edges,
+each a guard over the propositions, and is read only on the symbols asked
+for (Dra.transitions): build_product asks for the labels its model's
+states carry, and determinism and completeness are checked on those.  The
 dict forms (the Mdp constructor's trans and index-set acc_pairs, Mdp.trans,
 Mdp.available, UtilityFn(dict) and the Dra.delta view) are adapters over
 the same builders and arrays: no module of the package calls them; they
@@ -51,6 +53,18 @@ class AlphabetMismatch(ModelError):
 
 class PolicyMismatch(ModelError):
     """A policy references actions that are not available."""
+
+
+class NondeterminismError(ModelError):
+    """Two edges of an automaton state admit a symbol that is read."""
+
+    def __init__(self, msg, line=None):
+        self.line = line
+        super().__init__(f"line {line}: {msg}" if line else msg)
+
+
+class IncompletenessError(ModelError):
+    """No edge of an automaton state admits a symbol that is read."""
 
 
 @dataclass(frozen=True)
@@ -222,52 +236,114 @@ class Mdp:
 
 
 class Dra:
-    """Deterministic Rabin automaton over the alphabet 2^AP.
+    """Deterministic Rabin automaton over the alphabet 2^AP, kept as its
+    edges.
 
-    table[q, b] is the state entered from q on symbol b, the symbols
-    numbered as alphabet(ap) numbers them: a read-only int64 array of shape
-    (n_states, 2^|AP|), kept as given when it is one already (as the parser
-    hands it over) and a copy of any other input.  pairs is a nonempty list
-    of (B, G) state sets.
+    edges[q] lists state q's edges as (guard, destination, line) triples,
+    line being where the edge was read (None for one built in memory).  A
+    guard is a proposition index (an int; one at or beyond len(ap) never
+    holds), "t", "f", ("!", g), or an n-ary ("&", g1, g2, ...) or
+    ("|", g1, g2, ...).  pairs is a nonempty list of (B, G) state sets.
+    Determinism and completeness are checked on the symbols read, where
+    transitions reads them.
     """
 
-    def __init__(self, n_states, initial, ap, table, pairs):
+    def __init__(self, n_states, initial, ap, edges, pairs):
         self.n_states = int(n_states)
         self.initial = int(initial)
         self.ap = tuple(ap)
-        self.table = np.asarray(table, dtype=np.int64)
-        if self.table is table and table.flags.writeable:
-            self.table = table.copy()  # the caller's array stays theirs
-        self.table.flags.writeable = False
+        self.edges = tuple(tuple(row) for row in edges)
         self.pairs = tuple((frozenset(b), frozenset(g)) for b, g in pairs)
         if not self.pairs:
             raise ModelError("a Rabin automaton needs at least one pair")
         if not 0 <= self.initial < self.n_states:
             raise ModelError(f"initial state {self.initial} is not one of "
                              f"the {self.n_states} states")
-        shape = (self.n_states, 2 ** len(self.ap))
-        if self.table.shape != shape:
-            raise ModelError(f"table has shape {self.table.shape}, "
-                             f"expected {shape}")
-        # min and max make no table-sized temporary; the table is not empty
-        if self.table.min() < 0 or self.table.max() >= self.n_states:
-            raise ModelError("table enters a state outside "
-                             f"0..{self.n_states - 1}")
 
-    def symbol(self, props):
-        """The number of the symbol that holds exactly props; ValueError
-        if props names a proposition outside ap."""
-        return sum(1 << self.ap.index(p) for p in props)
+    @classmethod
+    def from_table(cls, n_states, initial, ap, table, pairs):
+        """The automaton that enters table[q][b] from q on symbol b, the
+        symbols numbered as alphabet(ap) numbers them: one edge per symbol,
+        whose guard names every proposition, as write_dra prints it."""
+        table = np.asarray(table, dtype=np.int64)
+        shape = (int(n_states), 2 ** len(ap))
+        if table.shape != shape:
+            raise ModelError(f"table has shape {table.shape}, "
+                             f"expected {shape}")
+        if table.size and (table.min() < 0 or table.max() >= n_states):
+            raise ModelError(f"table enters a state outside 0..{n_states - 1}")
+        neg = [("!", i) for i in range(len(ap))]
+        guards = []
+        for b in range(shape[1]):
+            lits = [i if b >> i & 1 else neg[i] for i in range(len(ap))]
+            guards.append(("&", *lits) if len(lits) > 1 else
+                          lits[0] if lits else "t")
+        return cls(n_states, initial, ap,
+                   [[(g, dest, None) for g, dest in zip(guards, row)]
+                    for row in table.tolist()], pairs)
+
+    def transitions(self, labels):
+        """The (n_states, len(labels)) array of the states entered from
+        each state on each of labels, sets of propositions of ap.  Each
+        distinct guard is evaluated once, on the truth vectors of the
+        propositions over the distinct labels in symbol-number order (as
+        alphabet numbers them): the columns of a labels x AP matrix.
+
+        Raises NondeterminismError (at the line of the second edge) or
+        IncompletenessError at the first state, and its first label in
+        that order, that does not match exactly one edge.
+        """
+        index = {p: i for i, p in enumerate(self.ap)}
+        code = {lab: sum(1 << index[p] for p in lab) for lab in set(labels)}
+        syms = sorted(code, key=code.get)
+        truth = {i: np.array([p in lab for lab in syms], dtype=bool)
+                 for i, p in enumerate(self.ap)}
+        truth["t"], truth["f"] = (np.full(len(syms), v) for v in (True, False))
+        out = np.empty((self.n_states, len(syms)), dtype=np.int64)
+        for q, row in enumerate(self.edges):
+            hits = np.array([_truth(g, truth) for g, _, _ in row],
+                            dtype=bool).reshape(len(row), len(syms))
+            count = hits.sum(axis=0)
+            bad = np.flatnonzero(count != 1)
+            if bad.size:
+                j = bad[0]
+                sym = {p for p in self.ap if p in syms[j]} or "{}"
+                if count[j]:
+                    raise NondeterminismError(
+                        f"state {q}: symbol {sym} matches {count[j]} edges",
+                        row[np.flatnonzero(hits[:, j])[1]][2])
+                raise IncompletenessError(f"state {q}: no edge for symbol "
+                                          f"{sym}")
+            out[q] = [row[e][1] for e in hits.argmax(axis=0).tolist()]
+        col = {lab: j for j, lab in enumerate(syms)}
+        return out[:, [col[lab] for lab in labels]]
 
     def step(self, q, props):
-        return int(self.table[q, self.symbol(props)])
+        """The state entered from q on the symbol that holds props."""
+        return int(self.transitions([frozenset(props)])[q, 0])
 
     @cached_property
     def delta(self):
-        """The table as a {(q, frozenset of props): q'} dict, q-major and
-        then by symbol number; perfbench/oracle.py reads it."""
-        return {(q, sym): dest for q, row in enumerate(self.table.tolist())
-                for sym, dest in zip(alphabet(self.ap), row)}
+        """The transitions as a {(q, frozenset of props): q'} dict, q-major
+        and then by symbol number; perfbench/oracle.py reads it."""
+        syms = alphabet(self.ap)
+        return {(q, sym): dest
+                for q, row in enumerate(self.transitions(syms).tolist())
+                for sym, dest in zip(syms, row)}
+
+
+def _truth(g, memo):
+    """Where guard g holds, as a boolean vector over the labels: memo holds
+    the vectors of t, f and each proposition index, and gains each guard
+    evaluated, so that each is evaluated once; any other index never
+    holds."""
+    if g not in memo:
+        if not isinstance(g, tuple):
+            return memo["f"]
+        args = [_truth(a, memo) for a in g[1:]]
+        memo[g] = ~args[0] if g[0] == "!" else (
+            np.logical_and if g[0] == "&" else np.logical_or).reduce(args)
+    return memo[g]
 
 
 def alphabet(ap):
@@ -515,7 +591,7 @@ def build_product(m: Mdp, d: Dra) -> Mdp:
                 f"state {m.state_names[s]} labeled {set(m.labels[s])!r} "
                 f"outside automaton alphabet {d.ap!r}")
     # step[q, t]: the automaton state after entering base state t from q
-    step = d.table[:, [d.symbol(lab) for lab in m.labels]]
+    step = d.transitions(m.labels)
     rows = step.tolist()
     succ, ptr, sptr = (m.succ_state.tolist(), m.succ_ptr.tolist(),
                        m.state_ptr.tolist())

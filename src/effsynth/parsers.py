@@ -16,10 +16,9 @@ an automaton's States:, Start:, AP: and Acceptance: headers) is repeated;
 the decimal literals, repeated keys and cost signs of all entries are
 checked in bulk after it (_entry_values), and a malformed file is
 reported at its first bad line whichever check finds it.  An automaton
-guard is evaluated as the bitset of the symbols it admits and folded into
-its state's coverage and table planes, then dropped, and the automaton's
-table is read off those planes whole, never symbol by symbol for each
-edge.
+keeps each edge as its parsed guard tree, destination and line, with
+nothing built per symbol of 2^AP; which symbols its guards admit is read
+where the product asks for them (model.Dra.transitions).
 """
 
 import re
@@ -43,14 +42,6 @@ class ValidationError(InputError):
         super().__init__(
             f"{len(self.violations)} violation(s), first: {first.kind} "
             f"({first.detail})")
-
-
-class NondeterminismError(ParseError):
-    pass
-
-
-class IncompletenessError(ParseError):
-    pass
 
 
 def _lines(text):
@@ -279,27 +270,20 @@ def parse_utilities(text, m: Mdp):
 
 # --- HOA-subset Rabin automata ------------------------------------------
 
-# most atomic propositions an automaton may declare: each state's table row
-# holds 2^|AP| symbols, 8 MB at 20
-MAX_AP = 20
-# most entries (states x 2^|AP|) an automaton's table may hold, 1 GiB of
-# int64: a larger table took over a second to build at the time it was set
-MAX_TABLE = 2 ** 27
-
 _ACC_PAIR = re.compile(r"Fin\s*\(\s*(\d+)\s*\)\s*&\s*Inf\s*\(\s*(\d+)\s*\)")
+_AP_LINE = re.compile(r'AP:\s+(\d+)((\s+"[^"]*")*)')
 _STATE_LINE = re.compile(r"State:\s*(\d+)\s*(\{([\d\s]*)\})?\s*$")
 _EDGE_LINE = re.compile(r"\[(.*)\]\s*(\d+)\s*$")
 _GUARD_TOKEN = re.compile(r"\d+|[!&|()tf]")
 
 
 class _GuardParser:
-    """Boolean guards over AP indices: literals, !, &, |, parentheses, t/f.
+    """Boolean guards over AP indices: literals, !, &, |, parentheses, t/f,
+    parsed into the guard trees that Dra keeps, with n-ary & and |.  Equal
+    negations share one node through negations, a dict kept across the
+    guards of a file."""
 
-    A guard is evaluated while it is parsed, as the bitset of the symbols
-    (numbered as model.alphabet numbers them) that satisfy it; an index
-    beyond the declared APs is a proposition that never holds."""
-
-    def __init__(self, text, ln, lit, full):
+    def __init__(self, text, ln, negations):
         toks = _GUARD_TOKEN.findall(text)
         if "".join(toks).replace(" ", "") != text.replace(" ", ""):
             raise ParseError(f"bad guard {text!r}", ln)
@@ -307,81 +291,78 @@ class _GuardParser:
         self.toks = toks + [None]
         self.pos = 0
         self.ln = ln
-        self.lit = lit    # lit[i]: the symbols that hold AP i
-        self.full = full  # every symbol
-
-    def _peek(self):
-        return self.toks[self.pos]
-
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
+        self.negations = negations
 
     def parse(self):
         try:
-            bits = self._expr()
+            guard = self._expr()
         except RecursionError:
             raise ParseError("guard nested too deeply", self.ln) from None
-        if self._peek() is not None:
+        if self.toks[self.pos] is not None:
             raise ParseError("trailing guard tokens", self.ln)
-        return bits
+        return guard
 
     def _expr(self):
-        bits = self._term()
-        while self._peek() == "|":
-            self._next()
-            bits |= self._term()
-        return bits
-
-    def _term(self):
-        bits = self._factor()
-        while self._peek() == "&":
-            self._next()
-            bits &= self._factor()
-        return bits
+        """The disjunction of conjunctions of factors that starts here."""
+        toks, ors = self.toks, []
+        while True:
+            ands = [self._factor()]
+            while toks[self.pos] == "&":
+                self.pos += 1
+                ands.append(self._factor())
+            ors.append(("&", *ands) if len(ands) > 1 else ands[0])
+            if toks[self.pos] != "|":
+                return ("|", *ors) if len(ors) > 1 else ors[0]
+            self.pos += 1
 
     def _factor(self):
-        tok = self._next()
+        tok = self.toks[self.pos]
+        self.pos += 1
         if tok == "!":
-            return self.full ^ self._factor()
+            node = ("!", self._factor())
+            return self.negations.setdefault(node, node)
         if tok == "(":
-            bits = self._expr()
-            if self._next() != ")":
+            guard = self._expr()
+            if self.toks[self.pos] != ")":
                 raise ParseError("unbalanced parenthesis in guard", self.ln)
-            return bits
-        if tok == "t":
-            return self.full
-        if tok == "f":
-            return 0
+            self.pos += 1
+            return guard
+        if tok in ("t", "f"):
+            return tok
         if tok is not None and tok.isdigit():
-            i = int(tok)
-            return self.lit[i] if i < len(self.lit) else 0
+            return int(tok)
         raise ParseError(f"unexpected guard token {tok!r}", self.ln)
 
 
+def _guard_text(g, outer="|"):
+    """The HOA text of guard g, in parentheses where it binds more loosely
+    than the operator outer it stands under."""
+    if not isinstance(g, tuple):
+        return str(g)
+    if g[0] == "!":
+        return "!" + _guard_text(g[1], "!")
+    text = f" {g[0]} ".join(_guard_text(a, g[0]) for a in g[1:])
+    return f"({text})" if "|&!".index(g[0]) < "|&!".index(outer) else text
+
+
 def _header_int(line, ln):
-    """The integer that follows a header's name."""
+    """The integer that is a header's one token after its name."""
     try:
-        return int(line.split()[1])
-    except (IndexError, ValueError):
+        _, value = line.split()
+        return int(value)
+    except ValueError:
         raise ParseError(f"bad header line {line!r}", ln) from None
 
 
 def parse_dra(text) -> Dra:
-    """HOA-subset automata: Rabin acceptance only, state-based membership,
-    one deterministic and complete guard set per state.  Symbols are
-    numbered as model.alphabet numbers them; each guard is evaluated as the
-    bitset of the symbols it admits and folded into its state's coverage,
-    overlaps and table planes, and a state's faults are read off those,
-    first symbol first.  Each header is given once, at most MAX_AP
-    propositions are declared, the table's size is checked against
-    MAX_TABLE at the later of the States: and AP: headers, and the States:
-    count against the body, before any row is built."""
-    n_states = None
-    start = None
-    ap = None
-    pairs_idx = None
+    """HOA-subset automata: Rabin acceptance only, state-based membership.
+    Each header is given once and holds exactly its tokens, the States:
+    count is checked against the body before anything is kept for the
+    declared states, and each edge is kept as its parsed guard, destination
+    and line.  Determinism and completeness are checked where the product
+    reads the automaton, on the symbols that label its model's states
+    (Dra.transitions)."""
+    n_states = start = ap = pairs_idx = None
     body = []
     in_body = False
     seen = set()  # the headers read, each at most once
@@ -410,12 +391,12 @@ def parse_dra(text) -> Dra:
         elif line.startswith("Start:"):
             start = _header_int(line, ln)
         elif line.startswith("AP:"):
-            names = re.findall(r'"([^"]*)"', line)
-            if _header_int(line, ln) != len(names):
+            mo = _AP_LINE.fullmatch(line)
+            if not mo:
+                raise ParseError(f"bad header line {line!r}", ln)
+            names = re.findall(r'"([^"]*)"', mo.group(2))
+            if int(mo.group(1)) != len(names):
                 raise ParseError("AP count disagrees with names", ln)
-            if len(names) > MAX_AP:
-                raise ParseError(f"{len(names)} APs exceed the limit of "
-                                 f"{MAX_AP}", ln)
             dup = next((p for i, p in enumerate(names) if p in names[:i]),
                        None)
             if dup is not None:
@@ -441,111 +422,47 @@ def parse_dra(text) -> Dra:
             continue
         else:
             raise ParseError(f"unknown header line {line!r}", ln)
-        if (line.startswith(("States:", "AP:")) and None not in (n_states, ap)
-                and n_states << len(ap) > MAX_TABLE):
-            raise ParseError(f"{n_states} states over {len(ap)} APs exceed "
-                             f"the table limit of {MAX_TABLE} entries", ln)
     if None in (n_states, start, ap, pairs_idx):
         raise ParseError("missing required HOA headers")
 
-    # lit[i]: the symbols that hold AP i, grown one AP at a time as the
-    # symbols double, in time linear in them
-    lit, n_sym = [], 1
-    for _ in ap:
-        lit = [x | x << n_sym for x in lit] + [((1 << n_sym) - 1) << n_sym]
-        n_sym *= 2
-    full = (1 << n_sym) - 1
-    # a guard's bitset is cached only if it is no longer than the guard's
-    # text, so the cache never outgrows the file
-    guards = {}
-    n_planes = max(n_states - 1, 1).bit_length()
     memberships = {}
-    first = {}  # state -> the index in body of its State: line
-    rows = {}
-    current = None
-    for i, (ln, line) in enumerate(body):
+    edges = {}  # state -> its (guard, destination, line) edges
+    trees = {}  # guard text -> its tree, so that equal guards share one
+    negations = {}
+    row = None
+    for ln, line in body:
         mo = _EDGE_LINE.match(line)
-        if mo and current is not None:
-            guard, dest = mo.group(1), int(mo.group(2))
-            bits = guards.get(guard)
-            if bits is None:
-                bits = _GuardParser(guard, ln, lit, full).parse()
-                if n_sym <= 8 * len(guard):
-                    guards[guard] = bits
-            row[1] |= row[0] & bits
-            row[0] |= bits
-            if dest >= n_states:
-                row[2] |= bits
-                continue
-            while dest:
-                k = dest.bit_length() - 1
-                row[3 + k] |= bits
-                dest ^= 1 << k
+        if mo and row is not None:
+            guard = mo.group(1)
+            if guard not in trees:
+                trees[guard] = _GuardParser(guard, ln, negations).parse()
+            row.append((trees[guard], int(mo.group(2)), ln))
             continue
         mo = _STATE_LINE.match(line)
         if mo:
-            current = int(mo.group(1))
-            if current in first:
-                raise ParseError(f"duplicate State: {current}", ln)
-            memberships[current] = [int(x) for x in
-                                    (mo.group(3) or "").split()]
-            first[current] = i
-            # the symbols the state's edges cover, cover twice and send out
-            # of range, then per plane k those on which it enters a state
-            # with bit k set (one plane at least, so that a one-state table
-            # has rows to fill); each edge is folded in and dropped
-            row = rows[current] = [0] * (3 + n_planes)
+            q = int(mo.group(1))
+            if q in edges:
+                raise ParseError(f"duplicate State: {q}", ln)
+            memberships[q] = [int(x) for x in (mo.group(3) or "").split()]
+            row = edges[q] = []
             continue
         raise ParseError(f"bad body line {line!r}", ln)
-    # counted before anything is built for the declared states
-    if len(first) != n_states or any(q >= n_states for q in first):
+    if len(edges) != n_states or any(q >= n_states for q in edges):
         raise ParseError("body does not define every state exactly once")
     for q, sets in memberships.items():
         for idx in sets:
             if idx >= n_acc_sets:
                 raise ParseError(f"state {q} references acceptance set {idx} "
                                  "beyond the declared count")
-
     for q in range(n_states):
-        covered, overlap, wrong = rows[q][:3]
-        fault = overlap | wrong | full & ~covered
-        if fault:
-            # the first faulty state's edges are read again to name the hits
-            b = (fault & -fault).bit_length() - 1
-            sym = [p for i, p in enumerate(ap) if b >> i & 1]
-            hits = []
-            for ln, line in body[first[q] + 1:]:
-                mo = _EDGE_LINE.match(line)
-                if not mo:
-                    break
-                if _GuardParser(mo.group(1), ln, lit, full).parse() >> b & 1:
-                    hits.append((int(mo.group(2)), ln))
-            if len(hits) > 1:
-                raise NondeterminismError(
-                    f"state {q}: symbol {set(sym) or '{}'} matches "
-                    f"{len(hits)} edges", hits[1][1])
-            if not hits:
-                raise IncompletenessError(
-                    f"state {q}: no edge for symbol {set(sym) or '{}'}")
-            raise ParseError(f"edge to unknown state {hits[0][0]}")
-    # plane k adds 2^k to the table wherever its bit is set, unpacked one
-    # plane at a time so that the table is the one large array
-    width = -(-n_sym // 8)
-    table = np.zeros((n_states, n_sym), dtype=np.int64)
-    for k in range(n_planes):
-        packed = np.frombuffer(b"".join(rows[q][3 + k].to_bytes(
-            width, "little") for q in range(n_states)), np.uint8)
-        bits = np.unpackbits(packed.reshape(n_states, width), axis=1,
-                             count=n_sym, bitorder="little")
-        np.add(table, 1 << k, out=table, where=bits.view(bool))
-    table.flags.writeable = False
+        for _, dest, _ in edges[q]:
+            if dest >= n_states:
+                raise ParseError(f"edge to unknown state {dest}")
 
-    pairs = []
-    for fin_i, inf_i in pairs_idx:
-        b = {q for q, sets in memberships.items() if fin_i in sets}
-        g = {q for q, sets in memberships.items() if inf_i in sets}
-        pairs.append((b, g))
-    return Dra(n_states, start, ap, table, pairs)
+    pairs = [[{q for q, sets in memberships.items() if i in sets}
+              for i in pair] for pair in pairs_idx]
+    return Dra(n_states, start, ap, [edges[q] for q in range(n_states)],
+               pairs)
 
 
 # --- canonical writers ----------------------------------------------------
@@ -587,7 +504,7 @@ def write_utilities(m: Mdp, reward=None, cost=None) -> str:
 
 
 def write_dra(d: Dra) -> str:
-    """Canonical HOA-subset text with one fully expanded guard per symbol."""
+    """Canonical HOA-subset text: each state's stored edges, in order."""
     out = ["HOA: v1",
            f"States: {d.n_states}",
            f"Start: {d.initial}",
@@ -596,19 +513,12 @@ def write_dra(d: Dra) -> str:
            " | ".join(f"Fin({2 * i}) & Inf({2 * i + 1})"
                       for i in range(len(d.pairs))),
            "--BODY--"]
-    for q, row in enumerate(d.table.tolist()):
-        sets = []
-        for i, (b, g) in enumerate(d.pairs):
-            if q in b:
-                sets.append(2 * i)
-            if q in g:
-                sets.append(2 * i + 1)
+    for q, row in enumerate(d.edges):
+        sets = [2 * i + k for i, pair in enumerate(d.pairs)
+                for k in (0, 1) if q in pair[k]]
         suffix = (" {" + " ".join(str(x) for x in sets) + "}") if sets else ""
         out.append(f"State: {q}{suffix}")
-        for sym, dest in enumerate(row):
-            lits = [(str(i) if sym >> i & 1 else f"!{i}")
-                    for i in range(len(d.ap))] or ["t"]
-            out.append(f"[{' & '.join(lits)}] {dest}")
+        out.extend(f"[{_guard_text(g)}] {dest}" for g, dest, _ in row)
     out.append("--END--")
     return "\n".join(out) + "\n"
 

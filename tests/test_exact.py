@@ -45,7 +45,8 @@ def random_dra(rng, n_states):
         return {int(q) for q in rng.choice(n_states, size=k, replace=False)}
 
     pairs = [(some(0, 2), some(1, 3)) for _ in range(int(rng.integers(1, 3)))]
-    return Dra(n_states, int(rng.integers(n_states)), AP, table, pairs)
+    return Dra.from_table(n_states, int(rng.integers(n_states)), AP, table,
+                          pairs)
 
 
 def labeled_mdp(rng, n_states, n_actions):

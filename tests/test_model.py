@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from effsynth.model import (AlphabetMismatch, Dra, Mdp, ModelError,
-                            PolicyMismatch, UtilityFn, alphabet, blend,
-                            build_product, induce_chain, uniform_policy,
-                            validate_mdp)
+from effsynth.model import (AlphabetMismatch, Dra, IncompletenessError, Mdp,
+                            ModelError, NondeterminismError, PolicyMismatch,
+                            UtilityFn, alphabet, blend, build_product,
+                            induce_chain, uniform_policy, validate_mdp)
+from effsynth.parsers import parse_dra
 
 from conftest import dense_p, deterministic, example1_mdp, random_mdp, \
     random_policy, rule_policy
@@ -18,7 +19,7 @@ def test_alphabet_numbers_symbols_by_bits():
 
 
 def accept_everything_dra(ap=("g",)):
-    return Dra(1, 0, ap, [[0] * 2 ** len(ap)], [(set(), {0})])
+    return Dra.from_table(1, 0, ap, [[0] * 2 ** len(ap)], [(set(), {0})])
 
 
 def test_validate_example1_clean():
@@ -110,7 +111,7 @@ def three_state_dra():
     ap = ("g", "b")
     move = [2 if "b" in sym else (1 if "g" in sym else 0)
             for sym in alphabet(ap)]
-    return Dra(3, 0, ap, [move, move, [2] * 4], [({2}, {1})])
+    return Dra.from_table(3, 0, ap, [move, move, [2] * 4], [({2}, {1})])
 
 
 def test_product_obeys_transition_rule_exhaustively(rng):
@@ -153,16 +154,15 @@ def test_product_acceptance_pairs_lifted():
     assert g.tolist() == [q == 1 for _, q in pm.components]
 
 
-def test_dra_table_is_checked_and_read_by_symbol_number():
-    """The constructor takes an (n_states, 2^|AP|) table of states, a
-    state as initial and at least one pair; symbol numbers a set of
-    propositions as alphabet does, and step reads the table."""
+def test_dra_from_table_checks_its_table():
+    """from_table takes an (n_states, 2^|AP|) table of states, a state as
+    initial and at least one pair; step and the delta view read the table
+    back by symbol number, as alphabet numbers the symbols."""
     ap = ("g", "b")
     table = [[0, 1, 1, 0], [1, 1, 0, 1]]
-    d = Dra(2, 1, ap, table, [({0}, {1})])
-    assert d.table.dtype == np.int64 and not d.table.flags.writeable
-    assert [d.symbol(sym) for sym in alphabet(ap)] == [0, 1, 2, 3]
+    d = Dra.from_table(2, 1, ap, table, [({0}, {1})])
     assert [d.step(1, sym) for sym in alphabet(ap)] == table[1]
+    assert list(d.delta.values()) == table[0] + table[1]
     bad = [("shape", 2, 0, [[0, 1, 1], [0, 1, 1]], [({0}, {1})]),
            ("shape", 3, 0, table, [({0}, {1})]),
            ("shape", 1, 0, [0, 1, 0, 0], [({0}, {1})]),
@@ -175,7 +175,62 @@ def test_dra_table_is_checked_and_read_by_symbol_number():
            ("initial state -1", 2, -1, table, [({0}, {1})])]
     for match, n, initial, tab, pairs in bad:
         with pytest.raises(ModelError, match=match):
-            Dra(n, initial, ap, tab, pairs)
+            Dra.from_table(n, initial, ap, tab, pairs)
+
+
+TWO_STATE_HOA = """\
+HOA: v1
+States: 2
+Start: 0
+AP: 2 "g" "b"
+Acceptance: 2 Fin(0) & Inf(1)
+--BODY--
+State: 0
+[!0 & !1] 0
+[0 & !1] 1
+[1] 0
+State: 1 {1}
+[!0] 0
+[0] 1
+--END--
+"""
+
+
+def test_product_checks_the_automaton_on_the_labels_it_reads():
+    """Determinism and completeness are checked on the labels the model
+    carries, the first state and symbol first: an overlap on a used label
+    is a NondeterminismError at the second edge's line, a gap an
+    IncompletenessError, each a ModelError; a fault on a symbol no state
+    carries (here any with b) is never read, and the product is that of
+    the complete automaton."""
+    m = example1_mdp()
+    m = Mdp(m.state_names, m.action_names, 0, m.trans, ("g", "b"),
+            [frozenset(), frozenset({"g"}), frozenset(), frozenset({"g"})])
+    lines = TWO_STATE_HOA.splitlines()
+
+    def product(at, new):
+        return build_product(m, parse_dra("\n".join(
+            lines[:at - 1] + new + lines[at:])))
+
+    with pytest.raises(NondeterminismError) as err:
+        product(10, ["[t] 0"])
+    assert str(err.value) == "line 10: state 0: symbol {} matches 2 edges"
+    assert err.value.line == 10
+    with pytest.raises(IncompletenessError) as err:
+        product(9, ["[0 & 1] 1"])
+    assert str(err.value) == "state 0: no edge for symbol {'g'}"
+    assert getattr(err.value, "line", None) is None
+    assert issubclass(NondeterminismError, ModelError)
+    assert issubclass(IncompletenessError, ModelError)
+    want = build_product(m, parse_dra(TWO_STATE_HOA))
+    for new in (["[f] 0"], ["[1] 0", "[0 & 1] 1"]):
+        pm = product(10, new)
+        for name in ("state_ptr", "pair_action", "succ_ptr", "succ_state",
+                     "succ_prob", "parent_pair"):
+            assert np.array_equal(getattr(pm, name), getattr(want, name))
+        assert pm.components == want.components
+        for x, y in zip(pm.acc_pairs, want.acc_pairs, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(x, y))
 
 
 def dict_dra_delta(n_states, ap, delta):

@@ -8,7 +8,11 @@ evaluates every automaton guard once per (edge, symbol) and checks a
 model's invariants pair by pair.  The parsers that fill the arrays straight
 from the text must give bitwise the same arrays, names and labels on every
 valid text and, on every malformed one, the same exception class, message
-and line: the first bad line in file order wins.
+and line: the first bad line in file order wins.  A malformed automaton is
+compared through the product with a model whose states carry every symbol:
+the parser leaves determinism and completeness to the product, which checks
+them on the symbols it reads, where the reference checks every symbol as
+it parses.
 """
 
 import re
@@ -16,10 +20,10 @@ import re
 import numpy as np
 import pytest
 
-from effsynth.model import (Dra, Mdp, ModelError, PolicyMismatch, PROB_TOL,
-                            Violation, build_product, validate_mdp)
-from effsynth.parsers import (IncompletenessError, NondeterminismError,
-                              ParseError, ValidationError, parse_dra,
+from effsynth.model import (Dra, IncompletenessError, Mdp, ModelError,
+                            NondeterminismError, PolicyMismatch, PROB_TOL,
+                            Violation, alphabet, build_product, validate_mdp)
+from effsynth.parsers import (ParseError, ValidationError, parse_dra,
                               parse_mdp, parse_policy, parse_utilities,
                               write_dra, write_mdp, write_policy,
                               write_utilities)
@@ -368,11 +372,16 @@ def ref_parse_dra(text):
                 if head in seen:
                     raise ParseError(f"duplicate {head} header", ln)
                 seen.add(head)
+        if line.startswith(("States:", "Start:")) and \
+                len(line.split()) != 2:
+            raise ParseError(f"bad header line {line!r}", ln)
         if line.startswith("States:"):
             n_states = int(line.split()[1])
         elif line.startswith("Start:"):
             start = int(line.split()[1])
         elif line.startswith("AP:"):
+            if not re.fullmatch(r'AP:\s+\d+(\s+"[^"]*")*', line):
+                raise ParseError(f"bad header line {line!r}", ln)
             names = re.findall(r'"([^"]*)"', line)
             count = int(line.split()[1])
             if count != len(names):
@@ -432,6 +441,10 @@ def ref_parse_dra(text):
             if idx >= n_acc_sets:
                 raise ParseError(f"state {q} references acceptance set {idx} "
                                  "beyond the declared count")
+    for q in range(n_states):
+        for guard, dest, ln in edges[q]:
+            if not (0 <= dest < n_states):
+                raise ParseError(f"edge to unknown state {dest}")
     symbols = []
     n_ap = len(ap)
     for bits in range(2 ** n_ap):
@@ -449,18 +462,15 @@ def ref_parse_dra(text):
             if not hits:
                 raise IncompletenessError(
                     f"state {q}: no edge for symbol {set(sym) or '{}'}")
-            dest = hits[0][0]
-            if not (0 <= dest < n_states):
-                raise ParseError(f"edge to unknown state {dest}")
-            delta[(q, sym)] = dest
+            delta[(q, sym)] = hits[0][0]
     pairs = []
     for fin_i, inf_i in pairs_idx:
         b = {q for q, sets in memberships.items() if fin_i in sets}
         g = {q for q, sets in memberships.items() if inf_i in sets}
         pairs.append((b, g))
-    return Dra(n_states, start, ap,
-               [[delta[(q, sym)] for _, sym in symbols]
-                for q in range(n_states)], pairs)
+    return Dra.from_table(n_states, start, ap,
+                          [[delta[(q, sym)] for _, sym in symbols]
+                           for q in range(n_states)], pairs)
 
 
 # --- comparing outcomes --------------------------------------------------
@@ -499,6 +509,25 @@ def same_dra(got, ref):
     assert (got.n_states, got.initial, got.ap, got.pairs) == \
         (ref.n_states, ref.initial, ref.ap, ref.pairs)
     assert list(got.delta.items()) == list(ref.delta.items())
+
+
+def every_symbol_product(parse):
+    """The text -> product function of parse on a model whose four states
+    carry the four symbols over AP, so that the product reads every
+    automaton state on every symbol."""
+    syms = alphabet(AP)
+    n = len(syms)
+    m = Mdp([f"s{i}" for i in range(n)], ["a"], 0,
+            {(i, 0): {j: 1 / n for j in range(n)} for i in range(n)}, AP,
+            syms)
+    return lambda text: build_product(m, parse(text))
+
+
+def same_product(got, ref):
+    same_model(got, ref)
+    assert got.components == ref.components
+    for x, y in zip(got.acc_pairs, ref.acc_pairs, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(x, y))
 
 
 def check_parity(new, ref, same, *args):
@@ -1033,13 +1062,19 @@ DRA_CASES = {
     "repeated AP:": (4, 'AP: 2 "g" "b"\nAP: 2 "b" "g"'),
     "repeated Acceptance:": (5, "Acceptance: 2 Fin(0) & Inf(1)\n"
                                 "Acceptance: 2 Fin(1) & Inf(0)"),
+    "extra States: token": (2, "States: 2 7"),
+    "Start: conjunction": (3, "Start: 0 & 1"),
+    "stray AP: token": (4, 'AP: 2 x "g" "b"'),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DRA_CASES))
 def test_malformed_automaton_fails_the_same_way(case):
+    """Parsed and read by the product on every symbol, as the reference
+    checks each state on every symbol as it parses."""
     n, line = DRA_CASES[case]
-    err = check_parity(parse_dra, ref_parse_dra, same_dra,
+    err = check_parity(every_symbol_product(parse_dra),
+                       every_symbol_product(ref_parse_dra), same_product,
                        _replace(AUTOMATON, n, line))
     assert (err is None) == case.endswith("always holds")
 
@@ -1047,7 +1082,8 @@ def test_malformed_automaton_fails_the_same_way(case):
 def test_random_guard_corruptions_fail_the_same_way(rng):
     """Guards rewritten at random (literals dropped, negated, widened to t
     or f, pointed past the APs): overlaps, gaps and bad destinations are
-    reported for the same symbol and line."""
+    reported for the same symbol and line once the product has read every
+    symbol."""
     kinds = set()
     for trial in range(300):
         d = random_dra(rng, int(rng.integers(1, 4)))
@@ -1071,8 +1107,9 @@ def test_random_guard_corruptions_fail_the_same_way(rng):
             else:
                 dest = str(int(rng.integers(d.n_states + 2)))
             lines[i] = f"[{guard}] {dest}"
-        err = check_parity(parse_dra, ref_parse_dra, same_dra,
-                           "\n".join(lines))
+        err = check_parity(every_symbol_product(parse_dra),
+                           every_symbol_product(ref_parse_dra),
+                           same_product, "\n".join(lines))
         kinds.add(type(err).__name__)
     assert {"NondeterminismError", "IncompletenessError", "ParseError",
             "NoneType"} <= kinds

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from effsynth.graph import mec_decompose, restrict
-from effsynth.model import (Dra, Mdp, ModelError, UtilityFn, build_product,
-                            uniform_policy, validate_mdp)
-from effsynth.parsers import (MAX_AP, MAX_TABLE, IncompletenessError,
-                              NondeterminismError, ParseError,
-                              ValidationError, parse_dra,
+from effsynth.model import (Dra, IncompletenessError, Mdp, ModelError,
+                            NondeterminismError, UtilityFn, alphabet,
+                            build_product, uniform_policy, validate_mdp)
+from effsynth.parsers import (ParseError, ValidationError, parse_dra,
                               parse_mdp, parse_policy, parse_utilities,
                               write_dra, write_mdp, write_policy,
                               write_utilities)
@@ -159,7 +158,7 @@ def test_products_and_submodels_write_and_validate(rng):
     """Models built from arrays (a product, its end components) validate,
     read back as trans, and round-trip through the writer, which prints
     12 significant digits."""
-    d = Dra(2, 0, ("g",), [[0, 1], [0, 1]], [(set(), {1})])
+    d = Dra.from_table(2, 0, ("g",), [[0, 1], [0, 1]], [(set(), {1})])
     for trial in range(5):
         m = random_mdp(rng, 5, 2)
         m = Mdp(m.state_names, m.action_names, m.initial, m.trans, ("g",),
@@ -248,15 +247,17 @@ def test_parse_infinitely_often_g_and_run_words():
 
 
 def test_parse_dra_rejects_overlapping_guards():
+    """Once a symbol is read: here every symbol, by the delta view."""
     text = INF_OFTEN_G.replace("[0] 1\nState: 1", "[0] 1\n[t] 0\nState: 1")
     with pytest.raises(NondeterminismError):
-        parse_dra(text)
+        parse_dra(text).delta
 
 
 def test_parse_dra_rejects_incomplete_guards():
+    """Once a symbol is read: here every symbol, by the delta view."""
     text = INF_OFTEN_G.replace("[!0] 0\n[0] 1\nState: 1", "[0] 1\nState: 1")
     with pytest.raises(IncompletenessError):
-        parse_dra(text)
+        parse_dra(text).delta
 
 
 def test_parse_dra_rejects_non_rabin_acceptance():
@@ -321,91 +322,28 @@ def test_a_repeated_automaton_header_fails_at_the_repeat(header, repeat):
 
 
 def test_parse_dra_keeps_no_guard_past_its_state():
-    """Each edge's guard is folded into its state and dropped: write_dra's
-    one-state automaton over 14 APs (16 384 guards of 2 KB each, 1.1 MB of
-    text) parses within 8 MB of traced peak, where keeping every guard's
-    bitset took 30 MB."""
+    """No guard is kept as more than its parsed tree, and nothing is kept
+    per symbol, so the traced peak stays within a fixed multiple of the
+    text (a short line costs a few hundred bytes of objects): on
+    write_dra's one-state automaton over 12 APs (4096 guards of 12
+    literals) and on a 1000-state automaton over 40 APs with one [t] edge
+    per state, whose table of symbols would hold 2^50 entries."""
     import tracemalloc
-    n_ap = 14
-    text = write_dra(Dra(1, 0, [f"p{i}" for i in range(n_ap)],
-                         np.zeros((1, 2 ** n_ap), dtype=np.int64),
-                         [({0}, set())]))
-    tracemalloc.start()
-    try:
-        d = parse_dra(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not d.table.any()
-    assert peak < 8e6
-
-
-def test_parse_dra_bounds_the_alphabet():
-    """An AP: count above MAX_AP is an error at its line; MAX_AP itself
-    parses, each proposition holding on the symbols with its bit set."""
-    with pytest.raises(ParseError, match=f"line 4: {MAX_AP + 1} APs exceed "
-                                         f"the limit of {MAX_AP}"):
-        parse_dra(hoa(1, MAX_AP + 1, ["State: 0 {1}", "[t] 0"]))
-    top = MAX_AP - 1
-    d = parse_dra(hoa(3, MAX_AP, [
-        line for q in range(3)
-        for line in (f"State: {q} {{1}}", f"[{top} & !0] 2",
-                     f"[!{top} | 0] {q}")]))
-    sym = np.arange(2 ** MAX_AP)
-    hit = (sym >> top & 1 == 1) & (sym & 1 == 0)
-    for q in range(3):
-        assert (d.table[q] == np.where(hit, 2, q)).all()
-
-
-def test_parse_dra_bounds_the_table():
-    """A States: count times 2^|AP| above MAX_TABLE is an error at the
-    later of the two headers, before the body is read, so a 1000-state
-    20-AP automaton fails in well under a MB; a table of exactly MAX_TABLE
-    entries passes the headers."""
-    import tracemalloc
-    body = ["State: 0 {1}", "[t] 0"]
-    top = MAX_TABLE >> MAX_AP
-    with pytest.raises(ParseError, match="body does not define every state"):
-        parse_dra(hoa(top, MAX_AP, body))
-    with pytest.raises(ParseError, match=(
-            f"line 4: {top + 1} states over {MAX_AP} APs exceed the table "
-            f"limit of {MAX_TABLE} entries")):
-        parse_dra(hoa(top + 1, MAX_AP, body))
-    lines = hoa(1000, MAX_AP, body).splitlines()
-    lines.insert(4, lines.pop(1))  # States: after AP: and Acceptance:
-    tracemalloc.start()
-    try:
-        with pytest.raises(ParseError, match="line 5: 1000 states over"):
-            parse_dra("\n".join(lines))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
-
-
-def test_parse_dra_builds_its_table_once():
-    """The parser hands its read-only table to the automaton, which keeps
-    it, so at 4 MB of table the parse's peak stays under 1.5 times the
-    table; a writeable table from an in-memory caller is copied."""
-    import tracemalloc
-    n, n_ap = 8, 16
-    text = hoa(n, n_ap, [line for q in range(n)
-                         for line in (f"State: {q} {{1}}",
-                                      f"[0 & !1] {(q + 1) % n}",
-                                      f"[!0 | 1] {q}")])
-    tracemalloc.start()
-    try:
-        d = parse_dra(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert d.table.nbytes == n * 2 ** n_ap * 8
-    assert peak < 1.5 * d.table.nbytes
-    assert Dra(n, 0, d.ap, d.table, d.pairs).table is d.table
-    mine = np.array(d.table)
-    kept = Dra(n, 0, d.ap, mine, d.pairs).table
-    assert kept is not mine and (kept == mine).all()
-    assert not kept.flags.writeable and mine.flags.writeable
+    n_ap = 12
+    texts = [write_dra(Dra.from_table(1, 0, [f"p{i}" for i in range(n_ap)],
+                                      np.zeros((1, 2 ** n_ap), dtype=int),
+                                      [({0}, set())])),
+             hoa(1000, 40, [line for q in range(1000)
+                            for line in (f"State: {q} {{1}}", "[t] 0")])]
+    for text in texts:
+        tracemalloc.start()
+        try:
+            d = parse_dra(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.step(0, set(d.ap[::2])) == 0
+        assert peak < 40 * len(text)
 
 
 def test_written_automaton_parses_to_its_table(rng):
@@ -413,10 +351,11 @@ def test_written_automaton_parses_to_its_table(rng):
     the symbols span many bytes and the destinations many bits."""
     n_states, n_ap = 11, 9
     table = rng.integers(n_states, size=(n_states, 2 ** n_ap))
-    d = Dra(n_states, 3, [f"p{i}" for i in range(n_ap)], table,
-            [({0}, {1, 2})])
+    d = Dra.from_table(n_states, 3, [f"p{i}" for i in range(n_ap)], table,
+                       [({0}, {1, 2})])
     d2 = parse_dra(write_dra(d))
-    assert (d2.table == table).all() and d2.pairs == d.pairs
+    assert (d2.transitions(alphabet(d.ap)) == table).all()
+    assert d2.pairs == d.pairs
 
 
 def test_dra_roundtrip():

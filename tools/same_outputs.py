@@ -14,7 +14,9 @@ directory (their perturbation tables and bonus sweep decode policies outside
 grid-9 and `mc00` inputs with one line corrupted per directive kind of the
 model, utility, policy and automaton formats (MALFORMED), each run through
 `evaluate`, so that the parsers' error texts and exit codes are compared
-too.  A fixed verdict corpus (VERDICTS) then runs through `evaluate`:
+too; its last three cases pin where the automaton format's bounds lie (a
+gap on a symbol no state carries, 21 APs, a conjunction of start states).
+A fixed verdict corpus (VERDICTS) then runs through `evaluate`:
 small chains whose acceptance hinges on an edge or a leak of probability
 below 1e-9, or on which classes the initial state reaches, so that the
 verdicts are compared as well.  Inputs and outputs
@@ -116,6 +118,15 @@ MALFORMED = (
     ("hoa_guard_syntax", "mc00", "task.hoa", "[", lambda l: "[0 &] 1"),
     ("hoa_guard_ap_index", "mc00", "task.hoa", "[",
      lambda l: l.replace("!0", "!7")),
+    # accepted: no grid-9 state is labelled b alone, so a gap there is
+    # never read, and the AP: count has no bound
+    ("hoa_gap_unused_symbol", "grid9", "task.hoa", "[!0 & 1 & !2] 4",
+     lambda l: "[f] 4"),
+    ("hoa_ap_21", "grid9", "task.hoa", "AP:",
+     lambda l: l.replace("AP: 3", "AP: 21") +
+     "".join(f' "x{i}"' for i in range(18))),
+    ("hoa_start_conjunction", "grid9", "task.hoa", "Start:",
+     lambda l: "Start: 0 & 1"),
 )
 
 
@@ -229,9 +240,9 @@ def _record_malformed(cli, dest):
                 text = "\n".join(lines)
             with open(os.path.join(d, f), "w") as out:
                 out.write(text)
+        out = os.path.join(d, f"{case}.evaluate.json")
         _record(cli, case, ["evaluate", *(os.path.join(d, f) for f in files),
-                            "--out", os.path.join(d, "evaluate.json")],
-                d, dest)
+                            "--out", out], d, dest)
 
 
 def _record_verdicts(cli, dest):
